@@ -53,8 +53,9 @@ class AnalysisConfig:
             {
                 ("repro.server.service", "Session", "live", "_lock"),
                 ("repro.server.service", "Session", "dirty_epoch", "_lock"),
-                ("repro.server.service", "Session", "mask_memo", "_lock"),
-                ("repro.server.service", "Session", "outcome_memo", "_lock"),
+                ("repro.server.kernel", "CompiledPolicy", "mask_memo", "_lock"),
+                ("repro.server.kernel", "CompiledPolicy", "outcome_memo", "_lock"),
+                ("repro.server.kernel", "DecisionKernel", "_compiled", "_lock"),
                 (
                     "repro.server.service",
                     "DisclosureService",
@@ -71,6 +72,7 @@ class AnalysisConfig:
                 ("repro.server.store", "_StoreBase", "_resident", "_lock"),
                 ("repro.server.store", "InMemoryStore", "_cold", "_lock"),
                 ("repro.server.store", "SpillStore", "_index", "_lock"),
+                ("repro.server.store", "SpillStore", "_origin", "_lock"),
                 ("repro.server.interning", "QueryInterner", "_ids", "_lock"),
                 ("repro.server.interning", "QueryInterner", "_keys", "_lock"),
                 ("repro.server.interning", "LabelInterner", "_ids", "_lock"),

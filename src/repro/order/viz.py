@@ -6,13 +6,18 @@ This module turns a :class:`~repro.order.disclosure_lattice.DisclosureLattice`
 ``networkx.DiGraph`` of covering edges, and renders Graphviz DOT text for
 external tooling.  Rendering is text-only — no drawing backends are
 required.
+
+``networkx`` is imported by the two functions that return a graph, not
+by this module: ``import repro`` reaches here, and the ~300 modules and
+~13 MB networkx brings along are no part of serving decisions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-import networkx as nx
+if TYPE_CHECKING:  # annotations only; see the module docstring
+    import networkx as nx
 
 from repro.order.disclosure_lattice import DisclosureLattice
 from repro.order.lattice import FiniteLattice
@@ -20,6 +25,8 @@ from repro.order.lattice import FiniteLattice
 
 def lattice_to_networkx(lattice: FiniteLattice) -> "nx.DiGraph":
     """The Hasse diagram as a DiGraph (edges point upward: lower → upper)."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(lattice.elements)
     graph.add_edges_from(lattice.hasse_edges())
@@ -31,6 +38,8 @@ def disclosure_lattice_to_networkx(
     names: Optional[Dict] = None,
 ) -> "nx.DiGraph":
     """Hasse diagram of a disclosure lattice with readable node labels."""
+    import networkx as nx
+
     finite = lattice.as_finite_lattice()
     graph = nx.DiGraph()
     label_of = _element_labeler(names)

@@ -15,14 +15,21 @@ flat int-keyed operations:
 * **qid → lid** — the shared label cache, an LRU of ints
   (:class:`~repro.server.cache.LabelCache` keyed by qid, valued by
   lid).  A warm decision never touches a tuple.
-* **lid → partition mask** — per-session, the satisfying-partitions
-  bit vector of Example 6.3, memoized in ``session.mask_memo`` (a
-  dict of ints) and computed in bulk by
+* **lid → partition mask** — per *policy*, the satisfying-partitions
+  bit vector of Example 6.3, memoized in ``CompiledPolicy.mask_memo``
+  (a dict of ints) and computed in bulk by
   :meth:`BitVectorRegistry.satisfying_masks_by_id`.
-* **(lid, live) → outcome** — per-session, the whole decision
+* **(lid, live) → outcome** — per *policy*, the whole decision
   (verdict, reason string, surviving mask), memoized in
-  ``session.outcome_memo`` so recurring shapes against a stable live
-  mask are two dict probes end to end.
+  ``CompiledPolicy.outcome_memo`` so recurring shapes against a stable
+  live mask are two dict probes end to end.
+
+Both memos are functions of the policy alone (Section 6.2: a
+principal's state is its policy plus one live bit vector), so they
+live on one :class:`CompiledPolicy` per distinct partition tuple,
+shared by every session registered with that policy: a faulted,
+re-registered, or transient session *binds* to the already-warm
+structure instead of recompiling grants and refilling memos.
 
 **Bounded memory: plane generations.**  Interners are append-only —
 that is what lets everything carry bare ints — so by themselves they
@@ -32,22 +39,26 @@ The kernel therefore scopes the whole ID plane to a *generation*
 (:class:`_Plane`): interners, label cache, and vocabulary flags live
 and die together.  When the shape count crosses ``max_interned_shapes``
 the kernel atomically swaps in a fresh plane (cache counters carry
-over) and bumps the epoch; sessions stamp the epoch they were memoized
-under and lazily drop their memos on first contact with a newer plane.
-Old plane objects are never mutated, so a decision that raced a
-rotation still computes correctly against the plane it captured — it
-just skips the session memos (see ``_sync_session``).  Bare ids are
+over) and bumps the epoch; compiled policies stamp the epoch their
+memos were filled under and lazily drop them on first contact with a
+newer plane (the stamp sits beside the dicts it guards — they are
+shared, so a per-session stamp could not vouch for them).  Old plane
+objects are never mutated, so a decision that raced a rotation still
+computes correctly against the plane it captured — it just skips the
+memos (see ``_sync_policy``).  Bare ids are
 only meaningful within the plane that issued them; the plane-atomic
 entry points (:meth:`decide_query`, :meth:`resolve_queries`) are what
 the transports use, and id-native callers re-intern after a rotation.
 
 The kernel owns no sessions and no metrics: the service remains the
 session store (LRU, registration, serializable state) and the
-transports keep their own counters.  What the kernel guarantees is that
-however a decision arrives — one call, a batch, a shard sub-batch — it
-is computed by the same code over the same integer plane, so the
-equivalence suites that held the three old paths byte-identical now
-hold one path against itself.
+transports keep their own counters.  It does own the table of compiled
+policies (:meth:`DecisionKernel.compile_policy`), held by weak
+reference so it is bounded by what resident sessions actually use.
+What the kernel guarantees is that however a decision arrives — one
+call, a batch, a shard sub-batch — it is computed by the same code over
+the same integer plane, so the equivalence suites that held the three
+old paths byte-identical now hold one path against itself.
 """
 
 from __future__ import annotations
@@ -55,11 +66,16 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
+from repro.analysis.markers import requires_lock
 from repro.core.queries import ConjunctiveQuery
 from repro.labeling.bitvector import PackedLabel
 from repro.server.cache import LabelCache
 from repro.server.interning import LabelInterner, QueryInterner
+
+#: A normalised policy: sorted view names per partition.
+Partitions = Tuple[Tuple[str, ...], ...]
 
 #: The refusal reason for labels outside the security-view vocabulary.
 _VOCABULARY_REASON = (
@@ -148,6 +164,51 @@ class ServiceDecision:
         return f"ServiceDecision({verdict} {self.principal!r}: {self.reason})"
 
 
+class CompiledPolicy:
+    """Everything the kernel derives from a policy alone.
+
+    One instance per distinct normalised partition tuple
+    (:meth:`DecisionKernel.compile_policy` interns them), shared by
+    every session registered with that policy — a session adds only its
+    live bits.  The memo dicts live on the ID plane: both are keyed by
+    dense integer label ids (lids), never by label tuples, and the
+    kernel is their only writer and reader.
+    """
+
+    __slots__ = (
+        "partitions",
+        "grants",
+        "all_live",
+        "plane_epoch",
+        "mask_memo",
+        "outcome_memo",
+        "__weakref__",
+    )
+
+    #: Entries per memo before it resets.
+    MEMO_LIMIT = 4096
+
+    def __init__(self, partitions: Partitions, grants: Tuple[Dict[int, int], ...]):
+        self.partitions = partitions
+        self.grants = grants
+        self.all_live = (1 << len(partitions)) - 1
+        #: The kernel plane generation the memos below were filled
+        #: under; the kernel clears them on first contact with a newer
+        #: plane (ids are generation-scoped).  The stamp belongs here,
+        #: with the dicts: they are shared, so only a stamp that moves
+        #: with them can say which plane their keys mean.
+        self.plane_epoch = -1
+        #: lid -> satisfying-partitions mask.  Sound for the policy's
+        #: lifetime: the mask depends only on the label and the
+        #: (immutable) grants.  Bounded by MEMO_LIMIT (reset when full).
+        self.mask_memo: Dict[int, int] = {}  # guarded-by: _lock
+        #: (lid, live) -> (accepted, reason, surviving), same soundness
+        #: argument with the live bits added to the key.  In steady state
+        #: a session's live mask is stable, so recurring shapes make
+        #: whole decisions two dict probes.  Shares MEMO_LIMIT.
+        self.outcome_memo: Dict[Tuple[int, int], Tuple[bool, str, int]] = {}  # guarded-by: _lock
+
+
 class _Plane:
     """One generation of the ID plane.
 
@@ -212,6 +273,11 @@ class DecisionKernel:
         )
         self._plane = _Plane(0, LabelCache(label_cache_size))  # guarded-by: _plane_lock
         self._plane_lock = threading.Lock()
+        #: partition tuple -> its one :class:`CompiledPolicy`.  Weak
+        #: values: an entry lives exactly as long as some session (or
+        #: the service's default policy) holds it, so the table is
+        #: bounded by the resident tier, not by the population.
+        self._compiled: "WeakValueDictionary[Partitions, CompiledPolicy]" = WeakValueDictionary()  # guarded-by: _lock
         #: Optional :class:`repro.obs.StageTimer`.  When set, a sampled
         #: fraction of decisions records canonicalize/label/mask/outcome
         #: stage durations; ``None`` costs one attribute load per call.
@@ -344,25 +410,40 @@ class DecisionKernel:
             self._plane = _Plane(epoch, cache)
             return self._plane
 
-    @staticmethod
-    def _sync_session(session, plane: _Plane) -> bool:
-        """Align *session*'s memos with *plane*; ``False`` means bypass.
+    @requires_lock
+    def compile_policy(self, partitions: Partitions) -> CompiledPolicy:
+        """The one :class:`CompiledPolicy` of *partitions* (normalised).
 
-        Caller holds the service lock.  A session first touched by a
+        Caller holds the service lock.  A hit *binds* — the grants are
+        compiled and the memos warm from whichever sessions share the
+        policy; only the first session of a policy pays
+        ``grant_masks``.
+        """
+        compiled = self._compiled.get(partitions)
+        if compiled is None:
+            grants = tuple(self.registry.grant_masks(p) for p in partitions)
+            compiled = self._compiled[partitions] = CompiledPolicy(partitions, grants)
+        return compiled
+
+    @staticmethod
+    def _sync_policy(policy: CompiledPolicy, plane: _Plane) -> bool:
+        """Align *policy*'s memos with *plane*; ``False`` means bypass.
+
+        Caller holds the service lock.  A policy first touched by a
         newer plane drops its memos (their int keys belonged to the old
         generation).  The reverse — this decision captured an *older*
-        plane than the session was last memoized under — means another
+        plane than the memos were last filled under — means another
         thread rotated mid-flight: the decision is still computed
         correctly against its captured plane, but it must not read or
-        write the session's (newer-generation) memos.
+        write the (newer-generation) memos.
         """
         epoch = plane.epoch
-        if session.plane_epoch == epoch:
+        if policy.plane_epoch == epoch:
             return True
-        if session.plane_epoch < epoch:
-            session.mask_memo.clear()
-            session.outcome_memo.clear()
-            session.plane_epoch = epoch
+        if policy.plane_epoch < epoch:
+            policy.mask_memo.clear()
+            policy.outcome_memo.clear()
+            policy.plane_epoch = epoch
             return True
         return False
 
@@ -562,72 +643,73 @@ class DecisionKernel:
         return plane, lids, flags
 
     # ------------------------------------------------------------------
-    # Masks and outcomes (per session, int-keyed)
+    # Masks and outcomes (per compiled policy, int-keyed)
     # ------------------------------------------------------------------
-    def _anywhere(self, plane: _Plane, session, lid: int) -> int:
-        """The satisfying-partitions mask of *lid* against *session*.
+    def _anywhere(self, plane: _Plane, policy: CompiledPolicy, lid: int) -> int:
+        """The satisfying-partitions mask of *lid* against *policy*.
 
-        State-independent for the session's lifetime (it depends only
-        on the label and the immutable grants), so it is memoized in
-        ``session.mask_memo`` keyed by lid.  Caller has synced the
-        session to *plane*.
+        State-independent (it depends only on the label and the
+        immutable grants), so it is memoized in ``policy.mask_memo``
+        keyed by lid.  Caller has synced the policy to *plane*.
         """
-        memo = session.mask_memo
+        memo = policy.mask_memo
         mask = memo.get(lid)
         if mask is None:
-            if len(memo) > session.MASK_MEMO_LIMIT:
+            if len(memo) > policy.MEMO_LIMIT:
                 memo.clear()
             mask = self.registry.satisfying_partitions_mask(
-                plane.labels.label_of(lid), session.grants
+                plane.labels.label_of(lid), policy.grants
             )
             memo[lid] = mask
         return mask
 
     def _ensure_masks(
-        self, plane: _Plane, session, lids: Iterable[int]
+        self, plane: _Plane, policy: CompiledPolicy, lids: Iterable[int]
     ) -> Dict[int, int]:
-        """Fill ``session.mask_memo`` for every distinct lid in *lids*."""
-        memo = session.mask_memo
-        if len(memo) > session.MASK_MEMO_LIMIT:
+        """Fill ``policy.mask_memo`` for every distinct lid in *lids*."""
+        memo = policy.mask_memo
+        if len(memo) > policy.MEMO_LIMIT:
             memo.clear()
         missing = [lid for lid in dict.fromkeys(lids) if lid not in memo]
         if missing:
             label_of = plane.labels.label_of
             memo.update(
                 self.registry.satisfying_masks_by_id(
-                    missing, [label_of(lid) for lid in missing], session.grants
+                    missing, [label_of(lid) for lid in missing], policy.grants
                 )
             )
         return memo
 
     def evaluate(
-        self, plane: _Plane, session, lid: int, anywhere: Optional[int] = None
+        self,
+        plane: _Plane,
+        policy: CompiledPolicy,
+        live_before: int,
+        lid: int,
+        anywhere: Optional[int] = None,
     ) -> Tuple[bool, str, int]:
-        """``(accepted, reason, surviving)`` for *lid* against *session*.
+        """``(accepted, reason, surviving)`` for *lid* under *policy*
+        with *live_before* partitions live.
 
-        Pure with respect to the session's live bits (never mutates
-        ``session.live``).  *anywhere* is the precomputed
-        satisfying-partitions mask; ``None`` computes it fresh without
-        touching the session memos (the rotation-bypass path relies on
-        that).  ``surviving`` is the post-decision live mask for an
-        accept and the unchanged live mask for a refusal.
+        Pure: touches neither a session nor the memos.  *anywhere* is
+        the precomputed satisfying-partitions mask; ``None`` computes it
+        fresh (the rotation-bypass path relies on that).  ``surviving``
+        is the post-decision live mask for an accept and the unchanged
+        live mask for a refusal.
         """
-        live_before = session.live
-
         if not self._vocab_ok(plane, lid):
             return False, _VOCABULARY_REASON, live_before
 
+        grants = policy.grants
         if anywhere is None:
             anywhere = self.registry.satisfying_partitions_mask(
-                plane.labels.label_of(lid), session.grants
+                plane.labels.label_of(lid), grants
             )
         surviving = anywhere & live_before
 
         if not surviving:
             if anywhere:
-                indices = [
-                    i for i in range(len(session.grants)) if anywhere >> i & 1
-                ]
+                indices = [i for i in range(len(grants)) if anywhere >> i & 1]
                 reason = (
                     f"query is permitted by partitions {indices} "
                     "but earlier queries committed to others"
@@ -636,27 +718,29 @@ class DecisionKernel:
                 reason = "no policy partition discloses enough to answer the query"
             return False, reason, live_before
 
-        indices = [i for i in range(len(session.grants)) if surviving >> i & 1]
+        indices = [i for i in range(len(grants)) if surviving >> i & 1]
         return True, f"answered under partition(s) {indices}", surviving
 
-    def _outcome(self, plane: _Plane, session, lid: int) -> Tuple[bool, str, int]:
-        """Memoized :meth:`evaluate` through ``session.outcome_memo``.
+    def _outcome(
+        self, plane: _Plane, policy: CompiledPolicy, live: int, lid: int
+    ) -> Tuple[bool, str, int]:
+        """Memoized :meth:`evaluate` through ``policy.outcome_memo``.
 
-        Sound for the session's lifetime: the outcome depends only on
+        Sound for the policy's lifetime: the outcome depends only on
         the label, the (immutable) grants, and the live bits — all part
-        of the ``(lid, live)`` key; a re-registration builds a fresh
-        session.  In steady state a session's live mask is stable, so a
-        recurring shape makes the whole decision two dict probes.
-        Caller has synced the session to *plane*.
+        of the ``(lid, live)`` key, whichever session asks.  In steady
+        state a session's live mask is stable, so a recurring shape
+        makes the whole decision two dict probes.  Caller has synced
+        the policy to *plane*.
         """
-        memo = session.outcome_memo
-        key = (lid, session.live)
+        memo = policy.outcome_memo
+        key = (lid, live)
         outcome = memo.get(key)
         if outcome is None:
-            if len(memo) > session.MASK_MEMO_LIMIT:
+            if len(memo) > policy.MEMO_LIMIT:
                 memo.clear()
             outcome = self.evaluate(
-                plane, session, lid, self._anywhere(plane, session, lid)
+                plane, policy, live, lid, self._anywhere(plane, policy, lid)
             )
             memo[key] = outcome
         return outcome
@@ -717,28 +801,31 @@ class DecisionKernel:
                 if update
                 else sessions._peek_session(principal)
             )
+            policy = session.policy
             live_before = session.live
-            synced = self._sync_session(session, plane)
+            synced = self._sync_policy(policy, plane)
             t3 = perf_counter()
-            anywhere = self._anywhere(plane, session, lid) if synced else None
+            anywhere = self._anywhere(plane, policy, lid) if synced else None
             t4 = perf_counter()
             if synced:
-                memo = session.outcome_memo
+                memo = policy.outcome_memo
                 key = (lid, live_before)
                 outcome = memo.get(key)
                 if outcome is None:
-                    if len(memo) > session.MASK_MEMO_LIMIT:
+                    if len(memo) > policy.MEMO_LIMIT:
                         memo.clear()
-                    outcome = self.evaluate(plane, session, lid, anywhere)
+                    outcome = self.evaluate(plane, policy, live_before, lid, anywhere)
                     memo[key] = outcome
             else:
-                outcome = self.evaluate(plane, session, lid)
+                outcome = self.evaluate(plane, policy, live_before, lid)
             t5 = perf_counter()
             accepted, reason, surviving = outcome
             if update:
-                if accepted:
+                if surviving != live_before:
+                    # Only a narrowing accept is a durable mutation; a
+                    # refusal returns the live mask unchanged.
                     session.live = surviving
-                    session.dirty_epoch = self.sessions.state_epoch
+                    session.dirty_epoch = sessions.state_epoch
                 if self.tenant_accounting:
                     session.pending_decided += 1
                     if not accepted:
@@ -802,16 +889,19 @@ class DecisionKernel:
                 if update
                 else sessions._peek_session(principal)
             )
+            policy = session.policy
             live_before = session.live
-            if self._sync_session(session, plane):
-                outcome = self._outcome(plane, session, lid)
+            if self._sync_policy(policy, plane):
+                outcome = self._outcome(plane, policy, live_before, lid)
             else:
-                outcome = self.evaluate(plane, session, lid)
+                outcome = self.evaluate(plane, policy, live_before, lid)
             accepted, reason, surviving = outcome
             if update:
-                if accepted:
+                if surviving != live_before:
+                    # Only a narrowing accept is a durable mutation; a
+                    # refusal returns the live mask unchanged.
                     session.live = surviving
-                    session.dirty_epoch = self.sessions.state_epoch
+                    session.dirty_epoch = sessions.state_epoch
                 if self.tenant_accounting:
                     session.pending_decided += 1
                     if not accepted:
@@ -878,7 +968,7 @@ class DecisionKernel:
         each position in *indices*, decides ``lids[index]`` with cached
         flag ``flags[index]`` and stores the decision at
         ``out[index]``; returns the accepted count.  Two memo layers:
-        the session-persistent ``(lid, live) → outcome`` memo skips the
+        the policy-wide ``(lid, live) → outcome`` memo skips the
         partition walk and reason formatting across batches; a
         batch-local ``(lid, live, cached) → decision`` memo reuses
         whole immutable :class:`ServiceDecision` objects for exact
@@ -887,25 +977,27 @@ class DecisionKernel:
         timer = self.stage_timer
         timed = timer is not None and len(indices) > 0 and timer.sample()
         t0 = perf_counter() if timed else 0.0
-        if self._sync_session(session, plane):
+        policy = session.policy
+        if self._sync_policy(policy, plane):
             masks = self._ensure_masks(
-                plane, session, (lids[i] for i in indices)
+                plane, policy, (lids[i] for i in indices)
             )
-            outcome_memo = session.outcome_memo
-            if len(outcome_memo) > session.MASK_MEMO_LIMIT:
+            outcome_memo = policy.outcome_memo
+            if len(outcome_memo) > policy.MEMO_LIMIT:
                 outcome_memo.clear()
         else:
-            # Rotation bypass: stale plane, never touch session memos.
+            # Rotation bypass: stale plane, never touch the shared memos.
             label_of = plane.labels.label_of
             distinct = dict.fromkeys(lids[i] for i in indices)
             masks = self.registry.satisfying_masks_by_id(
                 list(distinct),
                 [label_of(lid) for lid in distinct],
-                session.grants,
+                policy.grants,
             )
             outcome_memo = {}
         t1 = perf_counter() if timed else 0.0
         principal = session.principal
+        live_at_entry = session.live
         decision_memo: Dict[Tuple[int, int, bool], ServiceDecision] = {}
         evaluate = self.evaluate
         label_of = plane.labels.label_of
@@ -920,7 +1012,7 @@ class DecisionKernel:
                 outcome_key = (lid, live_before)
                 outcome = outcome_memo.get(outcome_key)
                 if outcome is None:
-                    outcome = evaluate(plane, session, lid, masks[lid])
+                    outcome = evaluate(plane, policy, live_before, lid, masks[lid])
                     outcome_memo[outcome_key] = outcome
                 accepted, reason, surviving = outcome
                 live_after = surviving if (accepted and update) else live_before
@@ -939,7 +1031,9 @@ class DecisionKernel:
                 if update:
                     session.live = decision.live_after
             out[index] = decision
-        if update and accepted_count:
+        if session.live != live_at_entry:
+            # Live bits only ever narrow, so equal ends mean no accept
+            # in the group changed them: nothing durable happened.
             session.dirty_epoch = self.sessions.state_epoch
         if timed:
             group = len(indices)
@@ -1016,4 +1110,5 @@ class DecisionKernel:
             "queries_interned": len(plane.queries),
             "labels_interned": len(plane.labels),
             "plane_epoch": plane.epoch,
+            "compiled_policies": len(self._compiled),
         }

@@ -166,7 +166,9 @@ def decode_sessions(data: Dict) -> Dict:
     """Any readable session table back into the ``export_state`` v1 form.
 
     v1 payloads pass through unchanged; v2 payloads expand the policy
-    table.  Raises :class:`SnapshotError` on anything malformed.
+    table (sessions of one policy share one expanded ``partitions``
+    list — treat it as read-only).  Raises :class:`SnapshotError` on
+    anything malformed.
     """
     if not isinstance(data, dict):
         raise SnapshotError("session table is not an object")
@@ -179,6 +181,10 @@ def decode_sessions(data: Dict) -> Dict:
     sessions = data.get("sessions")
     if not isinstance(policies, list) or not isinstance(sessions, dict):
         raise SnapshotError("v2 session table needs 'policies' and 'sessions'")
+    # One expanded partition list per *policy*, shared (read-only) by
+    # every session that references it: a population restores in memory
+    # proportional to its distinct policies, not to its size.
+    expanded = [[list(p) for p in partitions] for partitions in policies]
     out: Dict[str, Dict] = {}
     for principal, entry in sessions.items():
         if (
@@ -194,9 +200,9 @@ def decode_sessions(data: Dict) -> Dict:
             raise SnapshotError(
                 f"session {principal!r}: policy index {index} out of range"
             )
-        partitions = policies[index]
+        partitions = expanded[index]
         out[principal] = {
-            "partitions": [list(p) for p in partitions],
+            "partitions": partitions,
             "live": [bool(live >> bit & 1) for bit in range(len(partitions))],
         }
     return {"format": _SESSIONS_V1, "sessions": out}

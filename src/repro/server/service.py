@@ -9,15 +9,18 @@ very many principals.  Three observations make it fast and small:
   the labeler at all.
 * **Sessions are tiny** — per Section 6.2 a principal's entire
   enforcement state is its policy plus one live-partition bit vector
-  (Example 6.3), so state serializes to a few bytes and an LRU of
-  compiled sessions can front millions of passive principals.
+  (Example 6.3), so state serializes to a few bytes, an LRU of
+  resident sessions can front millions of passive principals, and
+  everything compiled from a policy (grant masks, decision memos) is
+  built once per *policy* and shared by its sessions
+  (:class:`~repro.server.kernel.CompiledPolicy`).
 * **Decisions are integer ops** — queries and labels are interned into
   dense ids (:mod:`repro.server.interning`) and every decision runs
   through the one array-native :class:`~repro.server.kernel.DecisionKernel`,
   whether it arrives as a single call, a batch, or a shard sub-batch.
 
 The service itself is the *session store and transport adapter*: it
-owns registration, the LRU of compiled sessions, serializable state,
+owns registration, the LRU of resident sessions, serializable state,
 parsing, and metrics — while the canonicalize → label → mask → outcome
 pipeline lives entirely in the kernel.  The service exposes the same
 accept/refuse semantics as :class:`~repro.policy.monitor.ReferenceMonitor`
@@ -55,12 +58,13 @@ from repro.policy.policy import PartitionPolicy
 from repro.obs import MetricsRegistry, StageTimer, TraceBuffer
 from repro.obs.timing import DEFAULT_SAMPLE_RATE, STAGES
 from repro.server.cache import LabelCache
-from repro.server.kernel import DecisionKernel, ServiceDecision
+from repro.server.kernel import CompiledPolicy, DecisionKernel, ServiceDecision
 from repro.server.store import (
     InMemoryStore,
     SessionState,
     SessionStore,
     SpillStore,
+    state_dict,
 )
 
 __all__ = ["DisclosureService", "ServiceDecision", "Session"]
@@ -69,68 +73,49 @@ _STATE_FORMAT = SESSIONS_FORMAT_V1
 
 
 class Session:
-    """One principal's compiled enforcement state (active in the LRU).
+    """One principal's enforcement state (active in the LRU).
+
+    Per Section 6.2 that is a policy plus one live bit vector, and the
+    session holds exactly that: a handle on the policy's shared
+    :class:`~repro.server.kernel.CompiledPolicy` (grants and decision
+    memos, one per distinct policy, owned by the kernel) and ``live``.
+    Faulting, re-registering, or peeking a principal therefore *binds*
+    a session to an already-compiled policy; nothing is rebuilt.
 
     *ephemeral* marks sessions auto-created by a default policy (never
     explicitly registered); on demotion an ephemeral session whose state
     is still fresh is dropped rather than retained, so anonymous traffic
     cannot grow the passive store without bound.
-
-    The memo dicts live on the ID plane: both are keyed by dense
-    integer label ids (lids), never by label tuples — the kernel is
-    their only writer and reader.
     """
 
     __slots__ = (
         "principal",
-        "partitions",
-        "grants",
+        "policy",
         "live",
         "ephemeral",
-        "plane_epoch",
         "dirty_epoch",
-        "mask_memo",
-        "outcome_memo",
         "pending_decided",
         "pending_refused",
     )
 
-    #: Distinct lids memoized per session before the memo resets.
-    MASK_MEMO_LIMIT = 4096
-
     def __init__(
         self,
         principal: Hashable,
-        partitions: Tuple[Tuple[str, ...], ...],
-        grants: Tuple[Dict[int, int], ...],
+        policy: CompiledPolicy,
         live: int,
         ephemeral: bool = False,
+        dirty_epoch: int = 0,
     ):
         self.principal = principal
-        self.partitions = partitions
-        self.grants = grants
+        self.policy = policy
         self.live = live  # guarded-by: _lock
         self.ephemeral = ephemeral
-        #: The kernel plane generation the memos below were filled
-        #: under; the kernel clears them on first contact with a newer
-        #: plane (ids are generation-scoped).
-        self.plane_epoch = -1
         #: The service ``state_epoch`` at this session's last durable
-        #: mutation (stamped by the kernel on every accepted update and
-        #: by the service on register/reset/restore).  Incremental
-        #: snapshots export exactly the sessions with
+        #: mutation (stamped by the kernel whenever an accept narrows
+        #: the live bits and by the service on register/reset/restore).
+        #: Incremental snapshots export exactly the sessions with
         #: ``dirty_epoch >= since``.
-        self.dirty_epoch = 0  # guarded-by: _lock
-        #: lid -> satisfying-partitions mask.  Sound for the session's
-        #: lifetime: the mask depends only on the label and the
-        #: (immutable) grants; a re-registration builds a fresh Session.
-        #: Bounded by MASK_MEMO_LIMIT (reset when full).
-        self.mask_memo: Dict[int, int] = {}  # guarded-by: _lock
-        #: (lid, live) -> (accepted, reason, surviving), same soundness
-        #: argument with the live bits added to the key.  In steady state
-        #: a session's live mask is stable, so recurring shapes make
-        #: whole decisions two dict probes.  Shares MASK_MEMO_LIMIT.
-        self.outcome_memo: Dict[Tuple[int, int], Tuple[bool, str, int]] = {}  # guarded-by: _lock
+        self.dirty_epoch = dirty_epoch  # guarded-by: _lock
         #: Per-tenant metric tallies, updated by the kernel inside the
         #: session lock it already holds (a plain int increment, so the
         #: single-query hot path never touches the labeled metric
@@ -140,8 +125,12 @@ class Session:
         self.pending_refused = 0
 
     @property
+    def partitions(self) -> Tuple[Tuple[str, ...], ...]:
+        return self.policy.partitions
+
+    @property
     def all_live(self) -> int:
-        return (1 << len(self.partitions)) - 1
+        return self.policy.all_live
 
 
 class DisclosureService:
@@ -165,9 +154,9 @@ class DisclosureService:
         Schema for the SQL front end (defaults to the Facebook schema
         when *security_views* is also defaulted).
     max_active_sessions:
-        How many compiled sessions stay resident; excess principals are
+        How many sessions stay resident; excess principals are
         demoted to their serializable ``(policy, live)`` state and
-        recompiled on next touch.
+        re-bound to their compiled policy on next touch.
     session_store:
         Any :class:`repro.server.store.SessionStore` implementation to
         hold the session tiers.  When given, it is used as-is (its own
@@ -258,10 +247,20 @@ class DisclosureService:
             self.labeler, sessions=self, label_cache_size=label_cache_size
         )
         self.parse_cache = LabelCache(parse_cache_size)
+        #: Raw nested-list policy -> its normal form (see
+        #: :meth:`_normalize_policy`).
+        self._policy_memo = LabelCache(1024)
 
         self._default_policy = (
             self._normalize_policy(default_policy)
             if default_policy is not None
+            else None
+        )
+        #: Held strongly so every anonymous peek and first contact binds
+        #: to the same compiled default policy, resident sessions or not.
+        self._default_compiled = (
+            self.kernel.compile_policy(self._default_policy)
+            if self._default_policy is not None
             else None
         )
         #: Lazily created by :func:`repro.server.wire2.gateway_for`: the
@@ -359,7 +358,6 @@ class DisclosureService:
         """Register *principal* with *policy*; re-registration resets state."""
         partitions = self._normalize_policy(policy)
         with self._lock:
-            self.store.discard(principal)
             self.store.put_state(
                 principal,
                 SessionState(
@@ -427,17 +425,29 @@ class DisclosureService:
     def _normalize_policy(
         self, policy: "PartitionPolicy | Iterable[Iterable[str]]"
     ) -> Tuple[Tuple[str, ...], ...]:
-        if not isinstance(policy, PartitionPolicy):
-            policy = PartitionPolicy(policy, self.security_views)
-        else:
+        """*policy* validated and in normal form (sorted names per partition).
+
+        A population shares few policies, so nested-list policies — the
+        wire and snapshot form — are memoized: a repeat costs one probe
+        instead of a :class:`PartitionPolicy` construction, and every
+        principal of a policy holds the *same* tuple.
+        """
+        if isinstance(policy, PartitionPolicy):
             for partition in policy.partitions:
                 for name in partition:
                     if name not in self.security_views:
                         raise PolicyError(f"unknown security view {name!r} in policy")
-        return tuple(tuple(sorted(p)) for p in policy.partitions)
+            return tuple(tuple(sorted(p)) for p in policy.partitions)
+        key = tuple(tuple(part) for part in policy)
+        partitions = self._policy_memo.get(key)
+        if partitions is None:
+            checked = PartitionPolicy(key, self.security_views)
+            partitions = tuple(tuple(sorted(p)) for p in checked.partitions)
+            self._policy_memo.put(key, partitions)
+        return partitions  # type: ignore[return-value]
 
     def _session(self, principal: Hashable) -> Session:
-        """The principal's active session, compiling/faulting as needed."""
+        """The principal's active session, faulting and binding as needed."""
         session = self.store.get(principal)
         if session is not None:
             return session
@@ -451,11 +461,13 @@ class DisclosureService:
                 True,
                 0,
             )
-        grants = tuple(self.registry.grant_masks(p) for p in state.partitions)
         session = Session(
-            principal, state.partitions, grants, state.live, state.ephemeral
+            principal,
+            self.kernel.compile_policy(state.partitions),
+            state.live,
+            state.ephemeral,
+            state.dirty_epoch,
         )
-        session.dirty_epoch = state.dirty_epoch
         self.store.put(principal, session)
         return session
 
@@ -494,11 +506,8 @@ class DisclosureService:
         from anonymous principals must not allocate server state."""
         if principal in self.store or self._default_policy is None:
             return self._session(principal)
-        partitions = self._default_policy
-        grants = tuple(self.registry.grant_masks(p) for p in partitions)
-        return Session(
-            principal, partitions, grants, (1 << len(partitions)) - 1, True
-        )
+        policy = self._default_compiled
+        return Session(principal, policy, policy.all_live, True)
 
     # ------------------------------------------------------------------
     # Labeling (the kernel's cache front)
@@ -704,6 +713,7 @@ class DisclosureService:
                 else self.store.iter_dirty_states(since)
             )
             sessions = {}
+            expanded: Dict = {}
             for principal, state in iterator:
                 if not isinstance(principal, str):
                     raise PolicyError(
@@ -711,7 +721,7 @@ class DisclosureService:
                         "not survive a JSON round-trip; use string principals "
                         "for serializable deployments"
                     )
-                sessions[principal] = self._state_dict(state.partitions, state.live)
+                sessions[principal] = state_dict(state, expanded)
             if full:
                 removed: List[str] = []
                 # A full generation lists every surviving session, so
@@ -752,12 +762,19 @@ class DisclosureService:
                     bits |= 1 << index
             restored[principal] = (partitions, bits)
         with self._lock:
-            for principal, (partitions, bits) in restored.items():
-                self.store.discard(principal)
-                self.store.put_state(
-                    principal,
-                    SessionState(partitions, bits, False, self.state_epoch),
-                )
+            epoch = self.state_epoch
+            states = (
+                (principal, SessionState(partitions, bits, False, epoch))
+                for principal, (partitions, bits) in restored.items()
+            )
+            # ``put_states`` is the optional bulk form of ``put_state``
+            # (one log flush per call on the spill tier).
+            put_states = getattr(self.store, "put_states", None)
+            if put_states is not None:
+                put_states(states)
+            else:
+                for principal, state in states:
+                    self.store.put_state(principal, state)
         return len(restored)
 
     def remove_sessions(self, principals: Iterable[Hashable]) -> int:
@@ -775,13 +792,6 @@ class DisclosureService:
                     count += 1
                 self.store.discard(principal)
         return count
-
-    @staticmethod
-    def _state_dict(partitions: Tuple[Tuple[str, ...], ...], live: int) -> Dict:
-        return {
-            "partitions": [list(p) for p in partitions],
-            "live": [bool(live >> i & 1) for i in range(len(partitions))],
-        }
 
     # ------------------------------------------------------------------
     # Metrics
@@ -817,6 +827,7 @@ class DisclosureService:
             spilled = passive if getattr(self.store, "persistent", False) else 0
             faults = self.store.fault_count
             evictions = self.store.eviction_count
+            clean = getattr(self.store, "clean_eviction_count", 0)
         return {
             "uptime_seconds": time.time() - self._started,
             "decisions": self.decisions.value,
@@ -833,6 +844,9 @@ class DisclosureService:
                 "spilled": spilled,
                 "faults": faults,
                 "evictions": evictions,
+                # Evictions that wrote nothing: the session still
+                # equalled the cold record it was faulted from.
+                "clean_evictions": clean,
             },
             "label_cache": self.label_cache.stats().as_dict(),
             "parse_cache": self.parse_cache.stats().as_dict(),

@@ -611,6 +611,7 @@ def aggregate_metrics(snapshots: Sequence[Dict]) -> Dict:
             "spilled": total("sessions", "spilled"),
             "faults": total("sessions", "faults"),
             "evictions": total("sessions", "evictions"),
+            "clean_evictions": total("sessions", "clean_evictions"),
         },
         "label_cache": cache_aggregate("label_cache"),
         "parse_cache": cache_aggregate("parse_cache"),
@@ -620,6 +621,7 @@ def aggregate_metrics(snapshots: Sequence[Dict]) -> Dict:
         "kernel": {
             "queries_interned": total("kernel", "queries_interned"),
             "labels_interned": total("kernel", "labels_interned"),
+            "compiled_policies": total("kernel", "compiled_policies"),
         },
         "latency": aggregate_latency(
             [snap.get("latency", {}) for snap in snapshots]

@@ -18,6 +18,9 @@ dict directly, and so the container can be swapped:
     principal and are faulted back in on touch.  RSS is bounded by
     ``max_resident`` plus a small per-principal index entry
     (offset + dirty epoch); the principal *population* lives on disk.
+    A fault remembers which record the session came from, so evicting
+    a session that still equals it (a *clean* eviction — the common
+    case under churn) re-instates the index entry and writes nothing.
 
 Stores are **not** thread-safe on their own — every store call is made
 under the owning service's lock, exactly like the dicts they replace.
@@ -46,6 +49,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -203,11 +207,16 @@ class SessionStore(Protocol):
         ...
 
     def put_state(self, principal: Hashable, state: SessionState) -> None:
-        """Write ``state`` straight to the cold tier.
+        """Write ``state`` straight to the cold tier, superseding
+        whatever either tier held for the principal.
 
-        Used by ``register`` and snapshot restore, where materializing
-        a resident ``Session`` would only churn the LRU.  Any resident
-        session for the principal must be discarded first.
+        Used by ``register``, ``reset`` and snapshot restore, where
+        materializing a resident ``Session`` would only churn the LRU.
+        A resident session for the principal is dropped (``on_demote``
+        fires first), so a replacement is one call and one cold write.
+        The shipped stores also offer ``put_states(pairs)``, the same
+        write for many principals at once; the service uses it when a
+        store has it.
         """
         ...
 
@@ -281,10 +290,24 @@ def iter_owned_states(
             yield principal, state
 
 
-def _state_dict(partitions: Partitions, live: int) -> Dict[str, object]:
+def state_dict(
+    state: SessionState, expanded: Dict[Partitions, List[List[str]]]
+) -> Dict[str, object]:
+    """One ``export_state`` entry.
+
+    *expanded* is the caller's per-export memo: sessions of one policy
+    share one (read-only) ``partitions`` list, so an export of the whole
+    population costs memory per distinct policy, not per principal.
+    """
+
+    partitions = state.partitions
+    lists = expanded.get(partitions)
+    if lists is None:
+        lists = expanded[partitions] = [list(partition) for partition in partitions]
+    live = state.live
     return {
-        "partitions": [list(partition) for partition in partitions],
-        "live": [bool(live & (1 << index)) for index in range(len(partitions))],
+        "partitions": lists,
+        "live": [bool(live >> index & 1) for index in range(len(partitions))],
     }
 
 
@@ -349,8 +372,32 @@ class _StoreBase:
         if session.ephemeral and session.live == session.all_live:
             # A fresh default-policy session rebuilds identically on next
             # touch; the cold tier would store pure redundancy.
+            self._forget_cold(session.principal)
             return
         self._store_cold(session.principal, state_of(session))
+
+    def _drop_resident(self, principal: Hashable) -> None:
+        session = self._resident.pop(principal, None)
+        if session is not None and self.on_demote is not None:
+            self.on_demote(session)
+
+    @requires_lock
+    def discard(self, principal: Hashable) -> None:
+        self._drop_resident(principal)
+        self._forget_cold(principal)
+
+    @requires_lock
+    def put_state(self, principal: Hashable, state: SessionState) -> None:
+        self._drop_resident(principal)
+        self._store_cold(principal, state)
+
+    def put_states(
+        self, states: Iterable[Tuple[Hashable, SessionState]]
+    ) -> None:
+        """:meth:`put_state` for each ``(principal, state)`` pair."""
+
+        for principal, state in states:
+            self.put_state(principal, state)
 
     def resident_sessions(self) -> Iterator["Session"]:
         return iter(list(self._resident.values()))
@@ -375,17 +422,23 @@ class _StoreBase:
 
     def export_state(self) -> Dict[str, object]:
         entries: Dict[str, Dict[str, object]] = {}
+        expanded: Dict[Partitions, List[List[str]]] = {}
         for principal, state in self.iter_states():
             if not isinstance(principal, str):
                 raise PolicyError(
                     "cannot export state: principal %r is not a string" % (principal,)
                 )
-            entries[principal] = _state_dict(state.partitions, state.live)
+            entries[principal] = state_dict(state, expanded)
         return {"format": STATE_FORMAT, "sessions": entries}
 
     # -- hooks for subclasses -------------------------------------------
 
     def _store_cold(self, principal: Hashable, state: SessionState) -> None:
+        """Make *state* the principal's cold state (it has no resident)."""
+        raise NotImplementedError
+
+    def _forget_cold(self, principal: Hashable) -> None:
+        """Drop whatever cold state the principal has, durably."""
         raise NotImplementedError
 
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
@@ -415,20 +468,15 @@ class InMemoryStore(_StoreBase):
         self.spill_count += 1
         self._cold[principal] = state
 
-    def put_state(self, principal: Hashable, state: SessionState) -> None:
-        self._cold[principal] = state
+    @requires_lock
+    def _forget_cold(self, principal: Hashable) -> None:
+        self._cold.pop(principal, None)
 
     def fault(self, principal: Hashable) -> Optional[SessionState]:
         state = self._cold.pop(principal, None)
         if state is not None:
             self.fault_count += 1
         return state
-
-    def discard(self, principal: Hashable) -> None:
-        session = self._resident.pop(principal, None)
-        if session is not None and self.on_demote is not None:
-            self.on_demote(session)
-        self._cold.pop(principal, None)
 
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
         return iter(list(self._cold.items()))
@@ -462,7 +510,8 @@ class SpillStore(_StoreBase):
         A spilled session state.  Later records for the same principal
         supersede earlier ones (last-writer-wins on replay).
     ``["D", principal]``
-        Tombstone: the principal was discarded while cold.
+        Tombstone: the principal was discarded while a record of it
+        was still in the log.
 
     An in-RAM index maps each cold principal to ``(byte offset,
     dirty_epoch)`` — ~100 bytes per principal instead of a whole
@@ -470,17 +519,34 @@ class SpillStore(_StoreBase):
     snapshot exports scan the index in RAM and read only the dirty
     records from disk.
 
+    Clean evictions
+    ---------------
+    A fault moves the principal's index entry to a resident-side map,
+    ``principal -> (offset, state as read)``, that lives as long as the
+    session stays resident (at most ``max_resident`` entries when every
+    fault is followed by the ``put`` the protocol asks for).  Demoting
+    a session whose state still equals that record puts the index
+    entry back and is done: nothing is encoded, written, or flushed,
+    and no record dies.  Only a session that changed while resident
+    appends.  Compaction drops the records residents came from, so it
+    clears the map; those sessions append when they leave.
+
     Durability & crash behavior
     ---------------------------
-    Appends are flushed (not fsynced) per record; snapshots remain the
-    coherent durability cut.  On open, an existing log is replayed so
-    cold sessions survive a restart that reuses the spill directory.
-    A torn final record (crash mid-append) is truncated away silently;
-    a corrupt *interior* record raises :class:`~repro.errors.StoreError`.
-    Faulting a principal removes only its index entry — the dead bytes
-    are compaction debt, and a crash before the faulted session is
-    re-spilled or snapshotted may resurrect its last cold state, which
-    is exactly the staleness window any snapshot restore already has.
+    Appends are flushed (not fsynced) per record — per call for
+    :meth:`put_states`; snapshots remain the coherent durability cut.
+    On open, an existing log is replayed so cold sessions survive a
+    restart that reuses the spill directory.  A torn final record
+    (crash mid-append) is truncated away silently; a corrupt *interior*
+    record raises :class:`~repro.errors.StoreError`.  Faulting a
+    principal leaves its record in the log — the bytes are compaction
+    debt — so a crash (or a close) while the session is resident
+    brings back that last cold state on reopen: the staleness window
+    any snapshot restore already has, never a state the principal did
+    not have.  What cannot come back is a principal that was
+    discarded: the tombstone is written whenever a record of the
+    principal is still in the log, cold *or* resident, and a
+    replacement (``put_state``) supersedes by being the later record.
 
     Compaction
     ----------
@@ -508,8 +574,14 @@ class SpillStore(_StoreBase):
         self.path = self.spill_dir / self.LOG_NAME
         self.compact_min_dead = compact_min_dead
         self.compaction_count = 0
+        #: Evictions and replacements that wrote nothing because the
+        #: state still equalled the record it was faulted from.
+        self.clean_eviction_count = 0
         # principal -> (byte offset of its live "S" record, dirty_epoch)
         self._index: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
+        # faulted principal -> (offset, state) of the record it came from
+        self._origin: Dict[str, Tuple[int, SessionState]] = {}  # guarded-by: _lock
+        self._flush_each = True
         self._policies: List[Partitions] = []
         self._policy_ids: Dict[Partitions, int] = {}
         self._dead = 0
@@ -574,7 +646,8 @@ class SpillStore(_StoreBase):
         line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
         offset = self._end
         self._append.write(line)
-        self._append.flush()
+        if self._flush_each:
+            self._append.flush()
         self._end += len(line)
         return offset
 
@@ -611,11 +684,19 @@ class SpillStore(_StoreBase):
 
     # -- cold tier -------------------------------------------------------
 
+    @requires_lock
     def _store_cold(self, principal: Hashable, state: SessionState) -> None:
         if not isinstance(principal, str):
             raise StoreError(
                 "SpillStore requires string principals; got %r" % (principal,)
             )
+        origin = self._origin.pop(principal, None)
+        if origin is not None and origin[1] == state:
+            # Clean: the record it was faulted from still says it all.
+            self._index[principal] = (origin[0], state.dirty_epoch)
+            self._dead -= 1
+            self.clean_eviction_count += 1
+            return
         started = time.perf_counter() if self.observe else 0.0
         pid = self._policy_id(state.partitions)
         offset = self._append_record(
@@ -629,9 +710,32 @@ class SpillStore(_StoreBase):
             self.observe("spill", time.perf_counter() - started)
         self._maybe_compact()
 
-    def put_state(self, principal: Hashable, state: SessionState) -> None:
-        self._store_cold(principal, state)
+    @requires_lock
+    def _forget_cold(self, principal: Hashable) -> None:
+        # Tombstone iff a record of the principal is still in the log:
+        # its live one (indexed) or the one a resident was faulted from.
+        on_disk = self._origin.pop(principal, None) is not None  # type: ignore[arg-type]
+        if self._index.pop(principal, None) is not None:  # type: ignore[arg-type]
+            self._dead += 1
+            on_disk = True
+        if on_disk:
+            self._dead += 1  # the tombstone itself is log garbage
+            self._append_record(["D", principal])
+            self._maybe_compact()
 
+    def put_states(
+        self, states: Iterable[Tuple[Hashable, SessionState]]
+    ) -> None:
+        """Bulk :meth:`put_state` with one flush for the whole call."""
+
+        self._flush_each = False
+        try:
+            super().put_states(states)
+        finally:
+            self._flush_each = True
+            self._append.flush()
+
+    @requires_lock
     def fault(self, principal: Hashable) -> Optional[SessionState]:
         entry = self._index.pop(principal, None)  # type: ignore[arg-type]
         if entry is None:
@@ -639,20 +743,12 @@ class SpillStore(_StoreBase):
         started = time.perf_counter() if self.observe else 0.0
         offset, _ = entry
         state = self._read_state(principal, offset)  # type: ignore[arg-type]
-        self._dead += 1  # its record is now unreferenced
+        self._origin[principal] = (offset, state)  # type: ignore[index]
+        self._dead += 1  # unreferenced unless a clean eviction re-instates it
         self.fault_count += 1
         if self.observe:
             self.observe("fault", time.perf_counter() - started)
         return state
-
-    def discard(self, principal: Hashable) -> None:
-        session = self._resident.pop(principal, None)
-        if session is not None and self.on_demote is not None:
-            self.on_demote(session)
-        if self._index.pop(principal, None) is not None:  # type: ignore[arg-type]
-            self._dead += 2  # the dead S record plus the tombstone below
-            self._append_record(["D", principal])
-            self._maybe_compact()
 
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
         for principal, (offset, _) in list(self._index.items()):
@@ -679,6 +775,7 @@ class SpillStore(_StoreBase):
         """Atomically rewrite the log with only live records."""
 
         started = time.perf_counter() if self.observe else 0.0
+        self._append.flush()  # a bulk write may be mid-call
         tmp_path = self.spill_dir / f".{self.LOG_NAME}.tmp-{os.getpid()}"
         policies: List[Partitions] = []
         policy_ids: Dict[Partitions, int] = {}
@@ -724,6 +821,7 @@ class SpillStore(_StoreBase):
         self._append = open(self.path, "ab")
         self._read = open(self.path, "rb")
         self._index = index
+        self._origin.clear()  # the records residents came from are gone
         self._policies = policies
         self._policy_ids = policy_ids
         self._dead = 0

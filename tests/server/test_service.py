@@ -216,6 +216,50 @@ class TestSerializableState:
                 }
             )
 
+    def test_each_distinct_policy_is_normalised_once(self, views, monkeypatch):
+        from repro.server import service as service_module
+
+        built = []
+
+        class CountingPolicy(service_module.PartitionPolicy):
+            def __init__(self, partitions, security_views=None):
+                built.append(partitions)
+                super().__init__(partitions, security_views)
+
+        monkeypatch.setattr(service_module, "PartitionPolicy", CountingPolicy)
+        service = DisclosureService(views)
+        policies = [[["user_likes"], ["public_profile"]], [["public_profile"]]]
+        sessions = {
+            f"app-{index}": {
+                "partitions": policies[index % 2],
+                "live": [True] * len(policies[index % 2]),
+            }
+            for index in range(50)
+        }
+        payload = {"format": "repro.server/1", "sessions": sessions}
+        assert service.import_state(payload) == 50
+        for index in range(50):
+            service.register(f"new-{index}", [list(p) for p in policies[index % 2]])
+        assert len(built) == 2
+        assert service.live_partitions("app-0") == (True, True)
+        assert service.live_partitions("new-1") == (True,)
+        # Principals of one policy hold one tuple, not one each.
+        with service._lock:
+            states = dict(service.store.iter_states())
+        assert states["app-0"].partitions is states["new-0"].partitions
+
+    def test_import_still_rejects_malformed_policies(self, views):
+        service = DisclosureService(views)
+        for partitions in (7, [7], [["no_such_view"]], [[["nested"]]]):
+            with pytest.raises((PolicyError, TypeError)):
+                service.import_state(
+                    {
+                        "format": "repro.server/1",
+                        "sessions": {"x": {"partitions": partitions, "live": [True]}},
+                    }
+                )
+        assert "x" not in service
+
 
 class TestDeprecatedTextShims:
     """``submit_text`` / ``peek_text`` warn and route through the client

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PolicyError, StoreError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
+from repro.server.kernel import CompiledPolicy
 from repro.server.service import DisclosureService, Session
 from repro.server.store import (
     InMemoryStore,
@@ -44,9 +45,11 @@ from repro.server.store import (
 PARTS = (("friends_photos", "friends_status"), ("user_birthday",))
 
 
-def _session(principal, live=0b11, ephemeral=False, partitions=PARTS):
+def _session(principal, live=0b11, ephemeral=False, partitions=PARTS, dirty_epoch=0):
     """A minimal resident session; stores never touch the grant tables."""
-    return Session(principal, partitions, (), live, ephemeral)
+    return Session(
+        principal, CompiledPolicy(partitions, ()), live, ephemeral, dirty_epoch
+    )
 
 
 def _policies(views, count, seed=3):
@@ -276,6 +279,197 @@ class TestSpillStore:
         store.put_state("a", SessionState(PARTS, 0b01, False, 1))
         assert store.log_bytes() == (tmp_path / "sessions.log").stat().st_size
         store.close()
+
+
+# ----------------------------------------------------------------------
+# Clean evictions and the tombstone rule
+# ----------------------------------------------------------------------
+def _log_kinds(tmp_path):
+    return [
+        json.loads(line)[0]
+        for line in (tmp_path / "sessions.log").read_bytes().splitlines()
+    ]
+
+
+def _fault_in(store, principal):
+    """What the service does on a miss: fault the state, bind, put."""
+    state = store.fault(principal)
+    session = _session(
+        principal, state.live, state.ephemeral, state.partitions, state.dirty_epoch
+    )
+    store.put(principal, session)
+    return session
+
+
+class TestCleanEviction:
+    def test_evicting_an_untouched_session_writes_nothing(self, tmp_path):
+        store = SpillStore(tmp_path, max_resident=4)
+        state = SessionState(PARTS, 0b11, False, 3)
+        store.put_state("a", state)
+        _fault_in(store, "a")
+        before = store.log_bytes()
+        store.demote("a")
+        assert store.log_bytes() == before
+        assert store.clean_eviction_count == 1
+        assert store._dead == 0  # the record is live again, not garbage
+        assert "a" in store and store.cold_count() == 1
+        assert store.fault("a") == state  # and it is still the right one
+        store.close()
+
+    def test_a_narrowed_session_appends_exactly_one_record(self, tmp_path):
+        store = SpillStore(tmp_path, max_resident=4)
+        store.put_state("a", SessionState(PARTS, 0b11, False, 3))
+        session = _fault_in(store, "a")
+        session.live = 0b01
+        session.dirty_epoch = 4
+        kinds = _log_kinds(tmp_path)
+        store.demote("a")
+        assert _log_kinds(tmp_path) == kinds + ["S"]
+        assert store.clean_eviction_count == 0
+        assert store.fault("a") == SessionState(PARTS, 0b01, False, 4)
+        store.close()
+
+    def test_lru_eviction_of_untouched_sessions_is_clean(self, tmp_path):
+        store = SpillStore(tmp_path, max_resident=2)
+        for index in range(6):
+            store.put_state(f"app-{index}", SessionState(PARTS, 0b11, False, 1))
+        before = store.log_bytes()
+        for _ in range(3):
+            for index in range(6):
+                _fault_in(store, f"app-{index}")
+        assert store.eviction_count == 16
+        assert store.clean_eviction_count == 16
+        assert store.log_bytes() == before
+        assert store.compaction_count == 0
+        store.close()
+
+    def test_compaction_forgets_origins_and_eviction_still_round_trips(
+        self, tmp_path
+    ):
+        store = SpillStore(tmp_path, max_resident=4, compact_min_dead=1)
+        store.put_state("a", SessionState(PARTS, 0b11, False, 1))
+        store.put_state("b", SessionState(PARTS, 0b10, False, 2))
+        store.put_state("c", SessionState(PARTS, 0b01, False, 3))
+        untouched = _fault_in(store, "a")
+        narrowed = _fault_in(store, "b")
+        narrowed.live = 0b00
+        narrowed.dirty_epoch = 9
+        store.compact()  # drops the records "a" and "b" were faulted from
+        assert _log_kinds(tmp_path) == ["P", "S"]  # only "c" was cold
+        store.demote("a")  # cannot be clean any more: its record is gone
+        store.demote("b")
+        assert store.clean_eviction_count == 0
+        assert dict(store.iter_states()) == {
+            "a": state_of(untouched),
+            "b": SessionState(PARTS, 0b00, False, 9),
+            "c": SessionState(PARTS, 0b01, False, 3),
+        }
+        store.close()
+        reopened = SpillStore(tmp_path, max_resident=4)
+        assert reopened.fault("a") == SessionState(PARTS, 0b11, False, 1)
+        assert reopened.fault("b") == SessionState(PARTS, 0b00, False, 9)
+        reopened.close()
+
+    def test_put_state_supersedes_a_resident_in_one_record(self, tmp_path):
+        seen = []
+        store = SpillStore(tmp_path, max_resident=4)
+        store.on_demote = lambda session: seen.append(session.principal)
+        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
+        _fault_in(store, "a")
+        kinds = _log_kinds(tmp_path)
+        store.put_state("a", SessionState(PARTS, 0b11, False, 2))
+        assert _log_kinds(tmp_path) == kinds + ["S"]  # no tombstone first
+        assert seen == ["a"] and store.peek("a") is None
+        store.close()
+        reopened = SpillStore(tmp_path, max_resident=4)
+        assert reopened.fault("a") == SessionState(PARTS, 0b11, False, 2)
+        reopened.close()
+
+    def test_put_states_flushes_once_and_survives_reopen(self, tmp_path):
+        store = SpillStore(tmp_path, max_resident=4, compact_min_dead=8)
+        states = [
+            (f"app-{index % 5}", SessionState(PARTS, 0b11, False, index))
+            for index in range(40)  # supersedes enough to compact mid-call
+        ]
+        store.put_states(states)
+        assert store.compaction_count >= 1
+        assert store.log_bytes() == (tmp_path / "sessions.log").stat().st_size
+        assert store.fault("app-4") == SessionState(PARTS, 0b11, False, 39)
+        store.close()
+        reopened = SpillStore(tmp_path, max_resident=4)
+        # A fault leaves its record in the log, so a close with the
+        # session out of the cold tier brings that last state back.
+        assert reopened.cold_count() == 5
+        assert reopened.fault("app-4") == SessionState(PARTS, 0b11, False, 39)
+        reopened.close()
+
+
+class TestTombstoneRule:
+    def test_discarding_a_resident_tombstones_its_superseded_record(
+        self, tmp_path
+    ):
+        store = SpillStore(tmp_path, max_resident=4)
+        store.put_state("a", SessionState(PARTS, 0b11, False, 1))
+        _fault_in(store, "a").live = 0b01  # resident; its S record is on disk
+        store.discard("a")
+        assert _log_kinds(tmp_path)[-1] == "D"
+        store.close()
+        reopened = SpillStore(tmp_path, max_resident=4)
+        assert "a" not in reopened and reopened.cold_count() == 0
+        reopened.close()
+
+    def test_discarding_a_never_spilled_resident_writes_nothing(self, tmp_path):
+        store = SpillStore(tmp_path, max_resident=4)
+        store.put("anon", _session("anon", ephemeral=True))
+        store.discard("anon")
+        assert store.log_bytes() == 0
+        store.close()
+
+    def test_dropping_a_reset_ephemeral_session_tombstones_its_record(
+        self, tmp_path
+    ):
+        store = SpillStore(tmp_path, max_resident=4)
+        store.put_state("anon", SessionState(PARTS, 0b01, True, 2))
+        session = _fault_in(store, "anon")
+        session.live = session.all_live  # reset while resident
+        store.demote("anon")  # fresh + ephemeral: dropped, not stored
+        store.close()
+        reopened = SpillStore(tmp_path, max_resident=4)
+        assert "anon" not in reopened  # the narrowed record must not return
+        reopened.close()
+
+    def test_unregistered_principal_stays_gone_after_reopen(self, views, tmp_path):
+        """register a; submit a; unregister a; close; reopen: a is gone."""
+        service = DisclosureService(views, max_active_sessions=4, spill_dir=tmp_path)
+        service.register("a", _policies(views, 1)[0])
+        service.submit("a", _query_pool(1)[0])
+        service.unregister("a")
+        service.close()
+        reopened = DisclosureService(
+            views, max_active_sessions=4, spill_dir=tmp_path
+        )
+        assert "a" not in reopened and reopened.principal_count() == 0
+        with pytest.raises(PolicyError, match="unknown principal"):
+            reopened.submit("a", _query_pool(1)[0])
+        reopened.close()
+
+    def test_replacements_are_one_record_each(self, views, tmp_path):
+        service = DisclosureService(views, max_active_sessions=4, spill_dir=tmp_path)
+        policy, other = _policies(views, 2)
+        service.register("a", policy)
+        service.submit("a", _query_pool(1)[0])  # resident now
+        kinds = _log_kinds(tmp_path)
+        service.register("a", other)  # re-register a resident
+        service.export_generation()  # a new epoch: the next write differs
+        service.reset("a")  # reset a cold principal
+        service.export_generation()
+        service.import_state(service.export_state())
+        new = _log_kinds(tmp_path)[len(kinds):]
+        assert [kind for kind in new if kind != "P"] == ["S", "S", "S"]
+        # Re-writing the very state a record already holds writes nothing.
+        service.reset("a")
+        assert _log_kinds(tmp_path)[len(kinds):] == new
+        service.close()
 
 
 # ----------------------------------------------------------------------
