@@ -18,8 +18,9 @@ propagate through helpers.  Four rules ship:
   (``time.sleep``, pipe/socket/file I/O, blind ``lock.acquire``)
   reachable from ``async def`` bodies or event-loop callbacks.
 * **WIRE01** (:mod:`repro.analysis.wire01`) — wire parity: pool frame
-  catalogue, v2 error taxonomy and status reasons, compact-row arity
-  between server render and client inflate, client error exports.
+  catalogue and positional-row arity, v2 error taxonomy and status
+  reasons, compact-row arity between server render and client inflate,
+  client error exports.
 * **FMT01** (:mod:`repro.analysis.fmt01`) — versioned format strings
   (``repro.snapshot/N``…) must come from :mod:`repro.core.formats`.
 

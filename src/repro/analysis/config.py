@@ -35,6 +35,10 @@ class AnalysisConfig:
     #: Worker-side functions in the pool module (name prefix match).
     pool_worker_prefix: str = "_worker"
     pool_worker_main: str = "_replica_worker_main"
+    #: (worker render fn, parent unpack fn) positional pool-row pairs.
+    pool_row_pairs: Tuple[Tuple[str, str], ...] = (
+        ("_worker_batch", "_absorb"),
+    )
     #: The status-line reason map in the aio module.
     reason_map_name: str = "_REASON"
     #: (server render fn, client inflate fn) compact-row pairs.

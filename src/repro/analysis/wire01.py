@@ -9,6 +9,9 @@ each side and diffs:
   the other side (compared against ``kind`` / ``frame[0]``), in both
   directions.  A kind handled but never sent is tolerated (backward
   compatibility); a kind sent but not matched is a finding.
+* **Pool rows** — ``batch`` reply rows are positional (no kind tag
+  guards them), so the row the worker renders must have exactly the
+  arity the parent unpacks.
 * **Status reasons** — every HTTP status the async front end emits
   must have a reason phrase in its ``_REASON`` map (a missing entry
   renders ``HTTP/1.1 500 OK``).
@@ -23,7 +26,7 @@ each side and diffs:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.config import AnalysisConfig
@@ -263,10 +266,13 @@ def _unpack_arity(tree: ast.AST, function: str) -> Optional[int]:
 
 
 def _check_rows(
-    server: SourceFile, client: SourceFile, config: AnalysisConfig
+    server: SourceFile,
+    client: SourceFile,
+    pairs: Sequence[Tuple[str, str]],
+    what: str,
 ) -> List[Finding]:
     findings: List[Finding] = []
-    for render_name, inflate_name in config.row_pairs:
+    for render_name, inflate_name in pairs:
         rendered = _list_arity(server.tree, render_name)
         inflated = _unpack_arity(client.tree, inflate_name)
         if rendered is None or inflated is None:
@@ -275,7 +281,7 @@ def _check_rows(
             findings.append(
                 Finding(
                     RULE, client.rel, 1,
-                    f"compact-row arity mismatch: {render_name} renders "
+                    f"{what} arity mismatch: {render_name} renders "
                     f"{rendered} fields but {inflate_name} unpacks "
                     f"{inflated}",
                 )
@@ -355,13 +361,18 @@ def check(
     pool = project.module(config.pool_module)
     if pool is not None:
         findings.extend(_check_frames(pool, config))
+        findings.extend(
+            _check_rows(pool, pool, config.pool_row_pairs, "pool-row")
+        )
     aio = project.module(config.aio_module)
     if aio is not None:
         findings.extend(_check_reasons(aio, config))
     wire2 = project.module(config.wire2_module)
     client_wire = project.module(config.client_wire_module)
     if wire2 is not None and client_wire is not None:
-        findings.extend(_check_rows(wire2, client_wire, config))
+        findings.extend(
+            _check_rows(wire2, client_wire, config.row_pairs, "compact-row")
+        )
     findings.extend(_check_exports(project, config))
     return [
         finding

@@ -25,6 +25,14 @@ incrementally:
   before executing; state evolution is byte-identical to sequential
   handling (``tests/server/test_aio.py`` holds the stdlib and asyncio
   front ends to identical decision streams).
+* **Pooled, batches join the run.**  In front of a
+  :class:`~repro.server.pool.ReplicaPool` a decision costs a pipe
+  crossing, whose fixed part dwarfs a kernel decision, so the pooled
+  drain widens the run: ``POST /v2/batch`` entries join it beside the
+  singles, every tick queued behind a drain in progress joins the next
+  one, and one dispatch decides the lot before the results are sliced
+  back per request — crossings follow drains, not requests
+  (``tests/server/test_pool_frontend.py`` holds that exact).
 
 Routes and wire behavior are identical to the stdlib front end — the
 same :func:`repro.server.httpd.dispatch` serves everything that is not
@@ -44,6 +52,7 @@ from time import perf_counter
 
 from repro.errors import ReproError
 from repro.server.httpd import (
+    MAX_BATCH,
     MAX_BODY,
     dispatch,
     negotiate_metrics_path,
@@ -55,7 +64,9 @@ from repro.server.wire2 import (
     BAD_REQUEST,
     WireError,
     gateway_for,
+    render_batch,
     render_single,
+    resolve_batch,
     resolve_single,
     single_error_status,
 )
@@ -87,7 +98,7 @@ class _QueuedRequest:
 
     def __init__(self, kind, method, path, body, slot, update=False,
                  enqueued=0.0):
-        self.kind = kind  # "v1" | "v2" | "inline"
+        self.kind = kind  # "v1" | "v2" | "batch" (pooled only) | "inline"
         self.method = method
         self.path = path
         self.body = body
@@ -344,13 +355,18 @@ class AsyncDecisionServer:
                 queued = _QueuedRequest(
                     "v1", method, path, body, slot, path == "/v1/query"
                 )
+            elif path == "/v2/batch" and self.pool is not None:
+                # Pooled, a batch's entries join the tick's decision run
+                # (its submit/peek mode is known once it is resolved).
+                queued = _QueuedRequest("batch", method, path, body, slot)
             else:
                 queued = _QueuedRequest("inline", method, path, body, slot)
         else:
             queued = _QueuedRequest("inline", method, path, body, slot)
         if queued.kind != "inline":
-            # Inline requests are counted by dispatch(); the coalesced
-            # decision kinds bypass it, so label them here.
+            # Inline requests are counted by dispatch() (or by the pool,
+            # for the routes it answers itself); the run-joining kinds
+            # bypass both, so label them here.
             requests = self.service.requests
             if requests is not None:
                 requests.labels("async", path).increment()
@@ -405,10 +421,17 @@ class AsyncDecisionServer:
         self._flush_run(run, run_update)
 
     async def _consume_ticks(self) -> None:
-        """Drain handed-off ticks, one at a time, in arrival order."""
+        """Drain handed-off ticks in arrival order, one drain at a time.
+
+        Every tick that queued up while the last drain awaited its
+        replicas joins the next one, so under load pipe crossings follow
+        the number of drains, not the number of ticks or requests.
+        """
         assert self._ticks is not None
         while True:
             pending = await self._ticks.get()
+            while not self._ticks.empty():
+                pending.extend(self._ticks.get_nowait())
             try:
                 await self._drain_pooled(pending)
             except Exception as exc:  # noqa: BLE001 - never hang a slot
@@ -420,19 +443,25 @@ class AsyncDecisionServer:
     async def _drain_pooled(self, pending: List[_QueuedRequest]) -> None:
         """The pooled tick drain: same run discipline, replica dispatch.
 
-        Inline routes that touch sessions or metrics go through
-        :meth:`ReplicaPool.dispatch_inline` (the parent never decides in
-        pooled mode); everything else falls through to the ordinary
-        dispatch.  Decision runs ship to the replicas and their pipes
-        are awaited, so replica compute overlaps front-end work.
+        Single decisions *and* ``/v2/batch`` requests join one run of
+        decision entries, decided by one :meth:`ReplicaPool.decide_async`
+        and sliced back per request.  The run flushes on a submit/peek
+        mode change, a plane change, ``MAX_BATCH`` entries, and before
+        any inline route — those that touch sessions or metrics go
+        through :meth:`ReplicaPool.dispatch_inline_async` (the parent
+        never decides in pooled mode), the rest fall through to the
+        ordinary dispatch.  Replica pipes are awaited, so replica
+        compute overlaps front-end work.
         """
         pool = self.pool
         run: List[Tuple[_QueuedRequest, Tuple]] = []
+        entries: List[Tuple] = []
         run_update = False
+        run_plane = None
         for request in pending:
             if request.kind == "inline":
-                await self._flush_run_pooled(run, run_update)
-                run = []
+                await self._flush_run_pooled(run, entries, run_update, run_plane)
+                run, entries, run_plane = [], [], None
                 try:
                     status_payload = await pool.dispatch_inline_async(
                         request.method, request.path, request.body
@@ -449,15 +478,45 @@ class AsyncDecisionServer:
                     status_payload = (500, {"error": f"internal error: {exc}"})
                 request.slot.set_result(status_payload)
                 continue
-            prepared = self._prepare(request)
-            if prepared is None:
+            member = self._run_member(request)
+            if member is None:
                 continue  # already answered (a request-shaped error)
-            if run and request.update != run_update:
-                await self._flush_run_pooled(run, run_update)
-                run = []
-            run_update = request.update
+            prepared, joining, update, plane = member
+            if run and (
+                update != run_update
+                or (plane is not None and run_plane not in (None, plane))
+                or len(entries) + len(joining) > MAX_BATCH
+            ):
+                await self._flush_run_pooled(run, entries, run_update, run_plane)
+                run, entries, run_plane = [], [], None
+            run_update = update
+            if plane is not None:
+                run_plane = plane  # v1 entries (plane None) join any run
             run.append((request, prepared))
-        await self._flush_run_pooled(run, run_update)
+            entries.extend(joining)
+        await self._flush_run_pooled(run, entries, run_update, run_plane)
+
+    def _run_member(self, request: _QueuedRequest):
+        """``(prepared, entries, update, plane)`` for a run-joining
+        request, or ``None`` when it was answered with its own error.
+
+        A batch's *prepared* is ``(compact, principal_indices)`` — what
+        :func:`render_batch` needs to slice its decisions back out.
+        """
+        if request.kind == "batch":
+            try:
+                peek, compact, principal_indices, plane, entries = (
+                    resolve_batch(self.service, request.body)
+                )
+            except WireError as exc:
+                request.slot.set_result((exc.status, exc.payload()))
+                return None
+            return (compact, principal_indices), entries, not peek, plane
+        prepared = self._prepare(request)
+        if prepared is None:
+            return None
+        principal, query, qid, plane = prepared[:4]
+        return prepared, [(principal, query, qid)], request.update, plane
 
     def _prepare(self, request: _QueuedRequest):
         """``(principal, query, qid, plane, compact, trace)`` or ``None``.
@@ -521,12 +580,40 @@ class AsyncDecisionServer:
         for segment, plane in self._segment_runs(run):
             self._decide_segment(segment, update, plane)
 
-    async def _flush_run_pooled(self, run: List, update: bool) -> None:
-        """Decide one homogeneous run through the replica pool."""
+    async def _flush_run_pooled(
+        self, run: List, entries: List, update: bool, plane
+    ) -> None:
+        """Decide one run through the replica pool: one dispatch, then
+        each request's slice of the results rendered in its own form."""
         if not run:
             return
-        for segment, plane in self._segment_runs(run):
-            await self._decide_segment_pooled(segment, update, plane)
+        # Always timed: two clock reads per pipe crossing buy any traced
+        # member its span without a scan of the run for one.
+        timings: Dict = {}
+        started = perf_counter()
+        try:
+            results = await self.pool.decide_async(
+                entries, update=update, plane=plane, timings=timings
+            )
+        except Exception as exc:  # noqa: BLE001 - never hang a slot
+            self._fail_segment(run, exc)
+            return
+        offset = 0
+        for request, prepared in run:
+            if request.kind == "batch":
+                compact, principal_indices = prepared
+                end = offset + len(principal_indices)
+                payload = render_batch(
+                    results[offset:end], principal_indices, compact
+                )
+                request.slot.set_result((200, payload))
+                offset = end
+            else:
+                self._answer(
+                    request, prepared, results[offset], started, timings,
+                    len(entries),
+                )
+                offset += 1
 
     @staticmethod
     def _segment_entries(segment: List):
@@ -559,48 +646,33 @@ class AsyncDecisionServer:
         except Exception as exc:  # noqa: BLE001 - never hang a slot
             self._fail_segment(segment, exc)
             return
-        self._answer_segment(segment, results, started, timings)
-
-    async def _decide_segment_pooled(
-        self, segment: List, update: bool, plane
-    ) -> None:
-        if not segment:
-            return
-        entries, timings, started = self._segment_entries(segment)
-        try:
-            results = await self.pool.decide_async(
-                entries, update=update, plane=plane, timings=timings
-            )
-        except Exception as exc:  # noqa: BLE001 - never hang a slot
-            self._fail_segment(segment, exc)
-            return
-        self._answer_segment(segment, results, started, timings)
-
-    def _answer_segment(
-        self, segment: List, results: List, started: float,
-        timings: Optional[Dict],
-    ) -> None:
         coalesced = len(segment)
         for (request, prepared), result in zip(segment, results):
-            compact = prepared[4]
-            if isinstance(result, ServiceDecision):
-                if prepared[5]:
-                    request.slot.set_result(
-                        self._traced_response(
-                            request, prepared, result, started, timings,
-                            coalesced,
-                        )
-                    )
-                else:
-                    request.slot.set_result(
-                        (200, render_single(result, compact))
-                    )
-            elif request.kind == "v2":
-                request.slot.set_result((_error_status(result), result))
-            else:  # v1 keeps its historical error shape (no code field)
+            self._answer(request, prepared, result, started, timings, coalesced)
+
+    def _answer(
+        self, request: _QueuedRequest, prepared: Tuple, result,
+        started: float, timings: Optional[Dict], coalesced: int,
+    ) -> None:
+        """Answer one single-decision request with its result."""
+        if isinstance(result, ServiceDecision):
+            if prepared[5]:
                 request.slot.set_result(
-                    (_error_status(result), {"error": result["error"]})
+                    self._traced_response(
+                        request, prepared, result, started, timings,
+                        coalesced,
+                    )
                 )
+            else:
+                request.slot.set_result(
+                    (200, render_single(result, prepared[4]))
+                )
+        elif request.kind == "v2":
+            request.slot.set_result((_error_status(result), result))
+        else:  # v1 keeps its historical error shape (no code field)
+            request.slot.set_result(
+                (_error_status(result), {"error": result["error"]})
+            )
 
     def _traced_response(
         self,

@@ -25,18 +25,26 @@ and moves only the *data plane* — the
   replica-local: labels are a pure function of the query shape, so each
   replica derives them independently (same packed labels, possibly
   different dense ids — nothing lid-shaped ever crosses the pipe).
-* **The parent mirrors sessions.**  Every updating sub-batch reply
-  carries the touched sessions' serializable states; the parent applies
-  them to its own :class:`~repro.server.store.SessionStore` (RAM or
-  spill tier).  That mirror is what makes replicas disposable: when one
+* **The parent mirrors sessions — off the decisions.**  A principal's
+  whole enforcement state is its policy plus one live bit vector
+  (Section 6.2), the parent already holds every policy (it validated
+  the ``register``), and every decision row reports the vector before
+  and after.  So a reply ships *only* decision rows, and the parent
+  writes a principal's new live bits to its own
+  :class:`~repro.server.store.SessionStore` (RAM or spill tier) exactly
+  when a row shows them narrowing — a steady-state frame writes
+  nothing.  That mirror is what makes replicas disposable: when one
   dies (crash, kill -9), the dispatcher respawns it, refaults its owned
   principals from the mirror (:func:`~repro.server.store.iter_owned_states`),
   re-ships the plane, and replays the in-flight sub-batch once.
 
 The pipe protocol is compact JSON frames (``Connection.send_bytes``),
 one request/reply pair per frame except ``plane`` deltas, which are
-one-way (the next batch is their acknowledgement).  Canonical keys ride
-the same JSON-safe codec snapshots and the v2 wire use
+one-way (the next batch is their acknowledgement).  Batch replies are
+*positional*: one row per item, in item order, with no kind tag and no
+principal echo — alignment is the protocol, and a reply that does not
+align fails its sub-batch.  Canonical keys ride the same JSON-safe
+codec snapshots and the v2 wire use
 (:func:`repro.core.canonical.encode_key`).  See ``docs/pool.md`` for
 the frame catalogue.
 
@@ -57,8 +65,11 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError
+from repro.server.batch import decide_wire_items
+from repro.server.httpd import dispatch, metrics_format
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
+from repro.server.shard import shard_for
 from repro.server.store import (
     SessionState,
     SpillStore,
@@ -86,60 +97,38 @@ def _worker_batch(service: DisclosureService, update: bool, items: List) -> List
     """Decide one qid-native sub-batch; the replica half of ``batch``.
 
     Items are ``[principal, qid]`` pairs whose qids the parent already
-    interned and shipped; the reply carries each decision's wire fields
-    plus — for updating batches — the touched sessions' serializable
-    states, which the parent folds into its authoritative mirror.
+    interned and shipped.  The reply is positional — one row per item,
+    in item order: ``[accepted, cached, live_before, live_after,
+    reason_index]`` for a decision (the index is into the frame's
+    reason table) or the per-item error dict itself.  Nothing else
+    rides along: the parent holds the items, and reads its mirror off
+    ``live_before``/``live_after``.
     """
-    from repro.server.batch import decide_wire_items
-
     entries = [(principal, None, qid) for principal, qid in items]
     results = decide_wire_items(
         service, entries, update=update, plane=service.kernel.plane
     )
-    rendered: List = []
+    reasons: List[str] = []
+    reason_index: Dict[str, int] = {}
+    rows: List = []
     for result in results:
-        if isinstance(result, ServiceDecision):
-            rendered.append(
-                [
-                    "d",
-                    result.accepted,
-                    result.principal,
-                    result.reason,
-                    result.cached,
-                    result.live_before,
-                    result.live_after,
-                ]
-            )
-        else:
-            rendered.append(["e", result])
-    touched: List = []
-    if update:
-        seen = set()
-        with service._lock:
-            for principal, _ in items:
-                if principal in seen:
-                    continue
-                seen.add(principal)
-                session = service.store.peek(principal)
-                if session is not None:
-                    state = state_of(session)
-                else:
-                    # Demoted between decide and gather: read the cold
-                    # state and put it back (fault may consume it).
-                    state = service.store.fault(principal)
-                    if state is not None:
-                        service.store.put_state(principal, state)
-                if state is None:
-                    continue  # transient peek session: nothing durable
-                touched.append(
-                    [
-                        principal,
-                        [list(p) for p in state.partitions],
-                        state.live,
-                        bool(state.ephemeral),
-                    ]
-                )
-    return ["ok", rendered, touched]
+        if not isinstance(result, ServiceDecision):
+            rows.append(result)
+            continue
+        index = reason_index.get(result.reason)
+        if index is None:
+            index = reason_index[result.reason] = len(reasons)
+            reasons.append(result.reason)
+        rows.append(
+            [
+                int(result.accepted),
+                int(result.cached),
+                result.live_before,
+                result.live_after,
+                index,
+            ]
+        )
+    return ["ok", rows, reasons]
 
 
 def _worker_restore(service: DisclosureService, rows: List) -> int:
@@ -325,6 +314,11 @@ class ReplicaPool:
         self.respawns = metrics.counter_vec(
             "repro_pool_respawns_total", ("replica",)
         )
+        #: Sessions written to the parent mirror because a decision row
+        #: narrowed their live bits (0 per frame in steady state).
+        self.mirror_writes = metrics.counter_vec(
+            "repro_pool_mirror_writes_total", ("replica",)
+        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ReplicaPool":
@@ -507,8 +501,6 @@ class ReplicaPool:
 
     # -- the dispatch core ---------------------------------------------
     def owner_of(self, principal: Hashable) -> int:
-        from repro.server.shard import shard_for
-
         return shard_for(principal, self.replicas)
 
     def decide(
@@ -523,19 +515,18 @@ class ReplicaPool:
 
         Same entry and result shapes — ``(principal, query, qid)`` in,
         :class:`ServiceDecision`-or-error-dict out, aligned — so the
-        asyncio drain and both batch routes swap it in transparently.
+        asyncio drain and the v1 batch route swap it in transparently.
         Sub-batches go to every involved replica before any reply is
         awaited, so replicas decide concurrently; replies are gathered
-        and applied in replica order, and the parent mirror absorbs the
-        touched session states before the call returns.
+        and applied in replica order, and the parent mirror absorbs
+        every narrowed live vector before the call returns.
         """
         launched = self._launch(entries, update=update, plane=plane,
                                 timings=timings)
         results, plane, pending, started = launched
         for handle, positions, frame, sent in pending:
             reply = self._try_recv(handle) if sent else None
-            self._settle(handle, positions, frame, plane, reply, results,
-                         update)
+            self._settle(handle, positions, frame, plane, reply, results)
         if pending:
             self._account(pending, started, timings)
         return results
@@ -576,7 +567,7 @@ class ReplicaPool:
                 await self._wait_readable(handle, asyncio)
                 reply = self._try_recv(handle)  # repro: noqa[ASY01] - readability awaited above; bounded drain of an arriving reply
             await self._settle_async(handle, positions, frame, plane, reply,
-                                     results, update, asyncio)
+                                     results, asyncio)
         if pending:
             self._account(pending, started, timings)
         return results
@@ -616,43 +607,41 @@ class ReplicaPool:
         if not entries:
             return results, plane, [], 0.0
         label_started = perf_counter() if timings is not None else 0.0
+        distinct = {principal for principal, _, _ in entries}
         # Unknown-principal isolation against the parent mirror — the
         # same pre-check decide_wire_items runs, against the same
         # authoritative session set.
         if service._default_policy is None:
-            distinct = {principal for principal, _, _ in entries}
             with service._lock:
-                unknown = {
-                    principal
-                    for principal in distinct
-                    if principal not in service.store
-                }
-        else:
-            unknown = frozenset()
+                store = service.store
+                distinct = {p for p in distinct if p in store}
+        # One CRC-32 per distinct principal, not per item; a principal
+        # left out of the map is an unknown one.
+        replicas = self.replicas
+        owner_of = {p: shard_for(p, replicas) for p in distinct}.get
         intern = plane.queries.intern
-        sub_batches: Dict[int, Tuple[List[int], List]] = {}
+        sub_batches: List[Tuple[List[int], List]] = [
+            ([], []) for _ in range(replicas)
+        ]
         for index, (principal, query, qid) in enumerate(entries):
-            if principal in unknown:
+            owner = owner_of(principal)
+            if owner is None:
                 results[index] = {
                     "error": f"unknown principal {principal!r}",
                     "code": "unknown-principal",
                 }
                 continue
-            positions_items = sub_batches.setdefault(
-                self.owner_of(principal), ([], [])
-            )
-            positions_items[0].append(index)
-            positions_items[1].append(
-                [principal, intern(query) if qid is None else qid]
-            )
+            positions, items = sub_batches[owner]
+            positions.append(index)
+            items.append([principal, intern(query) if qid is None else qid])
         if timings is not None:
             timings["label_us"] = (perf_counter() - label_started) * 1e6
         started = perf_counter()
-        sub_frames = []
-        for owner in sorted(sub_batches):
-            handle = self.handles[owner]
-            positions, items = sub_batches[owner]
-            sub_frames.append((handle, positions, ["batch", update, items]))
+        sub_frames = [
+            (self.handles[owner], positions, ["batch", update, items])
+            for owner, (positions, items) in enumerate(sub_batches)
+            if items
+        ]
         return results, plane, sub_frames, started
 
     def _launch(self, entries, *, update, plane, timings):
@@ -678,74 +667,82 @@ class ReplicaPool:
             return None
         return reply if reply and reply[0] == "ok" else None
 
-    def _absorb(
-        self, handle, positions, reply, results, update
-    ) -> Optional[List]:
-        """Fold one ok-reply (or its absence) into *results*.
+    def _absorb(self, handle, positions, frame, reply, results) -> Dict:
+        """Fold one reply (or its absence) into *results*.
 
-        Returns the touched session rows still to be mirrored, or
-        ``None`` when there is nothing to apply.
+        Rows are positional, so decisions are rebuilt against the
+        frame's own items.  Returns ``{principal: live}`` for every
+        principal whose live bits a row narrowed — what is still to be
+        mirrored, nothing for most frames.  No reply, a row count other
+        than the item count, or a row that is neither five ints nor an
+        error dict fails the whole sub-batch and mirrors nothing.
         """
-        if reply is None:
+        items = frame[2]
+        narrowed: Dict[Hashable, int] = {}
+        try:
+            if reply is None or len(reply[1]) != len(items):
+                raise ValueError("no reply, or not one row per item")
+            reasons = reply[2]
+            for position, (principal, _), row in zip(positions, items, reply[1]):
+                if isinstance(row, dict):
+                    results[position] = row
+                    continue
+                accepted, cached, live_before, live_after, reason = row
+                # ``|`` is defined between ints only (TypeError for any
+                # other field type); a negative field is just as foreign.
+                if (accepted | cached | live_before | live_after | reason) < 0:
+                    raise ValueError(f"negative field in row {row!r}")
+                results[position] = ServiceDecision(
+                    bool(accepted), principal, reasons[reason],
+                    bool(cached), live_before, live_after, None,
+                )
+                if live_after != live_before:
+                    # Live bits only narrow within a batch: last row wins.
+                    narrowed[principal] = live_after
+        except (TypeError, ValueError, LookupError):
+            # Whatever rows were already placed are overwritten too.
             error = {
                 "error": f"kernel replica {handle.index} unavailable",
                 "code": REPLICA_UNAVAILABLE,
             }
             for position in positions:
                 results[position] = dict(error)
-            return None
-        _, rendered, touched = reply
-        for position, item in zip(positions, rendered):
-            if item[0] == "d":
-                results[position] = ServiceDecision(
-                    item[1], item[2], item[3], item[4], item[5], item[6],
-                    None,
-                )
-            elif item[0] == "e":
-                results[position] = item[1]
-            else:  # unknown row kind: refuse to guess what it meant
-                results[position] = {
-                    "error": (
-                        f"replica {handle.index} sent unknown result "
-                        f"kind {item[0]!r}"
-                    ),
-                    "code": REPLICA_UNAVAILABLE,
-                }
-        return touched if update and touched else None
+            return {}
+        return narrowed
 
-    def _settle(
-        self, handle, positions, frame, plane, reply, results, update
-    ) -> None:
+    def _settle(self, handle, positions, frame, plane, reply, results) -> None:
         """Apply one replica's reply, retrying once through a respawn."""
         if reply is None:
             reply = self._retry(handle, plane, frame)
-        touched = self._absorb(handle, positions, reply, results, update)
-        if touched:
-            self._apply_touched(touched)
+        narrowed = self._absorb(handle, positions, frame, reply, results)
+        if narrowed:
+            self._mirror(handle, narrowed)
 
     async def _settle_async(
-        self, handle, positions, frame, plane, reply, results, update, asyncio
+        self, handle, positions, frame, plane, reply, results, asyncio
     ) -> None:
         """:meth:`_settle` with the blocking edges moved off the loop.
 
         The respawn-and-replay retry blocks for up to ``ready_timeout``
         (process start + mirror refault), so it runs in the default
-        executor.  The mirror apply is a dict update under the parent
-        lock unless the store spills to disk, in which case it goes to
-        the executor too.
+        executor.  The mirror write — only when the frame narrowed
+        someone — is a dict update under the parent lock unless the
+        store spills to disk, in which case it goes to the executor too.
         """
         if reply is None:
             loop = asyncio.get_running_loop()
             reply = await loop.run_in_executor(
                 None, self._retry, handle, plane, frame
             )
-        touched = self._absorb(handle, positions, reply, results, update)
-        if touched:
+        narrowed = self._absorb(handle, positions, frame, reply, results)
+        if narrowed:
             if self._mirror_blocking:
                 loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, self._apply_touched, touched)
+                await loop.run_in_executor(
+                    None, self._mirror, handle, narrowed
+                )
             else:
-                self._apply_touched(touched)  # repro: noqa[ASY01] - RAM mirror: dict puts under an uncontended lock, microseconds
+                self._mirror(handle, narrowed)  # repro: noqa[ASY01] - RAM mirror: dict puts under an uncontended lock, microseconds
 
     def _retry(self, handle, plane, frame) -> Optional[List]:
         """One respawn + replay: refault from the mirror, re-ship the
@@ -761,22 +758,36 @@ class ReplicaPool:
             return None
         return self._try_recv(handle)
 
-    def _apply_touched(self, rows: List) -> None:
-        if not rows:
-            return
+    def _mirror(self, handle: ReplicaHandle, narrowed: Dict) -> None:
+        """Write the live bits one frame narrowed into the parent mirror.
+
+        Only ``live`` comes off the wire.  Policy and the ephemeral flag
+        are the parent's own — it validated and applied every
+        ``register`` before forwarding it — or, for a principal the
+        parent has never stored, the default policy it was born from.
+        """
         service = self.service
+        store = service.store
         with service._lock:
             epoch = service.state_epoch
-            for principal, partitions, live, ephemeral in rows:
-                service.store.put_state(
-                    principal,
-                    SessionState(
-                        tuple(tuple(p) for p in partitions),
-                        live,
-                        bool(ephemeral),
-                        epoch,
-                    ),
+            for principal, live in narrowed.items():
+                session = store.peek(principal)
+                state = (
+                    state_of(session)
+                    if session is not None
+                    else store.fault(principal)
                 )
+                if state is not None:
+                    partitions, ephemeral = state.partitions, state.ephemeral
+                elif service._default_policy is not None:
+                    partitions, ephemeral = service._default_policy, True
+                else:
+                    continue  # unregistered while the frame was in flight
+                store.put_state(
+                    principal,
+                    SessionState(partitions, live, ephemeral, epoch),
+                )
+        self.mirror_writes.labels(str(handle.index)).increment(len(narrowed))
 
     def _account(self, pending, started: float, timings) -> None:
         elapsed = perf_counter() - started
@@ -789,6 +800,31 @@ class ReplicaPool:
             self.items.labels(replica).increment(len(positions))
 
     # -- admin / inline routes -----------------------------------------
+    #: Inline routes the pool answers itself; :func:`dispatch`, where
+    #: requests are otherwise counted, never sees them.
+    _ANSWERED = frozenset(
+        {("GET", "/metrics"), ("GET", "/internal/snapshot"), ("POST", "/v1/batch")}
+    )
+    #: Mutations the parent's dispatch validates and applies (and
+    #: counts) first; the owning replica then follows.
+    _FORWARDED = frozenset({("POST", "/v1/register"), ("POST", "/v1/reset")})
+
+    def _claim(
+        self, method: str, path: str, body: Optional[Dict]
+    ) -> Optional[Tuple[str, str]]:
+        """``(route, query_string)`` for an inline request the pool must
+        serve (counted here when dispatch will not), else ``None``."""
+        route, _, query_string = path.partition("?")
+        if method == "POST" and body is None:
+            return None
+        if (method, route) in self._ANSWERED:
+            requests = self.service.requests
+            if requests is not None:
+                requests.labels("async", route).increment()
+        elif (method, route) not in self._FORWARDED:
+            return None
+        return route, query_string
+
     def dispatch_inline(
         self, method: str, path: str, body: Optional[Dict]
     ) -> Optional[Tuple[int, object]]:
@@ -798,34 +834,30 @@ class ReplicaPool:
         handles correctly (``/healthz``, ``/v2/protocol``,
         ``/internal/trace``); everything session- or metrics-shaped is
         intercepted here so replicas and mirror stay in lockstep.
+        ``POST /v2/batch`` is not an inline route in pooled mode: the
+        front end resolves it and joins its entries to the tick's
+        decision run, so :meth:`decide` is its data path.
         """
-        from repro.server.httpd import dispatch, metrics_format
-
-        route, _, query_string = path.partition("?")
-        if method == "GET":
-            if route == "/metrics":
-                fmt, error = metrics_format(query_string)
-                if error is not None:
-                    return 400, {"error": error}
-                return self._render_metrics(fmt, self.metrics_snapshot())
-            if route == "/internal/snapshot":
-                return 200, self.merged_snapshot()
+        claimed = self._claim(method, path, body)
+        if claimed is None:
             return None
-        if method != "POST" or body is None:
-            return None
-        if route in ("/v1/register", "/v1/reset"):
-            status, payload = dispatch(
-                self.service, method, route, body, transport="async"
-            )
-            if status == 200:
-                handle, frame = self._admin_frame(route, body)
-                self._admin(handle, frame)
-            return status, payload
+        route, query_string = claimed
+        if route == "/metrics":
+            fmt, error = metrics_format(query_string)
+            if error is not None:
+                return 400, {"error": error}
+            return self._render_metrics(fmt, self.metrics_snapshot())
+        if route == "/internal/snapshot":
+            return 200, self.merged_snapshot()
         if route == "/v1/batch":
             return self._batch_v1(body)
-        if route == "/v2/batch":
-            return self._batch_v2(body)
-        return None
+        status, payload = dispatch(
+            self.service, method, route, body, transport="async"
+        )
+        if status == 200:
+            handle, frame = self._admin_frame(route, body)
+            self._admin(handle, frame)
+        return status, payload
 
     async def dispatch_inline_async(
         self, method: str, path: str, body: Optional[Dict]
@@ -838,34 +870,27 @@ class ReplicaPool:
         """
         import asyncio
 
-        from repro.server.httpd import dispatch, metrics_format
-
-        route, _, query_string = path.partition("?")
-        if method == "GET":
-            if route == "/metrics":
-                fmt, error = metrics_format(query_string)
-                if error is not None:
-                    return 400, {"error": error}
-                snapshot = await self.metrics_snapshot_async(asyncio)
-                return self._render_metrics(fmt, snapshot)
-            if route == "/internal/snapshot":
-                return 200, await self.merged_snapshot_async(asyncio)
+        claimed = self._claim(method, path, body)
+        if claimed is None:
             return None
-        if method != "POST" or body is None:
-            return None
-        if route in ("/v1/register", "/v1/reset"):
-            status, payload = dispatch(
-                self.service, method, route, body, transport="async"
-            )
-            if status == 200:
-                handle, frame = self._admin_frame(route, body)
-                await self._admin_async(handle, frame, asyncio)
-            return status, payload
+        route, query_string = claimed
+        if route == "/metrics":
+            fmt, error = metrics_format(query_string)
+            if error is not None:
+                return 400, {"error": error}
+            snapshot = await self.metrics_snapshot_async(asyncio)
+            return self._render_metrics(fmt, snapshot)
+        if route == "/internal/snapshot":
+            return 200, await self.merged_snapshot_async(asyncio)
         if route == "/v1/batch":
             return await self._batch_v1_async(body)
-        if route == "/v2/batch":
-            return await self._batch_v2_async(body)
-        return None
+        status, payload = dispatch(
+            self.service, method, route, body, transport="async"
+        )
+        if status == 200:
+            handle, frame = self._admin_frame(route, body)
+            await self._admin_async(handle, frame, asyncio)
+        return status, payload
 
     @staticmethod
     def _render_metrics(fmt: str, snapshot: Dict) -> Tuple[int, object]:
@@ -972,40 +997,6 @@ class ReplicaPool:
             else []
         )
         return self._batch_v1_finish(results, positions, decided)
-
-    def _batch_v2(self, body: Dict) -> Tuple[int, object]:
-        """``POST /v2/batch`` pooled: the stdlib handler with the decide
-        core swapped for the pool dispatch."""
-        from repro.server.wire2 import (
-            WireError,
-            render_batch,
-            resolve_batch,
-        )
-
-        try:
-            peek, compact, principal_indices, plane, entries = resolve_batch(
-                self.service, body
-            )
-        except WireError as exc:
-            return exc.status, exc.payload()
-        results = self.decide(entries, update=not peek, plane=plane)
-        return 200, render_batch(results, principal_indices, compact)
-
-    async def _batch_v2_async(self, body: Dict) -> Tuple[int, object]:
-        from repro.server.wire2 import (
-            WireError,
-            render_batch,
-            resolve_batch,
-        )
-
-        try:
-            peek, compact, principal_indices, plane, entries = resolve_batch(
-                self.service, body
-            )
-        except WireError as exc:
-            return exc.status, exc.payload()
-        results = await self.decide_async(entries, update=not peek, plane=plane)
-        return 200, render_batch(results, principal_indices, compact)
 
     # -- merged views ---------------------------------------------------
     def metrics_snapshot(self) -> Dict:

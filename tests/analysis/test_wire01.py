@@ -81,6 +81,40 @@ def test_handled_but_never_sent_is_tolerated(corpus):
     assert corpus.by_rule(pool_module="pool").get("WIRE01", []) == []
 
 
+POOL_ROWS = '''
+def _worker_batch(results):
+    rows = []
+    for result in results:
+        rows.append(
+            [result.accepted, result.cached, result.before, result.after, 0]
+        )
+    return ["ok", rows, ["reason"]]
+
+class Pool:
+    def _absorb(self, reply):
+        _, rows, reasons = reply
+        for row in rows:
+            accepted, cached, before, after, reason = row
+'''
+
+
+def test_pool_row_arity_match_is_clean(corpus):
+    corpus.write("pool.py", POOL_GOOD + POOL_ROWS)
+    assert corpus.by_rule(pool_module="pool").get("WIRE01", []) == []
+
+
+def test_pool_row_the_parent_reads_at_another_arity(corpus):
+    corpus.write(
+        "pool.py",
+        POOL_GOOD + POOL_ROWS.replace("result.after, 0]", "result.after]"),
+    )
+    findings = corpus.by_rule(pool_module="pool")["WIRE01"]
+    assert len(findings) == 1
+    assert "pool-row arity mismatch" in findings[0].message
+    assert "_worker_batch renders 4 fields" in findings[0].message
+    assert "_absorb unpacks 5" in findings[0].message
+
+
 def test_status_without_reason_phrase(corpus):
     corpus.write(
         "aio.py",

@@ -12,6 +12,7 @@ parent mirror and keep the stream byte-identical.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
@@ -22,7 +23,12 @@ from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.batch import decide_wire_items
 from repro.server.httpd import dispatch
 from repro.server.kernel import ServiceDecision
-from repro.server.pool import ReplicaPool, start_pooled_background
+from repro.server.pool import (
+    REPLICA_UNAVAILABLE,
+    ReplicaHandle,
+    ReplicaPool,
+    start_pooled_background,
+)
 from repro.server.service import DisclosureService
 from repro.server.shard import shard_for
 from repro.server.store import state_of
@@ -283,6 +289,218 @@ class TestCrashRecovery:
         got = pool.decide(entries, update=True)
         for w, g in zip(want, got):
             _assert_same_decision(w, g)
+
+
+CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
+BIRTHDAY = ("SELECT birthday FROM user WHERE uid = me()", "fql", 3)
+MUSIC = ("SELECT music FROM user WHERE uid = me()", "fql", 3)
+
+
+def _vec_total(vec) -> int:
+    return sum(counter.value for _, counter in vec.series_items())
+
+
+class _StubConnection:
+    """A pipe end that answers every ``batch`` frame with a canned reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.sent = []
+
+    def send_bytes(self, data):
+        self.sent.append(json.loads(data))
+
+    def recv_bytes(self):
+        return json.dumps(self.reply).encode()
+
+
+class TestReplyAlignment:
+    """Rows are positional, so a reply that does not align with its
+    frame fails the whole sub-batch and never reaches the mirror."""
+
+    NARROWING = [1, 0, 3, 1, 0]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [NARROWING],  # short: one row for three items
+            [NARROWING] * 4,  # over-long
+            [NARROWING, [1, 0, 3, 1], NARROWING],  # a four-field row
+            [NARROWING, [1, 0, "3", 1, 0], NARROWING],  # a non-int field
+            [NARROWING, [1, 0, 3, 1, 7], NARROWING],  # reason out of range
+            [NARROWING, ["e", {"error": "x"}], NARROWING],  # the old tagged row
+        ],
+    )
+    def test_misaligned_reply_fails_the_sub_batch(self, views, schema, rows):
+        parent = DisclosureService(views, schema=schema)
+        parent.register("app", CHINESE_WALL)
+        pool = ReplicaPool(parent, 1)
+        stub = _StubConnection(["ok", rows, ["accepted"]])
+        pool.handles = [ReplicaHandle(0, None, stub)]
+        query = parent.parse(*BIRTHDAY)
+        spilled = parent.store.spill_count
+        got = pool.decide([("app", query, None)] * 3, update=True)
+        assert [frame[0] for frame in stub.sent] == ["plane", "batch"]
+        assert len(got) == 3
+        for entry in got:
+            assert entry["code"] == REPLICA_UNAVAILABLE
+        assert parent.store.spill_count == spilled
+        assert _vec_total(pool.mirror_writes) == 0
+        assert dict(parent.store.iter_states())["app"].live == 0b11
+
+    def test_aligned_reply_decides_and_mirrors_the_last_narrowing(
+        self, views, schema
+    ):
+        parent = DisclosureService(views, schema=schema)
+        parent.register("app", CHINESE_WALL)
+        pool = ReplicaPool(parent, 1)
+        error = {"error": "unknown principal 'app'", "code": "unknown-principal"}
+        rows = [[1, 0, 3, 1, 0], error, [0, 1, 1, 1, 1]]
+        stub = _StubConnection(["ok", rows, ["yes", "no"]])
+        pool.handles = [ReplicaHandle(0, None, stub)]
+        query = parent.parse(*BIRTHDAY)
+        got = pool.decide([("app", query, None)] * 3, update=True)
+        assert (got[0].accepted, got[0].reason, got[0].principal) == (
+            True, "yes", "app",
+        )
+        assert (got[0].live_before, got[0].live_after) == (3, 1)
+        assert got[1] == error
+        assert (got[2].accepted, got[2].cached, got[2].reason) == (
+            False, True, "no",
+        )
+        assert _vec_total(pool.mirror_writes) == 1
+        assert dict(parent.store.iter_states())["app"].live == 1
+
+
+@pytest.fixture(scope="module")
+def wall(views, schema, tmp_path_factory):
+    """A pool under a default policy whose *parent* spills to disk, so
+    registered and ephemeral principals both exist and every mirror
+    write shows as log bytes; plus the single-service twin."""
+    kwargs = {
+        "security_views": views,
+        "schema": schema,
+        "default_policy": CHINESE_WALL,
+    }
+    local = DisclosureService(**kwargs)
+    parent = DisclosureService(
+        spill_dir=tmp_path_factory.mktemp("front"), **kwargs
+    )
+    pool = ReplicaPool(parent, REPLICAS, service_kwargs=kwargs).start()
+    yield local, parent, pool
+    pool.close()
+    parent.close()
+    local.close()
+
+
+class TestDerivedMirror:
+    """The parent mirror is read off ``live_before``/``live_after``."""
+
+    REGISTERED = ("reg-a", "reg-b", "reg-c", "reg-d")
+
+    def _register(self, local, pool, principal):
+        local.register(principal, CHINESE_WALL)
+        status, _ = pool.dispatch_inline(
+            "POST", "/v1/register",
+            {"principal": principal, "policy": CHINESE_WALL},
+        )
+        assert status == 200
+
+    def test_mirror_equals_replica_states(self, wall):
+        local, parent, pool = wall
+        for principal in self.REGISTERED:
+            self._register(local, pool, principal)
+        birthday, music = parent.parse(*BIRTHDAY), parent.parse(*MUSIC)
+        # Half of each population commits to a partition; the other
+        # half is only peeked at or refused, so it never narrows.
+        submits = [
+            ("reg-a", birthday), ("anon-a", music), ("reg-b", music),
+            ("anon-b", birthday), ("reg-a", music), ("anon-a", birthday),
+        ]
+        peeks = [("reg-c", birthday), ("anon-c", music), ("reg-d", music)]
+        for traffic, update in ((submits, True), (peeks, False)):
+            entries = [(p, q, None) for p, q in traffic]
+            want = decide_wire_items(local, entries, update=update)
+            got = pool.decide(entries, update=update)
+            for w, g in zip(want, got):
+                _assert_same_decision(w, g)
+        assert {pool.owner_of(p) for p, _ in submits} == set(range(REPLICAS))
+        replicas = pool.merged_snapshot()["sessions"]["sessions"]
+        mirror = parent.export_state()["sessions"]
+        assert set(mirror) == set(self.REGISTERED) | {"anon-a", "anon-b"}
+        for principal, state in mirror.items():
+            assert replicas[principal] == state, principal
+        for principal in set(replicas) - set(mirror):
+            # Held by a replica only: an untouched default-policy
+            # session, which a respawn rebuilds identically from nothing.
+            assert replicas[principal]["live"] == [True, True], principal
+        assert mirror == local.export_state()["sessions"]
+        ephemeral = {
+            principal: state.ephemeral
+            for principal, state in parent.store.iter_states()
+        }
+        assert ephemeral["anon-a"] and not ephemeral["reg-a"]
+
+    def test_steady_state_and_peeks_write_nothing(self, wall, views, schema):
+        local, parent, pool = wall
+        birthday, music = parent.parse(*BIRTHDAY), parent.parse(*MUSIC)
+        for principal in ("steady-a", "steady-b", "steady-c"):
+            self._register(local, pool, principal)
+        entries = [
+            (principal, query, None)
+            for principal in ("steady-a", "steady-b", "steady-c", "anon-s")
+            for query in (birthday, music)
+        ]
+        ram_parent = DisclosureService(
+            views, schema=schema, default_policy=CHINESE_WALL
+        )
+        ram_pool = ReplicaPool(
+            ram_parent, REPLICAS, service_kwargs=pool.service_kwargs
+        ).start()
+        try:
+            for subject, store_cost in (
+                (pool, parent.store.log_bytes),
+                (ram_pool, lambda: ram_parent.store.spill_count),
+            ):
+                # Peeks first, while a submit would still narrow.
+                before = store_cost(), _vec_total(subject.mirror_writes)
+                subject.decide(entries, update=False)
+                assert (store_cost(), _vec_total(subject.mirror_writes)) == before
+                subject.decide(entries, update=True)  # warm-up: narrows
+                assert _vec_total(subject.mirror_writes) == before[1] + 4
+                before = store_cost(), _vec_total(subject.mirror_writes)
+                for _ in range(5):
+                    got = subject.decide(entries, update=True)
+                    assert all(isinstance(d, ServiceDecision) for d in got)
+                assert (store_cost(), _vec_total(subject.mirror_writes)) == before
+        finally:
+            ram_pool.close()
+            ram_parent.close()
+
+    def test_respawn_resumes_with_the_narrowed_live_bits(self, wall):
+        local, parent, pool = wall
+        birthday, music = parent.parse(*BIRTHDAY), parent.parse(*MUSIC)
+        self._register(local, pool, "victim")
+        entries = [("victim", birthday, None), ("anon-v", music, None)]
+        want = decide_wire_items(local, entries, update=True)
+        got = pool.decide(entries, update=True)
+        for w, g in zip(want, got):
+            _assert_same_decision(w, g)
+            assert g.live_after != g.live_before  # the batch narrowed
+        respawns = _vec_total(pool.respawns)
+        owners = {pool.owner_of(principal) for principal, _, _ in entries}
+        for owner in owners:  # right after the batch that narrowed
+            os.kill(pool.handles[owner].process.pid, signal.SIGKILL)
+        probe = [
+            ("victim", music, None), ("victim", birthday, None),
+            ("anon-v", birthday, None), ("anon-v", music, None),
+        ]
+        want = decide_wire_items(local, probe, update=False)
+        got = pool.decide(probe, update=False)
+        for w, g in zip(want, got):
+            _assert_same_decision(w, g)
+        assert [g.accepted for g in got] == [False, True, False, True]
+        assert _vec_total(pool.respawns) == respawns + len(owners)
 
 
 class TestPooledFrontEndCrashScenario:
