@@ -97,6 +97,9 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return (Atom, (self.relation, self.terms))
+
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 

@@ -16,14 +16,14 @@ Example 5.4: ``[M(xd, ye), C(ye, we, 'Intern')]`` dissects to
 Dissect is itself a disclosure labeler with domain ℘(U_cv) and image
 ℘(U_atom); composing it with the single-atom labeler of Section 5.1 yields
 the full conjunctive-query labeler (see
-:mod:`repro.labeling.multi_atom`).
+:mod:`repro.labeling.cq_labeler` and :mod:`repro.labeling.pipeline`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable, Set
 
-from repro.core.minimize import fold
+from repro.core.minimize import fold_body
 from repro.core.queries import ConjunctiveQuery
 from repro.core.tagged import TaggedAtom
 from repro.core.terms import Variable
@@ -37,19 +37,18 @@ def dissect(query: ConjunctiveQuery) -> FrozenSet[TaggedAtom]:
     >>> sorted(str(t) for t in dissect(q))
     ["[C(x0d, x1e, 'Intern')]", '[M(x0d, x1d)]']
     """
-    folded = fold(query)
-    distinguished = set(folded.distinguished_variables())
+    head_vars = query.distinguished_variables()
+    body = fold_body(query.body, head_vars)
 
-    occurrences: Dict[Variable, int] = {}
-    for atom in folded.body:
-        for var in atom.variable_set():
-            occurrences[var] = occurrences.get(var, 0) + 1
+    # A join variable lies in two atoms' (cached) variable sets.
+    promoted: Set[Variable] = set(head_vars)
+    seen: Set[Variable] = set()
+    for atom in body:
+        variables = atom.variable_set()
+        promoted.update(seen & variables)
+        seen.update(variables)
 
-    promoted: Set[Variable] = set(distinguished)
-    promoted.update(var for var, count in occurrences.items() if count >= 2)
-
-    frozen = frozenset(promoted)
-    return frozenset(TaggedAtom.from_atom(atom, frozen) for atom in folded.body)
+    return frozenset(TaggedAtom.from_atom(atom, promoted) for atom in body)
 
 
 def dissect_all(queries: Iterable[ConjunctiveQuery]) -> FrozenSet[TaggedAtom]:

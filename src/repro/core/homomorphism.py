@@ -17,7 +17,7 @@ use of brute-force search for query folding (Section 6.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.queries import ConjunctiveQuery
@@ -98,7 +98,8 @@ def find_homomorphism(
 
     Returns the mapping, or ``None`` if no homomorphism exists.
     """
-    mapping: Optional[Homomorphism] = dict(seed) if seed else {}
+    # Never mutated here: _extend copies on write, the search copies once.
+    mapping: Optional[Homomorphism] = seed or {}
 
     if require_head:
         if len(source.head_terms) != len(target.head_terms):
@@ -108,15 +109,28 @@ def find_homomorphism(
             if mapping is None:
                 return None
 
+    return find_body_homomorphism(source.body, target.body, mapping)
+
+
+def find_body_homomorphism(
+    source: Sequence[Atom], target: Sequence[Atom], seed: Homomorphism
+) -> Optional[Homomorphism]:
+    """Find a map sending every *source* atom onto some *target* atom.
+
+    The body-level search behind :func:`find_homomorphism`: it needs no
+    query object on either side, so the core computation can test a
+    candidate sub-body without constructing one.  *seed* holds the
+    bindings the map must extend (it is copied, not mutated).
+    """
     by_relation: Dict[str, List[Atom]] = {}
-    for atom in target.body:
+    for atom in target:
         by_relation.setdefault(atom.relation, []).append(atom)
 
-    ordered = _order_atoms(source.body, mapping)
+    ordered = _order_atoms(source, seed)
 
     # Backtracking over a single mutable binding with an undo trail —
     # avoids a dict copy per extension attempt.
-    binding: Homomorphism = dict(mapping)
+    binding: Homomorphism = dict(seed)
 
     def try_match(src_atom: Atom, dst_atom: Atom) -> "Optional[List[Variable]]":
         if src_atom.arity != dst_atom.arity:

@@ -16,11 +16,12 @@ case (Section 6.1, "Complexity Analysis").
 
 from __future__ import annotations
 
-from typing import List
+from typing import AbstractSet, List, Sequence, Set
 
-from repro.core.homomorphism import find_homomorphism
+from repro.core.atoms import Atom
+from repro.core.homomorphism import find_body_homomorphism, find_homomorphism
 from repro.core.queries import ConjunctiveQuery
-from repro.core.terms import is_variable
+from repro.core.terms import Variable, is_variable
 
 
 def fold(query: ConjunctiveQuery, prechecks: bool = True) -> ConjunctiveQuery:
@@ -28,39 +29,81 @@ def fold(query: ConjunctiveQuery, prechecks: bool = True) -> ConjunctiveQuery:
 
     The result's body is a subset of the input's body (no renaming is
     applied), so head variables are untouched.  Deterministic: atoms are
-    considered for deletion in body order.
+    considered for deletion in body order.  When no atom is deletable the
+    input object itself is returned.
 
     *prechecks* enables the cheap necessary-condition filters before each
-    homomorphism search; pass ``False`` only for the ablation benchmark.
+    homomorphism search (see :func:`fold_body`); pass ``False`` only for
+    the ablation benchmark and as the oracle of the property tests — that
+    path is the brute-force search and always builds a new query.
 
     >>> from repro.core.parser import parse_query
     >>> q = parse_query("Q(x) :- M(x, y), M(x, z)")
     >>> str(fold(q))
     'Q(x) :- M(x, z)'
     """
+    if not prechecks:
+        return _fold_brute_force(query)
+    body = fold_body(query.body, query.distinguished_variables())
+    return query if len(body) == len(query.body) else query.with_body(body)
+
+
+def fold_body(
+    body: Sequence[Atom], head_vars: AbstractSet[Variable]
+) -> Sequence[Atom]:
+    """The core's body, for a query with body *body* and head *head_vars*.
+
+    Pin before searching.  Let ``h`` be any head-fixing homomorphism from
+    the body into a sub-body, and ``F`` a set of variables ``h`` is known
+    to fix (at first, the head variables).  ``h`` sends an atom ``a``
+    onto an atom that is :func:`_compatible` with it under ``F``; if no
+    *other* atom is, then ``h(a) = a``: ``a`` cannot be deleted, and ``h``
+    fixes ``a``'s variables, which join ``F`` — possibly pinning the next
+    atom of a join chain, so the propagation runs to a fixpoint.  Pins
+    survive deletions (a smaller body offers fewer partners), so ``F``
+    carries over from round to round.  Only unpinned atoms are offered
+    for deletion, and each search runs on atom tuples with identity on
+    ``F`` as its seed: a safe candidate needs no separate check, since the
+    sole atom holding a head variable is pinned.
+    """
+    fixed: Set[Variable] = set(head_vars)
+    while True:
+        free = _unpinned(body, fixed)
+        seed = {var: var for var in fixed} if free else None
+        for i in free:
+            candidate = (*body[:i], *body[i + 1 :])
+            if find_body_homomorphism(body, candidate, seed) is not None:
+                body = candidate
+                break
+        else:
+            return body
+
+
+def _unpinned(body: Sequence[Atom], fixed: Set[Variable]) -> List[int]:
+    """Indices of the atoms a folding may move; grows *fixed* in place."""
+    free = list(range(len(body)))
+    pinned_one = True
+    while pinned_one and free:
+        pinned_one = False
+        for i in tuple(free):
+            atom = body[i]
+            for j, other in enumerate(body):
+                if j != i and _compatible(atom, other, fixed):
+                    break
+            else:
+                fixed.update(atom.variable_set())
+                free.remove(i)
+                pinned_one = True
+    return free
+
+
+def _fold_brute_force(query: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The unfiltered search: one candidate query per atom per round."""
     body: List = list(query.body)
     changed = True
     while changed and len(body) > 1:
         changed = False
-        relation_counts: dict = {}
-        for atom in body:
-            relation_counts[atom.relation] = (
-                relation_counts.get(atom.relation, 0) + 1
-            )
-        head_vars = query.distinguished_variables()
         for i in range(len(body)):
-            # Fast paths: the homomorphism must map atom i onto some other
-            # atom of the same relation, agreeing on constants and on head
-            # variables (which the homomorphism fixes).  Without such a
-            # partner atom, i is unremovable and the search can be skipped.
-            if prechecks:
-                if relation_counts[body[i].relation] < 2:
-                    continue
-                if not any(
-                    j != i and _compatible(body[i], body[j], head_vars)
-                    for j in range(len(body))
-                ):
-                    continue
             candidate_body = body[:i] + body[i + 1 :]
             if not _is_safe(query, candidate_body):
                 continue
@@ -80,21 +123,21 @@ def fold(query: ConjunctiveQuery, prechecks: bool = True) -> ConjunctiveQuery:
 
 def is_minimal(query: ConjunctiveQuery) -> bool:
     """Is *query* its own core (no atom deletable)?"""
-    return len(fold(query).body) == len(query.body)
+    return fold(query) is query
 
 
-def _compatible(source, target, head_vars) -> bool:
-    """Could a head-fixing homomorphism send *source* onto *target*?
+def _compatible(source, target, fixed) -> bool:
+    """Could a homomorphism that fixes *fixed* send *source* onto *target*?
 
     Necessary conditions only: same relation/arity, equal constants, and
-    identical head variables position by position (a homomorphism maps
-    constants and head variables to themselves).
+    identical fixed variables position by position (a homomorphism maps
+    constants and fixed variables to themselves).
     """
     if source.relation != target.relation or source.arity != target.arity:
         return False
     for s, t in zip(source.terms, target.terms):
         if is_variable(s):
-            if s in head_vars and s != t:
+            if s in fixed and s != t:
                 return False
         elif s != t:
             return False

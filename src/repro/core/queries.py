@@ -185,6 +185,9 @@ class ConjunctiveQuery:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return (ConjunctiveQuery, (self.head_name, self.head_terms, self.body))
+
     def __repr__(self) -> str:
         return f"ConjunctiveQuery({self.head_name!r}, {list(self.head_terms)!r}, {list(self.body)!r})"
 

@@ -18,7 +18,7 @@ identical information).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.atoms import Atom
 from repro.core.queries import ConjunctiveQuery
@@ -36,13 +36,17 @@ class TaggedVar:
     first occurrence); ``tag`` is ``"d"`` or ``"e"``.
     """
 
-    __slots__ = ("tag", "index")
+    __slots__ = ("tag", "index", "_hash")
 
     def __init__(self, tag: str, index: int):
         if tag not in (DISTINGUISHED, EXISTENTIAL):
             raise QueryError(f"invalid variable tag {tag!r}")
         self.tag = tag
         self.index = index
+        self._hash = hash(("TaggedVar", tag, index))
+
+    def __reduce__(self):
+        return (TaggedVar, (self.tag, self.index))
 
     @property
     def is_distinguished(self) -> bool:
@@ -60,7 +64,7 @@ class TaggedVar:
         )
 
     def __hash__(self) -> int:
-        return hash(("TaggedVar", self.tag, self.index))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"TaggedVar({self.tag!r}, {self.index})"
@@ -109,22 +113,24 @@ class TaggedAtom:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_atom(cls, atom: Atom, distinguished: FrozenSet[Variable]) -> "TaggedAtom":
+    def from_atom(
+        cls, atom: Atom, distinguished: AbstractSet[Variable]
+    ) -> "TaggedAtom":
         """Tag *atom*'s variables using the set of *distinguished* variables.
 
         Variables are numbered in first-occurrence order, so the entry
         list is born normalized and the hot-path constructor below can
         skip re-normalization.
         """
-        indices: Dict[Variable, int] = {}
+        slots: Dict[Variable, TaggedVar] = {}
         entries: List[Entry] = []
         for term in atom.terms:
             if type(term) is Variable:
-                idx = indices.get(term)
-                if idx is None:
-                    idx = indices[term] = len(indices)
-                tag = DISTINGUISHED if term in distinguished else EXISTENTIAL
-                entries.append(interned_var(tag, idx))
+                entry = slots.get(term)
+                if entry is None:
+                    tag = DISTINGUISHED if term in distinguished else EXISTENTIAL
+                    entry = slots[term] = interned_var(tag, len(slots))
+                entries.append(entry)
             else:
                 entries.append(term)
         return cls._prenormalized(atom.relation, tuple(entries))
@@ -287,6 +293,9 @@ class TaggedAtom:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return (TaggedAtom._prenormalized, (self.relation, self.entries))
 
     def __repr__(self) -> str:
         return f"TaggedAtom({self.relation!r}, {list(self.entries)!r})"

@@ -33,6 +33,11 @@ class Variable:
         self.name = name
         self._hash = hash(("Variable", name))
 
+    def __reduce__(self):
+        # Through the constructor: string hashes are seeded per process,
+        # so a cached hash must never cross a pickle.
+        return (Variable, (self.name,))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 
@@ -62,6 +67,9 @@ class Constant:
             raise ValueError(f"unsupported constant type: {type(value).__name__}")
         self.value = value
         self._hash = hash(("Constant", type(value).__name__, value))
+
+    def __reduce__(self):
+        return (Constant, (self.value,))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -51,30 +51,28 @@ class AtomSignature:
         self.arity = atom.arity
         entries = atom.entries
 
-        #: For each position, the bitmask of positions holding the same
-        #: term (same variable, or equal constant).
-        class_mask: List[int] = [0] * self.arity
         #: Bitmask of positions holding existential variables.
         exist_mask = 0
         #: Constant value at each position (None for variables).
         constants: List[Optional[Constant]] = [None] * self.arity
 
-        var_masks: Dict[int, int] = {}
-        const_masks: Dict[Constant, int] = {}
+        # One pass: the mask of positions holding each term, keyed by
+        # variable index or by the constant (an int never equals one).
+        masks: Dict[object, int] = {}
+        keys: List[object] = []
         for position, entry in enumerate(entries):
             bit = 1 << position
             if isinstance(entry, TaggedVar):
-                var_masks[entry.index] = var_masks.get(entry.index, 0) | bit
+                key: object = entry.index
                 if entry.tag == EXISTENTIAL:
                     exist_mask |= bit
             else:
-                constants[position] = entry
-                const_masks[entry] = const_masks.get(entry, 0) | bit
-        for position, entry in enumerate(entries):
-            if isinstance(entry, TaggedVar):
-                class_mask[position] = var_masks[entry.index]
-            else:
-                class_mask[position] = const_masks[entries[position]]
+                key = constants[position] = entry
+            keys.append(key)
+            masks[key] = masks.get(key, 0) | bit
+        #: For each position, the bitmask of positions holding the same
+        #: term (same variable, or equal constant).
+        class_mask = [masks[key] for key in keys]
 
         self.class_mask = class_mask
         self.exist_mask = exist_mask

@@ -58,7 +58,6 @@ per-replica.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from time import perf_counter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -289,6 +288,8 @@ class ReplicaPool:
         self.replicas = replicas
         self.service_kwargs = dict(service_kwargs or {})
         self.ready_timeout = ready_timeout
+        import multiprocessing  # here, not above: embedded deployments never load it
+
         self._context = multiprocessing.get_context(start_method)
         self._warm_frame: Optional[List] = None
         if warm_entries:

@@ -50,7 +50,6 @@ to each other.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import zlib
 from typing import (
@@ -799,6 +798,8 @@ def start_shard_workers(
     worker_persist = dict(persist_kwargs or {})
     if worker_persist:
         worker_persist["shard_count"] = count
+    import multiprocessing  # here, not above: see ReplicaPool.__init__
+
     context = multiprocessing.get_context(start_method)
     queue = context.Queue()
     processes = [

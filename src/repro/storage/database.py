@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import re
-import sqlite3
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.core.queries import ConjunctiveQuery
@@ -33,6 +32,8 @@ class Database:
     """An in-process SQLite database conforming to a :class:`Schema`."""
 
     def __init__(self, schema: Schema, path: str = ":memory:"):
+        import sqlite3  # here, not above: a decision service opens no database
+
         self.schema = schema
         self._conn = sqlite3.connect(path)
         self._create_tables()

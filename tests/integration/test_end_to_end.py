@@ -9,6 +9,7 @@ cross-validate the independent implementations against each other:
 * the monitor pool across many principals.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -37,24 +38,38 @@ def platform():
     return schema, views
 
 
+#: SHA-256 over ``repr`` of the packed labels of the perf ledger's 256
+#: shapes (``POPULATION_SEED`` 0) per ``max_subqueries``, recorded from
+#: commit cb52710 — the labeler that searched for every folding.  The
+#: ``cold-label`` workload labels the ``max_subqueries=2`` shapes.
+LEDGER_LABEL_DIGESTS = {
+    1: "916698768ad33d9c56d203945e291c2d8811e2a5e32a77bc0b2456771d1da892",
+    2: "9d645e1a93b6ca04c298aeebe2dbd50386ba312b03ad058a59646b3d1837f101",
+    3: "785ee6267ef635f77a6c63986c70e085a1ce25150a4906ed3c9c0eb5d13ce911",
+}
+
+
 class TestLabelerVariantsOnWorkload:
     """All labeler variants agree across a real 200-query workload."""
 
-    def test_agreement(self, platform):
-        schema, views = platform
+    def check_agreement(self, platform, queries):
+        """Packed ↔ decoded name sets ↔ ``ℓ+`` determiners ↔ GLB view sets;
+        returns the digest of the packed labels."""
+        _, views = platform
         baseline = BaselineLabeler(views)
         hashed = HashPartitionedLabeler(views)
         bits = BitVectorLabeler(views)
         reference = ConjunctiveQueryLabeler(views)
         order = RewritingOrder()
+        digest = hashlib.sha256()
 
-        generator = WorkloadGenerator(schema, max_subqueries=3, seed=99)
-        for query in generator.stream(200):
+        for query in queries:
             symbolic = baseline.label_query(query)
             assert symbolic == hashed.label_query(query)
 
             ref_label = reference.label(query)
             packed = bits.label_query(query)
+            digest.update(repr(packed).encode())
             decoded = bits.decode(packed)
             expected = tuple(
                 sorted((a.determiners for a in ref_label), key=sorted)
@@ -67,6 +82,16 @@ class TestLabelerVariantsOnWorkload:
                 assert not ref_label.is_top
                 reconstructed = reference.label_views(ref_label)
                 assert order.equivalent(symbolic, reconstructed)
+        return digest.hexdigest()
+
+    def test_agreement(self, platform):
+        generator = WorkloadGenerator(platform[0], max_subqueries=3, seed=99)
+        self.check_agreement(platform, generator.stream(200))
+
+    def test_agreement_and_pinned_labels_on_the_ledger_shapes(self, platform):
+        for max_subqueries, recorded in LEDGER_LABEL_DIGESTS.items():
+            generator = WorkloadGenerator(max_subqueries=max_subqueries, seed=0)
+            assert self.check_agreement(platform, generator.stream(256)) == recorded
 
 
 class TestMonitorVsCheckerStreams:
