@@ -3,32 +3,140 @@
 ``AsyncHttpClient`` exposes the same :class:`~repro.client.base
 .DecisionClient` surface as coroutines.  Any number of tasks may call
 it concurrently: requests are written back to back on one keep-alive
-connection (HTTP/1.1 responses arrive in request order, so a FIFO of
-waiter futures matches them back), which is what makes the asyncio
-front end's per-tick coalescing effective — N in-flight single-query
-requests from one client arrive in one socket read, drain into one
-``decide_group`` per principal on the server, and come back in one
-write.  Closed-loop concurrency without threads.
+connection, one write per connection per loop pass, which is what makes
+the asyncio front end's per-tick coalescing effective — N in-flight
+single-query requests from one client arrive in one socket read, drain
+into one ``decide_group`` per principal on the server, and come back in
+one write.  Closed-loop concurrency without threads.
+
+An :class:`asyncio.Protocol` frames each socket read by offset, as the
+server frames requests, and every complete response resolves the oldest
+waiter (HTTP/1.1 answers in order) inside ``data_received``; bytes it
+cannot frame fail every in-flight waiter with a :class:`ClientError`.
 
 The v2 sync rules are the same as the sync client's
-(:mod:`repro.client.wire`): request building is serialized with
-transmission under the write lock, and a ``409 unknown-generation``
-re-sends the request with the full key table.
+(:mod:`repro.client.wire`): a request is built and queued with no
+``await`` in between, so interner deltas reach the server in ``base``
+order, and a ``409 unknown-generation`` re-sends the request with the
+full key table.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.client import wire
 from repro.client.base import ClientError, ClientItem, StallError
 from repro.client.http import _error_from, _split_url
 from repro.core.queries import ConjunctiveQuery
 
-_CRLF = b"\r\n"
+Response = Tuple[int, object]
+
+
+#: A response head's status, and its body length: a pipelined body is
+#: delimited by it alone, so a head without one is fatal.
+_STATUS = re.compile(rb"HTTP/\d\.\d (\d{3})[ \r]")
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)[ \t]*(?:\r|$)", re.I)
+#: Bodies are UTF-8 JSON (the server sends ASCII): decoded as text, not
+#: sniffed the way :func:`json.loads` does for bytes.
+_decode_json = json.JSONDecoder().decode
+
+
+class _Connection(asyncio.Protocol):
+    """One pipelined connection: responses are parsed straight out of
+    the socket buffer, by offset, and resolve their waiters FIFO in
+    :meth:`data_received`."""
+
+    def __init__(self, client: "AsyncHttpClient") -> None:
+        self.client = client
+        self.transport: Any = None
+        self.waiters: "deque[asyncio.Future[Response]]" = deque()
+        #: Loop time of the last response (or of the first request sent
+        #: into an idle connection): the watchdog's clock.
+        self.last_activity = 0.0
+        #: Set by the watchdog before it tears the connection down, so
+        #: the in-flight waiters fail with the retryable StallError.
+        self.stalled = False
+        self.closed: "asyncio.Future[None]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._buffer = b""
+        self._error: Optional[Exception] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer + data if self._buffer else data
+        start = 0
+        waiters = self.waiters
+        decode = _decode_json
+        try:
+            while True:
+                head_end = buffer.find(b"\r\n\r\n", start)
+                if head_end < 0:
+                    break
+                status = _STATUS.match(buffer, start, head_end + 2)
+                length = _CONTENT_LENGTH.search(buffer, start, head_end)
+                if status is None or length is None:
+                    head = buffer[start:head_end][:80]
+                    raise ValueError(f"malformed response head {head!r}")
+                end = head_end + 4 + int(length[1])
+                if len(buffer) < end:
+                    break  # body still in flight
+                body = buffer[head_end + 4 : end]
+                payload = decode(body.decode()) if body else None
+                start = end
+                if waiters:
+                    waiter = waiters.popleft()
+                    if not waiter.done():
+                        waiter.set_result((int(status[1]), payload))
+        except ValueError as exc:  # a bad head or body: the stream is lost
+            self._error = exc
+            self._buffer = b""
+            self.transport.abort()
+            return
+        self._buffer = buffer[start:]
+        if start:
+            self.last_activity = asyncio.get_running_loop().time()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """Fail everything still in flight and force a full interner
+        resync (the server may have restarted)."""
+        client = self.client
+        client._state.resync()
+        error: Optional[Exception] = self._error or exc
+        if error is None and self._buffer:
+            error = ValueError(
+                f"response truncated by EOF after {len(self._buffer)} bytes"
+            )
+        failure: ClientError
+        if self.stalled:
+            # The watchdog tore this connection down: none of the
+            # in-flight requests were answered, so each fails with the
+            # typed retryable error rather than a bare disconnect.
+            failure = StallError(
+                f"connection to {client.host}:{client.port} stalled for "
+                f"{client.timeout:g}s with responses in flight; torn down "
+                "(retryable: the requests were never answered)"
+            )
+        else:
+            failure = ClientError(
+                f"connection to {client.host}:{client.port} closed"
+                + (f": {error}" if error else ""),
+                status=502,
+            )
+        while self.waiters:
+            waiter = self.waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(failure)
+        if client._conn is self:
+            client._conn = None
+        self.closed.set_result(None)
 
 
 class AsyncHttpClient:
@@ -56,28 +164,20 @@ class AsyncHttpClient:
         self._trace = wire.TraceSampler(trace)
         #: Stall timeout: if responses stop arriving for this long while
         #: requests are in flight, the connection is failed.  Enforced
-        #: by one per-connection watchdog, not per request — responses
-        #: are FIFO on the socket, so "the head response is late" is the
+        #: by one per-client watchdog, not per request — responses are
+        #: FIFO on the socket, so "the head response is late" is the
         #: only timeout there is.  ``None`` disables it.
         self.timeout = timeout
         self.compact = compact
         self._protocol: Optional[str] = None if protocol == "auto" else protocol
         self._state = wire.WireState()
         self._texts: Dict[int, str] = {}
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._watchdog_task: Optional[asyncio.Task] = None
-        self._waiters: "deque[asyncio.Future]" = deque()
+        self._conn: Optional[_Connection] = None
+        self._watchdog_task: Optional[asyncio.Task[None]] = None
         self._write_lock = asyncio.Lock()
-        self._last_activity = 0.0
-        #: Set by the watchdog just before it kills a stalled
-        #: connection, so the reader task fails the in-flight waiters
-        #: with the retryable :class:`StallError` instead of the generic
-        #: closed-connection error.
-        self._stalled = False
-        #: path -> rendered request-head prefix (up to Content-Length).
-        self._head_prefixes: Dict[str, bytes] = {}
+        #: (method, path) -> rendered request-head prefix (up to
+        #: Content-Length).
+        self._head_prefixes: Dict[Tuple[str, str], bytes] = {}
         #: Requests rendered this tick, flushed in one socket write.
         self._out: List[bytes] = []
         self._flush_scheduled = False
@@ -87,25 +187,32 @@ class AsyncHttpClient:
     # ------------------------------------------------------------------
     async def connect(self) -> "AsyncHttpClient":
         """Open the connection eagerly (otherwise the first call does)."""
-        async with self._write_lock:
-            await self._ensure_connected()
+        await self._reconnect()
         return self
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None and not self._writer.is_closing():
-            return
-        # Unflushed bytes belong to the dead connection; their waiters
-        # were failed with it, and replaying them on the new socket
-        # would misalign every future response.
-        self._out.clear()
-        self._stalled = False
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        loop = asyncio.get_running_loop()
-        self._reader_task = loop.create_task(self._read_responses(self._reader))
-        if self.timeout is not None and self._watchdog_task is None:
-            self._watchdog_task = loop.create_task(self._watchdog())
+    def _live(self) -> Optional[_Connection]:
+        """The open connection, or ``None`` when one must be dialled."""
+        conn = self._conn
+        return None if conn is None or conn.transport.is_closing() else conn
+
+    async def _reconnect(self) -> _Connection:
+        """The open connection, dialling a new one if there is none."""
+        async with self._write_lock:
+            conn = self._live()
+            if conn is not None:
+                return conn
+            # Unflushed bytes belong to the dead connection; their
+            # waiters are failed with it, and replaying them on the new
+            # socket would misalign every future response.
+            self._out.clear()
+            loop = asyncio.get_running_loop()
+            _, conn = await loop.create_connection(
+                lambda: _Connection(self), self.host, self.port
+            )
+            self._conn = conn
+            if self.timeout is not None and self._watchdog_task is None:
+                self._watchdog_task = loop.create_task(self._watchdog())
+            return conn
 
     async def _watchdog(self) -> None:
         """Fail the connection when in-flight responses stop arriving."""
@@ -113,92 +220,24 @@ class AsyncHttpClient:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.timeout / 2)
-            writer = self._writer
+            conn = self._conn
             if (
-                writer is not None
-                and self._waiters
-                and loop.time() - self._last_activity > self.timeout
+                conn is not None
+                and conn.waiters
+                and loop.time() - conn.last_activity > self.timeout
             ):
-                self._stalled = True
-                writer.close()  # the reader task fails every waiter
-
-    async def _read_responses(self, reader: asyncio.StreamReader) -> None:
-        """Match responses to waiters in FIFO order until EOF/error."""
-        loop = asyncio.get_running_loop()
-        loads = json.loads
-        error: Optional[BaseException] = None
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        raise
-                    break  # clean EOF between responses
-                status = int(head.split(None, 2)[1])
-                length = 0
-                for line in head.split(_CRLF)[1:]:
-                    name, _, value = line.partition(b":")
-                    if name.strip().lower() == b"content-length":
-                        length = int(value.strip())
-                        break
-                payload = (
-                    loads(await reader.readexactly(length)) if length else None
-                )
-                self._last_activity = loop.time()
-                if self._waiters:
-                    waiter = self._waiters.popleft()
-                    if not waiter.done():
-                        waiter.set_result((status, payload))
-        except Exception as exc:  # noqa: BLE001 - surfaced via waiters
-            error = exc
-        # The connection is gone: fail everything still in flight and
-        # force a full interner resync (the server may have restarted).
-        self._state.resync()
-        failure: ClientError
-        if self._stalled:
-            # The watchdog tore this connection down: none of the
-            # in-flight requests were answered, so each fails with the
-            # typed retryable error rather than a bare disconnect.
-            failure = StallError(
-                f"connection to {self.host}:{self.port} stalled for "
-                f"{self.timeout:g}s with responses in flight; torn down "
-                "(retryable: the requests were never answered)"
-            )
-        else:
-            failure = ClientError(
-                f"connection to {self.host}:{self.port} closed"
-                + (f": {error}" if error else ""),
-                status=502,
-            )
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():
-                waiter.set_exception(failure)
-        if self._writer is not None and reader is self._reader:
-            self._writer.close()
-            self._writer = None
-            self._reader = None
+                conn.stalled = True
+                conn.transport.abort()  # connection_lost fails every waiter
 
     async def close(self) -> None:
         async with self._write_lock:
-            writer, self._writer, self._reader = self._writer, None, None
-            task, self._reader_task = self._reader_task, None
+            conn, self._conn = self._conn, None
             watchdog, self._watchdog_task = self._watchdog_task, None
         if watchdog is not None:
             watchdog.cancel()
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        if conn is not None:
+            conn.transport.close()
+            await conn.closed
 
     async def __aenter__(self) -> "AsyncHttpClient":
         return await self.connect()
@@ -209,51 +248,35 @@ class AsyncHttpClient:
     # ------------------------------------------------------------------
     # The pipelined request primitive
     # ------------------------------------------------------------------
-    def _render(self, method: str, path: str, body: Optional[Dict]) -> bytes:
+    def _enqueue(
+        self, conn: _Connection, method: str, path: str, body: Optional[Dict]
+    ) -> "asyncio.Future[Response]":
+        """Queue one request on *conn*; returns its response waiter.
+
+        Every request queued this loop pass leaves in one socket write.
+        Callers build *body* and queue it with no ``await`` in between,
+        which keeps interner deltas reaching the server in ``base`` order.
+        """
         payload = b"" if body is None else json.dumps(body).encode("utf-8")
-        prefix = self._head_prefixes.get(path)
-        if prefix is None or not prefix.startswith(method.encode()):
+        prefix = self._head_prefixes.get((method, path))
+        if prefix is None:
             prefix = (
                 f"{method} {path} HTTP/1.1\r\n"
                 f"Host: {self.host}:{self.port}\r\n"
                 "Content-Type: application/json\r\n"
                 "Content-Length: "
             ).encode("ascii")
-            self._head_prefixes[path] = prefix
-        return b"%b%d\r\n\r\n%b" % (prefix, len(payload), payload)
-
-    async def _send(
-        self, method: str, path: str, build: Callable[[], Optional[Dict]]
-    ) -> Tuple[int, object]:
-        """Build, transmit, await the response.
-
-        Build-and-write is serialized with other senders, which is what
-        keeps interner deltas arriving at the server in ``base`` order.
-        On the connected fast path that needs no lock at all: there is
-        no ``await`` between *build* and the socket write, so the event
-        loop cannot interleave another sender.  Only (re)connection
-        takes the lock.
-        """
-        writer = self._writer
-        if writer is None or writer.is_closing():
-            async with self._write_lock:
-                await self._ensure_connected()
-            writer = self._writer
-            assert writer is not None
-        body = build()
+            self._head_prefixes[method, path] = prefix
+        self._out.append(b"%b%d\r\n\r\n%b" % (prefix, len(payload), payload))
         loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        if not self._waiters:
-            self._last_activity = loop.time()  # the watchdog clock starts
-        self._waiters.append(future)
-        # Coalesce writes: every request issued this event-loop tick
-        # leaves in one socket write (one syscall for a whole burst of
-        # concurrent senders — the profile's dominant per-request cost).
-        self._out.append(self._render(method, path, body))
+        future: "asyncio.Future[Response]" = loop.create_future()
+        if not conn.waiters:
+            conn.last_activity = loop.time()  # the watchdog clock starts
+        conn.waiters.append(future)
         if not self._flush_scheduled:
             self._flush_scheduled = True
             loop.call_soon(self._flush_writes)
-        return await future
+        return future
 
     def _flush_writes(self) -> None:
         self._flush_scheduled = False
@@ -261,34 +284,24 @@ class AsyncHttpClient:
             return
         data = b"".join(self._out)
         self._out.clear()
-        writer = self._writer
-        if writer is not None and not writer.is_closing():
-            writer.write(data)
+        conn = self._conn
+        if conn is not None and not conn.transport.is_closing():
+            conn.transport.write(data)
         # A connection that dropped between queueing and flush loses
-        # these bytes, but their waiters were already failed by the
-        # reader task — callers see the ClientError either way.
+        # these bytes, but their waiters are failed with it — callers
+        # see the ClientError either way.
 
     async def _request(
         self, method: str, path: str, body: Optional[Dict] = None
-    ) -> Tuple[int, object]:
-        return await self._send(method, path, lambda: body)
+    ) -> Response:
+        conn = self._live() or await self._reconnect()
+        return await self._enqueue(conn, method, path, body)
 
-    async def _request_v2(
-        self, path: str, build: Callable[[], Dict]
-    ) -> Tuple[int, object]:
-        """A v2 request with automatic 409 resync-and-retry."""
-        sent: Dict = {}
-
-        def build_and_record() -> Dict:
-            sent.update(build())
-            return sent
-
-        status, payload = await self._send("POST", path, build_and_record)
-        if status == 409:
-            status, payload = await self._send(
-                "POST", path, lambda: wire.resync_body(self._state, sent)
-            )
-        return status, payload
+    async def _resync(self, path: str, sent: Dict) -> Response:
+        """Re-send a v2 request answered ``409`` with the full key table."""
+        conn = self._live() or await self._reconnect()
+        body = wire.resync_body(self._state, sent)
+        return await self._enqueue(conn, "POST", path, body)
 
     async def _protocol_name(self) -> str:
         if self._protocol is None:
@@ -313,21 +326,19 @@ class AsyncHttpClient:
         peek: bool,
         trace: Optional[bool] = None,
     ) -> Dict:
-        if await self._protocol_name() == "v2":
-            # Sampled once, out here: a 409 resync retry re-sends the
-            # same request and must not consume another countdown tick.
-            traced = self._trace.should(trace)
-            status, payload = await self._request_v2(
-                "/v2/query",
-                lambda: wire.single_body(
-                    self._state,
-                    principal,
-                    query,
-                    peek=peek,
-                    compact=self.compact,
-                    trace=traced,
-                ),
+        if (self._protocol or await self._protocol_name()) == "v2":
+            conn = self._live() or await self._reconnect()
+            body = wire.single_body(
+                self._state,
+                principal,
+                query,
+                peek=peek,
+                compact=self.compact,
+                trace=self._trace.should(trace),
             )
+            status, payload = await self._enqueue(conn, "POST", "/v2/query", body)
+            if status == 409:
+                status, payload = await self._resync("/v2/query", body)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_single(payload, principal)
@@ -346,16 +357,13 @@ class AsyncHttpClient:
         if not items:
             return []
         if await self._protocol_name() == "v2":
-            principals: List[str] = []
-
-            def build() -> Dict:
-                body, table = wire.batch_body(
-                    self._state, items, peek=peek, compact=self.compact
-                )
-                principals[:] = table
-                return body
-
-            status, payload = await self._request_v2("/v2/batch", build)
+            conn = self._live() or await self._reconnect()
+            body, principals = wire.batch_body(
+                self._state, items, peek=peek, compact=self.compact
+            )
+            status, payload = await self._enqueue(conn, "POST", "/v2/batch", body)
+            if status == 409:
+                status, payload = await self._resync("/v2/batch", body)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_batch(payload, principals)

@@ -8,9 +8,11 @@ thousands.  This front end closes that gap structurally instead of
 incrementally:
 
 * **One event loop, no threads.**  Connections are
-  :class:`asyncio.Protocol` instances; requests are parsed straight
-  out of the read buffer (pipelining supported) and responses are
-  written in request order per connection.
+  :class:`asyncio.Protocol` instances; requests are framed by offset
+  straight out of the read buffer (pipelining supported), and each
+  answer lands in a plain response cell.  Answered connections are
+  written once per loop pass, in request order: **one write per
+  connection per loop pass**, however many requests a tick answered.
 * **The tick drain.**  Decision requests are not handled one by one:
   each is appended to a per-loop-iteration FIFO and a drain runs at
   the end of the tick (``call_soon``).  Everything that arrived in the
@@ -45,7 +47,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from time import perf_counter
@@ -91,44 +95,66 @@ def _error_status(result: Dict) -> int:
     return single_error_status(result)
 
 
-class _QueuedRequest:
-    """One request waiting for the tick drain."""
+#: The request headers the front end reads, each at the start of a line.
+_HEADERS = re.compile(rb"\r\n(content-length|connection|accept)[ \t]*:([^\r]*)", re.I)
 
-    __slots__ = ("kind", "method", "path", "body", "slot", "update", "enqueued")
+#: Everything of a ``200 application/json`` response head but its length.
+_JSON_200 = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: "
 
-    def __init__(self, kind, method, path, body, slot, update=False,
-                 enqueued=0.0):
-        self.kind = kind  # "v1" | "v2" | "batch" (pooled only) | "inline"
-        self.method = method
-        self.path = path
-        self.body = body
-        self.slot = slot
+
+class _Request:
+    """One framed request: the tick queue's entry and its response cell.
+
+    ``result`` is ``(status, payload)`` once answered; answering marks
+    the connection for the server's next write pass.
+    """
+
+    __slots__ = ("protocol", "close", "result", "kind", "method", "path",
+                 "body", "update", "enqueued")
+
+    def __init__(self, protocol: "_HttpProtocol", close: bool):
+        self.protocol = protocol
+        self.close = close
+        self.result: Optional[Tuple[int, object]] = None
+        self.kind = "inline"  # | "v1" | "v2" | "batch" (pooled only)
+        self.method = self.path = ""
+        self.body: Optional[Dict] = None
         #: For decision kinds: True for submit semantics, False for peek.
-        self.update = update
+        self.update = False
         #: perf_counter at queue time, recorded only for traced requests
         #: (their spans report the drain-tick queue wait).
-        self.enqueued = enqueued
+        self.enqueued = 0.0
+
+    def done(self) -> bool:
+        return self.result is not None
+
+    def set_result(self, result: Tuple[int, object]) -> None:
+        self.result = result
+        protocol = self.protocol
+        if not protocol.marked:
+            protocol.marked = True
+            protocol.server.mark_answered(protocol)
 
 
 class _HttpProtocol(asyncio.Protocol):
     """Minimal pipelined HTTP/1.1 framing onto the tick queue."""
 
-    __slots__ = (
-        "server",
-        "transport",
-        "_buffer",
-        "_responses",
-        "_closing",
-    )
+    __slots__ = ("server", "transport", "marked", "_buffer", "_responses",
+                 "_closing", "_close_framed")
 
     def __init__(self, server: "AsyncDecisionServer"):
         self.server = server
         self.transport: Any = None
+        #: Held by the server for its next write pass.
+        self.marked = False
         self._buffer = b""
-        #: ``(slot, close_after)`` in request order; written as they
-        #: complete.
-        self._responses: List[Tuple[asyncio.Future, bool]] = []
+        #: Requests in arrival order; each write pass writes the
+        #: answered prefix.
+        self._responses: List[_Request] = []
         self._closing = False
+        #: Nothing pipelined after a ``Connection: close`` request runs
+        #: (the stdlib front end's behaviour).
+        self._close_framed = False
 
     # -- framing -------------------------------------------------------
     def connection_made(self, transport) -> None:
@@ -140,16 +166,20 @@ class _HttpProtocol(asyncio.Protocol):
         self._responses.clear()
 
     def data_received(self, data: bytes) -> None:
-        self._buffer += data
+        if self._close_framed:
+            return
+        buffer = self._buffer + data if self._buffer else data
+        # Requests are framed by offset; the unframed tail is kept once.
+        start = 0
         while True:
-            head_end = self._buffer.find(b"\r\n\r\n")
+            head_end = buffer.find(b"\r\n\r\n", start)
             if head_end < 0:
-                if len(self._buffer) > MAX_BODY:
+                if len(buffer) - start > MAX_BODY:
                     self._fail_now(400, "request head too large")
-                return
-            head = self._buffer[:head_end]
-            request_line, _, header_block = head.partition(b"\r\n")
-            parts = request_line.split()
+                    return
+                break
+            line_end = buffer.find(b"\r\n", start, head_end)
+            parts = buffer[start : head_end if line_end < 0 else line_end].split()
             if len(parts) < 2:
                 self._fail_now(400, "malformed request line")
                 return
@@ -158,69 +188,62 @@ class _HttpProtocol(asyncio.Protocol):
             length = 0
             close = False
             accept = None
-            for line in header_block.split(b"\r\n"):
-                name, _, value = line.partition(b":")
-                lowered = name.strip().lower()
-                if lowered == b"content-length":
+            for name, value in _HEADERS.findall(buffer, start, head_end):
+                name = name.lower()
+                if name == b"content-length":
                     try:
-                        length = int(value.strip())
+                        length = int(value)
                     except ValueError:
+                        length = -1
+                    if length < 0:
                         self._fail_now(400, "bad Content-Length")
                         return
-                elif lowered == b"connection":
+                elif name == b"connection":
                     close = value.strip().lower() == b"close"
-                elif lowered == b"accept":
+                else:
                     accept = value.strip().decode("ascii", "replace")
             if length > MAX_BODY:
                 self._fail_now(413, "request body exceeds the 8 MiB cap")
                 return
-            body_start = head_end + 4
-            if len(self._buffer) < body_start + length:
-                return  # body still in flight
-            raw = self._buffer[body_start : body_start + length]
-            self._buffer = self._buffer[body_start + length :]
+            end = head_end + 4 + length
+            if len(buffer) < end:
+                break  # body still in flight
+            raw = buffer[head_end + 4 : end]
+            start = end
             if method == "GET":
                 path = negotiate_metrics_path(path, accept)
-            self._accept(method, path, raw, close)
-
-    def _accept(self, method: str, path: str, raw: bytes, close: bool) -> None:
-        loop = asyncio.get_running_loop()
-        slot: asyncio.Future = loop.create_future()
-        self._responses.append((slot, close))
-        slot.add_done_callback(self._flush)
-        self.server.accept(method, path, raw, slot)
+            request = _Request(self, close)
+            self._responses.append(request)
+            self.server.accept(method, path, raw, request)
+            if close:
+                self._close_framed = True
+                self._buffer = b""
+                return
+        self._buffer = buffer[start:]
 
     # -- responses -----------------------------------------------------
-    def _flush(self, _done: asyncio.Future) -> None:
+    def flush(self) -> None:
+        """Write the answered prefix of the responses in one write."""
+        self.marked = False
         if self._closing or self.transport is None:
             return
         chunks = []
         close = False
-        while self._responses and self._responses[0][0].done():
-            slot, close = self._responses.pop(0)
-            status, payload = slot.result()
-            if isinstance(payload, str):
-                # Pre-rendered text (the Prometheus exposition).
-                from repro.obs import PROMETHEUS_CONTENT_TYPE
-
-                body = payload.encode("utf-8")
-                content_type = PROMETHEUS_CONTENT_TYPE
+        dumps = json.dumps
+        for request in self._responses:
+            if request.result is None:
+                break
+            status, payload = request.result
+            close = request.close
+            if status == 200 and not close and not isinstance(payload, str):
+                body = dumps(payload).encode("utf-8")
+                chunks.append(b"%b%d\r\n\r\n%b" % (_JSON_200, len(body), body))
             else:
-                body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            chunks.append(
-                (
-                    f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    + ("Connection: close\r\n" if close else "")
-                    + "\r\n"
-                ).encode("ascii")
-                + body
-            )
+                chunks.append(_render(status, payload, close))
             if close:
                 break
         if chunks:
+            del self._responses[: len(chunks)]
             self.transport.write(b"".join(chunks))
             if close:
                 self._closing = True
@@ -228,17 +251,29 @@ class _HttpProtocol(asyncio.Protocol):
 
     def _fail_now(self, status: int, message: str) -> None:
         """A framing-level failure: answer and drop the connection."""
-        body = json.dumps({"error": message}).encode("utf-8")
-        self.transport.write(
-            (
-                f"HTTP/1.1 {status} {_REASON.get(status, 'Bad Request')}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-            ).encode("ascii")
-            + body
-        )
+        self.transport.write(_render(status, {"error": message}, True))
         self._closing = True
         self.transport.close()
+
+
+def _render(status: int, payload: object, close: bool) -> bytes:
+    """One full response: JSON, or pre-rendered text (the Prometheus
+    exposition) sent as such."""
+    if isinstance(payload, str):
+        from repro.obs import PROMETHEUS_CONTENT_TYPE
+
+        body = payload.encode("utf-8")
+        content_type = PROMETHEUS_CONTENT_TYPE
+    else:
+        body = json.dumps(payload).encode("utf-8")
+        content_type = "application/json"
+    return (
+        f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode("ascii") + body
 
 
 class AsyncDecisionServer:
@@ -265,7 +300,9 @@ class AsyncDecisionServer:
         self.port = port
         self.pool = pool
         self.gateway = gateway_for(self.service)
-        self._pending: List[_QueuedRequest] = []
+        self._pending: List[_Request] = []
+        #: Connections holding answered, unwritten responses.
+        self._unwritten: List[_HttpProtocol] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._ticks: Optional[asyncio.Queue] = None
         self._consumer: Optional[asyncio.Task] = None
@@ -307,23 +344,22 @@ class AsyncDecisionServer:
     # ------------------------------------------------------------------
     # The tick queue
     # ------------------------------------------------------------------
-    def accept(
-        self, method: str, path: str, raw: bytes, slot: asyncio.Future
-    ) -> None:
+    def accept(self, method: str, path: str, raw: bytes, request: _Request) -> None:
         """Classify one framed request and queue it for the tick drain."""
         body: Optional[Dict] = None
         if raw:
             try:
                 parsed = json.loads(raw)
             except ValueError:
-                slot.set_result((400, {"error": "request body is not valid JSON"}))
+                request.set_result((400, {"error": "request body is not valid JSON"}))
                 return
             if not isinstance(parsed, dict):
-                slot.set_result(
+                request.set_result(
                     (400, {"error": "request body must be a JSON object"})
                 )
                 return
             body = parsed
+        request.method, request.path, request.body = method, path, body
         if method == "POST" and body is not None:
             if path == "/v2/query":
                 # The peek flag picks the request's run mode, so its
@@ -331,48 +367,34 @@ class AsyncDecisionServer:
                 # end answers the same 400 via wire2.resolve_single).
                 peek = body.get("peek", False)
                 if not isinstance(peek, bool):
-                    slot.set_result(
-                        (
-                            400,
-                            {
-                                "error": "'peek' must be a boolean",
-                                "code": BAD_REQUEST,
-                            },
-                        )
+                    request.set_result(
+                        (400, {"error": "'peek' must be a boolean",
+                               "code": BAD_REQUEST})
                     )
                     return
-                queued = _QueuedRequest(
-                    "v2",
-                    method,
-                    path,
-                    body,
-                    slot,
-                    not peek,
-                    # Traced requests report their drain-tick queue wait.
-                    perf_counter() if body.get("trace") is True else 0.0,
-                )
+                request.kind, request.update = "v2", not peek
+                if body.get("trace") is True:
+                    request.enqueued = perf_counter()
             elif path in ("/v1/query", "/v1/peek"):
-                queued = _QueuedRequest(
-                    "v1", method, path, body, slot, path == "/v1/query"
-                )
+                request.kind, request.update = "v1", path == "/v1/query"
             elif path == "/v2/batch" and self.pool is not None:
                 # Pooled, a batch's entries join the tick's decision run
                 # (its submit/peek mode is known once it is resolved).
-                queued = _QueuedRequest("batch", method, path, body, slot)
-            else:
-                queued = _QueuedRequest("inline", method, path, body, slot)
-        else:
-            queued = _QueuedRequest("inline", method, path, body, slot)
-        if queued.kind != "inline":
-            # Inline requests are counted by dispatch() (or by the pool,
-            # for the routes it answers itself); the run-joining kinds
-            # bypass both, so label them here.
-            requests = self.service.requests
-            if requests is not None:
-                requests.labels("async", path).increment()
-        self._pending.append(queued)
+                request.kind = "batch"
+        self._pending.append(request)
         if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._drain)
+
+    def mark_answered(self, protocol: _HttpProtocol) -> None:
+        """Hold *protocol* for the one write pass scheduled per loop pass."""
+        self._unwritten.append(protocol)
+        if len(self._unwritten) == 1:
+            asyncio.get_running_loop().call_soon(self._write_answered)
+
+    def _write_answered(self) -> None:
+        protocols, self._unwritten = self._unwritten, []
+        for protocol in protocols:
+            protocol.flush()
 
     def _drain(self) -> None:
         """Process everything that arrived this tick, in arrival order.
@@ -389,10 +411,18 @@ class AsyncDecisionServer:
         pending, self._pending = self._pending, []
         self.ticks += 1
         self.drained += len(pending)
+        requests = self.service.requests
+        if requests is not None:
+            # Inline requests are counted by dispatch() (or by the pool,
+            # for the routes it answers itself); the run-joining kinds
+            # bypass both, so they are counted here, once per route.
+            routes = Counter(r.path for r in pending if r.kind != "inline")
+            for route, count in routes.items():
+                requests.labels("async", route).increment(count)
         if self._ticks is not None:
             self._ticks.put_nowait(pending)
             return
-        run: List[Tuple[_QueuedRequest, Tuple]] = []
+        run: List[Tuple[_Request, Tuple]] = []
         run_update = False
         for request in pending:
             if request.kind == "inline":
@@ -406,9 +436,9 @@ class AsyncDecisionServer:
                         request.body,
                         transport="async",
                     )
-                except Exception as exc:  # noqa: BLE001 - never hang a slot
+                except Exception as exc:  # noqa: BLE001 - never hang a request
                     status_payload = (500, {"error": f"internal error: {exc}"})
-                request.slot.set_result(status_payload)
+                request.set_result(status_payload)
                 continue
             prepared = self._prepare(request)
             if prepared is None:
@@ -434,13 +464,13 @@ class AsyncDecisionServer:
                 pending.extend(self._ticks.get_nowait())
             try:
                 await self._drain_pooled(pending)
-            except Exception as exc:  # noqa: BLE001 - never hang a slot
+            except Exception as exc:  # noqa: BLE001 - never hang a request
                 failure = (500, {"error": f"internal error: {exc}"})
                 for request in pending:
-                    if not request.slot.done():
-                        request.slot.set_result(failure)
+                    if not request.done():
+                        request.set_result(failure)
 
-    async def _drain_pooled(self, pending: List[_QueuedRequest]) -> None:
+    async def _drain_pooled(self, pending: List[_Request]) -> None:
         """The pooled tick drain: same run discipline, replica dispatch.
 
         Single decisions *and* ``/v2/batch`` requests join one run of
@@ -454,7 +484,7 @@ class AsyncDecisionServer:
         compute overlaps front-end work.
         """
         pool = self.pool
-        run: List[Tuple[_QueuedRequest, Tuple]] = []
+        run: List[Tuple[_Request, Tuple]] = []
         entries: List[Tuple] = []
         run_update = False
         run_plane = None
@@ -474,9 +504,9 @@ class AsyncDecisionServer:
                             request.body,
                             transport="async",
                         )
-                except Exception as exc:  # noqa: BLE001 - never hang a slot
+                except Exception as exc:  # noqa: BLE001 - never hang a request
                     status_payload = (500, {"error": f"internal error: {exc}"})
-                request.slot.set_result(status_payload)
+                request.set_result(status_payload)
                 continue
             member = self._run_member(request)
             if member is None:
@@ -496,7 +526,7 @@ class AsyncDecisionServer:
             entries.extend(joining)
         await self._flush_run_pooled(run, entries, run_update, run_plane)
 
-    def _run_member(self, request: _QueuedRequest):
+    def _run_member(self, request: _Request):
         """``(prepared, entries, update, plane)`` for a run-joining
         request, or ``None`` when it was answered with its own error.
 
@@ -509,7 +539,7 @@ class AsyncDecisionServer:
                     resolve_batch(self.service, request.body)
                 )
             except WireError as exc:
-                request.slot.set_result((exc.status, exc.payload()))
+                request.set_result((exc.status, exc.payload()))
                 return None
             return (compact, principal_indices), entries, not peek, plane
         prepared = self._prepare(request)
@@ -518,7 +548,7 @@ class AsyncDecisionServer:
         principal, query, qid, plane = prepared[:4]
         return prepared, [(principal, query, qid)], request.update, plane
 
-    def _prepare(self, request: _QueuedRequest):
+    def _prepare(self, request: _Request):
         """``(principal, query, qid, plane, compact, trace)`` or ``None``.
 
         Resolves the request down to a decision entry through the same
@@ -535,17 +565,17 @@ class AsyncDecisionServer:
                     self.service, body
                 )
             except WireError as exc:
-                request.slot.set_result((exc.status, exc.payload()))
+                request.set_result((exc.status, exc.payload()))
                 return None
             return principal, None, qid, plane, compact, trace
         # v1: the stdlib front end's validation and parse path.
         try:
             parsed, error = parse_decision_body(self.service, body)
         except ReproError as exc:
-            request.slot.set_result((400, {"error": str(exc)}))
+            request.set_result((400, {"error": str(exc)}))
             return None
         if error is not None:
-            request.slot.set_result(error)
+            request.set_result(error)
             return None
         principal, query = parsed
         return principal, query, None, None, False, False
@@ -595,7 +625,7 @@ class AsyncDecisionServer:
             results = await self.pool.decide_async(
                 entries, update=update, plane=plane, timings=timings
             )
-        except Exception as exc:  # noqa: BLE001 - never hang a slot
+        except Exception as exc:  # noqa: BLE001 - never hang a request
             self._fail_segment(run, exc)
             return
         offset = 0
@@ -606,7 +636,7 @@ class AsyncDecisionServer:
                 payload = render_batch(
                     results[offset:end], principal_indices, compact
                 )
-                request.slot.set_result((200, payload))
+                request.set_result((200, payload))
                 offset = end
             else:
                 self._answer(
@@ -630,7 +660,7 @@ class AsyncDecisionServer:
     def _fail_segment(segment: List, exc: Exception) -> None:
         failure = (500, {"error": f"internal error: {exc}"})
         for request, _ in segment:
-            request.slot.set_result(failure)
+            request.set_result(failure)
 
     def _decide_segment(self, segment: List, update: bool, plane) -> None:
         if not segment:
@@ -643,7 +673,7 @@ class AsyncDecisionServer:
                 self.service, entries, update=update, plane=plane,
                 timings=timings,
             )
-        except Exception as exc:  # noqa: BLE001 - never hang a slot
+        except Exception as exc:  # noqa: BLE001 - never hang a request
             self._fail_segment(segment, exc)
             return
         coalesced = len(segment)
@@ -651,32 +681,25 @@ class AsyncDecisionServer:
             self._answer(request, prepared, result, started, timings, coalesced)
 
     def _answer(
-        self, request: _QueuedRequest, prepared: Tuple, result,
+        self, request: _Request, prepared: Tuple, result,
         started: float, timings: Optional[Dict], coalesced: int,
     ) -> None:
         """Answer one single-decision request with its result."""
         if isinstance(result, ServiceDecision):
             if prepared[5]:
-                request.slot.set_result(
-                    self._traced_response(
-                        request, prepared, result, started, timings,
-                        coalesced,
-                    )
-                )
+                request.set_result(self._traced_response(
+                    request, prepared, result, started, timings, coalesced
+                ))
             else:
-                request.slot.set_result(
-                    (200, render_single(result, prepared[4]))
-                )
+                request.set_result((200, render_single(result, prepared[4])))
         elif request.kind == "v2":
-            request.slot.set_result((_error_status(result), result))
+            request.set_result((_error_status(result), result))
         else:  # v1 keeps its historical error shape (no code field)
-            request.slot.set_result(
-                (_error_status(result), {"error": result["error"]})
-            )
+            request.set_result((_error_status(result), {"error": result["error"]}))
 
     def _traced_response(
         self,
-        request: _QueuedRequest,
+        request: _Request,
         prepared: Tuple,
         result: ServiceDecision,
         started: float,

@@ -103,7 +103,7 @@ def decide_batch(
 
     decisions: List = [None] * total
     accepted_count = 0
-    tenant_counts: List[Tuple[Hashable, int, int]] = []
+    tally = update and kernel.tenant_accounting
     with service._lock:
         if update and service._default_policy is None:
             # All-or-nothing validation: no session may change if any
@@ -121,34 +121,22 @@ def decide_batch(
                 plane, session, indices, lids, cached_flags, update, decisions
             )
             accepted_count += group_accepted
-            tenant_counts.append((principal, len(indices), group_accepted))
+            if tally:
+                # Tallied before the next group's _session() can evict
+                # (and so drain) this session; see the kernel's single path.
+                session.pending_decided += len(indices)
+                session.pending_refused += len(indices) - group_accepted
 
     if update:
         service.decisions.increment(total)
         service.accepted.increment(accepted_count)
         service.refused.increment(total - accepted_count)
-        _record_tenants(service, tenant_counts)
         service.latency.record_many(
             (time.perf_counter() - start) / total, total
         )
     else:
         service.peeks.increment(total)
     return decisions
-
-
-def _record_tenants(
-    service, tenant_counts: "Iterable[Tuple[Hashable, int, int]]"
-) -> None:
-    """Bulk per-tenant counter updates: one vec probe per group, not per
-    decision, so the batch paths keep their amortized metrics cost."""
-    tenants = service.tenant_decisions
-    if tenants is None:
-        return
-    refused = service.tenant_refused
-    for principal, decided, accepted in tenant_counts:
-        tenants.labels(principal).increment(decided)
-        if decided > accepted:
-            refused.labels(principal).increment(decided - accepted)
 
 
 def decide_wire_items(
@@ -245,7 +233,7 @@ def decide_wire_items(
 
     accepted_count = 0
     decided = 0
-    tenant_counts: List[Tuple[Hashable, int, int]] = []
+    tally = update and kernel.tenant_accounting
     with service._lock:
         for principal, indices in groups.items():
             try:
@@ -267,7 +255,11 @@ def decide_wire_items(
             )
             accepted_count += group_accepted
             decided += len(indices)
-            tenant_counts.append((principal, len(indices), group_accepted))
+            if tally:
+                # Tallied before the next group's _session() can evict
+                # (and so drain) this session; see the kernel's single path.
+                session.pending_decided += len(indices)
+                session.pending_refused += len(indices) - group_accepted
     if timings is not None:
         timings["decide_us"] = (time.perf_counter() - decide_started) * 1e6
 
@@ -276,7 +268,6 @@ def decide_wire_items(
             service.decisions.increment(decided)
             service.accepted.increment(accepted_count)
             service.refused.increment(decided - accepted_count)
-            _record_tenants(service, tenant_counts)
             service.latency.record_many(
                 (time.perf_counter() - start) / decided, decided
             )

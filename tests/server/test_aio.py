@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -140,6 +141,33 @@ class TestV1Routes:
         assert (status, body["code"]) == (400, "bad-delta")
         status, body = _call(async_server, "/healthz")
         assert status == 200 and body == {"ok": True}
+
+    def test_nothing_pipelined_after_connection_close_runs(
+        self, service, async_server
+    ):
+        """Three submits in one write, the first marked ``Connection:
+        close``: one answer, one decision, then EOF — the stdlib front
+        end's behaviour."""
+
+        def submit(fql, close):
+            body = json.dumps({"principal": "app", "fql": fql}).encode()
+            return (
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                + (b"Connection: close\r\n" if close else b"")
+                + b"Content-Length: %d\r\n\r\n" % len(body)
+                + body
+            )
+
+        address = (async_server.host, async_server.port)
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(
+                submit(BIRTHDAY, True) + submit(MUSIC, False) + submit(MUSIC, False)
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert service.decisions.value == 1
 
     def test_invalid_json_and_empty_body(self, async_server):
         url = f"http://{async_server.host}:{async_server.port}/v1/query"

@@ -197,6 +197,110 @@ class TestAsyncFrontEnd:
         assert snapshot["peeks"] == 9
 
 
+TENANTS = [f"tenant-{index}" for index in range(6)]
+TENANT_VECTORS = ("repro_tenant_decisions_total", "repro_tenant_refused_total")
+
+
+def _tenant_series(snapshot):
+    return {
+        vector["name"]: {
+            row["labels"]["tenant"]: row["value"] for row in vector["series"]
+        }
+        for vector in snapshot["registry"]["vectors"]
+        if vector["name"] in TENANT_VECTORS
+    }
+
+
+class TestTenantParity:
+    """Per-tenant counts after a scrape do not depend on the path that
+    decided: the kernel's single path, both batch cores, the asyncio
+    front end and a replica pool all tally on the session, and a spill
+    store this small evicts (and so drains) sessions between groups."""
+
+    @pytest.fixture()
+    def traffic(self, schema):
+        import random
+
+        rng = random.Random(11)
+        queries = [
+            parse_text(text, "fql", schema=schema)
+            for text in (BIRTHDAY, MUSIC, "SELECT name FROM user WHERE uid = me()")
+        ]
+        return [(rng.choice(TENANTS), rng.choice(queries)) for _ in range(160)]
+
+    @staticmethod
+    def _chunks(traffic):
+        return [traffic[i : i + 40] for i in range(0, len(traffic), 40)]
+
+    @pytest.mark.parametrize("resident", [1, 3])
+    def test_every_path_tallies_the_same(
+        self, views, schema, traffic, tmp_path, resident
+    ):
+        from repro.client import LocalClient
+        from repro.server.pool import start_pooled_background
+
+        kwargs = {"security_views": views, "schema": schema,
+                  "max_active_sessions": resident}
+
+        def local(name):
+            service = DisclosureService(
+                spill_dir=tmp_path / name, **kwargs
+            )
+            for tenant in TENANTS:
+                service.register(tenant, CHINESE_WALL)
+            return service
+
+        results = {}
+        service = local("single")
+        for principal, query in traffic:
+            service.submit(principal, query)
+        results["single"] = _tenant_series(service.metrics_snapshot())
+
+        service = local("submit_many")
+        for chunk in self._chunks(traffic):
+            LocalClient(service).submit_many(chunk)
+        results["submit_many"] = _tenant_series(service.metrics_snapshot())
+
+        service = local("submit_batch")
+        for chunk in self._chunks(traffic):
+            service.submit_batch(chunk)
+        results["submit_batch"] = _tenant_series(service.metrics_snapshot())
+
+        async def drive(url, register):
+            client = AsyncHttpClient(url)
+            if register:
+                for tenant in TENANTS:
+                    await client.register(tenant, CHINESE_WALL)
+            for chunk in self._chunks(traffic):
+                await asyncio.gather(*[client.submit(*item) for item in chunk])
+            snapshot = await client.metrics()
+            await client.close()
+            return _tenant_series(snapshot)
+
+        handle = start_async_background(local("async"))
+        try:
+            url = f"http://{handle.host}:{handle.port}"
+            results["async"] = asyncio.run(drive(url, register=False))
+        finally:
+            handle.stop()
+            handle.server.service.close()
+
+        pooled = start_pooled_background(
+            2, service_kwargs=dict(kwargs, spill_dir=tmp_path / "pooled")
+        )
+        try:
+            url = f"http://{pooled.host}:{pooled.port}"
+            results["pooled"] = asyncio.run(drive(url, register=True))
+        finally:
+            pooled.stop()
+
+        want = results.pop("single")
+        assert sum(want["repro_tenant_decisions_total"].values()) == len(traffic)
+        assert sum(want["repro_tenant_refused_total"].values()) > 0
+        for path, got in results.items():
+            assert got == want, path
+
+
 class TestShardedRouter:
     @pytest.fixture()
     def router_server(self, views):

@@ -19,7 +19,12 @@ import socket
 import pytest
 
 from repro.client.wire import WireState, batch_body, single_body
-from repro.server.aio import AsyncDecisionServer, start_async_background
+from repro.server.aio import (
+    AsyncDecisionServer,
+    _HttpProtocol,
+    _Request,
+    start_async_background,
+)
 from repro.server.batch import decide_wire_items
 from repro.server.httpd import MAX_BATCH, dispatch
 from repro.server.pool import start_pooled_background
@@ -140,21 +145,32 @@ class _RecordingPool:
         return None  # nothing is remote: the ordinary dispatch serves it
 
 
+class _NullTransport:
+    def set_write_buffer_limits(self, high=None, low=None):
+        pass
+
+
 def _one_tick(service, pool, stream):
     """Feed *stream* to a pooled front end inside a single tick."""
+
+    async def answered(requests):
+        while not all(request.done() for request in requests):
+            await asyncio.sleep(0)
+        return [request.result for request in requests]
 
     async def main():
         server = AsyncDecisionServer(service, port=0, pool=pool)
         await server.start()
         try:
-            loop = asyncio.get_running_loop()
-            slots = []
+            protocol = _HttpProtocol(server)
+            protocol.connection_made(_NullTransport())
+            requests = []
             for method, path, body in stream:
-                slots.append(loop.create_future())
+                requests.append(_Request(protocol, False))
                 server.accept(
-                    method, path, json.dumps(body).encode(), slots[-1]
+                    method, path, json.dumps(body).encode(), requests[-1]
                 )
-            return await asyncio.wait_for(asyncio.gather(*slots), 30)
+            return await asyncio.wait_for(answered(requests), 30)
         finally:
             await server.stop()
 
