@@ -44,6 +44,7 @@ class AnalysisConfig:
     #: (server render fn, client inflate fn) compact-row pairs.
     row_pairs: Tuple[Tuple[str, str], ...] = (
         ("render_single", "inflate_single"),
+        ("handle_query", "inflate_single"),
         ("render_batch", "inflate_batch"),
     )
     #: Root class of the typed client error hierarchy, and where its

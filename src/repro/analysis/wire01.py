@@ -16,8 +16,9 @@ each side and diffs:
   must have a reason phrase in its ``_REASON`` map (a missing entry
   renders ``HTTP/1.1 500 OK``).
 * **Compact rows** — the row arity ``render_single``/``render_batch``
-  produce server-side must equal the tuple arity
-  ``inflate_single``/``inflate_batch`` unpack client-side.
+  produce server-side (as a list, or as a ``b"[%d, ...]"`` template)
+  must equal the tuple arity ``inflate_single``/``inflate_batch``
+  unpack client-side.
 * **Client exports** — every subclass of ``ClientError`` defined under
   ``repro.client`` must be imported and listed in the package's
   ``__all__`` (the PR 9 ``StallError`` near-miss, made structural).
@@ -229,7 +230,9 @@ def _check_reasons(
 
 
 def _list_arity(tree: ast.AST, function: str) -> Optional[int]:
-    """Longest plain list literal inside *function* (the compact row)."""
+    """Widest row inside *function*: a plain list literal, or the format
+    fields of a JSON-array template (``b"[%d, %b]" % ...``: a row
+    rendered straight to bytes)."""
     best: Optional[int] = None
     for node in ast.walk(tree):
         if (
@@ -237,12 +240,20 @@ def _list_arity(tree: ast.AST, function: str) -> Optional[int]:
             and node.name == function
         ):
             for inner in ast.walk(node):
+                size = None
                 if isinstance(inner, ast.List) and len(inner.elts) >= 3:
-                    if not any(
-                        isinstance(e, ast.Starred) for e in inner.elts
-                    ):
+                    if not any(isinstance(e, ast.Starred) for e in inner.elts):
                         size = len(inner.elts)
-                        best = size if best is None else max(best, size)
+                elif (
+                    isinstance(inner, ast.BinOp)
+                    and isinstance(inner.op, ast.Mod)
+                    and isinstance(inner.left, ast.Constant)
+                    and isinstance(inner.left.value, bytes)
+                    and inner.left.value.startswith(b"[")
+                ):
+                    size = inner.left.value.replace(b"%%", b"").count(b"%")
+                if size is not None:
+                    best = size if best is None else max(best, size)
     return best
 
 

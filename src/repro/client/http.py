@@ -105,12 +105,18 @@ class HttpClient(DecisionClient):
         return self._connection
 
     def _request(
-        self, method: str, path: str, body: Optional[Dict]
+        self, method: str, path: str, body: "Dict | bytes | None"
     ) -> Tuple[int, object]:
-        """One request/response; retries once on a stale keep-alive."""
+        """One request/response; retries once on a stale keep-alive.
+
+        *body* is a JSON object, or one already rendered as bytes.
+        """
         from http.client import HTTPException, RemoteDisconnected
 
-        payload = None if body is None else json.dumps(body).encode("utf-8")
+        if body is None or isinstance(body, bytes):
+            payload = body
+        else:
+            payload = json.dumps(body).encode("utf-8")
         headers = {} if payload is None else {"Content-Type": "application/json"}
         for attempt in (0, 1):
             connection = self._connect(fresh=bool(attempt))
@@ -136,17 +142,6 @@ class HttpClient(DecisionClient):
                     f"cannot reach {self.host}:{self.port}: {exc}", status=502
                 ) from exc
         raise AssertionError("unreachable")
-
-    def _request_v2(
-        self, path: str, body: Dict
-    ) -> Tuple[int, object]:
-        """A v2 request with automatic 409 resync-and-retry."""
-        status, payload = self._request("POST", path, body)
-        if status == 409:
-            status, payload = self._request(
-                "POST", path, wire.resync_body(self._state, body)
-            )
-        return status, payload
 
     @property
     def protocol(self) -> str:
@@ -197,7 +192,7 @@ class HttpClient(DecisionClient):
         trace: Optional[bool] = None,
     ) -> Dict:
         if self.protocol == "v2":
-            body = wire.single_body(
+            data, fields = wire.single_request(
                 self._state,
                 principal,
                 query,
@@ -205,7 +200,10 @@ class HttpClient(DecisionClient):
                 compact=self.compact,
                 trace=self._trace.should(trace),
             )
-            status, payload = self._request_v2("/v2/query", body)
+            status, payload = self._request("POST", "/v2/query", data)
+            if status == 409:  # re-send with the full key table
+                data = wire.resync_single(self._state, fields)
+                status, payload = self._request("POST", "/v2/query", data)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_single(payload, principal)
@@ -227,7 +225,10 @@ class HttpClient(DecisionClient):
             body, principals = wire.batch_body(
                 self._state, items, peek=peek, compact=self.compact
             )
-            status, payload = self._request_v2("/v2/batch", body)
+            status, payload = self._request("POST", "/v2/batch", body)
+            if status == 409:  # re-send with the full key table
+                body = wire.resync_body(self._state, body)
+                status, payload = self._request("POST", "/v2/batch", body)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_batch(payload, principals)

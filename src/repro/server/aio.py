@@ -67,12 +67,12 @@ from repro.server.service import DisclosureService
 from repro.server.wire2 import (
     BAD_REQUEST,
     WireError,
-    gateway_for,
     render_batch,
     render_single,
     resolve_batch,
     resolve_single,
     single_error_status,
+    traced_payload,
 )
 
 _REASON = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -96,7 +96,57 @@ def _error_status(result: Dict) -> int:
 
 
 #: The request headers the front end reads, each at the start of a line.
-_HEADERS = re.compile(rb"\r\n(content-length|connection|accept)[ \t]*:([^\r]*)", re.I)
+_HEADERS = re.compile(
+    rb"\r\n(content-length|transfer-encoding|connection|accept)[ \t]*:([^\r]*)",
+    re.I,
+)
+
+#: Decodes request bodies already known to be UTF-8 text.
+_decode_json = json.JSONDecoder().decode
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, int, bool]:
+    """``(method, path, length, close)`` of one request head.
+
+    Raises :class:`WireError` (answered, then the connection closes)
+    when the body cannot be delimited safely: a bad or conflicting
+    ``Content-Length``, any ``Transfer-Encoding``, or a body past the cap.
+    """
+    line_end = head.find(b"\r\n")
+    parts = (head if line_end < 0 else head[:line_end]).split()
+    if len(parts) < 2:
+        raise WireError(400, BAD_REQUEST, "malformed request line")
+    method = parts[0].decode("ascii", "replace")
+    path = parts[1].decode("ascii", "replace")
+    length = 0
+    declared = None
+    close = False
+    accept = None
+    for name, value in _HEADERS.findall(head):
+        name = name.lower()
+        if name == b"content-length":
+            value = value.strip()
+            if declared is not None and value != declared:
+                raise WireError(400, BAD_REQUEST, "conflicting Content-Length headers")
+            declared = value
+            try:
+                length = int(value)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise WireError(400, BAD_REQUEST, "bad Content-Length")
+        elif name == b"transfer-encoding":
+            raise WireError(501, BAD_REQUEST, "Transfer-Encoding is not supported")
+        elif name == b"connection":
+            close = value.strip().lower() == b"close"
+        else:
+            accept = value.strip().decode("ascii", "replace")
+    if length > MAX_BODY:
+        raise WireError(413, BAD_REQUEST, "request body exceeds the 8 MiB cap")
+    if method == "GET":
+        path = negotiate_metrics_path(path, accept)
+    return method, path, length, close
+
 
 #: Everything of a ``200 application/json`` response head but its length.
 _JSON_200 = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: "
@@ -169,6 +219,7 @@ class _HttpProtocol(asyncio.Protocol):
         if self._close_framed:
             return
         buffer = self._buffer + data if self._buffer else data
+        heads = self.server.heads
         # Requests are framed by offset; the unframed tail is kept once.
         start = 0
         while True:
@@ -178,40 +229,26 @@ class _HttpProtocol(asyncio.Protocol):
                     self._fail_now(400, "request head too large")
                     return
                 break
-            line_end = buffer.find(b"\r\n", start, head_end)
-            parts = buffer[start : head_end if line_end < 0 else line_end].split()
-            if len(parts) < 2:
-                self._fail_now(400, "malformed request line")
-                return
-            method = parts[0].decode("ascii", "replace")
-            path = parts[1].decode("ascii", "replace")
-            length = 0
-            close = False
-            accept = None
-            for name, value in _HEADERS.findall(buffer, start, head_end):
-                name = name.lower()
-                if name == b"content-length":
-                    try:
-                        length = int(value)
-                    except ValueError:
-                        length = -1
-                    if length < 0:
-                        self._fail_now(400, "bad Content-Length")
-                        return
-                elif name == b"connection":
-                    close = value.strip().lower() == b"close"
-                else:
-                    accept = value.strip().decode("ascii", "replace")
-            if length > MAX_BODY:
-                self._fail_now(413, "request body exceeds the 8 MiB cap")
-                return
+            # Heads repeat byte for byte (a client's requests differ in
+            # Content-Length at most): each distinct one is parsed once.
+            head = buffer[start:head_end]
+            framed = heads.get(head)
+            if framed is None:
+                try:
+                    framed = _parse_head(head)
+                except WireError as exc:
+                    self._fail_now(exc.status, str(exc))
+                    return
+                if len(head) <= 1024:  # so the memo holds at most 1 MiB
+                    if len(heads) >= 1024:
+                        heads.clear()
+                    heads[head] = framed
+            method, path, length, close = framed
             end = head_end + 4 + length
             if len(buffer) < end:
                 break  # body still in flight
             raw = buffer[head_end + 4 : end]
             start = end
-            if method == "GET":
-                path = negotiate_metrics_path(path, accept)
             request = _Request(self, close)
             self._responses.append(request)
             self.server.accept(method, path, raw, request)
@@ -235,8 +272,9 @@ class _HttpProtocol(asyncio.Protocol):
                 break
             status, payload = request.result
             close = request.close
-            if status == 200 and not close and not isinstance(payload, str):
-                body = dumps(payload).encode("utf-8")
+            kind = type(payload)
+            if status == 200 and not close and kind is not str:
+                body = payload if kind is bytes else dumps(payload).encode("utf-8")
                 chunks.append(b"%b%d\r\n\r\n%b" % (_JSON_200, len(body), body))
             else:
                 chunks.append(_render(status, payload, close))
@@ -257,15 +295,17 @@ class _HttpProtocol(asyncio.Protocol):
 
 
 def _render(status: int, payload: object, close: bool) -> bytes:
-    """One full response: JSON, or pre-rendered text (the Prometheus
-    exposition) sent as such."""
+    """One full response: JSON (``bytes`` are pre-rendered JSON), or
+    pre-rendered text (the Prometheus exposition) sent as such."""
     if isinstance(payload, str):
         from repro.obs import PROMETHEUS_CONTENT_TYPE
 
         body = payload.encode("utf-8")
         content_type = PROMETHEUS_CONTENT_TYPE
     else:
-        body = json.dumps(payload).encode("utf-8")
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode("utf-8")
+        body = payload
         content_type = "application/json"
     return (
         f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\n"
@@ -299,7 +339,9 @@ class AsyncDecisionServer:
         self.host = host
         self.port = port
         self.pool = pool
-        self.gateway = gateway_for(self.service)
+        #: Request head bytes -> ``(method, path, length, close)``: heads
+        #: of at most 1 KiB, cleared at 1024 of them.
+        self.heads: Dict[bytes, Tuple[str, str, int, bool]] = {}
         self._pending: List[_Request] = []
         #: Connections holding answered, unwritten responses.
         self._unwritten: List[_HttpProtocol] = []
@@ -349,11 +391,16 @@ class AsyncDecisionServer:
         body: Optional[Dict] = None
         if raw:
             try:
-                parsed = json.loads(raw)
+                if raw[0] == 0x7B and raw[1:2] != b"\x00":
+                    # Bytes json.loads would detect as UTF-8, decoded
+                    # the way it decodes them, without the sniffing.
+                    parsed = _decode_json(raw.decode("utf-8", "surrogatepass"))
+                else:
+                    parsed = json.loads(raw)
             except ValueError:
                 request.set_result((400, {"error": "request body is not valid JSON"}))
                 return
-            if not isinstance(parsed, dict):
+            if type(parsed) is not dict:
                 request.set_result(
                     (400, {"error": "request body must be a JSON object"})
                 )
@@ -684,56 +731,28 @@ class AsyncDecisionServer:
         self, request: _Request, prepared: Tuple, result,
         started: float, timings: Optional[Dict], coalesced: int,
     ) -> None:
-        """Answer one single-decision request with its result."""
+        """Answer one single-decision request with its result (a traced
+        one's span amortizes the decide pass over its *coalesced* members)."""
         if isinstance(result, ServiceDecision):
             if prepared[5]:
-                request.set_result(self._traced_response(
-                    request, prepared, result, started, timings, coalesced
-                ))
+                span = {
+                    "transport": "async",
+                    "principal": prepared[0],
+                    "qid": request.body.get("qid"),
+                    "peek": not request.update,
+                    "coalesced": coalesced,
+                    "queue_us": (
+                        (started - request.enqueued) * 1e6 if request.enqueued else 0.0
+                    ),
+                }
+                payload = traced_payload(self.service, result, span, started, timings)
+                request.set_result((200, payload))
             else:
                 request.set_result((200, render_single(result, prepared[4])))
         elif request.kind == "v2":
             request.set_result((_error_status(result), result))
         else:  # v1 keeps its historical error shape (no code field)
             request.set_result((_error_status(result), {"error": result["error"]}))
-
-    def _traced_response(
-        self,
-        request: _Request,
-        prepared: Tuple,
-        result: ServiceDecision,
-        started: float,
-        timings: Dict,
-        coalesced: int,
-    ) -> Tuple[int, Dict]:
-        """Build the traced full-dict response for one segment member.
-
-        The drain decides a whole segment in one :func:`decide_wire_items`
-        pass, so the kernel stage times in the span are *amortized* —
-        the segment total divided by its size — while ``queue_us``
-        (accept → decide start) and ``serialize_us`` are this request's
-        own.  ``coalesced`` reports the segment size so the amortization
-        is visible.
-        """
-        from repro.server.wire2 import finish_span
-
-        render_started = perf_counter()
-        payload = result.as_dict()
-        span = {
-            "transport": "async",
-            "principal": prepared[0],
-            "qid": request.body.get("qid"),
-            "peek": not request.update,
-            "coalesced": coalesced,
-            "queue_us": (
-                (started - request.enqueued) * 1e6 if request.enqueued else 0.0
-            ),
-            "label_us": timings.get("label_us", 0.0) / coalesced,
-            "decide_us": timings.get("decide_us", 0.0) / coalesced,
-            "serialize_us": (perf_counter() - render_started) * 1e6,
-            "total_us": (render_started - started) * 1e6,
-        }
-        return 200, finish_span(self.service, span, payload)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ repeated shapes, and cross-principal traffic.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.queries import ConjunctiveQuery
@@ -97,7 +96,7 @@ def decide_batch(
     else:
         plane, lids, cached_flags = kernel.resolve_queries(queries)
 
-    groups: "OrderedDict[Hashable, List[int]]" = OrderedDict()
+    groups: Dict[Hashable, List[int]] = {}
     for index, (principal, _) in enumerate(items):
         groups.setdefault(principal, []).append(index)
 
@@ -227,7 +226,7 @@ def decide_wire_items(
         lids[position] = lid
         flags[position] = flag
 
-    groups: "OrderedDict[Hashable, List[int]]" = OrderedDict()
+    groups: Dict[Hashable, List[int]] = {}
     for position in positions:
         groups.setdefault(entries[position][0], []).append(position)
 

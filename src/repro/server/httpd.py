@@ -312,6 +312,21 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
         return self.server.service
 
     # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """The stdlib's head parse, closing on a head whose body cannot be
+        delimited: conflicting ``Content-Length`` values or any
+        ``Transfer-Encoding`` (bodies are length-framed only)."""
+        if not super().parse_request():
+            return False
+        lengths = {v.strip() for v in self.headers.get_all("Content-Length", ())}
+        if "Transfer-Encoding" in self.headers:
+            self._reply(501, {"error": "Transfer-Encoding is not supported"}, True)
+        elif len(lengths) > 1:
+            self._reply(400, {"error": "conflicting Content-Length headers"}, True)
+        else:
+            return True
+        return False
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         target = self._target()
         path = negotiate_metrics_path(self.path, self.headers.get("Accept"))
@@ -352,7 +367,7 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
             return None
         return body
 
-    def _reply(self, status: int, payload: object) -> None:
+    def _reply(self, status: int, payload: object, close: bool = False) -> None:
         if isinstance(payload, str):
             # Pre-rendered text (the Prometheus exposition).
             from repro.obs import PROMETHEUS_CONTENT_TYPE
@@ -365,6 +380,8 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the loop
         self.end_headers()
         self.wfile.write(data)
 

@@ -978,10 +978,16 @@ class DecisionKernel:
         timed = timer is not None and len(indices) > 0 and timer.sample()
         t0 = perf_counter() if timed else 0.0
         policy = session.policy
-        if self._sync_policy(policy, plane):
-            masks = self._ensure_masks(
-                plane, policy, (lids[i] for i in indices)
-            )
+        # Most groups are one or two decisions against a policy already
+        # synced and lids already masked: test both before paying setup.
+        if policy.plane_epoch == plane.epoch or self._sync_policy(policy, plane):
+            masks = policy.mask_memo
+            for index in indices:
+                if lids[index] not in masks:
+                    masks = self._ensure_masks(
+                        plane, policy, (lids[i] for i in indices)
+                    )
+                    break
             outcome_memo = policy.outcome_memo
             if len(outcome_memo) > policy.MEMO_LIMIT:
                 outcome_memo.clear()

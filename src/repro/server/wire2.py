@@ -57,6 +57,7 @@ compact rows into the stable v1 decision dicts.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from time import perf_counter
@@ -154,6 +155,9 @@ class WireGateway:
     def __init__(self, service):
         self.service = service
         self._generations: "OrderedDict[str, _Generation]" = OrderedDict()  # guarded-by: _lock
+        #: The last-resolved generation, already at the LRU end: a
+        #: connection's requests all name it, so they skip the probe.
+        self._hot: Optional[Tuple[str, _Generation]] = None  # guarded-by: _lock
         self._lock = threading.Lock()
 
     def generation_count(self) -> int:
@@ -164,6 +168,7 @@ class WireGateway:
         """Drop every generation (tests simulate a server restart)."""
         with self._lock:
             self._generations.clear()
+            self._hot = None
 
     def resolve(
         self,
@@ -179,32 +184,38 @@ class WireGateway:
         :func:`~repro.server.batch.decide_wire_items`).  Raises
         :class:`WireError` for every taxonomy case.
         """
-        if not isinstance(gen, str) or not gen:
+        # Exact-type tests: decoded JSON values have no subclasses.
+        if type(gen) is not str or not gen:
             raise WireError(
                 400, BAD_REQUEST, "request needs a non-empty string 'gen'"
             )
         if base is None:
             base = 0
-        if not isinstance(base, int) or isinstance(base, bool) or base < 0:
+        if type(base) is not int or base < 0:
             raise WireError(
                 400, BAD_REQUEST, "'base' must be a non-negative integer"
             )
         if delta is None:
             delta = ()
-        elif not isinstance(delta, list):
+        elif type(delta) is not list:
             raise WireError(
                 400, BAD_DELTA, "'delta' must be a list of encoded keys"
             )
         kernel = self.service.kernel
         with self._lock:
-            entry = self._generations.get(gen)
-            if entry is None:
-                entry = _Generation()
-                self._generations[gen] = entry
-                while len(self._generations) > GENERATION_CAP:
-                    self._generations.popitem(last=False)
+            hot = self._hot
+            if hot is not None and hot[0] == gen:
+                entry = hot[1]
             else:
-                self._generations.move_to_end(gen)
+                entry = self._generations.get(gen)
+                if entry is None:
+                    entry = _Generation()
+                    self._generations[gen] = entry
+                    while len(self._generations) > GENERATION_CAP:
+                        self._generations.popitem(last=False)
+                else:
+                    self._generations.move_to_end(gen)
+                self._hot = gen, entry
             keys = entry.keys
             if base > len(keys):
                 raise WireError(
@@ -241,11 +252,7 @@ class WireGateway:
             size = len(keys)
             kernel_qids: List[int] = []
             for qid in refs:
-                if (
-                    not isinstance(qid, int)
-                    or isinstance(qid, bool)
-                    or not 0 <= qid < size
-                ):
+                if type(qid) is not int or not 0 <= qid < size:
                     raise WireError(
                         400,
                         UNKNOWN_QID,
@@ -274,17 +281,29 @@ def gateway_for(service) -> WireGateway:
 # ----------------------------------------------------------------------
 # Response rendering: full dicts or the negotiated compact rows
 # ----------------------------------------------------------------------
+#: JSON text of the reasons sent lately (a tick repeats a handful).
+_REASON_JSON: Dict[str, bytes] = {}
+
+
 def render_single(decision_or_error, compact: bool):
-    """One decision (or per-item error) as its response payload."""
+    """One decision (or per-item error) as its response payload; the
+    compact row as its JSON bytes, ``json.dumps`` of ``[accepted,
+    cached, live_before, live_after, reason]`` byte for byte."""
     if isinstance(decision_or_error, ServiceDecision):
         if compact:
-            return [
-                int(decision_or_error.accepted),
-                int(decision_or_error.cached),
+            reason = decision_or_error.reason
+            encoded = _REASON_JSON.get(reason)
+            if encoded is None:
+                if len(_REASON_JSON) >= 1024:
+                    _REASON_JSON.clear()
+                encoded = _REASON_JSON[reason] = json.dumps(reason).encode()
+            return b"[%d, %d, %d, %d, %b]" % (
+                decision_or_error.accepted,
+                decision_or_error.cached,
                 decision_or_error.live_before,
                 decision_or_error.live_after,
-                decision_or_error.reason,
-            ]
+                encoded,
+            )
         return decision_or_error.as_dict()
     return decision_or_error  # an error dict, identical in both forms
 
@@ -351,7 +370,7 @@ def protocol_info(service) -> Dict:
 
 def _principal_of(body: Dict) -> str:
     principal = body.get("principal")
-    if not isinstance(principal, str) or not principal:
+    if type(principal) is not str or not principal:
         raise WireError(
             400, BAD_REQUEST, "request needs a non-empty string 'principal'"
         )
@@ -360,7 +379,7 @@ def _principal_of(body: Dict) -> str:
 
 def _flag_of(body: Dict, name: str) -> bool:
     value = body.get(name, False)
-    if not isinstance(value, bool):
+    if type(value) is not bool:
         raise WireError(400, BAD_REQUEST, f"'{name}' must be a boolean")
     return value
 
@@ -372,14 +391,15 @@ def resolve_single(
 
     Returns ``(principal, peek, compact, trace, plane, kernel_qid)``;
     raises :class:`WireError` for every request-shaped failure.  Both
-    front ends call this, so their validation cannot drift.
+    front ends call this, so their validation cannot drift.  Types are
+    tested exactly: decoded JSON values have no subclasses.
     """
     principal = _principal_of(body)
     peek = _flag_of(body, "peek")
     compact = _flag_of(body, "compact")
     trace = _flag_of(body, "trace")
     qid = body.get("qid")
-    if not isinstance(qid, int) or isinstance(qid, bool):
+    if type(qid) is not int:
         raise WireError(400, BAD_REQUEST, "'qid' must be an integer")
     plane, qids = gateway_for(service).resolve(
         body.get("gen"), body.get("base"), body.get("delta"), (qid,)
@@ -387,13 +407,26 @@ def resolve_single(
     return principal, peek, compact, trace, plane, qids[0]
 
 
-def finish_span(service, span: Dict, payload: Dict) -> Dict:
-    """Attach *span* to the traced response and the service's ring.
+def traced_payload(
+    service, result: ServiceDecision, span: Dict, started: float, timings: Dict
+) -> Dict:
+    """The traced full-dict response of *result*.
 
-    The span lands both on the wire (``payload["trace"]`` — the client
-    surfaces it on the decision dict) and in the server's
-    :class:`~repro.obs.TraceBuffer` for ``GET /internal/trace``.
+    *span* arrives with ``transport``, ``principal``, ``qid``, ``peek``,
+    ``coalesced`` and ``queue_us``; this adds the decide pass's stage
+    *timings* amortized over its ``coalesced`` members, and the
+    serialization and total times.  The span lands both on the wire
+    (``payload["trace"]`` — the client surfaces it on the decision dict)
+    and in the server's :class:`~repro.obs.TraceBuffer` for
+    ``GET /internal/trace``.
     """
+    rendered = perf_counter()
+    payload = result.as_dict()
+    coalesced = span["coalesced"]
+    span["label_us"] = timings.get("label_us", 0.0) / coalesced
+    span["decide_us"] = timings.get("decide_us", 0.0) / coalesced
+    span["serialize_us"] = (perf_counter() - rendered) * 1e6
+    span["total_us"] = (rendered - started) * 1e6
     traces = getattr(service, "traces", None)
     if traces is not None:
         traces.append(span)
@@ -422,14 +455,7 @@ def handle_query(service, body: Dict) -> Tuple[int, object]:
         )
     except WireError as exc:
         return exc.status, exc.payload()
-    if not trace:
-        (result,) = decide_wire_items(
-            service, [(principal, None, qid)], update=not peek, plane=plane
-        )
-        if isinstance(result, dict):  # per-item error taxonomy, promoted
-            return single_error_status(result), result
-        return 200, render_single(result, compact)
-    timings: Dict = {}
+    timings: Optional[Dict] = {} if trace else None
     started = perf_counter()
     (result,) = decide_wire_items(
         service,
@@ -438,23 +464,29 @@ def handle_query(service, body: Dict) -> Tuple[int, object]:
         plane=plane,
         timings=timings,
     )
-    decided = perf_counter()
-    if isinstance(result, dict):
+    if isinstance(result, dict):  # per-item error taxonomy, promoted
         return single_error_status(result), result
-    payload = result.as_dict()
-    span = {
-        "transport": "http",
-        "principal": principal,
-        "qid": body.get("qid"),
-        "peek": peek,
-        "coalesced": 1,
-        "queue_us": 0.0,
-        "label_us": timings.get("label_us", 0.0),
-        "decide_us": timings.get("decide_us", 0.0),
-        "serialize_us": (perf_counter() - decided) * 1e6,
-        "total_us": (decided - started) * 1e6,
-    }
-    return 200, finish_span(service, span, payload)
+    if trace:
+        span = {
+            "transport": "http",
+            "principal": principal,
+            "qid": body.get("qid"),
+            "peek": peek,
+            "coalesced": 1,
+            "queue_us": 0.0,
+        }
+        return 200, traced_payload(service, result, span, started, timings)
+    if compact:
+        # A route answers JSON values (dispatch's contract); the
+        # asyncio tick path sends render_single's bytes instead.
+        return 200, [
+            int(result.accepted),
+            int(result.cached),
+            result.live_before,
+            result.live_after,
+            result.reason,
+        ]
+    return 200, result.as_dict()
 
 
 def resolve_batch(service, body: Dict):

@@ -191,6 +191,55 @@ def test_compact_row_arity_match_is_clean(corpus):
     ).get("WIRE01", []) == []
 
 
+def test_byte_template_row_is_counted(corpus):
+    """A row rendered straight to bytes is still guarded: the template's
+    format fields are its arity (4 here, against 5 unpacked)."""
+    corpus.write(
+        "wire2.py",
+        '''
+        def render_single(decision):
+            return b"[%d, %d, %d, %b]" % (
+                decision.accepted, decision.cached, decision.live, b'"r"',
+            )
+        ''',
+    )
+    corpus.write(
+        "cwire.py",
+        '''
+        def inflate_single(row):
+            accepted, cached, live_before, live_after, reason = row
+            return accepted, reason
+        ''',
+    )
+    findings = corpus.by_rule(
+        wire2_module="wire2", client_wire_module="cwire"
+    )["WIRE01"]
+    assert len(findings) == 1
+    assert "renders 4 fields" in findings[0].message
+    assert "unpacks 5" in findings[0].message
+
+
+def test_byte_template_row_match_is_clean(corpus):
+    corpus.write(
+        "wire2.py",
+        '''
+        def render_single(decision):
+            return b"[%d, %d, %d, %d, %b]  # 100%% %%" % (1, 0, 3, 3, b'"r"')
+        ''',
+    )
+    corpus.write(
+        "cwire.py",
+        '''
+        def inflate_single(row):
+            accepted, cached, live_before, live_after, reason = row
+            return accepted, reason
+        ''',
+    )
+    assert corpus.by_rule(
+        wire2_module="wire2", client_wire_module="cwire"
+    ).get("WIRE01", []) == []
+
+
 def test_unexported_client_error_subclass(corpus):
     corpus.write(
         "clientpkg/__init__.py",

@@ -156,7 +156,11 @@ def _one_tick(service, pool, stream):
     async def answered(requests):
         while not all(request.done() for request in requests):
             await asyncio.sleep(0)
-        return [request.result for request in requests]
+        # A compact single's cell holds its pre-rendered JSON bytes.
+        return [
+            (status, json.loads(payload) if isinstance(payload, bytes) else payload)
+            for status, payload in (request.result for request in requests)
+        ]
 
     async def main():
         server = AsyncDecisionServer(service, port=0, pool=pool)
