@@ -258,12 +258,7 @@ class AsyncHttpClient:
         Callers build *body* and queue it with no ``await`` in between,
         which keeps interner deltas reaching the server in ``base`` order.
         """
-        if body is None:
-            payload = b""
-        elif isinstance(body, bytes):
-            payload = body
-        else:
-            payload = json.dumps(body).encode("utf-8")
+        payload = json.dumps(body).encode() if isinstance(body, dict) else body or b""
         prefix = self._head_prefixes.get((method, path))
         if prefix is None:
             prefix = (
@@ -303,6 +298,12 @@ class AsyncHttpClient:
         conn = self._live() or await self._reconnect()
         return await self._enqueue(conn, method, path, body)
 
+    async def _resync(self, path: str, sent: Dict) -> Response:
+        """Re-send a v2 request answered ``409`` with the full key table."""
+        conn = self._live() or await self._reconnect()
+        body = wire.resync_body(self._state, sent)
+        return await self._enqueue(conn, "POST", path, body)
+
     async def _protocol_name(self) -> str:
         if self._protocol is None:
             status, payload = await self._request("GET", "/v2/protocol")
@@ -328,7 +329,7 @@ class AsyncHttpClient:
     ) -> Dict:
         if (self._protocol or await self._protocol_name()) == "v2":
             conn = self._live() or await self._reconnect()
-            data, fields = wire.single_request(
+            data = wire.single_request(
                 self._state,
                 principal,
                 query,
@@ -337,10 +338,8 @@ class AsyncHttpClient:
                 trace=self._trace.should(trace),
             )
             status, payload = await self._enqueue(conn, "POST", "/v2/query", data)
-            if status == 409:  # re-send with the full key table
-                conn = self._live() or await self._reconnect()
-                data = wire.resync_single(self._state, fields)
-                status, payload = await self._enqueue(conn, "POST", "/v2/query", data)
+            if status == 409:
+                status, payload = await self._resync("/v2/query", json.loads(data))
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_single(payload, principal)
@@ -364,10 +363,8 @@ class AsyncHttpClient:
                 self._state, items, peek=peek, compact=self.compact
             )
             status, payload = await self._enqueue(conn, "POST", "/v2/batch", body)
-            if status == 409:  # re-send with the full key table
-                conn = self._live() or await self._reconnect()
-                body = wire.resync_body(self._state, body)
-                status, payload = await self._enqueue(conn, "POST", "/v2/batch", body)
+            if status == 409:
+                status, payload = await self._resync("/v2/batch", body)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_batch(payload, principals)

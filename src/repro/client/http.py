@@ -113,10 +113,7 @@ class HttpClient(DecisionClient):
         """
         from http.client import HTTPException, RemoteDisconnected
 
-        if body is None or isinstance(body, bytes):
-            payload = body
-        else:
-            payload = json.dumps(body).encode("utf-8")
+        payload = json.dumps(body).encode() if isinstance(body, dict) else body
         headers = {} if payload is None else {"Content-Type": "application/json"}
         for attempt in (0, 1):
             connection = self._connect(fresh=bool(attempt))
@@ -142,6 +139,18 @@ class HttpClient(DecisionClient):
                     f"cannot reach {self.host}:{self.port}: {exc}", status=502
                 ) from exc
         raise AssertionError("unreachable")
+
+    def _request_v2(
+        self, path: str, body: "Dict | bytes"
+    ) -> Tuple[int, object]:
+        """A v2 request with automatic 409 resync-and-retry."""
+        status, payload = self._request("POST", path, body)
+        if status == 409:
+            sent = json.loads(body) if isinstance(body, bytes) else body
+            status, payload = self._request(
+                "POST", path, wire.resync_body(self._state, sent)
+            )
+        return status, payload
 
     @property
     def protocol(self) -> str:
@@ -192,7 +201,7 @@ class HttpClient(DecisionClient):
         trace: Optional[bool] = None,
     ) -> Dict:
         if self.protocol == "v2":
-            data, fields = wire.single_request(
+            data = wire.single_request(
                 self._state,
                 principal,
                 query,
@@ -200,10 +209,7 @@ class HttpClient(DecisionClient):
                 compact=self.compact,
                 trace=self._trace.should(trace),
             )
-            status, payload = self._request("POST", "/v2/query", data)
-            if status == 409:  # re-send with the full key table
-                data = wire.resync_single(self._state, fields)
-                status, payload = self._request("POST", "/v2/query", data)
+            status, payload = self._request_v2("/v2/query", data)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_single(payload, principal)
@@ -225,10 +231,7 @@ class HttpClient(DecisionClient):
             body, principals = wire.batch_body(
                 self._state, items, peek=peek, compact=self.compact
             )
-            status, payload = self._request("POST", "/v2/batch", body)
-            if status == 409:  # re-send with the full key table
-                body = wire.resync_body(self._state, body)
-                status, payload = self._request("POST", "/v2/batch", body)
+            status, payload = self._request_v2("/v2/batch", body)
             if status != 200:
                 raise _error_from(status, payload)
             return wire.inflate_batch(payload, principals)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import secrets
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import encode_key
 from repro.core.queries import ConjunctiveQuery
@@ -138,12 +138,9 @@ def single_body(
     compact: bool,
     trace: bool = False,
 ) -> Dict:
-    """The ``POST /v2/query`` body for one decision, as a dict.
+    """The ``POST /v2/query`` body for one decision.
 
-    The clients send :func:`single_request`'s bytes, which equal
-    ``json.dumps`` of this dict; the dict form is for callers that hand
-    bodies to :func:`repro.server.wire2.handle_query` directly.  With
-    *trace* the server returns the full-dict payload carrying a
+    With *trace* the server returns the full-dict payload carrying a
     ``"trace"`` span (``compact`` is ignored for that request).
     """
     gen, base, delta, qids = state.encode_refs((query,))
@@ -201,81 +198,48 @@ def batch_body(
     return body, principals
 
 
-def _full_delta(state: WireState) -> List:
-    """The whole key table, encoded; the server is then synced to it."""
-    key_of = state.interner.key_of
-    state.synced = count = len(state.interner)
-    return [encode_key(key_of(qid)) for qid in range(count)]
-
-
 def resync_body(state: WireState, body: Dict) -> Dict:
     """Rebuild *body* after a 409: ``base=0`` plus the full key table.
 
     qids are stable within a generation, so only the delta changes.
     Must run under the same serialization as :meth:`WireState.encode_refs`.
     """
-    return {**body, "base": 0, "delta": _full_delta(state)}
+    state.resync()
+    key_of = state.interner.key_of
+    count = len(state.interner)
+    rebuilt = dict(body)
+    rebuilt["base"] = 0
+    rebuilt["delta"] = [encode_key(key_of(qid)) for qid in range(count)]
+    state.synced = count
+    return rebuilt
 
 
-#: JSON text of the principals and generation ids sent lately (bounded).
-_STRING_JSON: Dict[str, bytes] = {}
-
-
-def _json_text(value: Hashable) -> bytes:
-    if not isinstance(value, str):
-        return json.dumps(value).encode()
-    text = _STRING_JSON.get(value)
-    if text is None:
-        if len(_STRING_JSON) >= 4096:
-            _STRING_JSON.clear()
-        text = _STRING_JSON[value] = json.dumps(value).encode()
-    return text
-
-
-#: ``(gen, principal, qid, peek, compact, trace, shipped)`` of a
-#: ``POST /v2/query``; *shipped*: its first send carried a delta, so a
-#: resync's full table goes in that place, and otherwise last.
-SingleFields = Tuple[str, Hashable, int, bool, bool, bool, bool]
-
-
-def _render_single(fields: SingleFields, base: int, delta: Optional[List]) -> bytes:
-    """``json.dumps`` of :func:`single_body`'s (or :func:`resync_body`'s)
-    dict, byte for byte."""
-    gen, principal, qid, peek, compact, trace, shipped = fields
+def single_request(
+    state: WireState,
+    principal: str,
+    query: ConjunctiveQuery,
+    *,
+    peek: bool,
+    compact: bool,
+    trace: bool = False,
+) -> bytes:
+    """The ``POST /v2/query`` both clients send for one decision:
+    ``json.dumps`` of :func:`single_body`'s dict, byte for byte, without
+    building the dict.  A 409 re-sends ``resync_body`` of its
+    ``json.loads`` (JSON objects keep their key order)."""
+    gen, base, delta, qids = state.encode_refs((query,))
     body = b'{"gen": %b, "base": %d, "principal": %b, "qid": %d' % (
-        _json_text(gen), base, _json_text(principal), qid,
+        json.dumps(gen).encode(), base, json.dumps(principal).encode(), qids[0],
     )
-    keys = b"" if delta is None else b', "delta": ' + json.dumps(delta).encode()
-    if shipped:
-        body += keys
+    if delta is not None:
+        body += b', "delta": ' + json.dumps(delta).encode()
     if peek:
         body += b', "peek": true'
     if compact:
         body += b', "compact": true'
     if trace:
         body += b', "trace": true'
-    return body + (b"" if shipped else keys) + b"}"
-
-
-def single_request(
-    state: WireState,
-    principal: Hashable,
-    query: ConjunctiveQuery,
-    *,
-    peek: bool,
-    compact: bool,
-    trace: bool = False,
-) -> Tuple[bytes, SingleFields]:
-    """``(body, fields)``: the ``POST /v2/query`` both clients send for
-    one decision, and what :func:`resync_single` rebuilds it from."""
-    gen, base, delta, qids = state.encode_refs((query,))
-    fields = (gen, principal, qids[0], peek, compact, trace, delta is not None)
-    return _render_single(fields, base, delta), fields
-
-
-def resync_single(state: WireState, fields: SingleFields) -> bytes:
-    """:func:`single_request`'s body after a 409: base 0, the full table."""
-    return _render_single(fields, 0, _full_delta(state))
+    return body + b"}"
 
 
 def inflate_single(payload: object, principal: str) -> Dict:

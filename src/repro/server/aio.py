@@ -226,7 +226,7 @@ class _HttpProtocol(asyncio.Protocol):
             head_end = buffer.find(b"\r\n\r\n", start)
             if head_end < 0:
                 if len(buffer) - start > MAX_BODY:
-                    self._fail_now(400, "request head too large")
+                    self._refuse(400, "request head too large")
                     return
                 break
             # Heads repeat byte for byte (a client's requests differ in
@@ -237,7 +237,7 @@ class _HttpProtocol(asyncio.Protocol):
                 try:
                     framed = _parse_head(head)
                 except WireError as exc:
-                    self._fail_now(exc.status, str(exc))
+                    self._refuse(exc.status, str(exc))
                     return
                 if len(head) <= 1024:  # so the memo holds at most 1 MiB
                     if len(heads) >= 1024:
@@ -287,11 +287,14 @@ class _HttpProtocol(asyncio.Protocol):
                 self._closing = True
                 self.transport.close()
 
-    def _fail_now(self, status: int, message: str) -> None:
-        """A framing-level failure: answer and drop the connection."""
-        self.transport.write(_render(status, {"error": message}, True))
-        self._closing = True
-        self.transport.close()
+    def _refuse(self, status: int, message: str) -> None:
+        """A framing-level failure: answered after every request framed
+        before it, then the connection closes; nothing after it is framed."""
+        request = _Request(self, True)
+        self._responses.append(request)
+        request.set_result((status, {"error": message}))
+        self._close_framed = True
+        self._buffer = b""
 
 
 def _render(status: int, payload: object, close: bool) -> bytes:
@@ -303,9 +306,7 @@ def _render(status: int, payload: object, close: bool) -> bytes:
         body = payload.encode("utf-8")
         content_type = PROMETHEUS_CONTENT_TYPE
     else:
-        if not isinstance(payload, bytes):
-            payload = json.dumps(payload).encode("utf-8")
-        body = payload
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         content_type = "application/json"
     return (
         f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\n"

@@ -391,8 +391,7 @@ def resolve_single(
 
     Returns ``(principal, peek, compact, trace, plane, kernel_qid)``;
     raises :class:`WireError` for every request-shaped failure.  Both
-    front ends call this, so their validation cannot drift.  Types are
-    tested exactly: decoded JSON values have no subclasses.
+    front ends call this, so their validation cannot drift.
     """
     principal = _principal_of(body)
     peek = _flag_of(body, "peek")
@@ -412,13 +411,10 @@ def traced_payload(
 ) -> Dict:
     """The traced full-dict response of *result*.
 
-    *span* arrives with ``transport``, ``principal``, ``qid``, ``peek``,
-    ``coalesced`` and ``queue_us``; this adds the decide pass's stage
-    *timings* amortized over its ``coalesced`` members, and the
-    serialization and total times.  The span lands both on the wire
-    (``payload["trace"]`` — the client surfaces it on the decision dict)
-    and in the server's :class:`~repro.obs.TraceBuffer` for
-    ``GET /internal/trace``.
+    *span* gains the decide pass's stage *timings*, amortized over its
+    ``coalesced`` members, and the serialization and total times; it
+    lands on the wire (``payload["trace"]``) and in the service's
+    :class:`~repro.obs.TraceBuffer` (``GET /internal/trace``).
     """
     rendered = perf_counter()
     payload = result.as_dict()

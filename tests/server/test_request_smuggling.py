@@ -75,17 +75,20 @@ def _register_head(*headers):
     )
 
 
+#: A register whose body two Content-Length values delimit differently.
+CONFLICTING = _register_head(b"Content-Length: 2", b"Content-Length: 300") + REGISTER
+#: A register with a chunked body.
+CHUNKED = _register_head(b"Transfer-Encoding: chunked") + (
+    b"%x\r\n%b\r\n0\r\n\r\n" % (len(REGISTER), REGISTER)
+)
+
+
 def test_conflicting_content_lengths_are_refused(front_end):
     service, port = front_end
     # The asyncio front end used to frame with the last value (answering
     # nothing and swallowing the GET as body), the stdlib one with the
     # first (answering both).
-    data = (
-        _register_head(b"Content-Length: 2", b"Content-Length: 300")
-        + REGISTER
-        + HEALTHZ
-    )
-    answers, closed = _exchange(port, data)
+    answers, closed = _exchange(port, CONFLICTING + HEALTHZ)
     assert [(status, payload) for status, payload, _ in answers] == [
         (400, {"error": "conflicting Content-Length headers"})
     ]
@@ -98,9 +101,7 @@ def test_transfer_encoding_is_refused(front_end):
     service, port = front_end
     # Both front ends used to frame the body as empty and parse the
     # chunk bytes as the next request.
-    chunked = b"%x\r\n%b\r\n0\r\n\r\n" % (len(REGISTER), REGISTER)
-    data = _register_head(b"Transfer-Encoding: chunked") + chunked + HEALTHZ
-    answers, closed = _exchange(port, data)
+    answers, closed = _exchange(port, CHUNKED + HEALTHZ)
     assert [(status, payload) for status, payload, _ in answers] == [
         (501, {"error": "Transfer-Encoding is not supported"})
     ]
@@ -119,3 +120,27 @@ def test_repeated_equal_content_lengths_still_frame(front_end):
         (200, {"ok": True}),
     ]
     assert "app" in service
+
+
+@pytest.mark.parametrize(
+    "refused, status, error",
+    [
+        (CONFLICTING, 400, "conflicting Content-Length headers"),
+        (CHUNKED, 501, "Transfer-Encoding is not supported"),
+    ],
+    ids=["conflicting-length", "transfer-encoding"],
+)
+def test_a_refusal_is_answered_after_the_requests_before_it(
+    front_end, refused, status, error
+):
+    service, port = front_end
+    # The register before the refused head runs, so its answer comes
+    # first; the refusal follows it in order, then the connection closes.
+    first = _register_head(b"Content-Length: %d" % len(REGISTER)) + REGISTER
+    answers, closed = _exchange(port, first + refused + HEALTHZ)
+    assert [(code, payload) for code, payload, _ in answers] == [
+        (200, {"registered": "app", "partitions": 1}),
+        (status, {"error": error}),
+    ]
+    assert b"Connection: close" in answers[1][2]
+    assert closed

@@ -68,6 +68,16 @@ class TestResponseRenderer:
         assert render_single(error, True) is error
 
 
+class _Refs:
+    """A wire state whose ``encode_refs`` answers fixed values."""
+
+    def __init__(self, gen, base, delta, qid):
+        self.refs = gen, base, delta, [qid]
+
+    def encode_refs(self, queries):
+        return self.refs
+
+
 class TestRequestRenderer:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -76,25 +86,16 @@ class TestRequestRenderer:
         st.integers(min_value=0, max_value=1 << 80),
         st.integers(min_value=0, max_value=1 << 80),
         st.one_of(st.none(), st.lists(st.one_of(TEXT, st.lists(TEXT)), max_size=4)),
-        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+        st.booleans(), st.booleans(), st.booleans(),
     )
     def test_body_equals_json_dumps(
-        self, gen, principal, qid, base, delta, peek, compact, trace, shipped
+        self, gen, principal, qid, base, delta, peek, compact, trace
     ):
-        # The dict single_body builds, in its key order; a resync of a
-        # request that shipped no delta adds one last (resync_body).
-        body = {"gen": gen, "base": base, "principal": principal, "qid": qid}
-        if delta is not None and shipped:
-            body["delta"] = delta
-        for flag, on in (("peek", peek), ("compact", compact), ("trace", trace)):
-            if on:
-                body[flag] = True
-        if delta is not None and not shipped:
-            body["delta"] = delta
-        fields = (gen, principal, qid, peek, compact, trace, shipped)
-        assert client_wire._render_single(fields, base, delta) == (
-            json.dumps(body).encode()
-        )
+        flags = dict(peek=peek, compact=compact, trace=trace)
+        state = _Refs(gen, base, delta, qid)
+        data = client_wire.single_request(state, principal, None, **flags)
+        body = client_wire.single_body(state, principal, None, **flags)
+        assert data == json.dumps(body).encode()
 
     def test_the_clients_body_is_single_body_dumped(self, views, schema):
         service = DisclosureService(views, schema=schema)
@@ -103,17 +104,18 @@ class TestRequestRenderer:
         reference.gen = sent.gen
         for index, query in enumerate(queries * 2):
             flags = dict(peek=index % 2 == 1, compact=index < 2, trace=index == 3)
-            data, fields = client_wire.single_request(
+            data = client_wire.single_request(
                 sent, "café \"app\"", query, **flags
             )
             body = client_wire.single_body(
                 reference, "café \"app\"", query, **flags
             )
             assert data == json.dumps(body).encode()
-            # A 409 rebuilds from the same fields: base 0, the whole table.
-            assert client_wire.resync_single(sent, fields) == json.dumps(
-                client_wire.resync_body(reference, body)
-            ).encode()
+            # A 409 re-sends resync_body of the decoded bytes: the same
+            # key order, so the same bytes as resyncing the dict.
+            assert json.dumps(
+                client_wire.resync_body(sent, json.loads(data))
+            ) == json.dumps(client_wire.resync_body(reference, body))
 
 
 def _service(views, schema):
@@ -150,18 +152,18 @@ class TestHotGeneration:
         query = service.parse(BIRTHDAY, "fql", 3)
         state = client_wire.WireState()
         for _ in range(2):
-            data, fields = client_wire.single_request(
+            data = client_wire.single_request(
                 state, "app", query, peek=True, compact=True
             )
             assert dispatch(service, "POST", "/v2/query", json.loads(data))[0] == 200
         gateway_for(service).forget_all()
-        data, fields = client_wire.single_request(
+        data = client_wire.single_request(
             state, "app", query, peek=True, compact=True
         )
         status, payload = dispatch(service, "POST", "/v2/query", json.loads(data))
         assert (status, payload["code"]) == (409, "unknown-generation")
-        retried = client_wire.resync_single(state, fields)
-        status, payload = dispatch(service, "POST", "/v2/query", json.loads(retried))
+        retried = client_wire.resync_body(state, json.loads(data))
+        status, payload = dispatch(service, "POST", "/v2/query", retried)
         assert status == 200 and payload[0] == 1
 
     def test_plane_rotation_between_two_requests(self, views, schema):
@@ -230,7 +232,7 @@ class TestFrontEndBytes:
     ):
         service = _service(views, schema)
         query = service.parse(BIRTHDAY, "fql", 3)
-        data, _ = client_wire.single_request(
+        data = client_wire.single_request(
             client_wire.WireState(), "app", query, peek=False, compact=True
         )
         transport = _written(service, _post("/v2/query", data, close=True))
