@@ -14,11 +14,11 @@ Run:  python examples/decision_service.py
 import json
 
 from repro.client import HttpClient, LocalClient, parse_text
-from repro.server import DisclosureService, start_background
+from repro.server import DisclosureService, start_async_background
 
 service = DisclosureService()
-server, _ = start_background(service)
-host, port = server.server_address[:2]
+server = start_async_background(service)
+host, port = server.host, server.port
 
 client = HttpClient(f"http://{host}:{port}")  # negotiates the v2 qid wire
 
@@ -50,8 +50,7 @@ print(f"  music query:    accepted={decision['accepted']}  cached={decision['cac
 print("== restart: serialized session state keeps the wall standing ==")
 state = service.export_state()
 client.close()
-server.shutdown()
-server.server_close()
+server.stop()
 
 service2 = DisclosureService()
 service2.import_state(json.loads(json.dumps(state)))  # e.g. via a checkpoint file

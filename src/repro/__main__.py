@@ -7,14 +7,10 @@ Usage::
     python -m repro audit
     python -m repro lattice
     python -m repro evaluate          # alias of python -m repro.harness
-    python -m repro serve [--host H] [--port P] [--shards N] [--async]
-                          [--replicas N]
+    python -m repro serve [--host H] [--port P] [--replicas N]
                           [--state-dir DIR] [--snapshot-interval S]
                           [--spill-dir DIR] [--max-resident-sessions N]
                           [--stage-sample-rate N]
-    python -m repro loadgen [--workers N] [--duration S] [--url URL] [--batch B]
-                            [--transport local|http|async-http] [--v1|--v2]
-                            [--open-loop RATE] [--hist-out FILE]
     python -m repro metrics [--url URL] [--watch S] [--prometheus]
     python -m repro snapshot save|load|inspect|compact [FILE] [--state-dir DIR]
                                                        [--url URL]
@@ -31,26 +27,17 @@ custom datalog view file with its implied schema) and prints the
 labeling report; ``label-fql`` does the same for FQL over the Facebook
 schema; ``audit`` prints Table 2; ``lattice`` prints the Figure 3
 disclosure lattice and its DOT rendering; ``serve`` starts the JSON
-decision service over the Facebook vocabulary (``--shards N`` runs N
-worker processes behind a hash-partitioning front end; ``--async``
-serves the same routes from an asyncio event loop whose per-tick drain
-coalesces concurrent requests into bulk decisions; ``--async
---replicas N`` keeps that single front end and moves the data plane
-into N kernel-replica worker processes fed over pipes — multi-core
-throughput with no HTTP between front end and kernels; ``--state-dir``
-makes sessions, label cache, and counters durable across restarts via
-incremental snapshot generations; ``--spill-dir`` adds the disk-backed
-cold-session tier with ``--max-resident-sessions`` warm sessions in
-RAM);
-``loadgen`` drives the Section 7.2 workload through a
-:class:`repro.client.DecisionClient` and reports throughput
-(``--transport local|http|async-http`` picks the client, ``--v1`` /
-``--v2`` pins the wire protocol, ``--batch B`` sends batches of B
-through ``submit_many``, ``--open-loop RATE`` offers a fixed Poisson
-load with lateness-corrected latency, ``--hist-out FILE`` writes the
-mergeable latency histogram as JSON); ``metrics`` pretty-prints a
-running server's ``/metrics`` (``--watch S`` refreshes every S
-seconds, ``--prometheus`` dumps the text exposition); ``snapshot``
+decision service over the Facebook vocabulary, served from an asyncio
+event loop whose per-tick drain coalesces concurrent requests into bulk
+decisions (``--replicas N`` keeps that single front end and moves the
+data plane into N kernel-replica worker processes fed over pipes —
+multi-core throughput with no HTTP between front end and kernels;
+``--state-dir`` makes sessions, label cache, and counters durable
+across restarts via incremental snapshot generations; ``--spill-dir``
+adds the disk-backed cold-session tier with
+``--max-resident-sessions`` warm sessions in RAM); ``metrics``
+pretty-prints a running server's ``/metrics`` (``--watch S`` refreshes
+every S seconds, ``--prometheus`` dumps the text exposition); ``snapshot``
 saves, restores, inspects, and compacts the durable snapshot files
 (``compact`` folds a delta chain into one full snapshot); ``scenario``
 is the trace-driven workload engine (``list`` names the scenarios,
@@ -190,7 +177,6 @@ def _cmd_evaluate(_args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server.httpd import DecisionRequestHandler, make_server
     from repro.server.service import DisclosureService
 
     default_policy = None
@@ -198,38 +184,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import json
 
         default_policy = json.loads(args.default_policy)
-    if args.verbose:
-        DecisionRequestHandler.verbose = True
     if args.state_dir and args.snapshot_interval <= 0:
         print(
             "error: --snapshot-interval must be > 0 seconds", file=sys.stderr
-        )
-        return 2
-    if args.async_mode and args.shards > 1:
-        print(
-            "error: --async runs one front-end process; scale it out "
-            "with --replicas N (kernel replica workers behind this "
-            "front end) or a shard-aware client over per-shard --async "
-            "servers, not --shards",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replicas > 1 and not args.async_mode:
-        print(
-            "error: --replicas needs --async (the replica pool lives "
-            "behind the asyncio front end; the stdlib server scales "
-            "with --shards instead)",
-            file=sys.stderr,
         )
         return 2
     if args.replicas < 1:
         print("error: --replicas must be >= 1", file=sys.stderr)
         return 2
 
-    if args.async_mode and args.replicas > 1:
+    if args.replicas > 1:
         return _serve_pooled(args, default_policy)
-    if args.shards > 1:
-        return _serve_sharded(args, default_policy)
 
     service = DisclosureService(
         max_active_sessions=args.max_resident_sessions or args.max_sessions,
@@ -302,29 +267,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{args.snapshot_interval:g}s (incremental, full base every "
             f"{chain.compact_every} deltas)"
         )
-    if args.async_mode:
-        return _serve_async(service, args, snapshotter)
-    server = make_server(service, args.host, args.port)
-    host, port = server.server_address[:2]
-    print(f"disclosure decision service on http://{host}:{port}")
-    print(
-        "routes: POST /v1/register /v1/query /v1/peek /v1/batch /v1/reset "
-        "/v2/query /v2/batch; GET /v2/protocol /metrics /healthz"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.server_close()
-        if snapshotter is not None:
-            snapshotter.stop()  # takes the final shutdown snapshot
-        service.close()
-    return 0
+    return _serve_async(service, args, snapshotter)
 
 
 def _serve_async(service, args: argparse.Namespace, snapshotter) -> int:
-    """The ``serve --async`` composition: one asyncio front end."""
+    """The ``serve`` composition: one asyncio front end."""
     import asyncio
 
     from repro.server.aio import AsyncDecisionServer
@@ -353,16 +300,17 @@ def _serve_async(service, args: argparse.Namespace, snapshotter) -> int:
     finally:
         if snapshotter is not None:
             snapshotter.stop()  # takes the final shutdown snapshot
+        service.close()
     return 0
 
 
 def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
-    """``serve --async --replicas N``: the kernel replica pool.
+    """``serve --replicas N``: the kernel replica pool.
 
     One asyncio front end (parsing, interning, admin, session mirror)
     dispatching every decision to N kernel-replica worker processes
-    over pipes — multi-core throughput with none of ``--shards``'s
-    per-worker HTTP hop.  See ``docs/pool.md``.
+    over pipes — multi-core throughput with no HTTP hop per worker.
+    See ``docs/pool.md``.
     """
     import asyncio
     import os.path
@@ -463,55 +411,6 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
     return 0
 
 
-def _serve_sharded(args: argparse.Namespace, default_policy) -> int:
-    from repro.server.shard import serve_sharded, stop_shard_workers
-
-    service_kwargs = {
-        "max_active_sessions": args.max_resident_sessions or args.max_sessions,
-        "label_cache_size": args.cache_size,
-        "default_policy": default_policy,
-        "stage_sample_rate": args.stage_sample_rate,
-    }
-    if args.spill_dir:
-        # Each worker gets spill_dir/shard-<i>; derived in the worker.
-        service_kwargs["spill_dir"] = args.spill_dir
-        print(f"spill tier: per-shard logs under {args.spill_dir}/shard-<i>")
-    front, router, workers = serve_sharded(
-        args.shards,
-        args.host,
-        args.port,
-        service_kwargs=service_kwargs,
-        state_dir=args.state_dir,
-        snapshot_interval=args.snapshot_interval,
-    )
-    if args.state_dir:
-        print(
-            f"snapshots: {args.state_dir}/shard-<i>.json every "
-            f"{args.snapshot_interval:g}s (sessions re-hashed for "
-            f"{args.shards} shards at startup)"
-        )
-    host, port = front.server_address[:2]
-    print(
-        f"sharded disclosure decision service on http://{host}:{port} "
-        f"({args.shards} worker processes)"
-    )
-    for worker in workers:
-        print(f"  shard {worker.index}: http://{worker.host}:{worker.port}")
-    print(
-        "routes: POST /v1/register /v1/query /v1/peek /v1/batch /v1/reset; "
-        "GET /metrics /healthz (aggregated across shards)"
-    )
-    try:
-        front.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        front.server_close()
-        router.close()
-        stop_shard_workers(workers)
-    return 0
-
-
 def _snapshot_targets(args: argparse.Namespace):
     """The snapshot files a ``snapshot load|inspect`` invocation names."""
     from pathlib import Path
@@ -590,8 +489,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         else:
             path = SnapshotStore(args.state_dir).save(payload)
         sessions = len((payload.get("sessions") or {}).get("sessions", {}))
-        # Single-process servers return the interned (v2) payload; the
-        # sharded front end returns the merged form with plain entries.
+        # Single-process servers return the interned (v2) payload; a
+        # pooled front end returns the merged form with plain entries.
         cache_entries = (payload.get("interning") or {}).get(
             "cache"
         ) or payload.get("label_cache", [])
@@ -663,46 +562,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"{service.principal_count()} principals, "
         f"{len(service.label_cache)} cached labels"
     )
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from urllib.error import URLError
-
-    from repro.server.loadgen import run_load
-
-    from repro.client import ClientError
-
-    try:
-        report = run_load(
-            url=args.url,
-            transport=args.transport,
-            protocol=args.protocol,
-            workers=args.workers,
-            duration=args.duration,
-            total_queries=args.queries,
-            principals=args.principals,
-            max_partitions=args.partitions,
-            max_subqueries=args.subqueries,
-            seed=args.seed,
-            warm=not args.cold,
-            batch=args.batch,
-            open_loop=args.open_loop,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ClientError, URLError, OSError) as exc:
-        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
-        return 1
-    print(report.render())
-    if args.hist_out:
-        import json
-
-        with open(args.hist_out, "w") as handle:
-            json.dump(report.hist_payload(), handle, indent=2)
-            handle.write("\n")
-        print(f"histogram written to {args.hist_out}")
     return 0
 
 
@@ -1007,8 +866,6 @@ def _render_metrics(snapshot: dict) -> str:
         f"label cache: {cache.get('hit_rate', 0.0):.1%} hit rate "
         f"({cache.get('hits', 0)} hits, {cache.get('misses', 0)} misses)",
     ]
-    if "shard_count" in snapshot:
-        lines.append(f"shards:     {snapshot['shard_count']}")
     if "replica_count" in snapshot:
         lines.append(f"replicas:   {snapshot['replica_count']}")
     for vector in (snapshot.get("registry") or {}).get("vectors", []):
@@ -1094,20 +951,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes; >1 starts the sharded front end "
-        "(principals hash-partitioned across workers)",
-    )
-    serve.add_argument(
         "--async", dest="async_mode", action="store_true",
-        help="serve from an asyncio event loop instead of the "
-        "thread-per-connection stdlib server; concurrent decision "
-        "requests coalesce into bulk decisions per event-loop tick",
+        help="accepted and ignored: the asyncio front end, whose "
+        "per-tick drain coalesces concurrent decision requests into "
+        "bulk decisions, is the only front end",
     )
     serve.add_argument(
         "--replicas", type=int, default=1, metavar="N",
-        help="with --async: kernel replica worker processes behind the "
-        "single asyncio front end (principals hash-partitioned across "
+        help="kernel replica worker processes behind the single "
+        "asyncio front end (principals hash-partitioned across "
         "replicas, no HTTP between front end and data plane)",
     )
     serve.add_argument(
@@ -1122,8 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--spill-dir", metavar="DIR",
         help="spill demoted sessions to an append-only log under DIR "
-        "instead of keeping them in RAM (bounded RSS; --shards workers "
-        "use DIR/shard-<i>)",
+        "instead of keeping them in RAM (bounded RSS; --replicas "
+        "workers use DIR/replica-<i>)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1 << 16,
@@ -1137,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--state-dir",
         help="directory for durable snapshots; startup warm-loads the "
-        "newest valid state (re-hashed if --shards changed)",
+        "newest valid state (re-partitioned if --replicas changed)",
     )
     serve.add_argument(
         "--snapshot-interval", type=float, default=30.0,
@@ -1148,7 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample 1 in N decisions for per-stage kernel timing "
         "histograms (repro_kernel_stage_seconds; 0 disables)",
     )
-    serve.add_argument("--verbose", action="store_true", help="log requests")
     serve.set_defaults(func=_cmd_serve)
 
     metrics = sub.add_parser(
@@ -1188,67 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument(
         "--url",
         help="(save) running server whose GET /internal/snapshot to capture "
-        "(a sharded front end returns the merged, topology-free state)",
+        "(a pooled front end returns the merged, topology-free state)",
     )
     snapshot.add_argument(
         "--out", help="(save) write this exact file instead of a store entry"
     )
     snapshot.set_defaults(func=_cmd_snapshot)
-
-    loadgen = sub.add_parser(
-        "loadgen", help="drive the Facebook workload through a service"
-    )
-    loadgen.add_argument(
-        "--url", help="target a running server (default: in-process service)"
-    )
-    loadgen.add_argument("--workers", type=int, default=4)
-    loadgen.add_argument("--duration", type=float, default=2.0)
-    loadgen.add_argument(
-        "--queries", type=int, help="fixed decision count instead of a duration"
-    )
-    loadgen.add_argument("--principals", type=int, default=100)
-    loadgen.add_argument("--partitions", type=int, default=5)
-    loadgen.add_argument("--subqueries", type=int, default=1)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--cold", action="store_true", help="skip the cache warmup pass"
-    )
-    loadgen.add_argument(
-        "--batch", type=int, default=1,
-        help="decisions per request: >1 drives the batch path "
-        "(DecisionClient.submit_many on every transport)",
-    )
-    loadgen.add_argument(
-        "--transport", choices=("local", "http", "async-http"),
-        help="client transport (default: local, or http when --url is "
-        "given); async-http pipelines --workers in-flight requests "
-        "over one connection (pair with `repro serve --async`)",
-    )
-    loadgen.add_argument(
-        "--protocol", choices=("auto", "v1", "v2"), default="auto",
-        help="HTTP wire protocol (auto negotiates v2, falling back "
-        "to v1 against older servers or a sharded front end)",
-    )
-    loadgen.add_argument(
-        "--v2", dest="protocol", action="store_const", const="v2",
-        help="shorthand for --protocol v2 (the qid-native wire)",
-    )
-    loadgen.add_argument(
-        "--v1", dest="protocol", action="store_const", const="v1",
-        help="shorthand for --protocol v1 (the text wire)",
-    )
-    loadgen.add_argument(
-        "--open-loop", type=float, metavar="RATE",
-        help="offer a fixed RATE requests/sec (Poisson arrivals) instead "
-        "of the closed loop; latency is measured from each request's "
-        "scheduled arrival, so overload shows up as queueing delay",
-    )
-    loadgen.add_argument(
-        "--hist-out", metavar="FILE",
-        help="write the run's latency histogram (mergeable log-bucketed "
-        "JSON) to FILE",
-    )
-    loadgen.set_defaults(func=_cmd_loadgen)
 
     scenario = sub.add_parser(
         "scenario",
@@ -1308,7 +1104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--protocol", choices=("auto", "v1", "v2"), default="auto",
-        help="HTTP wire protocol (see `repro loadgen --protocol`)",
+        help="HTTP wire protocol (auto negotiates v2, falling back to "
+        "v1 against older servers)",
     )
     scenario.add_argument(
         "--timed", action="store_true",

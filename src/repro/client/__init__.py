@@ -10,8 +10,8 @@
 * :mod:`repro.client.http` — :class:`HttpClient`: sync HTTP speaking
   the qid-native v2 wire, negotiating down to v1 against older servers
 * :mod:`repro.client.aio` — :class:`AsyncHttpClient`: the same surface
-  as coroutines, pipelining requests over one connection (pair it with
-  ``repro serve --async``)
+  as coroutines, pipelining requests over one connection, which the
+  server's tick drain coalesces
 * :mod:`repro.client.sharded` — :class:`ShardedClient`: client-side
   principal routing over one client per shard
 * :mod:`repro.client.wire` — the client half of the v2 wire protocol

@@ -2,8 +2,8 @@
 
 Before this package, callers picked a surface per deployment shape —
 ``DisclosureService`` methods in process, hand-rolled JSON over HTTP
-against ``repro serve``, object conveniences on the shard router — each
-with different ergonomics and error shapes.  A :class:`DecisionClient`
+against ``repro serve`` — each with different ergonomics and error
+shapes.  A :class:`DecisionClient`
 is the one contract:
 
 =================  ====================================================

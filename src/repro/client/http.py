@@ -3,16 +3,14 @@
 One persistent keep-alive connection, the qid-native v2 wire protocol
 by default, and transparent content negotiation: with
 ``protocol="auto"`` the client probes ``GET /v2/protocol`` once and
-falls back to the text-based v1 wire against servers that predate v2
-(including a sharded front end, whose router serves v1 only).  A
-``409 unknown-generation`` — the server evicted this client's interner
-generation or restarted — is handled internally by re-sending the
-request with the full key table.
+falls back to the text-based v1 wire against servers that predate v2.
+A ``409 unknown-generation`` — the server evicted this client's
+interner generation or restarted — is handled internally by re-sending
+the request with the full key table.
 
 The client is *not* thread-safe by design (one socket, one in-flight
-request); give each worker thread its own instance, as
-:func:`repro.server.loadgen.run_load` does.  For high in-flight counts
-on one connection use :class:`repro.client.AsyncHttpClient`.
+request); give each worker thread its own instance.  For high in-flight
+counts on one connection use :class:`repro.client.AsyncHttpClient`.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ class HttpClient(DecisionClient):
     Parameters
     ----------
     url:
-        ``http://host:port`` of a running server (``repro serve`` or
-        ``repro serve --async``).
+        ``http://host:port`` of a running server (``repro serve``).
     protocol:
         ``"v2"`` (qid-native wire), ``"v1"`` (text wire), or ``"auto"``
         (negotiate via ``GET /v2/protocol``; the default).

@@ -2,13 +2,13 @@
 
 Sessions are principal-private and labels are principal-free, so a
 client can route every request to the shard owning its principal with
-the same stable CRC-32 hash the server-side router uses
-(:func:`repro.server.shard.shard_for`) — no front-end hop, and each
-per-shard client keeps its own v2 interner generation with the worker
+the same stable CRC-32 hash the replica pool dispatches by
+(:func:`repro.server.partition.shard_for`) — no front-end hop, and each
+per-shard client keeps its own v2 interner generation with the server
 it actually talks to.  Batches split by shard with relative order
 preserved (a principal never spans shards, so per-principal order is
 all that matters) and reassemble in input order; ``metrics`` and
-``snapshot`` aggregate exactly as the server-side router does, via the
+``snapshot`` aggregate exactly as the pool's merged views do, via the
 same merge functions.
 """
 
@@ -26,12 +26,9 @@ class ShardedClient(DecisionClient):
     *clients* is index-aligned with the deployment's shards: principal
     *p* is served by ``clients[shard_for(p, len(clients))]``.  Any mix
     of client kinds works (they all speak the same protocol); the
-    common shapes have constructors:
-
-    * :meth:`for_services` — in-process services (tests, benchmarks);
-    * :meth:`for_workers` — spawned shard workers
-      (:func:`repro.server.shard.start_shard_workers`), one
-      :class:`~repro.client.HttpClient` each.
+    in-process services have a constructor, :meth:`for_services`; for
+    N independent ``repro serve`` processes pass one
+    :class:`~repro.client.HttpClient` per server.
     """
 
     def __init__(self, clients: Sequence[DecisionClient]):
@@ -45,24 +42,13 @@ class ShardedClient(DecisionClient):
 
         return cls([LocalClient(service) for service in services])
 
-    @classmethod
-    def for_workers(cls, workers: Iterable[Any], **http_kwargs: Any) -> "ShardedClient":
-        from repro.client.http import HttpClient
-
-        return cls(
-            [
-                HttpClient(f"http://{worker.host}:{worker.port}", **http_kwargs)
-                for worker in workers
-            ]
-        )
-
     # ------------------------------------------------------------------
     @property
     def shard_count(self) -> int:
         return len(self.clients)
 
     def client_for(self, principal: Hashable) -> DecisionClient:
-        from repro.server.shard import shard_for
+        from repro.server.partition import shard_for
 
         return self.clients[shard_for(principal, len(self.clients))]
 
@@ -75,7 +61,7 @@ class ShardedClient(DecisionClient):
     def _decide_many(
         self, items: Sequence[ClientItem], *, peek: bool
     ) -> List[Dict]:
-        from repro.server.shard import shard_for
+        from repro.server.partition import shard_for
 
         count = len(self.clients)
         by_shard: Dict[int, List[int]] = {}
@@ -98,12 +84,12 @@ class ShardedClient(DecisionClient):
         self.client_for(principal).reset(principal)
 
     def metrics(self) -> Dict:
-        from repro.server.shard import aggregate_metrics
+        from repro.server.partition import aggregate_metrics
 
         return aggregate_metrics([client.metrics() for client in self.clients])
 
     def snapshot(self) -> Dict:
-        from repro.server.shard import merge_snapshot_payloads
+        from repro.server.partition import merge_snapshot_payloads
 
         return merge_snapshot_payloads(
             [client.snapshot() for client in self.clients]

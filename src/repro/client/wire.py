@@ -13,8 +13,7 @@ the generation or restarting — the client calls :meth:`WireState.resync`
 and re-sends with ``base=0`` and the full key table; qids never change
 within a generation, so the retried request is otherwise identical.
 When the local table crosses the server's advertised key cap the client
-rotates to a fresh generation, mirroring the shard router's interner
-reset.
+rotates to a fresh generation.
 
 Callers must serialize :meth:`WireState.encode_refs` with their request
 transmission (the sync client's request lock, the async client's write

@@ -28,8 +28,8 @@ The protocol has three parts:
   :class:`repro.server.interning.QueryInterner` to pin a dense integer
   id on the object itself (see there for the invalidation rule).
 
-Since canonical keys travel — snapshot files store them, shard routers
-ship them between processes, and the v2 wire protocol sends them as
+Since canonical keys travel — snapshot files store them, the replica
+pool ships them between processes, and the v2 wire protocol sends them as
 interner deltas — the module also owns their JSON-safe codec
 (:func:`encode_key` / :func:`decode_key`): one encoding shared by every
 consumer, so a key written anywhere decodes identically everywhere.

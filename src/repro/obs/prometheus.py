@@ -2,8 +2,8 @@
 
 No client library is vendored: the exposition format is line-oriented
 text, and rendering it from a :meth:`MetricsRegistry.snapshot` dict is
-~100 lines.  The parser exists for the test suite and the CI bench job,
-which scrape ``/metrics?format=prometheus`` and verify every counter
+~100 lines.  The parser exists for the test suite, which scrapes
+``/metrics?format=prometheus`` and verifies every counter
 and histogram count agrees with the JSON form — a round-trip guarantee
 instead of trusting the renderer by eye.
 

@@ -186,7 +186,7 @@ class MetricsRegistry:
         """A JSON-able view of every instrument.
 
         Histograms appear in the same mergeable sparse-bucket form as
-        :meth:`LatencyHistogram.snapshot`, so shard routers can combine
+        :meth:`LatencyHistogram.snapshot`, so the replica pool can combine
         registry snapshots exactly with :func:`merge_registry_snapshots`.
         """
         with self._lock:

@@ -24,6 +24,7 @@ CLI: ``python -m repro scenario list|compile|run|verify`` (see
 """
 
 from repro.scenarios.engine import (
+    OpenLoopSchedule,
     ScenarioReport,
     decision_digest,
     replay_trace,
@@ -49,6 +50,7 @@ from repro.scenarios.trace import (
 )
 
 __all__ = [
+    "OpenLoopSchedule",
     "SCENARIOS",
     "SLOTarget",
     "ScenarioReport",

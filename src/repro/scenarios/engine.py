@@ -11,11 +11,10 @@ sharded — and returns a :class:`ScenarioReport`:
   equivalence witness: local == http == async-http == sharded, byte
   for byte (``cached`` flags excepted on cold caches — cache locality
   is not a decision);
-* the **latency histogram** (the loadgen artifact form, mergeable via
+* the **latency histogram** (mergeable via
   :func:`repro.obs.instruments.aggregate_latency`), sampled per
   decision — pure service time in fast replay, lateness-corrected from
-  the trace's own timestamps in timed replay (reusing the loadgen
-  open-loop scheduler);
+  the trace's own timestamps in timed replay (:class:`OpenLoopSchedule`);
 * the **SLO verdicts** against the scenario's targets (or the floors
   committed in ``benchmarks/BENCH_BASELINE.json`` — the CI gate).
 """
@@ -33,9 +32,9 @@ from repro.core.queries import ConjunctiveQuery
 from repro.obs.instruments import LatencyHistogram
 from repro.scenarios.spec import ScenarioSpec, SLOTarget, get_scenario
 from repro.scenarios.trace import Trace
-from repro.server.loadgen import OpenLoopSchedule
 
 __all__ = [
+    "OpenLoopSchedule",
     "ScenarioReport",
     "decision_digest",
     "replay_trace",
@@ -46,6 +45,34 @@ __all__ = [
 
 #: The SLO metrics a verdict row can gate on.
 _SLO_METRICS = ("p50_us", "p95_us", "p99_us")
+
+
+class OpenLoopSchedule:
+    """Lateness-corrected open-loop pacing (the coordinated-omission fix).
+
+    :meth:`wait_until` sleeps until ``origin + offset`` and returns the
+    *scheduled* time; callers measure latency from the returned value,
+    so a loop that falls behind surfaces queueing delay in its samples
+    instead of silently thinning the offered load.  :meth:`delay_until`
+    returns ``(scheduled, remaining_delay)`` for async callers that
+    must ``await`` their own sleep.  Timed replay uses a trace's event
+    timestamps as the offsets.
+    """
+
+    __slots__ = ("origin",)
+
+    def __init__(self, origin: Optional[float] = None):
+        self.origin = time.perf_counter() if origin is None else origin
+
+    def delay_until(self, offset: float) -> Tuple[float, float]:
+        scheduled = self.origin + offset
+        return scheduled, scheduled - time.perf_counter()
+
+    def wait_until(self, offset: float) -> float:
+        scheduled, delay = self.delay_until(offset)
+        if delay > 0:
+            time.sleep(delay)
+        return scheduled
 
 
 def decision_digest(
@@ -248,8 +275,8 @@ def replay_trace(
     Fast replay (the default) issues events back to back and samples
     pure service time — the deterministic mode the equivalence suite
     and the CI gate run.  With ``timed=True``, decisions are paced to
-    the trace's own timestamps (divided by *rate_scale*) on the
-    loadgen open-loop scheduler, and samples are lateness-corrected
+    the trace's own timestamps (divided by *rate_scale*) on an
+    :class:`OpenLoopSchedule`, and samples are lateness-corrected
     from the scheduled time, so an engine that cannot keep up shows
     the queueing delay in its percentiles.
     """

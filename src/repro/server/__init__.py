@@ -2,7 +2,7 @@
 
 * :mod:`repro.server.kernel` — the :class:`DecisionKernel`: the one
   canonicalize → label → mask → outcome pipeline every transport
-  (single, batch, shard) routes through, expressed over dense ids
+  (single, batch, replica) routes through, expressed over dense ids
 * :mod:`repro.server.interning` — the ID plane: :class:`QueryInterner`
   (canonical query shape → qid) and :class:`LabelInterner` (packed
   label → lid)
@@ -15,42 +15,34 @@
   ``python -m repro serve --spill-dir DIR``)
 * :mod:`repro.server.cache` — the shared LRU (the kernel's qid → lid
   label cache; labels are principal-free)
-* :mod:`repro.server.metrics` — counters and latency histograms
 * :mod:`repro.server.batch` — the batch transport adapter
   (``submit_batch`` / ``/v1/batch``)
-* :mod:`repro.server.shard` — sharded multi-process serving: the
-  principal-hashing :class:`ShardRouter` and its worker processes
-  (``python -m repro serve --shards N``)
+* :mod:`repro.server.partition` — the CRC-32 principal partitioning
+  and the metrics and snapshot merges every multi-kernel deployment
+  shares
+* :mod:`repro.server.pool` — the kernel replica pool: one front end,
+  N kernel worker processes fed over pipes
+  (``python -m repro serve --replicas N``)
 * :mod:`repro.server.persist` — durable, checksummed snapshots and
   warm restarts (``python -m repro serve --state-dir DIR``,
   ``python -m repro snapshot``)
-* :mod:`repro.server.httpd` — the stdlib JSON-over-HTTP front end
+* :mod:`repro.server.aio` — the asyncio HTTP front end with per-tick
+  request coalescing, and its route table :func:`dispatch`
   (``python -m repro serve``)
-* :mod:`repro.server.aio` — the asyncio front end with per-tick
-  request coalescing (``python -m repro serve --async``)
 * :mod:`repro.server.wire2` — server side of the qid-native ``/v2``
   wire protocol (client side: :mod:`repro.client.wire`)
-* :mod:`repro.server.loadgen` — closed-loop multi-worker load
-  generator over the :class:`repro.client.DecisionClient` transports
-  (``python -m repro loadgen``)
 """
 
 from repro.server.aio import (
     AsyncDecisionServer,
+    dispatch,
     serve_async,
     start_async_background,
 )
 from repro.server.cache import CacheStats, LabelCache, canonical_key
-from repro.server.httpd import (
-    DecisionHTTPServer,
-    dispatch,
-    make_server,
-    start_background,
-)
 from repro.server.interning import LabelInterner, QueryInterner
 from repro.server.kernel import DecisionKernel
-from repro.server.loadgen import LoadReport, query_to_datalog, run_load
-from repro.server.metrics import LatencyHistogram, aggregate_latency
+from repro.server.partition import aggregate_metrics, shard_for
 from repro.server.persist import (
     SnapshotChain,
     SnapshotInfo,
@@ -59,7 +51,6 @@ from repro.server.persist import (
     collect_state,
     compact_chain,
     load_snapshot,
-    partition_sessions,
     restore_service,
     save_snapshot,
     snapshot_service,
@@ -72,48 +63,28 @@ from repro.server.store import (
     SpillStore,
     state_of,
 )
-from repro.server.shard import (
-    HTTPShardBackend,
-    LocalShardBackend,
-    ShardRouter,
-    ShardWorker,
-    aggregate_metrics,
-    router_for_workers,
-    serve_sharded,
-    shard_for,
-    start_shard_workers,
-    stop_shard_workers,
-)
 
 from repro.server.wire2 import WireGateway, gateway_for
 
 __all__ = [
     "AsyncDecisionServer",
     "CacheStats",
-    "DecisionHTTPServer",
     "DecisionKernel",
     "DisclosureService",
-    "HTTPShardBackend",
     "LabelCache",
     "LabelInterner",
     "QueryInterner",
-    "LatencyHistogram",
-    "LoadReport",
-    "LocalShardBackend",
     "InMemoryStore",
     "ServiceDecision",
     "Session",
     "SessionState",
     "SessionStore",
-    "ShardRouter",
-    "ShardWorker",
     "SnapshotChain",
     "SnapshotInfo",
     "SnapshotStore",
     "Snapshotter",
     "SpillStore",
     "WireGateway",
-    "aggregate_latency",
     "aggregate_metrics",
     "canonical_key",
     "collect_state",
@@ -122,19 +93,10 @@ __all__ = [
     "state_of",
     "gateway_for",
     "load_snapshot",
-    "make_server",
     "serve_async",
     "start_async_background",
-    "partition_sessions",
-    "query_to_datalog",
     "restore_service",
-    "router_for_workers",
-    "run_load",
     "save_snapshot",
-    "serve_sharded",
     "shard_for",
     "snapshot_service",
-    "start_background",
-    "start_shard_workers",
-    "stop_shard_workers",
 ]

@@ -1,11 +1,35 @@
-"""The asyncio HTTP front end: decision serving with tick coalescing.
+"""The HTTP front end: decision serving with tick coalescing.
 
-The stdlib front end (:mod:`repro.server.httpd`) spends most of a
-single-query request's budget outside the decision: thread wake-ups,
-per-request socket writes, and one-at-a-time handling cap it around a
-few thousand decisions/sec while the in-process path does hundreds of
-thousands.  This front end closes that gap structurally instead of
-incrementally:
+Routes::
+
+    POST /v1/register   {"principal": "app1", "policy": [["V1"], ["V3"]]}
+    POST /v1/query      {"principal": "app1", "sql": "SELECT ..."}
+                        {"principal": "app1", "fql": "SELECT ...", "me": 3}
+                        {"principal": "app1", "datalog": "Q(x) :- ..."}
+    POST /v1/peek       same body as /v1/query (would_accept; no state change)
+    POST /v1/batch      {"queries": [<query bodies>...], "peek": false}
+    POST /v1/reset      {"principal": "app1"}
+    POST /v2/query      {"gen": ..., "qid": 17, "delta": [...], ...}
+    POST /v2/batch      {"gen": ..., "items": [[0, 17], ...], ...}
+    GET  /v2/protocol   versions/limits for client content negotiation
+    GET  /metrics       decision counts, cache hit rates, latency percentiles
+                        (``?format=prometheus`` or ``Accept: text/plain``
+                        switches to the Prometheus text exposition)
+    GET  /healthz       {"ok": true}
+    GET  /internal/trace      the ring buffer of traced-request spans
+    GET  /internal/snapshot   full durable state (sessions, label cache,
+                              counters) as a snapshot payload
+
+Decisions return 200 with ``{"accepted": ..., "reason": ...}`` whether
+accepted or refused — a refusal is a *successful decision*, not an HTTP
+error.  Malformed requests get 400, unknown principals 404, unknown
+routes 404, all with ``{"error": ...}`` bodies (``docs/http-api.md``
+is the full reference).  The ``/v2`` routes speak the qid-native wire
+protocol of :mod:`repro.server.wire2`.
+
+Routing itself is the pure function :func:`dispatch` — ``(service,
+method, path, body) → (status, payload)``; the server below wraps it in
+sockets.  It is built for throughput:
 
 * **One event loop, no threads.**  Connections are
   :class:`asyncio.Protocol` instances; requests are framed by offset
@@ -13,6 +37,9 @@ incrementally:
   answer lands in a plain response cell.  Answered connections are
   written once per loop pass, in request order: **one write per
   connection per loop pass**, however many requests a tick answered.
+  Framing is linear in the bytes received: a head or body split over
+  many reads is collected, not re-scanned, and a head is capped at
+  64 KiB.
 * **The tick drain.**  Decision requests are not handled one by one:
   each is appended to a per-loop-iteration FIFO and a drain runs at
   the end of the tick (``call_soon``).  Everything that arrived in the
@@ -25,8 +52,8 @@ incrementally:
 * **Exact ordering.**  The FIFO preserves arrival order across request
   kinds, so a register or batch between two singles flushes the run
   before executing; state evolution is byte-identical to sequential
-  handling (``tests/server/test_aio.py`` holds the stdlib and asyncio
-  front ends to identical decision streams).
+  handling (``tests/server/test_aio.py`` holds the front end to a
+  sequential :class:`repro.client.LocalClient` replay).
 * **Pooled, batches join the run.**  In front of a
   :class:`~repro.server.pool.ReplicaPool` a decision costs a pipe
   crossing, whose fixed part dwarfs a kernel decision, so the pooled
@@ -36,11 +63,9 @@ incrementally:
   back per request — crossings follow drains, not requests
   (``tests/server/test_pool_frontend.py`` holds that exact).
 
-Routes and wire behavior are identical to the stdlib front end — the
-same :func:`repro.server.httpd.dispatch` serves everything that is not
-a coalescible single decision, and the same
-:mod:`repro.server.wire2` gateway serves ``/v2``.  Start one with
-``python -m repro serve --async`` or :func:`start_async_background`.
+Everything that is not a coalescible single decision goes through
+:func:`dispatch`.  Start a server with ``python -m repro serve`` or
+:func:`start_async_background`.
 """
 
 from __future__ import annotations
@@ -54,19 +79,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from time import perf_counter
 
-from repro.errors import ReproError
-from repro.server.httpd import (
-    MAX_BATCH,
-    MAX_BODY,
-    dispatch,
-    negotiate_metrics_path,
-    parse_decision_body,
-)
+from repro.errors import ParseError, PolicyError, ReproError
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.wire2 import (
     BAD_REQUEST,
+    MAX_BATCH,
+    MAX_BODY,
     WireError,
+    dispatch_v2,
     render_batch,
     render_single,
     resolve_batch,
@@ -75,12 +96,237 @@ from repro.server.wire2 import (
     traced_payload,
 )
 
+#: Maximum request head, request line and headers included (64 KiB).
+MAX_HEAD = 64 << 10
+
 _REASON = {200: "OK", 400: "Bad Request", 404: "Not Found",
            405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
            500: "Internal Server Error", 501: "Not Implemented",
            502: "Bad Gateway", 503: "Service Unavailable"}
 
 
+# ----------------------------------------------------------------------
+# The route table
+# ----------------------------------------------------------------------
+def metrics_format(query_string: str) -> Tuple[Optional[str], Optional[str]]:
+    """``("json" | "prometheus", None)`` or ``(None, error message)``.
+
+    The one parser of the ``/metrics`` query string, shared by
+    :func:`dispatch` and the replica pool so an unknown ``format``
+    fails identically everywhere.
+    """
+    if not query_string:
+        return "json", None
+    from urllib.parse import parse_qs
+
+    params = parse_qs(query_string, keep_blank_values=True)
+    fmt = params.get("format", ["json"])[-1]
+    if fmt in ("json", "prometheus"):
+        return fmt, None
+    return None, f"unknown metrics format {fmt!r}"
+
+
+def negotiate_metrics_path(path: str, accept: Optional[str]) -> str:
+    """Apply ``Accept`` content negotiation to a bare ``/metrics`` GET.
+
+    An explicit ``?format=`` always wins (the path passes through
+    untouched); otherwise a client that asks for ``text/plain`` or an
+    OpenMetrics type gets the Prometheus exposition.  ``application/
+    json`` anywhere in the Accept value pins the JSON form — scrapers
+    send long Accept lists, so JSON stays the tiebreak default.
+    """
+    if path != "/metrics" or not accept:
+        return path
+    accept = accept.lower()
+    if "application/json" in accept:
+        return path
+    if "text/plain" in accept or "openmetrics" in accept:
+        return "/metrics?format=prometheus"
+    return path
+
+
+def dispatch(
+    service: DisclosureService,
+    method: str,
+    path: str,
+    body: Optional[Dict],
+) -> Tuple[int, object]:
+    """Route one parsed request onto *service*: ``(status, payload)``.
+
+    *body* is the parsed JSON object for POSTs (``None`` for GETs); the
+    transport layer is responsible for body parsing and size limits.
+    Never raises for request-shaped problems — they come back as 4xx
+    payloads, exactly as the server answers them.  Payloads are JSON
+    objects except for the negotiated compact ``/v2/query`` response (a
+    JSON array) and the Prometheus exposition (a ``str`` the transport
+    sends as ``text/plain``).
+    """
+    route, _, query_string = path.partition("?")
+    requests = service.requests
+    if requests is not None:
+        requests.labels("async", route).increment()
+    if route.startswith("/v2/"):
+        routed = dispatch_v2(service, method, route, body)
+        if routed is not None:
+            return routed
+    if method == "GET":
+        if route == "/metrics":
+            fmt, error = metrics_format(query_string)
+            if error is not None:
+                return 400, {"error": error}
+            snapshot = service.metrics_snapshot()
+            if fmt == "prometheus":
+                from repro.obs import render_prometheus
+
+                return 200, render_prometheus(snapshot)
+            return 200, snapshot
+        if route == "/healthz":
+            return 200, {"ok": True}
+        if route == "/internal/trace":
+            return 200, service.traces.snapshot()
+        if route == "/internal/snapshot":
+            from repro.server.persist import snapshot_service
+
+            return 200, snapshot_service(service)
+        return 404, {"error": f"unknown route {route}"}
+    if method != "POST":
+        return 405, {"error": f"unsupported method {method}"}
+    if body is None:
+        return 400, {"error": "request needs a JSON body"}
+    try:
+        if route == "/v1/query":
+            return _handle_decision(service, body, peek=False)
+        if route == "/v1/peek":
+            return _handle_decision(service, body, peek=True)
+        if route == "/v1/batch":
+            return _handle_batch(service, body)
+        if route == "/v1/register":
+            return _handle_register(service, body)
+        if route == "/v1/reset":
+            return _handle_reset(service, body)
+        return 404, {"error": f"unknown route {route}"}
+    except ParseError as exc:
+        return 400, {"error": str(exc)}
+    except PolicyError as exc:
+        status = 404 if "unknown principal" in str(exc) else 400
+        return status, {"error": str(exc)}
+    except ReproError as exc:
+        return 400, {"error": str(exc)}
+
+
+def parse_decision_body(
+    service: DisclosureService, body: Dict
+) -> "Tuple[Optional[Tuple[str, object]], Optional[Tuple[int, Dict]]]":
+    """``((principal, query), None)`` for a valid ``/v1/query``-shaped
+    body, else ``(None, (status, payload))``.
+
+    The one copy of the v1 single-decision validation: :func:`dispatch`
+    and the tick drain both call it, so their error payloads cannot
+    drift.  Parse failures (:class:`~repro.errors.ReproError`) are the
+    caller's to map — :func:`dispatch` catches them route-wide.
+    """
+    principal, error = _principal_of(body)
+    if error is not None:
+        return None, error
+    text, dialect = None, None
+    for candidate in ("sql", "fql", "datalog"):
+        if candidate in body:
+            text, dialect = body[candidate], candidate
+            break
+    if not isinstance(text, str):
+        return None, (
+            400,
+            {"error": "request needs one of 'sql', 'fql', 'datalog'"},
+        )
+    me = body.get("me", 1)
+    if not isinstance(me, int):
+        return None, (400, {"error": "'me' must be an integer uid"})
+    return (principal, service.parse(text, dialect, me)), None
+
+
+def _handle_decision(
+    service: DisclosureService, body: Dict, peek: bool
+) -> Tuple[int, Dict]:
+    parsed, error = parse_decision_body(service, body)
+    if error is not None:
+        return error
+    principal, query = parsed
+    if peek:
+        decision = service.peek(principal, query)
+    else:
+        decision = service.submit(principal, query)
+    return 200, decision.as_dict()
+
+
+def validate_batch_body(
+    body: Dict,
+) -> "Tuple[Optional[list], bool, Optional[Tuple[int, Dict]]]":
+    """``(queries, peek, None)`` for a valid ``/v1/batch`` body, else
+    ``(None, False, (status, payload))``.
+
+    Shared by :func:`dispatch` and the replica pool so both deployments
+    reject malformed batches with identical status codes and messages.
+    """
+    queries = body.get("queries")
+    if not isinstance(queries, list):
+        return None, False, (400, {"error": "batch needs a 'queries' list"})
+    if len(queries) > MAX_BATCH:
+        return None, False, (
+            400,
+            {"error": f"batch of {len(queries)} exceeds the {MAX_BATCH} limit"},
+        )
+    peek = body.get("peek", False)
+    if not isinstance(peek, bool):
+        return None, False, (400, {"error": "'peek' must be a boolean"})
+    return queries, peek, None
+
+
+def _handle_batch(service: DisclosureService, body: Dict) -> Tuple[int, Dict]:
+    queries, peek, error = validate_batch_body(body)
+    if error is not None:
+        return error
+    decisions = service.decide_batch_wire(queries, peek=peek)
+    return 200, {"decisions": decisions, "count": len(decisions)}
+
+
+def _handle_register(service: DisclosureService, body: Dict) -> Tuple[int, Dict]:
+    principal, error = _principal_of(body)
+    if error is not None:
+        return error
+    policy = body.get("policy")
+    if not isinstance(policy, list):
+        return 400, {"error": "register needs a 'policy' partition list"}
+    service.register(principal, policy)
+    return 200, {"registered": principal, "partitions": len(policy)}
+
+
+def _handle_reset(service: DisclosureService, body: Dict) -> Tuple[int, Dict]:
+    principal, error = _principal_of(body)
+    if error is not None:
+        return error
+    service.reset(principal)
+    return 200, {"reset": principal}
+
+
+def _principal_of(body: Dict) -> Tuple[Optional[str], Optional[Tuple[int, Dict]]]:
+    """``(principal, None)`` or ``(None, (status, payload))``.
+
+    Principals are strings on the wire: JSON objects and arrays are
+    unhashable (they would crash the session table), and non-string
+    scalars would not round-trip through serialized session state.
+    """
+    principal = body.get("principal")
+    if not isinstance(principal, str) or not principal:
+        return None, (
+            400,
+            {"error": "request needs a non-empty string 'principal'"},
+        )
+    return principal, None
+
+
+# ----------------------------------------------------------------------
+# The server
+# ----------------------------------------------------------------------
 def _error_status(result: Dict) -> int:
     """HTTP status for a per-item error promoted to a single response.
 
@@ -110,8 +356,11 @@ def _parse_head(head: bytes) -> Tuple[str, str, int, bool]:
 
     Raises :class:`WireError` (answered, then the connection closes)
     when the body cannot be delimited safely: a bad or conflicting
-    ``Content-Length``, any ``Transfer-Encoding``, or a body past the cap.
+    ``Content-Length``, any ``Transfer-Encoding``, or a body past the cap;
+    or when the head with its terminator is past :data:`MAX_HEAD`.
     """
+    if len(head) + 4 > MAX_HEAD:
+        raise WireError(400, BAD_REQUEST, "request head too large")
     line_end = head.find(b"\r\n")
     parts = (head if line_end < 0 else head[:line_end]).split()
     if len(parts) < 2:
@@ -189,21 +438,25 @@ class _Request:
 class _HttpProtocol(asyncio.Protocol):
     """Minimal pipelined HTTP/1.1 framing onto the tick queue."""
 
-    __slots__ = ("server", "transport", "marked", "_buffer", "_responses",
-                 "_closing", "_close_framed")
+    __slots__ = ("server", "transport", "marked", "_parts", "_have", "_need",
+                 "_responses", "_closing", "_close_framed")
 
     def __init__(self, server: "AsyncDecisionServer"):
         self.server = server
         self.transport: Any = None
         #: Held by the server for its next write pass.
         self.marked = False
-        self._buffer = b""
+        #: The unframed tail, one entry per read since it began; ``_have``
+        #: bytes in all, and ``_need`` of them complete its request (0
+        #: while its head's terminator has not arrived).
+        self._parts: List[bytes] = []
+        self._have = 0
+        self._need = 0
         #: Requests in arrival order; each write pass writes the
         #: answered prefix.
         self._responses: List[_Request] = []
         self._closing = False
-        #: Nothing pipelined after a ``Connection: close`` request runs
-        #: (the stdlib front end's behaviour).
+        #: Nothing pipelined after a ``Connection: close`` request runs.
         self._close_framed = False
 
     # -- framing -------------------------------------------------------
@@ -214,20 +467,43 @@ class _HttpProtocol(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         self._closing = True
         self._responses.clear()
+        self._parts = []
 
     def data_received(self, data: bytes) -> None:
         if self._close_framed:
             return
-        buffer = self._buffer + data if self._buffer else data
+        parts = self._parts
+        if parts:
+            # A request split across reads: collect the reads, scanning
+            # only the new bytes, and join them once the request is whole.
+            self._have += len(data)
+            if self._need:
+                waiting = self._have < self._need  # a body in flight
+            else:  # a head: only the new bytes can end its terminator
+                last = parts[-1] if len(parts[-1]) >= 3 else b"".join(parts[-3:])
+                waiting = (
+                    data.find(b"\r\n\r\n") < 0
+                    and (last[-3:] + data[:3]).find(b"\r\n\r\n") < 0
+                )
+            parts.append(data)
+            if waiting:
+                if not self._need and self._have >= MAX_HEAD:
+                    self._refuse(400, "request head too large")
+                return
+            buffer = b"".join(parts)
+            self._parts = []
+        else:
+            buffer = data
         heads = self.server.heads
         # Requests are framed by offset; the unframed tail is kept once.
         start = 0
         while True:
             head_end = buffer.find(b"\r\n\r\n", start)
             if head_end < 0:
-                if len(buffer) - start > MAX_BODY:
+                if len(buffer) - start >= MAX_HEAD:
                     self._refuse(400, "request head too large")
                     return
+                self._need = 0
                 break
             # Heads repeat byte for byte (a client's requests differ in
             # Content-Length at most): each distinct one is parsed once.
@@ -246,6 +522,7 @@ class _HttpProtocol(asyncio.Protocol):
             method, path, length, close = framed
             end = head_end + 4 + length
             if len(buffer) < end:
+                self._need = end - start
                 break  # body still in flight
             raw = buffer[head_end + 4 : end]
             start = end
@@ -254,9 +531,11 @@ class _HttpProtocol(asyncio.Protocol):
             self.server.accept(method, path, raw, request)
             if close:
                 self._close_framed = True
-                self._buffer = b""
                 return
-        self._buffer = buffer[start:]
+        if start < len(buffer):
+            tail = buffer[start:] if start else buffer
+            self._parts = [tail]
+            self._have = len(tail)
 
     # -- responses -----------------------------------------------------
     def flush(self) -> None:
@@ -294,7 +573,7 @@ class _HttpProtocol(asyncio.Protocol):
         self._responses.append(request)
         request.set_result((status, {"error": message}))
         self._close_framed = True
-        self._buffer = b""
+        self._parts = []
 
 
 def _render(status: int, payload: object, close: bool) -> bytes:
@@ -411,8 +690,8 @@ class AsyncDecisionServer:
         if method == "POST" and body is not None:
             if path == "/v2/query":
                 # The peek flag picks the request's run mode, so its
-                # type check cannot wait for _prepare (the stdlib front
-                # end answers the same 400 via wire2.resolve_single).
+                # type check cannot wait for _prepare (dispatch answers
+                # the same 400 via wire2.resolve_single).
                 peek = body.get("peek", False)
                 if not isinstance(peek, bool):
                     request.set_result(
@@ -478,11 +757,7 @@ class AsyncDecisionServer:
                 run = []
                 try:
                     status_payload = dispatch(
-                        self.service,
-                        request.method,
-                        request.path,
-                        request.body,
-                        transport="async",
+                        self.service, request.method, request.path, request.body
                     )
                 except Exception as exc:  # noqa: BLE001 - never hang a request
                     status_payload = (500, {"error": f"internal error: {exc}"})
@@ -550,7 +825,6 @@ class AsyncDecisionServer:
                             request.method,
                             request.path,
                             request.body,
-                            transport="async",
                         )
                 except Exception as exc:  # noqa: BLE001 - never hang a request
                     status_payload = (500, {"error": f"internal error: {exc}"})
@@ -600,9 +874,9 @@ class AsyncDecisionServer:
         """``(principal, query, qid, plane, compact, trace)`` or ``None``.
 
         Resolves the request down to a decision entry through the same
-        validation helpers the stdlib front end uses
+        validation helpers :func:`dispatch` uses
         (:func:`repro.server.wire2.resolve_single`,
-        :func:`repro.server.httpd.parse_decision_body`), answering
+        :func:`parse_decision_body`), answering
         request-shaped errors and parse failures immediately with
         byte-identical payloads.
         """
@@ -616,7 +890,7 @@ class AsyncDecisionServer:
                 request.set_result((exc.status, exc.payload()))
                 return None
             return principal, None, qid, plane, compact, trace
-        # v1: the stdlib front end's validation and parse path.
+        # v1: dispatch's validation and parse path.
         try:
             parsed, error = parse_decision_body(self.service, body)
         except ReproError as exc:

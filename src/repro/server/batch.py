@@ -67,19 +67,12 @@ def decide_batch(
     items: Iterable[BatchItem],
     *,
     update: bool,
-    qids: Optional[Sequence[int]] = None,
-    qids_plane: object = None,
 ) -> List:
     """Decide *items* as one batch; the core of ``submit_batch``.
 
     With ``update=True`` session state evolves item by item exactly as
     sequential submits would; with ``update=False`` every item is a
     stateless peek.  Principals are validated before any state change.
-    *qids* lets a caller that already interned the queries (the shard
-    router ships qids ahead of the sub-batch) skip the intern stage; it
-    must be index-aligned with *items* and carry the kernel plane it
-    was interned against in *qids_plane* — if that plane has rotated
-    away, the qids are silently re-derived from the query objects.
     """
     items = list(items)
     total = len(items)
@@ -89,12 +82,7 @@ def decide_batch(
 
     kernel = service.kernel
     queries = [query for _, query in items]
-    if qids is not None and qids_plane is kernel.plane:
-        plane, lids, cached_flags = kernel.resolve_many(
-            qids, queries, plane=qids_plane
-        )
-    else:
-        plane, lids, cached_flags = kernel.resolve_queries(queries)
+    plane, lids, cached_flags = kernel.resolve_queries(queries)
 
     groups: Dict[Hashable, List[int]] = {}
     for index, (principal, _) in enumerate(items):

@@ -163,7 +163,7 @@ class LabelCache:
         """Every ``(key, value)`` pair, least- to most-recently used.
 
         The transport for warming sibling caches: labels are a function
-        of the query alone, so a shard worker that imports another
+        of the query alone, so a pool replica that imports another
         service's exported entries starts with the same warm hit rate.
         Pairs are plain tuples — picklable whenever keys and values are,
         which holds for canonical query keys and packed labels.

@@ -4,9 +4,9 @@ Before this module, the service evaluated the paper's single conceptual
 object — the disclosure order, per principal, against packed partition
 labels — through three diverging re-implementations: the single-query
 path in :mod:`repro.server.service`, the vectorized path in
-:mod:`repro.server.batch`, and the shard fan-out in
-:mod:`repro.server.shard`, each with its own memoization of canonical
-keys, labels, and session masks.  :class:`DecisionKernel` collapses
+:mod:`repro.server.batch`, and a multi-process shard fan-out (since
+retired), each with its own memoization of canonical keys, labels, and
+session masks.  :class:`DecisionKernel` collapses
 them: every transport interns its queries into dense integer ids
 (:mod:`repro.server.interning`) and routes through the same
 canonicalize → label → mask → outcome pipeline, expressed entirely as
@@ -56,7 +56,7 @@ transports keep their own counters.  It does own the table of compiled
 policies (:meth:`DecisionKernel.compile_policy`), held by weak
 reference so it is bounded by what resident sessions actually use.
 What the kernel guarantees is that however a decision arrives — one
-call, a batch, a shard sub-batch — it is computed by the same code over
+call, a batch, a replica sub-batch — it is computed by the same code over
 the same integer plane, so the equivalence suites that held the three
 old paths byte-identical now hold one path against itself.
 """
@@ -343,9 +343,8 @@ class DecisionKernel:
         may overshoot it by at most its own item count — bounded by the
         transport's batch limit (``MAX_BATCH`` on the wire), which is
         negligible against the cap itself.  External id-producers (the
-        shard router's translation stage) must obtain their plane here,
-        not from :attr:`plane`, so interning through them also respects
-        the cap.
+        v2 wire gateway) must obtain their plane here, not from
+        :attr:`plane`, so interning through them also respects the cap.
         """
         plane = self._plane
         if len(plane.queries) >= self.max_interned_shapes:
@@ -357,16 +356,15 @@ class DecisionKernel:
     ) -> Tuple[_Plane, List[int]]:
         """Bulk canonical-key ingestion: the qid-delta path.
 
-        External id-producers — the shard router's translation stage,
-        the v2 wire gateway absorbing a client's interner delta — hold
+        External id-producers — the v2 wire gateway absorbing a client's
+        interner delta, a pool replica adopting a plane delta — hold
         canonical keys, not query objects.  This interns them in order
         against one plane (the cap-respecting resolution plane when
         *plane* is ``None``) and returns that plane with the kernel
         qid of each key.  The returned qids are only meaningful against
         the returned plane; callers that cache them must record which
         plane they belong to and rebuild after a rotation (the pattern
-        :class:`repro.server.shard.ShardRouter` and the v2 gateway both
-        follow).
+        the v2 gateway follows).
         """
         if plane is None:
             plane = self.resolution_plane()

@@ -18,23 +18,20 @@ This module makes restarts safe and cheap:
   intact.  :func:`load_snapshot` rejects truncation, bit flips, and
   unknown formats with :class:`SnapshotError` and a reason, never a
   crash.
-* **A state directory** — :class:`SnapshotStore` keeps a bounded
-  sequence of ``snapshot-<seq>.json`` files (single-process serving);
-  sharded serving keeps one ``shard-<i>.json`` per worker.
-  :func:`collect_state` merges whatever mixture a directory holds —
-  including files left by a run with a *different* shard count — and
-  :func:`partition_sessions` re-hashes principals for the new topology
-  (CRC-32 shard assignment is shard-count-dependent, so rebalancing is
-  mandatory, not optional).
+* **A state directory** — :class:`SnapshotStore` and
+  :class:`SnapshotChain` keep a bounded sequence of
+  ``snapshot-<seq>.json`` files.  :func:`collect_state` merges whatever
+  a directory holds, including the per-worker ``shard-<i>.json`` files
+  an older multi-process release wrote (read, never written, and
+  removed by :func:`clean_stale_shards` once absorbed).
 * **A background snapshotter** — :class:`Snapshotter` runs a snapshot
-  callable every *interval* seconds on a daemon thread; the httpd and
-  every shard worker run one (``repro serve --state-dir DIR
-  --snapshot-interval S``).
+  callable every *interval* seconds on a daemon thread (``repro serve
+  --state-dir DIR --snapshot-interval S``).
 
 The restart-equivalence suite (``tests/server/test_persist.py``) holds
 the core guarantee: decisions after snapshot → kill → warm restart are
 byte-for-byte identical to an uninterrupted service, for the same and
-for a changed shard count.
+for a changed partition count.
 """
 
 from __future__ import annotations
@@ -290,29 +287,19 @@ def payload_cache_entries(payload: Dict) -> List[Tuple]:
 # ----------------------------------------------------------------------
 # Snapshot payloads: service state in, service state out
 # ----------------------------------------------------------------------
-def snapshot_service(
-    service: DisclosureService,
-    *,
-    shard_index: Optional[int] = None,
-    shard_count: Optional[int] = None,
-) -> Dict:
+def snapshot_service(service: DisclosureService) -> Dict:
     """The full durable state of *service* as a JSON-compatible payload.
 
     Carries sessions, the interned label cache, and metrics counters,
     in the v2 ID-plane form: the policy, canonical-key, and packed-label
     tables are each stored once and everything else references them by
-    dense integer index (smaller snapshots, faster restore).  Shard
-    workers stamp their ``(index, count)`` so a later restart knows the
-    topology the file was written under.
+    dense integer index (smaller snapshots, faster restore).
     """
-    payload = {
+    return {
         "sessions": encode_sessions(service.export_state()),
         "interning": encode_interned_cache(service.export_label_cache()),
         "metrics": _service_metrics(service),
     }
-    if shard_index is not None and shard_count is not None:
-        payload["shard"] = {"index": shard_index, "count": shard_count}
-    return payload
 
 
 def _service_metrics(service: DisclosureService) -> Dict:
@@ -352,9 +339,9 @@ def restore_service(
     """Load a :func:`snapshot_service` payload into *service*.
 
     Sessions and cache entries always restore; metrics counters restore
-    only with *include_metrics* (a rebalanced restart merges sessions
-    from several old shards, where per-shard counter continuity is no
-    longer meaningful).  Raises :class:`SnapshotError` on a payload that
+    only with *include_metrics* (a restart that merges sessions from
+    several partitions' files has no one file whose counters are the
+    deployment's).  Raises :class:`SnapshotError` on a payload that
     does not validate — the service is left with whatever prefix
     imported, so callers restoring into a *fresh* service (the only
     supported direction) should discard it on failure.
@@ -654,12 +641,12 @@ def save_pool_snapshot(
 
     *payloads* are the per-replica ``snapshot_service`` payloads the
     pool dispatcher gathered over its pipes; they merge through the
-    same topology-free fold the shard router serves
-    (:func:`repro.server.shard.merge_snapshot_payloads` — sessions are
-    partition-disjoint, caches union, counters sum), so the file is an
-    ordinary single-service snapshot: a restart with a *different*
-    ``--replicas`` count restores it by re-partitioning, exactly like a
-    resharded restart.  Writes the next ``snapshot-<seq>.json`` through
+    topology-free fold
+    (:func:`repro.server.partition.merge_snapshot_payloads` — sessions
+    are partition-disjoint, caches union, counters sum), so the file is
+    an ordinary single-service snapshot: a restart with a *different*
+    ``--replicas`` count restores it by re-partitioning.  Writes the
+    next ``snapshot-<seq>.json`` through
     :class:`SnapshotStore` (full views from merged payloads — the
     delta machinery of :class:`SnapshotChain` needs one service's
     dirty-epoch stream and does not apply here).  Returns the path, or
@@ -667,7 +654,7 @@ def save_pool_snapshot(
     """
     if not payloads:
         return None
-    from repro.server.shard import merge_snapshot_payloads
+    from repro.server.partition import merge_snapshot_payloads
 
     return SnapshotStore(state_dir, keep=keep).save(
         merge_snapshot_payloads(payloads)
@@ -829,11 +816,6 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
     return path, removed
 
 
-def shard_snapshot_path(state_dir: "Path | str", index: int) -> Path:
-    """Where shard *index* keeps its current snapshot."""
-    return Path(state_dir) / f"shard-{index}.json"
-
-
 class CollectedState:
     """Everything a state directory knows, merged across file kinds."""
 
@@ -873,9 +855,9 @@ class CollectedState:
 def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
     """The newest complete state a directory holds, plus merged warmth.
 
-    Handles all three directory histories: sequence files from
-    single-process runs, ``shard-<i>.json`` files from sharded runs,
-    and mixtures left by switching between the two.  **Sessions** come
+    Handles all three directory histories: sequence files,
+    ``shard-<i>.json`` files an older multi-process release wrote, and
+    mixtures left by switching between the two.  **Sessions** come
     only from the newest complete *generation* — the newest valid
     sequence file, or the merged set of shard files, whichever is
     newer (by the documents' ``created`` stamps).  Older generations
@@ -997,24 +979,6 @@ def _sequence_chain(
     return chain
 
 
-def partition_sessions(
-    sessions: Dict[str, Dict], shard_count: int
-) -> List[Dict[str, Dict]]:
-    """Re-hash principals onto *shard_count* shards.
-
-    CRC-32 shard assignment depends on the shard count, so session
-    files written under one ``--shards N`` must be re-partitioned —
-    never replayed file-to-worker — when N changes.  Re-hashing is also
-    correct when N is unchanged (each principal lands where it was).
-    """
-    from repro.server.shard import shard_for
-
-    partitioned: List[Dict[str, Dict]] = [{} for _ in range(shard_count)]
-    for principal, state in sessions.items():
-        partitioned[shard_for(principal, shard_count)][principal] = state
-    return partitioned
-
-
 def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
     """Wrap per-principal session dicts in the ``export_state`` format."""
     from repro.server.service import _STATE_FORMAT
@@ -1025,8 +989,8 @@ def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
 def clean_stale_shards(state_dir: "Path | str", shard_count: int) -> List[Path]:
     """Remove shard files outside ``0..shard_count-1``; returns removals.
 
-    Called after a rebalanced restart has absorbed every old file, so a
-    later restart cannot resurrect sessions from a dead topology.
+    Called with 0 after a restart has absorbed every shard file into a
+    fresh snapshot, so a later restart cannot resurrect their sessions.
     """
     removed = []
     state_dir = Path(state_dir)

@@ -1,15 +1,15 @@
 """The kernel replica pool: a multi-core data plane behind one front end.
 
-``--shards N`` scales by running N complete HTTP servers — every worker
-re-parses JSON, re-frames HTTP, and re-derives the interner plane, and
-the front end pays a full HTTP hop per sub-batch.  This module keeps
-exactly one front end (the asyncio server of :mod:`repro.server.aio`)
+Running N complete HTTP servers would make every worker re-parse JSON,
+re-frame HTTP, and re-derive the interner plane, and a front end would
+pay a full HTTP hop per sub-batch.  This module keeps exactly one
+front end (the asyncio server of :mod:`repro.server.aio`)
 and moves only the *data plane* — the
 :class:`~repro.server.kernel.DecisionKernel` — into worker processes:
 
 * **One dispatcher, N kernel replicas.**  The front end's per-tick
   drain partitions each coalesced batch by owning replica (the same
-  CRC-32 principal assignment as :func:`repro.server.shard.shard_for`),
+  CRC-32 principal assignment as :func:`repro.server.partition.shard_for`),
   ships qid-native sub-batches over ``multiprocessing`` pipes, and
   reassembles replies in arrival order — the drain's order-exactness
   guarantee survives because each tick is dispatched and gathered as a
@@ -65,10 +65,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError
 from repro.server.batch import decide_wire_items
-from repro.server.httpd import dispatch, metrics_format
+from repro.server.aio import dispatch, metrics_format, validate_batch_body
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
-from repro.server.shard import shard_for
+from repro.server.partition import shard_for
 from repro.server.store import (
     SessionState,
     SpillStore,
@@ -158,7 +158,7 @@ def _replica_worker_main(
     """
     if service_kwargs.get("spill_dir"):
         # Spill logs are single-writer: each replica owns its own
-        # subdirectory, exactly like shard workers do.
+        # subdirectory.
         service_kwargs = dict(
             service_kwargs,
             spill_dir=os.path.join(
@@ -295,6 +295,10 @@ class ReplicaPool:
         if warm_entries:
             from repro.server.persist import encode_cache_entries
 
+            # The parent owns interning: the warm keys enter its plane,
+            # and each replica gets that plane ahead of the entries, so
+            # warming interns nothing a replica's plane does not hold.
+            service.kernel.intern_keys([key for key, _ in warm_entries])
             self._warm_frame = ["warm", encode_cache_entries(warm_entries)]
         self.handles: List[ReplicaHandle] = []
         #: Whether mirror applies may touch disk (spill-backed store).
@@ -364,6 +368,7 @@ class ReplicaPool:
             raise RuntimeError(f"replica {index} sent {ready!r}, not ready")
         handle = ReplicaHandle(index, process, parent_conn)
         if self._warm_frame is not None:
+            self._sync_plane(handle, self.service.kernel.plane)
             self._roundtrip(handle, self._warm_frame)
         # Refault this replica's principals from the parent mirror —
         # the same step whether this is a cold start, a warm restart
@@ -396,8 +401,8 @@ class ReplicaPool:
         fresh = self._spawn(handle.index)
         handle.process = fresh.process
         handle.conn = fresh.conn
-        handle.plane_epoch = -1
-        handle.shipped = 0
+        handle.plane_epoch = fresh.plane_epoch
+        handle.shipped = fresh.shipped
         self.respawns.labels(str(handle.index)).increment()
 
     # -- the pipe primitives -------------------------------------------
@@ -852,9 +857,7 @@ class ReplicaPool:
             return 200, self.merged_snapshot()
         if route == "/v1/batch":
             return self._batch_v1(body)
-        status, payload = dispatch(
-            self.service, method, route, body, transport="async"
-        )
+        status, payload = dispatch(self.service, method, route, body)
         if status == 200:
             handle, frame = self._admin_frame(route, body)
             self._admin(handle, frame)
@@ -885,9 +888,7 @@ class ReplicaPool:
             return 200, await self.merged_snapshot_async(asyncio)
         if route == "/v1/batch":
             return await self._batch_v1_async(body)
-        status, payload = dispatch(
-            self.service, method, route, body, transport="async"
-        )
+        status, payload = dispatch(self.service, method, route, body)
         if status == 200:
             handle, frame = self._admin_frame(route, body)
             await self._admin_async(handle, frame, asyncio)
@@ -946,7 +947,6 @@ class ReplicaPool:
         is a ready HTTP response when validation already failed.
         """
         from repro.server.batch import parse_wire_request
-        from repro.server.httpd import validate_batch_body
 
         requests, peek, error = validate_batch_body(body)
         if error is not None:
@@ -1003,7 +1003,8 @@ class ReplicaPool:
     def metrics_snapshot(self) -> Dict:
         """One deployment-wide ``/metrics`` payload, merged at scrape.
 
-        Replica snapshots merge exactly like the shard router's
+        Replica snapshots merge through
+        :func:`~repro.server.partition.aggregate_metrics`
         (counters sum, latency percentiles re-derive from merged
         buckets, registry series merge); the parent's own registry —
         request counters, pool dispatch timing, respawn counts — is
@@ -1028,7 +1029,7 @@ class ReplicaPool:
 
     def _merge_metrics(self, snapshots: List[Dict]) -> Dict:
         from repro.obs import merge_registry_snapshots
-        from repro.server.shard import aggregate_metrics
+        from repro.server.partition import aggregate_metrics
 
         merged = aggregate_metrics(snapshots)
         merged["replica_count"] = merged.pop("shard_count", len(snapshots))
@@ -1055,14 +1056,14 @@ class ReplicaPool:
 
     def merged_snapshot(self) -> Dict:
         """The replica payloads folded into one restorable, topology-free
-        payload — the same merge form the shard router serves."""
-        from repro.server.shard import merge_snapshot_payloads
+        payload (:func:`~repro.server.partition.merge_snapshot_payloads`)."""
+        from repro.server.partition import merge_snapshot_payloads
 
         return merge_snapshot_payloads(self.snapshot_payloads())
 
     async def merged_snapshot_async(self, asyncio) -> Dict:
         """:meth:`merged_snapshot` with the replica reads awaited."""
-        from repro.server.shard import merge_snapshot_payloads
+        from repro.server.partition import merge_snapshot_payloads
 
         payloads = []
         for handle in self.handles:

@@ -17,7 +17,7 @@ very many principals.  Three observations make it fast and small:
 * **Decisions are integer ops** — queries and labels are interned into
   dense ids (:mod:`repro.server.interning`) and every decision runs
   through the one array-native :class:`~repro.server.kernel.DecisionKernel`,
-  whether it arrives as a single call, a batch, or a shard sub-batch.
+  whether it arrives as a single call, a batch, or a replica sub-batch.
 
 The service itself is the *session store and transport adapter*: it
 owns registration, the LRU of resident sessions, serializable state,
@@ -141,7 +141,7 @@ class DisclosureService:
     caches and counters lock independently.  The service is *not*
     shareable across processes; for multi-process deployments each
     worker owns its own service and principals are hash-partitioned
-    across workers by :class:`repro.server.shard.ShardRouter` (labels
+    across workers by :func:`repro.server.partition.shard_for` (labels
     are principal-free, so workers can still share cache warmth through
     :meth:`export_label_cache` / :meth:`warm_label_cache`).
 
@@ -188,8 +188,7 @@ class DisclosureService:
         (default 64; ``0`` disables stage timing entirely).
     observability:
         ``False`` strips the labeled metrics plane down to the legacy
-        counters: no per-tenant/per-route vectors, no stage timer.  The
-        CI bench job uses this to measure instrumentation overhead.
+        counters: no per-tenant/per-route vectors, no stage timer.
     """
 
     def __init__(
@@ -598,9 +597,9 @@ class DisclosureService:
         """The shared label cache as picklable ``(key, label)`` pairs.
 
         Labels are principal-free, so these entries are valid for any
-        service over the same security views — shard workers import
-        them at spawn so every shard starts warm
-        (:func:`repro.server.shard.start_shard_workers`).  The kernel
+        service over the same security views — pool replicas import
+        them at spawn so every replica starts warm
+        (:class:`repro.server.pool.ReplicaPool`).  The kernel
         translates its private qid/lid plane back to canonical keys and
         packed labels on the way out.
         """

@@ -225,7 +225,7 @@ class SessionStore(Protocol):
 
         Resident sessions are rendered to states on the fly.  For a
         spill store this reads the whole cold log — full snapshots and
-        shard repartitioning only.
+        replica refaults only.
         """
         ...
 
@@ -274,16 +274,15 @@ def state_of(session: "Session") -> SessionState:
 def iter_owned_states(
     store: SessionStore, owner: int, owners: int
 ) -> Iterator[Tuple[Hashable, SessionState]]:
-    """The states (resident and cold) owned by replica/shard *owner*.
+    """The states (resident and cold) owned by replica *owner*.
 
     Ownership is the deployment-wide CRC-32 principal partitioning
-    (:func:`repro.server.shard.shard_for` over *owners* peers) — the
-    same assignment the shard router and the replica-pool dispatcher
-    route by, so the slice this yields is exactly what a respawned
+    (:func:`repro.server.partition.shard_for` over *owners* peers) — the
+    same assignment the replica-pool dispatcher routes by, so the slice this yields is exactly what a respawned
     worker must refault to resume where its predecessor died.  The
     caller serializes against concurrent mutation (the service lock).
     """
-    from repro.server.shard import shard_for
+    from repro.server.partition import shard_for
 
     for principal, state in store.iter_states():
         if shard_for(principal, owners) == owner:

@@ -5,9 +5,8 @@ request: a steady-state deployment whose traffic cycles a few thousand
 query shapes pays datalog/SQL parsing, canonicalization, and key
 hashing per decision — work the in-process path eliminated long ago
 through the interned ID plane.  The v2 protocol extends that plane
-across the wire, exactly the way the in-process shard router already
-ships qids plus interner deltas to its backends
-(:meth:`repro.server.shard.ShardRouter._local_qids`):
+across the wire, the way the replica pool ships qids plus interner
+deltas to its kernel replicas (:mod:`repro.server.pool`):
 
 * The **client** runs its own
   :class:`~repro.server.interning.QueryInterner` under a random
@@ -72,12 +71,17 @@ from repro.core.canonical import (
 from repro.server.batch import decide_wire_items
 from repro.server.kernel import ServiceDecision
 
+#: Maximum accepted request body (8 MiB — enough for a large batch).
+MAX_BODY = 8 << 20
+
+#: Maximum entries in one ``/v1/batch`` or ``/v2/batch`` request.
+MAX_BATCH = 10_000
+
 #: Client generations one gateway remembers (LRU beyond this).
 GENERATION_CAP = 64
 
 #: Canonical keys one generation may hold; deltas past this are refused
-#: (clients rotate to a fresh generation instead, like the shard
-#: router's interner reset).
+#: (clients rotate to a fresh generation instead).
 GENERATION_KEYS_CAP = 1 << 16
 
 #: The v2 error codes (see the module docstring for the taxonomy).
@@ -147,9 +151,9 @@ class WireGateway:
     """Translates one service's v2 traffic onto its decision kernel.
 
     Holds the per-generation key tables and their kernel-qid
-    translations.  All methods are thread-safe (the stdlib front end is
-    one thread per connection); the asyncio front end shares the same
-    gateway from its single loop thread.
+    translations.  All methods are thread-safe (an embedding may call
+    :func:`repro.server.aio.dispatch` from several threads); the asyncio
+    front end shares the same gateway from its single loop thread.
     """
 
     def __init__(self, service):
@@ -355,8 +359,6 @@ def render_batch(
 # ----------------------------------------------------------------------
 def protocol_info(service) -> Dict:
     """``GET /v2/protocol``: what this server speaks (for negotiation)."""
-    from repro.server.httpd import MAX_BATCH, MAX_BODY
-
     return {
         "versions": ["v1", "v2"],
         "wire": "qid-delta",
@@ -390,8 +392,9 @@ def resolve_single(
     """Validate and translate a ``/v2/query`` body (the shared half).
 
     Returns ``(principal, peek, compact, trace, plane, kernel_qid)``;
-    raises :class:`WireError` for every request-shaped failure.  Both
-    front ends call this, so their validation cannot drift.
+    raises :class:`WireError` for every request-shaped failure.  The tick
+    drain and :func:`handle_query` both call this, so their validation
+    cannot drift.
     """
     principal = _principal_of(body)
     peek = _flag_of(body, "peek")
@@ -441,9 +444,9 @@ def handle_query(service, body: Dict) -> Tuple[int, object]:
     With ``"trace": true`` the response is always the full dict form
     (``compact`` is ignored — a span needs a key to hang off) and
     carries a ``trace`` object: per-stage kernel timings plus queue and
-    serialization accounting.  The stdlib front end serves each request
-    on its own thread, so ``queue_us`` is 0 and ``coalesced`` is 1 here;
-    the asyncio front end fills in real values.
+    serialization accounting.  A request routed through
+    :func:`repro.server.aio.dispatch` is decided alone, so ``queue_us``
+    is 0 and ``coalesced`` is 1 here; the tick drain fills in real values.
     """
     try:
         principal, peek, compact, trace, plane, qid = resolve_single(
@@ -495,8 +498,6 @@ def resolve_batch(service, body: Dict):
     :class:`WireError` on any malformed field, so both callers share one
     validation surface byte for byte.
     """
-    from repro.server.httpd import MAX_BATCH
-
     peek = _flag_of(body, "peek")
     compact = _flag_of(body, "compact")
     items = body.get("items")

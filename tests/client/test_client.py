@@ -3,10 +3,12 @@ qid-delta sync, and resync after a server that lost its generations."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.client import ClientError, HttpClient, LocalClient, parse_text
-from repro.server.httpd import dispatch, make_server, start_background
+from repro.server.aio import dispatch, start_async_background
 from repro.server.service import DisclosureService
 from repro.server.wire2 import gateway_for
 
@@ -33,15 +35,13 @@ def queries(schema):
 
 @pytest.fixture()
 def http_server(service):
-    server, _thread = start_background(service)
-    yield server
-    server.shutdown()
-    server.server_close()
+    handle = start_async_background(service)
+    yield handle
+    handle.stop()
 
 
 def _url(server) -> str:
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}"
+    return f"http://{server.host}:{server.port}"
 
 
 class TestLocalClient:
@@ -240,40 +240,87 @@ class TestWireStateRotation:
         assert base + len(delta) <= state.keys_cap
 
 
-class _V1Only:
-    """A server target that predates /v2 (for negotiation tests)."""
+@pytest.fixture()
+def v1_only_url(service):
+    """A server that predates /v2 (404 on every /v2 route), for
+    negotiation tests: a minimal stdlib server over the route table."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    def __init__(self, service):
-        self.service = service
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        wbufsize = 1 << 16  # head and body in one packet
+        disable_nagle_algorithm = True
 
-    def dispatch(self, method, path, body):
-        if path.startswith("/v2/"):
-            return 404, {"error": f"unknown route {path}"}
-        return dispatch(self.service, method, path, body)
+        def _answer(self, body):
+            if self.path.startswith("/v2/"):
+                status, payload = 404, {"error": f"unknown route {self.path}"}
+            else:
+                status, payload = dispatch(service, self.command, self.path, body)
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def do_GET(self):  # noqa: N802 (stdlib naming)
+            self._answer(None)
+
+        def do_POST(self):  # noqa: N802
+            length = int(self.headers.get("Content-Length", 0))
+            self._answer(json.loads(self.rfile.read(length)))
+
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 class TestContentNegotiation:
-    def test_falls_back_to_v1_and_round_trips(self, service, queries):
-        import threading
+    def test_falls_back_to_v1_and_round_trips(self, v1_only_url, queries):
+        with HttpClient(v1_only_url) as client:
+            assert client.protocol == "v1"
+            first = client.submit("app", queries["birthday"])
+            assert first["accepted"] is True
+            many = client.submit_many(
+                [("app", queries["music"]), ("ghost", queries["music"])]
+            )
+            assert many[0]["accepted"] is False
+            # v1 keeps its historical error shape: no code field.
+            assert "unknown principal" in many[1]["error"]
+            assert "code" not in many[1]
 
-        server = make_server(_V1Only(service), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with HttpClient(_url(server)) as client:
-                assert client.protocol == "v1"
-                first = client.submit("app", queries["birthday"])
-                assert first["accepted"] is True
-                many = client.submit_many(
-                    [("app", queries["music"]), ("ghost", queries["music"])]
+    def test_async_client_falls_back_to_v1(self, v1_only_url, queries):
+        """The async client with the auto protocol negotiates down to v1 against a server without /v2, not failing every
+        request with 404s."""
+        import asyncio
+
+        from repro.client import AsyncHttpClient
+
+        async def drive():
+            client = AsyncHttpClient(v1_only_url, protocol="auto")
+            try:
+                singles = await asyncio.gather(
+                    *[client.peek("app", queries["birthday"]) for _ in range(8)]
                 )
-                assert many[0]["accepted"] is False
-                # v1 keeps its historical error shape: no code field.
-                assert "unknown principal" in many[1]["error"]
-                assert "code" not in many[1]
-        finally:
-            server.shutdown()
-            server.server_close()
+                batch = await client.submit_many(
+                    [("app", queries["birthday"]), ("app", queries["music"])]
+                )
+                return await client._protocol_name(), singles, batch
+            finally:
+                await client.close()
+
+        protocol, singles, batch = asyncio.run(drive())
+        assert protocol == "v1"
+        assert all(decision["accepted"] for decision in singles)
+        assert [decision["accepted"] for decision in batch] == [True, False]
 
     def test_pinned_v1_against_a_v2_server(self, http_server, queries):
         with HttpClient(_url(http_server), protocol="v1") as client:
@@ -285,7 +332,7 @@ class TestContentNegotiation:
         for protocol in ("v1", "v2"):
             service = DisclosureService(views, schema=schema)
             service.register("app", CHINESE_WALL)
-            server, _thread = start_background(service)
+            server = start_async_background(service)
             try:
                 with HttpClient(_url(server), protocol=protocol) as client:
                     streams.append(
@@ -298,15 +345,14 @@ class TestContentNegotiation:
                         )
                     )
             finally:
-                server.shutdown()
-                server.server_close()
+                server.stop()
         assert streams[0] == streams[1]
 
 
 class TestShardedClient:
     def test_routes_and_aggregates(self, views, queries):
         from repro.client import ShardedClient
-        from repro.server.shard import shard_for
+        from repro.server.partition import shard_for
 
         services = [DisclosureService(views) for _ in range(3)]
         client = ShardedClient.for_services(services)
@@ -324,22 +370,204 @@ class TestShardedClient:
         snapshot = client.snapshot()
         assert len(snapshot["sessions"]["sessions"]) == len(principals)
 
-    def test_router_client_helper(self, views, queries):
-        from repro.server.shard import LocalShardBackend, ShardRouter
 
-        router = ShardRouter(
-            [LocalShardBackend(DisclosureService(views)) for _ in range(2)]
+SHARD_PRINCIPALS = 18
+
+
+def _shard_policies(views, seed):
+    from repro.facebook.workload import generate_policies
+
+    return generate_policies(
+        views.names, SHARD_PRINCIPALS, max_partitions=5, max_elements=25, seed=seed
+    )
+
+
+def _shard_traffic(seed, count):
+    import random
+
+    from repro.facebook.workload import WorkloadGenerator
+
+    queries = list(WorkloadGenerator(max_subqueries=1, seed=seed).stream(96))
+    rng = random.Random(seed + 100)
+    return [
+        (f"app-{rng.randrange(SHARD_PRINCIPALS)}", rng.choice(queries))
+        for _ in range(count)
+    ]
+
+
+def _without_cached(rows):
+    # Decision semantics are route-invariant; ``cached`` is cache-locality
+    # metadata and differs while per-shard caches warm independently.
+    return [{k: v for k, v in row.items() if k != "cached"} for row in rows]
+
+
+class TestShardedEquivalence:
+    """Hash-partitioning principals across shards never changes a
+    decision: a :class:`ShardedClient` answers exactly as one service."""
+
+    @pytest.fixture()
+    def deployment(self, views):
+        from repro.client import ShardedClient
+
+        single = LocalClient(DisclosureService(views))
+        services = [DisclosureService(views) for _ in range(3)]
+        sharded = ShardedClient.for_services(services)
+        for index, policy in enumerate(_shard_policies(views, 6)):
+            single.register(f"app-{index}", policy)
+            sharded.register(f"app-{index}", policy)
+        return single, sharded, services
+
+    def test_sharded_batches_match_single_service(self, deployment):
+        single, sharded, _ = deployment
+        traffic = _shard_traffic(6, 500)
+        expected = [single.submit(p, q) for p, q in traffic]
+        got = []
+        for start in range(0, len(traffic), 83):
+            got.extend(sharded.submit_many(traffic[start : start + 83]))
+        assert _without_cached(got) == _without_cached(expected)
+
+    def test_single_submits_match_too(self, deployment):
+        single, sharded, _ = deployment
+        for principal, query in _shard_traffic(8, 200):
+            want = single.submit(principal, query)
+            got = sharded.submit(principal, query)
+            assert _without_cached([got]) == _without_cached([want])
+
+    def test_peek_batch_routes_and_changes_nothing(self, deployment):
+        single, sharded, services = deployment
+        traffic = _shard_traffic(9, 150)
+        states = [service.export_state() for service in services]
+        expected = [single.peek(p, q) for p, q in traffic]
+        got = sharded.peek_many(traffic)
+        assert _without_cached(got) == _without_cached(expected)
+        assert states == [service.export_state() for service in services]
+
+    def test_batch_reassembles_in_order_around_bad_items(
+        self, deployment, queries
+    ):
+        single, sharded, _ = deployment
+        traffic = _shard_traffic(4, 40)
+        items = traffic[:3] + [("ghost", queries["music"])] + traffic[3:]
+        got = sharded.submit_many(items)
+        assert got[3]["code"] == "unknown-principal"
+        assert [row["principal"] for row in got[:3] + got[4:]] == [
+            principal for principal, _ in traffic
+        ]
+        expected = single.submit_many(traffic)
+        assert _without_cached(got[:3] + got[4:]) == _without_cached(expected)
+
+    def test_warmed_shards_are_byte_identical(self, views):
+        """With label caches warmed from one export, even the ``cached``
+        flags agree: full equality across routes."""
+        from repro.client import ShardedClient
+
+        warmup = DisclosureService(views)
+        traffic = _shard_traffic(7, 400)
+        policies = _shard_policies(views, 7)
+        for index, policy in enumerate(policies):
+            warmup.register(f"app-{index}", policy)
+        for principal, query in traffic:
+            warmup.submit(principal, query)
+        entries = warmup.export_label_cache()
+        assert entries
+
+        single = DisclosureService(views)
+        single.warm_label_cache(entries)
+        services = [DisclosureService(views) for _ in range(3)]
+        for service in services:
+            assert service.warm_label_cache(entries) == len(entries)
+        sharded = ShardedClient.for_services(services)
+        for index, policy in enumerate(policies):
+            single.register(f"app-{index}", policy)
+            sharded.register(f"app-{index}", policy)
+
+        expected = [single.submit(p, q).as_dict() for p, q in traffic]
+        got = sharded.submit_many(traffic)
+        assert got == expected
+        assert all(row["cached"] for row in got)
+
+
+class TestShardedServers:
+    """Client-side routing over independent ``repro serve`` processes."""
+
+    def test_register_query_batch_and_metrics(self, views):
+        from repro.client import ShardedClient
+
+        warmup = DisclosureService(views)
+        policies = _shard_policies(views, 11)
+        for index, policy in enumerate(policies):
+            warmup.register(f"app-{index}", policy)
+        for principal, query in _shard_traffic(11, 200):
+            warmup.submit(principal, query)
+        entries = warmup.export_label_cache()
+
+        handles = []
+        for _ in range(2):
+            service = DisclosureService(views)
+            service.warm_label_cache(entries)
+            handles.append(start_async_background(service))
+        try:
+            sharded = ShardedClient([HttpClient(_url(h)) for h in handles])
+            single = LocalClient(DisclosureService(views))
+            single.service.warm_label_cache(entries)
+            for index, policy in enumerate(policies):
+                sharded.register(f"app-{index}", [list(p) for p in policy])
+                single.register(f"app-{index}", policy)
+
+            # Sequential over HTTP == one in-process service; the servers
+            # imported a warm cache covering this traffic.
+            for principal, query in _shard_traffic(11, 60):
+                got = sharded.submit(principal, query)
+                assert got == single.submit(principal, query)
+                assert got["cached"] is True
+            # A batch equals the continuation of the same stream (traffic
+            # the warm-up never saw, so each cache warms on its own).
+            more = _shard_traffic(12, 60)
+            assert _without_cached(sharded.submit_many(more)) == (
+                _without_cached(single.submit_many(more))
+            )
+
+            metrics = sharded.metrics()
+            assert metrics["shard_count"] == 2
+            assert metrics["decisions"] == 120
+            # Both servers actually served traffic.
+            assert all(
+                shard["sessions"]["active"] + shard["sessions"]["passive"] > 0
+                for shard in metrics["shards"]
+            )
+            sharded.close()
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    def test_a_dead_shard_fails_only_its_own_principals(self, views, queries):
+        from repro.client import ShardedClient
+        from repro.server.partition import shard_for
+
+        live = DisclosureService(views)
+        sharded = ShardedClient(
+            [
+                LocalClient(live),
+                HttpClient("http://127.0.0.1:9", protocol="v2", timeout=1.0),
+            ]
         )
-        client = router.client()
-        client.register("app", CHINESE_WALL)
-        assert client.submit("app", queries["birthday"])["accepted"]
+        ours = next(f"p-{i}" for i in range(100) if shard_for(f"p-{i}", 2) == 0)
+        theirs = next(f"p-{i}" for i in range(100) if shard_for(f"p-{i}", 2) == 1)
+        sharded.register(ours, CHINESE_WALL)
+        assert sharded.submit(ours, queries["birthday"])["accepted"]
+        with pytest.raises(ClientError) as excinfo:
+            sharded.submit(theirs, queries["birthday"])
+        assert excinfo.value.status == 502
+        # The live shard's session saw exactly the one decision.
+        assert live.metrics_snapshot()["decisions"] == 1
 
-    def test_sharded_front_end_rejects_v2_with_a_hint(self, views):
-        from repro.server.shard import LocalShardBackend, ShardRouter
 
-        router = ShardRouter([LocalShardBackend(DisclosureService(views))])
-        status, payload = router.dispatch(
-            "POST", "/v2/query", {"gen": "x", "qid": 0, "principal": "app"}
-        )
-        assert status == 501
-        assert "shard-aware client" in payload["error"]
+class TestQueryToDatalog:
+    def test_roundtrip_through_the_parser(self):
+        from repro.client.wire import query_to_datalog
+        from repro.core.parser import parse_query
+        from repro.facebook.workload import WorkloadGenerator
+
+        generator = WorkloadGenerator(max_subqueries=2, seed=9)
+        for query in generator.stream(50):
+            assert parse_query(query_to_datalog(query)) == query

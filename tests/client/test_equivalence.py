@@ -18,7 +18,7 @@ import pytest
 
 from repro.client import HttpClient, LocalClient, ShardedClient
 from repro.facebook.workload import WorkloadGenerator, generate_policies
-from repro.server.httpd import start_background
+from repro.server.aio import start_async_background
 from repro.server.service import DisclosureService
 
 PRINCIPALS = 18
@@ -91,15 +91,14 @@ class TestWarmedBackendsAreByteIdentical:
         # HTTP, v2 wire, real sockets ---------------------------------
         http_service = DisclosureService(views)
         http_service.warm_label_cache(warm)
-        server, _thread = start_background(http_service)
-        host, port = server.server_address[:2]
+        handle = start_async_background(http_service)
         try:
-            with HttpClient(f"http://{host}:{port}", protocol="v2") as client:
+            url = f"http://{handle.host}:{handle.port}"
+            with HttpClient(url, protocol="v2") as client:
                 assert client.protocol == "v2"
                 http = _drive(client, policies, traffic, 83)
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.stop()
 
         # Sharded, client-side routing --------------------------------
         services = [DisclosureService(views) for _ in range(SHARDS)]

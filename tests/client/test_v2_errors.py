@@ -1,8 +1,8 @@
 """The v2 error taxonomy: every failure is a typed JSON error.
 
-Driven through :func:`repro.server.httpd.dispatch` (the same function
-both front ends route through), so the statuses and codes here are
-exactly what the wire returns.
+Driven through :func:`repro.server.aio.dispatch` (the route table the
+front end serves), so the statuses and codes here are exactly what the
+wire returns.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.canonical import canonical_key, encode_key
-from repro.server.httpd import MAX_BATCH, dispatch
+from repro.server.aio import dispatch
 from repro.server.service import DisclosureService
+from repro.server.wire2 import MAX_BATCH
 from repro.server.wire2 import (
     GENERATION_CAP,
     GENERATION_KEYS_CAP,

@@ -1,9 +1,9 @@
 """The tentpole proof: one trace, every transport, the same decisions.
 
 Each named scenario (scaled down for test time) is compiled once and
-replayed through the in-process client, the stdlib HTTP front end on
-the v2 wire (real sockets), the pipelined asyncio front end, and the
-client-side sharded router.  The cached-stripped decision digests must
+replayed through the in-process client, the synchronous HTTP client
+on the v2 wire (real sockets), the pipelined asynchronous client, the
+kernel replica pool, and the client-side sharded router.  The cached-stripped decision digests must
 agree byte for byte — the replay engine is deterministic and the
 decision logic is transport-invariant.  With label caches warmed via
 export/import, even the ``cached`` flags agree (full byte equality).
@@ -25,7 +25,6 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.server.aio import start_async_background
-from repro.server.httpd import start_background
 from repro.server.service import DisclosureService
 
 EVENTS = 60
@@ -49,15 +48,14 @@ def _local_digest(views, trace):
 
 class TestEveryTransportReplaysIdentically:
     def test_http_v2_matches_local(self, views, trace):
-        server, _thread = start_background(DisclosureService(views))
-        host, port = server.server_address[:2]
+        handle = start_async_background(DisclosureService(views))
         try:
-            with HttpClient(f"http://{host}:{port}", protocol="v2") as client:
+            url = f"http://{handle.host}:{handle.port}"
+            with HttpClient(url, protocol="v2") as client:
                 assert client.protocol == "v2"
                 report = replay_trace(trace, client, transport="http")
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.stop()
         assert report.errors == 0
         assert report.digest() == _local_digest(views, trace)
 

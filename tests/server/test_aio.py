@@ -1,4 +1,5 @@
-"""The asyncio front end: same wire, same decisions, coalesced ticks."""
+"""The asyncio front end: the wire contract, coalesced ticks, and the
+same decisions a sequential in-process replay gives."""
 
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ import urllib.request
 
 import pytest
 
-from repro.client import AsyncHttpClient, HttpClient, parse_text
+from repro.client import AsyncHttpClient, LocalClient, parse_text
 from repro.server.aio import start_async_background
-from repro.server.httpd import start_background
 from repro.server.service import DisclosureService
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
@@ -53,7 +53,7 @@ def _call(handle, path, body=None):
 
 
 class TestV1Routes:
-    """The stdlib front end's wire contract, served from the event loop."""
+    """The v1 wire contract, served from the event loop."""
 
     def test_register_query_peek_cycle(self, async_server):
         status, body = _call(
@@ -92,7 +92,7 @@ class TestV1Routes:
         assert accepted[:2] == [True, False]
         assert "unknown principal" in body["decisions"][2]["error"]
 
-    def test_error_shapes_match_the_stdlib_front_end(self, async_server):
+    def test_v1_error_shapes(self, async_server):
         status, body = _call(async_server, "/v1/query", {"principal": "app"})
         assert status == 400 and "'sql', 'fql', 'datalog'" in body["error"]
         status, body = _call(
@@ -118,9 +118,9 @@ class TestV1Routes:
         status, payload = _call(async_server, "/internal/snapshot")
         assert status == 200 and "app" in payload["sessions"]["sessions"]
 
-    def test_v2_validation_matches_the_stdlib_front_end(self, async_server):
-        """Both front ends share the v2 validators — a mistyped peek
-        flag and a malformed delta get the same typed 400s here."""
+    def test_v2_validation_errors(self, async_server):
+        """The tick drain shares dispatch's v2 validators — a mistyped
+        peek flag and a malformed delta get the same typed 400s."""
         status, body = _call(
             async_server,
             "/v2/query",
@@ -146,8 +146,7 @@ class TestV1Routes:
         self, service, async_server
     ):
         """Three submits in one write, the first marked ``Connection:
-        close``: one answer, one decision, then EOF — the stdlib front
-        end's behaviour."""
+        close``: one answer, one decision, then EOF."""
 
         def submit(fql, close):
             body = json.dumps({"principal": "app", "fql": fql}).encode()
@@ -283,9 +282,10 @@ class TestTickCoalescing:
 
 
 class TestFrontEndEquivalence:
-    def test_async_and_stdlib_decide_identically(self, views, schema):
-        """The same workload through both front ends (v2 wire) produces
-        byte-identical decision streams."""
+    def test_async_matches_a_sequential_local_replay(self, views, schema):
+        """The same workload through the front end (v2 wire) and
+        through a sequential in-process client produces byte-identical
+        decision streams."""
         import random
 
         from repro.facebook.workload import WorkloadGenerator, generate_policies
@@ -309,17 +309,10 @@ class TestFrontEndEquivalence:
                 service.register(f"app-{index}", policy)
             return service
 
-        stdlib_server, _thread = start_background(build())
-        host, port = stdlib_server.server_address[:2]
-        try:
-            with HttpClient(f"http://{host}:{port}") as client:
-                expected = [
-                    client.submit(principal, query)
-                    for principal, query in traffic
-                ]
-        finally:
-            stdlib_server.shutdown()
-            stdlib_server.server_close()
+        with LocalClient(build()) as client:
+            expected = [
+                client.submit(principal, query) for principal, query in traffic
+            ]
 
         handle = start_async_background(build())
         url = f"http://{handle.host}:{handle.port}"

@@ -15,9 +15,10 @@ import re
 import pytest
 
 from repro.client.wire import WireState, single_body
-from repro.server.aio import AsyncDecisionServer, _HttpProtocol
+from repro.server.aio import MAX_HEAD, AsyncDecisionServer, _HttpProtocol
 from repro.server.batch import decide_wire_items
 from repro.server.service import DisclosureService
+from repro.server.wire2 import MAX_BODY
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 PRINCIPALS = ("alice", "bob", "carol")
@@ -185,6 +186,82 @@ class TestRequestFraming:
         assert status == 400 and payload == {"error": "bad Content-Length"}
         assert transport.closed
 
+    def _drip(self, views, schema, data, size):
+        """Feed *data* in *size*-byte reads; ``(transport, reads fed)``."""
+
+        async def main():
+            server = AsyncDecisionServer(_service(views, schema))
+            protocol, transport = _connect(server)
+            fed = 0
+            for start in range(0, len(data), size):
+                if transport.closed:
+                    break
+                protocol.data_received(data[start : start + size])
+                fed += 1
+                await asyncio.sleep(0)
+            await _settle([transport], 2)
+            return transport, fed
+
+        return asyncio.run(main())
+
+    def test_an_unterminated_head_past_64_kib_is_refused(self, views, schema):
+        healthz = _request("/healthz", None)
+        head = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+        below_cap = head + b"a" * (MAX_HEAD - 1 - len(head))
+        # The longest tail whose terminator can still end within the
+        # cap: nothing is refused.
+        transport, _ = self._drip(views, schema, healthz + below_cap, 4096)
+        assert _responses(b"".join(transport.writes)) == [(200, {"ok": True})]
+        assert not transport.closed
+        # One byte more and no terminator can fit: refused at once.
+        transport, _ = self._drip(views, schema, healthz + below_cap + b"a", 4096)
+        assert _responses(b"".join(transport.writes)) == [
+            (200, {"ok": True}),
+            (400, {"error": "request head too large"}),
+        ]
+        assert transport.closed
+        # A longer drip is cut off at the cap, long before the 8 MiB
+        # body cap, and the refusal follows the request before it.
+        transport, fed = self._drip(
+            views, schema, healthz + below_cap + b"a" * (1 << 20), 4096
+        )
+        assert _responses(b"".join(transport.writes)) == [
+            (200, {"ok": True}),
+            (400, {"error": "request head too large"}),
+        ]
+        assert transport.closed
+        assert fed * 4096 <= len(healthz) + MAX_HEAD + 4096
+
+    def test_a_terminated_head_past_64_kib_is_refused(self, views, schema):
+        head = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+        data = head + b"a" * (MAX_HEAD - len(head)) + b"\r\n\r\n"
+        transport, _ = self._drip(views, schema, data, len(data))
+        assert _responses(b"".join(transport.writes)) == [
+            (400, {"error": "request head too large"})
+        ]
+        assert transport.closed
+
+    def test_the_body_cap_answers_413(self, views, schema):
+        data = b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+            MAX_BODY + 1
+        )
+        transport, _ = self._drip(views, schema, data, len(data))
+        ((status, payload),) = _responses(b"".join(transport.writes))
+        assert status == 413
+        assert payload == {"error": "request body exceeds the 8 MiB cap"}
+        assert transport.closed
+
+    def test_a_body_dripped_in_small_reads_is_framed_once(self, views, schema):
+        body = {"principal": "alice", "fql": BIRTHDAY, "pad": "x" * (1 << 18)}
+        data = _request("/v1/query", body) + _request("/healthz", None)
+        whole, _ = self._drip(views, schema, data, len(data))
+        dripped, fed = self._drip(views, schema, data, 4096)
+        assert fed > 64
+        answers = _responses(b"".join(dripped.writes))
+        assert answers == _responses(b"".join(whole.writes))
+        assert [status for status, _ in answers] == [200, 200]
+        assert answers[0][1]["accepted"] is True
+
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
 class TestWriteDiscipline:
@@ -232,7 +309,7 @@ class TestWriteDiscipline:
         self, views, schema, pooled
     ):
         """Three submits in one read, the first marked close: one
-        answer, one decision — what the stdlib front end does."""
+        answer, one decision."""
 
         async def drive(server, service):
             protocol, transport = _connect(server)

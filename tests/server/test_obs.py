@@ -1,6 +1,6 @@
-"""The observability plane end to end: every front end exposes the same
-metrics in both forms, traced requests return spans, and the scrape
-verb works against a live server."""
+"""The observability plane end to end: the front end, pooled or not,
+exposes the same metrics in both forms, traced requests return spans,
+and the scrape verb works against a live server."""
 
 from __future__ import annotations
 
@@ -18,9 +18,7 @@ from repro.__main__ import main as cli_main
 from repro.client import AsyncHttpClient, HttpClient, parse_text
 from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus, sample_value
 from repro.server.aio import start_async_background
-from repro.server.httpd import start_background
 from repro.server.service import DisclosureService
-from repro.server.shard import LocalShardBackend, ShardRouter
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 BIRTHDAY = "SELECT birthday FROM user WHERE uid = me()"
@@ -32,15 +30,6 @@ def service(views, schema):
     service = DisclosureService(views, schema=schema)
     service.register("app", CHINESE_WALL)
     return service
-
-
-@pytest.fixture()
-def stdlib_server(service):
-    server, _thread = start_background(service)
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service
-    server.shutdown()
-    server.server_close()
 
 
 @pytest.fixture()
@@ -109,9 +98,9 @@ def _assert_forms_agree(base_url):
     return snapshot, parsed
 
 
-class TestStdlibFrontEnd:
-    def test_prometheus_agrees_with_json(self, stdlib_server):
-        base_url, _ = stdlib_server
+class TestFrontEnd:
+    def test_prometheus_agrees_with_json(self, async_server):
+        base_url, _ = async_server
         _drive_traffic(base_url)
         snapshot, parsed = _assert_forms_agree(base_url)
         assert snapshot["decisions"] == 2 and snapshot["peeks"] == 1
@@ -120,8 +109,8 @@ class TestStdlibFrontEnd:
             parsed, "repro_tenant_decisions_total", {"tenant": "app"}
         ) == 2
 
-    def test_accept_negotiation(self, stdlib_server):
-        base_url, _ = stdlib_server
+    def test_accept_negotiation(self, async_server):
+        base_url, _ = async_server
         status, content_type, _ = _get(
             f"{base_url}/metrics", {"Accept": "text/plain"}
         )
@@ -145,39 +134,49 @@ class TestStdlibFrontEnd:
         assert status == 200
         parse_prometheus(text.decode())
 
-    def test_unknown_format_is_rejected(self, stdlib_server):
-        base_url, _ = stdlib_server
+    def test_unknown_format_is_rejected(self, async_server):
+        base_url, _ = async_server
         status, _, raw = _get(f"{base_url}/metrics?format=xml")
         assert status == 400
         assert "format" in json.loads(raw)["error"]
 
-    def test_stage_histograms_populate(self, stdlib_server):
-        base_url, _ = stdlib_server
-        _drive_traffic(base_url)
+    def test_stage_histograms_populate(self, views, schema):
+        # Served traffic is decided by the tick drain, which times the
+        # label, mask and outcome stages; canonicalization happens as
+        # the drain parses, outside the kernel's clocks.
+        service = DisclosureService(views, schema=schema, stage_sample_rate=1)
+        service.register("app", CHINESE_WALL)
+        handle = start_async_background(service)
+        try:
+            base_url = f"http://{handle.host}:{handle.port}"
+            _drive_traffic(base_url)
+            _, parsed = _assert_forms_agree(base_url)
+        finally:
+            handle.stop()
+        for stage in ("label", "mask", "outcome"):
+            count = sample_value(
+                parsed, "repro_kernel_stage_seconds_count", {"stage": stage}
+            )
+            assert count is not None and count >= 1, stage
+        assert not sample_value(
+            parsed, "repro_kernel_stage_seconds_count", {"stage": "canonicalize"}
+        )
+
+    def test_single_path_samples_every_stage(self, async_server, schema):
+        # The countdown starts at 1, so the very first in-process submit
+        # samples every stage even at the default 1-in-64 rate.
+        base_url, service = async_server
+        service.submit("app", parse_text(BIRTHDAY, "fql", schema=schema))
         _, parsed = _assert_forms_agree(base_url)
-        # The countdown starts at 1, so the very first decision samples
-        # every stage even at the default 1-in-64 rate.
         for stage in ("canonicalize", "label", "mask", "outcome"):
             count = sample_value(
                 parsed, "repro_kernel_stage_seconds_count", {"stage": stage}
             )
             assert count is not None and count >= 1, stage
 
-
-class TestAsyncFrontEnd:
-    def test_route_parity_with_stdlib(self, async_server):
-        """The asyncio front end serves the same observability routes
-        with the same shapes: /metrics in both forms, negotiation,
-        rejection, and the trace ring."""
+    def test_trace_ring_route(self, async_server):
         base_url, _ = async_server
         _drive_traffic(base_url)
-        _assert_forms_agree(base_url)
-        status, content_type, _ = _get(
-            f"{base_url}/metrics", {"Accept": "text/plain"}
-        )
-        assert status == 200 and content_type == PROMETHEUS_CONTENT_TYPE
-        status, _, raw = _get(f"{base_url}/metrics?format=xml")
-        assert status == 400 and "format" in json.loads(raw)["error"]
         status, _, raw = _get(f"{base_url}/internal/trace")
         assert status == 200
         ring = json.loads(raw)
@@ -301,43 +300,32 @@ class TestTenantParity:
             assert got == want, path
 
 
-class TestShardedRouter:
-    @pytest.fixture()
-    def router_server(self, views):
-        router = ShardRouter(
-            [LocalShardBackend(DisclosureService(views)) for _ in range(2)]
-        )
-        router.register("app", CHINESE_WALL)
-        router.register("other", CHINESE_WALL)
-        server, _thread = start_background(router)
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", router
-        server.shutdown()
-        server.server_close()
+class TestPooledFrontEnd:
+    def test_merged_prometheus_agrees_with_merged_json(self, views, schema):
+        from repro.server.pool import start_pooled_background
 
-    def test_merged_prometheus_agrees_with_merged_json(self, router_server):
-        base_url, router = router_server
-        for principal in ("app", "other") * 3:
-            _post(
-                f"{base_url}/v1/query", {"principal": principal, "fql": BIRTHDAY}
-            )
-        snapshot, parsed = _assert_forms_agree(base_url)
+        pooled = start_pooled_background(
+            2, service_kwargs={"security_views": views, "schema": schema}
+        )
+        try:
+            base_url = f"http://{pooled.host}:{pooled.port}"
+            for principal in ("app", "other"):
+                _post(
+                    f"{base_url}/v1/register",
+                    {"principal": principal, "policy": CHINESE_WALL},
+                )
+            for principal in ("app", "other") * 3:
+                _post(
+                    f"{base_url}/v1/query",
+                    {"principal": principal, "fql": BIRTHDAY},
+                )
+            snapshot, parsed = _assert_forms_agree(base_url)
+        finally:
+            pooled.stop()
         assert snapshot["decisions"] == 6
-        # The merged totals equal the sum over the per-shard services.
-        shard_total = sum(
-            backend.service.decisions.value for backend in router.backends
-        )
-        assert sample_value(parsed, "repro_decisions_total") == shard_total
-
-    def test_trace_ring_merges_with_shard_tags(self, router_server):
-        base_url, router = router_server
-        status, _, raw = _get(f"{base_url}/internal/trace")
-        assert status == 200
-        ring = json.loads(raw)
-        assert ring["capacity"] == sum(
-            backend.service.traces.capacity for backend in router.backends
-        )
-        assert len(ring["shards"]) == 2
+        # The merged totals equal the sum over the per-replica snapshots.
+        replica_total = sum(r["decisions"] for r in snapshot["replicas"])
+        assert sample_value(parsed, "repro_decisions_total") == replica_total
 
 
 def _span_is_sane(span, wall_seconds):
@@ -349,17 +337,17 @@ def _span_is_sane(span, wall_seconds):
 
 
 class TestTracing:
-    def test_traced_v2_request_on_the_stdlib_front_end(
-        self, stdlib_server, schema
+    def test_traced_v2_request_through_the_sync_client(
+        self, async_server, schema
     ):
-        base_url, service = stdlib_server
+        base_url, service = async_server
         birthday = parse_text(BIRTHDAY, "fql", schema=schema)
         client = HttpClient(base_url, trace=True)
         started = time.perf_counter()
         decision = client.submit("app", birthday)
         wall = time.perf_counter() - started
         span = decision["trace"]
-        assert span["transport"] == "http"
+        assert span["transport"] == "async"
         assert span["principal"] == "app"
         assert span["peek"] is False
         _span_is_sane(span, wall)
@@ -410,8 +398,8 @@ class TestTracing:
 
 
 class TestMetricsCli:
-    def test_summary_and_prometheus_forms(self, stdlib_server):
-        base_url, _ = stdlib_server
+    def test_summary_and_prometheus_forms(self, async_server):
+        base_url, _ = async_server
         _drive_traffic(base_url)
         buffer = io.StringIO()
         with redirect_stdout(buffer):

@@ -5,8 +5,8 @@ Two properties carry the subsystem:
 * **Restart equivalence** — decisions after serve → snapshot → kill →
   warm-restart are byte-for-byte identical to an uninterrupted service,
   including refusals, the ``cached`` flag, and session evolution — for
-  a same-shape restart *and* for restarts that change the shard count
-  (sessions are re-hashed, because CRC-32 shard assignment depends on
+  a same-shape restart *and* for restarts that change the partition
+  count (sessions are re-hashed, because CRC-32 ownership depends on
   the count).
 * **Corruption safety** — a truncated, bit-flipped, or wrong-format
   snapshot is rejected with :class:`SnapshotError` and a clear reason,
@@ -24,7 +24,8 @@ import pytest
 from repro.core.terms import Constant
 from repro.errors import SnapshotError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
-from repro.server.httpd import dispatch
+from repro.server.aio import dispatch
+from repro.server.partition import shard_for
 from repro.server.persist import (
     SnapshotChain,
     SnapshotStore,
@@ -36,22 +37,13 @@ from repro.server.persist import (
     encode_cache_entries,
     inspect_snapshot,
     load_snapshot,
-    partition_sessions,
     restore_service,
+    save_pool_snapshot,
     save_snapshot,
     sessions_payload,
-    shard_snapshot_path,
     snapshot_service,
 )
-from repro.server.loadgen import query_to_datalog
 from repro.server.service import DisclosureService
-from repro.server.shard import (
-    LocalShardBackend,
-    ShardRouter,
-    serve_sharded,
-    shard_for,
-    stop_shard_workers,
-)
 
 PRINCIPALS = 12
 
@@ -342,45 +334,39 @@ class TestRestartEquivalence:
     def test_shard_count_change_is_byte_identical(
         self, views, tmp_path, old_count, new_count
     ):
-        """Serve sharded → snapshot per shard → restart with a different
-        ``--shards N`` → decisions match an uninterrupted service."""
+        """The ``shard-<i>.json`` files an older multi-process release
+        wrote, one per partition → restored onto a different partition
+        count → decisions match an uninterrupted service."""
         policies, reference, before = self._warm_pair(views)
-        old = ShardRouter([LocalShardBackend() for _ in range(old_count)])
-        for index, policy in enumerate(policies):
-            old.register(f"app-{index}", policy)
-        for principal, query in before:
-            old.submit(principal, query)
 
-        for index, backend in enumerate(old.backends):
-            save_snapshot(
-                shard_snapshot_path(tmp_path, index),
-                snapshot_service(
-                    backend.service, shard_index=index, shard_count=old_count
-                ),
-            )
+        def owner(services, principal):
+            return services[shard_for(principal, len(services))]
+
+        old = [DisclosureService(views) for _ in range(old_count)]
+        for index, policy in enumerate(policies):
+            owner(old, f"app-{index}").register(f"app-{index}", policy)
+        for principal, query in before:
+            owner(old, principal).submit(principal, query)
+        for index, service in enumerate(old):
+            payload = snapshot_service(service)
+            payload["shard"] = {"index": index, "count": old_count}
+            save_snapshot(tmp_path / f"shard-{index}.json", payload)
 
         collected = collect_state(tmp_path)
+        assert collected.sharded
         assert len(collected.sessions) == PRINCIPALS
-        slices = partition_sessions(collected.sessions, new_count)
-        assert all(
-            shard_for(principal, new_count) == index
-            for index, shard_sessions in enumerate(slices)
-            for principal in shard_sessions
-        )
-        new = ShardRouter([LocalShardBackend() for _ in range(new_count)])
-        for index, shard_sessions in enumerate(slices):
-            if shard_sessions:
-                new.backends[index].service.import_state(
-                    sessions_payload(shard_sessions)
-                )
-            new.backends[index].service.warm_label_cache(
-                collected.cache_entries
-            )
+        slices = [{} for _ in range(new_count)]
+        for principal, state in collected.sessions.items():
+            slices[shard_for(principal, new_count)][principal] = state
+        new = [DisclosureService(views) for _ in range(new_count)]
+        for service, sessions in zip(new, slices):
+            service.import_state(sessions_payload(sessions))
+            service.warm_label_cache(collected.cache_entries)
 
         after = _traffic(100 + new_count, 250)
         assert _wire(
             [reference.submit(p, q) for p, q in after]
-        ) == _wire([new.submit(p, q) for p, q in after])
+        ) == _wire([owner(new, p).submit(p, q) for p, q in after])
 
     def test_warm_restart_restores_the_cache_hit_rate(self, views, tmp_path):
         """The ≥90% acceptance bar, deterministically: a warm-restarted
@@ -424,7 +410,7 @@ class TestCollectState:
     def test_newest_file_wins_for_a_duplicated_principal(self, views, tmp_path):
         policies = _policies(views)
         older = _registered_service(views, policies)
-        save_snapshot(shard_snapshot_path(tmp_path, 0), snapshot_service(older))
+        save_snapshot(tmp_path / "shard-0.json", snapshot_service(older))
 
         newer = _registered_service(views, policies)
         for principal, query in _traffic(5, 150):
@@ -477,8 +463,8 @@ class TestCollectState:
 
     def test_corrupt_files_are_skipped_and_reported(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        save_snapshot(shard_snapshot_path(tmp_path, 0), snapshot_service(service))
-        bad = shard_snapshot_path(tmp_path, 1)
+        save_snapshot(tmp_path / "shard-0.json", snapshot_service(service))
+        bad = tmp_path / "shard-1.json"
         bad.write_text("{not json")
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
@@ -486,7 +472,7 @@ class TestCollectState:
 
     def test_clean_stale_shards(self, tmp_path):
         for index in range(4):
-            save_snapshot(shard_snapshot_path(tmp_path, index), {"i": index})
+            save_snapshot(tmp_path / f"shard-{index}.json", {"i": index})
         removed = clean_stale_shards(tmp_path, 2)
         assert [path.name for path in removed] == ["shard-2.json", "shard-3.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -558,119 +544,106 @@ class TestInternalSnapshotRoute:
             [service.submit(p, q) for p, q in after]
         ) == _wire([restarted.submit(p, q) for p, q in after])
 
-    def test_router_merges_all_shards(self, views):
-        policies = _policies(views)
-        router = ShardRouter([LocalShardBackend(), LocalShardBackend()])
-        for index, policy in enumerate(policies):
-            router.register(f"app-{index}", policy)
-        for principal, query in _traffic(10, 150):
-            router.submit(principal, query)
-        status, payload = router.dispatch("GET", "/internal/snapshot", None)
-        assert status == 200
-        assert len(payload["sessions"]["sessions"]) == PRINCIPALS
-        assert payload["metrics"]["decisions"] == 150
-        assert "shard" not in payload  # merged payloads are topology-free
-
-        restarted = DisclosureService(views)
-        restore_service(restarted, json.loads(json.dumps(payload)))
-        assert restarted.principal_count() == PRINCIPALS
-        assert restarted.decisions.value == 150
-
 
 # ----------------------------------------------------------------------
-# The real deployment: worker processes, periodic snapshots, kill, restart
+# A pooled deployment: merged snapshot, restart with another replica count
 # ----------------------------------------------------------------------
-class TestMultiProcessRestart:
-    def _drive(self, router, traffic):
-        payloads = []
-        for principal, query in traffic:
-            status, payload = router.dispatch(
-                "POST",
-                "/v1/query",
-                {"principal": principal, "datalog": query_to_datalog(query)},
-            )
-            assert status == 200
-            payloads.append(payload)
-        return payloads
+class TestPooledRestart:
+    def _snapshot_a_pool(self, views, tmp_path, policies, reference, traffic):
+        """A 2-replica pool decides *traffic*, then leaves only a merged
+        snapshot in *tmp_path* (the kill: replicas gone, state on disk)."""
+        from repro.server.pool import ReplicaPool
 
-    def test_kill_and_warm_restart_with_more_shards(self, views, tmp_path):
-        """serve --shards 2 --state-dir → periodic snapshots → terminate →
-        serve --shards 3 over the same directory → decisions continue
-        byte-identically vs an uninterrupted single service."""
-        import time as time_module
-
-        policies = _policies(views)
-        reference = _registered_service(views, policies)
-        before, after = _covering_traffic(21, 150), _traffic(22, 150)
-
-        front, router, workers = serve_sharded(
-            2,
-            port=0,
-            state_dir=str(tmp_path),
-            snapshot_interval=0.2,
-        )
+        kwargs = {"security_views": views}
+        parent = DisclosureService(**kwargs)
+        pool = ReplicaPool(parent, 2, service_kwargs=kwargs).start()
         try:
             for index, policy in enumerate(policies):
-                status, _ = router.dispatch(
+                status, _ = pool.dispatch_inline(
                     "POST",
                     "/v1/register",
                     {"principal": f"app-{index}", "policy": policy},
                 )
                 assert status == 200
-            expected_before = [
-                reference.submit(p, q).as_dict() for p, q in before
-            ]
-            got_before = self._drive(router, before)
-            for got, want in zip(got_before, expected_before):
-                assert got["accepted"] == want["accepted"]
-                assert got["live_after"] == want["live_after"]
-            # Wait for the workers' periodic snapshotters to catch up.
-            deadline = time_module.time() + 20
-            while time_module.time() < deadline:
-                collected = collect_state(tmp_path)
-                if (
-                    collected is not None
-                    and len(collected.sessions) == PRINCIPALS
-                    # refusals change no live bit but do fill the cache,
-                    # so cache parity is part of "caught up"
-                    and len(collected.cache_entries)
-                    >= len(reference.export_label_cache())
-                ):
-                    restored = DisclosureService(views)
-                    restored.import_state(sessions_payload(collected.sessions))
-                    if all(
-                        restored.live_partitions(f"app-{i}")
-                        == reference.live_partitions(f"app-{i}")
-                        for i in range(PRINCIPALS)
-                    ):
-                        break
-                time_module.sleep(0.05)
-            else:
-                pytest.fail("periodic snapshots never caught up with traffic")
+            got = pool.decide([(p, q, None) for p, q in traffic], update=True)
+            want = [reference.submit(p, q) for p, q in traffic]
+            for g, w in zip(got, want):
+                assert (g.accepted, g.live_after) == (w.accepted, w.live_after)
+            assert save_pool_snapshot(tmp_path, pool.snapshot_payloads())
         finally:
-            front.server_close()
-            router.close()
-            stop_shard_workers(workers)  # the kill: SIGTERM, no goodbye
+            pool.close()
+            parent.close()
 
-        front2, router2, workers2 = serve_sharded(
-            3,
-            port=0,
-            state_dir=str(tmp_path),
-            snapshot_interval=30.0,
-        )
+    def _restored_pool(self, views, tmp_path, replicas):
+        """The ``serve --replicas N --state-dir DIR`` composition."""
+        from repro.server.pool import ReplicaPool
+
+        kwargs = {"security_views": views}
+        collected = collect_state(tmp_path)
+        assert len(collected.sessions) == PRINCIPALS
+        parent = DisclosureService(**kwargs)
+        parent.import_state(sessions_payload(collected.sessions))
+        pool = ReplicaPool(
+            parent, replicas, service_kwargs=kwargs,
+            warm_entries=collected.cache_entries,
+        ).start()
+        return parent, pool
+
+    def test_warm_restart_with_more_replicas(self, views, tmp_path):
+        """A 2-replica pool → merged snapshot into the state directory →
+        close → a 3-replica pool restored from it → decisions continue
+        byte-identically vs an uninterrupted single service."""
+        policies = _policies(views)
+        reference = _registered_service(views, policies)
+        before, after = _covering_traffic(21, 150), _traffic(22, 150)
+        self._snapshot_a_pool(views, tmp_path, policies, reference, before)
+        parent, pool = self._restored_pool(views, tmp_path, 3)
         try:
-            expected_after = [
-                reference.submit(p, q).as_dict() for p, q in after
-            ]
-            got_after = self._drive(router2, after)
-            assert got_after == expected_after  # byte-identical, cached too
-            # the dead topology's files were rebalanced into 3 fresh ones
-            names = sorted(p.name for p in tmp_path.iterdir())
-            assert names == ["shard-0.json", "shard-1.json", "shard-2.json"]
+            got = pool.decide([(p, q, None) for p, q in after], update=True)
         finally:
-            front2.server_close()
-            router2.close()
-            stop_shard_workers(workers2)
+            pool.close()
+            parent.close()
+        errors = [g for g in got if isinstance(g, dict)]
+        assert not errors, errors[:2]
+        want = [reference.submit(p, q) for p, q in after]
+        assert _wire(got) == _wire(want)  # byte-identical, cached too
+
+    def test_a_replica_killed_after_a_warm_restart_respawns_warm(
+        self, views, tmp_path
+    ):
+        """A replica of a pool started with warm entries dies mid-stream;
+        its respawn gets the parent's plane ahead of the warm frame, so
+        the stream continues byte-identically with no plane drift."""
+        import os
+        import signal
+        import time
+
+        policies = _policies(views)
+        reference = _registered_service(views, policies)
+        before = _covering_traffic(31, 150)
+        first, second = _traffic(32, 100), _traffic(33, 100)
+        self._snapshot_a_pool(views, tmp_path, policies, reference, before)
+        parent, pool = self._restored_pool(views, tmp_path, 2)
+        try:
+            got = pool.decide([(p, q, None) for p, q in first], update=True)
+            victim = pool.handles[0]
+            old_pid = victim.process.pid
+            os.kill(old_pid, signal.SIGKILL)
+            time.sleep(0.2)
+            got += pool.decide([(p, q, None) for p, q in second], update=True)
+            assert pool.handles[0].process.pid != old_pid
+            respawns = sum(
+                counter.value for _, counter in pool.respawns.series_items()
+            )
+        finally:
+            pool.close()
+            parent.close()
+        assert respawns == 1
+        errors = [g for g in got if isinstance(g, dict)]
+        assert not errors, errors[:2]
+        want = [reference.submit(p, q) for p, q in first + second]
+        assert _wire(got) == _wire(want)
+
 
 # ----------------------------------------------------------------------
 # Incremental generations: export_generation and the snapshot chain

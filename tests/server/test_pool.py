@@ -20,9 +20,10 @@ import time
 import pytest
 
 from repro.facebook.workload import WorkloadGenerator, generate_policies
+from repro.server.aio import dispatch
 from repro.server.batch import decide_wire_items
-from repro.server.httpd import dispatch
 from repro.server.kernel import ServiceDecision
+from repro.server.partition import shard_for
 from repro.server.pool import (
     REPLICA_UNAVAILABLE,
     ReplicaHandle,
@@ -30,7 +31,6 @@ from repro.server.pool import (
     start_pooled_background,
 )
 from repro.server.service import DisclosureService
-from repro.server.shard import shard_for
 from repro.server.store import state_of
 
 PRINCIPALS = ("alice", "bob", "carol", "dave", "erin")
@@ -141,7 +141,7 @@ class TestDecideParity:
 class TestInlineRoutes:
     def test_v1_batch_matches_local_dispatch(self, deployment):
         local, _, pool = deployment
-        from repro.server.loadgen import query_to_datalog
+        from repro.client.wire import query_to_datalog
 
         traffic = _traffic(8, 12)
         body = {

@@ -23,12 +23,13 @@ from repro.server.aio import (
     AsyncDecisionServer,
     _HttpProtocol,
     _Request,
+    dispatch,
     start_async_background,
 )
 from repro.server.batch import decide_wire_items
-from repro.server.httpd import MAX_BATCH, dispatch
 from repro.server.pool import start_pooled_background
 from repro.server.service import DisclosureService
+from repro.server.wire2 import MAX_BATCH
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 WIDE = [["user_birthday"], ["user_likes"], ["public_profile"]]

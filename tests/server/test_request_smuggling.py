@@ -1,11 +1,13 @@
-"""Heads that cannot be framed safely end the connection, on both front ends.
+"""Heads that cannot be framed safely end the connection.
 
 A body is delimited by ``Content-Length`` alone.  Two ``Content-Length``
 values that differ, or any ``Transfer-Encoding``, make the request's end
 ambiguous: a front end that guessed would read the rest of the stream
-as a body, or the body as the next request (request smuggling).  Both
-front ends answer 400 or 501 with ``Connection: close`` and frame
-nothing after that request.  Real sockets, ephemeral ports.
+as a body, or the body as the next request (request smuggling).  The
+front end answers 400 or 501 with ``Connection: close`` and frames
+nothing after that request.  Both deployments of the front end, a
+single process and a two-replica pool, frame the same way.  Real
+sockets, ephemeral ports.
 """
 
 from __future__ import annotations
@@ -17,26 +19,25 @@ import socket
 import pytest
 
 from repro.server.aio import start_async_background
-from repro.server.httpd import start_background
+from repro.server.pool import start_pooled_background
 from repro.server.service import DisclosureService
 
 REGISTER = b'{"principal": "app", "policy": [["public_profile"]]}'
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
-@pytest.fixture(params=["stdlib", "async"])
+@pytest.fixture(params=["async", "pooled"])
 def front_end(request, views, schema):
-    service = DisclosureService(views, schema=schema)
-    if request.param == "stdlib":
-        server, thread = start_background(service)
-        yield service, server.server_address[1]
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    if request.param == "pooled":
+        handle = start_pooled_background(
+            2, service_kwargs={"security_views": views, "schema": schema}
+        )
     else:
-        handle = start_async_background(service)
-        yield service, handle.port
-        handle.stop()
+        handle = start_async_background(DisclosureService(views, schema=schema))
+    # A pooled register lands in the parent's mirror as well as on the
+    # owning replica, so membership reads the same on both.
+    yield handle.server.service, handle.port
+    handle.stop()
 
 
 def _exchange(port, data, timeout=2.0):
@@ -85,9 +86,8 @@ CHUNKED = _register_head(b"Transfer-Encoding: chunked") + (
 
 def test_conflicting_content_lengths_are_refused(front_end):
     service, port = front_end
-    # The asyncio front end used to frame with the last value (answering
-    # nothing and swallowing the GET as body), the stdlib one with the
-    # first (answering both).
+    # The front end used to frame with the last value, answering
+    # nothing and swallowing the GET as body.
     answers, closed = _exchange(port, CONFLICTING + HEALTHZ)
     assert [(status, payload) for status, payload, _ in answers] == [
         (400, {"error": "conflicting Content-Length headers"})
@@ -99,7 +99,7 @@ def test_conflicting_content_lengths_are_refused(front_end):
 
 def test_transfer_encoding_is_refused(front_end):
     service, port = front_end
-    # Both front ends used to frame the body as empty and parse the
+    # The front end used to frame the body as empty and parse the
     # chunk bytes as the next request.
     answers, closed = _exchange(port, CHUNKED + HEALTHZ)
     assert [(status, payload) for status, payload, _ in answers] == [

@@ -1,4 +1,9 @@
-"""Tests for the JSON-over-HTTP front end (real sockets, ephemeral port)."""
+"""The HTTP routes end to end (real sockets, ephemeral port).
+
+Every route is held to the same answers on both deployments of the one
+front end: a single process, and a two-replica pool whose replicas
+decide and whose parent answers the rest.
+"""
 
 from __future__ import annotations
 
@@ -8,24 +13,28 @@ import urllib.request
 
 import pytest
 
-from repro.server.httpd import start_background
+from repro.server.aio import start_async_background
+from repro.server.pool import start_pooled_background
 from repro.server.service import DisclosureService
+from repro.server.wire2 import MAX_BATCH
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 
 
-@pytest.fixture()
-def server(views, schema):
-    service = DisclosureService(views, schema=schema)
-    server, _thread = start_background(service)
-    yield server
-    server.shutdown()
-    server.server_close()
+@pytest.fixture(params=["async", "pooled"])
+def server(request, views, schema):
+    if request.param == "pooled":
+        handle = start_pooled_background(
+            2, service_kwargs={"security_views": views, "schema": schema}
+        )
+    else:
+        handle = start_async_background(DisclosureService(views, schema=schema))
+    yield handle
+    handle.stop()
 
 
 def _call(server, path, body=None):
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}{path}"
+    url = f"http://{server.host}:{server.port}{path}"
     if body is None:
         request = urllib.request.Request(url)
     else:
@@ -189,8 +198,6 @@ class TestBatchRoute:
         assert status == 400 and "'peek'" in body["error"]
 
     def test_oversized_batch_is_rejected(self, server):
-        from repro.server.httpd import MAX_BATCH
-
         queries = [{"principal": "app", "sql": "x"}] * (MAX_BATCH + 1)
         status, body = _call(server, "/v1/batch", {"queries": queries})
         assert status == 400 and "exceeds" in body["error"]
@@ -293,9 +300,8 @@ class TestErrorHandling:
         assert status == 400 and "unknown security view" in body["error"]
 
     def test_invalid_json_body(self, server):
-        host, port = server.server_address[:2]
         request = urllib.request.Request(
-            f"http://{host}:{port}/v1/query",
+            f"http://{server.host}:{server.port}/v1/query",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
         )
@@ -304,9 +310,8 @@ class TestErrorHandling:
         assert excinfo.value.code == 400
 
     def test_empty_body(self, server):
-        host, port = server.server_address[:2]
         request = urllib.request.Request(
-            f"http://{host}:{port}/v1/query", data=b"", method="POST"
+            f"http://{server.host}:{server.port}/v1/query", data=b"", method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)

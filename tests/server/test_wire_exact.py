@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.client import wire as client_wire
 from repro.core.canonical import canonical_key, encode_key
 from repro.server.aio import AsyncDecisionServer, _HttpProtocol
-from repro.server.httpd import dispatch
+from repro.server.aio import dispatch
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.wire2 import GENERATION_CAP, gateway_for, render_single

@@ -70,17 +70,27 @@ class TestOtherCommands:
         assert "⇓{V5}" in out
         assert "digraph" in out
 
-    def test_loadgen(self):
-        code, out = run_cli(
-            "loadgen",
-            "--workers", "1",
-            "--queries", "40",
-            "--principals", "5",
-            "--seed", "1",
-        )
-        assert code == 0
-        assert "decisions/sec" in out
-        assert "in-process" in out
+    def test_serve_options(self):
+        import argparse
+
+        from repro.__main__ import build_parser
+
+        parser = build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices["serve"]._option_string_actions) == {
+            "-h", "--help", "--host", "--port", "--async", "--replicas",
+            "--max-sessions", "--max-resident-sessions", "--spill-dir",
+            "--cache-size", "--default-policy", "--state-dir",
+            "--snapshot-interval", "--stage-sample-rate",
+        }
+        # --replicas stands alone; --async is accepted for old command
+        # lines and changes nothing.
+        assert parser.parse_args(["serve", "--replicas", "2"]).replicas == 2
+        assert parser.parse_args(["serve", "--async"]).replicas == 1
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -121,21 +131,19 @@ class TestSnapshotCommand:
         assert "INVALID" in out and "truncated or not JSON" in out
 
     def test_save_pulls_from_a_running_server(self, tmp_path):
-        from repro.server import DisclosureService, start_background
+        from repro.server import DisclosureService, start_async_background
 
         service = DisclosureService()
         service.register("app1", [["public_profile"]])
-        server, _ = start_background(service)
-        host, port = server.server_address[:2]
+        server = start_async_background(service)
         try:
             code, out = run_cli(
                 "snapshot", "save",
-                "--url", f"http://{host}:{port}",
+                "--url", f"http://{server.host}:{server.port}",
                 "--state-dir", str(tmp_path / "state"),
             )
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
         assert code == 0
         assert "snapshot-00000001.json" in out and "1 sessions" in out
 
