@@ -210,29 +210,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     snapshotter = None
     if args.state_dir:
-        from pathlib import Path
-
         from repro.server.persist import (
             SnapshotChain,
             Snapshotter,
-            clean_stale_shards,
             collect_state,
             sessions_payload,
         )
 
         chain = SnapshotChain(service, args.state_dir)
         collected = collect_state(args.state_dir)
-        if collected is None:
-            leftover = sorted(
-                entry.name
-                for entry in Path(args.state_dir).glob("*.json")
-                if entry.name.startswith(("snapshot-", "shard-"))
-            )
-            if leftover:
-                print(
-                    f"warning: no valid snapshot among {leftover}; "
-                    "starting cold (files left in place)"
-                )
         snapshotter = Snapshotter(
             chain.save,
             interval=args.snapshot_interval,
@@ -242,7 +228,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 sessions_payload(collected.sessions)
             )
             warmed = service.warm_label_cache(collected.cache_entries)
-            if collected.metrics and not collected.sharded:
+            if collected.metrics:
                 service.restore_metrics(collected.metrics)
             print(
                 f"warm restart: {restored} sessions, {warmed} cache "
@@ -250,17 +236,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             for path, reason in collected.skipped:
                 print(f"  skipped {path.name}: {reason}")
-            if snapshotter.run_once():  # restored state durable pre-traffic
-                # ...and only then may the absorbed shard files go: if
-                # the write failed they are still the sole durable copy.
-                clean_stale_shards(args.state_dir, 0)
-            else:
-                print(
-                    f"warning: initial snapshot failed "
-                    f"({snapshotter.last_error}); keeping existing files"
-                )
-        else:
-            snapshotter.run_once()
+        if not snapshotter.run_once():  # restored state durable pre-traffic
+            print(
+                f"warning: initial snapshot failed "
+                f"({snapshotter.last_error}); keeping existing files"
+            )
         snapshotter.start()
         print(
             f"snapshots: {chain.state_dir} every "
@@ -364,17 +344,31 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
         service_kwargs=service_kwargs,
         warm_entries=warm_entries,
     ).start()
+    serving: dict = {}  # the running server and its loop
     if args.state_dir:
-        from repro.server.persist import Snapshotter, save_pool_snapshot
-
-        snapshotter = Snapshotter(
-            lambda: save_pool_snapshot(
-                args.state_dir, pool.snapshot_payloads()
-            ),
-            interval=args.snapshot_interval,
+        from repro.server.persist import (
+            SnapshotStore,
+            Snapshotter,
+            save_pool_snapshot,
         )
+
+        def snapshot() -> object:
+            if not pool.served:  # before serving starts, and at shutdown
+                return save_pool_snapshot(
+                    args.state_dir, pool.snapshot_payloads()
+                )
+            # The drain owns the replica pipes while the loop serves the
+            # pool: the read queues there, behind the traffic before it.
+            status, payload = asyncio.run_coroutine_threadsafe(
+                serving["server"].inline("GET", "/internal/snapshot"),
+                serving["loop"],
+            ).result()
+            if status != 200:
+                raise RuntimeError(payload["error"])
+            return SnapshotStore(args.state_dir).save(payload)
+
+        snapshotter = Snapshotter(snapshot, interval=args.snapshot_interval)
         snapshotter.run_once()
-        snapshotter.start()
         print(
             f"snapshots: {args.state_dir} every "
             f"{args.snapshot_interval:g}s (merged across replicas)"
@@ -385,6 +379,7 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             service, args.host, args.port, pool=pool
         )
         await server.start()
+        serving.update(server=server, loop=asyncio.get_running_loop())
         print(
             f"disclosure decision service (asyncio, {args.replicas} "
             f"kernel replicas) on http://{server.host}:{server.port}"
@@ -394,9 +389,17 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             "/v1/reset /v2/query /v2/batch; GET /v2/protocol /metrics "
             "/healthz (decisions dispatch to replicas by principal hash)"
         )
+        if snapshotter is not None:
+            snapshotter.start()
         try:
             await server.serve_forever()
         finally:
+            if snapshotter is not None:
+                # Joined off the loop: a snapshot in progress is waiting
+                # on the drain to answer it.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, snapshotter.stop, False
+                )
             await server.stop()
 
     try:
@@ -405,7 +408,7 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
         print("\nshutting down")
     finally:
         if snapshotter is not None:
-            snapshotter.stop()  # final merged snapshot, replicas still up
+            snapshotter.run_once()  # final merged snapshot, replicas still up
         pool.close()
         service.close()
     return 0
@@ -424,11 +427,8 @@ def _snapshot_targets(args: argparse.Namespace):
         return sorted(
             entry
             for entry in state_dir.iterdir()
-            if entry.name.endswith(".json")
-            and (
-                entry.name.startswith("snapshot-")
-                or entry.name.startswith("shard-")
-            )
+            if entry.name.startswith("snapshot-")
+            and entry.name.endswith(".json")
         )
     return None
 
@@ -527,8 +527,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 extra += f", generation {info.generation} ({kind})"
                 if info.removed:
                     extra += f", {info.removed} removed"
-            if info.shard:
-                extra += f", shard {info.shard['index']}/{info.shard['count']}"
             print(
                 f"{path}: {info.format}, "
                 f"{info.sessions} sessions, "

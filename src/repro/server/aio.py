@@ -435,6 +435,22 @@ class _Request:
             protocol.server.mark_answered(protocol)
 
 
+class _InlineCall(_Request):
+    """An inline request made inside the process: its answer resolves a
+    future instead of marking a connection for the write pass."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: "asyncio.Future"):
+        super().__init__(None, False)
+        self.future = future
+
+    def set_result(self, result: Tuple[int, object]) -> None:
+        self.result = result
+        if not self.future.done():  # the caller may have stopped waiting
+            self.future.set_result(result)
+
+
 class _HttpProtocol(asyncio.Protocol):
     """Minimal pipelined HTTP/1.1 framing onto the tick queue."""
 
@@ -628,6 +644,7 @@ class AsyncDecisionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._ticks: Optional[asyncio.Queue] = None
         self._consumer: Optional[asyncio.Task] = None
+        self._stopping = False
         #: Drain observability: ticks run and requests coalesced.
         self.ticks = 0
         self.drained = 0
@@ -642,6 +659,7 @@ class AsyncDecisionServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.pool is not None:
+            self.pool.served = True
             self._ticks = asyncio.Queue()
             self._consumer = loop.create_task(self._consume_ticks())
         return self
@@ -652,12 +670,19 @@ class AsyncDecisionServer:
 
     async def stop(self) -> None:
         if self._consumer is not None:
+            # Let the drain in progress finish: one cancelled between a
+            # replica send and its reply would leave that reply in the
+            # pipe for the pool's next reader (the shutdown snapshot).
+            self._stopping = True
+            self._ticks.put_nowait([])
+            await asyncio.wait([self._consumer], timeout=5.0)
             self._consumer.cancel()
             try:
                 await self._consumer
             except asyncio.CancelledError:
                 pass
             self._consumer = None
+            self.pool.served = False
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -711,6 +736,19 @@ class AsyncDecisionServer:
         self._pending.append(request)
         if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._drain)
+
+    async def inline(self, method: str, path: str) -> Tuple[int, object]:
+        """Answer one body-less inline request made inside the process.
+
+        It joins the tick queue like a request read off a socket, so a
+        pooled server answers it from the drain, in order with decision
+        runs: while the server runs, the drain is the only code that
+        touches replica pipes (the periodic pooled snapshot reads its
+        replicas this way).
+        """
+        call = _InlineCall(asyncio.get_running_loop().create_future())
+        self.accept(method, path, b"", call)
+        return await call.future
 
     def mark_answered(self, protocol: _HttpProtocol) -> None:
         """Hold *protocol* for the one write pass scheduled per loop pass."""
@@ -781,7 +819,7 @@ class AsyncDecisionServer:
         the number of drains, not the number of ticks or requests.
         """
         assert self._ticks is not None
-        while True:
+        while not self._stopping:
             pending = await self._ticks.get()
             while not self._ticks.empty():
                 pending.extend(self._ticks.get_nowait())
@@ -817,7 +855,8 @@ class AsyncDecisionServer:
                 run, entries, run_plane = [], [], None
                 try:
                     status_payload = await pool.dispatch_inline_async(
-                        request.method, request.path, request.body
+                        request.method, request.path, request.body,
+                        loop=asyncio.get_running_loop(),
                     )
                     if status_payload is None:
                         status_payload = dispatch(
@@ -945,7 +984,8 @@ class AsyncDecisionServer:
         started = perf_counter()
         try:
             results = await self.pool.decide_async(
-                entries, update=update, plane=plane, timings=timings
+                entries, update=update, plane=plane, timings=timings,
+                loop=asyncio.get_running_loop(),
             )
         except Exception as exc:  # noqa: BLE001 - never hang a request
             self._fail_segment(run, exc)

@@ -20,10 +20,9 @@ This module makes restarts safe and cheap:
   crash.
 * **A state directory** — :class:`SnapshotStore` and
   :class:`SnapshotChain` keep a bounded sequence of
-  ``snapshot-<seq>.json`` files.  :func:`collect_state` merges whatever
-  a directory holds, including the per-worker ``shard-<i>.json`` files
-  an older multi-process release wrote (read, never written, and
-  removed by :func:`clean_stale_shards` once absorbed).
+  ``snapshot-<seq>.json`` files.  :func:`collect_state` replays
+  whatever chain a directory holds, and names every file it could not
+  use and why.
 * **A background snapshotter** — :class:`Snapshotter` runs a snapshot
   callable every *interval* seconds on a daemon thread (``repro serve
   --state-dir DIR --snapshot-interval S``).
@@ -80,6 +79,8 @@ DEFAULT_KEEP = 4
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{8})\.json$")
 _SHARD_NAME = re.compile(r"^shard-(\d+)\.json$")
+#: Why a ``shard-<i>.json`` file is reported and left alone.
+_SHARD_SKIPPED = "written by the removed --shards release; not restored"
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +476,6 @@ class SnapshotInfo:
         "cache_entries",
         "decisions",
         "bytes",
-        "shard",
     )
 
     def __init__(
@@ -492,7 +492,6 @@ class SnapshotInfo:
         cache_entries: int,
         decisions: int,
         bytes: int,
-        shard: Optional[Dict],
     ):
         self.path = path
         self.format = format
@@ -506,7 +505,6 @@ class SnapshotInfo:
         self.cache_entries = cache_entries
         self.decisions = decisions
         self.bytes = bytes
-        self.shard = shard
 
     def as_dict(self) -> Dict:
         summary: Dict = {
@@ -524,8 +522,6 @@ class SnapshotInfo:
             summary["delta_of"] = self.delta_of
             summary["epoch"] = self.epoch
             summary["removed"] = self.removed
-        if self.shard is not None:
-            summary["shard"] = self.shard
         return summary
 
     def __getitem__(self, key: str):
@@ -573,7 +569,6 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
         cache_entries=cache_entries,
         decisions=metrics.get("decisions", 0),
         bytes=size,
-        shard=payload.get("shard"),
     )
 
 
@@ -778,13 +773,13 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
 
     Replays whatever :func:`collect_state` can trust, writes the merged
     result as the next-sequence *full* v3 generation, and removes every
-    older sequence file (shard files are left alone).  Returns the new
-    path and the removed ones.  Raises :class:`SnapshotError` when the
-    directory holds nothing replayable.
+    older sequence file.  Returns the new path and the removed ones.
+    Raises :class:`SnapshotError` when the directory holds nothing
+    replayable.
     """
     state_dir = Path(state_dir)
     collected = collect_state(state_dir)
-    if collected is None:
+    if collected is None or not collected.sources:
         raise SnapshotError(f"no valid snapshot under {state_dir}")
     numbered = []
     for entry in state_dir.iterdir():
@@ -817,16 +812,9 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
 
 
 class CollectedState:
-    """Everything a state directory knows, merged across file kinds."""
+    """Everything a state directory knows, merged across its files."""
 
-    __slots__ = (
-        "sessions",
-        "cache_entries",
-        "metrics",
-        "sources",
-        "skipped",
-        "sharded",
-    )
+    __slots__ = ("sessions", "cache_entries", "metrics", "sources", "skipped")
 
     def __init__(
         self,
@@ -835,100 +823,73 @@ class CollectedState:
         metrics: Optional[Dict],
         sources: List[Path],
         skipped: List[Tuple[Path, str]],
-        sharded: bool,
     ):
         #: principal -> the export_state per-session dict.
         self.sessions = sessions
         #: decoded ``warm_label_cache`` pairs, deduplicated.
         self.cache_entries = cache_entries
-        #: metrics of the newest source.  Meaningful for a same-shape
-        #: restart (newest file carries the full history); one shard's
-        #: counters are *not* the deployment's, so check :attr:`sharded`
-        #: before restoring them.
+        #: metrics of the newest source (it carries the full history).
         self.metrics = metrics
+        #: The chain the sessions came from, oldest first; empty when
+        #: no file in the directory could be restored.
         self.sources = sources
+        #: ``(path, reason)`` for every snapshot-like file not used.
         self.skipped = skipped
-        #: True when any contributing file was a per-shard snapshot.
-        self.sharded = sharded
 
 
 def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
     """The newest complete state a directory holds, plus merged warmth.
 
-    Handles all three directory histories: sequence files,
-    ``shard-<i>.json`` files an older multi-process release wrote, and
-    mixtures left by switching between the two.  **Sessions** come
-    only from the newest complete *generation* — the newest valid
-    sequence file, or the merged set of shard files, whichever is
-    newer (by the documents' ``created`` stamps).  Older generations
-    must not contribute sessions: a principal deliberately absent from
-    the newest snapshot (unregistered, or an ephemeral session dropped
+    **Sessions** come only from the newest replayable chain of sequence
+    files (:func:`_sequence_chain`).  Older generations must not
+    contribute sessions: a principal deliberately absent from the
+    newest snapshot (unregistered, or an ephemeral session dropped
     fresh) would otherwise be resurrected with stale state, breaking
     restart equivalence.  **Cache entries** merge from every valid
     file: a label is a pure function of the query, so old warmth is
-    never wrong, only extra.  Damaged files are collected into
-    ``skipped`` and otherwise ignored.  Returns ``None`` when the
-    directory holds no valid snapshot at all.
+    never wrong, only extra.  Damaged files, and the ``shard-<i>.json``
+    files of the removed ``--shards`` release, are listed in
+    ``skipped`` with the reason, so a restart says why it restored
+    less.  Returns ``None`` when the directory holds no snapshot file.
     """
     state_dir = Path(state_dir)
     if not state_dir.is_dir():
         return None
-    # Sequence files carry their chain order in the name; shard files
-    # are ordered by their created stamps.
-    sequence_docs: List[Tuple[int, float, Path, Dict]] = []
-    shard_docs: List[Tuple[float, Path, Dict]] = []
+    sequence_docs: List[Tuple[int, Path, Dict]] = []
     skipped: List[Tuple[Path, str]] = []
     for entry in sorted(state_dir.iterdir()):
-        seq_match = _SNAPSHOT_NAME.match(entry.name)
-        if not (seq_match or _SHARD_NAME.match(entry.name)):
+        if _SHARD_NAME.match(entry.name):
+            skipped.append((entry, _SHARD_SKIPPED))
+            continue
+        match = _SNAPSHOT_NAME.match(entry.name)
+        if not match:
             continue
         try:
             document = load_snapshot(entry)
         except SnapshotError as exc:
             skipped.append((entry, str(exc)))
             continue
-        created = float(document.get("created") or 0.0)
-        if seq_match:
-            sequence_docs.append((int(seq_match.group(1)), created, entry, document))
-        else:
-            shard_docs.append((created, entry, document))
-    if not (sequence_docs or shard_docs):
+        sequence_docs.append((int(match.group(1)), entry, document))
+    if not (sequence_docs or skipped):
         return None
     sequence_docs.sort(key=lambda item: item[0])
-    shard_docs.sort(key=lambda item: item[0])
 
     chain = _sequence_chain(sequence_docs)
-
-    # The sequence chain is one complete generation; the shard files
-    # together are the other.  The newer one wins sessions.
-    chain_age = chain[-1][1] if chain else float("-inf")
-    shard_age = shard_docs[-1][0] if shard_docs else float("-inf")
-    use_shards = bool(shard_docs) and (not chain or shard_age >= chain_age)
     sessions: Dict[str, Dict] = {}
-    if use_shards:
-        sources = [path for _, path, _ in shard_docs]
-        for _, _, document in shard_docs:  # oldest first: newest wins ties
-            sessions.update(payload_sessions(document["payload"]))
-        newest_payload = shard_docs[-1][2]["payload"]
-    else:
-        sources = [path for _, _, path, _ in chain]
-        for _, _, _, document in chain:
-            payload = document["payload"]
-            delta = payload.get("delta")
-            if isinstance(delta, dict):
-                # Apply a generation's removals before its updates, so
-                # an unregister + re-register in one window nets out to
-                # the re-registered state.
-                for principal in delta.get("removed") or ():
-                    sessions.pop(principal, None)
-            sessions.update(payload_sessions(payload))
-        newest_payload = chain[-1][3]["payload"] if chain else {}
+    for _, _, document in chain:
+        payload = document["payload"]
+        delta = payload.get("delta")
+        if isinstance(delta, dict):
+            # Apply a generation's removals before its updates, so an
+            # unregister + re-register in one window nets out to the
+            # re-registered state.
+            for principal in delta.get("removed") or ():
+                sessions.pop(principal, None)
+        sessions.update(payload_sessions(payload))
+    newest_payload = chain[-1][2]["payload"] if chain else {}
 
     cache: Dict = {}
-    for _, _, _, document in sequence_docs:
-        for key, label in payload_cache_entries(document["payload"]):
-            cache[key] = label
-    for _, _, document in shard_docs:
+    for _, _, document in sequence_docs:
         for key, label in payload_cache_entries(document["payload"]):
             cache[key] = label
 
@@ -936,15 +897,14 @@ def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
         sessions,
         list(cache.items()),
         newest_payload.get("metrics"),
-        sources,
+        [path for _, path, _ in chain],
         skipped,
-        use_shards,
     )
 
 
 def _sequence_chain(
-    sequence_docs: List[Tuple[int, float, Path, Dict]]
-) -> List[Tuple[int, float, Path, Dict]]:
+    sequence_docs: List[Tuple[int, Path, Dict]]
+) -> List[Tuple[int, Path, Dict]]:
     """The longest replayable suffix chain of a sequence directory.
 
     Finds the newest *full* document (v1/v2, or v3 with ``of: null``)
@@ -957,21 +917,21 @@ def _sequence_chain(
     """
     base_index: Optional[int] = None
     for index in range(len(sequence_docs) - 1, -1, -1):
-        delta = sequence_docs[index][3]["payload"].get("delta")
+        delta = sequence_docs[index][2]["payload"].get("delta")
         if not isinstance(delta, dict) or delta.get("of") is None:
             base_index = index
             break
     if base_index is None:
         return []
     chain = [sequence_docs[base_index]]
-    base_delta = sequence_docs[base_index][3]["payload"].get("delta")
+    base_delta = sequence_docs[base_index][2]["payload"].get("delta")
     expected_of = (
         base_delta.get("generation")
         if isinstance(base_delta, dict)
         else sequence_docs[base_index][0]
     )
     for member in sequence_docs[base_index + 1 :]:
-        delta = member[3]["payload"].get("delta")
+        delta = member[2]["payload"].get("delta")
         if not isinstance(delta, dict) or delta.get("of") != expected_of:
             break
         chain.append(member)
@@ -984,24 +944,6 @@ def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
     from repro.server.service import _STATE_FORMAT
 
     return {"format": _STATE_FORMAT, "sessions": sessions}
-
-
-def clean_stale_shards(state_dir: "Path | str", shard_count: int) -> List[Path]:
-    """Remove shard files outside ``0..shard_count-1``; returns removals.
-
-    Called with 0 after a restart has absorbed every shard file into a
-    fresh snapshot, so a later restart cannot resurrect their sessions.
-    """
-    removed = []
-    state_dir = Path(state_dir)
-    if not state_dir.is_dir():
-        return removed
-    for entry in sorted(state_dir.iterdir()):
-        match = _SHARD_NAME.match(entry.name)
-        if match and int(match.group(1)) >= shard_count:
-            entry.unlink(missing_ok=True)
-            removed.append(entry)
-    return removed
 
 
 # ----------------------------------------------------------------------

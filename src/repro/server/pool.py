@@ -80,6 +80,13 @@ from repro.server.store import (
 #: respawned in time; the asyncio front end maps it to HTTP 503.
 REPLICA_UNAVAILABLE = "replica-unavailable"
 
+#: Replicas start as fresh interpreters, never as forks of a parent
+#: that may be running an event loop and holding its locks.
+START_METHOD = "spawn"
+
+#: Seconds a replica may take to announce itself before its spawn fails.
+READY_TIMEOUT = 60.0
+
 
 def _encode(frame: object) -> bytes:
     return json.dumps(frame, separators=(",", ":")).encode("utf-8")
@@ -244,6 +251,30 @@ def _replica_worker_main(
 # ----------------------------------------------------------------------
 # The parent side: the dispatcher
 # ----------------------------------------------------------------------
+def _blocking(coro, served: bool = False):
+    """Run a pool coroutine that was given ``loop=None`` to its result.
+
+    Without a loop the readiness waits return at once and the offloads
+    run inline, so the coroutine finishes within its first ``send``: a
+    blocking call costs one coroutine object, not an event loop.  A
+    suspension would break that invariant, so it raises rather than
+    waits.  *served* refuses the call outright: while an event loop
+    serves the pool, its tick drain owns the replica pipes.
+    """
+    if served:
+        coro.close()
+        raise RuntimeError(
+            "the replica pool is served by an event loop; "
+            "only its tick drain may use the replica pipes"
+        )
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError("a pool coroutine suspended with no event loop")
+
+
 class ReplicaHandle:
     """One replica's process, pipe, and plane-sync watermark."""
 
@@ -270,6 +301,12 @@ class ReplicaPool:
     authoritative session mirror; every decision is dispatched to the
     replica owning its principal.  Construct, :meth:`start`, then hand
     the pool to :class:`repro.server.aio.AsyncDecisionServer`.
+
+    Every pipe operation is one coroutine taking ``loop``: the asyncio
+    front end passes its running loop, and ``loop=None`` runs the same
+    body blocking (:func:`_blocking`) — for spawns, and behind the
+    three public façades :meth:`decide`, :meth:`dispatch_inline` and
+    :meth:`snapshot_payloads`.
     """
 
     def __init__(
@@ -278,8 +315,6 @@ class ReplicaPool:
         replicas: int,
         *,
         service_kwargs: Optional[Dict] = None,
-        start_method: str = "spawn",
-        ready_timeout: float = 60.0,
         warm_entries: Optional[List[Tuple]] = None,
     ):
         if replicas < 1:
@@ -287,10 +322,9 @@ class ReplicaPool:
         self.service = service
         self.replicas = replicas
         self.service_kwargs = dict(service_kwargs or {})
-        self.ready_timeout = ready_timeout
         import multiprocessing  # here, not above: embedded deployments never load it
 
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(START_METHOD)
         self._warm_frame: Optional[List] = None
         if warm_entries:
             from repro.server.persist import encode_cache_entries
@@ -301,8 +335,11 @@ class ReplicaPool:
             service.kernel.intern_keys([key for key, _ in warm_entries])
             self._warm_frame = ["warm", encode_cache_entries(warm_entries)]
         self.handles: List[ReplicaHandle] = []
+        #: True while an :class:`~repro.server.aio.AsyncDecisionServer`
+        #: serves this pool; the blocking façades refuse to run then.
+        self.served = False
         #: Whether mirror applies may touch disk (spill-backed store).
-        #: The async settle path sends those to the executor.
+        #: A served pool sends those to the executor.
         self._mirror_blocking = isinstance(service.store, SpillStore)
         metrics = service.metrics
         #: Dispatch round-trip time (send → all replies applied), per
@@ -356,11 +393,11 @@ class ReplicaPool:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.ready_timeout):
+        if not parent_conn.poll(READY_TIMEOUT):
             process.terminate()
             raise TimeoutError(
                 f"kernel replica {index} did not come up within "
-                f"{self.ready_timeout:g}s"
+                f"{READY_TIMEOUT:g}s"
             )
         ready = _decode(parent_conn.recv_bytes())
         if ready[:1] != ["ready"]:
@@ -368,8 +405,8 @@ class ReplicaPool:
             raise RuntimeError(f"replica {index} sent {ready!r}, not ready")
         handle = ReplicaHandle(index, process, parent_conn)
         if self._warm_frame is not None:
-            self._sync_plane(handle, self.service.kernel.plane)
-            self._roundtrip(handle, self._warm_frame)
+            _blocking(self._sync_plane(handle, self.service.kernel.plane, None))
+            _blocking(self._roundtrip(handle, self._warm_frame, None))
         # Refault this replica's principals from the parent mirror —
         # the same step whether this is a cold start, a warm restart
         # from a snapshot, or a mid-serve respawn after a crash.
@@ -386,7 +423,7 @@ class ReplicaPool:
                 )
             ]
         if rows:
-            self._roundtrip(handle, ["restore", rows])
+            _blocking(self._roundtrip(handle, ["restore", rows], None))
         return handle
 
     def _respawn(self, handle: ReplicaHandle) -> None:
@@ -406,6 +443,10 @@ class ReplicaPool:
         self.respawns.labels(str(handle.index)).increment()
 
     # -- the pipe primitives -------------------------------------------
+    # With a loop, a transfer first awaits its pipe end's readiness; the
+    # transfer itself then stays synchronous but bounded, against a
+    # replica draining (or filling) the other end.  With ``loop=None``
+    # the waits return at once and the transfer does the waiting.
     def _check_reply(self, handle: ReplicaHandle, reply: Optional[List]) -> List:
         """An ``ok`` reply, or the replica's own error surfaced.
 
@@ -422,79 +463,61 @@ class ReplicaPool:
             raise RuntimeError(f"replica {handle.index} failed: {reply!r}")
         return reply
 
-    def _roundtrip(self, handle: ReplicaHandle, frame: List) -> List:
-        handle.conn.send_bytes(_encode(frame))
-        reply = _decode(handle.conn.recv_bytes())
-        return self._check_reply(handle, reply)
+    async def _roundtrip(self, handle: ReplicaHandle, frame: List, loop) -> List:
+        await self._send(handle, _encode(frame), loop)
+        return self._check_reply(handle, await self._recv(handle, loop))
 
-    async def _roundtrip_async(self, handle: ReplicaHandle, frame: List, asyncio) -> List:
-        """:meth:`_roundtrip` awaited through the event loop.
-
-        Both pipe ends are awaited for readiness first; the transfers
-        themselves stay synchronous but bounded — the replica is
-        draining (or filling) the other end concurrently.
-        """
-        await self._send_frame_async(handle, _encode(frame), asyncio)
-        await self._wait_readable(handle, asyncio)
-        reply = _decode(handle.conn.recv_bytes())  # repro: noqa[ASY01] - readability awaited above; remainder of a large reply streams in while the replica writes it
-        return self._check_reply(handle, reply)
-
-    def _plane_frames(self, handle: ReplicaHandle, plane) -> List[bytes]:
-        """The encoded plane rows *handle* is missing, watermark advanced.
-
-        Advancing ``plane_epoch``/``shipped`` here means the caller
-        *must* deliver every returned frame (or let the failure path
-        respawn, which resets both watermarks).
-        """
-        epoch = plane.epoch
-        if handle.plane_epoch != epoch:
-            keys = plane.queries.export_keys()
-            handle.plane_epoch = epoch
-            handle.shipped = len(keys)
-            return [
-                _encode(["plane", epoch, 0, [encode_key(key) for key in keys]])
-            ]
-        count = len(plane.queries)
-        if handle.shipped < count:
-            keys = plane.queries.export_keys_since(handle.shipped)
-            start = handle.shipped
-            handle.shipped += len(keys)
-            return [
-                _encode(
-                    ["plane", epoch, start, [encode_key(key) for key in keys]]
-                )
-            ]
-        return []
-
-    def _sync_plane(self, handle: ReplicaHandle, plane) -> None:
-        """Ship the qid rows *handle* is missing, ahead of their batch."""
-        for data in self._plane_frames(handle, plane):
-            handle.conn.send_bytes(data)
-
-    async def _sync_plane_async(self, handle: ReplicaHandle, plane, asyncio) -> None:
-        for data in self._plane_frames(handle, plane):
-            await self._send_frame_async(handle, data, asyncio)
-
-    async def _send_frame_async(self, handle: ReplicaHandle, data: bytes, asyncio) -> None:
+    async def _send(self, handle: ReplicaHandle, data: bytes, loop) -> None:
         """Send one encoded frame without stalling the event loop.
 
         Pipe buffers are 64 KiB; a plane ship or a wide batch can
         exceed that while the replica is still busy, which is exactly
-        when a bare ``send_bytes`` would block the loop.  Awaiting
-        writability first keeps the wait on the loop; the send itself
-        then drains against a replica that is actively reading.
+        when a bare ``send_bytes`` would block the loop.
         """
-        await self._wait_writable(handle, asyncio)
+        await self._wait_writable(handle, loop)
         handle.conn.send_bytes(data)  # repro: noqa[ASY01] - writability awaited above; bounded drain against a reading replica
 
+    async def _recv(self, handle: ReplicaHandle, loop) -> List:
+        await self._wait_readable(handle, loop)
+        return _decode(handle.conn.recv_bytes())  # repro: noqa[ASY01] - readability awaited above; the rest of a large reply streams in while the replica writes it
+
+    async def _try_recv(self, handle: ReplicaHandle, loop) -> Optional[List]:
+        """The next reply if it is ``ok``; ``None`` for a dead pipe,
+        undecodable bytes or an error reply (the retry path's cue)."""
+        try:
+            reply = await self._recv(handle, loop)
+        except (EOFError, OSError, ValueError):
+            return None
+        return reply if reply and reply[0] == "ok" else None
+
+    async def _sync_plane(self, handle: ReplicaHandle, plane, loop) -> None:
+        """Ship the qid rows *handle* is missing, ahead of their batch.
+
+        The watermark advances before the send, so a failed send must
+        end in a respawn, which resets it.
+        """
+        epoch = plane.epoch
+        if handle.plane_epoch != epoch:
+            start, keys = 0, plane.queries.export_keys()
+            handle.plane_epoch = epoch
+        elif handle.shipped < len(plane.queries):
+            start = handle.shipped
+            keys = plane.queries.export_keys_since(start)
+        else:
+            return
+        handle.shipped = start + len(keys)
+        frame = ["plane", epoch, start, [encode_key(key) for key in keys]]
+        await self._send(handle, _encode(frame), loop)
+
     @staticmethod
-    async def _wait_writable(handle: ReplicaHandle, asyncio) -> None:
+    async def _wait_writable(handle: ReplicaHandle, loop) -> None:
         """Yield until *handle*'s pipe accepts writes (or is dead)."""
+        if loop is None:
+            return
         try:
             fd = handle.conn.fileno()
         except (OSError, ValueError):
             return  # dead pipe: the send will fail into the retry path
-        loop = asyncio.get_running_loop()
         ready = loop.create_future()
         try:
             loop.add_writer(fd, lambda: ready.done() or ready.set_result(None))
@@ -504,6 +527,37 @@ class ReplicaPool:
             await ready
         finally:
             loop.remove_writer(fd)
+
+    @staticmethod
+    async def _wait_readable(handle: ReplicaHandle, loop) -> None:
+        """Yield until *handle*'s pipe has data (or EOF) to read."""
+        if loop is None:
+            return
+        try:
+            if handle.conn.poll(0):
+                return
+            fd = handle.conn.fileno()
+        except (OSError, ValueError):
+            return  # dead pipe: the recv will fail into the retry path
+        ready = loop.create_future()
+        try:
+            loop.add_reader(fd, lambda: ready.done() or ready.set_result(None))
+        except (OSError, ValueError):
+            return
+        try:
+            await ready
+        finally:
+            loop.remove_reader(fd)
+
+    @staticmethod
+    async def _offload(loop, function, *args):
+        """Run a blocking step — a respawn (process start + mirror
+        refault, up to ``READY_TIMEOUT``) or a spill-backed mirror
+        write: in the default executor while a loop serves, so the loop
+        keeps breathing; inline for a blocking caller."""
+        if loop is None:
+            return function(*args)  # no event loop to stall
+        return await loop.run_in_executor(None, function, *args)
 
     # -- the dispatch core ---------------------------------------------
     def owner_of(self, principal: Hashable) -> int:
@@ -517,25 +571,13 @@ class ReplicaPool:
         plane=None,
         timings: Optional[Dict] = None,
     ) -> List:
-        """The pooled :func:`~repro.server.batch.decide_wire_items`.
-
-        Same entry and result shapes — ``(principal, query, qid)`` in,
-        :class:`ServiceDecision`-or-error-dict out, aligned — so the
-        asyncio drain and the v1 batch route swap it in transparently.
-        Sub-batches go to every involved replica before any reply is
-        awaited, so replicas decide concurrently; replies are gathered
-        and applied in replica order, and the parent mirror absorbs
-        every narrowed live vector before the call returns.
-        """
-        launched = self._launch(entries, update=update, plane=plane,
-                                timings=timings)
-        results, plane, pending, started = launched
-        for handle, positions, frame, sent in pending:
-            reply = self._try_recv(handle) if sent else None
-            self._settle(handle, positions, frame, plane, reply, results)
-        if pending:
-            self._account(pending, started, timings)
-        return results
+        """:meth:`decide_async`, blocking (the ledger's ``pool.decide``)."""
+        return _blocking(
+            self.decide_async(
+                entries, update=update, plane=plane, timings=timings, loop=None
+            ),
+            self.served,
+        )
 
     async def decide_async(
         self,
@@ -544,66 +586,19 @@ class ReplicaPool:
         update: bool,
         plane=None,
         timings: Optional[Dict] = None,
+        loop,
     ) -> List:
-        """:meth:`decide` for the asyncio front end: pipes are awaited.
+        """The pooled :func:`~repro.server.batch.decide_wire_items`.
 
-        Sends and replies both go through the event loop's readiness
-        callbacks, so the loop keeps parsing and queueing new requests
-        while replicas compute.  The rare crash-recovery path (respawn +
-        replay) runs in the default executor — correctness over latency
-        when a process just died, but the loop still breathes.
-        """
-        import asyncio
-
-        partitioned = self._partition(entries, update=update, plane=plane,
-                                      timings=timings)
-        results, plane, sub_frames, started = partitioned
-        pending = []
-        for handle, positions, frame in sub_frames:
-            sent = True
-            try:
-                await self._sync_plane_async(handle, plane, asyncio)
-                await self._send_frame_async(handle, _encode(frame), asyncio)
-            except (OSError, ValueError):
-                sent = False
-            pending.append((handle, positions, frame, sent))
-        for handle, positions, frame, sent in pending:
-            reply = None
-            if sent:
-                await self._wait_readable(handle, asyncio)
-                reply = self._try_recv(handle)  # repro: noqa[ASY01] - readability awaited above; bounded drain of an arriving reply
-            await self._settle_async(handle, positions, frame, plane, reply,
-                                     results, asyncio)
-        if pending:
-            self._account(pending, started, timings)
-        return results
-
-    @staticmethod
-    async def _wait_readable(handle: ReplicaHandle, asyncio) -> None:
-        """Yield until *handle*'s pipe has data (or EOF) to read."""
-        try:
-            if handle.conn.poll(0):
-                return
-            fd = handle.conn.fileno()
-        except (OSError, ValueError):
-            return  # dead pipe: the recv will fail into the retry path
-        loop = asyncio.get_running_loop()
-        ready = loop.create_future()
-        try:
-            loop.add_reader(fd, lambda: ready.done() or ready.set_result(None))
-        except (OSError, ValueError):
-            return
-        try:
-            await ready
-        finally:
-            loop.remove_reader(fd)
-
-    def _partition(self, entries, *, update, plane, timings):
-        """Validate, intern, and partition — no pipe I/O yet.
-
-        Returns ``(results, plane, sub_frames, started)`` where
-        *sub_frames* is ``[(handle, positions, frame), ...]`` in replica
-        order, ready for either the sync or the awaited send path.
+        Same entry and result shapes — ``(principal, query, qid)`` in,
+        :class:`ServiceDecision`-or-error-dict out, aligned — so the
+        asyncio drain and the v1 batch route swap it in transparently.
+        Sub-batches go to every involved replica before any reply is
+        awaited, so replicas decide concurrently; replies are gathered
+        and applied in replica order, and the parent mirror absorbs
+        every narrowed live vector before the call returns.  Served,
+        the loop keeps parsing and queueing new requests while replicas
+        compute.
         """
         service = self.service
         if plane is None:
@@ -611,7 +606,7 @@ class ReplicaPool:
         entries = list(entries)
         results: List = [None] * len(entries)
         if not entries:
-            return results, plane, [], 0.0
+            return results
         label_started = perf_counter() if timings is not None else 0.0
         distinct = {principal for principal, _, _ in entries}
         # Unknown-principal isolation against the parent mirror — the
@@ -643,35 +638,26 @@ class ReplicaPool:
         if timings is not None:
             timings["label_us"] = (perf_counter() - label_started) * 1e6
         started = perf_counter()
-        sub_frames = [
-            (self.handles[owner], positions, ["batch", update, items])
-            for owner, (positions, items) in enumerate(sub_batches)
-            if items
-        ]
-        return results, plane, sub_frames, started
-
-    def _launch(self, entries, *, update, plane, timings):
-        """Validate, intern, partition, and send — the non-blocking half."""
-        results, plane, sub_frames, started = self._partition(
-            entries, update=update, plane=plane, timings=timings
-        )
         pending = []
-        for handle, positions, frame in sub_frames:
+        for owner, (positions, items) in enumerate(sub_batches):
+            if not items:
+                continue
+            handle = self.handles[owner]
+            frame = ["batch", update, items]
             sent = True
             try:
-                self._sync_plane(handle, plane)
-                handle.conn.send_bytes(_encode(frame))
+                await self._sync_plane(handle, plane, loop)
+                await self._send(handle, _encode(frame), loop)
             except (OSError, ValueError):
                 sent = False
             pending.append((handle, positions, frame, sent))
-        return results, plane, pending, started
-
-    def _try_recv(self, handle: ReplicaHandle) -> Optional[List]:
-        try:
-            reply = _decode(handle.conn.recv_bytes())
-        except (EOFError, OSError, ValueError):
-            return None
-        return reply if reply and reply[0] == "ok" else None
+        for handle, positions, frame, sent in pending:
+            reply = await self._try_recv(handle, loop) if sent else None
+            await self._settle(handle, positions, frame, plane, reply,
+                               results, loop)
+        if pending:
+            self._account(pending, started, timings)
+        return results
 
     def _absorb(self, handle, positions, frame, reply, results) -> Dict:
         """Fold one reply (or its absence) into *results*.
@@ -716,53 +702,37 @@ class ReplicaPool:
             return {}
         return narrowed
 
-    def _settle(self, handle, positions, frame, plane, reply, results) -> None:
-        """Apply one replica's reply, retrying once through a respawn."""
-        if reply is None:
-            reply = self._retry(handle, plane, frame)
-        narrowed = self._absorb(handle, positions, frame, reply, results)
-        if narrowed:
-            self._mirror(handle, narrowed)
-
-    async def _settle_async(
-        self, handle, positions, frame, plane, reply, results, asyncio
+    async def _settle(
+        self, handle, positions, frame, plane, reply, results, loop
     ) -> None:
-        """:meth:`_settle` with the blocking edges moved off the loop.
+        """Apply one replica's reply, retrying once through a respawn.
 
-        The respawn-and-replay retry blocks for up to ``ready_timeout``
-        (process start + mirror refault), so it runs in the default
-        executor.  The mirror write — only when the frame narrowed
-        someone — is a dict update under the parent lock unless the
-        store spills to disk, in which case it goes to the executor too.
+        The mirror write — only when the frame narrowed someone — is a
+        dict update under the parent lock unless the store spills to
+        disk, in which case it is offloaded like the respawn.
         """
         if reply is None:
-            loop = asyncio.get_running_loop()
-            reply = await loop.run_in_executor(
-                None, self._retry, handle, plane, frame
-            )
+            reply = await self._retry(handle, plane, frame, loop)
         narrowed = self._absorb(handle, positions, frame, reply, results)
         if narrowed:
             if self._mirror_blocking:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(
-                    None, self._mirror, handle, narrowed
-                )
+                await self._offload(loop, self._mirror, handle, narrowed)
             else:
                 self._mirror(handle, narrowed)  # repro: noqa[ASY01] - RAM mirror: dict puts under an uncontended lock, microseconds
 
-    def _retry(self, handle, plane, frame) -> Optional[List]:
+    async def _retry(self, handle, plane, frame, loop) -> Optional[List]:
         """One respawn + replay: refault from the mirror, re-ship the
         plane, resend the in-flight sub-batch.  The mirror reflects
         every *completed* batch, so the replay is exact unless the
         replica died inside this very frame — the documented
         at-least-once window (docs/pool.md)."""
         try:
-            self._respawn(handle)
-            self._sync_plane(handle, plane)
-            handle.conn.send_bytes(_encode(frame))
+            await self._offload(loop, self._respawn, handle)
+            await self._sync_plane(handle, plane, loop)
+            await self._send(handle, _encode(frame), loop)
         except (OSError, ValueError, TimeoutError, RuntimeError):
             return None
-        return self._try_recv(handle)
+        return await self._try_recv(handle, loop)
 
     def _mirror(self, handle: ReplicaHandle, narrowed: Dict) -> None:
         """Write the live bits one frame narrowed into the parent mirror.
@@ -834,6 +804,15 @@ class ReplicaPool:
     def dispatch_inline(
         self, method: str, path: str, body: Optional[Dict]
     ) -> Optional[Tuple[int, object]]:
+        """:meth:`dispatch_inline_async`, blocking."""
+        return _blocking(
+            self.dispatch_inline_async(method, path, body, loop=None),
+            self.served,
+        )
+
+    async def dispatch_inline_async(
+        self, method: str, path: str, body: Optional[Dict], *, loop
+    ) -> Optional[Tuple[int, object]]:
         """Serve the inline routes that must not run on the parent alone.
 
         Returns ``None`` for routes the parent's ordinary dispatch
@@ -842,7 +821,7 @@ class ReplicaPool:
         intercepted here so replicas and mirror stay in lockstep.
         ``POST /v2/batch`` is not an inline route in pooled mode: the
         front end resolves it and joins its entries to the tick's
-        decision run, so :meth:`decide` is its data path.
+        decision run, so :meth:`decide_async` is its data path.
         """
         claimed = self._claim(method, path, body)
         if claimed is None:
@@ -852,55 +831,27 @@ class ReplicaPool:
             fmt, error = metrics_format(query_string)
             if error is not None:
                 return 400, {"error": error}
-            return self._render_metrics(fmt, self.metrics_snapshot())
+            snapshot = await self.metrics_snapshot(loop)
+            if fmt == "prometheus":
+                from repro.obs import render_prometheus
+
+                return 200, render_prometheus(snapshot)
+            return 200, snapshot
         if route == "/internal/snapshot":
-            return 200, self.merged_snapshot()
+            merged = await self.merged_snapshot(loop)
+            if merged is None:
+                return 503, {
+                    "error": "no kernel replica answered",
+                    "code": REPLICA_UNAVAILABLE,
+                }
+            return 200, merged
         if route == "/v1/batch":
-            return self._batch_v1(body)
+            return await self._batch_v1(body, loop)
         status, payload = dispatch(self.service, method, route, body)
         if status == 200:
             handle, frame = self._admin_frame(route, body)
-            self._admin(handle, frame)
+            await self._admin(handle, frame, loop)
         return status, payload
-
-    async def dispatch_inline_async(
-        self, method: str, path: str, body: Optional[Dict]
-    ) -> Optional[Tuple[int, object]]:
-        """:meth:`dispatch_inline` for the asyncio front end.
-
-        Same routes and payloads; replica pipes are awaited through the
-        loop and respawns run in the default executor, so an admin call
-        or merged scrape never stalls concurrently draining batches.
-        """
-        import asyncio
-
-        claimed = self._claim(method, path, body)
-        if claimed is None:
-            return None
-        route, query_string = claimed
-        if route == "/metrics":
-            fmt, error = metrics_format(query_string)
-            if error is not None:
-                return 400, {"error": error}
-            snapshot = await self.metrics_snapshot_async(asyncio)
-            return self._render_metrics(fmt, snapshot)
-        if route == "/internal/snapshot":
-            return 200, await self.merged_snapshot_async(asyncio)
-        if route == "/v1/batch":
-            return await self._batch_v1_async(body)
-        status, payload = dispatch(self.service, method, route, body)
-        if status == 200:
-            handle, frame = self._admin_frame(route, body)
-            await self._admin_async(handle, frame, asyncio)
-        return status, payload
-
-    @staticmethod
-    def _render_metrics(fmt: str, snapshot: Dict) -> Tuple[int, object]:
-        if fmt == "prometheus":
-            from repro.obs import render_prometheus
-
-            return 200, render_prometheus(snapshot)
-        return 200, snapshot
 
     def _admin_frame(
         self, route: str, body: Dict
@@ -916,41 +867,26 @@ class ReplicaPool:
             return handle, ["register", principal, partitions]
         return handle, ["reset", principal]
 
-    def _admin(self, handle: ReplicaHandle, frame: List) -> None:
+    async def _admin(self, handle: ReplicaHandle, frame: List, loop) -> None:
         """Forward an admin mutation; a dead replica is respawned, and
         the respawn's mirror refault already carries the mutation (the
         parent applied it first), so no replay is needed."""
         try:
-            self._roundtrip(handle, frame)
+            await self._roundtrip(handle, frame, loop)
         except (OSError, EOFError, ValueError, RuntimeError):
             try:
-                self._respawn(handle)
+                await self._offload(loop, self._respawn, handle)
             except (OSError, TimeoutError, RuntimeError):
                 pass  # the next dispatch will retry the respawn
 
-    async def _admin_async(self, handle: ReplicaHandle, frame: List, asyncio) -> None:
-        """:meth:`_admin` awaited; the recovery respawn (process start +
-        mirror refault, potentially seconds) runs in the executor."""
-        try:
-            await self._roundtrip_async(handle, frame, asyncio)
-        except (OSError, EOFError, ValueError, RuntimeError):
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(None, self._respawn, handle)
-            except (OSError, TimeoutError, RuntimeError):
-                pass  # the next dispatch will retry the respawn
-
-    def _batch_v1_prepare(self, body: Dict):
-        """Parse and pre-validate a v1 batch on the parent — no pipes.
-
-        Returns ``(error, results, positions, entries, peek)``; *error*
-        is a ready HTTP response when validation already failed.
-        """
+    async def _batch_v1(self, body: Dict, loop) -> Tuple[int, Dict]:
+        """``POST /v1/batch`` pooled: parse on the parent, decide on the
+        replicas, reassemble in input order (the v1 error shapes)."""
         from repro.server.batch import parse_wire_request
 
         requests, peek, error = validate_batch_body(body)
         if error is not None:
-            return error, [], [], [], False
+            return error
         service = self.service
         results: List[Optional[Dict]] = [None] * len(requests)
         positions: List[int] = []
@@ -966,10 +902,11 @@ class ReplicaPool:
                 continue
             positions.append(index)
             entries.append((principal, item[1], None))
-        return None, results, positions, entries, peek
-
-    @staticmethod
-    def _batch_v1_finish(results, positions, decided) -> Tuple[int, Dict]:
+        decided = (
+            await self.decide_async(entries, update=not peek, loop=loop)
+            if entries
+            else []
+        )
         for position, decision in zip(positions, decided):
             if isinstance(decision, ServiceDecision):
                 results[position] = decision.as_dict()
@@ -979,28 +916,8 @@ class ReplicaPool:
                 }
         return 200, {"decisions": results, "count": len(results)}
 
-    def _batch_v1(self, body: Dict) -> Tuple[int, Dict]:
-        """``POST /v1/batch`` pooled: parse on the parent, decide on the
-        replicas, reassemble in input order (the v1 error shapes)."""
-        error, results, positions, entries, peek = self._batch_v1_prepare(body)
-        if error is not None:
-            return error
-        decided = self.decide(entries, update=not peek) if entries else []
-        return self._batch_v1_finish(results, positions, decided)
-
-    async def _batch_v1_async(self, body: Dict) -> Tuple[int, Dict]:
-        error, results, positions, entries, peek = self._batch_v1_prepare(body)
-        if error is not None:
-            return error
-        decided = (
-            await self.decide_async(entries, update=not peek)
-            if entries
-            else []
-        )
-        return self._batch_v1_finish(results, positions, decided)
-
     # -- merged views ---------------------------------------------------
-    def metrics_snapshot(self) -> Dict:
+    async def metrics_snapshot(self, loop) -> Dict:
         """One deployment-wide ``/metrics`` payload, merged at scrape.
 
         Replica snapshots merge through
@@ -1011,26 +928,14 @@ class ReplicaPool:
         folded in on top.  The parent never decides, so nothing double
         counts.
         """
-        snapshots = []
-        for handle in self.handles:
-            reply = self._admin_reply(handle, ["metrics"])
-            if reply is not None:
-                snapshots.append(reply[1])
-        return self._merge_metrics(snapshots)
-
-    async def metrics_snapshot_async(self, asyncio) -> Dict:
-        """:meth:`metrics_snapshot` with the replica scrapes awaited."""
-        snapshots = []
-        for handle in self.handles:
-            reply = await self._admin_reply_async(handle, ["metrics"], asyncio)
-            if reply is not None:
-                snapshots.append(reply[1])
-        return self._merge_metrics(snapshots)
-
-    def _merge_metrics(self, snapshots: List[Dict]) -> Dict:
         from repro.obs import merge_registry_snapshots
         from repro.server.partition import aggregate_metrics
 
+        replies = [
+            await self._admin_reply(handle, ["metrics"], loop)
+            for handle in self.handles
+        ]
+        snapshots = [reply[1] for reply in replies if reply is not None]
         merged = aggregate_metrics(snapshots)
         merged["replica_count"] = merged.pop("shard_count", len(snapshots))
         merged["replicas"] = merged.pop("shards", snapshots)
@@ -1046,54 +951,36 @@ class ReplicaPool:
 
     def snapshot_payloads(self) -> List[Dict]:
         """Every live replica's snapshot payload (sessions, cache,
-        counters) — the inputs of the pooled snapshot merge."""
-        payloads = []
-        for handle in self.handles:
-            reply = self._admin_reply(handle, ["snapshot"])
-            if reply is not None:
-                payloads.append(reply[1])
-        return payloads
+        counters) — the inputs of the pooled snapshot merge; blocking,
+        for the snapshots taken while no loop serves the pool."""
+        return _blocking(self._snapshot_payloads(None), self.served)
 
-    def merged_snapshot(self) -> Dict:
+    async def _snapshot_payloads(self, loop) -> List[Dict]:
+        replies = [
+            await self._admin_reply(handle, ["snapshot"], loop)
+            for handle in self.handles
+        ]
+        return [reply[1] for reply in replies if reply is not None]
+
+    async def merged_snapshot(self, loop) -> Optional[Dict]:
         """The replica payloads folded into one restorable, topology-free
-        payload (:func:`~repro.server.partition.merge_snapshot_payloads`)."""
+        payload (:func:`~repro.server.partition.merge_snapshot_payloads`),
+        or ``None`` when no replica answered — an empty merge would read
+        as a deployment with no sessions."""
         from repro.server.partition import merge_snapshot_payloads
 
-        return merge_snapshot_payloads(self.snapshot_payloads())
+        payloads = await self._snapshot_payloads(loop)
+        return merge_snapshot_payloads(payloads) if payloads else None
 
-    async def merged_snapshot_async(self, asyncio) -> Dict:
-        """:meth:`merged_snapshot` with the replica reads awaited."""
-        from repro.server.partition import merge_snapshot_payloads
-
-        payloads = []
-        for handle in self.handles:
-            reply = await self._admin_reply_async(
-                handle, ["snapshot"], asyncio
-            )
-            if reply is not None:
-                payloads.append(reply[1])
-        return merge_snapshot_payloads(payloads)
-
-    def _admin_reply(self, handle: ReplicaHandle, frame: List) -> Optional[List]:
-        try:
-            return self._roundtrip(handle, frame)
-        except (OSError, EOFError, ValueError, RuntimeError):
-            try:
-                self._respawn(handle)
-                return self._roundtrip(handle, frame)
-            except (OSError, EOFError, ValueError, TimeoutError, RuntimeError):
-                return None
-
-    async def _admin_reply_async(
-        self, handle: ReplicaHandle, frame: List, asyncio
+    async def _admin_reply(
+        self, handle: ReplicaHandle, frame: List, loop
     ) -> Optional[List]:
         try:
-            return await self._roundtrip_async(handle, frame, asyncio)
+            return await self._roundtrip(handle, frame, loop)
         except (OSError, EOFError, ValueError, RuntimeError):
-            loop = asyncio.get_running_loop()
             try:
-                await loop.run_in_executor(None, self._respawn, handle)
-                return await self._roundtrip_async(handle, frame, asyncio)
+                await self._offload(loop, self._respawn, handle)
+                return await self._roundtrip(handle, frame, loop)
             except (OSError, EOFError, ValueError, TimeoutError, RuntimeError):
                 return None
 
@@ -1124,7 +1011,6 @@ def start_pooled_background(
     service_kwargs: Optional[Dict] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    start_method: str = "spawn",
 ) -> BackgroundPoolServer:
     """One pooled asyncio front end, ready to serve; returns a handle.
 
@@ -1141,9 +1027,7 @@ def start_pooled_background(
             os.fspath(parent_kwargs["spill_dir"]), "front"
         )
     service = DisclosureService(**parent_kwargs)
-    pool = ReplicaPool(
-        service, replicas, service_kwargs=kwargs, start_method=start_method
-    ).start()
+    pool = ReplicaPool(service, replicas, service_kwargs=kwargs).start()
     try:
         handle = start_async_background(service, host, port, pool=pool)
     except Exception:

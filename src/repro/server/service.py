@@ -175,7 +175,8 @@ class DisclosureService:
         disables caching — the benchmark's cold series).
     parse_cache_size:
         Entries in the request-text → parsed-query memo used by
-        :meth:`submit_text`.
+        :meth:`parse`, which the v1 text routes (``/v1/query``,
+        ``/v1/peek``, ``/v1/batch``) call.
     default_policy:
         When given, unknown principals get a session with this policy on
         first contact instead of raising.  Such sessions are *ephemeral*:
@@ -633,42 +634,6 @@ class DisclosureService:
         query = parse_text(text, dialect, me, schema=self.schema)
         self.parse_cache.put(key, query)
         return query
-
-    def submit_text(
-        self, principal: Hashable, text: str, dialect: str = "sql", me: int = 1
-    ) -> ServiceDecision:
-        """Deprecated: parse client-side and :meth:`submit` the query.
-
-        .. deprecated:: PR 5
-            Text front ends belong to the client layer now — parse once
-            with :func:`repro.client.parse_text` (or hold parsed
-            queries) and call :meth:`submit` /
-            :meth:`repro.client.DecisionClient.submit`.  This shim
-            routes through the same parse path and will be removed.
-        """
-        import warnings
-
-        warnings.warn(
-            "DisclosureService.submit_text is deprecated; parse with "
-            "repro.client.parse_text and call submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(principal, self.parse(text, dialect, me))
-
-    def peek_text(
-        self, principal: Hashable, text: str, dialect: str = "sql", me: int = 1
-    ) -> ServiceDecision:
-        """Deprecated twin of :meth:`submit_text` (see there)."""
-        import warnings
-
-        warnings.warn(
-            "DisclosureService.peek_text is deprecated; parse with "
-            "repro.client.parse_text and call peek()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.peek(principal, self.parse(text, dialect, me))
 
     # ------------------------------------------------------------------
     # Serializable session state

@@ -52,12 +52,14 @@ class _RecordingPool:
     def __init__(self, service):
         self.service = service
 
-    async def decide_async(self, entries, *, update, plane=None, timings=None):
+    async def decide_async(
+        self, entries, *, update, plane=None, timings=None, loop
+    ):
         return decide_wire_items(
             self.service, entries, update=update, plane=plane, timings=timings
         )
 
-    async def dispatch_inline_async(self, method, path, body):
+    async def dispatch_inline_async(self, method, path, body, *, loop):
         return None
 
 

@@ -25,12 +25,10 @@ from repro.core.terms import Constant
 from repro.errors import SnapshotError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.aio import dispatch
-from repro.server.partition import shard_for
 from repro.server.persist import (
     SnapshotChain,
     SnapshotStore,
     Snapshotter,
-    clean_stale_shards,
     collect_state,
     compact_chain,
     decode_cache_entries,
@@ -330,44 +328,6 @@ class TestRestartEquivalence:
                 principal
             )
 
-    @pytest.mark.parametrize("old_count,new_count", [(2, 3), (3, 2), (2, 1)])
-    def test_shard_count_change_is_byte_identical(
-        self, views, tmp_path, old_count, new_count
-    ):
-        """The ``shard-<i>.json`` files an older multi-process release
-        wrote, one per partition → restored onto a different partition
-        count → decisions match an uninterrupted service."""
-        policies, reference, before = self._warm_pair(views)
-
-        def owner(services, principal):
-            return services[shard_for(principal, len(services))]
-
-        old = [DisclosureService(views) for _ in range(old_count)]
-        for index, policy in enumerate(policies):
-            owner(old, f"app-{index}").register(f"app-{index}", policy)
-        for principal, query in before:
-            owner(old, principal).submit(principal, query)
-        for index, service in enumerate(old):
-            payload = snapshot_service(service)
-            payload["shard"] = {"index": index, "count": old_count}
-            save_snapshot(tmp_path / f"shard-{index}.json", payload)
-
-        collected = collect_state(tmp_path)
-        assert collected.sharded
-        assert len(collected.sessions) == PRINCIPALS
-        slices = [{} for _ in range(new_count)]
-        for principal, state in collected.sessions.items():
-            slices[shard_for(principal, new_count)][principal] = state
-        new = [DisclosureService(views) for _ in range(new_count)]
-        for service, sessions in zip(new, slices):
-            service.import_state(sessions_payload(sessions))
-            service.warm_label_cache(collected.cache_entries)
-
-        after = _traffic(100 + new_count, 250)
-        assert _wire(
-            [reference.submit(p, q) for p, q in after]
-        ) == _wire([owner(new, p).submit(p, q) for p, q in after])
-
     def test_warm_restart_restores_the_cache_hit_rate(self, views, tmp_path):
         """The ≥90% acceptance bar, deterministically: a warm-restarted
         service replays the workload at (here exactly) the pre-restart
@@ -410,16 +370,13 @@ class TestCollectState:
     def test_newest_file_wins_for_a_duplicated_principal(self, views, tmp_path):
         policies = _policies(views)
         older = _registered_service(views, policies)
-        save_snapshot(tmp_path / "shard-0.json", snapshot_service(older))
+        store = SnapshotStore(tmp_path)
+        store.save(snapshot_service(older))
 
         newer = _registered_service(views, policies)
         for principal, query in _traffic(5, 150):
             newer.submit(principal, query)  # narrows some live bits
-        newer_doc_path = SnapshotStore(tmp_path).save(snapshot_service(newer))
-        # make the ordering unambiguous regardless of clock resolution
-        document = json.loads(newer_doc_path.read_text())
-        document["created"] += 60.0
-        newer_doc_path.write_text(json.dumps(document, sort_keys=True))
+        store.save(snapshot_service(newer))
 
         collected = collect_state(tmp_path)
         restored = DisclosureService(views)
@@ -463,22 +420,28 @@ class TestCollectState:
 
     def test_corrupt_files_are_skipped_and_reported(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        save_snapshot(tmp_path / "shard-0.json", snapshot_service(service))
-        bad = tmp_path / "shard-1.json"
+        SnapshotStore(tmp_path).save(snapshot_service(service))
+        bad = tmp_path / "snapshot-00000002.json"
         bad.write_text("{not json")
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
-        assert [path.name for path, _ in collected.skipped] == ["shard-1.json"]
+        assert [path.name for path, _ in collected.skipped] == [bad.name]
 
-    def test_clean_stale_shards(self, tmp_path):
-        for index in range(4):
-            save_snapshot(tmp_path / f"shard-{index}.json", {"i": index})
-        removed = clean_stale_shards(tmp_path, 2)
-        assert [path.name for path in removed] == ["shard-2.json", "shard-3.json"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "shard-0.json",
-            "shard-1.json",
+    def test_shard_files_are_reported_not_restored(self, views, tmp_path):
+        """A directory the removed ``--shards`` release left behind
+        restores nothing, and says why, rather than reading as empty."""
+        service = _registered_service(views, _policies(views))
+        save_snapshot(tmp_path / "shard-0.json", snapshot_service(service))
+        collected = collect_state(tmp_path)
+        assert (collected.sessions, collected.sources) == ({}, [])
+        assert collected.skipped == [
+            (
+                tmp_path / "shard-0.json",
+                "written by the removed --shards release; not restored",
+            )
         ]
+        with pytest.raises(SnapshotError, match="no valid snapshot"):
+            compact_chain(tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -179,7 +179,8 @@ class TestInlineRoutes:
 
     def test_metrics_merge_across_replicas(self, deployment):
         _, _, pool = deployment
-        snapshot = pool.metrics_snapshot()
+        status, snapshot = pool.dispatch_inline("GET", "/metrics", None)
+        assert status == 200
         assert snapshot["replica_count"] == REPLICAS
         assert len(snapshot["replicas"]) == REPLICAS
         # Every decision in this module went through a replica; the sum
@@ -198,7 +199,8 @@ class TestInlineRoutes:
         self, deployment, views, schema
     ):
         local, _, pool = deployment
-        merged = pool.merged_snapshot()
+        status, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
+        assert status == 200
         sessions = merged["sessions"]["sessions"]
         assert set(PRINCIPALS) <= set(sessions)
         restored = DisclosureService(views, schema=schema)
@@ -212,6 +214,22 @@ class TestInlineRoutes:
             _assert_same_decision(got[0], want[0])
         finally:
             restored.close()
+
+
+    def test_snapshot_with_no_replica_answering_is_503(
+        self, deployment, monkeypatch
+    ):
+        """An empty merge would read as a deployment with no sessions."""
+        _, _, pool = deployment
+
+        async def no_replica_answered(loop):
+            return []
+
+        monkeypatch.setattr(pool, "_snapshot_payloads", no_replica_answered)
+        status, payload = pool.dispatch_inline(
+            "GET", "/internal/snapshot", None
+        )
+        assert (status, payload["code"]) == (503, REPLICA_UNAVAILABLE)
 
 
 class TestPlaneDeltas:
@@ -269,7 +287,7 @@ class TestCrashRecovery:
         for w, g in zip(want, got):
             _assert_same_decision(w, g)
         assert pool.handles[0].process.pid != old_pid
-        snapshot = pool.metrics_snapshot()
+        _, snapshot = pool.dispatch_inline("GET", "/metrics", None)
         respawns = [
             series
             for vector in snapshot["registry"]["vectors"]
@@ -425,7 +443,8 @@ class TestDerivedMirror:
             for w, g in zip(want, got):
                 _assert_same_decision(w, g)
         assert {pool.owner_of(p) for p, _ in submits} == set(range(REPLICAS))
-        replicas = pool.merged_snapshot()["sessions"]["sessions"]
+        _, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
+        replicas = merged["sessions"]["sessions"]
         mirror = parent.export_state()["sessions"]
         assert set(mirror) == set(self.REGISTERED) | {"anon-a", "anon-b"}
         for principal, state in mirror.items():
@@ -562,3 +581,105 @@ class TestPooledFrontEndCrashScenario:
             assert handle.pool.handles[0].process.pid != victim_pid
         finally:
             handle.stop()
+
+
+class TestBlockingDriver:
+    def test_a_coroutine_that_suspends_is_refused(self):
+        """``loop=None`` bodies never suspend; one that does is a bug
+        the driver reports instead of waiting on a loop it lacks."""
+        import asyncio
+
+        from repro.server.pool import _blocking
+
+        async def suspends():
+            await asyncio.sleep(0)
+
+        with pytest.raises(RuntimeError, match="suspended"):
+            _blocking(suspends())
+
+
+class TestServedPool:
+    """While an event loop serves the pool, its tick drain is the only
+    code that reads or writes the replica pipes — snapshots included."""
+
+    def test_blocking_facades_refuse_while_served(self, views):
+        handle = start_pooled_background(
+            REPLICAS, service_kwargs={"security_views": views}
+        )
+        try:
+            pool = handle.pool
+            for call in (
+                lambda: pool.decide([], update=True),
+                lambda: pool.dispatch_inline("GET", "/metrics", None),
+                pool.snapshot_payloads,
+            ):
+                with pytest.raises(RuntimeError, match="served"):
+                    call()
+        finally:
+            handle.stop()
+        assert not handle.pool.served
+
+    def test_periodic_snapshots_under_traffic_fail_nothing(self, tmp_path):
+        """``serve --replicas 2 --state-dir`` snapshotting every 50 ms
+        under batch traffic: every item decided, the server still
+        answering, and the snapshots restoring every principal."""
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.client import HttpClient, parse_text
+        from repro.server.persist import collect_state
+
+        state_dir = tmp_path / "state"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+            PYTHONUNBUFFERED="1",
+        )
+        log = (tmp_path / "serve.log").open("w+")
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--replicas", "2",
+                "--port", "0", "--state-dir", str(state_dir),
+                "--snapshot-interval", "0.05",
+            ],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+        try:
+            url = None
+            for _ in range(300):
+                log.seek(0)
+                found = re.search(r"http://[0-9.]+:[0-9]+", log.read())
+                if found:
+                    url = found.group(0)
+                    break
+                time.sleep(0.1)
+            assert url, "server did not start"
+            client = HttpClient(url, timeout=10)
+            apps = [f"app-{index}" for index in range(40)]
+            for app in apps:
+                client.register(app, CHINESE_WALL)
+            queries = [parse_text(*text) for text in (BIRTHDAY, MUSIC)]
+            rows = []
+            deadline = time.monotonic() + 2.0
+            batch = 0
+            while time.monotonic() < deadline:
+                rows += client.submit_many(
+                    [(apps[(batch + i) % 40], queries[i % 2]) for i in range(64)]
+                )
+                batch += 1
+            assert [row for row in rows if "error" in row] == []
+            assert client.metrics()["decisions"] == len(rows)
+            client.close()
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                raise
+            finally:
+                log.close()
+        collected = collect_state(state_dir)
+        assert set(apps) <= set(collected.sessions)

@@ -136,13 +136,15 @@ class _RecordingPool:
         self.service = service
         self.dispatches = []
 
-    async def decide_async(self, entries, *, update, plane=None, timings=None):
+    async def decide_async(
+        self, entries, *, update, plane=None, timings=None, loop
+    ):
         self.dispatches.append((update, len(entries)))
         return decide_wire_items(
             self.service, entries, update=update, plane=plane, timings=timings
         )
 
-    async def dispatch_inline_async(self, method, path, body):
+    async def dispatch_inline_async(self, method, path, body, *, loop):
         return None  # nothing is remote: the ordinary dispatch serves it
 
 
@@ -219,6 +221,68 @@ class TestRunDiscipline:
         got = _one_tick(service, pool, stream)
         _assert_same_responses(_sequential(twin, stream), got)
         assert pool.dispatches == [(True, MAX_BATCH), (True, MAX_BATCH // 4)]
+
+
+class TestServedLifecycle:
+    """The served flag, in-process inline calls, and a stop that never
+    strands a replica reply in its pipe."""
+
+    def test_an_inline_call_queues_behind_the_traffic_before_it(
+        self, views, schema
+    ):
+        service = _registered(views, schema)
+        method, path, body = _stream(service)[1]  # a submitting batch
+
+        async def main():
+            server = AsyncDecisionServer(
+                service, port=0, pool=_RecordingPool(service)
+            )
+            await server.start()
+            try:
+                protocol = _HttpProtocol(server)
+                protocol.connection_made(_NullTransport())
+                request = _Request(protocol, False)
+                server.accept(method, path, json.dumps(body).encode(), request)
+                answer = await server.inline("GET", "/healthz")
+                return request.done(), answer
+            finally:
+                await server.stop()
+
+        batch_answered, (status, payload) = asyncio.run(main())
+        assert batch_answered
+        assert (status, payload) == (200, {"ok": True})
+
+    def test_stop_lets_the_drain_in_progress_finish(self, views, schema):
+        service = _registered(views, schema)
+        stream = _stream(service)[:2]
+
+        class SlowPool(_RecordingPool):
+            async def decide_async(self, entries, **kwargs):
+                await asyncio.sleep(0.05)  # replies still in the pipes
+                return await super().decide_async(entries, **kwargs)
+
+        pool = SlowPool(service)
+
+        async def main():
+            server = AsyncDecisionServer(service, port=0, pool=pool)
+            await server.start()
+            served = pool.served
+            protocol = _HttpProtocol(server)
+            protocol.connection_made(_NullTransport())
+            requests = []
+            for method, path, body in stream:
+                requests.append(_Request(protocol, False))
+                server.accept(
+                    method, path, json.dumps(body).encode(), requests[-1]
+                )
+            await asyncio.sleep(0.01)  # the drain is awaiting its replicas
+            await server.stop()
+            return served, requests
+
+        served, requests = asyncio.run(main())
+        assert served and not pool.served
+        assert all(request.done() for request in requests)
+        assert pool.dispatches == [(False, 15), (True, 15)]
 
 
 def _pipeline(handle, stream):
