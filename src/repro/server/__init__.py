@@ -15,8 +15,8 @@
   ``python -m repro serve --spill-dir DIR``)
 * :mod:`repro.server.cache` — the shared LRU (the kernel's qid → lid
   label cache; labels are principal-free)
-* :mod:`repro.server.batch` — the batch transport adapter
-  (``submit_batch`` / ``/v1/batch``)
+* :mod:`repro.server.batch` — ``decide_wire_items``, the one batch
+  decision core (both batch routes, the tick drain, ``submit_batch``)
 * :mod:`repro.server.partition` — the CRC-32 principal partitioning
   and the metrics and snapshot merges every multi-kernel deployment
   shares

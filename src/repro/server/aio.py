@@ -43,28 +43,29 @@ sockets.  It is built for throughput:
 * **The tick drain.**  Decision requests are not handled one by one:
   each is appended to a per-loop-iteration FIFO and a drain runs at
   the end of the tick (``call_soon``).  Everything that arrived in the
-  same tick — across all connections — drains as one pass: consecutive
-  single-decision requests with the same mode collapse into one
-  :func:`repro.server.batch.decide_wire_items` call, i.e. one session
-  lock, one bulk label resolution, and one ``decide_group`` per
-  principal.  Load *is* the batch size: the busier the server, the
-  fewer Python cycles per decision — batching as natural back-pressure.
+  same tick — across all connections — drains as one pass: single
+  decisions *and* both batch routes join one run of decision entries,
+  decided by one :func:`repro.server.batch.decide_wire_items` call —
+  one session lock, one bulk label resolution, one ``decide_group``
+  per principal — and sliced back per request.  Load *is* the batch
+  size: the busier the server, the fewer Python cycles per decision —
+  batching as natural back-pressure.
 * **Exact ordering.**  The FIFO preserves arrival order across request
-  kinds, so a register or batch between two singles flushes the run
-  before executing; state evolution is byte-identical to sequential
-  handling (``tests/server/test_aio.py`` holds the front end to a
-  sequential :class:`repro.client.LocalClient` replay).
-* **Pooled, batches join the run.**  In front of a
-  :class:`~repro.server.pool.ReplicaPool` a decision costs a pipe
-  crossing, whose fixed part dwarfs a kernel decision, so the pooled
-  drain widens the run: ``POST /v2/batch`` entries join it beside the
-  singles, every tick queued behind a drain in progress joins the next
-  one, and one dispatch decides the lot before the results are sliced
-  back per request — crossings follow drains, not requests
-  (``tests/server/test_pool_frontend.py`` holds that exact).
+  kinds, and a run flushes on a submit/peek change, a plane change,
+  at ``MAX_BATCH`` entries, and before any other request, so state
+  evolution is byte-identical to sequential handling through
+  :func:`dispatch` (``tests/server/test_aio.py`` and
+  ``tests/server/test_pool_frontend.py`` hold the front end to that).
+* **One drain, pooled or not.**  In front of a
+  :class:`~repro.server.pool.ReplicaPool` the run is decided by the
+  pool's ``decide_async`` instead, whose pipes are awaited on a
+  consumer task: every tick queued behind a drain in progress joins
+  the next one, so crossings follow drains, not requests.  Unpooled,
+  the same coroutine runs through :func:`_blocking`, which drives it
+  without an event loop in the way.
 
-Everything that is not a coalescible single decision goes through
-:func:`dispatch`.  Start a server with ``python -m repro serve`` or
+Everything that does not join a run goes through :func:`dispatch`.
+Start a server with ``python -m repro serve`` or
 :func:`start_async_background`.
 """
 
@@ -80,6 +81,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from time import perf_counter
 
 from repro.errors import ParseError, PolicyError, ReproError
+from repro.server import batch
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.wire2 import (
@@ -239,7 +241,7 @@ def parse_decision_body(
             {"error": "request needs one of 'sql', 'fql', 'datalog'"},
         )
     me = body.get("me", 1)
-    if not isinstance(me, int):
+    if not isinstance(me, int) or isinstance(me, bool):
         return None, (400, {"error": "'me' must be an integer uid"})
     return (principal, service.parse(text, dialect, me)), None
 
@@ -258,35 +260,65 @@ def _handle_decision(
     return 200, decision.as_dict()
 
 
-def validate_batch_body(
-    body: Dict,
-) -> "Tuple[Optional[list], bool, Optional[Tuple[int, Dict]]]":
-    """``(queries, peek, None)`` for a valid ``/v1/batch`` body, else
-    ``(None, False, (status, payload))``.
+def resolve_v1_batch(
+    service: DisclosureService, body: Dict
+) -> "Tuple[Optional[Tuple[bool, list, list]], Optional[Tuple[int, Dict]]]":
+    """``((peek, rows, entries), None)`` for a valid ``/v1/batch`` body,
+    else ``(None, (status, payload))``.
 
-    Shared by :func:`dispatch` and the replica pool so both deployments
-    reject malformed batches with identical status codes and messages.
+    *rows* has one slot per query: the ``{"error": ...}`` answer of a
+    malformed or unparsable item, or ``None`` for a decidable one,
+    whose ``(principal, query, None)`` entry is next in *entries* — the
+    entry shape every decide core takes.  :func:`dispatch` and the tick
+    drain both resolve with it and answer with :func:`render_v1_batch`.
     """
     queries = body.get("queries")
     if not isinstance(queries, list):
-        return None, False, (400, {"error": "batch needs a 'queries' list"})
+        return None, (400, {"error": "batch needs a 'queries' list"})
     if len(queries) > MAX_BATCH:
-        return None, False, (
+        return None, (
             400,
             {"error": f"batch of {len(queries)} exceeds the {MAX_BATCH} limit"},
         )
     peek = body.get("peek", False)
     if not isinstance(peek, bool):
-        return None, False, (400, {"error": "'peek' must be a boolean"})
-    return queries, peek, None
+        return None, (400, {"error": "'peek' must be a boolean"})
+    rows: List[Optional[Dict]] = []
+    entries: List[Tuple] = []
+    for query in queries:
+        item, message = batch.parse_wire_request(service, query)
+        if message is not None:
+            rows.append({"error": message})
+            continue
+        rows.append(None)
+        entries.append((item[0], item[1], None))
+    return (peek, rows, entries), None
+
+
+def render_v1_batch(rows: List, results: List) -> Dict:
+    """The ``/v1/batch`` response: each ``None`` slot of *rows* filled,
+    in order, from the decide core's *results*."""
+    decided = iter(results)
+    decisions = [
+        row if row is not None else _v1_result(next(decided)) for row in rows
+    ]
+    return {"decisions": decisions, "count": len(decisions)}
+
+
+def _v1_result(result) -> Dict:
+    """A decide-core result in the v1 shape (errors carry no code)."""
+    if isinstance(result, ServiceDecision):
+        return result.as_dict()
+    return {"error": result["error"]}
 
 
 def _handle_batch(service: DisclosureService, body: Dict) -> Tuple[int, Dict]:
-    queries, peek, error = validate_batch_body(body)
+    resolved, error = resolve_v1_batch(service, body)
     if error is not None:
         return error
-    decisions = service.decide_batch_wire(queries, peek=peek)
-    return 200, {"decisions": decisions, "count": len(decisions)}
+    peek, rows, entries = resolved
+    results = batch.decide_wire_items(service, entries, update=not peek)
+    return 200, render_v1_batch(rows, results)
 
 
 def _handle_register(service: DisclosureService, body: Dict) -> Tuple[int, Dict]:
@@ -339,6 +371,31 @@ def _error_status(result: Dict) -> int:
     if result.get("code") == REPLICA_UNAVAILABLE:
         return 503
     return single_error_status(result)
+
+
+def _blocking(coro, served: bool = False):
+    """Run a coroutine that never suspends to its result, without a loop.
+
+    The tick drain run unpooled, and every replica-pool coroutine given
+    ``loop=None``, finish within their first ``send``: readiness waits
+    return at once and offloads run inline, so a blocking call costs one
+    coroutine object, not an event loop.  A suspension would break that
+    invariant, so it raises rather than waits.  *served* refuses the
+    call outright: while an event loop serves a pool, its tick drain
+    owns the replica pipes.
+    """
+    if served:
+        coro.close()
+        raise RuntimeError(
+            "the replica pool is served by an event loop; "
+            "only its tick drain may use the replica pipes"
+        )
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError("a pool coroutine suspended with no event loop")
 
 
 #: The request headers the front end reads, each at the start of a line.
@@ -415,13 +472,14 @@ class _Request:
         self.protocol = protocol
         self.close = close
         self.result: Optional[Tuple[int, object]] = None
-        self.kind = "inline"  # | "v1" | "v2" | "batch" (pooled only)
+        self.kind = "inline"  # | "v1" | "v2" | "v1batch" | "v2batch"
         self.method = self.path = ""
         self.body: Optional[Dict] = None
-        #: For decision kinds: True for submit semantics, False for peek.
+        #: For run-joining kinds: True for submit semantics, False for peek.
         self.update = False
         #: perf_counter at queue time, recorded only for traced requests
-        #: (their spans report the drain-tick queue wait).
+        #: (their spans report the drain-tick queue wait); nonzero marks
+        #: a traced request.
         self.enqueued = 0.0
 
     def done(self) -> bool:
@@ -617,8 +675,8 @@ class AsyncDecisionServer:
 
     With *pool* (a started :class:`repro.server.pool.ReplicaPool`), the
     front end becomes a pure control plane: the tick drain hands each
-    coalesced tick to a single consumer task which dispatches decision
-    runs to the kernel replicas and awaits their pipes without blocking
+    tick to a single consumer task, which runs the same drain coroutine
+    with the replicas deciding and awaits their pipes without blocking
     the loop — new connections keep parsing and queueing while replicas
     compute.  One consumer preserves the drain's order-exactness: ticks
     are processed strictly in arrival order, one at a time.
@@ -729,10 +787,12 @@ class AsyncDecisionServer:
                     request.enqueued = perf_counter()
             elif path in ("/v1/query", "/v1/peek"):
                 request.kind, request.update = "v1", path == "/v1/query"
-            elif path == "/v2/batch" and self.pool is not None:
-                # Pooled, a batch's entries join the tick's decision run
-                # (its submit/peek mode is known once it is resolved).
-                request.kind = "batch"
+            elif path == "/v2/batch":
+                # A batch's entries join the tick's decision run (its
+                # submit/peek mode is known once it is resolved).
+                request.kind = "v2batch"
+            elif path == "/v1/batch":
+                request.kind = "v1batch"
         self._pending.append(request)
         if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._drain)
@@ -764,14 +824,10 @@ class AsyncDecisionServer:
     def _drain(self) -> None:
         """Process everything that arrived this tick, in arrival order.
 
-        Consecutive single-decision requests with the same update mode
-        become one run — decided in one :func:`decide_wire_items` pass —
-        and any other request flushes the run first, so the observable
-        state evolution is exactly sequential.
-
-        In pooled mode the tick is only *handed off* here — the consumer
-        task drains it, so the loop never blocks on a replica pipe and
-        ticks still settle strictly in arrival order.
+        Pooled, the tick is only *handed off* here — the consumer task
+        drains it, so the loop never blocks on a replica pipe and ticks
+        still settle strictly in arrival order.  Unpooled, the same
+        :meth:`_run_tick` runs here, to completion.
         """
         pending, self._pending = self._pending, []
         self.ticks += 1
@@ -786,30 +842,8 @@ class AsyncDecisionServer:
                 requests.labels("async", route).increment(count)
         if self._ticks is not None:
             self._ticks.put_nowait(pending)
-            return
-        run: List[Tuple[_Request, Tuple]] = []
-        run_update = False
-        for request in pending:
-            if request.kind == "inline":
-                self._flush_run(run, run_update)
-                run = []
-                try:
-                    status_payload = dispatch(
-                        self.service, request.method, request.path, request.body
-                    )
-                except Exception as exc:  # noqa: BLE001 - never hang a request
-                    status_payload = (500, {"error": f"internal error: {exc}"})
-                request.set_result(status_payload)
-                continue
-            prepared = self._prepare(request)
-            if prepared is None:
-                continue  # already answered (a request-shaped error)
-            if run and request.update != run_update:
-                self._flush_run(run, run_update)
-                run = []
-            run_update = request.update
-            run.append((request, prepared))
-        self._flush_run(run, run_update)
+        else:
+            _blocking(self._run_tick(pending, None))
 
     async def _consume_ticks(self) -> None:
         """Drain handed-off ticks in arrival order, one drain at a time.
@@ -819,228 +853,183 @@ class AsyncDecisionServer:
         the number of drains, not the number of ticks or requests.
         """
         assert self._ticks is not None
+        loop = asyncio.get_running_loop()
         while not self._stopping:
             pending = await self._ticks.get()
             while not self._ticks.empty():
                 pending.extend(self._ticks.get_nowait())
-            try:
-                await self._drain_pooled(pending)
-            except Exception as exc:  # noqa: BLE001 - never hang a request
-                failure = (500, {"error": f"internal error: {exc}"})
-                for request in pending:
-                    if not request.done():
-                        request.set_result(failure)
+            await self._run_tick(pending, loop)
 
-    async def _drain_pooled(self, pending: List[_Request]) -> None:
-        """The pooled tick drain: same run discipline, replica dispatch.
+    async def _run_tick(self, pending: List[_Request], loop) -> None:
+        """The tick drain: one run discipline for both planes.
 
-        Single decisions *and* ``/v2/batch`` requests join one run of
-        decision entries, decided by one :meth:`ReplicaPool.decide_async`
-        and sliced back per request.  The run flushes on a submit/peek
-        mode change, a plane change, ``MAX_BATCH`` entries, and before
-        any inline route — those that touch sessions or metrics go
-        through :meth:`ReplicaPool.dispatch_inline_async` (the parent
-        never decides in pooled mode), the rest fall through to the
-        ordinary dispatch.  Replica pipes are awaited, so replica
-        compute overlaps front-end work.
+        Single decisions and both batch routes join one run of decision
+        entries, decided by one call and sliced back per request.  The
+        run flushes on a submit/peek mode change, a plane change (v2
+        qids belong to the plane they were translated on; v1 entries
+        join any run), at ``MAX_BATCH`` entries, and before any inline
+        request, so the observable state evolution is exactly
+        sequential.  Pooled, *loop* is the serving loop: the decide and
+        the session- or metrics-shaped inline routes
+        (:meth:`ReplicaPool.dispatch_inline_async`) go to the replicas,
+        whose pipes are awaited.  A failure outside any one request's
+        own handling answers every request still pending with 500.
         """
         pool = self.pool
         run: List[Tuple[_Request, Tuple]] = []
         entries: List[Tuple] = []
         run_update = False
         run_plane = None
-        for request in pending:
-            if request.kind == "inline":
-                await self._flush_run_pooled(run, entries, run_update, run_plane)
-                run, entries, run_plane = [], [], None
-                try:
-                    status_payload = await pool.dispatch_inline_async(
-                        request.method, request.path, request.body,
-                        loop=asyncio.get_running_loop(),
+        try:
+            for request in pending:
+                if request.kind == "inline":
+                    await self._flush_run(run, entries, run_update, run_plane, loop)
+                    run, entries, run_plane = [], [], None
+                    try:
+                        status_payload = None
+                        if pool is not None:
+                            status_payload = await pool.dispatch_inline_async(
+                                request.method, request.path, request.body,
+                                loop=loop,
+                            )
+                        if status_payload is None:
+                            status_payload = dispatch(
+                                self.service, request.method, request.path,
+                                request.body,
+                            )
+                    except Exception as exc:  # noqa: BLE001 - never hang a request
+                        status_payload = (500, {"error": f"internal error: {exc}"})
+                    request.set_result(status_payload)
+                    continue
+                prepared = self._prepare(request)
+                if prepared is None:
+                    continue  # already answered (a request-shaped error)
+                plane = prepared[0]
+                kind = request.kind
+                single = kind == "v2" or kind == "v1"
+                joining = 1 if single else len(prepared[1])
+                if run and (
+                    request.update is not run_update
+                    or (
+                        plane is not run_plane
+                        and plane is not None
+                        and run_plane is not None
                     )
-                    if status_payload is None:
-                        status_payload = dispatch(
-                            self.service,
-                            request.method,
-                            request.path,
-                            request.body,
-                        )
-                except Exception as exc:  # noqa: BLE001 - never hang a request
-                    status_payload = (500, {"error": f"internal error: {exc}"})
-                request.set_result(status_payload)
-                continue
-            member = self._run_member(request)
-            if member is None:
-                continue  # already answered (a request-shaped error)
-            prepared, joining, update, plane = member
-            if run and (
-                update != run_update
-                or (plane is not None and run_plane not in (None, plane))
-                or len(entries) + len(joining) > MAX_BATCH
-            ):
-                await self._flush_run_pooled(run, entries, run_update, run_plane)
-                run, entries, run_plane = [], [], None
-            run_update = update
-            if plane is not None:
-                run_plane = plane  # v1 entries (plane None) join any run
-            run.append((request, prepared))
-            entries.extend(joining)
-        await self._flush_run_pooled(run, entries, run_update, run_plane)
+                    or len(entries) + joining > MAX_BATCH
+                ):
+                    await self._flush_run(run, entries, run_update, run_plane, loop)
+                    run, entries, run_plane = [], [], None
+                run_update = request.update
+                if plane is not None:
+                    run_plane = plane
+                run.append((request, prepared))
+                if single:
+                    entries.append(prepared[1:4])
+                else:
+                    entries.extend(prepared[1])
+            await self._flush_run(run, entries, run_update, run_plane, loop)
+        except Exception as exc:  # noqa: BLE001 - never hang a request
+            failure = (500, {"error": f"internal error: {exc}"})
+            for request in pending:
+                if not request.done():
+                    request.set_result(failure)
 
-    def _run_member(self, request: _Request):
-        """``(prepared, entries, update, plane)`` for a run-joining
-        request, or ``None`` when it was answered with its own error.
+    def _prepare(self, request: _Request) -> Optional[Tuple]:
+        """The run member of a run-joining request, or ``None`` once it
+        was answered with its own error.
 
-        A batch's *prepared* is ``(compact, principal_indices)`` — what
-        :func:`render_batch` needs to slice its decisions back out.
-        """
-        if request.kind == "batch":
-            try:
-                peek, compact, principal_indices, plane, entries = (
-                    resolve_batch(self.service, request.body)
-                )
-            except WireError as exc:
-                request.set_result((exc.status, exc.payload()))
-                return None
-            return (compact, principal_indices), entries, not peek, plane
-        prepared = self._prepare(request)
-        if prepared is None:
-            return None
-        principal, query, qid, plane = prepared[:4]
-        return prepared, [(principal, query, qid)], request.update, plane
-
-    def _prepare(self, request: _Request):
-        """``(principal, query, qid, plane, compact, trace)`` or ``None``.
-
-        Resolves the request down to a decision entry through the same
-        validation helpers :func:`dispatch` uses
-        (:func:`repro.server.wire2.resolve_single`,
-        :func:`parse_decision_body`), answering
-        request-shaped errors and parse failures immediately with
-        byte-identical payloads.
+        A single's member is ``(plane, principal, query, qid, compact,
+        trace)``, whose ``[1:4]`` is its decision entry.  A batch's is
+        ``(plane, entries, ...)`` plus what its renderer needs:
+        ``compact, principal_indices`` for ``/v2/batch``, the v1 rows
+        for ``/v1/batch``; its submit/peek mode is known only once
+        resolved, so it is set on the request here.  Validation goes
+        through the routes' own helpers (:func:`resolve_single`,
+        :func:`resolve_batch`, :func:`parse_decision_body`,
+        :func:`resolve_v1_batch`), so errors are byte-identical to
+        :func:`dispatch`'s.
         """
         body = request.body
-        if request.kind == "v2":
-            try:
+        kind = request.kind
+        service = self.service
+        try:
+            if kind == "v2":
                 principal, _, compact, trace, plane, qid = resolve_single(
-                    self.service, body
+                    service, body
                 )
-            except WireError as exc:
-                request.set_result((exc.status, exc.payload()))
-                return None
-            return principal, None, qid, plane, compact, trace
-        # v1: dispatch's validation and parse path.
-        try:
-            parsed, error = parse_decision_body(self.service, body)
-        except ReproError as exc:
-            request.set_result((400, {"error": str(exc)}))
+                return plane, principal, None, qid, compact, trace
+            if kind == "v2batch":
+                peek, compact, principal_indices, plane, entries = (
+                    resolve_batch(service, body)
+                )
+                request.update = not peek
+                return plane, entries, compact, principal_indices
+        except WireError as exc:
+            request.set_result((exc.status, exc.payload()))
             return None
-        if error is not None:
-            request.set_result(error)
-            return None
-        principal, query = parsed
-        return principal, query, None, None, False, False
+        if kind == "v1batch":
+            resolved, error = resolve_v1_batch(service, body)
+            if error is None:
+                peek, rows, entries = resolved
+                request.update = not peek
+                return None, entries, rows
+        else:  # v1: dispatch's validation and parse path
+            try:
+                parsed, error = parse_decision_body(service, body)
+            except ReproError as exc:
+                error = (400, {"error": str(exc)})
+            if error is None:
+                principal, query = parsed
+                return None, principal, query, None, False, False
+        request.set_result(error)
+        return None
 
-    @staticmethod
-    def _segment_runs(run: List) -> List[Tuple[List, Any]]:
-        """Split a run into plane-homogeneous segments, in order.
-
-        v2 entries carry the plane their qids belong to, and a rotation
-        mid-tick must not mix id spaces.  v1 entries (plane None) join
-        any segment.
-        """
-        segments: List[Tuple[List, Any]] = []
-        start = 0
-        plane = None
-        for index, (_, prepared) in enumerate(run):
-            entry_plane = prepared[3]
-            if entry_plane is None:
-                continue
-            if plane is not None and entry_plane is not plane:
-                segments.append((run[start:index], plane))
-                start, plane = index, entry_plane
-            else:
-                plane = entry_plane
-        segments.append((run[start:], plane))
-        return segments
-
-    def _flush_run(self, run: List, update: bool) -> None:
-        """Decide one homogeneous run through the shared batch core."""
-        if not run:
-            return
-        for segment, plane in self._segment_runs(run):
-            self._decide_segment(segment, update, plane)
-
-    async def _flush_run_pooled(
-        self, run: List, entries: List, update: bool, plane
+    async def _flush_run(
+        self, run: List, entries: List, update: bool, plane, loop
     ) -> None:
-        """Decide one run through the replica pool: one dispatch, then
-        each request's slice of the results rendered in its own form."""
+        """Decide one run in one call, then answer each request with its
+        slice of the results, rendered in its own form."""
         if not run:
             return
-        # Always timed: two clock reads per pipe crossing buy any traced
-        # member its span without a scan of the run for one.
-        timings: Dict = {}
-        started = perf_counter()
-        try:
-            results = await self.pool.decide_async(
-                entries, update=update, plane=plane, timings=timings,
-                loop=asyncio.get_running_loop(),
-            )
-        except Exception as exc:  # noqa: BLE001 - never hang a request
-            self._fail_segment(run, exc)
-            return
-        offset = 0
-        for request, prepared in run:
-            if request.kind == "batch":
-                compact, principal_indices = prepared
-                end = offset + len(principal_indices)
-                payload = render_batch(
-                    results[offset:end], principal_indices, compact
-                )
-                request.set_result((200, payload))
-                offset = end
-            else:
-                self._answer(
-                    request, prepared, results[offset], started, timings,
-                    len(entries),
-                )
-                offset += 1
-
-    @staticmethod
-    def _segment_entries(segment: List):
-        entries = [
-            (principal, query, qid)
-            for _, (principal, query, qid, _, _, _) in segment
-        ]
-        traced = any(prepared[5] for _, prepared in segment)
+        # A clock read can cost a system call (a VM's clock source), so
+        # a run is timed only when a member asked for a trace.
+        traced = any(request.enqueued for request, _ in run)
         timings: Optional[Dict] = {} if traced else None
         started = perf_counter() if traced else 0.0
-        return entries, timings, started
-
-    @staticmethod
-    def _fail_segment(segment: List, exc: Exception) -> None:
-        failure = (500, {"error": f"internal error: {exc}"})
-        for request, _ in segment:
-            request.set_result(failure)
-
-    def _decide_segment(self, segment: List, update: bool, plane) -> None:
-        if not segment:
-            return
-        from repro.server.batch import decide_wire_items
-
-        entries, timings, started = self._segment_entries(segment)
         try:
-            results = decide_wire_items(  # repro: noqa[ASY01] - the tick drain IS the data plane: the sync kernel core decides here by design, and spill faults are bounded page-sized reads (docs/sessions.md)
-                self.service, entries, update=update, plane=plane,
-                timings=timings,
-            )
+            if self.pool is None:
+                results = batch.decide_wire_items(  # repro: noqa[ASY01] - the tick drain IS the data plane: the sync kernel core decides here by design, and spill faults are bounded page-sized reads (docs/sessions.md)
+                    self.service, entries, update=update, plane=plane,
+                    timings=timings,
+                )
+            else:
+                results = await self.pool.decide_async(
+                    entries, update=update, plane=plane, timings=timings,
+                    loop=loop,
+                )
         except Exception as exc:  # noqa: BLE001 - never hang a request
-            self._fail_segment(segment, exc)
+            failure = (500, {"error": f"internal error: {exc}"})
+            for request, _ in run:
+                request.set_result(failure)
             return
-        coalesced = len(segment)
-        for (request, prepared), result in zip(segment, results):
-            self._answer(request, prepared, result, started, timings, coalesced)
+        coalesced = len(entries)
+        offset = 0
+        for request, prepared in run:
+            kind = request.kind
+            if kind == "v2" or kind == "v1":
+                self._answer(
+                    request, prepared, results[offset], started, timings,
+                    coalesced,
+                )
+                offset += 1
+                continue
+            end = offset + len(prepared[1])
+            if kind == "v2batch":
+                payload = render_batch(results[offset:end], prepared[3], prepared[2])
+            else:
+                payload = render_v1_batch(prepared[2], results[offset:end])
+            request.set_result((200, payload))
+            offset = end
 
     def _answer(
         self, request: _Request, prepared: Tuple, result,
@@ -1052,7 +1041,7 @@ class AsyncDecisionServer:
             if prepared[5]:
                 span = {
                     "transport": "async",
-                    "principal": prepared[0],
+                    "principal": prepared[1],
                     "qid": request.body.get("qid"),
                     "peek": not request.update,
                     "coalesced": coalesced,
@@ -1066,8 +1055,8 @@ class AsyncDecisionServer:
                 request.set_result((200, render_single(result, prepared[4])))
         elif request.kind == "v2":
             request.set_result((_error_status(result), result))
-        else:  # v1 keeps its historical error shape (no code field)
-            request.set_result((_error_status(result), {"error": result["error"]}))
+        else:
+            request.set_result((_error_status(result), _v1_result(result)))
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,16 @@ decisions can share almost all of that work.  Since the ID-plane
 refactor the sharing itself lives in
 :class:`~repro.server.kernel.DecisionKernel` (bulk label resolution,
 per-session mask and outcome memos, all keyed by dense integer ids);
-this module is only the *transport*: it turns an ordered
-``(principal, query)`` stream into per-principal groups of qids, routes
-each group through the kernel, and does the batch bookkeeping.
+this module is only the *transport*: :func:`decide_wire_items` turns
+an ordered ``(principal, query, qid)`` stream into per-principal groups
+of qids, routes each group through the kernel, and does the batch
+bookkeeping.
 
 The plan for a batch:
 
-1. **Intern** — every query becomes a dense qid (once per distinct
-   object, pinned on the object itself).
+1. **Intern** — every query object becomes a dense qid (once per
+   distinct object, pinned on the object itself); v2 entries arrive
+   with their qid already translated.
 2. **Labels** (:meth:`DecisionKernel.resolve_many`) — the shared
    qid → lid cache is consulted once per distinct qid; repeats within
    the batch are served from a batch-local memo (and accounted as
@@ -35,18 +37,19 @@ The plan for a batch:
 Equivalence with the sequential path — byte-identical decisions and
 identical end state — is the acceptance property of this module, held
 by ``tests/server/test_batch.py`` across refusal interleavings,
-repeated shapes, and cross-principal traffic.
+repeated shapes, and cross-principal traffic.  :func:`parse_wire_request`
+is the per-item validation of ``/v1/batch``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.queries import ConjunctiveQuery
 from repro.errors import PolicyError, ReproError
 
-#: One submit-batch item: a principal and a parsed query.
+#: One parsed ``/v1/batch`` item: a principal and a query.
 BatchItem = Tuple[Hashable, ConjunctiveQuery]
 
 #: Wire error for a batch entry that is not a JSON object.
@@ -62,70 +65,6 @@ ITEM_TEXT_ERROR = "batch item needs one of 'sql', 'fql', 'datalog'"
 ITEM_ME_ERROR = "'me' must be an integer uid"
 
 
-def decide_batch(
-    service,
-    items: Iterable[BatchItem],
-    *,
-    update: bool,
-) -> List:
-    """Decide *items* as one batch; the core of ``submit_batch``.
-
-    With ``update=True`` session state evolves item by item exactly as
-    sequential submits would; with ``update=False`` every item is a
-    stateless peek.  Principals are validated before any state change.
-    """
-    items = list(items)
-    total = len(items)
-    if not total:
-        return []
-    start = time.perf_counter()
-
-    kernel = service.kernel
-    queries = [query for _, query in items]
-    plane, lids, cached_flags = kernel.resolve_queries(queries)
-
-    groups: Dict[Hashable, List[int]] = {}
-    for index, (principal, _) in enumerate(items):
-        groups.setdefault(principal, []).append(index)
-
-    decisions: List = [None] * total
-    accepted_count = 0
-    tally = update and kernel.tenant_accounting
-    with service._lock:
-        if update and service._default_policy is None:
-            # All-or-nothing validation: no session may change if any
-            # principal in the batch is unknown.
-            for principal in groups:
-                if principal not in service.store:
-                    raise PolicyError(f"unknown principal {principal!r}")
-        for principal, indices in groups.items():
-            session = (
-                service._session(principal)
-                if update
-                else service._peek_session(principal)
-            )
-            group_accepted = kernel.decide_group(
-                plane, session, indices, lids, cached_flags, update, decisions
-            )
-            accepted_count += group_accepted
-            if tally:
-                # Tallied before the next group's _session() can evict
-                # (and so drain) this session; see the kernel's single path.
-                session.pending_decided += len(indices)
-                session.pending_refused += len(indices) - group_accepted
-
-    if update:
-        service.decisions.increment(total)
-        service.accepted.increment(accepted_count)
-        service.refused.increment(total - accepted_count)
-        service.latency.record_many(
-            (time.perf_counter() - start) / total, total
-        )
-    else:
-        service.peeks.increment(total)
-    return decisions
-
-
 def decide_wire_items(
     service,
     entries: "Sequence[Tuple[Hashable, Optional[ConjunctiveQuery], Optional[int]]]",
@@ -136,10 +75,12 @@ def decide_wire_items(
 ) -> List:
     """Per-item-isolated bulk decide over mixed query/qid entries.
 
-    This is the shared decision core of every v2 surface — the
-    ``/v2/batch`` route, the asyncio front end's per-tick drain, and
-    :class:`repro.client.LocalClient` — so all three produce identical
-    decisions and identical error entries by construction.
+    This is the one batch decision core: both batch routes, the
+    asyncio front end's tick drain, :meth:`DisclosureService.submit_batch`
+    and :class:`repro.client.LocalClient` all decide through it (the
+    replica pool's :meth:`~repro.server.pool.ReplicaPool.decide_async`
+    runs it on each replica), so they produce identical decisions and
+    identical error entries by construction.
 
     Each entry is ``(principal, query, qid)`` where exactly one of
     *query* (a parsed object, interned here) or *qid* (already interned
@@ -148,8 +89,9 @@ def decide_wire_items(
     to; with ``plane=None`` the current resolution plane is captured
     (entries must then carry query objects).
 
-    Unlike :func:`decide_batch`, principals are isolated rather than
-    all-or-nothing: an unknown principal (no default policy) yields an
+    Principals are isolated rather than all-or-nothing (that is
+    :meth:`DisclosureService.submit_batch`'s own pre-check): an unknown
+    principal (no default policy) yields an
     ``{"error": ..., "code": "unknown-principal"}`` entry at its index
     while every other item is still decided — the v2 wire taxonomy.
     Returns a list aligned with *entries* whose elements are
@@ -286,54 +228,10 @@ def parse_wire_request(
     if not isinstance(text, str):
         return None, ITEM_TEXT_ERROR
     me = request.get("me", 1)
-    if not isinstance(me, int):
+    if not isinstance(me, int) or isinstance(me, bool):
         return None, ITEM_ME_ERROR
     try:
         query = service.parse(text, dialect, me)
     except ReproError as exc:
         return None, str(exc)
     return (principal, query), None
-
-
-def decide_batch_wire(
-    service, requests: Sequence[object], peek: bool = False
-) -> List[Dict]:
-    """Per-item-isolated wire batch; the core of ``/v1/batch``.
-
-    Malformed items, parse failures, and unknown principals become
-    ``{"error": ...}`` entries at their index; every valid item is
-    decided.  Valid items see exactly the state evolution they would
-    have seen had the invalid ones never been sent — which is also what
-    N independent ``/v1/query`` calls yield, since an erroneous call
-    never changes session state.
-    """
-    results: List[Optional[Dict]] = [None] * len(requests)
-    valid: List[Tuple[int, BatchItem]] = []
-    for index, request in enumerate(requests):
-        item, error = parse_wire_request(service, request)
-        if error is not None:
-            results[index] = {"error": error}
-            continue
-        principal = item[0]
-        if principal not in service and service._default_policy is None:
-            results[index] = {"error": f"unknown principal {principal!r}"}
-            continue
-        valid.append((index, item))
-    if valid:
-        batch = [item for _, item in valid]
-        try:
-            decided = (
-                service.peek_batch(batch)
-                if peek
-                else service.submit_batch(batch)
-            )
-        except PolicyError as exc:
-            # A principal vanished between validation and decision (a
-            # concurrent unregister): fail the whole remainder softly
-            # rather than 500 the request.
-            for index, _ in valid:
-                results[index] = {"error": str(exc)}
-        else:
-            for (index, _), decision in zip(valid, decided):
-                results[index] = decision.as_dict()
-    return results  # type: ignore[return-value]

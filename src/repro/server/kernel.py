@@ -46,9 +46,10 @@ shared, so a per-session stamp could not vouch for them).  Old plane
 objects are never mutated, so a decision that raced a rotation still
 computes correctly against the plane it captured — it just skips the
 memos (see ``_sync_policy``).  Bare ids are
-only meaningful within the plane that issued them; the plane-atomic
-entry points (:meth:`decide_query`, :meth:`resolve_queries`) are what
-the transports use, and id-native callers re-intern after a rotation.
+only meaningful within the plane that issued them; the transports use
+the plane-atomic :meth:`decide_query`, or intern on a captured plane
+and pass it to :meth:`resolve_many`, and id-native callers re-intern
+after a rotation.
 
 The kernel owns no sessions and no metrics: the service remains the
 session store (LRU, registration, serializable state) and the
@@ -547,10 +548,6 @@ class DecisionKernel:
         cache_enabled = cache.maxsize > 0
         seen: Dict[int, int] = {}
         memoized = 0
-        # NOTE: this loop and resolve_queries' are deliberate twins —
-        # the cache accounting (flags, memoized hits/misses folding)
-        # must stay in lockstep or batch metrics diverge from
-        # sequential.
         for index, qid in enumerate(qids):
             lid = seen.get(qid)
             if lid is not None:
@@ -581,64 +578,13 @@ class DecisionKernel:
     def resolve_queries(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> Tuple[_Plane, List[int], List[bool]]:
-        """Intern and resolve *queries* in one plane-atomic pass.
-
-        Semantically ``resolve_many([intern(q) for q in queries],
-        queries)``, fused into a single loop with the object-pin fast
-        path inlined — the batch transport's label stage, where a
-        repeated parsed object costs one attribute load, one identity
-        check, and one int-keyed dict probe.
-        """
+        """Intern and resolve *queries* in one plane-atomic pass: intern
+        on the captured resolution plane, then :meth:`resolve_many`."""
         plane = self.resolution_plane()
-        total = len(queries)
-        timer = self.stage_timer
-        started = (
-            perf_counter()
-            if timer is not None and total and timer.sample()
-            else None
+        intern = plane.queries.intern
+        return self.resolve_many(
+            [intern(query) for query in queries], queries, plane=plane
         )
-        lids: List[int] = [0] * total
-        flags: List[bool] = [False] * total
-        cache = plane.cache
-        cache_enabled = cache.maxsize > 0
-        interner = plane.queries
-        intern = interner.intern
-        token = interner.token
-        seen: Dict[int, int] = {}
-        memoized = 0
-        # NOTE: this loop and resolve_many's are deliberate twins — the
-        # cache accounting (flags, memoized hits/misses folding) must
-        # stay in lockstep or batch metrics diverge from sequential.
-        for index, query in enumerate(queries):
-            pinned = getattr(query, "_interned", None)
-            if pinned is not None and pinned[0] is token:
-                qid = pinned[1]
-            else:
-                qid = intern(query)
-            lid = seen.get(qid)
-            if lid is not None:
-                lids[index] = lid
-                flags[index] = cache_enabled
-                memoized += 1
-                continue
-            lid = cache.get(qid)
-            if lid is not None:
-                flags[index] = True
-            else:
-                lid = plane.labels.intern(self.labeler.label_query(query))
-                cache.put(qid, lid)
-            seen[qid] = lid
-            lids[index] = lid
-        if memoized:
-            if cache_enabled:
-                cache.record_hits(memoized)
-            else:
-                cache.record_misses(memoized)
-        if started is not None:
-            # The fused path interns as it labels, so the batch "label"
-            # stage includes canonicalization.
-            timer.observe_many("label", (perf_counter() - started) / total, total)
-        return plane, lids, flags
 
     # ------------------------------------------------------------------
     # Masks and outcomes (per compiled policy, int-keyed)

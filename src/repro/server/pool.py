@@ -65,7 +65,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError
 from repro.server.batch import decide_wire_items
-from repro.server.aio import dispatch, metrics_format, validate_batch_body
+from repro.server.aio import _blocking, dispatch, metrics_format
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.partition import shard_for
@@ -251,30 +251,6 @@ def _replica_worker_main(
 # ----------------------------------------------------------------------
 # The parent side: the dispatcher
 # ----------------------------------------------------------------------
-def _blocking(coro, served: bool = False):
-    """Run a pool coroutine that was given ``loop=None`` to its result.
-
-    Without a loop the readiness waits return at once and the offloads
-    run inline, so the coroutine finishes within its first ``send``: a
-    blocking call costs one coroutine object, not an event loop.  A
-    suspension would break that invariant, so it raises rather than
-    waits.  *served* refuses the call outright: while an event loop
-    serves the pool, its tick drain owns the replica pipes.
-    """
-    if served:
-        coro.close()
-        raise RuntimeError(
-            "the replica pool is served by an event loop; "
-            "only its tick drain may use the replica pipes"
-        )
-    try:
-        coro.send(None)
-    except StopIteration as done:
-        return done.value
-    coro.close()
-    raise RuntimeError("a pool coroutine suspended with no event loop")
-
-
 class ReplicaHandle:
     """One replica's process, pipe, and plane-sync watermark."""
 
@@ -592,7 +568,7 @@ class ReplicaPool:
 
         Same entry and result shapes — ``(principal, query, qid)`` in,
         :class:`ServiceDecision`-or-error-dict out, aligned — so the
-        asyncio drain and the v1 batch route swap it in transparently.
+        asyncio tick drain swaps it in transparently.
         Sub-batches go to every involved replica before any reply is
         awaited, so replicas decide concurrently; replies are gathered
         and applied in replica order, and the parent mirror absorbs
@@ -778,9 +754,7 @@ class ReplicaPool:
     # -- admin / inline routes -----------------------------------------
     #: Inline routes the pool answers itself; :func:`dispatch`, where
     #: requests are otherwise counted, never sees them.
-    _ANSWERED = frozenset(
-        {("GET", "/metrics"), ("GET", "/internal/snapshot"), ("POST", "/v1/batch")}
-    )
+    _ANSWERED = frozenset({("GET", "/metrics"), ("GET", "/internal/snapshot")})
     #: Mutations the parent's dispatch validates and applies (and
     #: counts) first; the owning replica then follows.
     _FORWARDED = frozenset({("POST", "/v1/register"), ("POST", "/v1/reset")})
@@ -819,9 +793,9 @@ class ReplicaPool:
         handles correctly (``/healthz``, ``/v2/protocol``,
         ``/internal/trace``); everything session- or metrics-shaped is
         intercepted here so replicas and mirror stay in lockstep.
-        ``POST /v2/batch`` is not an inline route in pooled mode: the
-        front end resolves it and joins its entries to the tick's
-        decision run, so :meth:`decide_async` is its data path.
+        Neither batch route is inline: the front end resolves a batch
+        and joins its entries to the tick's decision run, so
+        :meth:`decide_async` is its data path.
         """
         claimed = self._claim(method, path, body)
         if claimed is None:
@@ -845,8 +819,6 @@ class ReplicaPool:
                     "code": REPLICA_UNAVAILABLE,
                 }
             return 200, merged
-        if route == "/v1/batch":
-            return await self._batch_v1(body, loop)
         status, payload = dispatch(self.service, method, route, body)
         if status == 200:
             handle, frame = self._admin_frame(route, body)
@@ -878,43 +850,6 @@ class ReplicaPool:
                 await self._offload(loop, self._respawn, handle)
             except (OSError, TimeoutError, RuntimeError):
                 pass  # the next dispatch will retry the respawn
-
-    async def _batch_v1(self, body: Dict, loop) -> Tuple[int, Dict]:
-        """``POST /v1/batch`` pooled: parse on the parent, decide on the
-        replicas, reassemble in input order (the v1 error shapes)."""
-        from repro.server.batch import parse_wire_request
-
-        requests, peek, error = validate_batch_body(body)
-        if error is not None:
-            return error
-        service = self.service
-        results: List[Optional[Dict]] = [None] * len(requests)
-        positions: List[int] = []
-        entries: List[Tuple] = []
-        for index, request in enumerate(requests):
-            item, message = parse_wire_request(service, request)
-            if message is not None:
-                results[index] = {"error": message}
-                continue
-            principal = item[0]
-            if principal not in service and service._default_policy is None:
-                results[index] = {"error": f"unknown principal {principal!r}"}
-                continue
-            positions.append(index)
-            entries.append((principal, item[1], None))
-        decided = (
-            await self.decide_async(entries, update=not peek, loop=loop)
-            if entries
-            else []
-        )
-        for position, decision in zip(positions, decided):
-            if isinstance(decision, ServiceDecision):
-                results[position] = decision.as_dict()
-            else:  # v1 keeps its historical error shape (no code)
-                results[position] = {
-                    "error": decision.get("error", "replica failure")
-                }
-        return 200, {"decisions": results, "count": len(results)}
 
     # -- merged views ---------------------------------------------------
     async def metrics_snapshot(self, loop) -> Dict:

@@ -40,7 +40,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -542,25 +541,20 @@ class DisclosureService:
         Semantically identical to calling :meth:`submit` once per item
         in order — the ``tests/server/test_batch.py`` suite holds the
         two paths byte-for-byte identical, decisions and end state —
-        but the batch path amortizes the per-decision Python overhead:
-
-        * queries are interned once per distinct object,
-        * the kernel's label cache is consulted once per distinct qid
-          (repeats are accounted via :meth:`LabelCache.record_hits`),
-        * partition masks are computed once per distinct lid per
-          session (:meth:`BitVectorRegistry.satisfying_masks_by_id`),
-        * the service lock is taken once for the whole batch, and
-        * metrics are updated in bulk.
+        but decided by the one batch core,
+        :func:`~repro.server.batch.decide_wire_items`, which amortizes
+        the per-decision Python overhead (one intern per distinct
+        object, one label-cache probe per distinct qid, one mask per
+        distinct lid per session, one lock hold, bulk metrics).
 
         Returns the decisions in input order.  Every principal in the
-        batch is validated *before* any state changes: an unknown
-        principal (with no default policy) raises :class:`PolicyError`
-        and leaves every session untouched — unlike the sequential
-        loop, which would have applied the prefix.  Thread-safe.
+        batch is validated *before* any state changes, under the same
+        lock hold as the decide: an unknown principal (with no default
+        policy) raises :class:`PolicyError` and leaves every session
+        untouched — unlike the sequential loop, which would have
+        applied the prefix.  Thread-safe.
         """
-        from repro.server.batch import decide_batch
-
-        return decide_batch(self, items, update=True)
+        return self._decide_batch(items, update=True)
 
     def peek_batch(
         self, items: "Iterable[Tuple[Hashable, ConjunctiveQuery]]"
@@ -571,28 +565,22 @@ class DisclosureService:
         against the current state.  Note the difference from
         :meth:`submit_batch`: items here do not observe the effects of
         earlier items in the same batch, exactly as N sequential
-        :meth:`peek` calls would not.  Thread-safe.
+        :meth:`peek` calls would not.  Unknown principals raise as in
+        :meth:`submit_batch`.  Thread-safe.
         """
-        from repro.server.batch import decide_batch
+        return self._decide_batch(items, update=False)
 
-        return decide_batch(self, items, update=False)
+    def _decide_batch(self, items, update: bool) -> List[ServiceDecision]:
+        from repro.server.batch import decide_wire_items
 
-    def decide_batch_wire(
-        self, requests: "Sequence[Dict]", peek: bool = False
-    ) -> List[Dict]:
-        """Decide a heterogeneous wire batch (the ``/v1/batch`` body).
-
-        Each request is a ``/v1/query``-shaped JSON object
-        (``principal`` plus one of ``sql`` / ``fql`` / ``datalog``, and
-        optionally ``me``).  Items are isolated: a malformed item, a
-        parse error, or an unknown principal yields an ``{"error": ...}``
-        entry at that item's index while every other item is still
-        decided — matching what N independent ``/v1/query`` calls would
-        have produced.  Returns one dict per request, in input order.
-        """
-        from repro.server.batch import decide_batch_wire
-
-        return decide_batch_wire(self, requests, peek=peek)
+        entries = [(principal, query, None) for principal, query in items]
+        with self._lock:
+            if self._default_policy is None:
+                store = self.store
+                for principal in dict.fromkeys(p for p, _, _ in entries):
+                    if principal not in store:
+                        raise PolicyError(f"unknown principal {principal!r}")
+            return decide_wire_items(self, entries, update=update)
 
     def export_label_cache(self) -> List[Tuple]:
         """The shared label cache as picklable ``(key, label)`` pairs.

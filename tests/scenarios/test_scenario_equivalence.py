@@ -2,8 +2,9 @@
 
 Each named scenario (scaled down for test time) is compiled once and
 replayed through the in-process client, the synchronous HTTP client
-on the v2 wire (real sockets), the pipelined asynchronous client, the
-kernel replica pool, and the client-side sharded router.  The cached-stripped decision digests must
+on the v2 wire (real sockets), the pipelined asynchronous client and
+the kernel replica pool (each on the v2 and the v1 wire), and the
+client-side sharded router.  The cached-stripped decision digests must
 agree byte for byte — the replay engine is deterministic and the
 decision logic is transport-invariant.  With label caches warmed via
 export/import, even the ``cached`` flags agree (full byte equality).
@@ -46,6 +47,28 @@ def _local_digest(views, trace):
     return report.digest()
 
 
+def _pooled(views):
+    from repro.server.pool import start_pooled_background
+
+    return start_pooled_background(2, service_kwargs={"security_views": views})
+
+
+def _replay_async(handle, trace, protocol):
+    """Replay *trace* through the pipelined client on *protocol*."""
+
+    async def main():
+        client = AsyncHttpClient(
+            f"http://{handle.host}:{handle.port}", protocol=protocol
+        )
+        await client.connect()
+        try:
+            return await replay_trace_async(trace, client)
+        finally:
+            await client.close()
+
+    return asyncio.run(main())
+
+
 class TestEveryTransportReplaysIdentically:
     def test_http_v2_matches_local(self, views, trace):
         handle = start_async_background(DisclosureService(views))
@@ -62,15 +85,18 @@ class TestEveryTransportReplaysIdentically:
     def test_async_http_matches_local(self, views, trace):
         handle = start_async_background(DisclosureService(views))
         try:
-            async def main():
-                client = AsyncHttpClient(f"http://{handle.host}:{handle.port}")
-                await client.connect()
-                try:
-                    return await replay_trace_async(trace, client)
-                finally:
-                    await client.close()
+            report = _replay_async(handle, trace, "v2")
+        finally:
+            handle.stop()
+        assert report.errors == 0
+        assert report.digest() == _local_digest(views, trace)
 
-            report = asyncio.run(main())
+    def test_async_http_v1_matches_local(self, views, trace):
+        """The v1 wire through the same tick drain: parsed on the
+        server, decided in the same runs as v2 traffic would be."""
+        handle = start_async_background(DisclosureService(views))
+        try:
+            report = _replay_async(handle, trace, "v1")
         finally:
             handle.stop()
         assert report.errors == 0
@@ -79,21 +105,18 @@ class TestEveryTransportReplaysIdentically:
     def test_pooled_matches_local(self, views, trace):
         """The kernel replica pool: decisions travel parent → worker
         process → parent over pipes, and the digests must not notice."""
-        from repro.server.pool import start_pooled_background
-
-        handle = start_pooled_background(
-            2, service_kwargs={"security_views": views}
-        )
+        handle = _pooled(views)
         try:
-            async def main():
-                client = AsyncHttpClient(f"http://{handle.host}:{handle.port}")
-                await client.connect()
-                try:
-                    return await replay_trace_async(trace, client)
-                finally:
-                    await client.close()
+            report = _replay_async(handle, trace, "v2")
+        finally:
+            handle.stop()
+        assert report.errors == 0
+        assert report.digest() == _local_digest(views, trace)
 
-            report = asyncio.run(main())
+    def test_pooled_v1_matches_local(self, views, trace):
+        handle = _pooled(views)
+        try:
+            report = _replay_async(handle, trace, "v1")
         finally:
             handle.stop()
         assert report.errors == 0

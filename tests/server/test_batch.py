@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
+from repro.server.aio import dispatch
 from repro.server.service import DisclosureService
 
 PRINCIPALS = 20
@@ -232,12 +233,22 @@ class TestBatchValidation:
         assert len(decisions) == 2
 
 
+def _v1_batch(service, requests, peek=False):
+    """``POST /v1/batch`` through the route table: the decision list."""
+    status, payload = dispatch(
+        service, "POST", "/v1/batch", {"queries": requests, "peek": peek}
+    )
+    assert status == 200 and payload["count"] == len(requests)
+    return payload["decisions"]
+
+
 class TestWireBatch:
     def test_per_item_error_isolation(self, views, schema):
         service = DisclosureService(views, schema=schema)
         service.register("app", [["user_birthday", "public_profile"]])
         fql = "SELECT birthday FROM user WHERE uid = me()"
-        results = service.decide_batch_wire(
+        results = _v1_batch(
+            service,
             [
                 {"principal": "app", "fql": fql},
                 {"principal": "ghost", "fql": fql},
@@ -246,19 +257,21 @@ class TestWireBatch:
                 "not an object",
                 {"principal": "app", "sql": "SELECT nope FROM User"},
                 {"principal": "app", "fql": fql, "me": "three"},
+                {"principal": "app", "fql": fql, "me": True},
                 {"principal": "app", "fql": fql},
-            ]
+            ],
         )
         assert results[0]["accepted"] is True
-        assert "unknown principal" in results[1]["error"]
+        assert results[1] == {"error": "unknown principal 'ghost'"}
         assert "principal" in results[2]["error"]
         assert "'sql', 'fql', 'datalog'" in results[3]["error"]
         assert "JSON object" in results[4]["error"]
         assert "error" in results[5]
         assert "'me'" in results[6]["error"]
+        assert results[7] == {"error": "'me' must be an integer uid"}
         # The last valid item still decided, state having evolved only
         # through the valid items.
-        assert results[7]["accepted"] is True
+        assert results[8]["accepted"] is True
         assert service.decisions.value == 2
 
     def test_wire_batch_matches_independent_queries(self, views, schema):
@@ -284,7 +297,7 @@ class TestWireBatch:
                     one_at_a_time.parse(request[text_key], text_key),
                 ).as_dict()
             )
-        got = batched.decide_batch_wire(requests)
+        got = _v1_batch(batched, requests)
         assert got == expected
 
     def test_wire_peek_flag(self, views, schema):
@@ -292,8 +305,8 @@ class TestWireBatch:
         service.register("app", [["user_birthday"], ["user_likes"]])
         fql = "SELECT birthday FROM user WHERE uid = me()"
         before = service.export_state()
-        results = service.decide_batch_wire(
-            [{"principal": "app", "fql": fql}], peek=True
+        results = _v1_batch(
+            service, [{"principal": "app", "fql": fql}], peek=True
         )
         assert results[0]["accepted"] is True
         assert service.export_state() == before

@@ -139,32 +139,6 @@ class TestDecideParity:
 
 
 class TestInlineRoutes:
-    def test_v1_batch_matches_local_dispatch(self, deployment):
-        local, _, pool = deployment
-        from repro.client.wire import query_to_datalog
-
-        traffic = _traffic(8, 12)
-        body = {
-            "queries": [
-                {"principal": p, "datalog": query_to_datalog(q)}
-                for p, q in traffic
-            ]
-            + [
-                {"principal": "ghost", "datalog": "q(X) :- likes(U, X)"},
-                {"bad": "item"},
-            ]
-        }
-        want_status, want = dispatch(local, "POST", "/v1/batch", body)
-        got_status, got = pool.dispatch_inline("POST", "/v1/batch", body)
-        assert (want_status, want["count"]) == (got_status, got["count"])
-        for w, g in zip(want["decisions"], got["decisions"]):
-            if "error" in w:
-                assert w == g
-            else:
-                for key in ("accepted", "principal", "reason",
-                            "live_before", "live_after"):
-                    assert w[key] == g[key]
-
     def test_reset_restores_full_liveness_everywhere(self, deployment):
         local, parent, pool = deployment
         local.reset("alice")
@@ -601,6 +575,67 @@ class TestBlockingDriver:
 class TestServedPool:
     """While an event loop serves the pool, its tick drain is the only
     code that reads or writes the replica pipes — snapshots included."""
+
+    def test_v1_batch_matches_local_dispatch(self, views, schema):
+        """``/v1/batch`` joins the tick's decision run, so a served pool
+        decides it on its replicas, item for item as one local service
+        would — unknown principals and malformed items included."""
+        import urllib.request
+
+        from repro.client.wire import query_to_datalog
+
+        kwargs = {"security_views": views, "schema": schema}
+        local = DisclosureService(**kwargs)
+        handle = start_pooled_background(REPLICAS, service_kwargs=kwargs)
+
+        def post(path, body):
+            request = urllib.request.Request(
+                f"http://{handle.host}:{handle.port}{path}",
+                data=json.dumps(body).encode(),
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.status, json.loads(response.read())
+
+        try:
+            policies = generate_policies(
+                views.names, len(PRINCIPALS), max_partitions=4,
+                max_elements=25, seed=3,
+            )
+            for principal, policy in zip(PRINCIPALS, policies):
+                register = {
+                    "principal": principal,
+                    "policy": [list(p) for p in policy],
+                }
+                assert dispatch(local, "POST", "/v1/register", register)[0] == 200
+                assert post("/v1/register", register)[0] == 200
+            traffic = _traffic(8, 12)
+            body = {
+                "queries": [
+                    {"principal": p, "datalog": query_to_datalog(q)}
+                    for p, q in traffic
+                ]
+                + [
+                    {"principal": "ghost", "datalog": "q(X) :- likes(U, X)"},
+                    {"bad": "item"},
+                ]
+            }
+            for peek in (True, False, False):
+                body["peek"] = peek
+                want_status, want = dispatch(local, "POST", "/v1/batch", body)
+                got_status, got = post("/v1/batch", body)
+                assert (want_status, want["count"]) == (got_status, got["count"])
+                assert want["decisions"][-2:] == got["decisions"][-2:]
+                assert "unknown principal" in got["decisions"][-2]["error"]
+                for w, g in zip(want["decisions"], got["decisions"]):
+                    if "error" in w:
+                        assert w == g
+                    else:
+                        for key in ("accepted", "principal", "reason",
+                                    "live_before", "live_after"):
+                            assert w[key] == g[key]
+        finally:
+            handle.stop()
+            local.close()
 
     def test_blocking_facades_refuse_while_served(self, views):
         handle = start_pooled_background(

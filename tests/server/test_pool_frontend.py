@@ -1,13 +1,15 @@
-"""The pooled asyncio front end: batches join the tick's decision run.
+"""The tick drain's one run discipline, pooled and not.
 
-Pooled, ``POST /v2/batch`` is not handled one request at a time: its
-entries join the same run consecutive single decisions form, one
-``decide_async`` decides the run, and the results are sliced back per
+Batches are not handled one request at a time: the entries of
+``POST /v2/batch`` and ``POST /v1/batch`` join the same run that
+consecutive single decisions (v1 and v2) form, one call decides the
+run — :func:`~repro.server.batch.decide_wire_items` unpooled, the
+pool's ``decide_async`` pooled — and the results are sliced back per
 request.  These suites hold that coalescing *exact* — every response
 equal to a single local service fed the same requests one by one — at
-two levels: the run discipline alone, against a recording stand-in for
-the pool (deterministic run boundaries, no processes), and end to end,
-pipelined over one connection to a real two-replica deployment.
+two levels: the run discipline alone on both planes, recording every
+decide call (deterministic run boundaries, no processes), and end to
+end, pipelined over one connection to a real two-replica deployment.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def _queries(service):
 
 
 def _stream(service):
-    """``[(method, path, body)]``: batches and singles, submit and peek,
-    a malformed batch, an unknown principal, a mid-stream re-register.
+    """``[(method, path, body)]``: v2 and v1 batches and singles, submit
+    and peek, malformed batches, unknown principals and items, a
+    mid-stream re-register.
 
     Built so that a run spanning a boundary it must not span changes an
     answer: the first batch *peeks* at fresh principals a submit would
@@ -70,6 +73,18 @@ def _stream(service):
             state, principal, query, peek=peek, compact=True
         )
 
+    def v1(path, principal, text):
+        return "POST", path, {"principal": principal, "fql": text, "me": 3}
+
+    music_fql = "SELECT music FROM user WHERE uid = me()"
+    v1_batch = {"queries": [
+        {"principal": "erin", "fql": music_fql, "me": 3},
+        {"principal": "ghost", "fql": music_fql},
+        {"bad": "item"},
+        {"principal": "carol", "fql": music_fql, "me": True},
+        {"principal": "bob", "fql": music_fql, "me": 3},
+    ]}
+
     return [
         batch(everyone, peek=True),
         batch(everyone),
@@ -80,9 +95,13 @@ def _stream(service):
             "gen": state.gen, "base": 0, "principals": ["alice"],
             "items": [[3, 0]],
         }),
+        v1("/v1/query", "bob", music_fql),
+        ("POST", "/v1/batch", {"queries": "not a list"}),  # malformed
         batch([("alice", birthday), ("alice", music)], peek=True),
         single("dave", birthday, peek=True),
+        v1("/v1/peek", "dave", music_fql),
         batch([("alice", birthday), ("erin", name)]),
+        ("POST", "/v1/batch", v1_batch),
         ("POST", "/v1/register", {"principal": "alice", "policy": WIDE}),
         batch([("alice", music), ("alice", birthday), ("bob", birthday)]),
         batch(everyone, peek=True, compact=False),
@@ -154,7 +173,8 @@ class _NullTransport:
 
 
 def _one_tick(service, pool, stream):
-    """Feed *stream* to a pooled front end inside a single tick."""
+    """Feed *stream* to a front end (pooled unless *pool* is ``None``)
+    inside a single tick."""
 
     async def answered(requests):
         while not all(request.done() for request in requests):
@@ -184,27 +204,56 @@ def _one_tick(service, pool, stream):
     return asyncio.run(main())
 
 
+def _recorded(service, pooled, monkeypatch):
+    """``(pool, dispatches)``: the front end's pool (``None`` unpooled)
+    and the ``(update, entries)`` shape of every decide call it makes."""
+    pool = _RecordingPool(service)
+    if pooled:
+        return pool, pool.dispatches
+    from repro.server import batch
+
+    def recording(service, entries, *, update, plane=None, timings=None):
+        pool.dispatches.append((update, len(entries)))
+        return decide_wire_items(
+            service, entries, update=update, plane=plane, timings=timings
+        )
+
+    monkeypatch.setattr(batch, "decide_wire_items", recording)
+    return None, pool.dispatches
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
 class TestRunDiscipline:
-    def test_one_tick_is_sliced_back_exactly(self, views, schema):
+    def test_one_tick_is_sliced_back_exactly(
+        self, views, schema, pooled, monkeypatch
+    ):
         twin = _registered(views, schema)
         service = _registered(views, schema)
         stream = _stream(service)
         want = _sequential(twin, stream)
-        pool = _RecordingPool(service)
+        pool, dispatches = _recorded(service, pooled, monkeypatch)
         got = _one_tick(service, pool, stream)
         _assert_same_responses(want, got)
         assert want[5][0] == 400 and want[5][1]["code"] == "bad-request"
         assert want[2][1]["decisions"][1]["code"] == "unknown-principal"
-        # Twelve run-joining requests, seven dispatches: the run breaks
-        # at each submit/peek change and at the register, nowhere else
-        # (the malformed batch is answered on the spot; the empty one
-        # joins like any other).
-        assert pool.dispatches == [
-            (False, 15), (True, 15 + 3 + 1 + 15), (False, 2 + 1),
-            (True, 2), (True, 3), (False, 15), (True, 0 + 15),
+        assert want[7] == (400, {"error": "batch needs a 'queries' list"})
+        assert want[12][1]["decisions"][1:4] == [
+            {"error": "unknown principal 'ghost'"},
+            {"error": "batch item needs a non-empty string 'principal'"},
+            {"error": "'me' must be an integer uid"},
+        ]
+        # Fifteen run-joining requests, seven decide calls: the run
+        # breaks at each submit/peek change and at the register, nowhere
+        # else (the malformed batches are answered on the spot; the
+        # empty one joins like any other; v1 entries join v2 runs).
+        assert dispatches == [
+            (False, 15), (True, 15 + 3 + 1 + 15 + 1), (False, 2 + 1 + 1),
+            (True, 2 + 3), (True, 3), (False, 15), (True, 0 + 15),
         ]
 
-    def test_a_run_past_max_batch_splits(self, views, schema):
+    def test_a_run_past_max_batch_splits(
+        self, views, schema, pooled, monkeypatch
+    ):
         twin = _registered(views, schema)
         service = _registered(views, schema)
         birthday, music, name = _queries(service)
@@ -217,10 +266,10 @@ class TestRunDiscipline:
             ("POST", "/v2/batch", batch_body(state, items, peek=False, compact=True)[0])
             for _ in range(5)
         ]
-        pool = _RecordingPool(service)
+        pool, dispatches = _recorded(service, pooled, monkeypatch)
         got = _one_tick(service, pool, stream)
         _assert_same_responses(_sequential(twin, stream), got)
-        assert pool.dispatches == [(True, MAX_BATCH), (True, MAX_BATCH // 4)]
+        assert dispatches == [(True, MAX_BATCH), (True, MAX_BATCH // 4)]
 
 
 class TestServedLifecycle:
@@ -353,9 +402,9 @@ class TestPooledFrontEnd:
         # frames than requests with work for it, which is what one
         # request at a time would have cost.
         decided = sum(
-            1 if isinstance(payload, list) else sum(
-                "error" not in row for row in payload["decisions"]
-            )
+            sum("error" not in row for row in payload["decisions"])
+            if isinstance(payload, dict) and "decisions" in payload
+            else 1
             for status, payload in want
             if status == 200 and "registered" not in payload
         )

@@ -319,9 +319,10 @@ class TestErrorHandling:
 
     def test_bad_me_type(self, server):
         _call(server, "/v1/register", {"principal": "app", "policy": CHINESE_WALL})
-        status, body = _call(
-            server,
-            "/v1/query",
-            {"principal": "app", "fql": "SELECT name FROM user", "me": "three"},
-        )
-        assert status == 400 and "'me'" in body["error"]
+        for me in ("three", True):
+            status, body = _call(
+                server,
+                "/v1/query",
+                {"principal": "app", "fql": "SELECT name FROM user", "me": me},
+            )
+            assert status == 400 and "'me'" in body["error"], me
