@@ -54,12 +54,18 @@ CanonicalKey = Tuple
 _REPRESENTATIVE_HEAD = "Q"
 
 
+def constant_code(constant: Constant) -> Tuple[str, Constant]:
+    """The key code of a constant term (a variable's code is an ``int``)."""
+    return ("c", constant)
+
+
 def canonical_key(query: ConjunctiveQuery) -> CanonicalKey:
     """The renaming-invariant structural key of *query*.
 
     Variables become integers in order of first occurrence (head first,
-    then body atoms left to right); constants stay themselves (they are
-    hashable and compare by type and value).
+    then body atoms left to right); constants become their
+    :func:`constant_code`, which keeps the constant itself (hashable,
+    compared by type and value).
 
     Queries are immutable, so the key is memoized on the query object
     (the ``_canonical_key`` slot) after the first computation.
@@ -76,7 +82,7 @@ def canonical_key(query: ConjunctiveQuery) -> CanonicalKey:
                 index = len(indices)
                 indices[term] = index
             return index
-        return ("c", term)
+        return constant_code(term)
 
     head = tuple(code(t) for t in query.head_terms)
     body = tuple(
@@ -111,7 +117,7 @@ def query_from_key(key: CanonicalKey) -> ConjunctiveQuery:
                 variable = Variable(f"v{code}")
                 variables[code] = variable
             return variable
-        return code[1]  # ("c", Constant)
+        return code[1]  # a constant_code
 
     body = tuple(
         Atom(relation, tuple(term(c) for c in codes))

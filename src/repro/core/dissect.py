@@ -21,12 +21,29 @@ the full conjunctive-query labeler (see
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable, Set, TypeVar
 
 from repro.core.minimize import fold_body
 from repro.core.queries import ConjunctiveQuery
 from repro.core.tagged import TaggedAtom
-from repro.core.terms import Variable
+
+T = TypeVar("T")
+
+
+def promoted_terms(head: Iterable[T], atoms: Iterable[Iterable[T]]) -> Set[T]:
+    """The terms a dissection tags distinguished.
+
+    *head* holds the head's terms and *atoms* each folded atom's terms:
+    a term is promoted if the head holds it or if it lies in two atoms
+    (a join variable).  :func:`dissect` passes variables; the bit-vector
+    labeler passes canonical-key codes — one rule for both.
+    """
+    promoted: Set[T] = set(head)
+    seen: Set[T] = set()
+    for terms in atoms:
+        promoted.update(seen.intersection(terms))
+        seen.update(terms)
+    return promoted
 
 
 def dissect(query: ConjunctiveQuery) -> FrozenSet[TaggedAtom]:
@@ -39,15 +56,7 @@ def dissect(query: ConjunctiveQuery) -> FrozenSet[TaggedAtom]:
     """
     head_vars = query.distinguished_variables()
     body = fold_body(query.body, head_vars)
-
-    # A join variable lies in two atoms' (cached) variable sets.
-    promoted: Set[Variable] = set(head_vars)
-    seen: Set[Variable] = set()
-    for atom in body:
-        variables = atom.variable_set()
-        promoted.update(seen & variables)
-        seen.update(variables)
-
+    promoted = promoted_terms(head_vars, (atom.variable_set() for atom in body))
     return frozenset(TaggedAtom.from_atom(atom, promoted) for atom in body)
 
 

@@ -1,106 +1,109 @@
-"""Compressed rewritability checks for the bit-vector labeler.
+"""Whole-atom rewritability checks for the bit-vector labeler.
 
 Section 6 motivates the bit-vector implementation: "we store disclosure
 labels in a heavily compressed format that makes comparisons between
 different disclosure labels very fast".  Computing an atom's ``ℓ+`` mask
 requires one rewritability test per candidate security view, so the
-compressed path pre-compiles each security view's *pattern* into integer
-bitmasks and reduces every test to a few machine-word operations:
+compressed path works on whole-atom bitsets rather than per position.
 
-For a source view ``V'`` over an ``n``-ary relation, precompute
+A dissected atom arrives as the term codes of its canonical key
+(:func:`repro.core.canonical.canonical_key`: a variable is an ``int``, a
+constant is its :func:`~repro.core.canonical.constant_code`) plus the set of *promoted* codes — the
+head and join variables that dissection tags distinguished.  :func:`sign`
+reads it once into
 
-* ``const_checks`` — ``(position, constant)`` pairs of its selection;
-* ``exist_classes`` — one bitmask per existential variable class;
-* ``dist_classes`` — one bitmask per distinguished variable class.
+* ``masks`` — term code → bitmask of the positions holding that term;
+* ``once`` — the positions holding an existential variable that occurs
+  nowhere else in the atom;
+* ``hidden`` — the positions holding any existential variable.
 
-For a dissected target atom, compute a one-pass :class:`AtomSignature`:
-per-position term-class bitmasks (which positions hold the *same* term),
-an existential-positions mask, and the constant at each position.  The
-positional rewritability conditions of :mod:`repro.core.rewriting` then
-become, per view class, a single mask comparison:
+Each security view ``V'`` over an ``n``-ary relation is precompiled
+(:class:`CompiledView`) to its arity, its ``(position, constant code)``
+checks, one mask of its single-position existential classes, and only its
+multi-position classes — a single-position distinguished class always
+matches.  The positional rewritability conditions of
+:mod:`repro.core.rewriting` then become:
 
-* constants:   the target holds the identical constant at each ``V'``
+* arity: equal;
+* existential, single position: ``single & ~once == 0`` — one AND-NOT
+  for all of them;
+* constants: the target holds the identical constant at each ``V'``
   constant position;
-* existential: the lowest position ``i`` of the class ``K`` satisfies
-  ``sig.class_mask[i] == K`` and ``i`` is existential in the target
-  (occurrence classes match exactly);
-* distinguished: the lowest position ``i`` of ``K`` satisfies
-  ``K ⊆ sig.class_mask[i]`` (the target carries one term across the
-  whole visible class — variable or constant).
+* existential, several positions ``K``: the target's term at the lowest
+  position of ``K`` occupies exactly ``K`` and is existential;
+* distinguished, several positions ``K``: that term covers ``K`` (one
+  term, variable or constant, across the whole visible class).
 
 The structural checker in :mod:`repro.core.rewriting` remains the
-reference implementation; the property-based tests assert bit-for-bit
-agreement between the two.
+reference implementation; the tests assert bit-for-bit agreement between
+the two: a hypothesis property, every pair of ternary tagged atoms, and
+every dissected atom of the perf ledger's shapes against every Facebook
+view of its relation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Set, Tuple
 
+from repro.core.canonical import constant_code
 from repro.core.tagged import EXISTENTIAL, TaggedAtom, TaggedVar
-from repro.core.terms import Constant
+
+#: A signed atom: ``(codes, masks, once, hidden, constants)``, where
+#: *constants* holds the ``(mask, code)`` pair of each constant term in
+#: first-occurrence order.  With the order of *masks*' values and
+#: *hidden* it determines the tagged atom the codes dissect to.
+Signature = Tuple[tuple, Dict[object, int], int, int, tuple]
 
 
-class AtomSignature:
-    """One-pass compressed summary of a dissected target atom."""
+def sign(codes: tuple, promoted: AbstractSet[object]) -> Signature:
+    """Sign the atom with term *codes*; *promoted* codes are distinguished."""
+    masks: Dict[object, int] = {}
+    get = masks.get
+    bit = 1
+    for code in codes:
+        masks[code] = get(code, 0) | bit
+        bit <<= 1
+    once = hidden = 0
+    constants: tuple = ()
+    for code, mask in masks.items():
+        if code.__class__ is not int:
+            constants += ((mask, code),)
+        elif code not in promoted:
+            hidden |= mask
+            if not mask & (mask - 1):
+                once |= mask
+    return codes, masks, once, hidden, constants
 
-    __slots__ = ("relation", "arity", "class_mask", "exist_mask", "constants")
 
-    def __init__(self, atom: TaggedAtom):
-        self.relation = atom.relation
-        self.arity = atom.arity
-        entries = atom.entries
-
-        #: Bitmask of positions holding existential variables.
-        exist_mask = 0
-        #: Constant value at each position (None for variables).
-        constants: List[Optional[Constant]] = [None] * self.arity
-
-        # One pass: the mask of positions holding each term, keyed by
-        # variable index or by the constant (an int never equals one).
-        masks: Dict[object, int] = {}
-        keys: List[object] = []
-        for position, entry in enumerate(entries):
-            bit = 1 << position
-            if isinstance(entry, TaggedVar):
-                key: object = entry.index
-                if entry.tag == EXISTENTIAL:
-                    exist_mask |= bit
-            else:
-                key = constants[position] = entry
-            keys.append(key)
-            masks[key] = masks.get(key, 0) | bit
-        #: For each position, the bitmask of positions holding the same
-        #: term (same variable, or equal constant).
-        class_mask = [masks[key] for key in keys]
-
-        self.class_mask = class_mask
-        self.exist_mask = exist_mask
-        self.constants = constants
+def tagged_codes(atom: TaggedAtom) -> Tuple[tuple, Set[int]]:
+    """:func:`sign`'s arguments for a tagged atom: its entries as term
+    codes (variable indices for variables) and its distinguished ones."""
+    codes = tuple(
+        entry.index if isinstance(entry, TaggedVar) else constant_code(entry)
+        for entry in atom.entries
+    )
+    promoted = {
+        entry.index
+        for entry in atom.entries
+        if isinstance(entry, TaggedVar) and entry.tag != EXISTENTIAL
+    }
+    return codes, promoted
 
 
 class CompiledView:
-    """A security view pre-compiled for fast rewritability testing."""
+    """A security view pre-compiled for whole-atom rewritability tests."""
 
-    __slots__ = (
-        "view",
-        "relation",
-        "arity",
-        "const_checks",
-        "exist_classes",
-        "dist_classes",
-    )
+    __slots__ = ("arity", "constants", "single", "hidden_classes", "visible_classes")
 
     def __init__(self, view: TaggedAtom):
-        self.view = view
-        self.relation = view.relation
         self.arity = view.arity
-
-        self.const_checks: Tuple[Tuple[int, Constant], ...] = tuple(
-            view.constant_positions()
+        self.constants: Tuple[Tuple[int, tuple], ...] = tuple(
+            (position, constant_code(constant))
+            for position, constant in view.constant_positions()
         )
-        exist_classes: List[int] = []
-        dist_classes: List[int] = []
+        single = 0
+        hidden_classes = []
+        visible_classes = []
         for positions in view.variable_classes().values():
             mask = 0
             for position in positions:
@@ -108,52 +111,34 @@ class CompiledView:
             entry = view.entries[positions[0]]
             assert isinstance(entry, TaggedVar)
             if entry.tag == EXISTENTIAL:
-                exist_classes.append(mask)
-            else:
-                dist_classes.append(mask)
-        # Store (lowest position, mask) per class for one-probe checks.
-        self.exist_classes: Tuple[Tuple[int, int], ...] = tuple(
-            (_lowest_bit_index(m), m) for m in exist_classes
-        )
-        self.dist_classes: Tuple[Tuple[int, int], ...] = tuple(
-            (_lowest_bit_index(m), m) for m in dist_classes
-        )
+                if len(positions) == 1:
+                    single |= mask
+                else:
+                    hidden_classes.append((positions[0], mask))
+            elif len(positions) > 1:
+                visible_classes.append((positions[0], mask))
+        #: Positions of the view's single-position existential classes.
+        self.single = single
+        #: ``(lowest position, mask)`` of each multi-position class.
+        self.hidden_classes: Tuple[Tuple[int, int], ...] = tuple(hidden_classes)
+        self.visible_classes: Tuple[Tuple[int, int], ...] = tuple(visible_classes)
 
-    def matches(self, sig: AtomSignature) -> bool:
-        """Is the signature's atom equivalently rewritable from this view?
+    def matches(self, signature: Signature) -> bool:
+        """Is the signed atom equivalently rewritable from this view?
 
         Assumes the caller already matched the relation name (the
         bit-vector labeler partitions views by relation).
         """
-        if sig.arity != self.arity:
+        codes, masks, once, hidden, _ = signature
+        if len(codes) != self.arity or self.single & ~once:
             return False
-        constants = sig.constants
-        for position, constant in self.const_checks:
-            if constants[position] != constant:
+        for position, code in self.constants:
+            if codes[position] != code:
                 return False
-        class_mask = sig.class_mask
-        exist_mask = sig.exist_mask
-        for probe, mask in self.exist_classes:
-            # Exact class match on a hidden column, and the target's term
-            # there is an existential variable.
-            if class_mask[probe] != mask or not (exist_mask >> probe) & 1:
+        for position, mask in self.hidden_classes:
+            if masks[codes[position]] != mask or not (hidden >> position) & 1:
                 return False
-            if constants[probe] is not None:  # pragma: no cover - guarded above
-                return False
-        for probe, mask in self.dist_classes:
-            # One term across the whole visible class.
-            if (class_mask[probe] & mask) != mask:
+        for position, mask in self.visible_classes:
+            if masks[codes[position]] & mask != mask:
                 return False
         return True
-
-
-def _lowest_bit_index(mask: int) -> int:
-    assert mask
-    return (mask & -mask).bit_length() - 1
-
-
-def compile_views(
-    views: Sequence[Tuple[int, TaggedAtom]]
-) -> "list[tuple[int, CompiledView]]":
-    """Compile ``(bit, view)`` pairs for a relation's security views."""
-    return [(bit, CompiledView(view)) for bit, view in views]

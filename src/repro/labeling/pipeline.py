@@ -13,8 +13,16 @@ labeling algorithm":
    scan touches only the views over the atom's relation;
 3. **bit vectors + hashing** — the Section 6.1 representation change:
    "computing the GLB is completely unnecessary.  Instead, we compute
-   ℓ+({V})" — the set of determining views as a packed bit mask, with
-   pre-compiled pattern comparisons (:mod:`repro.labeling.fastcheck`).
+   ℓ+({V})" — the set of determining views as a packed bit mask.  This
+   variant dissects on the query's canonical key rather than through
+   :func:`~repro.core.dissect.dissect`: the same fold picks the core's
+   atoms, their term codes come from
+   :func:`~repro.core.canonical.canonical_key` (memoized on the query),
+   join-variable promotion (dissect's own rule,
+   :func:`~repro.core.dissect.promoted_terms`) and the dedupe of atoms
+   that dissect alike run on those integer codes, and each kept atom is
+   signed once into whole-atom bitsets tested against pre-compiled views
+   (:mod:`repro.labeling.fastcheck`).  No tagged atom is built.
 
 The three produce *equivalent* labels in different representations — the
 GLB view-set of (1)/(2) discloses exactly what the ℓ+ mask of (3)
@@ -27,12 +35,15 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.dissect import dissect
+from repro.core.canonical import canonical_key
+from repro.core.dissect import dissect, promoted_terms
+from repro.core.minimize import fold_body
 from repro.core.queries import ConjunctiveQuery
 from repro.core.rewriting import is_rewritable
 from repro.core.tagged import TaggedAtom
 from repro.labeling.bitvector import BitVectorRegistry, PackedLabel
 from repro.labeling.cq_labeler import SecurityViews
+from repro.labeling.fastcheck import CompiledView, sign
 from repro.labeling.glb import glb_view_sets
 
 #: The ⊤ label: some dissected atom is determined by no security view.
@@ -95,8 +106,8 @@ class HashPartitionedLabeler:
 class BitVectorLabeler:
     """Hash partitioning plus packed-integer labels (Section 6.1).
 
-    Labels are packed integers, and the per-view rewritability tests run
-    against pre-compiled view patterns
+    Labels are packed integers, and the per-view rewritability tests
+    compare whole-atom bitsets against pre-compiled view patterns
     (:mod:`repro.labeling.fastcheck`) — the "heavily compressed format
     that makes comparisons ... very fast".
     """
@@ -104,39 +115,52 @@ class BitVectorLabeler:
     name = "bitvectors"
 
     def __init__(self, security_views: SecurityViews):
-        from repro.labeling.fastcheck import AtomSignature, compile_views
-
         self.registry = BitVectorRegistry(security_views)
-        self._signature = AtomSignature
-        # Pre-compile (bit, view) lists and relation ids for the hot loop.
-        self._views_by_relation: Dict[str, list] = {
-            rel: compile_views(
-                [
-                    (self.registry.view_bits[name], security_views.view(name))
-                    for name, _ in security_views.for_relation(rel)
-                ]
-            )
+        # Per relation, (view mask bit, compiled view) for the hot loop.
+        self._views_by_relation: Dict[str, List[Tuple[int, CompiledView]]] = {
+            rel: [
+                (1 << self.registry.view_bits[name], CompiledView(view))
+                for name, view in security_views.for_relation(rel)
+            ]
             for rel in security_views.relations()
         }
         self._relation_ids = self.registry.relation_ids
         self._relation_bits = self.registry.layout.relation_bits
 
     def label_query(self, query: ConjunctiveQuery) -> PackedLabel:
+        body = query.body
+        folded = fold_body(body, query.distinguished_variables())
+        head, atoms = canonical_key(query)
+        if len(folded) < len(body):
+            # The fold keeps a subsequence of the body's own atoms.
+            kept = []
+            for atom, coded in zip(body, atoms):
+                if atom is folded[len(kept)]:
+                    kept.append(coded)
+                    if len(kept) == len(folded):
+                        break
+            atoms = tuple(kept)
+        promoted = promoted_terms(head, (codes for _, codes in atoms))
         relation_bits = self._relation_bits
-        signature = self._signature
-        out = []
-        for atom in dissect(query):
-            relation_id = self._relation_ids.get(atom.relation)
-            if relation_id is None:
-                out.append(0)  # ⊤
+        out: Dict[tuple, int] = {}
+        for relation, codes in atoms:
+            signature = sign(codes, promoted)
+            _, masks, once, hidden, constants = signature
+            # Two atoms sign alike iff they dissect to equal tagged atoms:
+            # dissect's dedupe, on ints.
+            dedupe = (relation, tuple(masks.values()), once, hidden, constants)
+            if dedupe in out:
                 continue
-            sig = signature(atom)
+            relation_id = self._relation_ids.get(relation)
+            if relation_id is None:
+                out[dedupe] = 0  # ⊤
+                continue
             mask = 0
-            for bit, compiled in self._views_by_relation[atom.relation]:
-                if compiled.matches(sig):
-                    mask |= 1 << bit
-            out.append((mask << relation_bits) | relation_id)
-        return tuple(sorted(out))
+            for bit, view in self._views_by_relation[relation]:
+                if view.matches(signature):
+                    mask |= bit
+            out[dedupe] = (mask << relation_bits) | relation_id
+        return tuple(sorted(out.values()))
 
     def decode(self, label: PackedLabel) -> Tuple[FrozenSet[str], ...]:
         """Expand a packed label back into name sets (for cross-validation)."""

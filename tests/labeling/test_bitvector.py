@@ -130,6 +130,7 @@ FACEBOOK_STYLE_VIEWS = """
 UserAll(a, b, c) :- User(a, b, c)
 UserName(a, b)   :- User(a, b, c)
 UserBday(a, c)   :- User(a, b, c)
+UserTwin(a, b)   :- User(a, b, b)
 FriendAll(x, y)  :- Friend(x, y)
 """
 
@@ -151,6 +152,13 @@ class TestPipelineAgreement:
         "Q(a) :- User(a, 'x', c)",
         "Q(x) :- Friend(x, y), Friend(y, x)",
         "Q(a, c) :- User(a, b, c), User(a, b, c)",
+        # Two kept atoms that dissect alike: one label entry.
+        "Q(a, b) :- Friend(a, x), Friend(b, z)",
+        # No security view over Poke: its ⊤ entry (packed 0) is kept.
+        "Q(a) :- User(a, b, c), Poke(a, d)",
+        # A constant across UserTwin's two-position distinguished class.
+        "Q(a) :- User(a, 'x', 'x')",
+        "Q(a) :- User(a, 'x', 'y')",
     ]
 
     def setup_method(self):
@@ -191,3 +199,16 @@ class TestPipelineAgreement:
         assert not reference.is_top
         reconstructed = self.cq_labeler.label_views(reference)
         assert RewritingOrder().equivalent(symbolic, reconstructed)
+
+
+def test_repeated_relation_dedupe_on_facebook_views():
+    """Two Friend atoms that dissect to one tagged atom: one entry."""
+    from repro.facebook.permissions import facebook_security_views
+
+    views = facebook_security_views()
+    bits = BitVectorLabeler(views)
+    query = parse_query("Q(a, b) :- Friend(a, x, y), Friend(b, z, w)")
+    label = bits.label_query(query)
+    assert label == (17179869185,)
+    reference = ConjunctiveQueryLabeler(views).label(query)
+    assert bits.decode(label) == tuple(a.determiners for a in reference)

@@ -9,6 +9,9 @@ inputs:
   is computable from ``V'``'s answer alone, on any database;
 * containment mappings are semantically sound (Chandra–Merlin);
 * folding preserves query equivalence;
+* the bit-vector labeler's whole-atom matcher equals the structural
+  rewritability checker, and its labels decode to the reference
+  labeler's (Section 6.1);
 * the ``ℓ+`` superset rule equals the disclosure comparison, in both the
   symbolic and the packed-integer representations (Section 6.1);
 * the stateless and cumulative monitors agree for one partition
@@ -186,6 +189,21 @@ class TestRewritingProperties:
         target_answer = evaluate_view(target, instance)
         assert plan.evaluate(source_answer) == target_answer
 
+    @given(
+        st.sampled_from(sorted(RELATIONS)).flatmap(
+            lambda name: st.tuples(tagged_atoms(name), tagged_atoms(name))
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_compiled_matcher_equals_structural(self, pair):
+        """``CompiledView.matches`` is ``is_rewritable``, bit for bit —
+        over repeated variables, constants and both tags."""
+        from repro.labeling.fastcheck import CompiledView, sign, tagged_codes
+
+        target, view = pair
+        signature = sign(*tagged_codes(target))
+        assert CompiledView(view).matches(signature) == is_rewritable(target, view)
+
     @given(tagged_atoms("R"), tagged_atoms("R"))
     @settings(max_examples=150, deadline=None)
     def test_antisymmetry_on_normal_forms(self, a, b):
@@ -265,6 +283,19 @@ class TestLabelRepresentationProperties:
         """Labeler axiom (d) on single atoms: a ⪯ b → ℓ(a) ⪯ ℓ(b)."""
         if is_rewritable(a, b):
             assert self.labeler.label(a).leq(self.labeler.label(b))
+
+    @given(conjunctive_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_bitvector_labeler_equals_reference(self, query):
+        """Labeling from the canonical key (promotion and dedupe on term
+        codes) decodes to the determiners of the dissect-based labeler."""
+        from repro.labeling.pipeline import BitVectorLabeler
+
+        bits = BitVectorLabeler(self.views)
+        expected = tuple(
+            sorted((a.determiners for a in self.labeler.label(query)), key=sorted)
+        )
+        assert bits.decode(bits.label_query(query)) == expected
 
     @given(tagged_atoms())
     @settings(max_examples=100, deadline=None)
