@@ -28,74 +28,109 @@ Quick start::
     conn.execute("SELECT * FROM Meetings")             # QueryRefusedError
 """
 
-from repro.core import (
-    Atom,
-    ConjunctiveQuery,
-    Constant,
-    Relation,
-    Schema,
-    TaggedAtom,
-    Variable,
-    are_equivalent,
-    dissect,
-    fold,
-    gen_mgu,
-    is_contained_in,
-    is_rewritable,
-    make_query,
-    parse_query,
-    parse_views,
-    rewrite_plan,
-)
-from repro.core.sqlparser import sql_to_query
-from repro.errors import (
-    LabelingError,
-    ParseError,
-    PolicyError,
-    QueryError,
-    QueryRefusedError,
-    ReproError,
-    SchemaError,
-    StorageError,
-    UnsupportedQueryError,
-)
-from repro.facebook import (
-    WorkloadGenerator,
-    audit_documentation,
-    facebook_schema,
-    facebook_security_views,
-    machine_labels,
-)
-from repro.labeling import (
-    BitVectorLabeler,
-    BitVectorRegistry,
-    ConjunctiveQueryLabeler,
-    DisclosureLabel,
-    NaiveLabeler,
-    SecurityViews,
-)
-from repro.order import (
-    DisclosureLattice,
-    DisclosureOrder,
-    RewritingOrder,
-    SetInclusionOrder,
-)
-from repro.policy import (
-    PartitionPolicy,
-    PolicyChecker,
-    ReferenceMonitor,
-)
-from repro.server import (
-    DisclosureService,
-    LabelCache,
-    ServiceDecision,
-)
-from repro.storage import (
-    Database,
-    EnforcedConnection,
-    seed_facebook,
-    seed_figure1,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.core": (
+        "Atom", "ConjunctiveQuery", "Constant", "Relation", "Schema", "TaggedAtom",
+        "Variable", "are_equivalent", "dissect", "fold", "gen_mgu", "is_contained_in",
+        "is_rewritable", "make_query", "parse_query", "parse_views", "rewrite_plan",
+    ),
+    "repro.core.sqlparser": ("sql_to_query",),
+    "repro.errors": (
+        "LabelingError", "ParseError", "PolicyError", "QueryError", "QueryRefusedError",
+        "ReproError", "SchemaError", "StorageError", "UnsupportedQueryError",
+    ),
+    "repro.facebook": (
+        "WorkloadGenerator", "audit_documentation", "facebook_schema",
+        "facebook_security_views", "machine_labels",
+    ),
+    "repro.labeling": (
+        "BitVectorLabeler", "BitVectorRegistry", "ConjunctiveQueryLabeler",
+        "DisclosureLabel", "NaiveLabeler", "SecurityViews",
+    ),
+    "repro.order": (
+        "DisclosureLattice", "DisclosureOrder", "RewritingOrder", "SetInclusionOrder",
+    ),
+    "repro.policy": ("PartitionPolicy", "PolicyChecker", "ReferenceMonitor"),
+    "repro.server": ("DisclosureService", "LabelCache", "ServiceDecision"),
+    "repro.storage": (
+        "Database", "EnforcedConnection", "seed_facebook", "seed_figure1",
+    ),
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.core import (
+        Atom,
+        ConjunctiveQuery,
+        Constant,
+        Relation,
+        Schema,
+        TaggedAtom,
+        Variable,
+        are_equivalent,
+        dissect,
+        fold,
+        gen_mgu,
+        is_contained_in,
+        is_rewritable,
+        make_query,
+        parse_query,
+        parse_views,
+        rewrite_plan,
+    )
+    from repro.core.sqlparser import sql_to_query
+    from repro.errors import (
+        LabelingError,
+        ParseError,
+        PolicyError,
+        QueryError,
+        QueryRefusedError,
+        ReproError,
+        SchemaError,
+        StorageError,
+        UnsupportedQueryError,
+    )
+    from repro.facebook import (
+        WorkloadGenerator,
+        audit_documentation,
+        facebook_schema,
+        facebook_security_views,
+        machine_labels,
+    )
+    from repro.labeling import (
+        BitVectorLabeler,
+        BitVectorRegistry,
+        ConjunctiveQueryLabeler,
+        DisclosureLabel,
+        NaiveLabeler,
+        SecurityViews,
+    )
+    from repro.order import (
+        DisclosureLattice,
+        DisclosureOrder,
+        RewritingOrder,
+        SetInclusionOrder,
+    )
+    from repro.policy import (
+        PartitionPolicy,
+        PolicyChecker,
+        ReferenceMonitor,
+    )
+    from repro.server import (
+        DisclosureService,
+        LabelCache,
+        ServiceDecision,
+    )
+    from repro.storage import (
+        Database,
+        EnforcedConnection,
+        seed_facebook,
+        seed_figure1,
+    )
 
 __version__ = "1.0.0"
 

@@ -292,10 +292,8 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
     over pipes — multi-core throughput with no HTTP hop per worker.
     See ``docs/pool.md``.
     """
-    import asyncio
     import os.path
 
-    from repro.server.aio import AsyncDecisionServer
     from repro.server.pool import ReplicaPool
     from repro.server.service import DisclosureService
 
@@ -317,8 +315,13 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             f"{args.spill_dir}/front)"
         )
     service = DisclosureService(**parent_kwargs)
+    # The replicas boot while this process replays its state and
+    # imports the front end; start() then waits for them, and warms and
+    # refaults each from the replayed state.
+    pool = ReplicaPool(
+        service, args.replicas, service_kwargs=service_kwargs
+    ).launch()
 
-    warm_entries = None
     snapshotter = None
     if args.state_dir:
         from repro.server.persist import collect_state, sessions_payload
@@ -328,22 +331,21 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             restored = service.import_state(
                 sessions_payload(collected.sessions)
             )
-            warm_entries = collected.cache_entries
+            pool.warm_entries = collected.cache_entries
             print(
                 f"warm restart: {restored} sessions, "
-                f"{len(warm_entries)} cache entries from "
+                f"{len(collected.cache_entries)} cache entries from "
                 f"{len(collected.sources)} snapshot file(s); replicas "
-                f"refault their partitions at spawn"
+                f"refault their partitions at start"
             )
             for path, reason in collected.skipped:
                 print(f"  skipped {path.name}: {reason}")
 
-    pool = ReplicaPool(
-        service,
-        args.replicas,
-        service_kwargs=service_kwargs,
-        warm_entries=warm_entries,
-    ).start()
+    import asyncio
+
+    from repro.server.aio import AsyncDecisionServer
+
+    pool.start()
     serving: dict = {}  # the running server and its loop
     if args.state_dir:
         from repro.server.persist import (

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.analysis.findings import Baseline, BaselineError
-from repro.analysis.runner import run_analysis
 
 __all__ = ["add_arguments", "run"]
 
@@ -65,6 +64,10 @@ def _load_baseline(args: argparse.Namespace) -> Optional[Baseline]:
 
 
 def run(args: argparse.Namespace) -> int:
+    # Here, not above: every CLI verb imports this module to register
+    # the arguments of ``analyze``, and only ``analyze`` needs the rules.
+    from repro.analysis.runner import run_analysis
+
     try:
         baseline = _load_baseline(args)
     except BaselineError as exc:

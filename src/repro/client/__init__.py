@@ -20,13 +20,29 @@
   request text becomes a parsed query for the client stack
 """
 
-from repro.client.aio import AsyncHttpClient
-from repro.client.base import ClientError, DecisionClient, StallError
-from repro.client.http import HttpClient
-from repro.client.local import LocalClient
-from repro.client.parsing import parse_text
-from repro.client.sharded import ShardedClient
-from repro.client.wire import WireState, query_to_datalog
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.client.aio": ("AsyncHttpClient",),
+    "repro.client.base": ("ClientError", "DecisionClient", "StallError"),
+    "repro.client.http": ("HttpClient",),
+    "repro.client.local": ("LocalClient",),
+    "repro.client.parsing": ("parse_text",),
+    "repro.client.sharded": ("ShardedClient",),
+    "repro.client.wire": ("WireState", "query_to_datalog"),
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.client.aio import AsyncHttpClient
+    from repro.client.base import ClientError, DecisionClient, StallError
+    from repro.client.http import HttpClient
+    from repro.client.local import LocalClient
+    from repro.client.parsing import parse_text
+    from repro.client.sharded import ShardedClient
+    from repro.client.wire import WireState, query_to_datalog
 
 __all__ = [
     "AsyncHttpClient",

@@ -115,3 +115,23 @@ class SnapshotError(ReproError):
     message — never as a crash — so a damaged snapshot can only cost
     warmth, not availability.
     """
+
+
+class ReplicaStartError(ReproError, RuntimeError):
+    """A kernel replica did not come up.
+
+    Raised by :class:`repro.server.pool.ReplicaPool` when a replica it
+    launched exits, answers with something other than its ``ready``
+    frame, or stays silent past the ready timeout.  Every replica that
+    start launched has been stopped and reaped by the time it is
+    raised.  *index* names the replica and *status* is its exit status
+    (negative: the signal that ended it); the replica's own traceback,
+    if it printed one, is on its standard error.
+    """
+
+    def __init__(self, index: int, status: int, detail: str):
+        super().__init__(
+            f"kernel replica {index} {detail} (exit status {status})"
+        )
+        self.index = index
+        self.status = status

@@ -33,38 +33,63 @@
   wire protocol (client side: :mod:`repro.client.wire`)
 """
 
-from repro.server.aio import (
-    AsyncDecisionServer,
-    dispatch,
-    serve_async,
-    start_async_background,
-)
-from repro.server.cache import CacheStats, LabelCache, canonical_key
-from repro.server.interning import LabelInterner, QueryInterner
-from repro.server.kernel import DecisionKernel
-from repro.server.partition import aggregate_metrics, shard_for
-from repro.server.persist import (
-    SnapshotChain,
-    SnapshotInfo,
-    SnapshotStore,
-    Snapshotter,
-    collect_state,
-    compact_chain,
-    load_snapshot,
-    restore_service,
-    save_snapshot,
-    snapshot_service,
-)
-from repro.server.service import DisclosureService, ServiceDecision, Session
-from repro.server.store import (
-    InMemoryStore,
-    SessionState,
-    SessionStore,
-    SpillStore,
-    state_of,
-)
+from typing import TYPE_CHECKING
 
-from repro.server.wire2 import WireGateway, gateway_for
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.server.aio": (
+        "AsyncDecisionServer", "dispatch", "serve_async", "start_async_background",
+    ),
+    "repro.server.cache": ("CacheStats", "LabelCache", "canonical_key"),
+    "repro.server.interning": ("LabelInterner", "QueryInterner"),
+    "repro.server.kernel": ("DecisionKernel",),
+    "repro.server.partition": ("aggregate_metrics", "shard_for"),
+    "repro.server.persist": (
+        "SnapshotChain", "SnapshotInfo", "SnapshotStore", "Snapshotter",
+        "collect_state", "compact_chain", "load_snapshot", "restore_service",
+        "save_snapshot", "snapshot_service",
+    ),
+    "repro.server.service": ("DisclosureService", "ServiceDecision", "Session"),
+    "repro.server.store": (
+        "InMemoryStore", "SessionState", "SessionStore", "SpillStore", "state_of",
+    ),
+    "repro.server.wire2": ("WireGateway", "gateway_for"),
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.server.aio import (
+        AsyncDecisionServer,
+        dispatch,
+        serve_async,
+        start_async_background,
+    )
+    from repro.server.cache import CacheStats, LabelCache, canonical_key
+    from repro.server.interning import LabelInterner, QueryInterner
+    from repro.server.kernel import DecisionKernel
+    from repro.server.partition import aggregate_metrics, shard_for
+    from repro.server.persist import (
+        SnapshotChain,
+        SnapshotInfo,
+        SnapshotStore,
+        Snapshotter,
+        collect_state,
+        compact_chain,
+        load_snapshot,
+        restore_service,
+        save_snapshot,
+        snapshot_service,
+    )
+    from repro.server.service import DisclosureService, ServiceDecision, Session
+    from repro.server.store import (
+        InMemoryStore,
+        SessionState,
+        SessionStore,
+        SpillStore,
+        state_of,
+    )
+    from repro.server.wire2 import WireGateway, gateway_for
 
 __all__ = [
     "AsyncDecisionServer",

@@ -235,3 +235,28 @@ def parse_wire_request(
     except ReproError as exc:
         return None, str(exc)
     return (principal, query), None
+
+
+def _blocking(coro, served: bool = False):
+    """Run a coroutine that never suspends to its result, without a loop.
+
+    The tick drain run unpooled, and every replica-pool coroutine given
+    ``loop=None``, finish within their first ``send``: readiness waits
+    return at once and offloads run inline, so a blocking call costs one
+    coroutine object, not an event loop.  A suspension would break that
+    invariant, so it raises rather than waits.  *served* refuses the
+    call outright: while an event loop serves a pool, its tick drain
+    owns the replica pipes.
+    """
+    if served:
+        coro.close()
+        raise RuntimeError(
+            "the replica pool is served by an event loop; "
+            "only its tick drain may use the replica pipes"
+        )
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError("a pool coroutine suspended with no event loop")

@@ -10,8 +10,9 @@ and moves only the *data plane* — the
 * **One dispatcher, N kernel replicas.**  The front end's per-tick
   drain partitions each coalesced batch by owning replica (the same
   CRC-32 principal assignment as :func:`repro.server.partition.shard_for`),
-  ships qid-native sub-batches over ``multiprocessing`` pipes, and
-  reassembles replies in arrival order — the drain's order-exactness
+  ships qid-native sub-batches over socketpairs to replica interpreters
+  (:mod:`repro.server.replica`), and reassembles replies in arrival
+  order — the drain's order-exactness
   guarantee survives because each tick is dispatched and gathered as a
   unit, and a principal's whole session lives on exactly one replica.
 * **The parent owns interning.**  Replicas never intern a query shape:
@@ -59,13 +60,17 @@ from __future__ import annotations
 
 import json
 import os
-from time import perf_counter
+import pickle
+import socket
+import subprocess
+import sys
+from multiprocessing.connection import Connection
+from time import monotonic, perf_counter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import decode_key, encode_key
-from repro.errors import PolicyError
-from repro.server.batch import decide_wire_items
-from repro.server.aio import _blocking, dispatch, metrics_format
+from repro.errors import PolicyError, ReplicaStartError
+from repro.server.batch import _blocking, decide_wire_items
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.partition import shard_for
@@ -80,12 +85,15 @@ from repro.server.store import (
 #: respawned in time; the asyncio front end maps it to HTTP 503.
 REPLICA_UNAVAILABLE = "replica-unavailable"
 
-#: Replicas start as fresh interpreters, never as forks of a parent
-#: that may be running an event loop and holding its locks.
-START_METHOD = "spawn"
-
-#: Seconds a replica may take to announce itself before its spawn fails.
+#: Seconds a replica may take to announce itself before its start fails.
 READY_TIMEOUT = 60.0
+
+#: Where ``repro`` is imported from: a replica's interpreter must find
+#: its entry module before the first frame hands it the parent's
+#: ``sys.path``.
+_PACKAGE_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 
 def _encode(frame: object) -> bytes:
@@ -138,7 +146,7 @@ def _worker_batch(service: DisclosureService, update: bool, items: List) -> List
 
 
 def _worker_restore(service: DisclosureService, rows: List) -> int:
-    """Refault session states shipped by the parent (spawn/respawn)."""
+    """Refault session states shipped by the parent (start/respawn)."""
     with service._lock:
         for principal, partitions, live, ephemeral in rows:
             service.store.put_state(
@@ -156,12 +164,12 @@ def _worker_restore(service: DisclosureService, rows: List) -> int:
 def _replica_worker_main(
     index: int, conn, service_kwargs: Dict
 ) -> None:
-    """Worker entry point: one service, one pipe, no HTTP.
+    """Worker loop: one service, one pipe, no HTTP.
 
-    Top-level so it pickles under the ``spawn`` start method.  The loop
-    is strictly request/reply (``plane`` frames excepted), so the parent
-    and replica can never deadlock on a full pipe: at most one batch is
-    in flight per replica.
+    Run by :mod:`repro.server.replica` once the first frame has
+    configured the process.  The loop is strictly request/reply
+    (``plane`` frames excepted), so the parent and replica can never
+    deadlock on a full pipe: at most one batch is in flight per replica.
     """
     if service_kwargs.get("spill_dir"):
         # Spill logs are single-writer: each replica owns its own
@@ -256,7 +264,7 @@ class ReplicaHandle:
 
     __slots__ = ("index", "process", "conn", "plane_epoch", "shipped")
 
-    def __init__(self, index: int, process, conn):
+    def __init__(self, index: int, process: subprocess.Popen, conn: Connection):
         self.index = index
         self.process = process
         self.conn = conn
@@ -276,11 +284,13 @@ class ReplicaPool:
     parsing, interning, the v2 gateway, admin validation, and the
     authoritative session mirror; every decision is dispatched to the
     replica owning its principal.  Construct, :meth:`start`, then hand
-    the pool to :class:`repro.server.aio.AsyncDecisionServer`.
+    the pool to :class:`repro.server.aio.AsyncDecisionServer`.  A caller
+    with setup of its own can :meth:`launch` first, so the replicas
+    boot while it works, and :meth:`start` afterwards.
 
     Every pipe operation is one coroutine taking ``loop``: the asyncio
     front end passes its running loop, and ``loop=None`` runs the same
-    body blocking (:func:`_blocking`) — for spawns, and behind the
+    body blocking (:func:`_blocking`) — for starts, and behind the
     three public façades :meth:`decide`, :meth:`dispatch_inline` and
     :meth:`snapshot_payloads`.
     """
@@ -298,18 +308,10 @@ class ReplicaPool:
         self.service = service
         self.replicas = replicas
         self.service_kwargs = dict(service_kwargs or {})
-        import multiprocessing  # here, not above: embedded deployments never load it
-
-        self._context = multiprocessing.get_context(START_METHOD)
+        #: Label-cache entries every replica is warmed with; read by
+        #: :meth:`start`, so they may be set after :meth:`launch`.
+        self.warm_entries = warm_entries
         self._warm_frame: Optional[List] = None
-        if warm_entries:
-            from repro.server.persist import encode_cache_entries
-
-            # The parent owns interning: the warm keys enter its plane,
-            # and each replica gets that plane ahead of the entries, so
-            # warming interns nothing a replica's plane does not hold.
-            service.kernel.intern_keys([key for key, _ in warm_entries])
-            self._warm_frame = ["warm", encode_cache_entries(warm_entries)]
         self.handles: List[ReplicaHandle] = []
         #: True while an :class:`~repro.server.aio.AsyncDecisionServer`
         #: serves this pool; the blocking façades refuse to run then.
@@ -339,8 +341,38 @@ class ReplicaPool:
         )
 
     # -- lifecycle -----------------------------------------------------
+    def launch(self) -> "ReplicaPool":
+        """Start every replica's interpreter and return at once.
+
+        The replicas boot concurrently with whatever the caller does
+        next; :meth:`start` waits for them.
+        """
+        if not self.handles:
+            self.handles = self._launch(range(self.replicas))
+        return self
+
     def start(self) -> "ReplicaPool":
-        self.handles = [self._spawn(index) for index in range(self.replicas)]
+        """Launch (unless :meth:`launch` already did), wait until every
+        replica is ready, then bring each level with the parent.
+
+        Raises :class:`~repro.errors.ReplicaStartError` for a replica
+        that does not come up, after every replica is stopped.
+        """
+        self.launch()
+        if self.warm_entries:
+            from repro.server.persist import encode_cache_entries
+
+            # The parent owns interning: the warm keys enter its plane,
+            # and each replica gets that plane ahead of the entries, so
+            # warming interns nothing a replica's plane does not hold.
+            self.service.kernel.intern_keys(
+                [key for key, _ in self.warm_entries]
+            )
+            self._warm_frame = ["warm", encode_cache_entries(self.warm_entries)]
+        # A failed start keeps no handles: _bring_up reaps them all.
+        handles, self.handles = self.handles, []
+        self._bring_up(handles)
+        self.handles = handles
         return self
 
     def close(self) -> None:
@@ -350,42 +382,106 @@ class ReplicaPool:
             except (OSError, ValueError):
                 pass
         for handle in self.handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            self._reap(handle, grace=5.0)
         self.handles = []
 
-    def _spawn(self, index: int) -> ReplicaHandle:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_replica_worker_main,
-            args=(index, child_conn, dict(self.service_kwargs)),
-            daemon=True,
+    def _launch(self, indices) -> List[ReplicaHandle]:
+        """One child interpreter per index, each then sent its first frame.
+
+        A replica is ``python -m repro.server.replica FD INDEX`` on one
+        end of a socketpair.  Every child is running before any first
+        frame is sent: a frame larger than the socket buffer waits for
+        its replica to read it, and must not hold up the next launch.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
         )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(READY_TIMEOUT):
+        handles: List[ReplicaHandle] = []
+        try:
+            for index in indices:
+                ours, theirs = socket.socketpair()
+                with ours, theirs:
+                    fd = theirs.fileno()
+                    process = subprocess.Popen(
+                        [sys.executable, "-m", "repro.server.replica",
+                         str(fd), str(index)],
+                        pass_fds=(fd,),
+                        env=env,
+                    )
+                    conn = Connection(ours.detach())
+                handles.append(ReplicaHandle(index, process, conn))
+            first = pickle.dumps(sys.path) + pickle.dumps(self.service_kwargs)
+            for handle in handles:
+                try:
+                    handle.conn.send_bytes(first)
+                except OSError:
+                    pass  # it died: waiting for its ready frame says how
+        except BaseException:
+            for handle in handles:
+                self._reap(handle)
+            raise
+        return handles
+
+    def _bring_up(self, handles: List[ReplicaHandle]) -> None:
+        """Wait for every launched replica's ``ready`` frame, then prime
+        each in turn; on any failure stop and reap them all, and raise."""
+        deadline = monotonic() + READY_TIMEOUT
+        try:
+            for handle in handles:
+                self._await_ready(handle, deadline)
+            for handle in handles:
+                try:
+                    self._prime(handle)
+                except (EOFError, OSError) as exc:
+                    raise self._failed(handle, "died while primed") from exc
+        except BaseException:
+            for handle in handles:
+                self._reap(handle)
+            raise
+
+    def _await_ready(self, handle: ReplicaHandle, deadline: float) -> None:
+        try:
+            if not handle.conn.poll(max(0.0, deadline - monotonic())):
+                raise self._failed(
+                    handle, f"did not come up within {READY_TIMEOUT:g}s"
+                )
+            ready = _decode(handle.conn.recv_bytes())
+        except (EOFError, OSError):
+            raise self._failed(handle, "exited before it was ready") from None
+        except ValueError:
+            ready = None
+        if ready != ["ready", handle.index]:
+            raise self._failed(handle, f"sent {ready!r}, not ready")
+
+    def _failed(self, handle: ReplicaHandle, detail: str) -> ReplicaStartError:
+        return ReplicaStartError(handle.index, self._reap(handle, 5.0), detail)
+
+    @staticmethod
+    def _reap(handle: ReplicaHandle, grace: float = 0.0) -> int:
+        """Close *handle*'s pipe and wait for its process to exit: *grace*
+        seconds on its own, then terminated, then killed.  Returns its
+        exit status."""
+        handle.conn.close()
+        process = handle.process
+        try:
+            return process.wait(grace)
+        except subprocess.TimeoutExpired:
             process.terminate()
-            raise TimeoutError(
-                f"kernel replica {index} did not come up within "
-                f"{READY_TIMEOUT:g}s"
-            )
-        ready = _decode(parent_conn.recv_bytes())
-        if ready[:1] != ["ready"]:
-            process.terminate()
-            raise RuntimeError(f"replica {index} sent {ready!r}, not ready")
-        handle = ReplicaHandle(index, process, parent_conn)
+        try:
+            return process.wait(5.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            return process.wait()
+
+    def _prime(self, handle: ReplicaHandle) -> None:
+        """Bring a ready replica level with the parent: the plane and the
+        warm cache, then its principals refaulted from the mirror — the
+        same step for a cold start, a warm restart from a snapshot, and
+        a mid-serve respawn after a crash."""
         if self._warm_frame is not None:
             _blocking(self._sync_plane(handle, self.service.kernel.plane, None))
             _blocking(self._roundtrip(handle, self._warm_frame, None))
-        # Refault this replica's principals from the parent mirror —
-        # the same step whether this is a cold start, a warm restart
-        # from a snapshot, or a mid-serve respawn after a crash.
         with self.service._lock:
             rows = [
                 [
@@ -395,23 +491,21 @@ class ReplicaPool:
                     bool(state.ephemeral),
                 ]
                 for principal, state in iter_owned_states(
-                    self.service.store, index, self.replicas
+                    self.service.store, handle.index, self.replicas
                 )
             ]
         if rows:
             _blocking(self._roundtrip(handle, ["restore", rows], None))
-        return handle
 
     def _respawn(self, handle: ReplicaHandle) -> None:
-        """Replace a dead replica in place; callers re-sync and replay."""
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if handle.process.is_alive():
-            handle.process.terminate()
-        handle.process.join(timeout=5.0)
-        fresh = self._spawn(handle.index)
+        """Replace a dead replica in place; callers re-sync and replay.
+
+        Raises :class:`~repro.errors.ReplicaStartError` if the new one
+        does not come up.
+        """
+        self._reap(handle)
+        (fresh,) = self._launch([handle.index])
+        self._bring_up([fresh])
         handle.process = fresh.process
         handle.conn = fresh.conn
         handle.plane_epoch = fresh.plane_epoch
@@ -800,6 +894,8 @@ class ReplicaPool:
         claimed = self._claim(method, path, body)
         if claimed is None:
             return None
+        from repro.server.aio import dispatch, metrics_format
+
         route, query_string = claimed
         if route == "/metrics":
             fmt, error = metrics_format(query_string)

@@ -587,7 +587,7 @@ class DisclosureService:
 
         Labels are principal-free, so these entries are valid for any
         service over the same security views — pool replicas import
-        them at spawn so every replica starts warm
+        them at start so every replica starts warm
         (:class:`repro.server.pool.ReplicaPool`).  The kernel
         translates its private qid/lid plane back to canonical keys and
         packed labels on the way out.

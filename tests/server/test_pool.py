@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.errors import ReplicaStartError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.aio import dispatch
 from repro.server.batch import decide_wire_items
@@ -555,6 +556,58 @@ class TestPooledFrontEndCrashScenario:
             assert handle.pool.handles[0].process.pid != victim_pid
         finally:
             handle.stop()
+
+
+def _children():
+    """Every child process of this one, defunct ones included."""
+    me = str(os.getpid())
+    found = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[1] == me:
+            found.add(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestFailedStart:
+    """A replica that dies before ``ready`` fails the start with its
+    index and exit status, and leaves no process or pipe behind."""
+
+    def _fails(self, pool, index):
+        children = _children()
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ReplicaStartError) as raised:
+            pool.start()
+        error = raised.value
+        assert (error.index, error.status) == (index, 1)
+        assert f"kernel replica {index} exited before it was ready" in str(error)
+        assert "exit status 1" in str(error)
+        assert pool.handles == []
+        assert _children() == children
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_bad_service_kwargs(self):
+        parent = DisclosureService()
+        try:
+            self._fails(ReplicaPool(parent, 2, service_kwargs={"bogus": 1}), 0)
+        finally:
+            parent.close()
+
+    def test_unusable_spill_dir(self, tmp_path):
+        (tmp_path / "replica-1").write_text("a file, not a directory")
+        parent = DisclosureService()
+        try:
+            pool = ReplicaPool(
+                parent, 2, service_kwargs={"spill_dir": str(tmp_path)}
+            )
+            self._fails(pool, 1)
+        finally:
+            parent.close()
 
 
 class TestBlockingDriver:
