@@ -4,13 +4,14 @@
   (``submit`` / ``peek`` / ``submit_many`` / ``peek_many`` /
   ``decide_group`` / ``register`` / ``reset`` / ``metrics`` /
   ``snapshot``) and the uniform :class:`ClientError` (plus the
-  retryable :class:`StallError` watchdog teardowns raise)
+  retryable :class:`StallError` a stalled connection raises)
 * :mod:`repro.client.local` — :class:`LocalClient`: an in-process
   :class:`~repro.server.service.DisclosureService` behind the protocol
-* :mod:`repro.client.http` — :class:`HttpClient`: sync HTTP speaking
-  the qid-native v2 wire, negotiating down to v1 against older servers
-* :mod:`repro.client.aio` — :class:`AsyncHttpClient`: the same surface
-  as coroutines, pipelining requests over one connection, which the
+* :mod:`repro.client.http` — the HTTP client core (every operation
+  once, as a coroutine) and :class:`HttpClient`: that core run blocking,
+  speaking the qid-native v2 wire, negotiating down to v1
+* :mod:`repro.client.aio` — :class:`AsyncHttpClient`: the same core
+  awaited, pipelining requests over one connection, which the
   server's tick drain coalesces
 * :mod:`repro.client.sharded` — :class:`ShardedClient`: client-side
   principal routing over one client per shard

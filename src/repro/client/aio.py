@@ -14,11 +14,10 @@ server frames requests, and every complete response resolves the oldest
 waiter (HTTP/1.1 answers in order) inside ``data_received``; bytes it
 cannot frame fail every in-flight waiter with a :class:`ClientError`.
 
-The v2 sync rules are the same as the sync client's
-(:mod:`repro.client.wire`): a request is built and queued with no
-``await`` in between, so interner deltas reach the server in ``base``
-order, and a ``409 unknown-generation`` re-sends the request with the
-full key table.
+Every operation is a coroutine of the shared client core
+(:class:`repro.client.http.ClientCore`), awaited over this shell: the
+connection and its watchdog are the core's "open" hook, ``_enqueue``
+and its per-tick flush its "send" hook.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ import re
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.client import wire
-from repro.client.base import ClientError, ClientItem, StallError
-from repro.client.http import _error_from, _split_url
+from repro.client.base import ClientError, ClientItem
+from repro.client.http import Body, ClientCore, Response
 from repro.core.queries import ConjunctiveQuery
-
-Response = Tuple[int, object]
 
 
 #: A response head's status, and its body length: a pipelined body is
@@ -119,11 +115,7 @@ class _Connection(asyncio.Protocol):
             # The watchdog tore this connection down: none of the
             # in-flight requests were answered, so each fails with the
             # typed retryable error rather than a bare disconnect.
-            failure = StallError(
-                f"connection to {client.host}:{client.port} stalled for "
-                f"{client.timeout:g}s with responses in flight; torn down "
-                "(retryable: the requests were never answered)"
-            )
+            failure = client._stalled()
         else:
             failure = ClientError(
                 f"connection to {client.host}:{client.port} closed"
@@ -139,7 +131,7 @@ class _Connection(asyncio.Protocol):
         self.closed.set_result(None)
 
 
-class AsyncHttpClient:
+class AsyncHttpClient(ClientCore):
     """The :class:`DecisionClient` surface as coroutines (v2 wire).
 
     Not a :class:`DecisionClient` subclass — every decision and
@@ -158,20 +150,14 @@ class AsyncHttpClient:
         trace: "bool | int" = False,
         timeout: Optional[float] = 30.0,
     ):
-        if protocol not in ("auto", "v1", "v2"):
-            raise ValueError(f"unknown protocol {protocol!r}")
-        self.host, self.port = _split_url(url)
-        self._trace = wire.TraceSampler(trace)
-        #: Stall timeout: if responses stop arriving for this long while
-        #: requests are in flight, the connection is failed.  Enforced
-        #: by one per-client watchdog, not per request — responses are
-        #: FIFO on the socket, so "the head response is late" is the
-        #: only timeout there is.  ``None`` disables it.
-        self.timeout = timeout
-        self.compact = compact
-        self._protocol: Optional[str] = None if protocol == "auto" else protocol
-        self._state = wire.WireState()
-        self._texts: Dict[int, str] = {}
+        # ``timeout`` is the stall timeout: if responses stop arriving
+        # for this long while requests are in flight, the connection is
+        # failed.  Enforced by one per-client watchdog, not per request
+        # — responses are FIFO on the socket, so "the head response is
+        # late" is the only timeout there is.  ``None`` disables it.
+        super().__init__(
+            url, protocol=protocol, compact=compact, trace=trace, timeout=timeout
+        )
         self._conn: Optional[_Connection] = None
         self._watchdog_task: Optional[asyncio.Task[None]] = None
         self._write_lock = asyncio.Lock()
@@ -195,6 +181,10 @@ class AsyncHttpClient:
         conn = self._conn
         return None if conn is None or conn.transport.is_closing() else conn
 
+    async def _open(self) -> _Connection:
+        """The core's open hook."""
+        return self._live() or await self._reconnect()
+
     async def _reconnect(self) -> _Connection:
         """The open connection, dialling a new one if there is none."""
         async with self._write_lock:
@@ -206,9 +196,12 @@ class AsyncHttpClient:
             # socket would misalign every future response.
             self._out.clear()
             loop = asyncio.get_running_loop()
-            _, conn = await loop.create_connection(
-                lambda: _Connection(self), self.host, self.port
-            )
+            try:
+                _, conn = await loop.create_connection(
+                    lambda: _Connection(self), self.host, self.port
+                )
+            except OSError as exc:
+                raise self._unreachable(exc) from exc
             self._conn = conn
             if self.timeout is not None and self._watchdog_task is None:
                 self._watchdog_task = loop.create_task(self._watchdog())
@@ -249,7 +242,7 @@ class AsyncHttpClient:
     # The pipelined request primitive
     # ------------------------------------------------------------------
     def _enqueue(
-        self, conn: _Connection, method: str, path: str, body: "Dict | bytes | None"
+        self, conn: _Connection, method: str, path: str, body: Body
     ) -> "asyncio.Future[Response]":
         """Queue one request on *conn*; returns its response waiter.
 
@@ -292,104 +285,18 @@ class AsyncHttpClient:
         # these bytes, but their waiters are failed with it — callers
         # see the ClientError either way.
 
-    async def _request(
-        self, method: str, path: str, body: Optional[Dict] = None
-    ) -> Response:
-        conn = self._live() or await self._reconnect()
-        return await self._enqueue(conn, method, path, body)
-
-    async def _resync(self, path: str, sent: Dict) -> Response:
-        """Re-send a v2 request answered ``409`` with the full key table."""
-        conn = self._live() or await self._reconnect()
-        body = wire.resync_body(self._state, sent)
-        return await self._enqueue(conn, "POST", path, body)
-
-    async def _protocol_name(self) -> str:
-        if self._protocol is None:
-            status, payload = await self._request("GET", "/v2/protocol")
-            self._protocol = (
-                "v2"
-                if status == 200
-                and isinstance(payload, dict)
-                and "v2" in payload.get("versions", ())
-                else "v1"
-            )
-        return self._protocol
+    #: The core's send hook: queued on call, answered when awaited.
+    _send = _enqueue
 
     # ------------------------------------------------------------------
-    # Decisions
+    # The core's coroutines, awaited as they are
     # ------------------------------------------------------------------
-    async def _decide(
-        self,
-        principal: Hashable,
-        query: ConjunctiveQuery,
-        *,
-        peek: bool,
-        trace: Optional[bool] = None,
-    ) -> Dict:
-        if (self._protocol or await self._protocol_name()) == "v2":
-            conn = self._live() or await self._reconnect()
-            data = wire.single_request(
-                self._state,
-                principal,
-                query,
-                peek=peek,
-                compact=self.compact,
-                trace=self._trace.should(trace),
-            )
-            status, payload = await self._enqueue(conn, "POST", "/v2/query", data)
-            if status == 409:
-                status, payload = await self._resync("/v2/query", json.loads(data))
-            if status != 200:
-                raise _error_from(status, payload)
-            return wire.inflate_single(payload, principal)
-        status, payload = await self._request(
-            "POST",
-            "/v1/peek" if peek else "/v1/query",
-            {"principal": principal, "datalog": self._datalog(query)},
-        )
-        if status != 200:
-            raise _error_from(status, payload)
-        return payload  # type: ignore[return-value]
-
-    async def _decide_many(
-        self, items: Sequence[ClientItem], *, peek: bool
-    ) -> List[Dict]:
-        if not items:
-            return []
-        if await self._protocol_name() == "v2":
-            conn = self._live() or await self._reconnect()
-            body, principals = wire.batch_body(
-                self._state, items, peek=peek, compact=self.compact
-            )
-            status, payload = await self._enqueue(conn, "POST", "/v2/batch", body)
-            if status == 409:
-                status, payload = await self._resync("/v2/batch", body)
-            if status != 200:
-                raise _error_from(status, payload)
-            return wire.inflate_batch(payload, principals)
-        status, payload = await self._request(
-            "POST",
-            "/v1/batch",
-            {
-                "queries": [
-                    {"principal": principal, "datalog": self._datalog(query)}
-                    for principal, query in items
-                ],
-                "peek": peek,
-            },
-        )
-        if status != 200:
-            raise _error_from(status, payload)
-        return payload["decisions"]  # type: ignore[index]
-
-    def _datalog(self, query: ConjunctiveQuery) -> str:
-        qid = self._state.interner.intern(query)
-        text = self._texts.get(qid)
-        if text is None:
-            text = wire.query_to_datalog(query)
-            self._texts[qid] = text
-        return text
+    _decide = ClientCore._decide_async
+    _decide_many = ClientCore._decide_many_async
+    register = ClientCore._register_async
+    reset = ClientCore._reset_async
+    metrics = ClientCore._metrics_async
+    snapshot = ClientCore._snapshot_async
 
     async def submit(
         self,
@@ -435,35 +342,3 @@ class AsyncHttpClient:
         return await self._decide_many(
             [(principal, query) for query in queries], peek=peek
         )
-
-    # ------------------------------------------------------------------
-    # Administration
-    # ------------------------------------------------------------------
-    async def register(self, principal: Hashable, policy: Any) -> None:
-        partitions = getattr(policy, "partitions", policy)
-        status, payload = await self._request(
-            "POST",
-            "/v1/register",
-            {"principal": principal, "policy": [list(p) for p in partitions]},
-        )
-        if status != 200:
-            raise _error_from(status, payload)
-
-    async def reset(self, principal: Hashable) -> None:
-        status, payload = await self._request(
-            "POST", "/v1/reset", {"principal": principal}
-        )
-        if status != 200:
-            raise _error_from(status, payload)
-
-    async def metrics(self) -> Dict:
-        status, payload = await self._request("GET", "/metrics")
-        if status != 200:
-            raise _error_from(status, payload)
-        return payload  # type: ignore[return-value]
-
-    async def snapshot(self) -> Dict:
-        status, payload = await self._request("GET", "/internal/snapshot")
-        if status != 200:
-            raise _error_from(status, payload)
-        return payload  # type: ignore[return-value]

@@ -85,14 +85,16 @@ class ClientError(ReproError):
 
 
 class StallError(ClientError):
-    """A pipelined connection stalled and was torn down mid-flight.
+    """A connection stalled and was torn down mid-flight.
 
     Raised into every in-flight future when
     :class:`~repro.client.aio.AsyncHttpClient`'s watchdog kills a
     connection whose responses stopped arriving (server wedged, network
-    black hole).  The decisions were never observed, so the error is
-    :attr:`retryable` — callers may re-issue the same requests on the
-    reconnected client, which resyncs its interner state automatically.
+    black hole), and by :class:`~repro.client.HttpClient` when a request
+    it wrote is not answered within its timeout.  The decisions were
+    never observed, so the error is :attr:`retryable` — callers may
+    re-issue the same requests on the reconnected client, which resyncs
+    its interner state automatically.
     """
 
     retryable = True

@@ -25,15 +25,24 @@ class ShardedClient(DecisionClient):
 
     *clients* is index-aligned with the deployment's shards: principal
     *p* is served by ``clients[shard_for(p, len(clients))]``.  Any mix
-    of client kinds works (they all speak the same protocol); the
-    in-process services have a constructor, :meth:`for_services`; for
-    N independent ``repro serve`` processes pass one
-    :class:`~repro.client.HttpClient` per server.
+    of blocking :class:`DecisionClient` kinds works (they all speak the
+    same protocol); the in-process services have a constructor,
+    :meth:`for_services`; for N independent ``repro serve`` processes
+    pass one :class:`~repro.client.HttpClient` per server.  An
+    :class:`~repro.client.AsyncHttpClient` is refused with
+    :class:`TypeError`: its methods are coroutines, which this client
+    would hand back un-awaited.
     """
 
     def __init__(self, clients: Sequence[DecisionClient]):
         if not clients:
             raise ValueError("a ShardedClient needs at least one client")
+        for client in clients:
+            if not isinstance(client, DecisionClient):
+                raise TypeError(
+                    "a ShardedClient routes over DecisionClients, got "
+                    f"{type(client).__name__}"
+                )
         self.clients = list(clients)
 
     @classmethod

@@ -15,9 +15,11 @@ within a generation, so the retried request is otherwise identical.
 When the local table crosses the server's advertised key cap the client
 rotates to a fresh generation.
 
-Callers must serialize :meth:`WireState.encode_refs` with their request
-transmission (the sync client's request lock, the async client's write
-lock): the server applies deltas append-only in ``base`` order.
+The server applies deltas append-only in ``base`` order, so a caller
+builds each request (:meth:`WireState.encode_refs` runs inside every
+body builder) and queues it for transmission with no suspension in
+between: the client core (:class:`repro.client.http.ClientCore`) opens
+the connection first, then builds, then queues.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class WireState:
         Interns every query locally, advances the sync mark, and
         returns the delta of encoded canonical keys the server still
         needs (``None`` when it needs none — the steady state, where a
-        request is principals plus bare ints).  Must be serialized with
-        transmission; see the module docstring.
+        request is principals plus bare ints).  Must be followed by the
+        request's queueing with no suspension; see the module docstring.
         """
         if len(self.interner) >= self.keys_cap:
             self._rotate()
@@ -201,7 +203,8 @@ def resync_body(state: WireState, body: Dict) -> Dict:
     """Rebuild *body* after a 409: ``base=0`` plus the full key table.
 
     qids are stable within a generation, so only the delta changes.
-    Must run under the same serialization as :meth:`WireState.encode_refs`.
+    Queue it with no suspension after the build, as for
+    :meth:`WireState.encode_refs`.
     """
     state.resync()
     key_of = state.interner.key_of

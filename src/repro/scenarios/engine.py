@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.client.base import ClientError, DecisionClient
 from repro.client.parsing import parse_text
@@ -32,6 +32,7 @@ from repro.core.queries import ConjunctiveQuery
 from repro.obs.instruments import LatencyHistogram
 from repro.scenarios.spec import ScenarioSpec, SLOTarget, get_scenario
 from repro.scenarios.trace import Trace
+from repro.server.batch import _blocking
 
 __all__ = [
     "OpenLoopSchedule",
@@ -50,13 +51,12 @@ _SLO_METRICS = ("p50_us", "p95_us", "p99_us")
 class OpenLoopSchedule:
     """Lateness-corrected open-loop pacing (the coordinated-omission fix).
 
-    :meth:`wait_until` sleeps until ``origin + offset`` and returns the
-    *scheduled* time; callers measure latency from the returned value,
-    so a loop that falls behind surfaces queueing delay in its samples
-    instead of silently thinning the offered load.  :meth:`delay_until`
-    returns ``(scheduled, remaining_delay)`` for async callers that
-    must ``await`` their own sleep.  Timed replay uses a trace's event
-    timestamps as the offsets.
+    :meth:`delay_until` returns ``(scheduled, remaining_delay)`` for
+    the offset ``origin + offset``; the caller pauses for the delay (if
+    positive) and measures latency from the *scheduled* time, so a loop
+    that falls behind surfaces queueing delay in its samples instead of
+    silently thinning the offered load.  Timed replay uses a trace's
+    event timestamps as the offsets.
     """
 
     __slots__ = ("origin",)
@@ -67,12 +67,6 @@ class OpenLoopSchedule:
     def delay_until(self, offset: float) -> Tuple[float, float]:
         scheduled = self.origin + offset
         return scheduled, scheduled - time.perf_counter()
-
-    def wait_until(self, offset: float) -> float:
-        scheduled, delay = self.delay_until(offset)
-        if delay > 0:
-            time.sleep(delay)
-        return scheduled
 
 
 def decision_digest(
@@ -141,7 +135,7 @@ class ScenarioReport:
         self.decisions: List[Dict] = []
         self.histogram = LatencyHistogram()
 
-    # -- accounting (shared by the sync and async replay loops) -------
+    # -- accounting (done by the replay loop) -------------------------
     def _count(self, outcome: Dict) -> None:
         self.decisions.append(outcome)
         if "error" in outcome:
@@ -253,12 +247,120 @@ class _QueryMemo:
         return query
 
 
-def _slo_from_trace(trace: Trace) -> Optional[SLOTarget]:
-    """The spec's SLO if the trace names a known scenario."""
-    try:
-        return get_scenario(trace.scenario).slo
-    except ValueError:
-        return None
+def _report_for(
+    trace: Trace, transport: str, slo: Optional[SLOTarget], timed: bool
+) -> ScenarioReport:
+    """An empty report for *trace*; without *slo*, the spec's SLO if
+    the trace names a known scenario."""
+    if slo is None:
+        try:
+            slo = get_scenario(trace.scenario).slo
+        except ValueError:
+            slo = None
+    return ScenarioReport(trace.scenario, transport, trace.seed, slo, timed)
+
+
+class _NoSuspend:
+    """A blocking :class:`DecisionClient`'s calls as coroutines that
+    never suspend, so :func:`_replay_events` drives it under
+    :func:`~repro.server.batch._blocking` with no event loop."""
+
+    __slots__ = ("client",)
+
+    def __init__(self, client: DecisionClient):
+        self.client = client
+
+    async def register(self, principal: Hashable, policy: Any) -> None:
+        self.client.register(principal, policy)
+
+    async def reset(self, principal: Hashable) -> None:
+        self.client.reset(principal)
+
+    async def submit(self, principal: Hashable, query: ConjunctiveQuery) -> Dict:
+        return self.client.submit(principal, query)
+
+    async def peek(self, principal: Hashable, query: ConjunctiveQuery) -> Dict:
+        return self.client.peek(principal, query)
+
+
+async def _sleep_blocking(delay: float) -> None:
+    """The timed-replay pause of a sync replay: a plain sleep."""
+    time.sleep(delay)  # repro: noqa[ASY01] - runs under _blocking, never on an event loop
+
+
+async def _replay_events(
+    report: ScenarioReport,
+    events: Sequence[Dict],
+    client: Any,
+    parse: _QueryMemo,
+    pause: Callable[[float], Awaitable[None]],
+    rate_scale: float = 1.0,
+) -> None:
+    """The one replay loop: *events* in order through *client*, whose
+    ``register``/``reset``/``submit``/``peek`` are coroutines.
+
+    A timed report paces each decision to its event's timestamp
+    (divided by *rate_scale*) on an :class:`OpenLoopSchedule`, awaiting
+    *pause* for the delay, and samples latency from the scheduled time.
+    """
+    clock = time.perf_counter
+    schedule = OpenLoopSchedule()
+    for event in events:
+        report.events += 1
+        op = event["op"]
+        principal = event["principal"]
+        if op == "register":
+            try:
+                await client.register(principal, event["policy"])
+            except ClientError:
+                report.errors += 1
+            continue
+        if op == "reset":
+            try:
+                await client.reset(principal)
+            except ClientError:
+                report.errors += 1
+            continue
+        query = parse(event["datalog"])
+        if report.timed:
+            start, delay = schedule.delay_until(event["t"] / rate_scale)
+            if delay > 0:
+                await pause(delay)
+        else:
+            start = clock()
+        try:
+            if op == "peek":
+                report.peeks += 1
+                outcome = await client.peek(principal, query)
+            else:
+                report.decides += 1
+                outcome = await client.submit(principal, query)
+        except ClientError as exc:
+            outcome = {"error": str(exc), "code": exc.code}
+        report.histogram.record(clock() - start)
+        report._count(outcome)
+
+
+async def _replay(
+    trace: Trace,
+    client: Any,
+    pause: Callable[[float], Awaitable[None]],
+    *,
+    timed: bool,
+    rate_scale: float,
+    transport: str,
+    slo: Optional[SLOTarget],
+) -> ScenarioReport:
+    """A whole trace through :func:`_replay_events`, timed end to end."""
+    if rate_scale <= 0:
+        raise ValueError("rate_scale must be positive")
+    report = _report_for(trace, transport, slo, timed)
+    begin = time.perf_counter()
+    await _replay_events(
+        report, trace.events, client, _QueryMemo(), pause, rate_scale
+    )
+    report.elapsed = time.perf_counter() - begin
+    return report
 
 
 def replay_trace(
@@ -279,94 +381,21 @@ def replay_trace(
     :class:`OpenLoopSchedule`, and samples are lateness-corrected
     from the scheduled time, so an engine that cannot keep up shows
     the queueing delay in its percentiles.
+
+    The replay loop is a coroutine; here it runs blocking through
+    :func:`~repro.server.batch._blocking`, with no event loop.
     """
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    report = ScenarioReport(
-        trace.scenario,
-        transport,
-        trace.seed,
-        slo if slo is not None else _slo_from_trace(trace),
-        timed,
+    return _blocking(
+        _replay(
+            trace,
+            _NoSuspend(client),
+            _sleep_blocking,
+            timed=timed,
+            rate_scale=rate_scale,
+            transport=transport,
+            slo=slo,
+        )
     )
-    parse = _QueryMemo()
-    clock = time.perf_counter
-    schedule = OpenLoopSchedule()
-    begin = clock()
-    for event in trace.events:
-        report.events += 1
-        op = event["op"]
-        principal = event["principal"]
-        if op == "register":
-            try:
-                client.register(principal, event["policy"])
-            except ClientError:
-                report.errors += 1
-            continue
-        if op == "reset":
-            try:
-                client.reset(principal)
-            except ClientError:
-                report.errors += 1
-            continue
-        query = parse(event["datalog"])
-        if timed:
-            start = schedule.wait_until(event["t"] / rate_scale)
-        else:
-            start = clock()
-        try:
-            if op == "peek":
-                report.peeks += 1
-                outcome = client.peek(principal, query)
-            else:
-                report.decides += 1
-                outcome = client.submit(principal, query)
-        except ClientError as exc:
-            outcome = {"error": str(exc), "code": exc.code}
-        report.histogram.record(clock() - start)
-        report._count(outcome)
-    report.elapsed = clock() - begin
-    return report
-
-
-def _replay_fast(
-    report: ScenarioReport,
-    events,
-    client: DecisionClient,
-    parse: _QueryMemo,
-    clock,
-) -> None:
-    """The fast-replay event loop over an event slice (shared by the
-    restart replay, which drives two service lifetimes through it)."""
-    for event in events:
-        report.events += 1
-        op = event["op"]
-        principal = event["principal"]
-        if op == "register":
-            try:
-                client.register(principal, event["policy"])
-            except ClientError:
-                report.errors += 1
-            continue
-        if op == "reset":
-            try:
-                client.reset(principal)
-            except ClientError:
-                report.errors += 1
-            continue
-        query = parse(event["datalog"])
-        start = clock()
-        try:
-            if op == "peek":
-                report.peeks += 1
-                outcome = client.peek(principal, query)
-            else:
-                report.decides += 1
-                outcome = client.submit(principal, query)
-        except ClientError as exc:
-            outcome = {"error": str(exc), "code": exc.code}
-        report.histogram.record(clock() - start)
-        report._count(outcome)
 
 
 def replay_trace_with_restart(
@@ -426,13 +455,7 @@ def replay_trace_with_restart(
         raise ValueError("restart_at must be strictly between 0 and 1")
     events = trace.events
     split = max(1, int(len(events) * restart_at)) if events else 0
-    report = ScenarioReport(
-        trace.scenario,
-        "local+restart",
-        trace.seed,
-        slo if slo is not None else _slo_from_trace(trace),
-        False,
-    )
+    report = _report_for(trace, "local+restart", slo, False)
     parse = _QueryMemo()
     clock = time.perf_counter
     if max_resident_sessions is None and spill_dir is not None:
@@ -446,19 +469,22 @@ def replay_trace_with_restart(
             kwargs["spill_dir"] = os.path.join(os.fspath(spill_dir), half)
         return DisclosureService(**kwargs)
 
+    def replay(part: Sequence[Dict], service: DisclosureService) -> None:
+        client = _NoSuspend(LocalClient(service))
+        _blocking(_replay_events(report, part, client, parse, _sleep_blocking))
+
     owned_tmp = None
     if state_dir is None:
         owned_tmp = tempfile.TemporaryDirectory(prefix="repro-restart-")
         state_dir = owned_tmp.name
     try:
         service = build_service("before")
-        client = LocalClient(service)
         begin = clock()
-        _replay_fast(report, events[:split], client, parse, clock)
+        replay(events[:split], service)
         # The "kill": one snapshot generation, then drop the service.
         SnapshotChain(service, state_dir).save()
         service.close()
-        del client, service
+        del service
         # The warm restart: rebuilt purely from the snapshot chain.
         service = build_service("after")
         collected = collect_state(state_dir)
@@ -467,8 +493,7 @@ def replay_trace_with_restart(
             service.warm_label_cache(collected.cache_entries)
             if collected.metrics:
                 service.restore_metrics(collected.metrics)
-        client = LocalClient(service)
-        _replay_fast(report, events[split:], client, parse, clock)
+        replay(events[split:], service)
         report.elapsed = clock() - begin
         service.close()
     finally:
@@ -479,7 +504,7 @@ def replay_trace_with_restart(
 
 async def replay_trace_async(
     trace: Trace,
-    client,
+    client: Any,
     *,
     timed: bool = False,
     rate_scale: float = 1.0,
@@ -488,62 +513,23 @@ async def replay_trace_async(
 ) -> ScenarioReport:
     """:func:`replay_trace` for an :class:`~repro.client.AsyncHttpClient`.
 
-    Events are awaited strictly in order — the replay is a single
-    logical stream, so transport equivalence compares like with like
-    (the server's tick coalescing is free to batch whatever lands in
-    one tick; ordering is preserved by the drain).
+    The same replay loop, awaited: events are awaited strictly in
+    order — the replay is a single logical stream, so transport
+    equivalence compares like with like (the server's tick coalescing
+    is free to batch whatever lands in one tick; ordering is preserved
+    by the drain).
     """
     import asyncio
 
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    report = ScenarioReport(
-        trace.scenario,
-        transport,
-        trace.seed,
-        slo if slo is not None else _slo_from_trace(trace),
-        timed,
+    return await _replay(
+        trace,
+        client,
+        asyncio.sleep,
+        timed=timed,
+        rate_scale=rate_scale,
+        transport=transport,
+        slo=slo,
     )
-    parse = _QueryMemo()
-    clock = time.perf_counter
-    schedule = OpenLoopSchedule()
-    begin = clock()
-    for event in trace.events:
-        report.events += 1
-        op = event["op"]
-        principal = event["principal"]
-        if op == "register":
-            try:
-                await client.register(principal, event["policy"])
-            except ClientError:
-                report.errors += 1
-            continue
-        if op == "reset":
-            try:
-                await client.reset(principal)
-            except ClientError:
-                report.errors += 1
-            continue
-        query = parse(event["datalog"])
-        if timed:
-            start, delay = schedule.delay_until(event["t"] / rate_scale)
-            if delay > 0:
-                await asyncio.sleep(delay)
-        else:
-            start = clock()
-        try:
-            if op == "peek":
-                report.peeks += 1
-                outcome = await client.peek(principal, query)
-            else:
-                report.decides += 1
-                outcome = await client.submit(principal, query)
-        except ClientError as exc:
-            outcome = {"error": str(exc), "code": exc.code}
-        report.histogram.record(clock() - start)
-        report._count(outcome)
-    report.elapsed = clock() - begin
-    return report
 
 
 def run_scenario(

@@ -44,10 +44,12 @@ is the per-item validation of ``/v1/batch``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Coroutine, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.queries import ConjunctiveQuery
 from repro.errors import PolicyError, ReproError
+
+T = TypeVar("T")
 
 #: One parsed ``/v1/batch`` item: a principal and a query.
 BatchItem = Tuple[Hashable, ConjunctiveQuery]
@@ -237,16 +239,18 @@ def parse_wire_request(
     return (principal, query), None
 
 
-def _blocking(coro, served: bool = False):
+def _blocking(coro: Coroutine[Any, Any, T], served: bool = False) -> T:
     """Run a coroutine that never suspends to its result, without a loop.
 
-    The tick drain run unpooled, and every replica-pool coroutine given
-    ``loop=None``, finish within their first ``send``: readiness waits
-    return at once and offloads run inline, so a blocking call costs one
-    coroutine object, not an event loop.  A suspension would break that
-    invariant, so it raises rather than waits.  *served* refuses the
-    call outright: while an event loop serves a pool, its tick drain
-    owns the replica pipes.
+    Its users build coroutines whose waits return at once when no loop
+    drives them: the tick drain run unpooled, every replica-pool
+    coroutine given ``loop=None``, the sync HTTP client's operations
+    (:mod:`repro.client.core` over a blocking shell) and the scenario
+    engine's replay of a sync client.  Each finishes within its first
+    ``send``, so a blocking call costs one coroutine object, not an
+    event loop.  A suspension would break that invariant, so it raises
+    rather than waits.  *served* refuses the call outright: while an
+    event loop serves a pool, its tick drain owns the replica pipes.
     """
     if served:
         coro.close()
@@ -259,4 +263,7 @@ def _blocking(coro, served: bool = False):
     except StopIteration as done:
         return done.value
     coro.close()
-    raise RuntimeError("a pool coroutine suspended with no event loop")
+    raise RuntimeError(
+        "a coroutine run without an event loop suspended; "
+        "it must finish within its first step"
+    )

@@ -3,11 +3,20 @@ qid-delta sync, and resync after a server that lost its generations."""
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 
 import pytest
 
-from repro.client import ClientError, HttpClient, LocalClient, parse_text
+from repro.client import (
+    AsyncHttpClient,
+    ClientError,
+    HttpClient,
+    LocalClient,
+    StallError,
+    parse_text,
+)
 from repro.server.aio import dispatch, start_async_background
 from repro.server.service import DisclosureService
 from repro.server.wire2 import gateway_for
@@ -42,6 +51,66 @@ def http_server(service):
 
 def _url(server) -> str:
     return f"http://{server.host}:{server.port}"
+
+
+class _Driven:
+    """An :class:`AsyncHttpClient` behind a blocking facade: each of its
+    coroutines runs to completion on the facade's own event loop, so one
+    test body drives either client."""
+
+    def __init__(self, client):
+        self._client = client
+        self._loop = asyncio.new_event_loop()
+
+    def __getattr__(self, name):
+        attr = getattr(self._client, name)
+        if not asyncio.iscoroutinefunction(attr):
+            return attr
+        return lambda *args, **kwargs: self._loop.run_until_complete(
+            attr(*args, **kwargs)
+        )
+
+    def close(self):
+        if not self._loop.is_closed():
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.close()
+
+
+@pytest.fixture(params=["sync", "async"])
+def make_client(request):
+    """``make_client(url, **kwargs)``: an :class:`HttpClient`, or an
+    :class:`AsyncHttpClient` driven blocking — each core operation runs
+    under both drivers."""
+    made = []
+
+    def make(url, **kwargs):
+        if request.param == "sync":
+            client = HttpClient(url, **kwargs)
+        else:
+            client = _Driven(AsyncHttpClient(url, **kwargs))
+        made.append(client)
+        return client
+
+    yield make
+    for client in made:
+        client.close()
+
+
+@pytest.fixture()
+def silent_url():
+    """A wedged server: the listener's backlog completes every connect,
+    and nothing ever reads a request or answers it."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    listener.close()
 
 
 class TestLocalClient:
@@ -168,18 +237,25 @@ class TestHttpClientV2:
             plain.close()
 
     def test_resyncs_after_server_loses_generations(
-        self, http_server, service, queries
+        self, http_server, service, queries, make_client
     ):
-        with HttpClient(_url(http_server)) as client:
+        with make_client(_url(http_server)) as client:
             assert client.submit("app", queries["birthday"])["accepted"]
             # Simulate a restart: the gateway forgets every generation.
             gateway_for(service).forget_all()
             decision = client.submit("app", queries["music"])
             assert decision["accepted"] is False  # wall already committed
             assert gateway_for(service).generation_count() == 1
+            # A batch of known shapes (no delta) is re-sent the same way.
+            gateway_for(service).forget_all()
+            batch = client.submit_many(
+                [("app", queries["birthday"]), ("app", queries["music"])]
+            )
+            assert [d["accepted"] for d in batch] == [True, False]
+            assert gateway_for(service).generation_count() == 1
 
-    def test_admin_surface(self, http_server, queries):
-        with HttpClient(_url(http_server)) as client:
+    def test_admin_surface(self, http_server, queries, make_client):
+        with make_client(_url(http_server)) as client:
             client.register("other", [["user_likes"]])
             assert client.submit("other", queries["music"])["accepted"]
             client.reset("other")
@@ -192,11 +268,24 @@ class TestHttpClientV2:
                 client.register("bad", [["no_such_view"]])
             assert excinfo.value.status == 400
 
-    def test_unreachable_server_is_a_client_error(self, queries):
-        client = HttpClient("http://127.0.0.1:9", protocol="v2", timeout=1.0)
+    def test_unreachable_server_is_a_client_error(self, queries, make_client):
+        client = make_client("http://127.0.0.1:9", protocol="v2", timeout=1.0)
         with pytest.raises(ClientError) as excinfo:
             client.submit("app", queries["birthday"])
         assert excinfo.value.status == 502
+        assert not excinfo.value.retryable
+
+    def test_a_silent_server_stalls_with_one_error_type(
+        self, silent_url, queries, make_client
+    ):
+        """A request written to a server that never answers fails with
+        the retryable 504 on both clients: the sync socket timeout and
+        the async watchdog report the same fault the same way."""
+        client = make_client(silent_url, protocol="v2", timeout=0.5)
+        with pytest.raises(StallError) as excinfo:
+            client.submit("app", queries["birthday"])
+        assert excinfo.value.status == 504
+        assert excinfo.value.retryable
 
 
 class TestWireStateRotation:
@@ -369,6 +458,18 @@ class TestShardedClient:
         assert metrics["shard_count"] == 3
         snapshot = client.snapshot()
         assert len(snapshot["sessions"]["sessions"]) == len(principals)
+
+
+    def test_refuses_clients_whose_methods_are_coroutines(self, views):
+        from repro.client import ShardedClient
+
+        with pytest.raises(TypeError, match="AsyncHttpClient"):
+            ShardedClient(
+                [
+                    LocalClient(DisclosureService(views)),
+                    AsyncHttpClient("http://127.0.0.1:9"),
+                ]
+            )
 
 
 SHARD_PRINCIPALS = 18
