@@ -193,121 +193,59 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --replicas must be >= 1", file=sys.stderr)
         return 2
 
+    service_kwargs = {
+        "max_active_sessions": args.max_resident_sessions or args.max_sessions,
+        "label_cache_size": args.cache_size,
+        "default_policy": default_policy,
+        "stage_sample_rate": args.stage_sample_rate,
+        "spill_dir": args.spill_dir,
+    }
+    pool = None
     if args.replicas > 1:
-        return _serve_pooled(args, default_policy)
-
-    service = DisclosureService(
-        max_active_sessions=args.max_resident_sessions or args.max_sessions,
-        spill_dir=args.spill_dir,
-        label_cache_size=args.cache_size,
-        default_policy=default_policy,
-        stage_sample_rate=args.stage_sample_rate,
+        service, pool = _launch_pool(args, service_kwargs)
+    else:
+        service = DisclosureService(**service_kwargs)
+        if args.spill_dir:
+            print(
+                f"spill tier: cold sessions under {args.spill_dir} "
+                f"(max {service.max_active_sessions} resident)"
+            )
+    serving: dict = {}  # the running server and its loop
+    snapshotter = (
+        _restore_state_dir(args, service, pool, serving)
+        if args.state_dir
+        else None
     )
-    if args.spill_dir:
+    if pool is not None:
+        pool.start()
+    if snapshotter is not None and not snapshotter.run_once():
+        # The restored state is durable before any traffic, or says why.
         print(
-            f"spill tier: cold sessions under {args.spill_dir} "
-            f"(max {service.max_active_sessions} resident)"
+            f"warning: initial snapshot failed "
+            f"({snapshotter.last_error}); keeping existing files"
         )
-    snapshotter = None
-    if args.state_dir:
-        from repro.server.persist import (
-            SnapshotChain,
-            Snapshotter,
-            collect_state,
-            sessions_payload,
-        )
-
-        chain = SnapshotChain(service, args.state_dir)
-        collected = collect_state(args.state_dir)
-        snapshotter = Snapshotter(
-            chain.save,
-            interval=args.snapshot_interval,
-        )
-        if collected is not None:
-            restored = service.import_state(
-                sessions_payload(collected.sessions)
-            )
-            warmed = service.warm_label_cache(collected.cache_entries)
-            if collected.metrics:
-                service.restore_metrics(collected.metrics)
-            print(
-                f"warm restart: {restored} sessions, {warmed} cache "
-                f"entries from {len(collected.sources)} snapshot file(s)"
-            )
-            for path, reason in collected.skipped:
-                print(f"  skipped {path.name}: {reason}")
-        if not snapshotter.run_once():  # restored state durable pre-traffic
-            print(
-                f"warning: initial snapshot failed "
-                f"({snapshotter.last_error}); keeping existing files"
-            )
-        snapshotter.start()
-        print(
-            f"snapshots: {chain.state_dir} every "
-            f"{args.snapshot_interval:g}s (incremental, full base every "
-            f"{chain.compact_every} deltas)"
-        )
-    return _serve_async(service, args, snapshotter)
+    return _serve_async(service, pool, args, snapshotter, serving)
 
 
-def _serve_async(service, args: argparse.Namespace, snapshotter) -> int:
-    """The ``serve`` composition: one asyncio front end."""
-    import asyncio
-
-    from repro.server.aio import AsyncDecisionServer
-
-    async def run() -> None:
-        server = AsyncDecisionServer(service, args.host, args.port)
-        await server.start()
-        print(
-            f"disclosure decision service (asyncio) on "
-            f"http://{server.host}:{server.port}"
-        )
-        print(
-            "routes: POST /v1/register /v1/query /v1/peek /v1/batch "
-            "/v1/reset /v2/query /v2/batch; GET /v2/protocol /metrics "
-            "/healthz (single decisions coalesce per event-loop tick)"
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        if snapshotter is not None:
-            snapshotter.stop()  # takes the final shutdown snapshot
-        service.close()
-    return 0
-
-
-def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
-    """``serve --replicas N``: the kernel replica pool.
+def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
+    """``serve --replicas N``: the parent service and its launched pool.
 
     One asyncio front end (parsing, interning, admin, session mirror)
     dispatching every decision to N kernel-replica worker processes
     over pipes — multi-core throughput with no HTTP hop per worker.
-    See ``docs/pool.md``.
+    See ``docs/pool.md``.  The replicas boot while this process replays
+    its state and imports the front end; ``start()`` then waits for
+    them, and warms and refaults each from the replayed state.
     """
     import os.path
 
     from repro.server.pool import ReplicaPool
     from repro.server.service import DisclosureService
 
-    service_kwargs = {
-        "max_active_sessions": args.max_resident_sessions or args.max_sessions,
-        "label_cache_size": args.cache_size,
-        "default_policy": default_policy,
-        "stage_sample_rate": args.stage_sample_rate,
-    }
     parent_kwargs = dict(service_kwargs)
     if args.spill_dir:
         # Replica i spills under DIR/replica-<i> (derived in the
         # worker); the front end's mirror spills beside them.
-        service_kwargs["spill_dir"] = args.spill_dir
         parent_kwargs["spill_dir"] = os.path.join(args.spill_dir, "front")
         print(
             f"spill tier: per-replica logs under "
@@ -315,81 +253,105 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             f"{args.spill_dir}/front)"
         )
     service = DisclosureService(**parent_kwargs)
-    # The replicas boot while this process replays its state and
-    # imports the front end; start() then waits for them, and warms and
-    # refaults each from the replayed state.
     pool = ReplicaPool(
         service, args.replicas, service_kwargs=service_kwargs
     ).launch()
+    return service, pool
 
-    snapshotter = None
-    if args.state_dir:
-        from repro.server.persist import collect_state, sessions_payload
 
-        collected = collect_state(args.state_dir)
-        if collected is not None:
-            restored = service.import_state(
-                sessions_payload(collected.sessions)
-            )
+def _restore_state_dir(args: argparse.Namespace, service, pool, serving):
+    """The ``--state-dir`` composition, pooled or not: replay the
+    directory into *service* (its sessions, cache warmth and counters;
+    a *pool*'s replicas take the warmth at start and refault their
+    partitions) and return the :class:`Snapshotter` writing its chain.
+
+    Pooled, the counters restore into the parent, which never decides:
+    they are the baseline every merged view adds once.  While the
+    serving loop runs (*serving* holds it), a pooled snapshot queues
+    its replica reads on the tick drain, behind the traffic before
+    it, and merges, encodes and writes on the snapshot thread.
+    """
+    import asyncio
+
+    from repro.server.persist import (
+        SnapshotChain,
+        Snapshotter,
+        collect_state,
+        sessions_payload,
+    )
+
+    chain = SnapshotChain(service, args.state_dir)
+    collected = collect_state(args.state_dir)
+    if collected is not None:
+        restored = service.import_state(sessions_payload(collected.sessions))
+        if pool is None:
+            service.warm_label_cache(collected.cache_entries)
+        else:
             pool.warm_entries = collected.cache_entries
-            print(
-                f"warm restart: {restored} sessions, "
-                f"{len(collected.cache_entries)} cache entries from "
-                f"{len(collected.sources)} snapshot file(s); replicas "
-                f"refault their partitions at start"
-            )
-            for path, reason in collected.skipped:
-                print(f"  skipped {path.name}: {reason}")
+        if collected.metrics:
+            service.restore_metrics(collected.metrics)
+        print(
+            f"warm restart: {restored} sessions, "
+            f"{len(collected.cache_entries)} cache entries from "
+            f"{len(collected.sources)} snapshot file(s)"
+        )
+        for path, reason in collected.skipped:
+            print(f"  skipped {path.name}: {reason}")
 
+    def pooled_snapshot() -> object:
+        if "server" in serving:
+            status, payloads = asyncio.run_coroutine_threadsafe(
+                serving["server"].in_drain(pool.snapshot_payloads_async),
+                serving["loop"],
+            ).result()
+            if status != 200:
+                raise RuntimeError(payloads["error"])
+        else:  # before serving starts, and at shutdown
+            payloads = pool.snapshot_payloads()
+        merged = pool.merged_snapshot(payloads)
+        if merged is None:
+            raise RuntimeError("no kernel replica answered")
+        return chain.save(merged)
+
+    print(
+        f"snapshots: {chain.state_dir} every {args.snapshot_interval:g}s "
+        + (
+            f"(incremental, full base every {chain.compact_every} deltas)"
+            if pool is None
+            else "(a full base merged across replicas)"
+        )
+    )
+    return Snapshotter(
+        chain.save if pool is None else pooled_snapshot,
+        interval=args.snapshot_interval,
+    )
+
+
+def _serve_async(
+    service, pool, args: argparse.Namespace, snapshotter, serving: dict
+) -> int:
+    """The ``serve`` composition: one asyncio front end, pooled or not."""
     import asyncio
 
     from repro.server.aio import AsyncDecisionServer
 
-    pool.start()
-    serving: dict = {}  # the running server and its loop
-    if args.state_dir:
-        from repro.server.persist import (
-            SnapshotStore,
-            Snapshotter,
-            save_pool_snapshot,
-        )
-
-        def snapshot() -> object:
-            if not pool.served:  # before serving starts, and at shutdown
-                return save_pool_snapshot(
-                    args.state_dir, pool.snapshot_payloads()
-                )
-            # The drain owns the replica pipes while the loop serves the
-            # pool: the read queues there, behind the traffic before it.
-            status, payload = asyncio.run_coroutine_threadsafe(
-                serving["server"].inline("GET", "/internal/snapshot"),
-                serving["loop"],
-            ).result()
-            if status != 200:
-                raise RuntimeError(payload["error"])
-            return SnapshotStore(args.state_dir).save(payload)
-
-        snapshotter = Snapshotter(snapshot, interval=args.snapshot_interval)
-        snapshotter.run_once()
-        print(
-            f"snapshots: {args.state_dir} every "
-            f"{args.snapshot_interval:g}s (merged across replicas)"
-        )
-
     async def run() -> None:
-        server = AsyncDecisionServer(
-            service, args.host, args.port, pool=pool
-        )
+        server = AsyncDecisionServer(service, args.host, args.port, pool=pool)
         await server.start()
         serving.update(server=server, loop=asyncio.get_running_loop())
+        if pool is None:
+            kind, decisions = "", "single decisions coalesce per event-loop tick"
+        else:
+            kind = f", {args.replicas} kernel replicas"
+            decisions = "decisions dispatch to replicas by principal hash"
         print(
-            f"disclosure decision service (asyncio, {args.replicas} "
-            f"kernel replicas) on http://{server.host}:{server.port}"
+            f"disclosure decision service (asyncio{kind}) on "
+            f"http://{server.host}:{server.port}"
         )
         print(
             "routes: POST /v1/register /v1/query /v1/peek /v1/batch "
             "/v1/reset /v2/query /v2/batch; GET /v2/protocol /metrics "
-            "/healthz (decisions dispatch to replicas by principal hash)"
+            f"/healthz ({decisions})"
         )
         if snapshotter is not None:
             snapshotter.start()
@@ -397,11 +359,12 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
             await server.serve_forever()
         finally:
             if snapshotter is not None:
-                # Joined off the loop: a snapshot in progress is waiting
-                # on the drain to answer it.
+                # Joined off the loop: a pooled snapshot in progress is
+                # waiting on the drain to answer it.
                 await asyncio.get_running_loop().run_in_executor(
                     None, snapshotter.stop, False
                 )
+            serving.clear()
             await server.stop()
 
     try:
@@ -410,8 +373,9 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
         print("\nshutting down")
     finally:
         if snapshotter is not None:
-            snapshotter.run_once()  # final merged snapshot, replicas still up
-        pool.close()
+            snapshotter.run_once()  # the final shutdown snapshot
+        if pool is not None:
+            pool.close()
         service.close()
     return 0
 
@@ -438,7 +402,7 @@ def _snapshot_targets(args: argparse.Namespace):
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.errors import SnapshotError
     from repro.server.persist import (
-        SnapshotStore,
+        SnapshotChain,
         compact_chain,
         inspect_snapshot,
         load_snapshot,
@@ -489,16 +453,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         if args.out:
             path = save_snapshot(args.out, payload)
         else:
-            path = SnapshotStore(args.state_dir).save(payload)
-        sessions = len((payload.get("sessions") or {}).get("sessions", {}))
-        # Single-process servers return the interned (v2) payload; a
-        # pooled front end returns the merged form with plain entries.
-        cache_entries = (payload.get("interning") or {}).get(
-            "cache"
-        ) or payload.get("label_cache", [])
+            path = SnapshotChain(None, args.state_dir).save(payload)
+        info = inspect_snapshot(path)
         print(
-            f"saved {path} ({sessions} sessions, "
-            f"{len(cache_entries)} cache entries)"
+            f"saved {path} ({info.sessions} sessions, "
+            f"{info.cache_entries} cache entries)"
         )
         return 0
 

@@ -30,20 +30,23 @@ __all__ = [
 ]
 
 #: Full self-contained snapshot, sessions as per-principal partition
-#: lists, label cache as flat ``[key, label]`` pairs.  Write support is
-#: gone; :data:`repro.server.persist.READABLE_FORMATS` keeps read
-#: support forever.
+#: lists, label cache as flat ``[key, label]`` pairs.  Read-only: no
+#: writer emits it; :data:`repro.server.persist.READABLE_FORMATS` keeps
+#: read support forever.
 SNAPSHOT_FORMAT_V1 = "repro.snapshot/1"
 
 #: Full self-contained snapshot with interned tables: each canonical
 #: key and packed label stored once, referenced by dense integer id;
 #: session policies deduplicated into a table referenced by index.
+#: Read-only, like v1: its sections live on inside v3.
 SNAPSHOT_FORMAT_V2 = "repro.snapshot/2"
 
-#: Generation documents (``SnapshotChain``): v2's section encodings
-#: plus a ``delta`` header linking the document into a chain — a full
-#: base (``of: null``) or an increment holding only the sessions
-#: dirtied and the interner rows added since the generation it extends.
+#: The one written snapshot format: every file ``SnapshotChain`` (the
+#: only writer) or ``save_snapshot`` writes, pooled or not.  v2's
+#: section encodings plus a ``delta`` header linking the document into
+#: a chain — a full base (``of: null``) or an increment holding only
+#: the sessions dirtied and the interner rows added since the
+#: generation it extends.
 SNAPSHOT_FORMAT_V3 = "repro.snapshot/3"
 
 #: Session-table export (``SessionStore.export_state`` /

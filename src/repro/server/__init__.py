@@ -23,9 +23,10 @@
 * :mod:`repro.server.pool` — the kernel replica pool: one front end,
   N kernel worker processes fed over pipes
   (``python -m repro serve --replicas N``)
-* :mod:`repro.server.persist` — durable, checksummed snapshots and
-  warm restarts (``python -m repro serve --state-dir DIR``,
-  ``python -m repro snapshot``)
+* :mod:`repro.server.persist` — durable, checksummed snapshots, each a
+  ``repro.snapshot/3`` generation from the one writer
+  (:class:`SnapshotChain`, pooled or not), and warm restarts
+  (``python -m repro serve --state-dir DIR``, ``python -m repro snapshot``)
 * :mod:`repro.server.aio` — the asyncio HTTP front end with per-tick
   request coalescing, and its route table :func:`dispatch`
   (``python -m repro serve``)
@@ -46,7 +47,7 @@ _EXPORTS = {
     "repro.server.kernel": ("DecisionKernel",),
     "repro.server.partition": ("aggregate_metrics", "shard_for"),
     "repro.server.persist": (
-        "SnapshotChain", "SnapshotInfo", "SnapshotStore", "Snapshotter",
+        "SnapshotChain", "SnapshotInfo", "Snapshotter",
         "collect_state", "compact_chain", "load_snapshot", "restore_service",
         "save_snapshot", "snapshot_service",
     ),
@@ -72,7 +73,6 @@ if TYPE_CHECKING:
     from repro.server.persist import (
         SnapshotChain,
         SnapshotInfo,
-        SnapshotStore,
         Snapshotter,
         collect_state,
         compact_chain,
@@ -106,7 +106,6 @@ __all__ = [
     "SessionStore",
     "SnapshotChain",
     "SnapshotInfo",
-    "SnapshotStore",
     "Snapshotter",
     "SpillStore",
     "WireGateway",

@@ -76,7 +76,7 @@ import json
 import re
 import threading
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from time import perf_counter
 
@@ -444,6 +444,10 @@ class _Request:
     __slots__ = ("protocol", "close", "result", "kind", "method", "path",
                  "body", "update", "enqueued")
 
+    #: What an inline request runs instead of its route; only
+    #: :meth:`AsyncDecisionServer.in_drain` calls set it.
+    operation: Optional[Callable[[Any], Awaitable[object]]] = None
+
     def __init__(self, protocol: "_HttpProtocol", close: bool):
         self.protocol = protocol
         self.close = close
@@ -470,14 +474,15 @@ class _Request:
 
 
 class _InlineCall(_Request):
-    """An inline request made inside the process: its answer resolves a
-    future instead of marking a connection for the write pass."""
+    """An operation queued from inside the process: its answer resolves
+    a future instead of marking a connection for the write pass."""
 
-    __slots__ = ("future",)
+    __slots__ = ("future", "operation")
 
-    def __init__(self, future: "asyncio.Future"):
+    def __init__(self, future: "asyncio.Future", operation):
         super().__init__(None, False)
         self.future = future
+        self.operation = operation
 
     def set_result(self, result: Tuple[int, object]) -> None:
         self.result = result
@@ -773,17 +778,23 @@ class AsyncDecisionServer:
         if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._drain)
 
-    async def inline(self, method: str, path: str) -> Tuple[int, object]:
-        """Answer one body-less inline request made inside the process.
+    async def in_drain(
+        self, operation: Callable[[Any], Awaitable[object]]
+    ) -> Tuple[int, object]:
+        """Await ``operation(loop)`` from the drain, as ``(200, result)``
+        (``500`` if it raised).
 
-        It joins the tick queue like a request read off a socket, so a
-        pooled server answers it from the drain, in order with decision
-        runs: while the server runs, the drain is the only code that
-        touches replica pipes (the periodic pooled snapshot reads its
-        replicas this way).
+        The call joins the tick queue like a request read off a socket,
+        so it runs in order with decision runs: while a pooled server
+        runs, the drain is the only code that touches replica pipes.
+        The periodic pooled snapshot gathers its replica payloads this
+        way and leaves the merge to its own thread, so the serving loop
+        spends only the pipe round trips on it.
         """
-        call = _InlineCall(asyncio.get_running_loop().create_future())
-        self.accept(method, path, b"", call)
+        call = _InlineCall(asyncio.get_running_loop().create_future(), operation)
+        self._pending.append(call)
+        if len(self._pending) == 1:
+            asyncio.get_running_loop().call_soon(self._drain)
         return await call.future
 
     def mark_answered(self, protocol: _HttpProtocol) -> None:
@@ -863,7 +874,9 @@ class AsyncDecisionServer:
                     run, entries, run_plane = [], [], None
                     try:
                         status_payload = None
-                        if pool is not None:
+                        if request.operation is not None:
+                            status_payload = 200, await request.operation(loop)
+                        elif pool is not None:
                             status_payload = await pool.dispatch_inline_async(
                                 request.method, request.path, request.body,
                                 loop=loop,

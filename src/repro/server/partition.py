@@ -114,20 +114,21 @@ def merge_snapshot_payloads(payloads: Sequence[Dict]) -> Dict:
     The merge mirrors why partitioning needs no coordination: sessions
     are disjoint across partitions (dict union), label-cache entries are
     principal-free (union, later payloads win ties), counters sum, and
-    latency percentiles re-derive from merged buckets.  Payloads arrive
-    in whatever readable snapshot form the kernel wrote (the interned
-    v2 tables, in this release); kernel-local integer ids are
-    meaningless across kernels, so the merge decodes everything to
-    canonical keys and packed labels and emits the plain (v1-style)
-    sections.  The result carries no ``shard`` stamp — it is
-    topology-free by construction.
+    latency percentiles re-derive from merged buckets.  A payload may
+    carry only ``metrics`` (a pool parent's restored counter baseline).
+    Kernel-local integer ids are meaningless across kernels, so the
+    merge decodes every payload to canonical keys and packed labels and
+    re-interns them: the result has the shape and the sections of
+    :func:`repro.server.persist.snapshot_service`, carries no ``shard``
+    stamp, and is topology-free by construction.
     """
     from repro.server.persist import (
-        encode_cache_entries,
+        encode_interned_cache,
+        encode_sessions,
         payload_cache_entries,
         payload_sessions,
+        sessions_payload,
     )
-    from repro.server.service import _STATE_FORMAT
 
     sessions: Dict[str, Dict] = {}
     cache: Dict = {}
@@ -135,8 +136,7 @@ def merge_snapshot_payloads(payloads: Sequence[Dict]) -> Dict:
     latencies = []
     for payload in payloads:
         sessions.update(payload_sessions(payload))
-        for key, label in payload_cache_entries(payload):
-            cache[key] = label
+        cache.update(payload_cache_entries(payload))
         metrics = payload.get("metrics") or {}
         for name in totals:
             value = metrics.get(name, 0)
@@ -144,7 +144,7 @@ def merge_snapshot_payloads(payloads: Sequence[Dict]) -> Dict:
         if isinstance(metrics.get("latency"), dict):
             latencies.append(metrics["latency"])
     return {
-        "sessions": {"format": _STATE_FORMAT, "sessions": sessions},
-        "label_cache": encode_cache_entries(cache.items()),
+        "sessions": encode_sessions(sessions_payload(sessions)),
+        "interning": encode_interned_cache(cache.items()),
         "metrics": {**totals, "latency": aggregate_latency(latencies)},
     }

@@ -7,22 +7,21 @@ canonical-query → packed-label cache being warm.  A restart that loses
 either is not a restart — it is a new, differently-behaving service.
 This module makes restarts safe and cheap:
 
-* **Snapshot documents** — one JSON document per snapshot carrying the
-  sessions (:meth:`DisclosureService.export_state`), the label cache
-  (:meth:`DisclosureService.export_label_cache`, re-encoded to survive
-  JSON), and the metrics counters, wrapped in a format-version header
-  and a CRC-32 checksum over the canonicalized payload bytes.
+* **Snapshot documents** — one ``repro.snapshot/3`` JSON document per
+  generation carrying the sessions and the label cache as interned
+  tables, the metrics counters, and a ``delta`` header placing it in a
+  chain, wrapped in a format-version header and a CRC-32 checksum over
+  the canonicalized payload bytes.  Versions 1 and 2 stay readable.
 * **Crash safety** — :func:`save_snapshot` writes a temporary file in
   the target directory, fsyncs it, and atomically renames it over the
   destination, so a crash mid-write leaves the previous snapshot
   intact.  :func:`load_snapshot` rejects truncation, bit flips, and
   unknown formats with :class:`SnapshotError` and a reason, never a
   crash.
-* **A state directory** — :class:`SnapshotStore` and
-  :class:`SnapshotChain` keep a bounded sequence of
-  ``snapshot-<seq>.json`` files.  :func:`collect_state` replays
-  whatever chain a directory holds, and names every file it could not
-  use and why.
+* **A state directory** — :class:`SnapshotChain`, the one writer,
+  keeps a bounded sequence of ``snapshot-<seq>.json`` files, pooled or
+  not.  :func:`collect_state` replays whatever chain a directory
+  holds, and names every file it could not use and why.
 * **A background snapshotter** — :class:`Snapshotter` runs a snapshot
   callable every *interval* seconds on a daemon thread (``repro serve
   --state-dir DIR --snapshot-interval S``).
@@ -55,10 +54,10 @@ from repro.core.formats import (
 from repro.errors import SnapshotError
 from repro.server.service import DisclosureService
 
-#: Format-version header written on every new full, self-contained
-#: snapshot document.  Bump on any change a previous release could not
-#: read.
-SNAPSHOT_FORMAT = SNAPSHOT_FORMAT_V2
+#: The format-version header of every snapshot file this build writes:
+#: a generation (full base or delta) of interned sections.  Bump on any
+#: change a previous release could not read.
+SNAPSHOT_FORMAT = SNAPSHOT_FORMAT_V3
 
 #: Every format this build can *read*.  Version 1 stored sessions as
 #: per-principal partition lists and the label cache as flat
@@ -67,15 +66,7 @@ SNAPSHOT_FORMAT = SNAPSHOT_FORMAT_V2
 #: references them by dense integer id, and deduplicates session
 #: policies into a table referenced by index; version 3 adds the
 #: incremental-generation header on the same section encodings.
-READABLE_FORMATS = (SNAPSHOT_FORMAT_V1, SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_V3)
-
-#: Session-table formats: v1 is the live ``export_state`` wire form;
-#: v2 is the ID-plane file form (policy table + ``[index, live_int]``).
-_SESSIONS_V1 = SESSIONS_FORMAT_V1
-_SESSIONS_V2 = SESSIONS_FORMAT_V2
-
-#: How many sequence-numbered snapshots a :class:`SnapshotStore` keeps.
-DEFAULT_KEEP = 4
+READABLE_FORMATS = (SNAPSHOT_FORMAT_V1, SNAPSHOT_FORMAT_V2, SNAPSHOT_FORMAT)
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{8})\.json$")
 _SHARD_NAME = re.compile(r"^shard-(\d+)\.json$")
@@ -157,7 +148,7 @@ def encode_sessions(exported: Dict) -> Dict:
             if flag:
                 live |= 1 << bit
         sessions[principal] = [index, live]
-    return {"format": _SESSIONS_V2, "policies": policies, "sessions": sessions}
+    return {"format": SESSIONS_FORMAT_V2, "policies": policies, "sessions": sessions}
 
 
 def decode_sessions(data: Dict) -> Dict:
@@ -171,9 +162,9 @@ def decode_sessions(data: Dict) -> Dict:
     if not isinstance(data, dict):
         raise SnapshotError("session table is not an object")
     fmt = data.get("format")
-    if fmt == _SESSIONS_V1:
+    if fmt == SESSIONS_FORMAT_V1:
         return data
-    if fmt != _SESSIONS_V2:
+    if fmt != SESSIONS_FORMAT_V2:
         raise SnapshotError(f"unrecognized session-table format {fmt!r}")
     policies = data.get("policies")
     sessions = data.get("sessions")
@@ -203,7 +194,7 @@ def decode_sessions(data: Dict) -> Dict:
             "partitions": partitions,
             "live": [bool(live >> bit & 1) for bit in range(len(partitions))],
         }
-    return {"format": _SESSIONS_V1, "sessions": out}
+    return {"format": SESSIONS_FORMAT_V1, "sessions": out}
 
 
 def encode_interned_cache(entries: Iterable[Tuple]) -> Dict:
@@ -299,11 +290,11 @@ def snapshot_service(service: DisclosureService) -> Dict:
     return {
         "sessions": encode_sessions(service.export_state()),
         "interning": encode_interned_cache(service.export_label_cache()),
-        "metrics": _service_metrics(service),
+        "metrics": metrics_section(service),
     }
 
 
-def _service_metrics(service: DisclosureService) -> Dict:
+def metrics_section(service: DisclosureService) -> Dict:
     """The metrics section every snapshot kind carries in full."""
     return {
         "decisions": service.decisions.value,
@@ -331,21 +322,14 @@ class RestoreStats:
         )
 
 
-def restore_service(
-    service: DisclosureService,
-    payload: Dict,
-    *,
-    include_metrics: bool = True,
-) -> RestoreStats:
+def restore_service(service: DisclosureService, payload: Dict) -> RestoreStats:
     """Load a :func:`snapshot_service` payload into *service*.
 
-    Sessions and cache entries always restore; metrics counters restore
-    only with *include_metrics* (a restart that merges sessions from
-    several partitions' files has no one file whose counters are the
-    deployment's).  Raises :class:`SnapshotError` on a payload that
-    does not validate — the service is left with whatever prefix
-    imported, so callers restoring into a *fresh* service (the only
-    supported direction) should discard it on failure.
+    Sessions, cache entries and metrics counters restore.  Raises
+    :class:`SnapshotError` on a payload that does not validate — the
+    service is left with whatever prefix imported, so callers restoring
+    into a *fresh* service (the only supported direction) should
+    discard it on failure.
     """
     if not isinstance(payload, dict):
         raise SnapshotError("snapshot payload is not an object")
@@ -362,7 +346,7 @@ def restore_service(
     imported = service.warm_label_cache(entries)
     decisions = 0
     metrics = payload.get("metrics")
-    if include_metrics and isinstance(metrics, dict):
+    if isinstance(metrics, dict):
         decisions = service.restore_metrics(metrics)
     return RestoreStats(restored, imported, decisions)
 
@@ -382,28 +366,58 @@ def _canonical_payload_bytes(payload: Dict) -> bytes:
     ).encode("utf-8")
 
 
+def _generation_header(
+    generation: int,
+    of: Optional[int] = None,
+    epoch: int = 0,
+    removed: Iterable = (),
+    plane_epoch: int = -1,
+    qid_floor: int = 0,
+) -> Dict:
+    """The ``delta`` header linking a v3 document into a chain: a full
+    base when *of* is ``None``, else an increment on generation *of*."""
+    return {
+        "generation": generation,
+        "of": of,
+        "epoch": epoch,
+        "removed": list(removed),
+        "plane_epoch": plane_epoch,
+        "qid_floor": qid_floor,
+    }
+
+
 def save_snapshot(path: "Path | str", payload: Dict) -> Path:
-    """Atomically write *payload* as a snapshot document at *path*.
+    """Atomically write *payload* as a ``repro.snapshot/3`` document.
 
     Write-temp + fsync + rename: a crash at any point leaves either the
     old file or the new file, never a torn mixture.  The temporary file
     lives in the destination directory so the rename cannot cross
-    filesystems.  A payload carrying a ``delta`` generation header is
-    stamped as v3; everything else stays the self-contained v2.
+    filesystems.  A payload without a ``delta`` generation header (a
+    lone file, ``snapshot save --out``) is written as a full base of
+    generation 1; a state directory's files come from
+    :class:`SnapshotChain`, which numbers them.
     """
     path = Path(path)
+    if "delta" not in payload:
+        payload = {**payload, "delta": _generation_header(1)}
     body = _canonical_payload_bytes(payload)
-    document = {
-        "format": SNAPSHOT_FORMAT_V3 if "delta" in payload else SNAPSHOT_FORMAT,
-        "created": time.time(),
-        "checksum": zlib.crc32(body),
-        "payload": payload,
-    }
+    header = json.dumps(
+        {
+            "checksum": zlib.crc32(body),
+            "created": time.time(),
+            "format": SNAPSHOT_FORMAT,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
+        with open(temp, "wb") as handle:
+            # The payload is serialized once: its checksummed bytes
+            # close the document as the last of its sorted keys.
+            handle.write(header[:-1] + b', "payload": ')
+            handle.write(body)
+            handle.write(b"}")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
@@ -573,93 +587,37 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
 
 
 # ----------------------------------------------------------------------
-# The state directory
+# The state directory: one writer
 # ----------------------------------------------------------------------
-class SnapshotStore:
-    """Sequence-numbered snapshots in a state directory, pruned to *keep*.
-
-    Used by single-process serving: every :meth:`save` writes the next
-    ``snapshot-<seq>.json`` and removes the oldest beyond *keep*, so a
-    corrupt latest file (a crash between fsync and rename cannot cause
-    one, but a disk can) still leaves older valid generations for
-    :meth:`load_latest` to fall back to.
-    """
-
-    def __init__(self, state_dir: "Path | str", keep: int = DEFAULT_KEEP):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
-        self.state_dir = Path(state_dir)
-        self.keep = keep
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-
-    def _numbered(self) -> List[Tuple[int, Path]]:
-        found = []
-        for entry in self.state_dir.iterdir():
-            match = _SNAPSHOT_NAME.match(entry.name)
-            if match:
-                found.append((int(match.group(1)), entry))
-        found.sort()
-        return found
-
-    def paths(self) -> List[Path]:
-        """Snapshot files, oldest first."""
-        return [entry for _, entry in self._numbered()]
-
-    def save(self, payload: Dict) -> Path:
-        numbered = self._numbered()
-        last = numbered[-1][0] if numbered else 0
-        path = save_snapshot(
-            self.state_dir / f"snapshot-{last + 1:08d}.json", payload
-        )
-        for stale in self.paths()[: -self.keep]:
-            stale.unlink(missing_ok=True)
-        return path
-
-    def load_latest(self) -> Optional[Tuple[Path, Dict]]:
-        """``(path, document)`` of the newest *valid* snapshot, else None.
-
-        Invalid files are skipped (newest-first), never raised — losing
-        warmth beats refusing to start.
-        """
-        for path in reversed(self.paths()):
-            try:
-                return path, load_snapshot(path)
-            except SnapshotError:
-                continue
-        return None
+def _numbered(state_dir: Path) -> List[Tuple[int, Path]]:
+    """The directory's ``snapshot-<seq>.json`` files, oldest first."""
+    found = []
+    for entry in state_dir.iterdir():
+        match = _SNAPSHOT_NAME.match(entry.name)
+        if match:
+            found.append((int(match.group(1)), entry))
+    found.sort()
+    return found
 
 
-def save_pool_snapshot(
-    state_dir: "Path | str", payloads: List[Dict], keep: int = DEFAULT_KEEP
-) -> Optional[Path]:
-    """Persist one merged snapshot of a replica-pool deployment.
-
-    *payloads* are the per-replica ``snapshot_service`` payloads the
-    pool dispatcher gathered over its pipes; they merge through the
-    topology-free fold
-    (:func:`repro.server.partition.merge_snapshot_payloads` — sessions
-    are partition-disjoint, caches union, counters sum), so the file is
-    an ordinary single-service snapshot: a restart with a *different*
-    ``--replicas`` count restores it by re-partitioning.  Writes the
-    next ``snapshot-<seq>.json`` through
-    :class:`SnapshotStore` (full views from merged payloads — the
-    delta machinery of :class:`SnapshotChain` needs one service's
-    dirty-epoch stream and does not apply here).  Returns the path, or
-    ``None`` when every replica was unreachable.
-    """
-    if not payloads:
-        return None
-    from repro.server.partition import merge_snapshot_payloads
-
-    return SnapshotStore(state_dir, keep=keep).save(
-        merge_snapshot_payloads(payloads)
-    )
+def _newest_base(numbered: List[Tuple[int, Path]]) -> Optional[int]:
+    """The sequence number of the newest valid full base, if any."""
+    for seq, path in reversed(numbered):
+        try:
+            delta = load_snapshot(path)["payload"].get("delta")
+        except SnapshotError:
+            continue
+        if not isinstance(delta, dict) or delta.get("of") is None:
+            return seq
+    return None
 
 
 class SnapshotChain:
-    """Incremental generation writer: a full base plus dirty deltas.
+    """The one snapshot writer: a full base, then dirty deltas.
 
-    The qid/lid plane is append-only and sessions stamp a
+    Every file a state directory holds is a ``repro.snapshot/3``
+    generation written here, serving or not, pooled or not.  With a
+    *service*, the qid/lid plane is append-only and sessions stamp a
     ``dirty_epoch`` on every durable mutation, so after one *full* base
     each :meth:`save` writes only:
 
@@ -672,21 +630,26 @@ class SnapshotChain:
 
     Snapshot cost becomes O(delta), not O(state).  Every
     ``compact_every`` deltas — or on :meth:`compact` — the next write
-    is a fresh full base, and files older than the *previous* full are
-    pruned, so the directory always holds at most two replayable
-    chains (the live one plus one fallback, mirroring
-    :class:`SnapshotStore`'s skip-corrupt semantics).
+    is a fresh full base.  ``save(payload)`` writes a
+    :func:`snapshot_service`-shaped payload gathered elsewhere (a
+    pool's merged replica payloads, a pulled ``/internal/snapshot``)
+    as the next full base; *service* may then be ``None``.
 
-    Files use the same ``snapshot-<seq>.json`` names as
-    :class:`SnapshotStore`; :func:`collect_state` replays the chain on
-    restart.  A chain always *starts* with a full base: dirty epochs
-    live in process memory, so a restarted writer cannot know what an
-    earlier process already captured.
+    One pruning rule holds for every full base: the files older than
+    the *previous* full base go, so the directory holds at most two
+    replayable chains (the live one plus one fallback for a corrupt
+    newest base).  A writer that has not yet written a base finds the
+    previous one by reading the directory newest-first.
+
+    A chain always *starts* with a full base: dirty epochs live in
+    process memory, so a restarted writer cannot know what an earlier
+    process already captured.  :func:`collect_state` replays the chain
+    on restart.
     """
 
     def __init__(
         self,
-        service: DisclosureService,
+        service: Optional[DisclosureService],
         state_dir: "Path | str",
         *,
         compact_every: int = 8,
@@ -704,30 +667,24 @@ class SnapshotChain:
         self._plane_epoch = -1
         self._qid_floor = 0
 
-    def _numbered(self) -> List[Tuple[int, Path]]:
-        found = []
-        for entry in self.state_dir.iterdir():
-            match = _SNAPSHOT_NAME.match(entry.name)
-            if match:
-                found.append((int(match.group(1)), entry))
-        found.sort()
-        return found
-
-    def save(self) -> Path:
-        """Write the next generation (full when the chain calls for it)."""
+    def save(self, payload: Optional[Dict] = None) -> Path:
+        """Write the next generation: *payload* as a full base, else a
+        cut of the service (full when the chain calls for it)."""
+        if payload is not None:
+            return self._append(payload, None)
         full = (
             self._last_generation is None
             or self._deltas_since_full >= self.compact_every
         )
-        return self._write(full)
+        return self._cut(full)
 
     def compact(self) -> Path:
         """Force the next generation to be a full base (prunes history)."""
-        return self._write(True)
+        return self._cut(True)
 
-    def _write(self, full: bool) -> Path:
-        numbered = self._numbered()
-        seq = (numbered[-1][0] + 1) if numbered else 1
+    def _cut(self, full: bool) -> Path:
+        if self.service is None:
+            raise ValueError("a chain without a service saves payloads only")
         since = 0 if full else self._next_since
         state, watermark, removed = self.service.export_generation(since)
         plane_epoch, qid_count, entries = (
@@ -735,36 +692,47 @@ class SnapshotChain:
                 self._plane_epoch, 0 if full else self._qid_floor
             )
         )
-        payload = {
+        sections = {
             "sessions": encode_sessions(state),
             "interning": encode_interned_cache(entries),
-            "metrics": _service_metrics(self.service),
-            "delta": {
-                "generation": seq,
-                "of": None if full else self._last_generation,
-                "epoch": watermark,
-                "removed": removed,
-                "plane_epoch": plane_epoch,
-                "qid_floor": 0 if full else self._qid_floor,
-            },
+            "metrics": metrics_section(self.service),
         }
-        path = save_snapshot(
-            self.state_dir / f"snapshot-{seq:08d}.json", payload
+        path = self._append(
+            sections,
+            None if full else self._last_generation,
+            epoch=watermark,
+            removed=removed,
+            plane_epoch=plane_epoch,
+            qid_floor=0 if full else self._qid_floor,
         )
         self._next_since = watermark + 1
         self._plane_epoch = plane_epoch
         self._qid_floor = qid_count
+        return path
+
+    def _append(self, sections: Dict, of: Optional[int], **header) -> Path:
+        """Write *sections* as the next generation, extending *of*
+        (``None``: a full base), and apply the pruning rule."""
+        numbered = _numbered(self.state_dir)
+        seq = (numbered[-1][0] + 1) if numbered else 1
+        payload = dict(sections)
+        payload["delta"] = _generation_header(seq, of, **header)
+        path = save_snapshot(self.state_dir / f"snapshot-{seq:08d}.json", payload)
         self._last_generation = seq
-        if full:
-            self._deltas_since_full = 0
-            if self._last_full is not None:
-                cutoff = self._last_full
-                for old_seq, old_path in numbered:
-                    if old_seq < cutoff:
-                        old_path.unlink(missing_ok=True)
-            self._last_full = seq
-        else:
+        if of is not None:
             self._deltas_since_full += 1
+            return path
+        self._deltas_since_full = 0
+        previous = (
+            self._last_full
+            if self._last_full is not None
+            else _newest_base(numbered)
+        )
+        if previous is not None:
+            for old_seq, old_path in numbered:
+                if old_seq < previous:
+                    old_path.unlink(missing_ok=True)
+        self._last_full = seq
         return path
 
 
@@ -772,7 +740,7 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
     """Offline compaction: fold a directory's chain into one full base.
 
     Replays whatever :func:`collect_state` can trust, writes the merged
-    result as the next-sequence *full* v3 generation, and removes every
+    result as the next-sequence full generation, and removes every
     older sequence file.  Returns the new path and the removed ones.
     Raises :class:`SnapshotError` when the directory holds nothing
     replayable.
@@ -781,34 +749,19 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
     collected = collect_state(state_dir)
     if collected is None or not collected.sources:
         raise SnapshotError(f"no valid snapshot under {state_dir}")
-    numbered = []
-    for entry in state_dir.iterdir():
-        match = _SNAPSHOT_NAME.match(entry.name)
-        if match:
-            numbered.append((int(match.group(1)), entry))
-    numbered.sort()
-    seq = (numbered[-1][0] + 1) if numbered else 1
-    payload = {
-        "sessions": encode_sessions(sessions_payload(collected.sessions)),
-        "interning": encode_interned_cache(collected.cache_entries),
-        "metrics": collected.metrics
-        if isinstance(collected.metrics, dict)
-        else {},
-        "delta": {
-            "generation": seq,
-            "of": None,
-            "epoch": 0,
-            "removed": [],
-            "plane_epoch": -1,
-            "qid_floor": 0,
-        },
-    }
-    path = save_snapshot(state_dir / f"snapshot-{seq:08d}.json", payload)
-    removed = []
+    numbered = _numbered(state_dir)
+    path = SnapshotChain(None, state_dir).save(
+        {
+            "sessions": encode_sessions(sessions_payload(collected.sessions)),
+            "interning": encode_interned_cache(collected.cache_entries),
+            "metrics": collected.metrics
+            if isinstance(collected.metrics, dict)
+            else {},
+        }
+    )
     for _, old_path in numbered:
         old_path.unlink(missing_ok=True)
-        removed.append(old_path)
-    return path, removed
+    return path, [old_path for _, old_path in numbered]
 
 
 class CollectedState:
@@ -911,9 +864,10 @@ def _sequence_chain(
     and extends it with each following delta whose ``of`` links to the
     generation before it.  A broken link — a skipped-corrupt file, a
     delta written by a different chain — ends the replay there: the
-    valid prefix is still a coherent state, which is exactly the
-    corrupt-file fallback :class:`SnapshotStore` restores have always
-    had.  Returns ``[]`` when the directory holds only orphan deltas.
+    valid prefix is still a coherent state, and a corrupt newest base
+    falls back to the base before it, which the pruning rule of
+    :class:`SnapshotChain` keeps.  Returns ``[]`` when the directory
+    holds only orphan deltas.
     """
     base_index: Optional[int] = None
     for index in range(len(sequence_docs) - 1, -1, -1):
@@ -952,8 +906,8 @@ def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
 class Snapshotter:
     """Runs *snapshot* every *interval* seconds on a daemon thread.
 
-    The callable does the whole job (typically ``lambda:
-    store.save(snapshot_service(service))``); this class only owns the
+    The callable does the whole job (typically a
+    :meth:`SnapshotChain.save`); this class only owns the
     cadence and the thread.  Exceptions from the callable are recorded
     on :attr:`last_error` and do not kill the thread — a full disk at
     2 a.m. should cost snapshots, not the serving loop.  :meth:`stop`

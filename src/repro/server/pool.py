@@ -70,6 +70,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError, ReplicaStartError
+from repro.obs.instruments import aggregate_latency
 from repro.server.batch import _blocking, decide_wire_items
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
@@ -908,7 +909,9 @@ class ReplicaPool:
                 return 200, render_prometheus(snapshot)
             return 200, snapshot
         if route == "/internal/snapshot":
-            merged = await self.merged_snapshot(loop)
+            merged = self.merged_snapshot(
+                await self.snapshot_payloads_async(loop)
+            )
             if merged is None:
                 return 503, {
                     "error": "no kernel replica answered",
@@ -948,16 +951,19 @@ class ReplicaPool:
                 pass  # the next dispatch will retry the respawn
 
     # -- merged views ---------------------------------------------------
+    # The parent never decides in pooled mode, so its counters hold only
+    # the history a warm restart restored into it: each merged view adds
+    # that baseline to the replicas' counts once, and nothing counts
+    # twice.
     async def metrics_snapshot(self, loop) -> Dict:
         """One deployment-wide ``/metrics`` payload, merged at scrape.
 
         Replica snapshots merge through
         :func:`~repro.server.partition.aggregate_metrics`
         (counters sum, latency percentiles re-derive from merged
-        buckets, registry series merge); the parent's own registry —
-        request counters, pool dispatch timing, respawn counts — is
-        folded in on top.  The parent never decides, so nothing double
-        counts.
+        buckets, registry series merge); the parent's restored counters
+        and its own registry — request counters, pool dispatch timing,
+        respawn counts — are folded in on top.
         """
         from repro.obs import merge_registry_snapshots
         from repro.server.partition import aggregate_metrics
@@ -971,6 +977,11 @@ class ReplicaPool:
         merged["replica_count"] = merged.pop("shard_count", len(snapshots))
         merged["replicas"] = merged.pop("shards", snapshots)
         parent = self.service.metrics_snapshot()
+        for name in ("decisions", "accepted", "refused", "peeks"):
+            merged[name] += parent[name]
+        merged["latency"] = aggregate_latency(
+            [merged["latency"], parent["latency"]]
+        )
         merged["uptime_seconds"] = max(
             merged.get("uptime_seconds", 0.0),
             parent.get("uptime_seconds", 0.0),
@@ -981,27 +992,34 @@ class ReplicaPool:
         return merged
 
     def snapshot_payloads(self) -> List[Dict]:
-        """Every live replica's snapshot payload (sessions, cache,
-        counters) — the inputs of the pooled snapshot merge; blocking,
-        for the snapshots taken while no loop serves the pool."""
-        return _blocking(self._snapshot_payloads(None), self.served)
+        """:meth:`snapshot_payloads_async`, blocking — for the snapshots
+        taken while no loop serves the pool."""
+        return _blocking(self.snapshot_payloads_async(None), self.served)
 
-    async def _snapshot_payloads(self, loop) -> List[Dict]:
+    async def snapshot_payloads_async(self, loop) -> List[Dict]:
+        """Every live replica's snapshot payload (sessions, cache,
+        counters): the inputs of :meth:`merged_snapshot`."""
         replies = [
             await self._admin_reply(handle, ["snapshot"], loop)
             for handle in self.handles
         ]
         return [reply[1] for reply in replies if reply is not None]
 
-    async def merged_snapshot(self, loop) -> Optional[Dict]:
-        """The replica payloads folded into one restorable, topology-free
-        payload (:func:`~repro.server.partition.merge_snapshot_payloads`),
-        or ``None`` when no replica answered — an empty merge would read
-        as a deployment with no sessions."""
+    def merged_snapshot(self, payloads: List[Dict]) -> Optional[Dict]:
+        """Replica *payloads* and the parent's counters folded into one
+        restorable, topology-free payload
+        (:func:`~repro.server.partition.merge_snapshot_payloads`), or
+        ``None`` when no replica answered — an empty merge would read
+        as a deployment with no sessions.  Pure: it touches no pipe, so
+        a snapshot thread can run it off the serving loop."""
         from repro.server.partition import merge_snapshot_payloads
+        from repro.server.persist import metrics_section
 
-        payloads = await self._snapshot_payloads(loop)
-        return merge_snapshot_payloads(payloads) if payloads else None
+        if not payloads:
+            return None
+        return merge_snapshot_payloads(
+            [*payloads, {"metrics": metrics_section(self.service)}]
+        )
 
     async def _admin_reply(
         self, handle: ReplicaHandle, frame: List, loop

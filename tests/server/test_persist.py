@@ -10,14 +10,28 @@ Two properties carry the subsystem:
   the count).
 * **Corruption safety** — a truncated, bit-flipped, or wrong-format
   snapshot is rejected with :class:`SnapshotError` and a clear reason,
-  and the store falls back to the newest *valid* generation.
+  and a state directory falls back to the newest *valid* chain.
+
+Every file the stack writes is a ``repro.snapshot/3`` generation from
+the one writer, :class:`SnapshotChain`; versions 1 and 2 are read only,
+so their tests write those documents by hand.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +41,6 @@ from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.aio import dispatch
 from repro.server.persist import (
     SnapshotChain,
-    SnapshotStore,
     Snapshotter,
     collect_state,
     compact_chain,
@@ -36,7 +49,6 @@ from repro.server.persist import (
     inspect_snapshot,
     load_snapshot,
     restore_service,
-    save_pool_snapshot,
     save_snapshot,
     sessions_payload,
     snapshot_service,
@@ -97,6 +109,26 @@ def _wire(decisions) -> str:
     return json.dumps([d.as_dict() for d in decisions], sort_keys=True)
 
 
+def _hand_written(path, fmt: str, payload) -> None:
+    """A checksummed snapshot document in a read-only format (no writer
+    emits v1 or v2 any more), byte-compatible with what they wrote."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    document = {
+        "format": fmt,
+        "created": time.time(),
+        "checksum": zlib.crc32(body.encode("utf-8")),
+        "payload": payload,
+    }
+    path.write_text(json.dumps(document, sort_keys=True))
+
+
+def _formats(directory) -> set:
+    return {
+        json.loads(path.read_text())["format"]
+        for path in directory.glob("snapshot-*.json")
+    }
+
+
 # ----------------------------------------------------------------------
 # Cache-entry encoding
 # ----------------------------------------------------------------------
@@ -155,8 +187,10 @@ class TestSnapshotFiles:
         payload = self._payload(views)
         path = save_snapshot(tmp_path / "snap.json", payload)
         document = load_snapshot(path)
-        assert document["format"] == "repro.snapshot/2"
-        assert document["payload"] == json.loads(json.dumps(payload))
+        assert document["format"] == "repro.snapshot/3"
+        written = dict(document["payload"])
+        assert written.pop("delta")["of"] is None  # a lone full base
+        assert written == json.loads(json.dumps(payload))
         assert not list(tmp_path.glob(".*tmp*")), "temp file left behind"
 
     def test_v1_documents_still_restore(self, views, tmp_path):
@@ -172,11 +206,7 @@ class TestSnapshotFiles:
             "metrics": {"decisions": service.decisions.value},
         }
         path = tmp_path / "snapshot-00000001.json"
-        save_snapshot(path, v1_payload)
-        # Rewrite the header to the v1 format stamp (save writes v2).
-        document = json.loads(path.read_text())
-        document["format"] = "repro.snapshot/1"
-        path.write_text(json.dumps(document, sort_keys=True))
+        _hand_written(path, "repro.snapshot/1", v1_payload)
 
         loaded = load_snapshot(path)
         assert loaded["format"] == "repro.snapshot/1"
@@ -188,36 +218,43 @@ class TestSnapshotFiles:
         assert _wire(
             [service.submit(p, q) for p, q in after]
         ) == _wire([restored.submit(p, q) for p, q in after])
-        # collect_state normalizes v1 files exactly like v2 ones.
+        # collect_state normalizes v1 files exactly like v3 ones.
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
 
-    def test_v2_payload_dedupes_tables(self, views):
-        """The ID-plane payload stores each policy, canonical key, and
-        packed label once, however many sessions or cache entries
-        reference it — and is smaller than the v1 encoding on the same
-        state."""
+    def test_v2_payload_dedupes_tables(self, views, tmp_path):
+        """A v2 document stores each policy, canonical key, and packed
+        label once, however many sessions or cache entries reference
+        it — and is smaller than the v1 document on the same state."""
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(3, 200):
             service.submit(principal, query)
-        payload = snapshot_service(service)
-        interning = payload["interning"]
         entries = service.export_label_cache()
+        payload = snapshot_service(service)  # v2's section encodings
+        v2_path, v1_path = tmp_path / "v2.json", tmp_path / "v1.json"
+        _hand_written(v2_path, "repro.snapshot/2", payload)
+        _hand_written(
+            v1_path,
+            "repro.snapshot/1",
+            {
+                "sessions": service.export_state(),
+                "label_cache": encode_cache_entries(entries),
+                "metrics": payload["metrics"],
+            },
+        )
+        loaded = load_snapshot(v2_path)
+        assert loaded["format"] == "repro.snapshot/2"
+        interning = loaded["payload"]["interning"]
         assert len(interning["cache"]) == len(entries)
         distinct_labels = {tuple(label) for _, label in entries}
         assert len(interning["labels"]) == len(distinct_labels)
         assert len(distinct_labels) < len(entries)  # labels are shared
-        v1_bytes = len(
-            json.dumps(
-                {
-                    "sessions": service.export_state(),
-                    "label_cache": encode_cache_entries(entries),
-                    "metrics": payload["metrics"],
-                }
-            )
+        assert v2_path.stat().st_size < v1_path.stat().st_size
+        restored = DisclosureService(views)
+        stats = restore_service(restored, loaded["payload"])
+        assert (stats.sessions, stats.cache_entries) == (
+            PRINCIPALS, len(entries)
         )
-        v2_bytes = len(json.dumps(payload))
-        assert v2_bytes < v1_bytes
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
@@ -267,29 +304,50 @@ class TestSnapshotFiles:
         assert summary["decisions"] == 100
 
 
-class TestSnapshotStore:
-    def test_sequencing_and_pruning(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=2)
+class TestStateDirectory:
+    """The one writer's directory rules, for payload-fed bases (pooled
+    serving, ``snapshot save``) as for a service's own chain."""
+
+    def _payload(self, views, principals: int):
+        service = DisclosureService(views)
+        policy = [["friends_photo"]]
+        for index in range(principals):
+            service.register(f"app-{index}", policy)
+        return snapshot_service(service)
+
+    def test_sequencing_and_pruning(self, views, tmp_path):
+        """Every full base removes the files older than the base before
+        it; a fresh writer finds that base by reading the directory."""
+        writer = SnapshotChain(None, tmp_path)
         for n in range(5):
-            store.save({"n": n})
-        names = [path.name for path in store.paths()]
+            writer.save(self._payload(views, n + 1))
+        names = sorted(path.name for path in tmp_path.iterdir())
         assert names == ["snapshot-00000004.json", "snapshot-00000005.json"]
-        _, document = store.load_latest()
-        assert document["payload"] == {"n": 4}
+        assert len(collect_state(tmp_path).sessions) == 5
+        SnapshotChain(None, tmp_path).save(self._payload(views, 6))
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["snapshot-00000005.json", "snapshot-00000006.json"]
+        assert _formats(tmp_path) == {"repro.snapshot/3"}
 
-    def test_falls_back_past_a_corrupt_newest(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=4)
-        store.save({"n": 0})
-        newest = store.save({"n": 1})
+    def test_falls_back_past_a_corrupt_newest(self, views, tmp_path):
+        writer = SnapshotChain(None, tmp_path)
+        writer.save(self._payload(views, 1))
+        newest = writer.save(self._payload(views, 2))
         newest.write_text(newest.read_text()[:20])  # simulate torn disk
-        path, document = store.load_latest()
-        assert path.name == "snapshot-00000001.json"
-        assert document["payload"] == {"n": 0}
+        collected = collect_state(tmp_path)
+        assert [path.name for path in collected.sources] == [
+            "snapshot-00000001.json"
+        ]
+        assert set(collected.sessions) == {"app-0"}
+        assert [path for path, _ in collected.skipped] == [newest]
 
-    def test_empty_store(self, tmp_path):
-        assert SnapshotStore(tmp_path).load_latest() is None
+    def test_empty_directory(self, tmp_path):
         assert collect_state(tmp_path) is None
         assert collect_state(tmp_path / "never-created") is None
+
+    def test_a_service_chain_without_a_service_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="payloads only"):
+            SnapshotChain(None, tmp_path).save()
 
 
 # ----------------------------------------------------------------------
@@ -307,11 +365,10 @@ class TestRestartEquivalence:
 
     def test_single_process_restart_is_byte_identical(self, views, tmp_path):
         policies, reference, before = self._warm_pair(views)
-        store = SnapshotStore(tmp_path)
-        store.save(snapshot_service(reference))
+        path = SnapshotChain(reference, tmp_path).save()
 
         restarted = DisclosureService(views)  # "kill": a fresh process
-        _, document = store.load_latest()
+        document = load_snapshot(path)
         stats = restore_service(restarted, document["payload"])
         assert stats.sessions == PRINCIPALS
 
@@ -370,13 +427,13 @@ class TestCollectState:
     def test_newest_file_wins_for_a_duplicated_principal(self, views, tmp_path):
         policies = _policies(views)
         older = _registered_service(views, policies)
-        store = SnapshotStore(tmp_path)
-        store.save(snapshot_service(older))
+        writer = SnapshotChain(None, tmp_path)
+        writer.save(snapshot_service(older))
 
         newer = _registered_service(views, policies)
         for principal, query in _traffic(5, 150):
             newer.submit(principal, query)  # narrows some live bits
-        store.save(snapshot_service(newer))
+        writer.save(snapshot_service(newer))
 
         collected = collect_state(tmp_path)
         restored = DisclosureService(views)
@@ -392,10 +449,10 @@ class TestCollectState:
         purpose (unregister, or an ephemeral session dropped fresh) —
         older generations must not resurrect it."""
         service = _registered_service(views, _policies(views))
-        store = SnapshotStore(tmp_path)
-        store.save(snapshot_service(service))  # generation 1: everyone
+        writer = SnapshotChain(None, tmp_path)
+        writer.save(snapshot_service(service))  # generation 1: everyone
         service.unregister("app-0")
-        store.save(snapshot_service(service))  # generation 2: app-0 gone
+        writer.save(snapshot_service(service))  # generation 2: app-0 gone
         collected = collect_state(tmp_path)
         assert "app-0" not in collected.sessions
         assert len(collected.sessions) == PRINCIPALS - 1
@@ -409,10 +466,10 @@ class TestCollectState:
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(6, 100):
             service.submit(principal, query)
-        store = SnapshotStore(tmp_path)
-        store.save(snapshot_service(service))  # old: warm cache
+        writer = SnapshotChain(None, tmp_path)
+        writer.save(snapshot_service(service))  # old: warm cache
         empty = _registered_service(views, _policies(views))
-        store.save(snapshot_service(empty))  # new: cold cache
+        writer.save(snapshot_service(empty))  # new: cold cache
         collected = collect_state(tmp_path)
         assert len(collected.cache_entries) == len(
             service.export_label_cache()
@@ -420,7 +477,7 @@ class TestCollectState:
 
     def test_corrupt_files_are_skipped_and_reported(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        SnapshotStore(tmp_path).save(snapshot_service(service))
+        SnapshotChain(service, tmp_path).save()
         bad = tmp_path / "snapshot-00000002.json"
         bad.write_text("{not json")
         collected = collect_state(tmp_path)
@@ -450,21 +507,20 @@ class TestCollectState:
 class TestSnapshotter:
     def test_run_once_writes_through(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        store = SnapshotStore(tmp_path)
         snapshotter = Snapshotter(
-            lambda: store.save(snapshot_service(service)), interval=3600
+            SnapshotChain(service, tmp_path).save, interval=3600
         )
         assert snapshotter.run_once()
         assert snapshotter.snapshots_taken == 1
-        assert store.load_latest() is not None
+        assert collect_state(tmp_path) is not None
 
     def test_interval_thread_snapshots_and_stops(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        store = SnapshotStore(tmp_path)
+        chain = SnapshotChain(service, tmp_path)
         taken = threading.Event()
 
         def snap():
-            store.save(snapshot_service(service))
+            chain.save()
             taken.set()
 
         snapshotter = Snapshotter(snap, interval=0.02).start()
@@ -532,7 +588,13 @@ class TestPooledRestart:
             want = [reference.submit(p, q) for p, q in traffic]
             for g, w in zip(got, want):
                 assert (g.accepted, g.live_after) == (w.accepted, w.live_after)
-            assert save_pool_snapshot(tmp_path, pool.snapshot_payloads())
+            # The writer ``serve --replicas N --state-dir`` runs: the
+            # replica payloads merge with the parent's counters into one
+            # full base of the directory's chain.
+            path = SnapshotChain(parent, tmp_path).save(
+                pool.merged_snapshot(pool.snapshot_payloads())
+            )
+            assert load_snapshot(path)["format"] == "repro.snapshot/3"
         finally:
             pool.close()
             parent.close()
@@ -804,12 +866,135 @@ class TestSnapshotChain:
 
     def test_v2_snapshots_still_restore(self, views, tmp_path):
         """The pre-chain format keeps loading: a v2 sequence file is a
-        valid chain base of length one."""
+        valid chain base of length one, and a chain written after it
+        extends the directory."""
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(51, 60):
             service.submit(principal, query)
-        SnapshotStore(tmp_path).save(snapshot_service(service))
+        _hand_written(
+            tmp_path / "snapshot-00000001.json",
+            "repro.snapshot/2",
+            snapshot_service(service),
+        )
         document = load_snapshot(next(tmp_path.iterdir()))
         assert document["format"] == "repro.snapshot/2"
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
+        assert len(collected.cache_entries) == len(
+            service.export_label_cache()
+        )
+        service.unregister("app-0")
+        path = SnapshotChain(service, tmp_path).save()
+        assert path.name == "snapshot-00000002.json"
+        assert set(collect_state(tmp_path).sessions) == {
+            f"app-{i}" for i in range(1, PRINCIPALS)
+        }
+
+
+# ----------------------------------------------------------------------
+# Served state directories: ``serve --state-dir``, pooled or not
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _serving(log_path, *args):
+    """``python -m repro serve --port 0 ARGS`` in a subprocess; yields
+    its URL, then stops it with SIGINT, which takes the final snapshot."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+        PYTHONUNBUFFERED="1",
+    )
+    with open(log_path, "w+") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+        try:
+            url = None
+            for _ in range(300):
+                log.seek(0)
+                found = re.search(r"http://[0-9.]+:[0-9]+", log.read())
+                if found:
+                    url = found.group(0)
+                    break
+                time.sleep(0.1)
+            assert url, "server did not start"
+            yield url
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                raise
+    assert server.returncode == 0, Path(log_path).read_text()
+
+
+def _cli(*argv):
+    from repro.__main__ import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+SERVED = [["user_birthday", "public_profile"], ["user_likes"]]
+BIRTHDAY = ("SELECT birthday FROM user WHERE uid = me()", "fql", 3)
+
+
+@pytest.mark.parametrize("replicas", [1, 2], ids=["unpooled", "pooled"])
+class TestServedStateDirectory:
+    def _decide(self, url, count: int) -> None:
+        from repro.client import HttpClient, parse_text
+
+        client = HttpClient(url, timeout=10)
+        try:
+            for index in range(4):
+                client.register(f"app-{index}", SERVED)
+            query = parse_text(*BIRTHDAY)
+            rows = client.submit_many(
+                [(f"app-{index % 4}", query) for index in range(count)]
+            )
+            assert [row for row in rows if "error" in row] == []
+        finally:
+            client.close()
+
+    def test_every_file_written_is_v3(self, tmp_path, replicas):
+        """Serving (periodic and shutdown snapshots), ``snapshot save``
+        to a directory and to a file, and ``snapshot compact`` all
+        write ``repro.snapshot/3`` through the one writer."""
+        state, saved, out = tmp_path / "state", tmp_path / "saved", tmp_path / "out.json"
+        with _serving(
+            tmp_path / "serve.log", "--replicas", str(replicas),
+            "--state-dir", str(state), "--snapshot-interval", "0.05",
+        ) as url:
+            self._decide(url, 20)
+            time.sleep(0.3)  # periodic snapshots over the traffic
+            assert _cli("snapshot", "save", "--url", url, "--state-dir", str(saved)) == 0
+            assert _cli("snapshot", "save", "--url", url, "--out", str(out)) == 0
+        assert len(list(state.glob("snapshot-*.json"))) >= 2
+        assert _formats(state) == _formats(saved) == {"repro.snapshot/3"}
+        assert load_snapshot(out)["format"] == "repro.snapshot/3"
+        assert inspect_snapshot(out).sessions == 4
+        assert _cli("snapshot", "compact", "--state-dir", str(state)) == 0
+        assert _formats(state) == {"repro.snapshot/3"}
+        assert len(collect_state(state).sessions) == 4
+
+    def test_warm_restart_keeps_the_decision_counters(self, tmp_path, replicas):
+        """The restored counters keep counting, pooled or not: ``/metrics``
+        after a restart reads the history plus the new decisions, and
+        the next snapshot carries that sum, counted once."""
+        from repro.client import HttpClient
+
+        state = tmp_path / "state"
+        argv = ("--replicas", str(replicas), "--state-dir", str(state))
+        with _serving(tmp_path / "first.log", *argv) as url:
+            self._decide(url, 30)
+        assert collect_state(state).metrics["decisions"] == 30
+        with _serving(tmp_path / "second.log", *argv) as url:
+            client = HttpClient(url, timeout=10)
+            assert client.metrics()["decisions"] == 30
+            self._decide(url, 5)
+            metrics = client.metrics()
+            assert (metrics["decisions"], metrics["latency"]["count"]) == (35, 35)
+            assert client.snapshot()["metrics"]["decisions"] == 35
+            client.close()
+        assert collect_state(state).metrics["decisions"] == 35

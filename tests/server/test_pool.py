@@ -174,13 +174,16 @@ class TestInlineRoutes:
         self, deployment, views, schema
     ):
         local, _, pool = deployment
+        from repro.server.persist import payload_sessions, restore_service
+
         status, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
         assert status == 200
-        sessions = merged["sessions"]["sessions"]
+        sessions = payload_sessions(merged)
         assert set(PRINCIPALS) <= set(sessions)
         restored = DisclosureService(views, schema=schema)
         try:
-            assert restored.import_state(merged["sessions"]) == len(sessions)
+            stats = restore_service(restored, merged)
+            assert stats.sessions == len(sessions)
             (_, query), = _traffic(10, 1)
             want = pool.decide([("bob", query, None)], update=False)
             got = decide_wire_items(
@@ -200,7 +203,7 @@ class TestInlineRoutes:
         async def no_replica_answered(loop):
             return []
 
-        monkeypatch.setattr(pool, "_snapshot_payloads", no_replica_answered)
+        monkeypatch.setattr(pool, "snapshot_payloads_async", no_replica_answered)
         status, payload = pool.dispatch_inline(
             "GET", "/internal/snapshot", None
         )
@@ -418,8 +421,10 @@ class TestDerivedMirror:
             for w, g in zip(want, got):
                 _assert_same_decision(w, g)
         assert {pool.owner_of(p) for p, _ in submits} == set(range(REPLICAS))
+        from repro.server.persist import payload_sessions
+
         _, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
-        replicas = merged["sessions"]["sessions"]
+        replicas = payload_sessions(merged)
         mirror = parent.export_state()["sessions"]
         assert set(mirror) == set(self.REGISTERED) | {"anon-a", "anon-b"}
         for principal, state in mirror.items():

@@ -292,14 +292,20 @@ class TestServedLifecycle:
                 protocol.connection_made(_NullTransport())
                 request = _Request(protocol, False)
                 server.accept(method, path, json.dumps(body).encode(), request)
-                answer = await server.inline("GET", "/healthz")
-                return request.done(), answer
+                seen = []
+
+                async def operation(loop):
+                    seen.append((request.done(), loop is asyncio.get_running_loop()))
+                    return "ran"
+
+                answer = await server.in_drain(operation)
+                return seen, answer
             finally:
                 await server.stop()
 
-        batch_answered, (status, payload) = asyncio.run(main())
-        assert batch_answered
-        assert (status, payload) == (200, {"ok": True})
+        seen, answer = asyncio.run(main())
+        assert seen == [(True, True)]  # the batch before it was answered first
+        assert answer == (200, "ran")
 
     def test_stop_lets_the_drain_in_progress_finish(self, views, schema):
         service = _registered(views, schema)

@@ -247,6 +247,31 @@ class TestMetricsRoutes:
         assert decision.live_before == 1
 
 
+    def test_internal_snapshot_has_one_shape_pooled_or_not(self, server):
+        """A pooled front end answers the merged payload in the very
+        shape and sections of a single process's :func:`snapshot_service`
+        — the one form every snapshot file is written from."""
+        from repro.core.formats import SESSIONS_FORMAT_V2
+
+        _call(server, "/v1/register", {"principal": "app", "policy": CHINESE_WALL})
+        _call(server, "/v1/query", {
+            "principal": "app",
+            "fql": "SELECT birthday FROM user WHERE uid = me()",
+        })
+        status, payload = _call(server, "/internal/snapshot")
+        assert status == 200
+        assert sorted(payload) == ["interning", "metrics", "sessions"]
+        assert sorted(payload["interning"]) == ["cache", "labels", "queries"]
+        assert sorted(payload["metrics"]) == [
+            "accepted", "decisions", "latency", "peeks", "refused"
+        ]
+        assert {
+            name: section.get("format") for name, section in payload.items()
+        } == {"sessions": SESSIONS_FORMAT_V2, "interning": None, "metrics": None}
+        assert sorted(payload["sessions"]["sessions"]) == ["app"]
+        assert payload["metrics"]["decisions"] == 1
+
+
 class TestErrorHandling:
     def test_unknown_route(self, server):
         status, body = _call(server, "/v1/nope", {"principal": "x"})
