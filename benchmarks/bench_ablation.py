@@ -6,8 +6,10 @@ implementation decision in *our* system:
 1. **whole-atom bitset matching** (``labeling/fastcheck.py``: sign the
    atom once, then one compiled test per view) vs the structural
    rewritability checker, for ℓ+ mask computation;
-2. **folding pre-checks** (``core/minimize.py``): the cheap
-   necessary-condition filters before each homomorphism search;
+2. **folding pre-checks** (``core/minimize.py``): the brute-force
+   search, the pin fixpoint on the Term body before each search, and
+   the same fixpoint on the canonical key's codes that the bit-vector
+   labeler runs (the Term search only when it leaves an atom free);
 3. **GLB antichain pruning** (``labeling/glb.py``): maximal-antichain
    reduction of pairwise GenMGU results vs keeping raw unions.
 
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.canonical import canonical_key
 from repro.core.dissect import dissect
-from repro.core.minimize import fold
+from repro.core.minimize import fold, pin_fixpoint
 from repro.core.rewriting import is_rewritable
 from repro.facebook.workload import WorkloadGenerator
 from repro.labeling.fastcheck import CompiledView, sign, tagged_codes
@@ -77,7 +80,7 @@ class TestRewritabilityCheckAblation:
             for relation, codes, promoted in coded:
                 signature = sign(codes, promoted)
                 for view in compiled.get(relation, ()):
-                    if view.matches(signature):
+                    if view.matches(*signature):
                         hits += 1
             return hits
 
@@ -90,9 +93,24 @@ class TestRewritabilityCheckAblation:
         for atom in atoms:
             signature = sign(*tagged_codes(atom))
             for _, view in security_views.for_relation(atom.relation):
-                assert CompiledView(view).matches(signature) == is_rewritable(
+                assert CompiledView(view).matches(*signature) == is_rewritable(
                     atom, view
                 ), (atom, view)
+
+
+def fold_by_key(query):
+    """The labeler's fold: pin on the key's codes, search only if needed."""
+    head, atoms = canonical_key(query)
+    if pin_fixpoint(atoms, set(head), int):
+        return fold(query)
+    return query
+
+
+FOLD_ARMS = {
+    "brute-force": lambda query: fold(query, prechecks=False),
+    "term-pin": fold,
+    "key-pin": fold_by_key,
+}
 
 
 class TestFoldPrecheckAblation:
@@ -102,18 +120,22 @@ class TestFoldPrecheckAblation:
             WorkloadGenerator(schema, max_subqueries=4, seed=9).stream(BATCH)
         )
 
-    @pytest.mark.parametrize("prechecks", (True, False), ids=["on", "off"])
-    def test_fold(self, benchmark, queries, prechecks):
+    @pytest.mark.parametrize("arm", sorted(FOLD_ARMS))
+    def test_fold(self, benchmark, queries, arm):
+        fold_arm = FOLD_ARMS[arm]
+
         def run():
             for query in queries:
-                fold(query, prechecks=prechecks)
+                fold_arm(query)
 
         benchmark(run)
-        benchmark.extra_info["ablation"] = f"fold prechecks {prechecks}"
+        benchmark.extra_info["ablation"] = f"fold {arm}"
 
     def test_prechecks_preserve_results(self, queries):
         for query in queries:
-            assert fold(query, prechecks=True) == fold(query, prechecks=False)
+            expected = fold(query, prechecks=False)
+            for arm, fold_arm in FOLD_ARMS.items():
+                assert fold_arm(query) == expected, (arm, query)
 
 
 class TestGlbPruneAblation:

@@ -16,12 +16,20 @@ case (Section 6.1, "Complexity Analysis").
 
 from __future__ import annotations
 
-from typing import AbstractSet, List, Sequence, Set
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core.atoms import Atom
-from repro.core.homomorphism import find_body_homomorphism, find_homomorphism
+from repro.core.homomorphism import (
+    Homomorphism,
+    find_body_homomorphism,
+    find_homomorphism,
+)
 from repro.core.queries import ConjunctiveQuery
-from repro.core.terms import Variable, is_variable
+from repro.core.terms import Term, Variable, is_variable
+
+#: A term of either representation the pin rule runs on: a
+#: :class:`~repro.core.terms.Variable` or a canonical-key ``int`` code.
+V = TypeVar("V")
 
 
 def fold(query: ConjunctiveQuery, prechecks: bool = True) -> ConjunctiveQuery:
@@ -54,22 +62,31 @@ def fold_body(
     """The core's body, for a query with body *body* and head *head_vars*.
 
     Pin before searching.  Let ``h`` be any head-fixing homomorphism from
-    the body into a sub-body, and ``F`` a set of variables ``h`` is known
-    to fix (at first, the head variables).  ``h`` sends an atom ``a``
-    onto an atom that is :func:`_compatible` with it under ``F``; if no
-    *other* atom is, then ``h(a) = a``: ``a`` cannot be deleted, and ``h``
-    fixes ``a``'s variables, which join ``F`` — possibly pinning the next
-    atom of a join chain, so the propagation runs to a fixpoint.  Pins
-    survive deletions (a smaller body offers fewer partners), so ``F``
-    carries over from round to round.  Only unpinned atoms are offered
-    for deletion, and each search runs on atom tuples with identity on
-    ``F`` as its seed: a safe candidate needs no separate check, since the
-    sole atom holding a head variable is pinned.
+    the body into a sub-body, and ``F`` a set of terms ``h`` is known to
+    fix (at first, the head variables; constants are fixed anyway).
+    ``h`` sends an atom ``a`` onto an atom that is :func:`_compatible`
+    with it under ``F``; if no *other* atom is, then ``h(a) = a``: ``a``
+    cannot be deleted, and ``h`` fixes ``a``'s terms, which join ``F`` —
+    possibly pinning the next atom of a join chain, so the propagation
+    runs to a fixpoint.  Pins survive deletions (a smaller body offers
+    fewer partners), so ``F`` carries over from round to round.  Only
+    unpinned atoms are offered for deletion, and each search runs on atom
+    tuples with identity on ``F`` as its seed: a safe candidate needs no
+    separate check, since the sole atom holding a head variable is
+    pinned.
+
+    The pin rule is written once, :func:`pin_fixpoint`, over
+    ``(relation, terms)`` pairs with the variable type as a parameter:
+    this function runs it on :class:`Variable` terms, and the bit-vector
+    labeler runs it on a canonical key's ``int`` codes, calling this
+    function only when an atom stays free.
     """
-    fixed: Set[Variable] = set(head_vars)
+    fixed: Set[Term] = set(head_vars)
     while True:
         free = _unpinned(body, fixed)
-        seed = {var: var for var in fixed} if free else None
+        seed: Optional[Homomorphism] = (
+            {var: var for var in fixed if isinstance(var, Variable)} if free else None
+        )
         for i in free:
             candidate = (*body[:i], *body[i + 1 :])
             if find_body_homomorphism(body, candidate, seed) is not None:
@@ -79,19 +96,47 @@ def fold_body(
             return body
 
 
-def _unpinned(body: Sequence[Atom], fixed: Set[Variable]) -> List[int]:
+def _unpinned(body: Sequence[Atom], fixed: Set[Term]) -> List[int]:
     """Indices of the atoms a folding may move; grows *fixed* in place."""
-    free = list(range(len(body)))
+    return pin_fixpoint([(atom.relation, atom.terms) for atom in body], fixed, Variable)
+
+
+def pin_fixpoint(
+    atoms: Sequence[Tuple[str, Sequence[V]]], fixed: Set[V], var_type: type
+) -> List[int]:
+    """Indices of the ``(relation, terms)`` *atoms* a folding may move.
+
+    The pin rule of :func:`fold_body`, over either term representation:
+    a term is a variable iff it is a *var_type* (:class:`Variable`, or
+    ``int`` for a canonical key's codes).  *fixed* starts as the head's
+    variables and grows in place by the terms of each pinned atom (its
+    constants too, which every homomorphism fixes anyway).  Only atoms
+    over one relation can be :func:`_compatible`, so an atom whose
+    relation occurs once pins at once, and the fixpoint compares an atom
+    only with the rest of its relation's group.  The result does not
+    depend on the order atoms pin in: pinning only grows *fixed*, and a
+    larger *fixed* only pins more.
+    """
+    groups: Dict[str, List[int]] = {}
+    for index, (relation, _) in enumerate(atoms):
+        groups.setdefault(relation, []).append(index)
+    free: List[int] = []
+    for indices in groups.values():
+        if len(indices) == 1:
+            fixed.update(atoms[indices[0]][1])
+        else:
+            free.extend(indices)
+    free.sort()
     pinned_one = True
     while pinned_one and free:
         pinned_one = False
         for i in tuple(free):
-            atom = body[i]
-            for j, other in enumerate(body):
-                if j != i and _compatible(atom, other, fixed):
+            relation, terms = atoms[i]
+            for j in groups[relation]:
+                if j != i and _compatible(terms, atoms[j][1], fixed, var_type):
                     break
             else:
-                fixed.update(atom.variable_set())
+                fixed.update(terms)
                 free.remove(i)
                 pinned_one = True
     return free
@@ -126,20 +171,18 @@ def is_minimal(query: ConjunctiveQuery) -> bool:
     return fold(query) is query
 
 
-def _compatible(source, target, fixed) -> bool:
-    """Could a homomorphism that fixes *fixed* send *source* onto *target*?
+def _compatible(source, target, fixed, var_type) -> bool:
+    """Could a homomorphism that fixes *fixed* send the atom with terms
+    *source* onto the atom with terms *target* (same relation)?
 
-    Necessary conditions only: same relation/arity, equal constants, and
-    identical fixed variables position by position (a homomorphism maps
-    constants and fixed variables to themselves).
+    Necessary conditions only: equal arity, and where the terms differ,
+    a *source* term that is neither a constant nor in *fixed* (a
+    homomorphism maps constants and fixed variables to themselves).
     """
-    if source.relation != target.relation or source.arity != target.arity:
+    if len(source) != len(target):
         return False
-    for s, t in zip(source.terms, target.terms):
-        if is_variable(s):
-            if s in fixed and s != t:
-                return False
-        elif s != t:
+    for s, t in zip(source, target):
+        if s != t and (s in fixed or not isinstance(s, var_type)):
             return False
     return True
 

@@ -17,6 +17,13 @@ reads it once into
   nowhere else in the atom;
 * ``hidden`` — the positions holding any existential variable.
 
+When the caller knows that no term of the atom occupies two positions
+(the labeler learns it from its promotion walk, for free), ``sign``
+builds no ``masks`` (``None``) and ``once`` is ``hidden``: every class
+of such an atom is a single position, so a view's multi-position class
+cannot match it.  :func:`dissected_form` is the atom's tagged form as a
+tuple, which the labeler builds only to dedupe atoms that pack alike.
+
 Each security view ``V'`` over an ``n``-ary relation is precompiled
 (:class:`CompiledView`) to its arity, its ``(position, constant code)``
 checks, one mask of its single-position existential classes, and only its
@@ -43,36 +50,73 @@ view of its relation.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Set, Tuple
+from typing import AbstractSet, Dict, Optional, Set, Tuple
 
 from repro.core.canonical import constant_code
 from repro.core.tagged import EXISTENTIAL, TaggedAtom, TaggedVar
 
-#: A signed atom: ``(codes, masks, once, hidden, constants)``, where
-#: *constants* holds the ``(mask, code)`` pair of each constant term in
-#: first-occurrence order.  With the order of *masks*' values and
-#: *hidden* it determines the tagged atom the codes dissect to.
-Signature = Tuple[tuple, Dict[object, int], int, int, tuple]
+#: A signed atom: ``(codes, masks, once, hidden)`` — exactly what
+#: :meth:`CompiledView.matches` reads.  *masks* is ``None`` when no term
+#: occupies two positions.
+Signature = Tuple[tuple, Optional[Dict[object, int]], int, int]
+
+#: ``_BITS[i]`` is the mask of position ``i``.
+_BITS = tuple(1 << position for position in range(64))
 
 
-def sign(codes: tuple, promoted: AbstractSet[object]) -> Signature:
-    """Sign the atom with term *codes*; *promoted* codes are distinguished."""
+def sign(
+    codes: tuple, promoted: AbstractSet[object], repeats: bool = True
+) -> Signature:
+    """Sign the atom with term *codes*; *promoted* codes are distinguished.
+
+    ``repeats=False`` is the caller's promise that no term occupies two
+    positions: then ``once`` is ``hidden`` and no ``masks`` are built.
+    """
+    if not repeats and len(codes) <= len(_BITS):
+        hidden = 0
+        for bit, code in zip(_BITS, codes):
+            if code.__class__ is int and code not in promoted:
+                hidden |= bit
+        return codes, None, hidden, hidden
+    masks = _position_masks(codes)
+    once = hidden = 0
+    for code, mask in masks.items():
+        if code.__class__ is int and code not in promoted:
+            hidden |= mask
+            if not mask & (mask - 1):
+                once |= mask
+    return codes, masks, once, hidden
+
+
+def dissected_form(
+    codes: tuple, promoted: AbstractSet[object], repeats: bool = True
+) -> tuple:
+    """Equal for two atoms of one relation iff they dissect to equal
+    tagged atoms.
+
+    Per term in first-occurrence order: its positions, and either its
+    constant code or whether it is promoted.  ``repeats=False`` is
+    :func:`sign`'s promise; the form is then one entry per position.
+    """
+    if not repeats:
+        return tuple(
+            code in promoted if code.__class__ is int else code for code in codes
+        )
+    return tuple(
+        (mask, code in promoted if code.__class__ is int else code)
+        for code, mask in _position_masks(codes).items()
+    )
+
+
+def _position_masks(codes: tuple) -> Dict[object, int]:
+    """Term code → bitmask of the positions holding it."""
     masks: Dict[object, int] = {}
     get = masks.get
     bit = 1
     for code in codes:
         masks[code] = get(code, 0) | bit
         bit <<= 1
-    once = hidden = 0
-    constants: tuple = ()
-    for code, mask in masks.items():
-        if code.__class__ is not int:
-            constants += ((mask, code),)
-        elif code not in promoted:
-            hidden |= mask
-            if not mask & (mask - 1):
-                once |= mask
-    return codes, masks, once, hidden, constants
+    return masks
 
 
 def tagged_codes(atom: TaggedAtom) -> Tuple[tuple, Set[int]]:
@@ -123,18 +167,28 @@ class CompiledView:
         self.hidden_classes: Tuple[Tuple[int, int], ...] = tuple(hidden_classes)
         self.visible_classes: Tuple[Tuple[int, int], ...] = tuple(visible_classes)
 
-    def matches(self, signature: Signature) -> bool:
-        """Is the signed atom equivalently rewritable from this view?
+    def matches(
+        self,
+        codes: tuple,
+        masks: Optional[Dict[object, int]],
+        once: int,
+        hidden: int,
+    ) -> bool:
+        """Is the signed atom (:func:`sign`'s four fields) equivalently
+        rewritable from this view?
 
         Assumes the caller already matched the relation name (the
         bit-vector labeler partitions views by relation).
         """
-        codes, masks, once, hidden, _ = signature
         if len(codes) != self.arity or self.single & ~once:
             return False
         for position, code in self.constants:
             if codes[position] != code:
                 return False
+        if masks is None:
+            # One position per term: no class of the atom covers a
+            # multi-position class of the view.
+            return not (self.hidden_classes or self.visible_classes)
         for position, mask in self.hidden_classes:
             if masks[codes[position]] != mask or not (hidden >> position) & 1:
                 return False

@@ -14,15 +14,20 @@ labeling algorithm":
 3. **bit vectors + hashing** — the Section 6.1 representation change:
    "computing the GLB is completely unnecessary.  Instead, we compute
    ℓ+({V})" — the set of determining views as a packed bit mask.  This
-   variant dissects on the query's canonical key rather than through
-   :func:`~repro.core.dissect.dissect`: the same fold picks the core's
-   atoms, their term codes come from
-   :func:`~repro.core.canonical.canonical_key` (memoized on the query),
-   join-variable promotion (dissect's own rule,
-   :func:`~repro.core.dissect.promoted_terms`) and the dedupe of atoms
-   that dissect alike run on those integer codes, and each kept atom is
-   signed once into whole-atom bitsets tested against pre-compiled views
-   (:mod:`repro.labeling.fastcheck`).  No tagged atom is built.
+   variant dissects on the query's canonical key
+   (:func:`~repro.core.canonical.canonical_key`, memoized on the query)
+   rather than through :func:`~repro.core.dissect.dissect`, from start
+   to finish.  The fold's pin rule
+   (:func:`~repro.core.minimize.pin_fixpoint`) runs on the key's integer
+   codes; only when it leaves an atom free does the Term-level search
+   (:func:`~repro.core.minimize.fold_body`) pick the core's atoms.  One
+   walk over the key promotes join variables (dissect's own rule) and
+   notes whether any atom repeats a term; one pass over the kept atoms
+   then signs each into whole-atom bitsets and tests them against
+   pre-compiled views (:mod:`repro.labeling.fastcheck`).  Atoms that
+   dissect alike pack alike, so dissect's dedupe builds its keys only
+   when a relation repeats and two packed labels are equal.  No tagged
+   atom is built, and nothing outlives the call.
 
 The three produce *equivalent* labels in different representations — the
 GLB view-set of (1)/(2) discloses exactly what the ℓ+ mask of (3)
@@ -37,13 +42,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.canonical import canonical_key
 from repro.core.dissect import dissect, promoted_terms
-from repro.core.minimize import fold_body
+from repro.core.minimize import fold_body, pin_fixpoint
 from repro.core.queries import ConjunctiveQuery
 from repro.core.rewriting import is_rewritable
 from repro.core.tagged import TaggedAtom
 from repro.labeling.bitvector import BitVectorRegistry, PackedLabel
 from repro.labeling.cq_labeler import SecurityViews
-from repro.labeling.fastcheck import CompiledView, sign
+from repro.labeling.fastcheck import CompiledView, dissected_form, sign
 from repro.labeling.glb import glb_view_sets
 
 #: The ⊤ label: some dissected atom is determined by no security view.
@@ -116,51 +121,67 @@ class BitVectorLabeler:
 
     def __init__(self, security_views: SecurityViews):
         self.registry = BitVectorRegistry(security_views)
-        # Per relation, (view mask bit, compiled view) for the hot loop.
-        self._views_by_relation: Dict[str, List[Tuple[int, CompiledView]]] = {
-            rel: [
-                (1 << self.registry.view_bits[name], CompiledView(view))
-                for name, view in security_views.for_relation(rel)
-            ]
-            for rel in security_views.relations()
+        relation_ids = self.registry.relation_ids
+        # Per relation: its id and its (view mask bit, compiled view)
+        # pairs, for the hot loop.
+        self._relations: Dict[str, tuple] = {
+            relation: (
+                relation_ids[relation],
+                tuple(
+                    (1 << self.registry.view_bits[name], CompiledView(view))
+                    for name, view in security_views.for_relation(relation)
+                ),
+            )
+            for relation in security_views.relations()
         }
-        self._relation_ids = self.registry.relation_ids
+        self._relation_ids = relation_ids
         self._relation_bits = self.registry.layout.relation_bits
 
     def label_query(self, query: ConjunctiveQuery) -> PackedLabel:
-        body = query.body
-        folded = fold_body(body, query.distinguished_variables())
         head, atoms = canonical_key(query)
-        if len(folded) < len(body):
-            # The fold keeps a subsequence of the body's own atoms.
-            kept = []
-            for atom, coded in zip(body, atoms):
-                if atom is folded[len(kept)]:
-                    kept.append(coded)
-                    if len(kept) == len(folded):
-                        break
-            atoms = tuple(kept)
-        promoted = promoted_terms(head, (codes for _, codes in atoms))
+        # One walk: dissect's promotion on the key's codes (a code in
+        # two atoms is a join variable), and whether any atom holds a
+        # code at two positions.
+        promoted = set(head)
+        seen: set = set()
+        repeats = False
+        for _, codes in atoms:
+            joined = seen.intersection(codes)
+            size = len(seen)
+            seen.update(codes)
+            if len(seen) - size + len(joined) < len(codes):
+                repeats = True
+            promoted |= joined
+        # Only atoms over a repeated relation can fold away, or dissect
+        # alike.
+        shared = len(atoms) > 1 and len({r for r, _ in atoms}) < len(atoms)
+        if shared and pin_fixpoint(atoms, set(head), int):
+            atoms = _folded_atoms(query, atoms)
+            promoted = promoted_terms(head, (codes for _, codes in atoms))
+        relations = self._relations
         relation_bits = self._relation_bits
-        out: Dict[tuple, int] = {}
+        packed_atoms: List[int] = []
         for relation, codes in atoms:
-            signature = sign(codes, promoted)
-            _, masks, once, hidden, constants = signature
-            # Two atoms sign alike iff they dissect to equal tagged atoms:
-            # dissect's dedupe, on ints.
-            dedupe = (relation, tuple(masks.values()), once, hidden, constants)
-            if dedupe in out:
+            compiled = relations.get(relation)
+            if compiled is None:
+                packed_atoms.append(0)  # ⊤
                 continue
-            relation_id = self._relation_ids.get(relation)
-            if relation_id is None:
-                out[dedupe] = 0  # ⊤
-                continue
+            relation_id, views = compiled
+            signature = sign(codes, promoted, repeats)
             mask = 0
-            for bit, view in self._views_by_relation[relation]:
-                if view.matches(signature):
+            for bit, view in views:
+                if view.matches(*signature):
                     mask |= bit
-            out[dedupe] = (mask << relation_bits) | relation_id
-        return tuple(sorted(out.values()))
+            packed_atoms.append((mask << relation_bits) | relation_id)
+        if shared and len(set(packed_atoms)) < len(packed_atoms):
+            # Atoms that dissect alike pack alike, so dissect's dedupe
+            # needs their forms only when two packed labels are equal.
+            packed_atoms = list({
+                (relation, dissected_form(codes, promoted, repeats)): packed
+                for (relation, codes), packed in zip(atoms, packed_atoms)
+            }.values())
+        packed_atoms.sort()
+        return tuple(packed_atoms)
 
     def decode(self, label: PackedLabel) -> Tuple[FrozenSet[str], ...]:
         """Expand a packed label back into name sets (for cross-validation)."""
@@ -174,6 +195,26 @@ class BitVectorLabeler:
             relation = id_to_relation[relation_id]
             out.append(self.registry.names_for_mask(relation, mask))
         return tuple(sorted(out, key=sorted))
+
+
+def _folded_atoms(query: ConjunctiveQuery, atoms: tuple) -> tuple:
+    """The key *atoms* of *query*'s core, found by the Term-level search.
+
+    Runs only when the key-level pin fixpoint leaves an atom free.  The
+    fold keeps a subsequence of the body's own atoms, and the key holds
+    one coded atom per body atom, in order.
+    """
+    body = query.body
+    folded = fold_body(body, query.distinguished_variables())
+    if len(folded) == len(body):
+        return atoms
+    kept = []
+    for atom, coded in zip(body, atoms):
+        if atom is folded[len(kept)]:
+            kept.append(coded)
+            if len(kept) == len(folded):
+                break
+    return tuple(kept)
 
 
 #: The labeler variants in benchmark order.

@@ -67,6 +67,20 @@ ITEM_TEXT_ERROR = "batch item needs one of 'sql', 'fql', 'datalog'"
 ITEM_ME_ERROR = "'me' must be an integer uid"
 
 
+def observe_canonicalize(timer, started: float, entries, positions) -> None:
+    """Record a sampled intern loop that began at *started* as the
+    ``canonicalize`` stage, once per entry at *positions* it interned.
+
+    Entries that arrive with a qid (v2, interned by the gateway) were
+    canonicalized before the loop and are not counted.
+    """
+    interned = sum(1 for index in positions if entries[index][2] is None)
+    if interned:
+        timer.observe_many(
+            "canonicalize", (time.perf_counter() - started) / interned, interned
+        )
+
+
 def decide_wire_items(
     service,
     entries: "Sequence[Tuple[Hashable, Optional[ConjunctiveQuery], Optional[int]]]",
@@ -132,6 +146,11 @@ def decide_wire_items(
     qids: List[int] = []
     queries: List[Optional[ConjunctiveQuery]] = []
     intern = plane.queries.intern
+    # One sample decision per batch: it times this intern loop as the
+    # canonicalize stage and resolve_many's label pass.
+    timer = kernel.stage_timer
+    sampled = timer is not None and timer.sample()
+    canonicalize_started = time.perf_counter() if sampled else 0.0
     for index, (principal, query, qid) in enumerate(entries):
         if principal in unknown:
             results[index] = {
@@ -142,12 +161,14 @@ def decide_wire_items(
         positions.append(index)
         qids.append(intern(query) if qid is None else qid)
         queries.append(query)
+    if sampled:
+        observe_canonicalize(timer, canonicalize_started, entries, positions)
     if not positions:
         return results
 
     label_started = time.perf_counter() if timings is not None else 0.0
     plane, group_lids, group_flags = kernel.resolve_many(
-        qids, queries, plane=plane
+        qids, queries, plane=plane, sampled=sampled
     )
     if timings is not None:
         decide_started = time.perf_counter()

@@ -512,6 +512,7 @@ class DecisionKernel:
         queries: Optional[Sequence[ConjunctiveQuery]] = None,
         *,
         plane: Optional[_Plane] = None,
+        sampled: Optional[bool] = None,
     ) -> Tuple[_Plane, List[int], List[bool]]:
         """Bulk resolve of pre-interned qids with batch-local memoization.
 
@@ -532,16 +533,20 @@ class DecisionKernel:
         reports it as a hit.  Decisions are unaffected (labels are
         deterministic); only the flag and the counters can flatter such
         an undersized cache.
+
+        *sampled* is the caller's stage-timer sample decision for this
+        batch (the batch core draws one for its intern loop and this
+        label pass); ``None`` draws one here.
         """
         if plane is None:
             plane = self.resolution_plane()
         total = len(qids)
         timer = self.stage_timer
-        started = (
-            perf_counter()
-            if timer is not None and total and timer.sample()
-            else None
-        )
+        if timer is None or not total:
+            sampled = False
+        elif sampled is None:
+            sampled = timer.sample()
+        started = perf_counter() if sampled else None
         lids: List[int] = [0] * total
         flags: List[bool] = [False] * total
         cache = plane.cache

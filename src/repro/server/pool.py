@@ -71,7 +71,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError, ReplicaStartError
 from repro.obs.instruments import aggregate_latency
-from repro.server.batch import _blocking, decide_wire_items
+from repro.server.batch import _blocking, decide_wire_items, observe_canonicalize
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.partition import shard_for
@@ -692,6 +692,11 @@ class ReplicaPool:
         replicas = self.replicas
         owner_of = {p: shard_for(p, replicas) for p in distinct}.get
         intern = plane.queries.intern
+        # The parent interns for its replicas: a sampled batch times this
+        # loop as the canonicalize stage, as decide_wire_items does.
+        timer = service.kernel.stage_timer
+        sampled = timer is not None and timer.sample()
+        canonicalize_started = perf_counter() if sampled else 0.0
         sub_batches: List[Tuple[List[int], List]] = [
             ([], []) for _ in range(replicas)
         ]
@@ -706,6 +711,13 @@ class ReplicaPool:
             positions, items = sub_batches[owner]
             positions.append(index)
             items.append([principal, intern(query) if qid is None else qid])
+        if sampled:
+            observe_canonicalize(
+                timer,
+                canonicalize_started,
+                entries,
+                [index for positions, _ in sub_batches for index in positions],
+            )
         if timings is not None:
             timings["label_us"] = (perf_counter() - label_started) * 1e6
         started = perf_counter()

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import minimize
 from repro.core.atoms import Atom
+from repro.core.canonical import canonical_key
 from repro.core.homomorphism import are_equivalent
-from repro.core.minimize import fold
+from repro.core.minimize import fold, pin_fixpoint
 from repro.core.parser import parse_query
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
@@ -90,6 +91,39 @@ class TestPinnedFoldMatchesBruteForce:
 
         collect()
         assert seen["shortened"] >= 20 and seen["kept"] >= 20, seen
+
+
+class TestKeyPinMatchesTermPin:
+    """The pin rule on a canonical key's codes (the bit-vector labeler's
+    fold) against the same rule on the Term body (``fold_body``)."""
+
+    @given(self_join_queries())
+    @settings(max_examples=400, deadline=None)
+    def test_key_fixpoint_frees_what_the_term_fixpoint_frees(self, query):
+        head, atoms = canonical_key(query)
+        on_codes = pin_fixpoint(atoms, set(head), int)
+        on_terms = minimize._unpinned(query.body, set(query.distinguished_variables()))
+        assert on_codes == on_terms
+        if not on_codes:
+            # Nothing free: the core is the whole body.
+            assert len(fold(query, prechecks=False).body) == len(query.body)
+
+    def test_strategy_leaves_atoms_free_and_pinned(self):
+        """Both outcomes of the key-level fixpoint occur on repeated
+        relations, so the property above tests the rule, not one branch."""
+        seen = {"free": 0, "pinned": 0}
+
+        @given(self_join_queries())
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def collect(query):
+            relations = [atom.relation for atom in query.body]
+            if len(set(relations)) < len(relations):
+                head, atoms = canonical_key(query)
+                free = pin_fixpoint(atoms, set(head), int)
+                seen["free" if free else "pinned"] += 1
+
+        collect()
+        assert seen["free"] >= 20 and seen["pinned"] >= 20, seen
 
 
 def count_searches(monkeypatch):

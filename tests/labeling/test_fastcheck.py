@@ -16,7 +16,7 @@ from repro.core.rewriting import is_rewritable
 from repro.core.tagged import TaggedAtom
 from repro.facebook.permissions import facebook_security_views
 from repro.facebook.workload import WorkloadGenerator
-from repro.labeling.fastcheck import CompiledView, sign, tagged_codes
+from repro.labeling.fastcheck import CompiledView, dissected_form, sign, tagged_codes
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +38,14 @@ def test_matches_equals_is_rewritable_on_ledger_shapes(compiled, max_subqueries)
         atoms.update(dissect(query))
     checked = hits = 0
     for atom in atoms:
-        signature = sign(*tagged_codes(atom))
+        codes, promoted = tagged_codes(atom)
+        signatures = [sign(codes, promoted)]
+        if len(set(codes)) == len(codes):
+            signatures.append(sign(codes, promoted, False))
         for view, compiled_view in compiled[atom.relation]:
             expected = is_rewritable(atom, view)
-            assert compiled_view.matches(signature) == expected, (atom, view)
+            for signature in signatures:
+                assert compiled_view.matches(*signature) == expected, (atom, view)
             checked += 1
             hits += expected
     assert 0 < hits < checked
@@ -67,9 +71,32 @@ def _all_atoms(relation, arity):
 def test_matches_equals_is_rewritable_on_every_ternary_pair():
     """Repeated variables, constants and both tags, every combination."""
     atoms = _all_atoms("S", 3)
+    signed = []
+    for target in atoms:
+        codes, promoted = tagged_codes(target)
+        signatures = [sign(codes, promoted)]
+        if len(set(codes)) == len(codes):
+            signatures.append(sign(codes, promoted, False))
+        signed.append((target, signatures))
     for view in atoms:
         compiled_view = CompiledView(view)
-        for target in atoms:
-            assert compiled_view.matches(sign(*tagged_codes(target))) == (
-                is_rewritable(target, view)
-            ), (target, view)
+        for target, signatures in signed:
+            expected = is_rewritable(target, view)
+            for signature in signatures:
+                assert compiled_view.matches(*signature) == expected, (target, view)
+
+
+def test_dissected_form_tells_ternary_atoms_apart_up_to_renaming():
+    """Equal forms iff equal tagged atoms: distinct normalized atoms get
+    distinct forms, and renaming the variables changes no form — on the
+    mask path and, for atoms that repeat no term, the per-position one."""
+    forms = {}
+    for atom in _all_atoms("S", 3):
+        codes, promoted = tagged_codes(atom)
+        renamed = tuple(c + 7 if isinstance(c, int) else c for c in codes)
+        moved = {c + 7 for c in promoted}
+        flat = len(set(codes)) == len(codes)
+        for repeats in (True, False) if flat else (True,):
+            form = dissected_form(codes, promoted, repeats)
+            assert dissected_form(renamed, moved, repeats) == form, atom
+            assert forms.setdefault((repeats, form), atom) == atom

@@ -1,0 +1,55 @@
+"""The decision-level oracle the serving tests share.
+
+One plain :class:`~repro.policy.monitor.ReferenceMonitor` per principal
+over :class:`~repro.labeling.cq_labeler.ConjunctiveQueryLabeler` — the
+dissect-based labeler, no packed labels, no caches, no shared memos.
+The optimized path (the bit-vector labeler on canonical keys, the
+kernel's planes and compiled policies) is checked against it decision
+by decision.
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import Dict, Hashable
+
+from repro.labeling.cq_labeler import ConjunctiveQueryLabeler
+from repro.policy.monitor import Decision, ReferenceMonitor
+from repro.policy.policy import PartitionPolicy
+
+
+def live_bits(flags) -> int:
+    """Live-partition flags as the kernel's bit vector."""
+    return sum(1 << index for index, flag in enumerate(flags) if flag)
+
+
+class ReferenceOracle:
+    """Independent reference monitors, one per principal."""
+
+    def __init__(self, views):
+        self.labeler = ConjunctiveQueryLabeler(views)
+        self.monitors: Dict[Hashable, ReferenceMonitor] = {}
+
+    def register(self, principal: Hashable, policy: PartitionPolicy) -> None:
+        """A fresh monitor for *principal* (re-registering starts over)."""
+        self.monitors[principal] = ReferenceMonitor(self.labeler, policy)
+
+    def submit(self, principal: Hashable, query) -> Decision:
+        return self.monitors[principal].submit(query)
+
+    def peek(self, principal: Hashable, query) -> Decision:
+        """The decision :meth:`submit` would make; no state changes."""
+        # submit rebinds the monitor's live flags, never mutates them.
+        return copy.copy(self.monitors[principal]).submit(query)
+
+    def would_accept(self, principal: Hashable, query) -> bool:
+        return self.monitors[principal].would_accept(query)
+
+    def reset(self, principal: Hashable) -> None:
+        self.monitors[principal].reset()
+
+    def live_partitions(self, principal: Hashable):
+        return self.monitors[principal].live_partitions
+
+    def live_bits(self, principal: Hashable) -> int:
+        return live_bits(self.live_partitions(principal))

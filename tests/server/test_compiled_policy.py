@@ -9,13 +9,13 @@ reopenings, and plane rotations can make one session read what another
 wrote under a different plane or policy.  The state machine below
 drives M principals over K < M policies through all of those and holds
 every decision — verdict, reason, live bits before and after — equal
-to a dict of plain :class:`~repro.policy.monitor.ReferenceMonitor`
-objects that share nothing, on both session stores.
+to the shared reference oracle (``reference_oracle.py``: one plain
+:class:`~repro.policy.monitor.ReferenceMonitor` per principal, sharing
+nothing), on both session stores.
 """
 
 from __future__ import annotations
 
-import copy
 import shutil
 import tempfile
 
@@ -24,15 +24,14 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.facebook.permissions import facebook_security_views
 from repro.facebook.workload import WorkloadGenerator, generate_policies
-from repro.labeling.cq_labeler import ConjunctiveQueryLabeler
-from repro.policy.monitor import ReferenceMonitor
 from repro.policy.policy import PartitionPolicy
 from repro.server.batch import decide_wire_items
 from repro.server.service import DisclosureService
 from repro.server.store import InMemoryStore, SpillStore
 
+from reference_oracle import ReferenceOracle, live_bits
+
 VIEWS = facebook_security_views()
-LABELER = ConjunctiveQueryLabeler(VIEWS)
 #: K = 3 policies for M = 6 principals: every policy is shared.
 POLICIES = [
     PartitionPolicy(policy, VIEWS)
@@ -48,10 +47,6 @@ queries = st.sampled_from(QUERIES)
 policy_indices = st.integers(0, len(POLICIES) - 1)
 
 
-def _bits(flags) -> int:
-    return sum(1 << index for index, flag in enumerate(flags) if flag)
-
-
 class SharedPlaneMachine(RuleBasedStateMachine):
     """Service vs. independent reference monitors, step by step."""
 
@@ -60,7 +55,7 @@ class SharedPlaneMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.spill_dir = tempfile.mkdtemp(prefix="repro-shared-") if self.spill else None
-        self.monitors = {}
+        self.oracle = ReferenceOracle(VIEWS)
         self.service = self._open()
 
     def _open(self) -> DisclosureService:
@@ -81,10 +76,10 @@ class SharedPlaneMachine(RuleBasedStateMachine):
         # Whatever path each session took, the durable state agrees.
         exported = self.service.export_state()["sessions"]
         assert {
-            principal: _bits(state["live"]) for principal, state in exported.items()
+            principal: live_bits(state["live"]) for principal, state in exported.items()
         } == {
-            principal: _bits(monitor.live_partitions)
-            for principal, monitor in self.monitors.items()
+            principal: self.oracle.live_bits(principal)
+            for principal in self.oracle.monitors
         }
         self.service.close()
         if self.spill_dir is not None:
@@ -98,15 +93,15 @@ class SharedPlaneMachine(RuleBasedStateMachine):
     def _register(self, principal, policy_index):
         policy = POLICIES[policy_index]
         self.service.register(principal, policy)
-        self.monitors[principal] = ReferenceMonitor(LABELER, policy)
+        self.oracle.register(principal, policy)
 
     def _check(self, decision, principal, query, update):
-        monitor = self.monitors[principal]
-        if not update:
-            monitor = copy.copy(monitor)  # submit rebinds, never mutates
-        before = _bits(monitor.live_partitions)
-        expected = monitor.submit(query)
-        after = _bits(monitor.live_partitions) if update else before
+        before = self.oracle.live_bits(principal)
+        expected = (self.oracle.submit if update else self.oracle.peek)(
+            principal, query
+        )
+        after = self.oracle.live_bits(principal)
+        assert update or after == before
         assert (
             decision.accepted,
             decision.reason,
@@ -132,7 +127,7 @@ class SharedPlaneMachine(RuleBasedStateMachine):
     @rule(principal=principals)
     def reset(self, principal):
         self.service.reset(principal)
-        self.monitors[principal].reset()
+        self.oracle.reset(principal)
 
     @rule(principal=principals, policy_index=policy_indices)
     def reregister(self, principal, policy_index):
@@ -147,7 +142,7 @@ class SharedPlaneMachine(RuleBasedStateMachine):
     def fault(self, principal):
         with self.service._lock:
             session = self.service._session(principal)
-        assert session.live == _bits(self.monitors[principal].live_partitions)
+        assert session.live == self.oracle.live_bits(principal)
 
     @rule(
         first=principals,
@@ -223,10 +218,11 @@ def test_a_stale_plane_decision_never_reads_newer_plane_memos():
     service.kernel.max_interned_shapes = 1
     for principal in ("a", "b"):
         service.register(principal, POLICIES[0])
-    reference = ReferenceMonitor(LABELER, POLICIES[0])
+    oracle = ReferenceOracle(VIEWS)
+    oracle.register("a", POLICIES[0])
 
     plane0 = service.kernel.plane
-    assert service.peek("a", first).accepted == reference.would_accept(first)
+    assert service.peek("a", first).accepted == oracle.would_accept("a", first)
     service.peek("b", second)  # one shape per plane: this rotates
     assert service.kernel.plane is not plane0
     assert service.store.peek("a").policy is service.store.peek("b").policy
@@ -234,12 +230,12 @@ def test_a_stale_plane_decision_never_reads_newer_plane_memos():
     (decision,) = decide_wire_items(
         service, [("a", first, None)], update=True, plane=plane0
     )
-    expected = reference.submit(first)
+    expected = oracle.submit("a", first)
     assert (decision.accepted, decision.reason) == (
         expected.accepted,
         expected.reason,
     )
-    assert decision.live_after == _bits(reference.live_partitions)
+    assert decision.live_after == oracle.live_bits("a")
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.client import AsyncHttpClient, HttpClient, parse_text
+from repro.client import AsyncHttpClient, HttpClient, LocalClient, parse_text
 from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus, sample_value
 from repro.server.aio import start_async_background
 from repro.server.service import DisclosureService
@@ -141,9 +141,9 @@ class TestFrontEnd:
         assert "format" in json.loads(raw)["error"]
 
     def test_stage_histograms_populate(self, views, schema):
-        # Served traffic is decided by the tick drain, which times the
-        # label, mask and outcome stages; canonicalization happens as
-        # the drain parses, outside the kernel's clocks.
+        # Served traffic is decided by the tick drain's batch core, which
+        # times its intern loop as canonicalize, then label, mask and
+        # outcome.
         service = DisclosureService(views, schema=schema, stage_sample_rate=1)
         service.register("app", CHINESE_WALL)
         handle = start_async_background(service)
@@ -153,14 +153,98 @@ class TestFrontEnd:
             _, parsed = _assert_forms_agree(base_url)
         finally:
             handle.stop()
-        for stage in ("label", "mask", "outcome"):
+        for stage in ("canonicalize", "label", "mask", "outcome"):
             count = sample_value(
                 parsed, "repro_kernel_stage_seconds_count", {"stage": stage}
             )
             assert count is not None and count >= 1, stage
+
+    def test_served_v1_batch_times_canonicalize(self, views, schema):
+        service = DisclosureService(views, schema=schema, stage_sample_rate=1)
+        service.register("app", CHINESE_WALL)
+        handle = start_async_background(service)
+        try:
+            base_url = f"http://{handle.host}:{handle.port}"
+            status, body = _post(
+                f"{base_url}/v1/batch",
+                {"queries": [
+                    {"principal": "app", "fql": BIRTHDAY},
+                    {"principal": "app", "fql": MUSIC},
+                ]},
+            )
+            assert status == 200 and body["count"] == 2
+            _, parsed = _assert_forms_agree(base_url)
+        finally:
+            handle.stop()
+        assert sample_value(
+            parsed, "repro_kernel_stage_seconds_count", {"stage": "canonicalize"}
+        ) == 2
+
+    def test_v2_entries_arrive_interned(self, views, schema):
+        # The v2 gateway interns before the batch core runs, so v2
+        # traffic leaves canonicalize empty and fills label.
+        service = DisclosureService(views, schema=schema, stage_sample_rate=1)
+        service.register("app", CHINESE_WALL)
+        handle = start_async_background(service)
+        birthday = parse_text(BIRTHDAY, "fql", schema=schema)
+
+        async def drive(url):
+            client = AsyncHttpClient(url)
+            await client.peek("app", birthday)
+            await client.close()
+
+        try:
+            base_url = f"http://{handle.host}:{handle.port}"
+            asyncio.run(drive(base_url))
+            _, parsed = _assert_forms_agree(base_url)
+        finally:
+            handle.stop()
+        assert sample_value(
+            parsed, "repro_kernel_stage_seconds_count", {"stage": "label"}
+        )
         assert not sample_value(
             parsed, "repro_kernel_stage_seconds_count", {"stage": "canonicalize"}
         )
+
+    def test_sampled_local_submit_many_times_canonicalize(self, views, schema):
+        # At 1 in 2 the batch's one sample decision (the countdown's
+        # first) must time both its intern loop and its label pass: a
+        # second draw would skip the label pass.
+        service = DisclosureService(views, schema=schema, stage_sample_rate=2)
+        service.register("app", CHINESE_WALL)
+        queries = [parse_text(text, "fql", schema=schema) for text in (BIRTHDAY, MUSIC)]
+        LocalClient(service).submit_many([("app", query) for query in queries])
+        stages = next(
+            vector
+            for vector in service.metrics_snapshot()["registry"]["vectors"]
+            if vector["name"] == "repro_kernel_stage_seconds"
+        )
+        counts = {
+            row["labels"]["stage"]: row["histogram"]["count"]
+            for row in stages["series"]
+        }
+        assert counts["canonicalize"] == 2 and counts["label"] == 2, counts
+
+    def test_unsampled_batch_reads_no_stage_clock(self, views, schema, monkeypatch):
+        from repro.server import batch, kernel
+
+        service = DisclosureService(views, schema=schema, stage_sample_rate=1000)
+        service.register("app", CHINESE_WALL)
+        query = parse_text(BIRTHDAY, "fql", schema=schema)
+        client = LocalClient(service)
+        client.submit_many([("app", query)])  # the countdown's first sample
+        reads = []
+        real = batch.time.perf_counter
+
+        def counting():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(batch.time, "perf_counter", counting)
+        monkeypatch.setattr(kernel, "perf_counter", counting)
+        client.submit_many([("app", query)])
+        # Only the batch core's own latency clock (start and end).
+        assert len(reads) == 2
 
     def test_single_path_samples_every_stage(self, async_server, schema):
         # The countdown starts at 1, so the very first in-process submit
@@ -326,6 +410,40 @@ class TestPooledFrontEnd:
         # The merged totals equal the sum over the per-replica snapshots.
         replica_total = sum(r["decisions"] for r in snapshot["replicas"])
         assert sample_value(parsed, "repro_decisions_total") == replica_total
+
+    def test_parent_times_canonicalize_for_its_replicas(self, views, schema):
+        # Replicas receive qids; the parent's intern loop is the
+        # canonicalize stage of a pooled deployment.
+        from repro.server.pool import start_pooled_background
+
+        pooled = start_pooled_background(
+            2,
+            service_kwargs={
+                "security_views": views, "schema": schema, "stage_sample_rate": 1,
+            },
+        )
+        try:
+            base_url = f"http://{pooled.host}:{pooled.port}"
+            _post(
+                f"{base_url}/v1/register",
+                {"principal": "app", "policy": CHINESE_WALL},
+            )
+            status, body = _post(
+                f"{base_url}/v1/batch",
+                {"queries": [
+                    {"principal": "app", "fql": BIRTHDAY},
+                    {"principal": "app", "fql": MUSIC},
+                ]},
+            )
+            assert status == 200 and body["count"] == 2
+            _, parsed = _assert_forms_agree(base_url)
+        finally:
+            pooled.stop()
+        for stage in ("canonicalize", "label", "mask", "outcome"):
+            count = sample_value(
+                parsed, "repro_kernel_stage_seconds_count", {"stage": stage}
+            )
+            assert count is not None and count >= 1, stage
 
 
 def _span_is_sane(span, wall_seconds):

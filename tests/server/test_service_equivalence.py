@@ -4,7 +4,8 @@ The acceptance property of the serving layer: for every principal and
 every query sequence, the decisions (and labels) produced by
 :class:`DisclosureService` — packed labels, shared canonical-query
 cache, LRU sessions — are identical to those of a fresh, uncached
-:class:`ReferenceMonitor` over the same security views and policy,
+:class:`ReferenceMonitor` over the same security views and policy (the
+shared oracle of ``reference_oracle.py``),
 including refusals and the evolution of per-session live-partition
 state.  Exercised over ≥ 1,000 Section 7.2 workload queries.
 """
@@ -14,10 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.facebook.workload import WorkloadGenerator, generate_policies
-from repro.labeling.cq_labeler import ConjunctiveQueryLabeler
-from repro.policy.monitor import ReferenceMonitor
 from repro.policy.policy import PartitionPolicy
 from repro.server.service import DisclosureService
+
+from reference_oracle import ReferenceOracle
 
 #: Principals × queries-per-principal: ≥ 1,000 total decisions.
 PRINCIPALS = 6
@@ -53,13 +54,12 @@ class TestCachedDecisionsMatchFreshMonitor:
     def test_interleaved_sessions_agree_step_by_step(self, views, workload):
         policies, streams = workload
         service = DisclosureService(views)
-        labeler = ConjunctiveQueryLabeler(views)
-        monitors = {}
+        oracle = ReferenceOracle(views)
         for index, policy in enumerate(policies):
             principal = f"app-{index}"
             partition_policy = PartitionPolicy(policy, views)
             service.register(principal, partition_policy)
-            monitors[principal] = ReferenceMonitor(labeler, partition_policy)
+            oracle.register(principal, partition_policy)
 
         total = accepted = refused = 0
         # Interleave principals round-robin so session states evolve
@@ -68,7 +68,7 @@ class TestCachedDecisionsMatchFreshMonitor:
             for index in range(PRINCIPALS):
                 principal = f"app-{index}"
                 query = streams[index][step]
-                expected = monitors[principal].submit(query)
+                expected = oracle.submit(principal, query)
                 got = service.submit(principal, query)
 
                 assert got.accepted == expected.accepted, (
@@ -81,7 +81,7 @@ class TestCachedDecisionsMatchFreshMonitor:
                 ), f"step {step}, {principal}: labels diverge on {query}"
                 assert (
                     service.live_partitions(principal)
-                    == monitors[principal].live_partitions
+                    == oracle.live_partitions(principal)
                 ), f"step {step}, {principal}: live-partition state diverged"
                 total += 1
                 accepted += got.accepted
@@ -98,7 +98,7 @@ class TestCachedDecisionsMatchFreshMonitor:
     def test_second_pass_is_all_hits_and_still_identical(self, views, workload):
         policies, streams = workload
         service = DisclosureService(views)
-        labeler = ConjunctiveQueryLabeler(views)
+        oracle = ReferenceOracle(views)
         for index, policy in enumerate(policies):
             service.register(f"app-{index}", PartitionPolicy(policy, views))
 
@@ -113,9 +113,9 @@ class TestCachedDecisionsMatchFreshMonitor:
         for index, policy in enumerate(policies):
             principal = f"app-{index}"
             service.reset(principal)
-            monitor = ReferenceMonitor(labeler, PartitionPolicy(policy, views))
+            oracle.register(principal, PartitionPolicy(policy, views))
             for query in streams[index]:
-                expected = monitor.submit(query)
+                expected = oracle.submit(principal, query)
                 got = service.submit(principal, query)
                 assert got.accepted == expected.accepted
                 assert got.cached, f"expected a cache hit for {query}"
@@ -167,14 +167,15 @@ class TestCachedDecisionsMatchFreshMonitor:
         )
         service = DisclosureService(views)
         service.register("app", policy)
-        monitor = ReferenceMonitor(ConjunctiveQueryLabeler(views), policy)
+        oracle = ReferenceOracle(views)
+        oracle.register("app", policy)
         generator = WorkloadGenerator(max_subqueries=1, seed=5)
         for query in generator.stream(100):
-            assert service.peek("app", query).accepted == monitor.would_accept(
-                query
+            assert service.peek("app", query).accepted == oracle.would_accept(
+                "app", query
             )
             # Interleave some submits so live state narrows along the way.
             assert (
                 service.submit("app", query).accepted
-                == monitor.submit(query).accepted
+                == oracle.submit("app", query).accepted
             )

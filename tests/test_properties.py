@@ -197,12 +197,17 @@ class TestRewritingProperties:
     @settings(max_examples=400, deadline=None)
     def test_compiled_matcher_equals_structural(self, pair):
         """``CompiledView.matches`` is ``is_rewritable``, bit for bit —
-        over repeated variables, constants and both tags."""
+        over repeated variables, constants and both tags, and on the
+        mask-free signature of an atom that repeats no term."""
         from repro.labeling.fastcheck import CompiledView, sign, tagged_codes
 
         target, view = pair
-        signature = sign(*tagged_codes(target))
-        assert CompiledView(view).matches(signature) == is_rewritable(target, view)
+        codes, promoted = tagged_codes(target)
+        expected = is_rewritable(target, view)
+        compiled = CompiledView(view)
+        assert compiled.matches(*sign(codes, promoted)) == expected
+        if len(set(codes)) == len(codes):
+            assert compiled.matches(*sign(codes, promoted, False)) == expected
 
     @given(tagged_atoms("R"), tagged_atoms("R"))
     @settings(max_examples=150, deadline=None)
