@@ -217,42 +217,12 @@ def dispatch(
         return 400, {"error": str(exc)}
 
 
-def parse_decision_body(
-    service: DisclosureService, body: Dict
-) -> "Tuple[Optional[Tuple[str, object]], Optional[Tuple[int, Dict]]]":
-    """``((principal, query), None)`` for a valid ``/v1/query``-shaped
-    body, else ``(None, (status, payload))``.
-
-    The one copy of the v1 single-decision validation: :func:`dispatch`
-    and the tick drain both call it, so their error payloads cannot
-    drift.  Parse failures (:class:`~repro.errors.ReproError`) are the
-    caller's to map — :func:`dispatch` catches them route-wide.
-    """
-    principal, error = _principal_of(body)
-    if error is not None:
-        return None, error
-    text, dialect = None, None
-    for candidate in ("sql", "fql", "datalog"):
-        if candidate in body:
-            text, dialect = body[candidate], candidate
-            break
-    if not isinstance(text, str):
-        return None, (
-            400,
-            {"error": "request needs one of 'sql', 'fql', 'datalog'"},
-        )
-    me = body.get("me", 1)
-    if not isinstance(me, int) or isinstance(me, bool):
-        return None, (400, {"error": "'me' must be an integer uid"})
-    return (principal, service.parse(text, dialect, me)), None
-
-
 def _handle_decision(
     service: DisclosureService, body: Dict, peek: bool
 ) -> Tuple[int, Dict]:
-    parsed, error = parse_decision_body(service, body)
-    if error is not None:
-        return error
+    parsed, message = batch.parse_wire_request(service, body, "request")
+    if message is not None:
+        return 400, {"error": message}
     principal, query = parsed
     if peek:
         decision = service.peek(principal, query)
@@ -934,7 +904,7 @@ class AsyncDecisionServer:
         for ``/v1/batch``; its submit/peek mode is known only once
         resolved, so it is set on the request here.  Validation goes
         through the routes' own helpers (:func:`resolve_single`,
-        :func:`resolve_batch`, :func:`parse_decision_body`,
+        :func:`resolve_batch`, :func:`batch.parse_wire_request`,
         :func:`resolve_v1_batch`), so errors are byte-identical to
         :func:`dispatch`'s.
         """
@@ -963,13 +933,11 @@ class AsyncDecisionServer:
                 request.update = not peek
                 return None, entries, rows
         else:  # v1: dispatch's validation and parse path
-            try:
-                parsed, error = parse_decision_body(service, body)
-            except ReproError as exc:
-                error = (400, {"error": str(exc)})
-            if error is None:
+            parsed, message = batch.parse_wire_request(service, body, "request")
+            if message is None:
                 principal, query = parsed
                 return None, principal, query, None, False, False
+            error = (400, {"error": message})
         request.set_result(error)
         return None
 

@@ -15,9 +15,10 @@ bookkeeping.
 
 The plan for a batch:
 
-1. **Intern** — every query object becomes a dense qid (once per
-   distinct object, pinned on the object itself); v2 entries arrive
-   with their qid already translated.
+1. **Admit** (:func:`admit_entries`, shared with the replica pool) —
+   unknown principals are isolated, and every query object becomes a
+   dense qid (once per distinct object, pinned on the object itself);
+   v2 entries arrive with their qid already translated.
 2. **Labels** (:meth:`DecisionKernel.resolve_many`) — the shared
    qid → lid cache is consulted once per distinct qid; repeats within
    the batch are served from a batch-local memo (and accounted as
@@ -38,7 +39,7 @@ Equivalence with the sequential path — byte-identical decisions and
 identical end state — is the acceptance property of this module, held
 by ``tests/server/test_batch.py`` across refusal interleavings,
 repeated shapes, and cross-principal traffic.  :func:`parse_wire_request`
-is the per-item validation of ``/v1/batch``.
+is the one v1 body validation, for single requests and batch items.
 """
 
 from __future__ import annotations
@@ -51,34 +52,59 @@ from repro.errors import PolicyError, ReproError
 
 T = TypeVar("T")
 
-#: One parsed ``/v1/batch`` item: a principal and a query.
+#: One parsed v1 decision request or batch item: a principal and a query.
 BatchItem = Tuple[Hashable, ConjunctiveQuery]
 
-#: Wire error for a batch entry that is not a JSON object.
-ITEM_NOT_OBJECT_ERROR = "batch item must be a JSON object"
+def admit_entries(
+    service,
+    plane,
+    entries: "Sequence[Tuple[Hashable, Optional[ConjunctiveQuery], Optional[int]]]",
+    results: List,
+) -> Tuple[List[int], List[int], bool]:
+    """The admission step of every batch decide: ``(positions, qids,
+    sampled)``.
 
-#: Wire error for a batch entry without a usable principal.
-ITEM_PRINCIPAL_ERROR = "batch item needs a non-empty string 'principal'"
-
-#: Wire error for a batch entry without query text.
-ITEM_TEXT_ERROR = "batch item needs one of 'sql', 'fql', 'datalog'"
-
-#: Wire error for a batch entry with a non-integer ``me``.
-ITEM_ME_ERROR = "'me' must be an integer uid"
-
-
-def observe_canonicalize(timer, started: float, entries, positions) -> None:
-    """Record a sampled intern loop that began at *started* as the
-    ``canonicalize`` stage, once per entry at *positions* it interned.
-
-    Entries that arrive with a qid (v2, interned by the gateway) were
-    canonicalized before the loop and are not counted.
+    An entry whose principal is unknown (no default policy) gets its
+    ``{"error": ..., "code": "unknown-principal"}`` entry in *results*
+    and is left out; every other entry's index goes to *positions* and
+    its qid on *plane* to *qids* (query objects are interned here, v2
+    entries arrive with their qid).  One stage-sample decision is drawn
+    per batch: a sampled batch times this intern loop as the
+    ``canonicalize`` stage, once per entry it interned, and *sampled*
+    tells the caller to time its label pass too.
+    :func:`decide_wire_items` and the replica pool's
+    :meth:`~repro.server.pool.ReplicaPool.decide_async` both admit
+    through it, against the same authoritative session set.
     """
-    interned = sum(1 for index in positions if entries[index][2] is None)
-    if interned:
-        timer.observe_many(
-            "canonicalize", (time.perf_counter() - started) / interned, interned
-        )
+    if service._default_policy is None:
+        distinct = {principal for principal, _, _ in entries}
+        with service._lock:
+            store = service.store
+            unknown = {p for p in distinct if p not in store}
+    else:
+        unknown = frozenset()
+    positions: List[int] = []
+    qids: List[int] = []
+    intern = plane.queries.intern
+    timer = service.kernel.stage_timer
+    sampled = timer is not None and timer.sample()
+    started = time.perf_counter() if sampled else 0.0
+    for index, (principal, query, qid) in enumerate(entries):
+        if principal in unknown:
+            results[index] = {
+                "error": f"unknown principal {principal!r}",
+                "code": "unknown-principal",
+            }
+            continue
+        positions.append(index)
+        qids.append(intern(query) if qid is None else qid)
+    if sampled:
+        interned = sum(1 for index in positions if entries[index][2] is None)
+        if interned:
+            timer.observe_many(
+                "canonicalize", (time.perf_counter() - started) / interned, interned
+            )
+    return positions, qids, sampled
 
 
 def decide_wire_items(
@@ -131,44 +157,14 @@ def decide_wire_items(
         plane = kernel.resolution_plane()
 
     results: List = [None] * total
-    if service._default_policy is None:
-        distinct = {principal for principal, _, _ in entries}
-        with service._lock:
-            unknown = {
-                principal
-                for principal in distinct
-                if principal not in service.store
-            }
-    else:
-        unknown = frozenset()
-
-    positions: List[int] = []
-    qids: List[int] = []
-    queries: List[Optional[ConjunctiveQuery]] = []
-    intern = plane.queries.intern
-    # One sample decision per batch: it times this intern loop as the
-    # canonicalize stage and resolve_many's label pass.
-    timer = kernel.stage_timer
-    sampled = timer is not None and timer.sample()
-    canonicalize_started = time.perf_counter() if sampled else 0.0
-    for index, (principal, query, qid) in enumerate(entries):
-        if principal in unknown:
-            results[index] = {
-                "error": f"unknown principal {principal!r}",
-                "code": "unknown-principal",
-            }
-            continue
-        positions.append(index)
-        qids.append(intern(query) if qid is None else qid)
-        queries.append(query)
-    if sampled:
-        observe_canonicalize(timer, canonicalize_started, entries, positions)
+    positions, qids, sampled = admit_entries(service, plane, entries, results)
     if not positions:
         return results
 
     label_started = time.perf_counter() if timings is not None else 0.0
     plane, group_lids, group_flags = kernel.resolve_many(
-        qids, queries, plane=plane, sampled=sampled
+        qids, [entries[index][1] for index in positions], plane=plane,
+        sampled=sampled,
     )
     if timings is not None:
         decide_started = time.perf_counter()
@@ -185,7 +181,6 @@ def decide_wire_items(
 
     accepted_count = 0
     decided = 0
-    tally = update and kernel.tenant_accounting
     with service._lock:
         for principal, indices in groups.items():
             try:
@@ -202,16 +197,10 @@ def decide_wire_items(
                 for index in indices:
                     results[index] = dict(error)
                 continue
-            group_accepted = kernel.decide_group(
+            accepted_count += kernel.decide_group(
                 plane, session, indices, lids, flags, update, results
             )
-            accepted_count += group_accepted
             decided += len(indices)
-            if tally:
-                # Tallied before the next group's _session() can evict
-                # (and so drain) this session; see the kernel's single path.
-                session.pending_decided += len(indices)
-                session.pending_refused += len(indices) - group_accepted
     if timings is not None:
         timings["decide_us"] = (time.perf_counter() - decide_started) * 1e6
 
@@ -229,30 +218,32 @@ def decide_wire_items(
 
 
 def parse_wire_request(
-    service, request: object
+    service, request: object, noun: str = "batch item"
 ) -> "Tuple[Optional[BatchItem], Optional[str]]":
-    """Turn one wire request into ``((principal, query), None)`` or
-    ``(None, error_message)``.
+    """Turn one v1 decision request into ``((principal, query), None)``
+    or ``(None, error_message)``.
 
-    Mirrors the single-request validation of the HTTP layer so that a
-    batch item fails with the same message the equivalent standalone
-    ``/v1/query`` call would have produced.
+    The one v1 body validator: ``/v1/query`` and ``/v1/peek`` bodies
+    (*noun* ``"request"``) and ``/v1/batch`` items (the default) run
+    the same principal, dialect and ``me`` checks and the same parse, so
+    a batch item fails with the message the equivalent standalone call
+    would have produced, named for what it is.
     """
     if not isinstance(request, dict):
-        return None, ITEM_NOT_OBJECT_ERROR
+        return None, f"{noun} must be a JSON object"
     principal = request.get("principal")
     if not isinstance(principal, str) or not principal:
-        return None, ITEM_PRINCIPAL_ERROR
+        return None, f"{noun} needs a non-empty string 'principal'"
     text = dialect = None
     for candidate in ("sql", "fql", "datalog"):
         if candidate in request:
             text, dialect = request[candidate], candidate
             break
     if not isinstance(text, str):
-        return None, ITEM_TEXT_ERROR
+        return None, f"{noun} needs one of 'sql', 'fql', 'datalog'"
     me = request.get("me", 1)
     if not isinstance(me, int) or isinstance(me, bool):
-        return None, ITEM_ME_ERROR
+        return None, "'me' must be an integer uid"
     try:
         query = service.parse(text, dialect, me)
     except ReproError as exc:

@@ -45,11 +45,10 @@ newer plane (the stamp sits beside the dicts it guards — they are
 shared, so a per-session stamp could not vouch for them).  Old plane
 objects are never mutated, so a decision that raced a rotation still
 computes correctly against the plane it captured — it just skips the
-memos (see ``_sync_policy``).  Bare ids are
-only meaningful within the plane that issued them; the transports use
-the plane-atomic :meth:`decide_query`, or intern on a captured plane
-and pass it to :meth:`resolve_many`, and id-native callers re-intern
-after a rotation.
+memos (see ``_sync_policy``).  Bare ids are only meaningful within the
+plane that issued them; the transports call :meth:`decide` with a query
+object (plane-atomic), or intern on a captured plane and pass it to
+:meth:`resolve_many`, and id-native callers re-intern after a rotation.
 
 The kernel owns no sessions and no metrics: the service remains the
 session store (LRU, registration, serializable state) and the
@@ -57,9 +56,12 @@ transports keep their own counters.  It does own the table of compiled
 policies (:meth:`DecisionKernel.compile_policy`), held by weak
 reference so it is bounded by what resident sessions actually use.
 What the kernel guarantees is that however a decision arrives — one
-call, a batch, a replica sub-batch — it is computed by the same code over
-the same integer plane, so the equivalence suites that held the three
-old paths byte-identical now hold one path against itself.
+call, a batch, a replica sub-batch — it is computed over the same
+integer plane and the same policy memos by one of two implementations,
+chosen by call shape: :meth:`decide` for a single call (its inline
+int-probe step is the warm single-query floor) and :meth:`decide_group`
+for a batch and for a stage-sampled single decision.  The equivalence
+suites hold the two byte-identical.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ class DecisionKernel:
         #: drains the tallies into its labeled counter vectors at scrape
         #: time, so the hot path never pays a label lookup.
         self.tenant_accounting = False
-        #: :meth:`decide_query`'s inlined copy of the stage-timer
+        #: :meth:`decide`'s inlined copy of the stage-timer
         #: countdown (a method call per decision is measurable at the
         #: warm single-query floor; batch paths still use
         #: ``StageTimer.sample`` since theirs is amortized).  Starts at
@@ -329,7 +331,8 @@ class DecisionKernel:
 
         Bare qids are invalidated by plane rotation; callers that hold
         ids across calls must be prepared to re-intern (the plane-atomic
-        :meth:`decide_query` / :meth:`resolve_queries` never need to).
+        :meth:`decide` with *query* / :meth:`resolve_queries` never
+        need to).
         """
         return self._plane.queries.intern(query)
 
@@ -488,24 +491,6 @@ class DecisionKernel:
         lid, cached = self._resolve(plane, plane.queries.intern(query), query)
         return plane.labels.label_of(lid), cached
 
-    def resolve(
-        self, qid: int, query: Optional[ConjunctiveQuery] = None
-    ) -> Tuple[int, bool]:
-        """``(lid, cached)`` for a current-plane *qid*.
-
-        With *query* given, the qid is re-derived from the object in
-        the captured plane (a pin probe), so a rotation between the
-        caller's ``intern`` and this call can never reinterpret the id.
-        Without one, a stale qid resolves to whatever shape the current
-        plane assigned that id — shared state stays consistent (labels
-        re-derive from the plane's own key), the caller's answer is its
-        own lookout.
-        """
-        plane = self._plane
-        if query is not None:
-            qid = plane.queries.intern(query)
-        return self._resolve(plane, qid, query)
-
     def resolve_many(
         self,
         qids: Sequence[int],
@@ -518,7 +503,7 @@ class DecisionKernel:
 
         *qids* must belong to *plane* (or to the current plane when
         ``plane=None``).  The returned ``cached`` flags match what
-        sequential :meth:`resolve` calls would have reported: the first
+        sequential :meth:`decide` calls would have reported: the first
         occurrence of a qid missing from the cache is ``False`` (the
         labeler ran), every later occurrence is ``True``.  Hit/miss
         counters end up identical too — repeats served from the
@@ -594,24 +579,6 @@ class DecisionKernel:
     # ------------------------------------------------------------------
     # Masks and outcomes (per compiled policy, int-keyed)
     # ------------------------------------------------------------------
-    def _anywhere(self, plane: _Plane, policy: CompiledPolicy, lid: int) -> int:
-        """The satisfying-partitions mask of *lid* against *policy*.
-
-        State-independent (it depends only on the label and the
-        immutable grants), so it is memoized in ``policy.mask_memo``
-        keyed by lid.  Caller has synced the policy to *plane*.
-        """
-        memo = policy.mask_memo
-        mask = memo.get(lid)
-        if mask is None:
-            if len(memo) > policy.MEMO_LIMIT:
-                memo.clear()
-            mask = self.registry.satisfying_partitions_mask(
-                plane.labels.label_of(lid), policy.grants
-            )
-            memo[lid] = mask
-        return mask
-
     def _ensure_masks(
         self, plane: _Plane, policy: CompiledPolicy, lids: Iterable[int]
     ) -> Dict[int, int]:
@@ -670,30 +637,6 @@ class DecisionKernel:
         indices = [i for i in range(len(grants)) if surviving >> i & 1]
         return True, f"answered under partition(s) {indices}", surviving
 
-    def _outcome(
-        self, plane: _Plane, policy: CompiledPolicy, live: int, lid: int
-    ) -> Tuple[bool, str, int]:
-        """Memoized :meth:`evaluate` through ``policy.outcome_memo``.
-
-        Sound for the policy's lifetime: the outcome depends only on
-        the label, the (immutable) grants, and the live bits — all part
-        of the ``(lid, live)`` key, whichever session asks.  In steady
-        state a session's live mask is stable, so a recurring shape
-        makes the whole decision two dict probes.  Caller has synced
-        the policy to *plane*.
-        """
-        memo = policy.outcome_memo
-        key = (lid, live)
-        outcome = memo.get(key)
-        if outcome is None:
-            if len(memo) > policy.MEMO_LIMIT:
-                memo.clear()
-            outcome = self.evaluate(
-                plane, policy, live, lid, self._anywhere(plane, policy, lid)
-            )
-            memo[key] = outcome
-        return outcome
-
     # ------------------------------------------------------------------
     # Decisions: the only entry points the transports use
     # ------------------------------------------------------------------
@@ -704,96 +647,8 @@ class DecisionKernel:
         *,
         update: bool = True,
     ) -> ServiceDecision:
-        """Decide one query object, plane-atomically.
-
-        The object form of :meth:`decide`: intern, resolve, and decide
-        all run against one captured plane, so a concurrent plane
-        rotation can never mix id spaces.  This is what
-        ``DisclosureService.submit`` / ``peek`` call.
-        """
-        timer = self.stage_timer
-        if timer is not None:
-            remaining = self._stage_countdown - 1
-            if remaining > 0:
-                self._stage_countdown = remaining
-            else:
-                self._stage_countdown = timer.rate
-                return self._decide_query_timed(query, principal, update, timer)
-        plane = self.resolution_plane()
-        lid, cached = self._resolve(plane, plane.queries.intern(query), query)
-        return self._decide_resolved(plane, principal, lid, cached, update)
-
-    def _decide_query_timed(
-        self,
-        query: ConjunctiveQuery,
-        principal: Hashable,
-        update: bool,
-        timer,
-    ) -> ServiceDecision:
-        """:meth:`decide_query` with per-stage clocks.
-
-        The decision is byte-identical to the untimed path; the only
-        behavioral difference is memo *warmth* — the mask memo is
-        probed even on an outcome-memo hit so the mask stage always has
-        a defined duration.  Runs for a sampled fraction of decisions.
-        """
-        t0 = perf_counter()
-        plane = self.resolution_plane()
-        qid = plane.queries.intern(query)
-        t1 = perf_counter()
-        lid, cached = self._resolve(plane, qid, query)
-        t2 = perf_counter()
-        sessions = self.sessions
-        with sessions._lock:
-            session = (
-                sessions._session(principal)
-                if update
-                else sessions._peek_session(principal)
-            )
-            policy = session.policy
-            live_before = session.live
-            synced = self._sync_policy(policy, plane)
-            t3 = perf_counter()
-            anywhere = self._anywhere(plane, policy, lid) if synced else None
-            t4 = perf_counter()
-            if synced:
-                memo = policy.outcome_memo
-                key = (lid, live_before)
-                outcome = memo.get(key)
-                if outcome is None:
-                    if len(memo) > policy.MEMO_LIMIT:
-                        memo.clear()
-                    outcome = self.evaluate(plane, policy, live_before, lid, anywhere)
-                    memo[key] = outcome
-            else:
-                outcome = self.evaluate(plane, policy, live_before, lid)
-            t5 = perf_counter()
-            accepted, reason, surviving = outcome
-            if update:
-                if surviving != live_before:
-                    # Only a narrowing accept is a durable mutation; a
-                    # refusal returns the live mask unchanged.
-                    session.live = surviving
-                    session.dirty_epoch = sessions.state_epoch
-                if self.tenant_accounting:
-                    session.pending_decided += 1
-                    if not accepted:
-                        session.pending_refused += 1
-            live_after = surviving if (accepted and update) else live_before
-            decision = ServiceDecision(
-                accepted,
-                principal,
-                reason,
-                cached,
-                live_before,
-                live_after,
-                plane.labels.label_of(lid),
-            )
-        timer.observe("canonicalize", t1 - t0)
-        timer.observe("label", t2 - t1)
-        timer.observe("mask", t4 - t3)
-        timer.observe("outcome", t5 - t4)
-        return decision
+        """:meth:`decide` for a query object (no qid in hand)."""
+        return self.decide(0, principal, update=update, query=query)
 
     def decide(
         self,
@@ -803,34 +658,49 @@ class DecisionKernel:
         update: bool = True,
         query: Optional[ConjunctiveQuery] = None,
     ) -> ServiceDecision:
-        """Decide one interned query for one principal.
+        """Decide one query for one principal: the single-decision body.
 
-        *qid* must come from the **current** plane (a rotation
+        With *query* given — what ``DisclosureService.submit`` / ``peek``
+        pass — the id is interned from the object on the captured
+        resolution plane (*qid* is ignored), so the call is
+        plane-atomic and respects ``max_interned_shapes``.  Without
+        one, *qid* must come from the **current** plane (a rotation
         invalidates bare ids — re-intern after one; id-native callers
-        can watch :attr:`plane_epoch`).  Passing *query* removes even
-        that caveat: the id is re-derived from the object in the
-        captured plane, making the call plane-atomic like
-        :meth:`decide_query`.  With ``update=True`` the principal's
-        session narrows on accept (the ``submit`` semantics); with
-        ``update=False`` nothing changes and unknown default-policy
-        principals get a transient session (the ``peek`` semantics).
-        Label resolution runs outside the session lock; the decision
-        itself inside it.
-        """
-        plane = self._plane
-        if query is not None:
-            qid = plane.queries.intern(query)
-        lid, cached = self._resolve(plane, qid, query)
-        return self._decide_resolved(plane, principal, lid, cached, update)
+        can watch :attr:`plane_epoch`).  With ``update=True`` the
+        principal's session narrows on accept (the ``submit``
+        semantics); with ``update=False`` nothing changes and unknown
+        default-policy principals get a transient session (the ``peek``
+        semantics).  Label resolution runs outside the session lock;
+        the decision itself inside it.
 
-    def _decide_resolved(
-        self,
-        plane: _Plane,
-        principal: Hashable,
-        lid: int,
-        cached: bool,
-        update: bool,
-    ) -> ServiceDecision:
+        A sampled decision times canonicalize and label here, then
+        decides as a group of one through :meth:`decide_group`, which
+        times mask and outcome; the decision is the same either way.
+        The sampler's countdown is inlined: a method call per decision
+        is measurable at the warm single-query floor.
+        """
+        timer = self.stage_timer
+        sampled = False
+        if timer is not None:
+            remaining = self._stage_countdown - 1
+            if remaining > 0:
+                self._stage_countdown = remaining
+            else:
+                self._stage_countdown = timer.rate
+                sampled = True
+                started = perf_counter()
+        if query is None:
+            plane = self._plane
+        else:
+            plane = self.resolution_plane()
+            qid = plane.queries.intern(query)
+        if sampled:
+            interned = perf_counter()
+        lid, cached = self._resolve(plane, qid, query)
+        if sampled:
+            if query is not None:
+                timer.observe("canonicalize", interned - started)
+            timer.observe("label", perf_counter() - interned)
         sessions = self.sessions
         with sessions._lock:
             session = (
@@ -838,10 +708,28 @@ class DecisionKernel:
                 if update
                 else sessions._peek_session(principal)
             )
+            if sampled:
+                out = [None]
+                self.decide_group(
+                    plane, session, (0,), (lid,), (cached,), update, out, True
+                )
+                return out[0]
             policy = session.policy
             live_before = session.live
             if self._sync_policy(policy, plane):
-                outcome = self._outcome(plane, policy, live_before, lid)
+                # The whole decision is a function of (lid, live) under
+                # the policy: in steady state, one dict probe.
+                memo = policy.outcome_memo
+                key = (lid, live_before)
+                outcome = memo.get(key)
+                if outcome is None:
+                    if len(memo) > policy.MEMO_LIMIT:
+                        memo.clear()
+                    anywhere = self._ensure_masks(plane, policy, (lid,))[lid]
+                    outcome = self.evaluate(
+                        plane, policy, live_before, lid, anywhere
+                    )
+                    memo[key] = outcome
             else:
                 outcome = self.evaluate(plane, policy, live_before, lid)
             accepted, reason, surviving = outcome
@@ -910,6 +798,7 @@ class DecisionKernel:
         flags: Sequence[bool],
         update: bool,
         out: List,
+        sampled: Optional[bool] = None,
     ) -> int:
         """The batch inner loop: one session's decisions, written in place.
 
@@ -921,11 +810,16 @@ class DecisionKernel:
         partition walk and reason formatting across batches; a
         batch-local ``(lid, live, cached) → decision`` memo reuses
         whole immutable :class:`ServiceDecision` objects for exact
-        repeats within the group.
+        repeats within the group.  Updating groups tally the session's
+        per-tenant counts here, under the caller's lock.
+
+        *sampled* is the caller's stage-timer sample decision (a sampled
+        single :meth:`decide` passes ``True``); ``None`` draws one here.
         """
         timer = self.stage_timer
-        timed = timer is not None and len(indices) > 0 and timer.sample()
-        t0 = perf_counter() if timed else 0.0
+        if sampled is None:
+            sampled = timer is not None and len(indices) > 0 and timer.sample()
+        t0 = perf_counter() if sampled else 0.0
         policy = session.policy
         # Most groups are one or two decisions against a policy already
         # synced and lids already masked: test both before paying setup.
@@ -950,7 +844,7 @@ class DecisionKernel:
                 policy.grants,
             )
             outcome_memo = {}
-        t1 = perf_counter() if timed else 0.0
+        t1 = perf_counter() if sampled else 0.0
         principal = session.principal
         live_at_entry = session.live
         decision_memo: Dict[Tuple[int, int, bool], ServiceDecision] = {}
@@ -990,7 +884,12 @@ class DecisionKernel:
             # Live bits only ever narrow, so equal ends mean no accept
             # in the group changed them: nothing durable happened.
             session.dirty_epoch = self.sessions.state_epoch
-        if timed:
+        if update and self.tenant_accounting:
+            # Tallied before the caller's next _session() can evict (and
+            # so drain) this session.
+            session.pending_decided += len(indices)
+            session.pending_refused += len(indices) - accepted_count
+        if sampled:
             group = len(indices)
             timer.observe_many("mask", (t1 - t0) / group, group)
             timer.observe_many("outcome", (perf_counter() - t1) / group, group)

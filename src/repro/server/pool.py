@@ -71,7 +71,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError, ReplicaStartError
 from repro.obs.instruments import aggregate_latency
-from repro.server.batch import _blocking, decide_wire_items, observe_canonicalize
+from repro.server.batch import _blocking, admit_entries, decide_wire_items
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.partition import shard_for
@@ -679,45 +679,23 @@ class ReplicaPool:
         if not entries:
             return results
         label_started = perf_counter() if timings is not None else 0.0
-        distinct = {principal for principal, _, _ in entries}
-        # Unknown-principal isolation against the parent mirror — the
-        # same pre-check decide_wire_items runs, against the same
-        # authoritative session set.
-        if service._default_policy is None:
-            with service._lock:
-                store = service.store
-                distinct = {p for p in distinct if p in store}
-        # One CRC-32 per distinct principal, not per item; a principal
-        # left out of the map is an unknown one.
+        # The parent admits and interns for its replicas, through the
+        # same step as decide_wire_items, then sorts the admitted
+        # positions by owner: one CRC-32 per distinct principal.
+        admitted, qids, _ = admit_entries(service, plane, entries, results)
         replicas = self.replicas
-        owner_of = {p: shard_for(p, replicas) for p in distinct}.get
-        intern = plane.queries.intern
-        # The parent interns for its replicas: a sampled batch times this
-        # loop as the canonicalize stage, as decide_wire_items does.
-        timer = service.kernel.stage_timer
-        sampled = timer is not None and timer.sample()
-        canonicalize_started = perf_counter() if sampled else 0.0
+        owners: Dict[Hashable, int] = {}
         sub_batches: List[Tuple[List[int], List]] = [
             ([], []) for _ in range(replicas)
         ]
-        for index, (principal, query, qid) in enumerate(entries):
-            owner = owner_of(principal)
+        for index, qid in zip(admitted, qids):
+            principal = entries[index][0]
+            owner = owners.get(principal)
             if owner is None:
-                results[index] = {
-                    "error": f"unknown principal {principal!r}",
-                    "code": "unknown-principal",
-                }
-                continue
+                owner = owners[principal] = shard_for(principal, replicas)
             positions, items = sub_batches[owner]
             positions.append(index)
-            items.append([principal, intern(query) if qid is None else qid])
-        if sampled:
-            observe_canonicalize(
-                timer,
-                canonicalize_started,
-                entries,
-                [index for positions, _ in sub_batches for index in positions],
-            )
+            items.append([principal, qid])
         if timings is not None:
             timings["label_us"] = (perf_counter() - label_started) * 1e6
         started = perf_counter()

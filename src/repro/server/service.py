@@ -521,7 +521,7 @@ class DisclosureService:
     def submit(self, principal: Hashable, query: ConjunctiveQuery) -> ServiceDecision:
         """Decide one query for one principal, updating session state."""
         start = time.perf_counter()
-        decision = self.kernel.decide_query(query, principal, update=True)
+        decision = self.kernel.decide(0, principal, query=query)
         self.decisions.increment()
         (self.accepted if decision.accepted else self.refused).increment()
         self.latency.record(time.perf_counter() - start)
@@ -529,7 +529,7 @@ class DisclosureService:
 
     def peek(self, principal: Hashable, query: ConjunctiveQuery) -> ServiceDecision:
         """`would_accept`: the decision :meth:`submit` would make, stateless."""
-        decision = self.kernel.decide_query(query, principal, update=False)
+        decision = self.kernel.decide(0, principal, update=False, query=query)
         self.peeks.increment()
         return decision
 

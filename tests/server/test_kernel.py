@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canonical import canonical_key, query_from_key
 from repro.facebook.workload import WorkloadGenerator, generate_policies
+from repro.policy.policy import PartitionPolicy
 from repro.server.interning import LabelInterner, QueryInterner
 from repro.server.persist import (
     decode_interned_cache,
@@ -38,6 +40,8 @@ from repro.server.persist import (
     snapshot_service,
 )
 from repro.server.service import DisclosureService
+
+from reference_oracle import ReferenceOracle
 
 PRINCIPALS = 10
 
@@ -137,6 +141,137 @@ class TestKernelEquivalence:
         assert _wire(got) == _wire(expected)
         assert kernel_side.export_state() == reference.export_state()
 
+    def test_decide_many_tallies_tenants_like_decide(self, views):
+        """decide_many is decide once per qid, per-tenant counts too."""
+        looped = DisclosureService(views)
+        grouped = DisclosureService(views)
+        policy = [["user_birthday", "public_profile"], ["user_likes"]]
+        texts = (
+            "SELECT birthday FROM user WHERE uid = me()",
+            "SELECT music FROM user WHERE uid = me()",
+        )
+        for service in (looped, grouped):
+            service.register("a", policy)
+        queries = [looped.parse(text, "fql") for text in texts]
+        # Birthday commits "a" to partition 0; music is then refused.
+        stream = [0, 0, 1, 0, 1]
+        for index in stream:
+            looped.kernel.decide(0, "a", query=queries[index])
+        kernel = grouped.kernel
+        kernel.decide(kernel.intern(queries[0]), "a")
+        kernel.decide_many(
+            [kernel.intern(queries[i]) for i in stream[1:]], "a"
+        )
+        assert _tenant_counts(grouped) == _tenant_counts(looped)
+        assert _tenant_counts(looped) == {
+            "repro_tenant_decisions_total": {"a": 5},
+            "repro_tenant_refused_total": {"a": 2},
+        }
+
+
+TENANT_VECTORS = ("repro_tenant_decisions_total", "repro_tenant_refused_total")
+
+
+def _tenant_counts(service):
+    """The per-tenant counter vectors after a scrape (which drains)."""
+    return {
+        vector["name"]: {
+            row["labels"]["tenant"]: row["value"] for row in vector["series"]
+        }
+        for vector in service.metrics_snapshot()["registry"]["vectors"]
+        if vector["name"] in TENANT_VECTORS
+    }
+
+
+#: The default policy of the sampling property's anonymous peeks.
+DEFAULT_POLICY = [["public_profile"], ["user_likes"]]
+
+#: One operation of a mixed stream: (verb, principal index, argument).
+#: Principal index 3 is an unregistered, default-policy principal (peek
+#: only); for "register" the argument picks one of two policies.
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["submit", "submit", "peek", "register"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=39),
+    ),
+    max_size=60,
+)
+
+
+class TestSampledSingleDecisions:
+    """A stage-sampled single decision runs as a group of one through
+    decide_group; an unsampled one runs decide's inline step.  The two
+    must be indistinguishable from outside."""
+
+    @pytest.fixture(scope="class")
+    def pools(self, views):
+        queries = list(WorkloadGenerator(max_subqueries=2, seed=21).stream(40))
+        policies = generate_policies(
+            views.names, 6, max_partitions=4, max_elements=25, seed=21
+        )
+        return queries, policies
+
+    @given(operations=_OPERATIONS)
+    @settings(max_examples=40, deadline=None)
+    def test_every_decision_matches_the_unsampled_path(
+        self, views, pools, operations
+    ):
+        queries, policies = pools
+        sampled = DisclosureService(
+            views, default_policy=DEFAULT_POLICY, stage_sample_rate=1
+        )
+        unsampled = DisclosureService(
+            views, default_policy=DEFAULT_POLICY, stage_sample_rate=0
+        )
+        oracle = ReferenceOracle(views)
+        principals = ["app-0", "app-1", "app-2", "anon"]
+
+        def register(principal, policy):
+            for service in (sampled, unsampled):
+                service.register(principal, policy)
+            oracle.register(principal, PartitionPolicy(policy, views))
+
+        for index in range(3):
+            register(principals[index], policies[index])
+        oracle.register("anon", PartitionPolicy(DEFAULT_POLICY, views))
+        for verb, who, argument in operations:
+            principal = principals[who]
+            if verb == "register":
+                if principal != "anon":
+                    register(principal, policies[who + 3 * (argument % 2)])
+                continue
+            if principal == "anon":
+                verb = "peek"  # never allocate the anonymous session
+            query = queries[argument]
+            got = getattr(sampled, verb)(principal, query)
+            want = getattr(unsampled, verb)(principal, query)
+            expected = getattr(oracle, verb)(principal, query)
+            assert got.as_dict() == want.as_dict()
+            assert got.label == want.label
+            assert got.accepted == expected.accepted
+            assert got.live_after == (
+                oracle.live_bits(principal) if verb == "submit"
+                else got.live_before
+            )
+        assert sampled.export_state() == unsampled.export_state()
+        assert _tenant_counts(sampled) == _tenant_counts(unsampled)
+        if any(verb != "register" for verb, _, _ in operations):
+            counts = _stage_counts(sampled)
+            for stage in ("canonicalize", "label", "mask", "outcome"):
+                assert counts.get(stage), (stage, counts)
+
+
+def _stage_counts(service):
+    """Samples per kernel stage in ``repro_kernel_stage_seconds``."""
+    for vector in service.metrics_snapshot()["registry"]["vectors"]:
+        if vector["name"] == "repro_kernel_stage_seconds":
+            return {
+                row["labels"]["stage"]: row["histogram"]["count"]
+                for row in vector["series"]
+            }
+    return {}
+
 
 class TestPlaneRotation:
     """The shape cap bounds interner memory without changing decisions."""
@@ -201,6 +336,24 @@ class TestPlaneRotation:
             stats = service.label_cache.stats()
             assert stats.hits + stats.misses == lookups  # monotonic
         assert kernel.stats()["plane_epoch"] >= 3
+
+    def test_decide_with_a_query_rotates_at_the_cap(self, views):
+        """decide(qid, query=q) interns on the cap-respecting plane,
+        exactly like decide_query."""
+        epochs = []
+        for form in ("decide", "decide_query"):
+            service = DisclosureService(views)
+            service.register("a", [["public_profile"], ["user_likes"]])
+            kernel = service.kernel
+            kernel.max_interned_shapes = 3
+            for query in self._distinct_shape_traffic(service, 7):
+                if form == "decide":
+                    kernel.decide(0, "a", query=query)
+                else:
+                    kernel.decide_query(query, "a")
+            assert len(kernel.queries) <= 3, form
+            epochs.append(kernel.plane_epoch)
+        assert epochs == [2, 2]
 
     def test_batch_path_rotates_too(self, views):
         """The cap is checked once per resolution pass, so one batch may
