@@ -210,12 +210,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"spill tier: cold sessions under {args.spill_dir} "
                 f"(max {service.max_active_sessions} resident)"
             )
-    serving: dict = {}  # the running server and its loop
-    snapshotter = (
-        _restore_state_dir(args, service, pool, serving)
-        if args.state_dir
-        else None
-    )
+    snapshotter = _restore_state_dir(args, service) if args.state_dir else None
     if pool is not None:
         pool.start()
     if snapshotter is not None and not snapshotter.run_once():
@@ -224,7 +219,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"warning: initial snapshot failed "
             f"({snapshotter.last_error}); keeping existing files"
         )
-    return _serve_async(service, pool, args, snapshotter, serving)
+    return _serve_async(service, pool, args, snapshotter)
 
 
 def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
@@ -234,8 +229,8 @@ def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
     dispatching every decision to N kernel-replica worker processes
     over pipes — multi-core throughput with no HTTP hop per worker.
     See ``docs/pool.md``.  The replicas boot while this process replays
-    its state and imports the front end; ``start()`` then waits for
-    them, and warms and refaults each from the replayed state.
+    its state into the parent and imports the front end; ``start()``
+    then waits for them, and warms and refaults each from the parent.
     """
     import os.path
 
@@ -259,37 +254,26 @@ def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
     return service, pool
 
 
-def _restore_state_dir(args: argparse.Namespace, service, pool, serving):
+def _restore_state_dir(args: argparse.Namespace, service):
     """The ``--state-dir`` composition, pooled or not: replay the
-    directory into *service* (its sessions, cache warmth and counters;
-    a *pool*'s replicas take the warmth at start and refault their
-    partitions) and return the :class:`Snapshotter` writing its chain.
+    directory into *service* (its sessions, cache warmth and counters)
+    and return the :class:`Snapshotter` writing its chain.
 
-    Pooled, the counters restore into the parent, which never decides:
-    they are the baseline every merged view adds once.  While the
-    serving loop runs (*serving* holds it), a pooled snapshot queues
-    its replica reads on the tick drain, behind the traffic before
-    it, and merges, encodes and writes on the snapshot thread.
+    Pooled, *service* is the parent, which holds every piece of the
+    deployment's durable state: replicas are primed from it at start,
+    and each snapshot is a cut of it alone, a full base then deltas.
     """
-    import asyncio
-
     from repro.server.persist import (
         SnapshotChain,
         Snapshotter,
         collect_state,
-        sessions_payload,
+        restore_collected,
     )
 
     chain = SnapshotChain(service, args.state_dir)
     collected = collect_state(args.state_dir)
     if collected is not None:
-        restored = service.import_state(sessions_payload(collected.sessions))
-        if pool is None:
-            service.warm_label_cache(collected.cache_entries)
-        else:
-            pool.warm_entries = collected.cache_entries
-        if collected.metrics:
-            service.restore_metrics(collected.metrics)
+        restored = restore_collected(service, collected)
         print(
             f"warm restart: {restored} sessions, "
             f"{len(collected.cache_entries)} cache entries from "
@@ -298,38 +282,14 @@ def _restore_state_dir(args: argparse.Namespace, service, pool, serving):
         for path, reason in collected.skipped:
             print(f"  skipped {path.name}: {reason}")
 
-    def pooled_snapshot() -> object:
-        if "server" in serving:
-            status, payloads = asyncio.run_coroutine_threadsafe(
-                serving["server"].in_drain(pool.snapshot_payloads_async),
-                serving["loop"],
-            ).result()
-            if status != 200:
-                raise RuntimeError(payloads["error"])
-        else:  # before serving starts, and at shutdown
-            payloads = pool.snapshot_payloads()
-        merged = pool.merged_snapshot(payloads)
-        if merged is None:
-            raise RuntimeError("no kernel replica answered")
-        return chain.save(merged)
-
     print(
         f"snapshots: {chain.state_dir} every {args.snapshot_interval:g}s "
-        + (
-            f"(incremental, full base every {chain.compact_every} deltas)"
-            if pool is None
-            else "(a full base merged across replicas)"
-        )
+        f"(incremental, full base every {chain.compact_every} deltas)"
     )
-    return Snapshotter(
-        chain.save if pool is None else pooled_snapshot,
-        interval=args.snapshot_interval,
-    )
+    return Snapshotter(chain.save, interval=args.snapshot_interval)
 
 
-def _serve_async(
-    service, pool, args: argparse.Namespace, snapshotter, serving: dict
-) -> int:
+def _serve_async(service, pool, args: argparse.Namespace, snapshotter) -> int:
     """The ``serve`` composition: one asyncio front end, pooled or not."""
     import asyncio
 
@@ -338,7 +298,6 @@ def _serve_async(
     async def run() -> None:
         server = AsyncDecisionServer(service, args.host, args.port, pool=pool)
         await server.start()
-        serving.update(server=server, loop=asyncio.get_running_loop())
         if pool is None:
             kind, decisions = "", "single decisions coalesce per event-loop tick"
         else:
@@ -358,13 +317,6 @@ def _serve_async(
         try:
             await server.serve_forever()
         finally:
-            if snapshotter is not None:
-                # Joined off the loop: a pooled snapshot in progress is
-                # waiting on the drain to answer it.
-                await asyncio.get_running_loop().run_in_executor(
-                    None, snapshotter.stop, False
-                )
-            serving.clear()
             await server.stop()
 
     try:
@@ -373,7 +325,7 @@ def _serve_async(
         print("\nshutting down")
     finally:
         if snapshotter is not None:
-            snapshotter.run_once()  # the final shutdown snapshot
+            snapshotter.stop()  # joins the thread, then the final snapshot
         if pool is not None:
             pool.close()
         service.close()
@@ -403,9 +355,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.errors import SnapshotError
     from repro.server.persist import (
         SnapshotChain,
+        collect_state,
         compact_chain,
         inspect_snapshot,
         load_snapshot,
+        restore_collected,
         restore_service,
         save_snapshot,
     )
@@ -468,6 +422,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     if not targets:
         print("no snapshot files found", file=sys.stderr)
         return 1
+    # A --state-dir listing may name files its serving writer prunes
+    # before they are read: those are gone, not invalid.
+    listed = not args.file
 
     if args.action == "inspect":
         failures = 0
@@ -475,6 +432,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             try:
                 info = inspect_snapshot(path)
             except SnapshotError as exc:
+                if listed and not path.exists():
+                    continue  # pruned by a serving writer since the listing
                 failures += 1
                 print(f"{path}: INVALID — {exc}")
                 continue
@@ -499,27 +458,37 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         # monitoring that gates on the exit code must see corruption.
         return 1 if failures else 0
 
-    # load: validate end-to-end by restoring into a fresh service.
+    # load: validate every file end-to-end by restoring it into a
+    # scratch service; a state directory then replays its chain into a
+    # fresh one, the way a restart does (tombstones and the newest
+    # counters honoured).
     from repro.server.service import DisclosureService
 
     service = DisclosureService()
-    restored = 0
+    validated = 0
     for path in targets:
         try:
             stats = restore_service(service, load_snapshot(path)["payload"])
         except SnapshotError as exc:
+            if listed and not path.exists():
+                continue  # pruned by a serving writer since the listing
             print(f"{path}: INVALID — {exc}", file=sys.stderr)
             return 1
-        restored += 1
+        validated += 1
         print(
             f"{path}: restored {stats.sessions} sessions, "
             f"{stats.cache_entries} cache entries, "
             f"{stats.decisions} decisions"
         )
+    collected = None if args.file else collect_state(args.state_dir)
+    if collected is not None:
+        service = DisclosureService()
+        restore_collected(service, collected)
     print(
-        f"ok: {restored} file(s) restore cleanly; service now holds "
+        f"ok: {validated} file(s) restore cleanly; service now holds "
         f"{service.principal_count()} principals, "
-        f"{len(service.label_cache)} cached labels"
+        f"{len(service.label_cache)} cached labels, "
+        f"{service.decisions.value} decisions"
     )
     return 0
 

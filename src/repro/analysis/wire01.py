@@ -9,9 +9,9 @@ each side and diffs:
   the other side (compared against ``kind`` / ``frame[0]``), in both
   directions.  A kind handled but never sent is tolerated (backward
   compatibility); a kind sent but not matched is a finding.
-* **Pool rows** — ``batch`` reply rows are positional (no kind tag
-  guards them), so the row the worker renders must have exactly the
-  arity the parent unpacks.
+* **Pool rows** — ``batch`` replies and their rows are positional (no
+  kind tag guards them), so every list the worker renders must have an
+  arity the parent unpacks, and the other way round.
 * **Status reasons** — every HTTP status the async front end emits
   must have a reason phrase in its ``_REASON`` map (a missing entry
   renders ``HTTP/1.1 500 OK``).
@@ -229,11 +229,12 @@ def _check_reasons(
     return findings
 
 
-def _list_arity(tree: ast.AST, function: str) -> Optional[int]:
-    """Widest row inside *function*: a plain list literal, or the format
-    fields of a JSON-array template (``b"[%d, %b]" % ...``: a row
-    rendered straight to bytes)."""
-    best: Optional[int] = None
+def _list_arities(tree: ast.AST, function: str) -> Set[int]:
+    """The arity of every row of three or more fields inside
+    *function*: a plain list literal, or the format fields of a
+    JSON-array template (``b"[%d, %b]" % ...``: a row rendered straight
+    to bytes)."""
+    arities: Set[int] = set()
     for node in ast.walk(tree):
         if (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -253,13 +254,13 @@ def _list_arity(tree: ast.AST, function: str) -> Optional[int]:
                 ):
                     size = inner.left.value.replace(b"%%", b"").count(b"%")
                 if size is not None:
-                    best = size if best is None else max(best, size)
-    return best
+                    arities.add(size)
+    return arities
 
 
-def _unpack_arity(tree: ast.AST, function: str) -> Optional[int]:
-    """Widest tuple-unpacking assignment inside *function*."""
-    best: Optional[int] = None
+def _unpack_arities(tree: ast.AST, function: str) -> Set[int]:
+    """The arity of every tuple-unpacking assignment inside *function*."""
+    arities: Set[int] = set()
     for node in ast.walk(tree):
         if (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -271,9 +272,8 @@ def _unpack_arity(tree: ast.AST, function: str) -> Optional[int]:
                         if isinstance(target, ast.Tuple) and all(
                             isinstance(e, ast.Name) for e in target.elts
                         ):
-                            size = len(target.elts)
-                            best = size if best is None else max(best, size)
-    return best
+                            arities.add(len(target.elts))
+    return arities
 
 
 def _check_rows(
@@ -283,18 +283,19 @@ def _check_rows(
     what: str,
 ) -> List[Finding]:
     findings: List[Finding] = []
+    def arities(values: Set[int]) -> str:
+        return " or ".join(str(value) for value in sorted(values)) or "no other"
+
     for render_name, inflate_name in pairs:
-        rendered = _list_arity(server.tree, render_name)
-        inflated = _unpack_arity(client.tree, inflate_name)
-        if rendered is None or inflated is None:
-            continue
-        if rendered != inflated:
+        rendered = _list_arities(server.tree, render_name)
+        inflated = _unpack_arities(client.tree, inflate_name)
+        if rendered and inflated and rendered != inflated:
             findings.append(
                 Finding(
                     RULE, client.rel, 1,
                     f"{what} arity mismatch: {render_name} renders "
-                    f"{rendered} fields but {inflate_name} unpacks "
-                    f"{inflated}",
+                    f"{arities(rendered - inflated)} fields but "
+                    f"{inflate_name} unpacks {arities(inflated - rendered)}",
                 )
             )
     return findings

@@ -98,9 +98,9 @@ class ShardedClient(DecisionClient):
         return aggregate_metrics([client.metrics() for client in self.clients])
 
     def snapshot(self) -> Dict:
-        from repro.server.partition import merge_snapshot_payloads
+        from repro.server.partition import merge_snapshots
 
-        return merge_snapshot_payloads(
+        return merge_snapshots(
             [client.snapshot() for client in self.clients]
         )
 

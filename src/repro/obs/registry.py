@@ -172,10 +172,6 @@ class MetricsRegistry:
                     max_series: Optional[int] = None) -> InstrumentVec:
         return self._vector("counter", name, label_names, max_series)
 
-    def gauge_vec(self, name: str, label_names: Sequence[str],
-                  max_series: Optional[int] = None) -> InstrumentVec:
-        return self._vector("gauge", name, label_names, max_series)
-
     def histogram_vec(self, name: str, label_names: Sequence[str],
                       max_series: Optional[int] = None) -> InstrumentVec:
         return self._vector("histogram", name, label_names, max_series)

@@ -414,7 +414,8 @@ def replay_trace_with_restart(
     :class:`~repro.server.persist.SnapshotChain` generation under
     *state_dir*) and dropped — close, delete, no surviving in-memory
     state — and a second service is rebuilt purely from the snapshot
-    chain (:func:`~repro.server.persist.collect_state` → session import,
+    chain (:func:`~repro.server.persist.collect_state`, then
+    :func:`~repro.server.persist.restore_collected`: sessions,
     label-cache warmth, metric continuity) before the remaining events
     replay against it.
 
@@ -447,7 +448,7 @@ def replay_trace_with_restart(
     from repro.server.persist import (
         SnapshotChain,
         collect_state,
-        sessions_payload,
+        restore_collected,
     )
     from repro.server.service import DisclosureService
 
@@ -489,10 +490,7 @@ def replay_trace_with_restart(
         service = build_service("after")
         collected = collect_state(state_dir)
         if collected is not None:
-            service.import_state(sessions_payload(collected.sessions))
-            service.warm_label_cache(collected.cache_entries)
-            if collected.metrics:
-                service.restore_metrics(collected.metrics)
+            restore_collected(service, collected)
         replay(events[split:], service)
         report.elapsed = clock() - begin
         service.close()

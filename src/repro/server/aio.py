@@ -76,7 +76,7 @@ import json
 import re
 import threading
 from collections import Counter
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from time import perf_counter
 
@@ -165,9 +165,7 @@ def dispatch(
     sends as ``text/plain``).
     """
     route, _, query_string = path.partition("?")
-    requests = service.requests
-    if requests is not None:
-        requests.labels("async", route).increment()
+    service.requests.labels("async", route).increment()
     if route.startswith("/v2/"):
         routed = dispatch_v2(service, method, route, body)
         if routed is not None:
@@ -414,10 +412,6 @@ class _Request:
     __slots__ = ("protocol", "close", "result", "kind", "method", "path",
                  "body", "update", "enqueued")
 
-    #: What an inline request runs instead of its route; only
-    #: :meth:`AsyncDecisionServer.in_drain` calls set it.
-    operation: Optional[Callable[[Any], Awaitable[object]]] = None
-
     def __init__(self, protocol: "_HttpProtocol", close: bool):
         self.protocol = protocol
         self.close = close
@@ -441,23 +435,6 @@ class _Request:
         if not protocol.marked:
             protocol.marked = True
             protocol.server.mark_answered(protocol)
-
-
-class _InlineCall(_Request):
-    """An operation queued from inside the process: its answer resolves
-    a future instead of marking a connection for the write pass."""
-
-    __slots__ = ("future", "operation")
-
-    def __init__(self, future: "asyncio.Future", operation):
-        super().__init__(None, False)
-        self.future = future
-        self.operation = operation
-
-    def set_result(self, result: Tuple[int, object]) -> None:
-        self.result = result
-        if not self.future.done():  # the caller may have stopped waiting
-            self.future.set_result(result)
 
 
 class _HttpProtocol(asyncio.Protocol):
@@ -681,7 +658,8 @@ class AsyncDecisionServer:
         if self._consumer is not None:
             # Let the drain in progress finish: one cancelled between a
             # replica send and its reply would leave that reply in the
-            # pipe for the pool's next reader (the shutdown snapshot).
+            # pipe for the pool's next reader (a blocking call after
+            # the loop stops).
             self._stopping = True
             self._ticks.put_nowait([])
             await asyncio.wait([self._consumer], timeout=5.0)
@@ -748,25 +726,6 @@ class AsyncDecisionServer:
         if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._drain)
 
-    async def in_drain(
-        self, operation: Callable[[Any], Awaitable[object]]
-    ) -> Tuple[int, object]:
-        """Await ``operation(loop)`` from the drain, as ``(200, result)``
-        (``500`` if it raised).
-
-        The call joins the tick queue like a request read off a socket,
-        so it runs in order with decision runs: while a pooled server
-        runs, the drain is the only code that touches replica pipes.
-        The periodic pooled snapshot gathers its replica payloads this
-        way and leaves the merge to its own thread, so the serving loop
-        spends only the pipe round trips on it.
-        """
-        call = _InlineCall(asyncio.get_running_loop().create_future(), operation)
-        self._pending.append(call)
-        if len(self._pending) == 1:
-            asyncio.get_running_loop().call_soon(self._drain)
-        return await call.future
-
     def mark_answered(self, protocol: _HttpProtocol) -> None:
         """Hold *protocol* for the one write pass scheduled per loop pass."""
         self._unwritten.append(protocol)
@@ -789,14 +748,13 @@ class AsyncDecisionServer:
         pending, self._pending = self._pending, []
         self.ticks += 1
         self.drained += len(pending)
+        # Inline requests are counted by dispatch() (or by the pool, for
+        # the route it answers itself); the run-joining kinds bypass
+        # both, so they are counted here, once per route.
         requests = self.service.requests
-        if requests is not None:
-            # Inline requests are counted by dispatch() (or by the pool,
-            # for the routes it answers itself); the run-joining kinds
-            # bypass both, so they are counted here, once per route.
-            routes = Counter(r.path for r in pending if r.kind != "inline")
-            for route, count in routes.items():
-                requests.labels("async", route).increment(count)
+        routes = Counter(r.path for r in pending if r.kind != "inline")
+        for route, count in routes.items():
+            requests.labels("async", route).increment(count)
         if self._ticks is not None:
             self._ticks.put_nowait(pending)
         else:
@@ -844,9 +802,7 @@ class AsyncDecisionServer:
                     run, entries, run_plane = [], [], None
                     try:
                         status_payload = None
-                        if request.operation is not None:
-                            status_payload = 200, await request.operation(loop)
-                        elif pool is not None:
+                        if pool is not None:
                             status_payload = await pool.dispatch_inline_async(
                                 request.method, request.path, request.body,
                                 loop=loop,

@@ -31,9 +31,9 @@ The plan for a batch:
    are bulk-computed once per distinct lid and each decision reduces
    to int-keyed memo probes, with whole decisions reused for exact
    repeats.
-5. **Bookkeeping** — the service lock is taken once, counters are
-   incremented in bulk, and the latency histogram records the
-   amortized per-decision time once per batch.
+5. **Bookkeeping** (:func:`account`, shared with the replica pool's
+   parent) — counters are incremented in bulk, and the latency
+   histogram records the amortized per-decision time once per batch.
 
 Equivalence with the sequential path — byte-identical decisions and
 identical end state — is the acceptance property of this module, held
@@ -203,18 +203,35 @@ def decide_wire_items(
             decided += len(indices)
     if timings is not None:
         timings["decide_us"] = (time.perf_counter() - decide_started) * 1e6
-
-    if decided:
-        if update:
-            service.decisions.increment(decided)
-            service.accepted.increment(accepted_count)
-            service.refused.increment(decided - accepted_count)
-            service.latency.record_many(
-                (time.perf_counter() - start) / decided, decided
-            )
-        else:
-            service.peeks.increment(decided)
+    account(service, decided, accepted_count, update, start)
     return results
+
+
+def account(
+    service, decided: int, accepted: int, update: bool, started: float
+) -> None:
+    """Count *decided* decisions, *accepted* of them accepted, begun at
+    ``perf_counter()`` *started*: the one bookkeeping step behind the
+    ``decisions``/``accepted``/``refused``/``peeks`` counters and the
+    latency histogram.
+
+    :func:`decide_wire_items` accounts each batch it decides, and the
+    replica pool's parent each batch it absorbs from its replicas, so a
+    pooled deployment counts every decision once, in the process that
+    outlives its replicas.  Updating decisions record the amortized
+    per-decision time; peeks only count.
+    """
+    if not decided:
+        return
+    if update:
+        service.decisions.increment(decided)
+        service.accepted.increment(accepted)
+        service.refused.increment(decided - accepted)
+        service.latency.record_many(
+            (time.perf_counter() - started) / decided, decided
+        )
+    else:
+        service.peeks.increment(decided)
 
 
 def parse_wire_request(

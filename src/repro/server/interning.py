@@ -31,7 +31,7 @@ yields one id.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.core.canonical import CanonicalKey, canonical_key, query_from_key
 from repro.core.queries import ConjunctiveQuery
@@ -90,10 +90,6 @@ class QueryInterner:
                 self._keys.append(key)
                 self._ids[key] = qid
             return qid
-
-    def qid_of(self, key: CanonicalKey) -> Optional[int]:
-        """The qid of *key* if already interned, else ``None``."""
-        return self._ids.get(key)
 
     def key_of(self, qid: int) -> CanonicalKey:
         """The canonical key behind *qid* (ids are dense and permanent)."""

@@ -127,9 +127,6 @@ class ServiceDecision:
     def __bool__(self) -> bool:
         return self.accepted
 
-    def live_after_bits(self, partitions: int) -> Tuple[bool, ...]:
-        return tuple(bool(self.live_after >> i & 1) for i in range(partitions))
-
     def as_dict(self) -> Dict:
         """The decision as its stable JSON wire object.
 
@@ -285,13 +282,6 @@ class DecisionKernel:
         #: fraction of decisions records canonicalize/label/mask/outcome
         #: stage durations; ``None`` costs one attribute load per call.
         self.stage_timer = None
-        #: When true, updating decisions tally onto the session's
-        #: ``pending_decided`` / ``pending_refused`` fields while the
-        #: session lock is already held — the cheapest possible form of
-        #: per-tenant accounting (two plain int increments).  The service
-        #: drains the tallies into its labeled counter vectors at scrape
-        #: time, so the hot path never pays a label lookup.
-        self.tenant_accounting = False
         #: :meth:`decide`'s inlined copy of the stage-timer
         #: countdown (a method call per decision is measurable at the
         #: warm single-query floor; batch paths still use
@@ -739,10 +729,9 @@ class DecisionKernel:
                     # refusal returns the live mask unchanged.
                     session.live = surviving
                     session.dirty_epoch = sessions.state_epoch
-                if self.tenant_accounting:
-                    session.pending_decided += 1
-                    if not accepted:
-                        session.pending_refused += 1
+                session.pending_decided += 1
+                if not accepted:
+                    session.pending_refused += 1
             live_after = surviving if (accepted and update) else live_before
             return ServiceDecision(
                 accepted,
@@ -884,7 +873,7 @@ class DecisionKernel:
             # Live bits only ever narrow, so equal ends mean no accept
             # in the group changed them: nothing durable happened.
             session.dirty_epoch = self.sessions.state_epoch
-        if update and self.tenant_accounting:
+        if update:
             # Tallied before the caller's next _session() can evict (and
             # so drain) this session.
             session.pending_decided += len(indices)

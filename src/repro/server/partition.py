@@ -11,7 +11,7 @@ routes over) needs exactly three shared pieces:
     ``PYTHONHASHSEED``).
 :func:`aggregate_metrics`
     Per-kernel ``/metrics`` payloads folded into one.
-:func:`merge_snapshot_payloads`
+:func:`merge_snapshots`
     Per-kernel snapshot payloads folded into one restorable,
     topology-free payload.
 """
@@ -108,17 +108,16 @@ def aggregate_metrics(snapshots: Sequence[Dict]) -> Dict:
     }
 
 
-def merge_snapshot_payloads(payloads: Sequence[Dict]) -> Dict:
+def merge_snapshots(payloads: Sequence[Dict]) -> Dict:
     """Fold per-partition snapshot payloads into one restorable payload.
 
     The merge mirrors why partitioning needs no coordination: sessions
     are disjoint across partitions (dict union), label-cache entries are
     principal-free (union, later payloads win ties), counters sum, and
-    latency percentiles re-derive from merged buckets.  A payload may
-    carry only ``metrics`` (a pool parent's restored counter baseline).
-    Kernel-local integer ids are meaningless across kernels, so the
-    merge decodes every payload to canonical keys and packed labels and
-    re-interns them: the result has the shape and the sections of
+    latency percentiles re-derive from merged buckets.  Kernel-local
+    integer ids are meaningless across kernels, so the merge decodes
+    every payload to canonical keys and packed labels and re-interns
+    them: the result has the shape and the sections of
     :func:`repro.server.persist.snapshot_service`, carries no ``shard``
     stamp, and is topology-free by construction.
     """

@@ -472,9 +472,7 @@ class SnapshotInfo:
     Replaces the ad-hoc dicts the inspect path used to pass around.
     ``generation``/``delta_of``/``epoch`` are ``None`` for v1/v2 files
     (which are always self-contained); ``delta_of is None`` on a v3
-    file means a *full* chain base.  Supports ``info["key"]`` as a
-    compatibility bridge for callers that treated the summary as a
-    mapping.
+    file means a *full* chain base.
     """
 
     __slots__ = (
@@ -537,9 +535,6 @@ class SnapshotInfo:
             summary["epoch"] = self.epoch
             summary["removed"] = self.removed
         return summary
-
-    def __getitem__(self, key: str):
-        return self.as_dict()[key]
 
     def __repr__(self) -> str:
         kind = (
@@ -632,8 +627,8 @@ class SnapshotChain:
     ``compact_every`` deltas — or on :meth:`compact` — the next write
     is a fresh full base.  ``save(payload)`` writes a
     :func:`snapshot_service`-shaped payload gathered elsewhere (a
-    pool's merged replica payloads, a pulled ``/internal/snapshot``)
-    as the next full base; *service* may then be ``None``.
+    pulled ``/internal/snapshot``, an offline compaction) as the next
+    full base; *service* may then be ``None``.
 
     One pruning rule holds for every full base: the files older than
     the *previous* full base go, so the directory holds at most two
@@ -898,6 +893,20 @@ def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
     from repro.server.service import _STATE_FORMAT
 
     return {"format": _STATE_FORMAT, "sessions": sessions}
+
+
+def restore_collected(service: DisclosureService, collected: CollectedState) -> int:
+    """Load what :func:`collect_state` replayed into a fresh *service*:
+    the sessions, the label-cache warmth and the counters.  Returns the
+    number of sessions restored.  Every warm restart of a state
+    directory goes through here: ``serve --state-dir`` (pooled or
+    not), ``snapshot load --state-dir`` and the scenario engine's
+    restart replay."""
+    restored = service.import_state(sessions_payload(collected.sessions))
+    service.warm_label_cache(collected.cache_entries)
+    if collected.metrics:
+        service.restore_metrics(collected.metrics)
+    return restored
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,17 @@ and moves only the *data plane* — the
   rotation as an epoch bump the replica adopts wholesale
   (:meth:`DecisionKernel.adopt_plane_epoch`).  Replicas therefore stay
   id-consistent with the parent by construction.  The lid space stays
-  replica-local: labels are a pure function of the query shape, so each
-  replica derives them independently (same packed labels, possibly
-  different dense ids — nothing lid-shaped ever crosses the pipe).
+  process-local: labels are a pure function of the query shape, so
+  nothing lid-shaped ever crosses the pipe — a label travels as its
+  packed bits beside its qid.
+* **The parent holds the durable state.**  Sessions, label warmth and
+  decision counts all live in the parent, so a snapshot is a cut of the
+  parent alone (``serve --replicas N --state-dir`` writes the same
+  chain of full bases and deltas as an unpooled server) and a killed
+  replica takes nothing with it.  A batch reply names the labels its
+  frame newly cached, the parent imports them into its own cache, and
+  every replica is primed from that cache at start and at respawn; the
+  parent counts each decision it absorbs (:func:`batch.account`).
 * **The parent mirrors sessions — off the decisions.**  A principal's
   whole enforcement state is its policy plus one live bit vector
   (Section 6.2), the parent already holds every policy (it validated
@@ -52,8 +60,8 @@ the frame catalogue.
 Equivalence contract: local == async-http == pooled, byte-for-byte on
 cached-stripped decisions across the whole scenario suite
 (``tests/scenarios/test_scenario_equivalence.py``); the `cached` flag
-is the one legitimate divergence, since label-cache warmth is
-per-replica.
+is the one legitimate divergence, since a replica's cache holds only
+the shapes its own principals asked (and whatever it was primed with).
 """
 
 from __future__ import annotations
@@ -70,8 +78,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError, ReplicaStartError
-from repro.obs.instruments import aggregate_latency
-from repro.server.batch import _blocking, admit_entries, decide_wire_items
+from repro.server.batch import _blocking, account, admit_entries, decide_wire_items
 from repro.server.kernel import ServiceDecision
 from repro.server.service import DisclosureService
 from repro.server.partition import shard_for
@@ -112,24 +119,29 @@ def _worker_batch(service: DisclosureService, update: bool, items: List) -> List
     """Decide one qid-native sub-batch; the replica half of ``batch``.
 
     Items are ``[principal, qid]`` pairs whose qids the parent already
-    interned and shipped.  The reply is positional — one row per item,
-    in item order: ``[accepted, cached, live_before, live_after,
+    interned and shipped.  The rows are positional — one per item, in
+    item order: ``[accepted, cached, live_before, live_after,
     reason_index]`` for a decision (the index is into the frame's
-    reason table) or the per-item error dict itself.  Nothing else
-    rides along: the parent holds the items, and reads its mirror off
-    ``live_before``/``live_after``.
+    reason table) or the per-item error dict itself.  The parent holds
+    the items, and reads its mirror off ``live_before``/``live_after``.
+    The last section is ``[[qid, packed_label], ...]`` for every qid
+    this frame put into the label cache (its uncached rows; none when
+    the cache is disabled), which the parent's cache mirrors.
     """
+    kernel = service.kernel
     entries = [(principal, None, qid) for principal, qid in items]
-    results = decide_wire_items(
-        service, entries, update=update, plane=service.kernel.plane
-    )
+    results = decide_wire_items(service, entries, update=update, plane=kernel.plane)
+    caching = kernel.label_cache.maxsize > 0
     reasons: List[str] = []
     reason_index: Dict[str, int] = {}
     rows: List = []
-    for result in results:
+    labels: List = []
+    for (_, qid), result in zip(items, results):
         if not isinstance(result, ServiceDecision):
             rows.append(result)
             continue
+        if caching and not result.cached:
+            labels.append([qid, result.label])
         index = reason_index.get(result.reason)
         if index is None:
             index = reason_index[result.reason] = len(reasons)
@@ -143,7 +155,7 @@ def _worker_batch(service: DisclosureService, update: bool, items: List) -> List
                 index,
             ]
         )
-    return ["ok", rows, reasons]
+    return ["ok", rows, reasons, labels]
 
 
 def _worker_restore(service: DisclosureService, rows: List) -> int:
@@ -229,9 +241,6 @@ def _replica_worker_main(
                 except PolicyError:
                     pass  # parent validated; a default-policy no-op
                 reply = ["ok"]
-            elif kind == "unregister":
-                service.unregister(frame[1])
-                reply = ["ok"]
             elif kind == "restore":
                 reply = ["ok", _worker_restore(service, frame[1])]
             elif kind == "warm":
@@ -242,10 +251,6 @@ def _replica_worker_main(
                 )]
             elif kind == "metrics":
                 reply = ["ok", service.metrics_snapshot()]
-            elif kind == "snapshot":
-                from repro.server.persist import snapshot_service
-
-                reply = ["ok", snapshot_service(service)]
             else:
                 reply = ["err", f"unknown frame kind {kind!r}"]
         except Exception as exc:  # noqa: BLE001 - report, don't die
@@ -282,18 +287,19 @@ class ReplicaPool:
     """N kernel-replica worker processes behind one parent service.
 
     The parent *service* never decides in pooled mode — it owns
-    parsing, interning, the v2 gateway, admin validation, and the
-    authoritative session mirror; every decision is dispatched to the
-    replica owning its principal.  Construct, :meth:`start`, then hand
-    the pool to :class:`repro.server.aio.AsyncDecisionServer`.  A caller
-    with setup of its own can :meth:`launch` first, so the replicas
-    boot while it works, and :meth:`start` afterwards.
+    parsing, interning, the v2 gateway, admin validation, the decision
+    counts, and the authoritative mirror of sessions and label warmth;
+    every decision is dispatched to the replica owning its principal.
+    Construct, :meth:`start`, then hand the pool to
+    :class:`repro.server.aio.AsyncDecisionServer`.  A caller with setup
+    of its own (a warm restart into the parent) can :meth:`launch`
+    first, so the replicas boot while it works, and :meth:`start`
+    afterwards.
 
     Every pipe operation is one coroutine taking ``loop``: the asyncio
     front end passes its running loop, and ``loop=None`` runs the same
-    body blocking (:func:`_blocking`) — for starts, and behind the
-    three public façades :meth:`decide`, :meth:`dispatch_inline` and
-    :meth:`snapshot_payloads`.
+    body blocking (:func:`_blocking`) — for starts, and behind the two
+    public façades :meth:`decide` and :meth:`dispatch_inline`.
     """
 
     def __init__(
@@ -302,17 +308,12 @@ class ReplicaPool:
         replicas: int,
         *,
         service_kwargs: Optional[Dict] = None,
-        warm_entries: Optional[List[Tuple]] = None,
     ):
         if replicas < 1:
             raise ValueError("need at least one kernel replica")
         self.service = service
         self.replicas = replicas
         self.service_kwargs = dict(service_kwargs or {})
-        #: Label-cache entries every replica is warmed with; read by
-        #: :meth:`start`, so they may be set after :meth:`launch`.
-        self.warm_entries = warm_entries
-        self._warm_frame: Optional[List] = None
         self.handles: List[ReplicaHandle] = []
         #: True while an :class:`~repro.server.aio.AsyncDecisionServer`
         #: serves this pool; the blocking façades refuse to run then.
@@ -360,16 +361,6 @@ class ReplicaPool:
         that does not come up, after every replica is stopped.
         """
         self.launch()
-        if self.warm_entries:
-            from repro.server.persist import encode_cache_entries
-
-            # The parent owns interning: the warm keys enter its plane,
-            # and each replica gets that plane ahead of the entries, so
-            # warming interns nothing a replica's plane does not hold.
-            self.service.kernel.intern_keys(
-                [key for key, _ in self.warm_entries]
-            )
-            self._warm_frame = ["warm", encode_cache_entries(self.warm_entries)]
         # A failed start keeps no handles: _bring_up reaps them all.
         handles, self.handles = self.handles, []
         self._bring_up(handles)
@@ -476,13 +467,20 @@ class ReplicaPool:
             return process.wait()
 
     def _prime(self, handle: ReplicaHandle) -> None:
-        """Bring a ready replica level with the parent: the plane and the
-        warm cache, then its principals refaulted from the mirror — the
-        same step for a cold start, a warm restart from a snapshot, and
-        a mid-serve respawn after a crash."""
-        if self._warm_frame is not None:
-            _blocking(self._sync_plane(handle, self.service.kernel.plane, None))
-            _blocking(self._roundtrip(handle, self._warm_frame, None))
+        """Bring a ready replica level with the parent: the plane, then
+        the parent's label cache, then its principals refaulted from the
+        mirror — the same step for a cold start, a warm restart from a
+        snapshot, and a mid-serve respawn after a crash."""
+        kernel = self.service.kernel
+        # Exported before the plane ships, so every key is on the
+        # shipped plane and warming interns nothing new on the replica.
+        entries = kernel.export_label_cache()
+        _blocking(self._sync_plane(handle, kernel.plane, None))
+        if entries:
+            from repro.server.persist import encode_cache_entries
+
+            frame = ["warm", encode_cache_entries(entries)]
+            _blocking(self._roundtrip(handle, frame, None))
         with self.service._lock:
             rows = [
                 [
@@ -666,10 +664,10 @@ class ReplicaPool:
         asyncio tick drain swaps it in transparently.
         Sub-batches go to every involved replica before any reply is
         awaited, so replicas decide concurrently; replies are gathered
-        and applied in replica order, and the parent mirror absorbs
-        every narrowed live vector before the call returns.  Served,
-        the loop keeps parsing and queueing new requests while replicas
-        compute.
+        and applied in replica order, and the parent absorbs every
+        narrowed live vector and newly cached label, and counts every
+        decision, before the call returns.  Served, the loop keeps
+        parsing and queueing new requests while replicas compute.
         """
         service = self.service
         if plane is None:
@@ -678,7 +676,8 @@ class ReplicaPool:
         results: List = [None] * len(entries)
         if not entries:
             return results
-        label_started = perf_counter() if timings is not None else 0.0
+        begun = perf_counter()
+        label_started = begun if timings is not None else 0.0
         # The parent admits and interns for its replicas, through the
         # same step as decide_wire_items, then sorts the admitted
         # positions by owner: one CRC-32 per distinct principal.
@@ -717,26 +716,41 @@ class ReplicaPool:
             await self._settle(handle, positions, frame, plane, reply,
                                results, loop)
         if pending:
-            self._account(pending, started, timings)
+            self._count_frames(pending, started, timings)
+        decided = accepted = 0
+        for result in results:
+            if type(result) is ServiceDecision:
+                decided += 1
+                accepted += result.accepted
+        account(service, decided, accepted, update, begun)
         return results
 
-    def _absorb(self, handle, positions, frame, reply, results) -> Dict:
-        """Fold one reply (or its absence) into *results*.
+    def _absorb(self, handle, positions, frame, plane, reply, results) -> Dict:
+        """Fold one reply (or its absence) into *results* and the
+        parent's label cache.
 
         Rows are positional, so decisions are rebuilt against the
         frame's own items.  Returns ``{principal: live}`` for every
         principal whose live bits a row narrowed — what is still to be
         mirrored, nothing for most frames.  No reply, a row count other
-        than the item count, or a row that is neither five ints nor an
-        error dict fails the whole sub-batch and mirrors nothing.
+        than the item count, a row that is neither five ints nor an
+        error dict, or a label entry that is not a qid of *plane* with
+        its int label, fails the whole sub-batch and mirrors nothing.
         """
         items = frame[2]
         narrowed: Dict[Hashable, int] = {}
         try:
-            if reply is None or len(reply[1]) != len(items):
-                raise ValueError("no reply, or not one row per item")
-            reasons = reply[2]
-            for position, (principal, _), row in zip(positions, items, reply[1]):
+            _, rows, reasons, labels = reply
+            if len(rows) != len(items):
+                raise ValueError("not one row per item")
+            key_of = plane.queries.key_of
+            cache = []
+            for qid, label in labels:
+                label = tuple(label)
+                if qid < 0 or any(type(bits) is not int for bits in label):
+                    raise ValueError(f"malformed label entry for qid {qid!r}")
+                cache.append((key_of(qid), label))
+            for position, (principal, _), row in zip(positions, items, rows):
                 if isinstance(row, dict):
                     results[position] = row
                     continue
@@ -752,7 +766,7 @@ class ReplicaPool:
                 if live_after != live_before:
                     # Live bits only narrow within a batch: last row wins.
                     narrowed[principal] = live_after
-        except (TypeError, ValueError, LookupError):
+        except (TypeError, ValueError, LookupError):  # a None reply too
             # Whatever rows were already placed are overwritten too.
             error = {
                 "error": f"kernel replica {handle.index} unavailable",
@@ -761,6 +775,8 @@ class ReplicaPool:
             for position in positions:
                 results[position] = dict(error)
             return {}
+        if cache:
+            self.service.kernel.import_label_cache(cache)
         return narrowed
 
     async def _settle(
@@ -774,7 +790,7 @@ class ReplicaPool:
         """
         if reply is None:
             reply = await self._retry(handle, plane, frame, loop)
-        narrowed = self._absorb(handle, positions, frame, reply, results)
+        narrowed = self._absorb(handle, positions, frame, plane, reply, results)
         if narrowed:
             if self._mirror_blocking:
                 await self._offload(loop, self._mirror, handle, narrowed)
@@ -826,7 +842,7 @@ class ReplicaPool:
                 )
         self.mirror_writes.labels(str(handle.index)).increment(len(narrowed))
 
-    def _account(self, pending, started: float, timings) -> None:
+    def _count_frames(self, pending, started: float, timings) -> None:
         elapsed = perf_counter() - started
         self.dispatch_seconds.record(elapsed)
         if timings is not None:
@@ -839,7 +855,7 @@ class ReplicaPool:
     # -- admin / inline routes -----------------------------------------
     #: Inline routes the pool answers itself; :func:`dispatch`, where
     #: requests are otherwise counted, never sees them.
-    _ANSWERED = frozenset({("GET", "/metrics"), ("GET", "/internal/snapshot")})
+    _ANSWERED = frozenset({("GET", "/metrics")})
     #: Mutations the parent's dispatch validates and applies (and
     #: counts) first; the owning replica then follows.
     _FORWARDED = frozenset({("POST", "/v1/register"), ("POST", "/v1/reset")})
@@ -853,9 +869,7 @@ class ReplicaPool:
         if method == "POST" and body is None:
             return None
         if (method, route) in self._ANSWERED:
-            requests = self.service.requests
-            if requests is not None:
-                requests.labels("async", route).increment()
+            self.service.requests.labels("async", route).increment()
         elif (method, route) not in self._FORWARDED:
             return None
         return route, query_string
@@ -876,8 +890,10 @@ class ReplicaPool:
 
         Returns ``None`` for routes the parent's ordinary dispatch
         handles correctly (``/healthz``, ``/v2/protocol``,
-        ``/internal/trace``); everything session- or metrics-shaped is
-        intercepted here so replicas and mirror stay in lockstep.
+        ``/internal/trace``, and ``/internal/snapshot``, a cut of the
+        parent's durable state); ``/metrics`` merges the replicas in,
+        and the admin mutations are forwarded so replicas and mirror
+        stay in lockstep.
         Neither batch route is inline: the front end resolves a batch
         and joins its entries to the tick's decision run, so
         :meth:`decide_async` is its data path.
@@ -898,16 +914,6 @@ class ReplicaPool:
 
                 return 200, render_prometheus(snapshot)
             return 200, snapshot
-        if route == "/internal/snapshot":
-            merged = self.merged_snapshot(
-                await self.snapshot_payloads_async(loop)
-            )
-            if merged is None:
-                return 503, {
-                    "error": "no kernel replica answered",
-                    "code": REPLICA_UNAVAILABLE,
-                }
-            return 200, merged
         status, payload = dispatch(self.service, method, route, body)
         if status == 200:
             handle, frame = self._admin_frame(route, body)
@@ -940,20 +946,18 @@ class ReplicaPool:
             except (OSError, TimeoutError, RuntimeError):
                 pass  # the next dispatch will retry the respawn
 
-    # -- merged views ---------------------------------------------------
-    # The parent never decides in pooled mode, so its counters hold only
-    # the history a warm restart restored into it: each merged view adds
-    # that baseline to the replicas' counts once, and nothing counts
-    # twice.
+    # -- the merged view -----------------------------------------------
     async def metrics_snapshot(self, loop) -> Dict:
         """One deployment-wide ``/metrics`` payload, merged at scrape.
 
-        Replica snapshots merge through
-        :func:`~repro.server.partition.aggregate_metrics`
-        (counters sum, latency percentiles re-derive from merged
-        buckets, registry series merge); the parent's restored counters
-        and its own registry — request counters, pool dispatch timing,
-        respawn counts — are folded in on top.
+        The parent counts every decision it absorbs, so the decision
+        counts, the latency histogram and every registry scalar are the
+        parent's alone — a replica killed mid-stream takes none of them
+        with it.  The replicas contribute what only they hold, merged
+        through :func:`~repro.server.partition.aggregate_metrics`: the
+        caches, the sessions, the kernel gauges and the labeled vectors
+        (tenant, stage, spill), beside the parent's own vectors
+        (requests, pool dispatch, respawns).
         """
         from repro.obs import merge_registry_snapshots
         from repro.server.partition import aggregate_metrics
@@ -967,49 +971,15 @@ class ReplicaPool:
         merged["replica_count"] = merged.pop("shard_count", len(snapshots))
         merged["replicas"] = merged.pop("shards", snapshots)
         parent = self.service.metrics_snapshot()
-        for name in ("decisions", "accepted", "refused", "peeks"):
-            merged[name] += parent[name]
-        merged["latency"] = aggregate_latency(
-            [merged["latency"], parent["latency"]]
-        )
+        for name in ("decisions", "accepted", "refused", "peeks", "latency"):
+            merged[name] = parent[name]
         merged["uptime_seconds"] = max(
-            merged.get("uptime_seconds", 0.0),
-            parent.get("uptime_seconds", 0.0),
+            merged["uptime_seconds"], parent["uptime_seconds"]
         )
         merged["registry"] = merge_registry_snapshots(
-            [merged.get("registry"), parent.get("registry")]
+            [{"vectors": merged["registry"]["vectors"]}, parent["registry"]]
         )
         return merged
-
-    def snapshot_payloads(self) -> List[Dict]:
-        """:meth:`snapshot_payloads_async`, blocking — for the snapshots
-        taken while no loop serves the pool."""
-        return _blocking(self.snapshot_payloads_async(None), self.served)
-
-    async def snapshot_payloads_async(self, loop) -> List[Dict]:
-        """Every live replica's snapshot payload (sessions, cache,
-        counters): the inputs of :meth:`merged_snapshot`."""
-        replies = [
-            await self._admin_reply(handle, ["snapshot"], loop)
-            for handle in self.handles
-        ]
-        return [reply[1] for reply in replies if reply is not None]
-
-    def merged_snapshot(self, payloads: List[Dict]) -> Optional[Dict]:
-        """Replica *payloads* and the parent's counters folded into one
-        restorable, topology-free payload
-        (:func:`~repro.server.partition.merge_snapshot_payloads`), or
-        ``None`` when no replica answered — an empty merge would read
-        as a deployment with no sessions.  Pure: it touches no pipe, so
-        a snapshot thread can run it off the serving loop."""
-        from repro.server.partition import merge_snapshot_payloads
-        from repro.server.persist import metrics_section
-
-        if not payloads:
-            return None
-        return merge_snapshot_payloads(
-            [*payloads, {"metrics": metrics_section(self.service)}]
-        )
 
     async def _admin_reply(
         self, handle: ReplicaHandle, frame: List, loop

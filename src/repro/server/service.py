@@ -186,9 +186,6 @@ class DisclosureService:
         One decision in this many records per-stage kernel timings into
         the ``repro_kernel_stage_seconds{stage=...}`` histograms
         (default 64; ``0`` disables stage timing entirely).
-    observability:
-        ``False`` strips the labeled metrics plane down to the legacy
-        counters: no per-tenant/per-route vectors, no stage timer.
     """
 
     def __init__(
@@ -203,7 +200,6 @@ class DisclosureService:
         parse_cache_size: int = 4096,
         default_policy: "PartitionPolicy | Iterable[Iterable[str]] | None" = None,
         stage_sample_rate: int = DEFAULT_SAMPLE_RATE,
-        observability: bool = True,
     ):
         if security_views is None:
             from repro.facebook.permissions import facebook_security_views
@@ -280,27 +276,20 @@ class DisclosureService:
         self.latency = self.metrics.histogram("repro_request_latency_seconds")
         #: Ring buffer of spans from traced v2 requests (GET /internal/trace).
         self.traces = TraceBuffer()
-        self.observability = bool(observability)
-        self.stage_sample_rate = stage_sample_rate if observability else 0
-        if self.observability:
-            self.tenant_decisions = self.metrics.counter_vec(
-                "repro_tenant_decisions_total", ("tenant",)
-            )
-            self.tenant_refused = self.metrics.counter_vec(
-                "repro_tenant_refused_total", ("tenant",)
-            )
-            self.requests = self.metrics.counter_vec(
-                "repro_requests_total", ("transport", "route")
-            )
-            #: Tenant counts accumulate on the Session objects (plain
-            #: int fields bumped by the kernel under its existing lock)
-            #: and drain into the vectors at scrape time — the warm
-            #: single-query path must not pay a label lookup per call.
-            self.kernel.tenant_accounting = True
-        else:
-            self.tenant_decisions = None
-            self.tenant_refused = None
-            self.requests = None
+        self.stage_sample_rate = stage_sample_rate
+        #: Tenant counts accumulate on the Session objects (plain int
+        #: fields bumped by the kernel under its existing lock) and
+        #: drain into these vectors at scrape time — the warm
+        #: single-query path must not pay a label lookup per call.
+        self.tenant_decisions = self.metrics.counter_vec(
+            "repro_tenant_decisions_total", ("tenant",)
+        )
+        self.tenant_refused = self.metrics.counter_vec(
+            "repro_tenant_refused_total", ("tenant",)
+        )
+        self.requests = self.metrics.counter_vec(
+            "repro_requests_total", ("transport", "route")
+        )
         if self.stage_sample_rate > 0:
             stage_vec = self.metrics.histogram_vec(
                 "repro_kernel_stage_seconds", ("stage",)
@@ -309,7 +298,7 @@ class DisclosureService:
                 {stage: stage_vec.labels(stage) for stage in STAGES},
                 rate=self.stage_sample_rate,
             )
-        if self.observability and self.store.observe is None:
+        if self.store.observe is None:
             #: Spill-tier stage timing: one histogram per expensive tier
             #: op (spill / fault / compact).  The in-memory store never
             #: reports, so the vector stays empty unless a disk tier is
@@ -478,7 +467,7 @@ class DisclosureService:
         or re-registered) — either way its pending counts must land in
         ``repro_tenant_*_total`` before they become unreachable.
         """
-        if session is None or self.tenant_decisions is None:
+        if session is None:
             return
         if session.pending_decided:
             self.tenant_decisions.labels(session.principal).increment(
@@ -493,8 +482,6 @@ class DisclosureService:
 
     def _flush_tenant_counts(self) -> None:
         """Drain every active session's tallies (called at scrape time)."""
-        if self.tenant_decisions is None:
-            return
         with self._lock:
             for session in self.store.resident_sessions():
                 self._drain_session_counts(session)

@@ -149,7 +149,7 @@ class SessionStore(Protocol):
     ``observe``
         ``(op, seconds)`` timing callback for the expensive tier
         operations: ``"spill"``, ``"fault"``, ``"compact"``.  Wired to
-        the metrics plane when observability is enabled.
+        the service's ``repro_spill_seconds`` histogram.
     """
 
     max_resident: int

@@ -115,6 +115,19 @@ def test_pool_row_the_parent_reads_at_another_arity(corpus):
     assert "_absorb unpacks 5" in findings[0].message
 
 
+def test_pool_reply_the_parent_reads_at_another_arity(corpus):
+    """The reply is positional too: a section the worker adds that the
+    parent does not unpack is a finding, though the rows agree."""
+    corpus.write(
+        "pool.py",
+        POOL_GOOD + POOL_ROWS.replace('["reason"]]', '["reason"], []]'),
+    )
+    findings = corpus.by_rule(pool_module="pool")["WIRE01"]
+    assert len(findings) == 1
+    assert "_worker_batch renders 4 fields" in findings[0].message
+    assert "_absorb unpacks 3" in findings[0].message
+
+
 def test_status_without_reason_phrase(corpus):
     corpus.write(
         "aio.py",

@@ -3,7 +3,7 @@
 :func:`shard_for` is the one ownership function the replica pool, the
 client-side :class:`repro.client.ShardedClient` and the state-directory
 readers agree on; :func:`aggregate_metrics` and
-:func:`merge_snapshot_payloads` fold per-partition ``/metrics`` and
+:func:`merge_snapshots` fold per-partition ``/metrics`` and
 snapshot payloads back into one.
 """
 
@@ -18,7 +18,7 @@ from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.obs.instruments import LatencyHistogram
 from repro.server.partition import (
     aggregate_metrics,
-    merge_snapshot_payloads,
+    merge_snapshots,
     shard_for,
 )
 from repro.server.persist import restore_service, snapshot_service
@@ -105,7 +105,7 @@ class TestMergeSnapshotPayloads:
             principal = f"app-{rng.randrange(PRINCIPALS)}"
             services[shard_for(principal, 2)].submit(principal, rng.choice(queries))
 
-        payload = merge_snapshot_payloads(
+        payload = merge_snapshots(
             [snapshot_service(service) for service in services]
         )
         assert len(payload["sessions"]["sessions"]) == PRINCIPALS

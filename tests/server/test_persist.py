@@ -299,14 +299,15 @@ class TestSnapshotFiles:
     def test_inspect_reports_counts(self, views, tmp_path):
         path = save_snapshot(tmp_path / "snap.json", self._payload(views))
         summary = inspect_snapshot(path)
-        assert summary["sessions"] == PRINCIPALS
-        assert summary["cache_entries"] > 0
-        assert summary["decisions"] == 100
+        assert summary.sessions == PRINCIPALS
+        assert summary.cache_entries > 0
+        assert summary.decisions == 100
 
 
 class TestStateDirectory:
-    """The one writer's directory rules, for payload-fed bases (pooled
-    serving, ``snapshot save``) as for a service's own chain."""
+    """The one writer's directory rules, for payload-fed bases
+    (``snapshot save``, offline compaction) as for a service's own
+    chain."""
 
     def _payload(self, views, principals: int):
         service = DisclosureService(views)
@@ -565,57 +566,63 @@ class TestInternalSnapshotRoute:
 
 
 # ----------------------------------------------------------------------
-# A pooled deployment: merged snapshot, restart with another replica count
+# A pooled deployment: the parent's chain, restart with another replica count
 # ----------------------------------------------------------------------
 class TestPooledRestart:
-    def _snapshot_a_pool(self, views, tmp_path, policies, reference, traffic):
-        """A 2-replica pool decides *traffic*, then leaves only a merged
-        snapshot in *tmp_path* (the kill: replicas gone, state on disk)."""
+    def _pool(self, views, replicas):
         from repro.server.pool import ReplicaPool
 
         kwargs = {"security_views": views}
         parent = DisclosureService(**kwargs)
-        pool = ReplicaPool(parent, 2, service_kwargs=kwargs).start()
+        return parent, ReplicaPool(parent, replicas, service_kwargs=kwargs)
+
+    @staticmethod
+    def _admin(pool, route, body):
+        status, _ = pool.dispatch_inline("POST", route, body)
+        assert status == 200
+
+    @staticmethod
+    def _decide(pool, reference, traffic):
+        got = pool.decide([(p, q, None) for p, q in traffic], update=True)
+        want = [reference.submit(p, q) for p, q in traffic]
+        for g, w in zip(got, want):
+            assert (g.accepted, g.live_after) == (w.accepted, w.live_after)
+
+    def _snapshot_a_pool(self, views, tmp_path, policies, reference, traffic):
+        """A 2-replica pool decides *traffic*, then leaves only its
+        snapshot in *tmp_path* (the kill: replicas gone, state on disk)."""
+        parent, pool = self._pool(views, 2)
+        pool.start()
         try:
             for index, policy in enumerate(policies):
-                status, _ = pool.dispatch_inline(
-                    "POST",
-                    "/v1/register",
+                self._admin(
+                    pool, "/v1/register",
                     {"principal": f"app-{index}", "policy": policy},
                 )
-                assert status == 200
-            got = pool.decide([(p, q, None) for p, q in traffic], update=True)
-            want = [reference.submit(p, q) for p, q in traffic]
-            for g, w in zip(got, want):
-                assert (g.accepted, g.live_after) == (w.accepted, w.live_after)
-            # The writer ``serve --replicas N --state-dir`` runs: the
-            # replica payloads merge with the parent's counters into one
-            # full base of the directory's chain.
-            path = SnapshotChain(parent, tmp_path).save(
-                pool.merged_snapshot(pool.snapshot_payloads())
-            )
+            self._decide(pool, reference, traffic)
+            # The writer ``serve --replicas N --state-dir`` runs: a cut
+            # of the parent, which holds sessions, warmth and counters.
+            path = SnapshotChain(parent, tmp_path).save()
             assert load_snapshot(path)["format"] == "repro.snapshot/3"
         finally:
             pool.close()
             parent.close()
 
-    def _restored_pool(self, views, tmp_path, replicas):
-        """The ``serve --replicas N --state-dir DIR`` composition."""
-        from repro.server.pool import ReplicaPool
+    def _restored_pool(self, views, tmp_path, replicas, principals=PRINCIPALS):
+        """The ``serve --replicas N --state-dir DIR`` composition: the
+        directory replays into the parent, and the replicas start from
+        it."""
+        from repro.server.persist import restore_collected
 
-        kwargs = {"security_views": views}
         collected = collect_state(tmp_path)
-        assert len(collected.sessions) == PRINCIPALS
-        parent = DisclosureService(**kwargs)
-        parent.import_state(sessions_payload(collected.sessions))
-        pool = ReplicaPool(
-            parent, replicas, service_kwargs=kwargs,
-            warm_entries=collected.cache_entries,
-        ).start()
-        return parent, pool
+        assert len(collected.sessions) == principals
+        parent, pool = self._pool(views, replicas)
+        pool.launch()
+        restore_collected(parent, collected)
+        return parent, pool.start()
 
     def test_warm_restart_with_more_replicas(self, views, tmp_path):
-        """A 2-replica pool → merged snapshot into the state directory →
+        """A 2-replica pool → its snapshot into the state directory →
         close → a 3-replica pool restored from it → decisions continue
         byte-identically vs an uninterrupted single service."""
         policies = _policies(views)
@@ -636,9 +643,9 @@ class TestPooledRestart:
     def test_a_replica_killed_after_a_warm_restart_respawns_warm(
         self, views, tmp_path
     ):
-        """A replica of a pool started with warm entries dies mid-stream;
-        its respawn gets the parent's plane ahead of the warm frame, so
-        the stream continues byte-identically with no plane drift."""
+        """A replica of a pool restored warm dies mid-stream; its respawn
+        gets the parent's plane ahead of the parent's label cache, so the
+        stream continues byte-identically with no plane drift."""
         import os
         import signal
         import time
@@ -668,6 +675,60 @@ class TestPooledRestart:
         assert not errors, errors[:2]
         want = [reference.submit(p, q) for p, q in first + second]
         assert _wire(got) == _wire(want)
+
+    def test_restart_through_a_delta_chain(self, views, tmp_path):
+        """``serve --replicas 2 --state-dir`` cuts the parent like an
+        unpooled server: a full base, then deltas.  A register, a reset
+        and narrowing traffic between the cuts replay onto 3 replicas,
+        and decisions continue byte-identically vs an uninterrupted
+        single service, ``cached`` included."""
+        policies = _policies(views)
+        reference = _registered_service(views, policies)
+        parent, pool = self._pool(views, 2)
+        pool.start()
+        try:
+            chain = SnapshotChain(parent, tmp_path)
+            for index, policy in enumerate(policies[:-1]):
+                self._admin(
+                    pool, "/v1/register",
+                    {"principal": f"app-{index}", "policy": policy},
+                )
+            # The last principal is only registered after the base.
+            late = f"app-{PRINCIPALS - 1}"
+            phase = [(p, q) for p, q in _covering_traffic(41, 120) if p != late]
+            self._decide(pool, reference, phase)
+            base = chain.save()
+            self._admin(
+                pool, "/v1/register",
+                {"principal": late, "policy": policies[-1]},
+            )
+            self._decide(pool, reference, _traffic(42, 80))
+            first_delta = chain.save()
+            self._admin(pool, "/v1/reset", {"principal": "app-0"})
+            reference.reset("app-0")
+            self._decide(pool, reference, _traffic(43, 80))
+            second_delta = chain.save()
+        finally:
+            pool.close()
+            parent.close()
+        generations = [
+            inspect_snapshot(path) for path in (base, first_delta, second_delta)
+        ]
+        assert [info.delta_of for info in generations] == [
+            None, generations[0].generation, generations[1].generation,
+        ]
+        assert generations[1].sessions < PRINCIPALS  # deltas, not bases
+        parent, pool = self._restored_pool(views, tmp_path, 3)
+        after = _traffic(44, 150)
+        try:
+            got = pool.decide([(p, q, None) for p, q in after], update=True)
+            metrics = pool.dispatch_inline("GET", "/metrics", None)[1]
+        finally:
+            pool.close()
+            parent.close()
+        want = [reference.submit(p, q) for p, q in after]
+        assert _wire(got) == _wire(want)  # byte-identical, cached too
+        assert metrics["decisions"] == reference.decisions.value
 
 
 # ----------------------------------------------------------------------

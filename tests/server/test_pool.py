@@ -4,10 +4,11 @@ A pooled deployment must be observationally identical to one local
 service — decisions, error taxonomy, admin routes, session evolution —
 with the data plane spread across worker processes.  These suites hold
 a :class:`ReplicaPool` and a twin local service to the same decision
-stream (the ``cached`` flag excepted: label-cache warmth is
-per-replica), then break the pool on purpose: kill -9 a replica
-mid-stream and require the respawn to refault its sessions from the
-parent mirror and keep the stream byte-identical.
+stream (the ``cached`` flag excepted: a replica caches only the shapes
+its own principals asked), then break the pool on purpose: kill -9 a
+replica mid-stream and require the respawn to refault its sessions and
+label warmth from the parent, keep the stream byte-identical, and lose
+no decision count.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ def _traffic(seed: int, count: int):
     ]
 
 
-@pytest.fixture(scope="module")
-def deployment(views, schema):
-    """A 2-replica pool and its single-service twin, same policies."""
+def _deploy(views, schema):
+    """A started 2-replica pool and its single-service twin, same policies."""
     kwargs = {"security_views": views, "schema": schema}
     local = DisclosureService(**kwargs)
     parent = DisclosureService(**kwargs)
@@ -83,10 +83,29 @@ def deployment(views, schema):
             {"principal": principal, "policy": [list(p) for p in policy]},
         )
         assert status == 200
-    yield local, parent, pool
+    return local, parent, pool
+
+
+def _close(local, parent, pool):
     pool.close()
     parent.close()
     local.close()
+
+
+@pytest.fixture(scope="module")
+def deployment(views, schema):
+    """A 2-replica pool and its single-service twin, shared by a module."""
+    deployed = _deploy(views, schema)
+    yield deployed
+    _close(*deployed)
+
+
+@pytest.fixture()
+def fresh(views, schema):
+    """The same, for one test: its counters and caches start empty."""
+    deployed = _deploy(views, schema)
+    yield deployed
+    _close(*deployed)
 
 
 class TestDecideParity:
@@ -170,20 +189,23 @@ class TestInlineRoutes:
         }
         assert "repro_pool_dispatch_seconds" in scalars
 
-    def test_merged_snapshot_restores_into_one_service(
+    def test_the_snapshot_is_the_parents_and_restores_into_one_service(
         self, deployment, views, schema
     ):
-        local, _, pool = deployment
+        _, parent, pool = deployment
         from repro.server.persist import payload_sessions, restore_service
 
-        status, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
+        # The pool leaves the route to the parent's ordinary dispatch.
+        assert pool.dispatch_inline("GET", "/internal/snapshot", None) is None
+        status, payload = dispatch(parent, "GET", "/internal/snapshot", None)
         assert status == 200
-        sessions = payload_sessions(merged)
+        sessions = payload_sessions(payload)
         assert set(PRINCIPALS) <= set(sessions)
         restored = DisclosureService(views, schema=schema)
         try:
-            stats = restore_service(restored, merged)
+            stats = restore_service(restored, json.loads(json.dumps(payload)))
             assert stats.sessions == len(sessions)
+            assert stats.cache_entries > 0  # the warmth the replicas shipped
             (_, query), = _traffic(10, 1)
             want = pool.decide([("bob", query, None)], update=False)
             got = decide_wire_items(
@@ -192,22 +214,6 @@ class TestInlineRoutes:
             _assert_same_decision(got[0], want[0])
         finally:
             restored.close()
-
-
-    def test_snapshot_with_no_replica_answering_is_503(
-        self, deployment, monkeypatch
-    ):
-        """An empty merge would read as a deployment with no sessions."""
-        _, _, pool = deployment
-
-        async def no_replica_answered(loop):
-            return []
-
-        monkeypatch.setattr(pool, "snapshot_payloads_async", no_replica_answered)
-        status, payload = pool.dispatch_inline(
-            "GET", "/internal/snapshot", None
-        )
-        assert (status, payload["code"]) == (503, REPLICA_UNAVAILABLE)
 
 
 class TestPlaneDeltas:
@@ -286,6 +292,53 @@ class TestCrashRecovery:
         for w, g in zip(want, got):
             _assert_same_decision(w, g)
 
+    def test_a_killed_replica_takes_no_decision_count_with_it(self, fresh):
+        """The parent counts what it absorbs, so ``/metrics`` and the
+        Prometheus exposition add up to what was sent across a kill."""
+        from repro.obs.prometheus import parse_prometheus, sample_value
+
+        _, _, pool = fresh
+        traffic = _traffic(13, 180)
+        submits = 0
+        for start in range(0, len(traffic), 20):
+            if start == 100:
+                os.kill(pool.handles[0].process.pid, signal.SIGKILL)
+                time.sleep(0.2)
+            update = start % 40 != 20  # every other batch peeks
+            entries = [(p, q, None) for p, q in traffic[start:start + 20]]
+            got = pool.decide(entries, update=update)
+            assert all(isinstance(g, ServiceDecision) for g in got)
+            submits += len(entries) if update else 0
+        assert _vec_total(pool.respawns) == 1
+        _, snapshot = pool.dispatch_inline("GET", "/metrics", None)
+        assert snapshot["decisions"] + snapshot["peeks"] == len(traffic)
+        assert snapshot["decisions"] == snapshot["latency"]["count"] == submits
+        assert snapshot["accepted"] + snapshot["refused"] == submits
+        _, text = pool.dispatch_inline(
+            "GET", "/metrics?format=prometheus", None
+        )
+        parsed = parse_prometheus(text)
+        assert sample_value(parsed, "repro_decisions_total") == submits
+        assert sample_value(parsed, "repro_peeks_total") == len(traffic) - submits
+
+    def test_a_respawned_replica_is_as_warm_as_an_unpooled_twin(self, fresh):
+        """A respawn is primed with the parent's label cache, so a
+        repeated stream decides exactly as one service does, ``cached``
+        flag included."""
+        local, _, pool = fresh
+        entries = [(p, q, None) for p, q in _traffic(14, 160)]
+        want = decide_wire_items(local, entries, update=True)
+        got = pool.decide(entries, update=True)
+        for w, g in zip(want, got):
+            _assert_same_decision(w, g)
+        os.kill(pool.handles[0].process.pid, signal.SIGKILL)
+        time.sleep(0.2)
+        want = decide_wire_items(local, entries, update=True)
+        got = pool.decide(entries, update=True)
+        assert _vec_total(pool.respawns) == 1
+        assert all(isinstance(g, ServiceDecision) for g in got)
+        assert [g.as_dict() for g in got] == [w.as_dict() for w in want]
+
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 BIRTHDAY = ("SELECT birthday FROM user WHERE uid = me()", "fql", 3)
@@ -310,28 +363,53 @@ class _StubConnection:
         return json.dumps(self.reply).encode()
 
 
+def _reply(rows=None, labels=None):
+    """A ``batch`` reply for three items: three narrowing rows, the
+    first uncached, and the label section naming its qid (0)."""
+    row = [1, 0, 3, 1, 0]
+    return [
+        "ok",
+        [row] * 3 if rows is None else rows,
+        ["accepted"],
+        [[0, [5]]] if labels is None else labels,
+    ]
+
+
 class TestReplyAlignment:
     """Rows are positional, so a reply that does not align with its
-    frame fails the whole sub-batch and never reaches the mirror."""
+    frame fails the whole sub-batch and never reaches the mirror —
+    neither the sessions nor the label cache."""
 
     NARROWING = [1, 0, 3, 1, 0]
 
     @pytest.mark.parametrize(
-        "rows",
+        "reply",
         [
-            [NARROWING],  # short: one row for three items
-            [NARROWING] * 4,  # over-long
-            [NARROWING, [1, 0, 3, 1], NARROWING],  # a four-field row
-            [NARROWING, [1, 0, "3", 1, 0], NARROWING],  # a non-int field
-            [NARROWING, [1, 0, 3, 1, 7], NARROWING],  # reason out of range
-            [NARROWING, ["e", {"error": "x"}], NARROWING],  # the old tagged row
+            _reply([NARROWING]),  # short: one row for three items
+            _reply([NARROWING] * 4),  # over-long
+            _reply([NARROWING, [1, 0, 3, 1], NARROWING]),  # a four-field row
+            _reply([NARROWING, [1, 0, "3", 1, 0], NARROWING]),  # a non-int field
+            _reply([NARROWING, [1, 0, 3, 1, 7], NARROWING]),  # reason out of range
+            _reply([NARROWING, ["e", {"error": "x"}], NARROWING]),  # the old tagged row
+            _reply()[:3],  # the old three-section reply
+            _reply(labels=[[7, [5]]]),  # a qid the frame's plane never dealt
+            _reply(labels=[[-1, [5]]]),  # a negative qid
+            _reply(labels=[[0, ["5"]]]),  # a non-int label
+            _reply(labels=[[0, 5]]),  # a label that is not a list
+            _reply(labels=[[0]]),  # an entry without its label
+        ],
+        ids=[
+            "short", "over-long", "four-field-row", "non-int-field",
+            "reason-out-of-range", "tagged-row", "three-sections",
+            "unknown-qid", "negative-qid", "non-int-label", "scalar-label",
+            "one-field-entry",
         ],
     )
-    def test_misaligned_reply_fails_the_sub_batch(self, views, schema, rows):
+    def test_misaligned_reply_fails_the_sub_batch(self, views, schema, reply):
         parent = DisclosureService(views, schema=schema)
         parent.register("app", CHINESE_WALL)
         pool = ReplicaPool(parent, 1)
-        stub = _StubConnection(["ok", rows, ["accepted"]])
+        stub = _StubConnection(reply)
         pool.handles = [ReplicaHandle(0, None, stub)]
         query = parent.parse(*BIRTHDAY)
         spilled = parent.store.spill_count
@@ -343,6 +421,8 @@ class TestReplyAlignment:
         assert parent.store.spill_count == spilled
         assert _vec_total(pool.mirror_writes) == 0
         assert dict(parent.store.iter_states())["app"].live == 0b11
+        assert parent.kernel.export_label_cache() == []
+        assert parent.decisions.value == 0
 
     def test_aligned_reply_decides_and_mirrors_the_last_narrowing(
         self, views, schema
@@ -352,7 +432,7 @@ class TestReplyAlignment:
         pool = ReplicaPool(parent, 1)
         error = {"error": "unknown principal 'app'", "code": "unknown-principal"}
         rows = [[1, 0, 3, 1, 0], error, [0, 1, 1, 1, 1]]
-        stub = _StubConnection(["ok", rows, ["yes", "no"]])
+        stub = _StubConnection(["ok", rows, ["yes", "no"], [[0, [5]]]])
         pool.handles = [ReplicaHandle(0, None, stub)]
         query = parent.parse(*BIRTHDAY)
         got = pool.decide([("app", query, None)] * 3, update=True)
@@ -366,6 +446,12 @@ class TestReplyAlignment:
         )
         assert _vec_total(pool.mirror_writes) == 1
         assert dict(parent.store.iter_states())["app"].live == 1
+        # The uncached row's label is mirrored, keyed by the query shape.
+        assert parent.kernel.export_label_cache() == [
+            (parent.kernel.queries.key_of(0), (5,))
+        ]
+        # Two decisions absorbed, the error entry not counted.
+        assert (parent.decisions.value, parent.accepted.value) == (2, 1)
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +488,15 @@ class TestDerivedMirror:
         )
         assert status == 200
 
-    def test_mirror_equals_replica_states(self, wall):
+    def test_the_parent_snapshot_decides_as_the_pool_does(
+        self, wall, views, schema
+    ):
+        """The mirror is the pooled snapshot: a service restored from the
+        parent's ``/internal/snapshot`` decides every (principal, shape)
+        pair as the pool does — the default-policy principals that never
+        narrowed, and so are in no snapshot, included."""
+        from repro.server.persist import restore_service
+
         local, parent, pool = wall
         for principal in self.REGISTERED:
             self._register(local, pool, principal)
@@ -421,24 +515,36 @@ class TestDerivedMirror:
             for w, g in zip(want, got):
                 _assert_same_decision(w, g)
         assert {pool.owner_of(p) for p, _ in submits} == set(range(REPLICAS))
-        from repro.server.persist import payload_sessions
-
-        _, merged = pool.dispatch_inline("GET", "/internal/snapshot", None)
-        replicas = payload_sessions(merged)
         mirror = parent.export_state()["sessions"]
         assert set(mirror) == set(self.REGISTERED) | {"anon-a", "anon-b"}
-        for principal, state in mirror.items():
-            assert replicas[principal] == state, principal
-        for principal in set(replicas) - set(mirror):
-            # Held by a replica only: an untouched default-policy
-            # session, which a respawn rebuilds identically from nothing.
-            assert replicas[principal]["live"] == [True, True], principal
         assert mirror == local.export_state()["sessions"]
         ephemeral = {
             principal: state.ephemeral
             for principal, state in parent.store.iter_states()
         }
         assert ephemeral["anon-a"] and not ephemeral["reg-a"]
+
+        status, payload = dispatch(parent, "GET", "/internal/snapshot", None)
+        assert status == 200
+        restored = DisclosureService(
+            views, schema=schema, default_policy=CHINESE_WALL
+        )
+        try:
+            restore_service(restored, json.loads(json.dumps(payload)))
+            principals = [*self.REGISTERED, "anon-a", "anon-b", "anon-c",
+                          "anon-untouched"]
+            pairs = [
+                (principal, query, None)
+                for principal in principals
+                for query in (birthday, music)
+            ]
+            want = decide_wire_items(restored, pairs, update=False)
+            got = pool.decide(pairs, update=False)
+            for w, g in zip(want, got):
+                _assert_same_decision(w, g)
+            assert [g.accepted for g in got[-2:]] == [True, True]
+        finally:
+            restored.close()
 
     def test_steady_state_and_peeks_write_nothing(self, wall, views, schema):
         local, parent, pool = wall
@@ -632,7 +738,7 @@ class TestBlockingDriver:
 
 class TestServedPool:
     """While an event loop serves the pool, its tick drain is the only
-    code that reads or writes the replica pipes — snapshots included."""
+    code that reads or writes the replica pipes; snapshots never do."""
 
     def test_v1_batch_matches_local_dispatch(self, views, schema):
         """``/v1/batch`` joins the tick's decision run, so a served pool
@@ -704,7 +810,6 @@ class TestServedPool:
             for call in (
                 lambda: pool.decide([], update=True),
                 lambda: pool.dispatch_inline("GET", "/metrics", None),
-                pool.snapshot_payloads,
             ):
                 with pytest.raises(RuntimeError, match="served"):
                     call()
@@ -715,14 +820,15 @@ class TestServedPool:
     def test_periodic_snapshots_under_traffic_fail_nothing(self, tmp_path):
         """``serve --replicas 2 --state-dir`` snapshotting every 50 ms
         under batch traffic: every item decided, the server still
-        answering, and the snapshots restoring every principal."""
+        answering, the chain a base and its deltas, as unpooled, and
+        the snapshots restoring every principal."""
         import re
         import subprocess
         import sys
         from pathlib import Path
 
         from repro.client import HttpClient, parse_text
-        from repro.server.persist import collect_state
+        from repro.server.persist import collect_state, inspect_snapshot
 
         state_dir = tmp_path / "state"
         env = dict(
@@ -776,3 +882,8 @@ class TestServedPool:
                 log.close()
         collected = collect_state(state_dir)
         assert set(apps) <= set(collected.sessions)
+        kinds = [
+            inspect_snapshot(path).delta_of is None
+            for path in sorted(state_dir.glob("snapshot-*.json"))
+        ]
+        assert kinds.count(False) >= 2, kinds  # deltas, not full bases

@@ -273,39 +273,8 @@ class TestRunDiscipline:
 
 
 class TestServedLifecycle:
-    """The served flag, in-process inline calls, and a stop that never
-    strands a replica reply in its pipe."""
-
-    def test_an_inline_call_queues_behind_the_traffic_before_it(
-        self, views, schema
-    ):
-        service = _registered(views, schema)
-        method, path, body = _stream(service)[1]  # a submitting batch
-
-        async def main():
-            server = AsyncDecisionServer(
-                service, port=0, pool=_RecordingPool(service)
-            )
-            await server.start()
-            try:
-                protocol = _HttpProtocol(server)
-                protocol.connection_made(_NullTransport())
-                request = _Request(protocol, False)
-                server.accept(method, path, json.dumps(body).encode(), request)
-                seen = []
-
-                async def operation(loop):
-                    seen.append((request.done(), loop is asyncio.get_running_loop()))
-                    return "ran"
-
-                answer = await server.in_drain(operation)
-                return seen, answer
-            finally:
-                await server.stop()
-
-        seen, answer = asyncio.run(main())
-        assert seen == [(True, True)]  # the batch before it was answered first
-        assert answer == (200, "ran")
+    """The served flag, and a stop that never strands a replica reply in
+    its pipe."""
 
     def test_stop_lets_the_drain_in_progress_finish(self, views, schema):
         service = _registered(views, schema)

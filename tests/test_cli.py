@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,63 @@ class TestSnapshotCommand:
         assert code == 0
         assert "restored 1 sessions" in out
         assert "restore cleanly" in out
+
+    def test_load_replays_a_state_directory_as_a_restart_does(self, tmp_path):
+        """``load --state-dir`` validates every file, then replays the
+        chain the way a restart does: the delta's tombstone removes
+        ``b``, and the counters are the newest generation's, not the
+        sum of every generation's."""
+        from repro.server import DisclosureService
+        from repro.server.persist import SnapshotChain, collect_state
+
+        service = DisclosureService()
+        for principal in ("a", "b"):
+            service.register(principal, [["public_profile"], ["user_likes"]])
+        query = service.parse("SELECT name FROM user WHERE uid = me()", "fql")
+        for _ in range(5):
+            service.submit("a", query)
+        chain = SnapshotChain(service, tmp_path)
+        chain.save()
+        service.unregister("b")
+        chain.save()
+        chain.save()
+        assert set(collect_state(tmp_path).sessions) == {"a"}
+        code, out = run_cli("snapshot", "load", "--state-dir", str(tmp_path))
+        assert code == 0
+        assert out.count(": restored ") == 3  # every file validated
+        assert out.splitlines()[-1].startswith(
+            "ok: 3 file(s) restore cleanly; service now holds 1 principals,"
+        )
+        assert out.splitlines()[-1].endswith(", 5 decisions")
+
+    def test_a_file_pruned_after_the_listing_is_not_invalid(
+        self, tmp_path, monkeypatch
+    ):
+        """A serving writer prunes old generations while ``load
+        --state-dir`` reads the directory: a listed file that is gone by
+        the time it is read is skipped, while a named FILE that does not
+        exist is still an error."""
+        from repro.server import DisclosureService, persist
+
+        service = DisclosureService()
+        service.register("a", [["public_profile"]])
+        chain = persist.SnapshotChain(service, tmp_path)
+        chain.save()
+        chain.save()
+        oldest = sorted(tmp_path.glob("snapshot-*.json"))[0]
+        real = persist.load_snapshot
+
+        def pruned_on_read(path):
+            if Path(path) == oldest:
+                oldest.unlink(missing_ok=True)
+            return real(path)
+
+        monkeypatch.setattr(persist, "load_snapshot", pruned_on_read)
+        code, out = run_cli("snapshot", "load", "--state-dir", str(tmp_path))
+        assert code == 0
+        assert "ok: 1 file(s) restore cleanly" in out
+        code, _ = run_cli("snapshot", "load", str(oldest))
+        assert code == 1
 
     def test_inspect_rejects_a_corrupt_file(self, snapshot_file):
         snapshot_file.write_text("{broken")
