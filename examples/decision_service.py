@@ -20,7 +20,7 @@ service = DisclosureService()
 server = start_async_background(service)
 host, port = server.host, server.port
 
-client = HttpClient(f"http://{host}:{port}")  # negotiates the v2 qid wire
+client = HttpClient(f"http://{host}:{port}")  # speaks the v2 qid wire
 
 # Two apps: a birthday widget (Chinese Wall: profile-ish data OR likes,
 # never both) and a music app that only ever gets likes.
@@ -35,7 +35,7 @@ client.register("music-app", [["user_likes"]])
 birthday = parse_text("SELECT birthday FROM user WHERE uid = me()", "fql", me=7)
 music = parse_text("SELECT music FROM user WHERE uid = me()", "fql")
 
-print(f"== talking v{client.protocol[-1]} over http://{host}:{port} ==")
+print(f"== talking v2 over http://{host}:{port} ==")
 print("== birthday-widget commits to partition 0 ==")
 decision = client.submit("birthday-widget", birthday)
 print(f"  birthday query: accepted={decision['accepted']}  ({decision['reason']})")

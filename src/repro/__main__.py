@@ -286,18 +286,29 @@ def _restore_state_dir(args: argparse.Namespace, service):
         f"snapshots: {chain.state_dir} every {args.snapshot_interval:g}s "
         f"(incremental, full base every {chain.compact_every} deltas)"
     )
-    return Snapshotter(chain.save, interval=args.snapshot_interval)
+    return Snapshotter(chain.save_changed, interval=args.snapshot_interval)
 
 
 def _serve_async(service, pool, args: argparse.Namespace, snapshotter) -> int:
-    """The ``serve`` composition: one asyncio front end, pooled or not."""
+    """The ``serve`` composition: one asyncio front end, pooled or not.
+
+    SIGTERM and SIGINT (a terminal's Ctrl-C, or ``kill -INT`` to a
+    server started with ``&``) take one shutdown path: stop the front
+    end, take the final snapshot, close the pool, close the service,
+    exit 0.
+    """
     import asyncio
+    import signal
 
     from repro.server.aio import AsyncDecisionServer
 
     async def run() -> None:
         server = AsyncDecisionServer(service, args.host, args.port, pool=pool)
         await server.start()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
         if pool is None:
             kind, decisions = "", "single decisions coalesce per event-loop tick"
         else:
@@ -315,15 +326,18 @@ def _serve_async(service, pool, args: argparse.Namespace, snapshotter) -> int:
         if snapshotter is not None:
             snapshotter.start()
         try:
-            await server.serve_forever()
+            await stop.wait()  # the listener serves from start() on
+            print("shutting down")
         finally:
             await server.stop()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
     finally:
+        # The shutdown runs to its end: a second signal does not cut the
+        # final snapshot short.
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.SIG_IGN)
         if snapshotter is not None:
             snapshotter.stop()  # joins the thread, then the final snapshot
         if pool is not None:
@@ -437,16 +451,10 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 failures += 1
                 print(f"{path}: INVALID — {exc}")
                 continue
-            extra = ""
-            if info.generation is not None:
-                kind = (
-                    "full"
-                    if info.delta_of is None
-                    else f"delta of {info.delta_of}"
-                )
-                extra += f", generation {info.generation} ({kind})"
-                if info.removed:
-                    extra += f", {info.removed} removed"
+            kind = "full" if info.delta_of is None else f"delta of {info.delta_of}"
+            extra = f", generation {info.generation} ({kind})"
+            if info.removed:
+                extra += f", {info.removed} removed"
             print(
                 f"{path}: {info.format}, "
                 f"{info.sessions} sessions, "
@@ -511,7 +519,7 @@ def _scenario_client(args: argparse.Namespace):
         return LocalClient()
     if not args.url:
         raise ValueError(f"the {args.transport} transport needs a --url target")
-    return HttpClient(args.url, protocol=args.protocol)
+    return HttpClient(args.url)
 
 
 def _scenario_restart_replay(args: argparse.Namespace, trace, slo):
@@ -580,7 +588,7 @@ def _scenario_replay(args: argparse.Namespace, trace, slo):
             url = f"http://{handle.host}:{handle.port}"
 
         async def drive():
-            client = AsyncHttpClient(url, protocol=args.protocol)
+            client = AsyncHttpClient(url)
             await client.connect()
             try:
                 return await replay_trace_async(
@@ -1029,11 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=1, metavar="N",
         help="async-http transport without --url: start an in-process "
         "pooled front end with N kernel replicas and replay against it",
-    )
-    scenario.add_argument(
-        "--protocol", choices=("auto", "v1", "v2"), default="auto",
-        help="HTTP wire protocol (auto negotiates v2, falling back to "
-        "v1 against older servers)",
     )
     scenario.add_argument(
         "--timed", action="store_true",

@@ -9,7 +9,7 @@
   :class:`~repro.server.service.DisclosureService` behind the protocol
 * :mod:`repro.client.http` — the HTTP client core (every operation
   once, as a coroutine) and :class:`HttpClient`: that core run blocking,
-  speaking the qid-native v2 wire, negotiating down to v1
+  speaking the qid-native v2 wire
 * :mod:`repro.client.aio` — :class:`AsyncHttpClient`: the same core
   awaited, pipelining requests over one connection, which the
   server's tick drain coalesces

@@ -137,8 +137,7 @@ class AsyncHttpClient(ClientCore):
     Not a :class:`DecisionClient` subclass — every decision and
     administration method is ``async`` — but method for method the same
     contract, returning the same stable wire dicts.  See
-    :class:`repro.client.HttpClient` for the parameters; ``protocol``
-    accepts ``"v2"`` (default), ``"v1"``, or ``"auto"``.
+    :class:`repro.client.HttpClient` for the parameters.
     """
 
     def __init__(

@@ -35,7 +35,7 @@ Implementations:
 * :class:`repro.client.LocalClient` — wraps an in-process
   :class:`~repro.server.service.DisclosureService` (no sockets).
 * :class:`repro.client.HttpClient` — sync HTTP; speaks the qid-native
-  v2 wire protocol, negotiating down to v1 against older servers.
+  v2 wire protocol.
 * :class:`repro.client.AsyncHttpClient` — the same surface as
   coroutines, pipelining requests over one connection.
 * :class:`repro.client.ShardedClient` — routes principals across a

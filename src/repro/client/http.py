@@ -1,22 +1,22 @@
 """The HTTP client core, and :class:`HttpClient`: that core run blocking.
 
-Every HTTP client operation — protocol negotiation, the v2 and v1
-single and batch decisions, the ``409 unknown-generation`` re-send
-with the full key table, the v1 datalog memo and the administration
-calls — is one coroutine of :class:`ClientCore`.  The core does no I/O:
-it awaits its shell's two hooks, :meth:`~ClientCore._open` and
-:meth:`~ClientCore._send`.  It opens the connection, then builds a v2
-body, then hands it to ``_send`` with no suspension in between, so
-interner deltas reach the server in ``base`` order.
+Every HTTP client operation — the v2 single and batch decisions, the
+``409 unknown-generation`` re-send with the full key table, and the
+administration calls — is one coroutine of :class:`ClientCore`.  The
+core does no I/O: it awaits its shell's two hooks,
+:meth:`~ClientCore._open` and :meth:`~ClientCore._send`.  It opens the
+connection, then builds a v2 body, then hands it to ``_send`` with no
+suspension in between, so interner deltas reach the server in ``base``
+order.
 
 :class:`~repro.client.AsyncHttpClient` awaits the core over a pipelined
 asyncio connection.  :class:`HttpClient` runs it over one keep-alive
 ``http.client`` connection whose hooks never suspend, through the
 no-suspend driver :func:`repro.server.batch._blocking`: no event loop.
-With ``protocol="auto"`` it probes ``GET /v2/protocol`` once and falls
-back to the text-based v1 wire against servers that predate v2.  It is
-*not* thread-safe by design (one socket, one in-flight request); give
-each worker thread its own instance.
+It is *not* thread-safe by design (one socket, one in-flight request);
+give each worker thread its own instance.  The server's ``/v1/*`` text
+routes are its curl surface (``docs/http-api.md``); no client here
+speaks them.
 """
 
 from __future__ import annotations
@@ -73,16 +73,16 @@ class ClientCore:
         trace: "bool | int",
         timeout: Optional[float],
     ):
-        if protocol not in ("auto", "v1", "v2"):
-            raise ValueError(f"unknown protocol {protocol!r}")
+        if protocol != "v2":
+            raise ValueError(
+                f"unsupported protocol {protocol!r}: the clients speak the "
+                "v2 wire only; /v1/* is the curl surface (docs/http-api.md)"
+            )
         self.host, self.port = _split_url(url)
         self.timeout = timeout
         self.compact = compact
         self._trace = wire.TraceSampler(trace)
-        self._protocol: Optional[str] = None if protocol == "auto" else protocol
         self._state = wire.WireState()
-        #: v1 only: local qid -> rendered datalog text (parse-once).
-        self._texts: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # The shell's two hooks
@@ -130,21 +130,6 @@ class ClientCore:
         body = wire.resync_body(self._state, sent)
         return await self._send(conn, "POST", path, body)
 
-    async def _protocol_name(self) -> str:
-        """The wire protocol, negotiated via ``GET /v2/protocol`` on
-        first use; an unreachable server raises and caches no guess."""
-        if self._protocol is None:
-            conn = await self._open()
-            status, payload = await self._send(conn, "GET", "/v2/protocol", None)
-            self._protocol = (
-                "v2"
-                if status == 200
-                and isinstance(payload, dict)
-                and "v2" in payload.get("versions", ())
-                else "v1"
-            )
-        return self._protocol
-
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
@@ -157,27 +142,21 @@ class ClientCore:
         trace: Optional[bool] = None,
     ) -> Dict:
         """One decision as the stable wire dict; raises ClientError."""
-        if (self._protocol or await self._protocol_name()) == "v2":
-            conn = await self._open()
-            data = wire.single_request(
-                self._state,
-                principal,
-                query,
-                peek=peek,
-                compact=self.compact,
-                trace=self._trace.should(trace),
-            )
-            status, payload = await self._send(conn, "POST", "/v2/query", data)
-            if status == 409:
-                status, payload = await self._resync("/v2/query", json.loads(data))
-            if status != 200:
-                raise _error_from(status, payload)
-            return wire.inflate_single(payload, principal)
-        return await self._request(
-            "POST",
-            "/v1/peek" if peek else "/v1/query",
-            {"principal": principal, "datalog": self._datalog(query)},
+        conn = await self._open()
+        data = wire.single_request(
+            self._state,
+            principal,
+            query,
+            peek=peek,
+            compact=self.compact,
+            trace=self._trace.should(trace),
         )
+        status, payload = await self._send(conn, "POST", "/v2/query", data)
+        if status == 409:
+            status, payload = await self._resync("/v2/query", json.loads(data))
+        if status != 200:
+            raise _error_from(status, payload)
+        return wire.inflate_single(payload, principal)
 
     async def _decide_many_async(
         self, items: Sequence[ClientItem], *, peek: bool
@@ -185,41 +164,19 @@ class ClientCore:
         """Ordered batch; per-item error dicts instead of raising."""
         if not items:
             return []
-        if (self._protocol or await self._protocol_name()) == "v2":
-            conn = await self._open()
-            body, principals = wire.batch_body(
-                self._state, items, peek=peek, compact=self.compact
-            )
-            status, payload = await self._send(conn, "POST", "/v2/batch", body)
-            if status == 409:
-                status, payload = await self._resync("/v2/batch", body)
-            if status != 200:
-                raise _error_from(status, payload)
-            return wire.inflate_batch(payload, principals)
-        payload = await self._request(
-            "POST",
-            "/v1/batch",
-            {
-                "queries": [
-                    {"principal": principal, "datalog": self._datalog(query)}
-                    for principal, query in items
-                ],
-                "peek": peek,
-            },
+        conn = await self._open()
+        body, principals = wire.batch_body(
+            self._state, items, peek=peek, compact=self.compact
         )
-        return payload["decisions"]
-
-    def _datalog(self, query: ConjunctiveQuery) -> str:
-        """Datalog text for the v1 wire, rendered once per shape."""
-        qid = self._state.interner.intern(query)
-        text = self._texts.get(qid)
-        if text is None:
-            text = wire.query_to_datalog(query)
-            self._texts[qid] = text
-        return text
+        status, payload = await self._send(conn, "POST", "/v2/batch", body)
+        if status == 409:
+            status, payload = await self._resync("/v2/batch", body)
+        if status != 200:
+            raise _error_from(status, payload)
+        return wire.inflate_batch(payload, principals)
 
     # ------------------------------------------------------------------
-    # Administration (identical on both wire versions)
+    # Administration (the shared /v1 admin routes)
     # ------------------------------------------------------------------
     async def _register_async(self, principal: Hashable, policy: Any) -> None:
         """Register (or re-register, resetting state) a principal."""
@@ -244,19 +201,19 @@ class ClientCore:
 
 
 class HttpClient(ClientCore, DecisionClient):
-    """A :class:`DecisionClient` over HTTP (v2 wire, v1 fallback).
+    """A :class:`DecisionClient` over HTTP (the v2 wire).
 
     Parameters
     ----------
     url:
         ``http://host:port`` of a running server (``repro serve``).
     protocol:
-        ``"v2"`` (qid-native wire), ``"v1"`` (text wire), or ``"auto"``
-        (negotiate via ``GET /v2/protocol``; the default).
+        ``"v2"``, the only wire a client speaks; any other value raises
+        :class:`ValueError`.
     compact:
-        Negotiate the dense v2 response rows (ignored on v1).
+        Ask for the dense v2 response rows.
     trace:
-        Request server-side spans (v2 only): ``False`` never, ``True``
+        Request server-side spans: ``False`` never, ``True``
         on every decision, an integer N to sample one decision in N.
         A traced decision dict carries the span under ``"trace"``; the
         per-call ``trace=`` keyword on :meth:`submit`/:meth:`peek`
@@ -271,7 +228,7 @@ class HttpClient(ClientCore, DecisionClient):
         self,
         url: str,
         *,
-        protocol: str = "auto",
+        protocol: str = "v2",
         compact: bool = True,
         trace: "bool | int" = False,
         timeout: float = 30.0,
@@ -331,11 +288,6 @@ class HttpClient(ClientCore, DecisionClient):
                     raise self._stalled() from exc
                 raise self._unreachable(exc) from exc
         raise AssertionError("unreachable")
-
-    @property
-    def protocol(self) -> str:
-        """The negotiated wire protocol (probes the server on first use)."""
-        return self._protocol or _blocking(self._protocol_name())
 
     # ------------------------------------------------------------------
     # The core's coroutines, run blocking

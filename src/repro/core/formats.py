@@ -9,12 +9,15 @@ and everywhere else imports them — the FMT01 checker
 (:mod:`repro.analysis`) fails CI on any ``repro.<x>/<n>`` literal inlined
 outside this module.
 
+Each artifact has one readable version: a reader accepts its own
+format and refuses any other with an error naming the format it found.
 Adding a version:
 
-1. add the constant here (never edit an existing one — old documents
-   keep their header forever),
-2. teach the reader to accept it (e.g. ``persist.READABLE_FORMATS``),
-3. only then switch the writer to emit it.
+1. add the constant here (never edit an existing one's value — a
+   refused document must still be named by what it says it is),
+2. switch the reader and the writer to it together (e.g.
+   ``persist.SNAPSHOT_FORMAT``),
+3. delete the constant it replaces once nothing reads or writes it.
 """
 
 from __future__ import annotations
@@ -23,38 +26,26 @@ __all__ = [
     "POLICY_FORMAT_V1",
     "SESSIONS_FORMAT_V1",
     "SESSIONS_FORMAT_V2",
-    "SNAPSHOT_FORMAT_V1",
-    "SNAPSHOT_FORMAT_V2",
     "SNAPSHOT_FORMAT_V3",
     "TRACE_FORMAT_V1",
 ]
 
-#: Full self-contained snapshot, sessions as per-principal partition
-#: lists, label cache as flat ``[key, label]`` pairs.  Read-only: no
-#: writer emits it; :data:`repro.server.persist.READABLE_FORMATS` keeps
-#: read support forever.
-SNAPSHOT_FORMAT_V1 = "repro.snapshot/1"
-
-#: Full self-contained snapshot with interned tables: each canonical
-#: key and packed label stored once, referenced by dense integer id;
-#: session policies deduplicated into a table referenced by index.
-#: Read-only, like v1: its sections live on inside v3.
-SNAPSHOT_FORMAT_V2 = "repro.snapshot/2"
-
-#: The one written snapshot format: every file ``SnapshotChain`` (the
-#: only writer) or ``save_snapshot`` writes, pooled or not.  v2's
-#: section encodings plus a ``delta`` header linking the document into
-#: a chain — a full base (``of: null``) or an increment holding only
-#: the sessions dirtied and the interner rows added since the
-#: generation it extends.
+#: The one snapshot format, written and read: every file
+#: ``SnapshotChain`` (the only writer) or ``save_snapshot`` writes,
+#: pooled or not.  Interned sections (each canonical key, packed label
+#: and session policy stored once, referenced by dense index) plus a
+#: ``delta`` header linking the document into a chain — a full base
+#: (``of: null``) or an increment holding only the sessions dirtied and
+#: the interner rows added since the generation it extends.  Files of
+#: the earlier ``repro.snapshot/1`` and ``/2`` releases are refused.
 SNAPSHOT_FORMAT_V3 = "repro.snapshot/3"
 
 #: Session-table export (``SessionStore.export_state`` /
 #: ``DisclosureService.export_state``): the live wire form.
 SESSIONS_FORMAT_V1 = "repro.server/1"
 
-#: Session-table file form inside v3 snapshot sections: policy table
-#: plus ``[index, live_int]`` rows.
+#: Session-table file form inside snapshot sections: policy table plus
+#: ``[index, live_int]`` rows.
 SESSIONS_FORMAT_V2 = "repro.server/2"
 
 #: Scenario trace documents (:mod:`repro.scenarios.trace`): a header

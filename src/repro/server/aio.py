@@ -11,7 +11,7 @@ Routes::
     POST /v1/reset      {"principal": "app1"}
     POST /v2/query      {"gen": ..., "qid": 17, "delta": [...], ...}
     POST /v2/batch      {"gen": ..., "items": [[0, 17], ...], ...}
-    GET  /v2/protocol   versions/limits for client content negotiation
+    GET  /v2/protocol   the wire versions and limits this server speaks
     GET  /metrics       decision counts, cache hit rates, latency percentiles
                         (``?format=prometheus`` or ``Accept: text/plain``
                         switches to the Prometheus text exposition)

@@ -11,7 +11,9 @@ This module makes restarts safe and cheap:
   generation carrying the sessions and the label cache as interned
   tables, the metrics counters, and a ``delta`` header placing it in a
   chain, wrapped in a format-version header and a CRC-32 checksum over
-  the canonicalized payload bytes.  Versions 1 and 2 stay readable.
+  the canonicalized payload bytes.  It is the only format this build
+  reads: an older document is refused with a :class:`SnapshotError`
+  naming its format.
 * **Crash safety** — :func:`save_snapshot` writes a temporary file in
   the target directory, fsyncs it, and atomically renames it over the
   destination, so a crash mid-write leaves the previous snapshot
@@ -24,7 +26,8 @@ This module makes restarts safe and cheap:
   holds, and names every file it could not use and why.
 * **A background snapshotter** — :class:`Snapshotter` runs a snapshot
   callable every *interval* seconds on a daemon thread (``repro serve
-  --state-dir DIR --snapshot-interval S``).
+  --state-dir DIR --snapshot-interval S``); an idle server's periodic
+  cut writes nothing.
 
 The restart-equivalence suite (``tests/server/test_persist.py``) holds
 the core guarantee: decisions after snapshot → kill → warm restart are
@@ -41,32 +44,22 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.canonical import decode_key, encode_key
 from repro.core.formats import (
     SESSIONS_FORMAT_V1,
     SESSIONS_FORMAT_V2,
-    SNAPSHOT_FORMAT_V1,
-    SNAPSHOT_FORMAT_V2,
     SNAPSHOT_FORMAT_V3,
 )
 from repro.errors import SnapshotError
 from repro.server.service import DisclosureService
 
-#: The format-version header of every snapshot file this build writes:
-#: a generation (full base or delta) of interned sections.  Bump on any
-#: change a previous release could not read.
+#: The format-version header of every snapshot file this build writes
+#: and the only one it reads: a generation (full base or delta) of
+#: interned sections.  Bump on any change a previous release could not
+#: read.
 SNAPSHOT_FORMAT = SNAPSHOT_FORMAT_V3
-
-#: Every format this build can *read*.  Version 1 stored sessions as
-#: per-principal partition lists and the label cache as flat
-#: ``[key, label]`` pairs; version 2 stores the interner tables once
-#: (each canonical key and each packed label exactly once) and
-#: references them by dense integer id, and deduplicates session
-#: policies into a table referenced by index; version 3 adds the
-#: incremental-generation header on the same section encodings.
-READABLE_FORMATS = (SNAPSHOT_FORMAT_V1, SNAPSHOT_FORMAT_V2, SNAPSHOT_FORMAT)
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{8})\.json$")
 _SHARD_NAME = re.compile(r"^shard-(\d+)\.json$")
@@ -75,7 +68,7 @@ _SHARD_SKIPPED = "written by the removed --shards release; not restored"
 
 
 # ----------------------------------------------------------------------
-# JSON-safe encoding of cache entries
+# JSON-safe encoding of canonical keys
 # ----------------------------------------------------------------------
 def _encode(obj):
     """A canonical-cache-key element as a JSON-round-trippable value.
@@ -99,34 +92,11 @@ def _decode(obj):
         raise SnapshotError(str(exc)) from exc
 
 
-def encode_cache_entries(entries: Iterable[Tuple]) -> List[List]:
-    """``export_label_cache()`` pairs as JSON-safe ``[key, label]`` lists."""
-    return [
-        [_encode(key), [int(packed) for packed in label]]
-        for key, label in entries
-    ]
-
-
-def decode_cache_entries(data: Iterable) -> List[Tuple]:
-    """JSON-safe pairs back into ``warm_label_cache()`` form."""
-    entries = []
-    for item in data:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise SnapshotError(f"malformed cache entry {item!r}")
-        key, label = item
-        if not isinstance(label, (list, tuple)) or not all(
-            isinstance(packed, int) for packed in label
-        ):
-            raise SnapshotError(f"malformed packed label {label!r}")
-        entries.append((_decode(key), tuple(label)))
-    return entries
-
-
 # ----------------------------------------------------------------------
 # ID-plane encoding: tables once, references by dense integer id
 # ----------------------------------------------------------------------
 def encode_sessions(exported: Dict) -> Dict:
-    """``export_state()`` output as the v2 session table.
+    """``export_state()`` output as the snapshot session table.
 
     Distinct policies (partition tuples) are stored once in a table;
     each session becomes ``[policy_index, live_int]``.  Deployments
@@ -152,24 +122,21 @@ def encode_sessions(exported: Dict) -> Dict:
 
 
 def decode_sessions(data: Dict) -> Dict:
-    """Any readable session table back into the ``export_state`` v1 form.
+    """A snapshot session table back into the ``export_state`` form.
 
-    v1 payloads pass through unchanged; v2 payloads expand the policy
-    table (sessions of one policy share one expanded ``partitions``
-    list — treat it as read-only).  Raises :class:`SnapshotError` on
-    anything malformed.
+    The policy table expands once: sessions of one policy share one
+    expanded ``partitions`` list — treat it as read-only.  Raises
+    :class:`SnapshotError` on anything malformed.
     """
     if not isinstance(data, dict):
         raise SnapshotError("session table is not an object")
     fmt = data.get("format")
-    if fmt == SESSIONS_FORMAT_V1:
-        return data
     if fmt != SESSIONS_FORMAT_V2:
         raise SnapshotError(f"unrecognized session-table format {fmt!r}")
     policies = data.get("policies")
     sessions = data.get("sessions")
     if not isinstance(policies, list) or not isinstance(sessions, dict):
-        raise SnapshotError("v2 session table needs 'policies' and 'sessions'")
+        raise SnapshotError("session table needs 'policies' and 'sessions'")
     # One expanded partition list per *policy*, shared (read-only) by
     # every session that references it: a population restores in memory
     # proportional to its distinct policies, not to its size.
@@ -198,13 +165,14 @@ def decode_sessions(data: Dict) -> Dict:
 
 
 def encode_interned_cache(entries: Iterable[Tuple]) -> Dict:
-    """``export_label_cache()`` pairs as the v2 interned-cache section.
+    """``export_label_cache()`` pairs as the interned-cache section.
 
-    Each distinct canonical key and each distinct packed label is
-    stored exactly once, in its own table; the cache itself is a list
-    of ``[key_index, label_index]`` pairs in LRU order.  Many query
-    shapes share a label, so the label table is the big win — the
-    duplication v1 paid per entry disappears.
+    The one label-cache encoding, in a snapshot and in the pool's
+    ``warm`` frame.  Each distinct canonical key and each distinct
+    packed label is stored exactly once, in its own table; the cache
+    itself is a list of ``[key_index, label_index]`` pairs in LRU
+    order.  Many query shapes share a label, so each label is written
+    once however many entries carry it.
     """
     keys: List = []
     key_index: Dict = {}
@@ -228,7 +196,7 @@ def encode_interned_cache(entries: Iterable[Tuple]) -> Dict:
 
 
 def decode_interned_cache(data: Dict) -> List[Tuple]:
-    """The v2 interned-cache section back into ``warm_label_cache`` pairs."""
+    """The interned-cache section back into ``warm_label_cache`` pairs."""
     if not isinstance(data, dict):
         raise SnapshotError("interned cache section is not an object")
     keys_in = data.get("queries")
@@ -262,7 +230,7 @@ def decode_interned_cache(data: Dict) -> List[Tuple]:
 
 
 def payload_sessions(payload: Dict) -> Dict[str, Dict]:
-    """The per-principal session dicts of any readable payload."""
+    """The per-principal session dicts of a snapshot payload."""
     sessions = payload.get("sessions")
     if not sessions:
         return {}
@@ -270,10 +238,9 @@ def payload_sessions(payload: Dict) -> Dict[str, Dict]:
 
 
 def payload_cache_entries(payload: Dict) -> List[Tuple]:
-    """The ``warm_label_cache`` pairs of any readable payload."""
-    if "interning" in payload:
-        return decode_interned_cache(payload["interning"])
-    return decode_cache_entries(payload.get("label_cache", []))
+    """The ``warm_label_cache`` pairs of a snapshot payload."""
+    interning = payload.get("interning")
+    return decode_interned_cache(interning) if interning else []
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +250,7 @@ def snapshot_service(service: DisclosureService) -> Dict:
     """The full durable state of *service* as a JSON-compatible payload.
 
     Carries sessions, the interned label cache, and metrics counters,
-    in the v2 ID-plane form: the policy, canonical-key, and packed-label
+    in the ID-plane form: the policy, canonical-key, and packed-label
     tables are each stored once and everything else references them by
     dense integer index (smaller snapshots, faster restore).
     """
@@ -432,7 +399,9 @@ def load_snapshot(path: "Path | str") -> Dict:
 
     Every way a file can be wrong maps to a :class:`SnapshotError` with
     a reason: unreadable, truncated/not-JSON, not a snapshot document,
-    an unknown format version, or a checksum mismatch.
+    any format but ``repro.snapshot/3`` (an older release's file
+    included, named by its format), a checksum mismatch, or a payload
+    without its ``delta`` generation header.
     """
     path = Path(path)
     try:
@@ -448,10 +417,10 @@ def load_snapshot(path: "Path | str") -> Dict:
     if not isinstance(document, dict) or "payload" not in document:
         raise SnapshotError(f"snapshot {path} is not a snapshot document")
     fmt = document.get("format")
-    if fmt not in READABLE_FORMATS:
+    if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(
             f"snapshot {path} has unsupported format {fmt!r} "
-            f"(this build reads {', '.join(map(repr, READABLE_FORMATS))})"
+            f"(this build reads {SNAPSHOT_FORMAT!r} only)"
         )
     payload = document["payload"]
     if not isinstance(payload, dict):
@@ -463,85 +432,32 @@ def load_snapshot(path: "Path | str") -> Dict:
             f"snapshot {path} failed its checksum "
             f"(stored {checksum!r}, computed {actual}): corrupt or tampered"
         )
+    if not isinstance(payload.get("delta"), dict):
+        raise SnapshotError(f"snapshot {path} has no generation header")
     return document
 
 
-class SnapshotInfo:
+class SnapshotInfo(NamedTuple):
     """Typed summary of one validated snapshot file.
 
-    Replaces the ad-hoc dicts the inspect path used to pass around.
-    ``generation``/``delta_of``/``epoch`` are ``None`` for v1/v2 files
-    (which are always self-contained); ``delta_of is None`` on a v3
-    file means a *full* chain base.
+    ``delta_of is None`` means a *full* chain base.
     """
 
-    __slots__ = (
-        "path",
-        "format",
-        "created",
-        "checksum",
-        "generation",
-        "delta_of",
-        "epoch",
-        "sessions",
-        "removed",
-        "cache_entries",
-        "decisions",
-        "bytes",
-    )
-
-    def __init__(
-        self,
-        path: str,
-        format: str,
-        created: Optional[float],
-        checksum: Optional[int],
-        generation: Optional[int],
-        delta_of: Optional[int],
-        epoch: Optional[int],
-        sessions: int,
-        removed: int,
-        cache_entries: int,
-        decisions: int,
-        bytes: int,
-    ):
-        self.path = path
-        self.format = format
-        self.created = created
-        self.checksum = checksum
-        self.generation = generation
-        self.delta_of = delta_of
-        self.epoch = epoch
-        self.sessions = sessions
-        self.removed = removed
-        self.cache_entries = cache_entries
-        self.decisions = decisions
-        self.bytes = bytes
-
-    def as_dict(self) -> Dict:
-        summary: Dict = {
-            "path": self.path,
-            "format": self.format,
-            "created": self.created,
-            "checksum": self.checksum,
-            "sessions": self.sessions,
-            "cache_entries": self.cache_entries,
-            "decisions": self.decisions,
-            "bytes": self.bytes,
-        }
-        if self.generation is not None:
-            summary["generation"] = self.generation
-            summary["delta_of"] = self.delta_of
-            summary["epoch"] = self.epoch
-            summary["removed"] = self.removed
-        return summary
+    path: str
+    format: str
+    created: Optional[float]
+    checksum: Optional[int]
+    generation: int
+    delta_of: Optional[int]
+    epoch: int
+    sessions: int
+    removed: int
+    cache_entries: int
+    decisions: int
+    bytes: int
 
     def __repr__(self) -> str:
-        kind = (
-            "full"
-            if self.delta_of is None
-            else f"delta-of-{self.delta_of}"
-        )
+        kind = "full" if self.delta_of is None else f"delta-of-{self.delta_of}"
         return (
             f"SnapshotInfo({self.path}: {self.format} {kind}, "
             f"{self.sessions} sessions, {self.cache_entries} cache entries)"
@@ -554,13 +470,7 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
     payload = document["payload"]
     sessions = payload.get("sessions") or {}
     metrics = payload.get("metrics") or {}
-    if "interning" in payload:
-        cache_entries = len((payload["interning"] or {}).get("cache", []))
-    else:
-        cache_entries = len(payload.get("label_cache", []))
-    delta = payload.get("delta")
-    if not isinstance(delta, dict):
-        delta = None
+    delta = payload["delta"]
     try:
         size = os.path.getsize(path)
     except OSError:
@@ -570,12 +480,12 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
         format=document["format"],
         created=document.get("created"),
         checksum=document.get("checksum"),
-        generation=delta.get("generation") if delta else None,
-        delta_of=delta.get("of") if delta else None,
-        epoch=delta.get("epoch") if delta else None,
+        generation=delta.get("generation"),
+        delta_of=delta.get("of"),
+        epoch=delta.get("epoch"),
         sessions=len(sessions.get("sessions", {})),
-        removed=len(delta.get("removed") or ()) if delta else 0,
-        cache_entries=cache_entries,
+        removed=len(delta.get("removed") or ()),
+        cache_entries=len((payload.get("interning") or {}).get("cache", [])),
         decisions=metrics.get("decisions", 0),
         bytes=size,
     )
@@ -599,10 +509,10 @@ def _newest_base(numbered: List[Tuple[int, Path]]) -> Optional[int]:
     """The sequence number of the newest valid full base, if any."""
     for seq, path in reversed(numbered):
         try:
-            delta = load_snapshot(path)["payload"].get("delta")
+            delta = load_snapshot(path)["payload"]["delta"]
         except SnapshotError:
             continue
-        if not isinstance(delta, dict) or delta.get("of") is None:
+        if delta.get("of") is None:
             return seq
     return None
 
@@ -623,9 +533,11 @@ class SnapshotChain:
       via :meth:`DecisionKernel.export_label_cache_since`;
     * the (cheap, always-full) metrics counters.
 
-    Snapshot cost becomes O(delta), not O(state).  Every
-    ``compact_every`` deltas — or on :meth:`compact` — the next write
-    is a fresh full base.  ``save(payload)`` writes a
+    Snapshot cost becomes O(delta), not O(state), and the periodic cut
+    (:meth:`save_changed`) writes no generation for an idle service.
+    Every
+    ``compact_every`` deltas written — or on :meth:`compact` — the
+    next write is a fresh full base.  ``save(payload)`` writes a
     :func:`snapshot_service`-shaped payload gathered elsewhere (a
     pulled ``/internal/snapshot``, an offline compaction) as the next
     full base; *service* may then be ``None``.
@@ -661,36 +573,75 @@ class SnapshotChain:
         self._last_full: Optional[int] = None
         self._plane_epoch = -1
         self._qid_floor = 0
+        #: The metrics section of the last generation written.
+        self._metrics: Optional[Dict] = None
 
     def save(self, payload: Optional[Dict] = None) -> Path:
         """Write the next generation: *payload* as a full base, else a
-        cut of the service (full when the chain calls for it)."""
+        cut of the service (full when the chain calls for it).  Always
+        writes; returns the path written."""
         if payload is not None:
             return self._append(payload, None)
-        full = (
-            self._last_generation is None
-            or self._deltas_since_full >= self.compact_every
-        )
-        return self._cut(full)
+        return self._cut(self._full_due())
+
+    def save_changed(self) -> Optional[Path]:
+        """The periodic cut: :meth:`save`, unless nothing durable changed
+        since the last generation written — no session dirtied, no
+        tombstone added, no interner row added, the same plane epoch and
+        the same metrics section.  Then nothing is written and ``None``
+        returned, so an idle server's directory stays as it is and only
+        written generations count toward ``compact_every``."""
+        if self._last_generation is None:
+            return self.save()
+        cut = self._export(False)
+        state, _, removed, plane_epoch, qid_count, _, metrics = cut
+        if (
+            not state["sessions"]
+            and not removed
+            and plane_epoch == self._plane_epoch
+            and qid_count == self._qid_floor
+            and metrics == self._metrics
+        ):
+            return None
+        full = self._full_due()
+        return self._write(self._export(True) if full else cut, full)
 
     def compact(self) -> Path:
         """Force the next generation to be a full base (prunes history)."""
         return self._cut(True)
 
+    def _full_due(self) -> bool:
+        return (
+            self._last_generation is None
+            or self._deltas_since_full >= self.compact_every
+        )
+
     def _cut(self, full: bool) -> Path:
+        return self._write(self._export(full), full)
+
+    def _export(self, full: bool) -> Tuple:
+        """The service's state since the last cut (all of it when
+        *full*): ``(state, watermark, removed, plane_epoch, qid_count,
+        cache_entries, metrics)``."""
         if self.service is None:
             raise ValueError("a chain without a service saves payloads only")
-        since = 0 if full else self._next_since
-        state, watermark, removed = self.service.export_generation(since)
+        state, watermark, removed = self.service.export_generation(
+            0 if full else self._next_since
+        )
         plane_epoch, qid_count, entries = (
             self.service.kernel.export_label_cache_since(
                 self._plane_epoch, 0 if full else self._qid_floor
             )
         )
+        metrics = metrics_section(self.service)
+        return state, watermark, removed, plane_epoch, qid_count, entries, metrics
+
+    def _write(self, cut: Tuple, full: bool) -> Path:
+        state, watermark, removed, plane_epoch, qid_count, entries, metrics = cut
         sections = {
             "sessions": encode_sessions(state),
             "interning": encode_interned_cache(entries),
-            "metrics": metrics_section(self.service),
+            "metrics": metrics,
         }
         path = self._append(
             sections,
@@ -703,6 +654,7 @@ class SnapshotChain:
         self._next_since = watermark + 1
         self._plane_epoch = plane_epoch
         self._qid_floor = qid_count
+        self._metrics = metrics
         return path
 
     def _append(self, sections: Dict, of: Optional[int], **header) -> Path:
@@ -826,13 +778,11 @@ def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
     sessions: Dict[str, Dict] = {}
     for _, _, document in chain:
         payload = document["payload"]
-        delta = payload.get("delta")
-        if isinstance(delta, dict):
-            # Apply a generation's removals before its updates, so an
-            # unregister + re-register in one window nets out to the
-            # re-registered state.
-            for principal in delta.get("removed") or ():
-                sessions.pop(principal, None)
+        # Apply a generation's removals before its updates, so an
+        # unregister + re-register in one window nets out to the
+        # re-registered state.
+        for principal in payload["delta"].get("removed") or ():
+            sessions.pop(principal, None)
         sessions.update(payload_sessions(payload))
     newest_payload = chain[-1][2]["payload"] if chain else {}
 
@@ -855,33 +805,24 @@ def _sequence_chain(
 ) -> List[Tuple[int, Path, Dict]]:
     """The longest replayable suffix chain of a sequence directory.
 
-    Finds the newest *full* document (v1/v2, or v3 with ``of: null``)
-    and extends it with each following delta whose ``of`` links to the
-    generation before it.  A broken link — a skipped-corrupt file, a
-    delta written by a different chain — ends the replay there: the
+    Finds the newest *full* document (``of: null``) and extends it with
+    each following delta whose ``of`` links to the generation before
+    it.  A broken link — a skipped-corrupt file, a delta written by a
+    different chain — ends the replay there: the
     valid prefix is still a coherent state, and a corrupt newest base
     falls back to the base before it, which the pruning rule of
     :class:`SnapshotChain` keeps.  Returns ``[]`` when the directory
     holds only orphan deltas.
     """
-    base_index: Optional[int] = None
-    for index in range(len(sequence_docs) - 1, -1, -1):
-        delta = sequence_docs[index][2]["payload"].get("delta")
-        if not isinstance(delta, dict) or delta.get("of") is None:
-            base_index = index
-            break
-    if base_index is None:
+    headers = [document["payload"]["delta"] for _, _, document in sequence_docs]
+    bases = [index for index, delta in enumerate(headers) if delta.get("of") is None]
+    if not bases:
         return []
+    base_index = bases[-1]
     chain = [sequence_docs[base_index]]
-    base_delta = sequence_docs[base_index][2]["payload"].get("delta")
-    expected_of = (
-        base_delta.get("generation")
-        if isinstance(base_delta, dict)
-        else sequence_docs[base_index][0]
-    )
-    for member in sequence_docs[base_index + 1 :]:
-        delta = member[2]["payload"].get("delta")
-        if not isinstance(delta, dict) or delta.get("of") != expected_of:
+    expected_of = headers[base_index].get("generation")
+    for member, delta in zip(sequence_docs[base_index + 1 :], headers[base_index + 1 :]):
+        if delta.get("of") != expected_of:
             break
         chain.append(member)
         expected_of = delta.get("generation")
@@ -916,7 +857,7 @@ class Snapshotter:
     """Runs *snapshot* every *interval* seconds on a daemon thread.
 
     The callable does the whole job (typically a
-    :meth:`SnapshotChain.save`); this class only owns the
+    :meth:`SnapshotChain.save_changed`); this class only owns the
     cadence and the thread.  Exceptions from the callable are recorded
     on :attr:`last_error` and do not kill the thread — a full disk at
     2 a.m. should cost snapshots, not the serving loop.  :meth:`stop`

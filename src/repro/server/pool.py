@@ -244,10 +244,10 @@ def _replica_worker_main(
             elif kind == "restore":
                 reply = ["ok", _worker_restore(service, frame[1])]
             elif kind == "warm":
-                from repro.server.persist import decode_cache_entries
+                from repro.server.persist import decode_interned_cache
 
                 reply = ["ok", service.warm_label_cache(
-                    decode_cache_entries(frame[1])
+                    decode_interned_cache(frame[1])
                 )]
             elif kind == "metrics":
                 reply = ["ok", service.metrics_snapshot()]
@@ -452,16 +452,12 @@ class ReplicaPool:
     @staticmethod
     def _reap(handle: ReplicaHandle, grace: float = 0.0) -> int:
         """Close *handle*'s pipe and wait for its process to exit: *grace*
-        seconds on its own, then terminated, then killed.  Returns its
-        exit status."""
+        seconds on its own (a replica ignores SIGTERM), then killed.
+        Returns its exit status."""
         handle.conn.close()
         process = handle.process
         try:
             return process.wait(grace)
-        except subprocess.TimeoutExpired:
-            process.terminate()
-        try:
-            return process.wait(5.0)
         except subprocess.TimeoutExpired:
             process.kill()
             return process.wait()
@@ -477,9 +473,9 @@ class ReplicaPool:
         entries = kernel.export_label_cache()
         _blocking(self._sync_plane(handle, kernel.plane, None))
         if entries:
-            from repro.server.persist import encode_cache_entries
+            from repro.server.persist import encode_interned_cache
 
-            frame = ["warm", encode_cache_entries(entries)]
+            frame = ["warm", encode_interned_cache(entries)]
             _blocking(self._roundtrip(handle, frame, None))
         with self.service._lock:
             rows = [

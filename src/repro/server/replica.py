@@ -14,7 +14,10 @@ keyword arguments of the replica's
 ``SecurityViews`` and ``Schema`` objects, so they cannot ride as
 JSON).  After that the replica speaks the JSON frame protocol of
 :func:`repro.server.pool._replica_worker_main` until a ``stop`` frame
-or end of file: a replica whose parent dies exits on its own.
+or end of file: a replica whose parent dies exits on its own.  It
+ignores SIGTERM and SIGINT, which reach it with its parent when they
+are sent to the process group (``killpg``, a terminal's Ctrl-C): the
+parent's shutdown stops it after the last decision it dispatched.
 
 The entry imports the kernel stack and nothing else — no asyncio, no
 HTTP front end, no wire codec, no storage substrate — which is what
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import signal
 import sys
 from multiprocessing.connection import Connection
 from typing import List
@@ -33,6 +37,8 @@ from repro.server.pool import _replica_worker_main
 
 
 def main(argv: List[str]) -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_IGN)
     fd, index = int(argv[0]), int(argv[1])
     conn = Connection(fd)
     try:

@@ -45,8 +45,8 @@ code                   status  meaning
 =====================  ======  ===========================================
 
 **Content negotiation.**  ``GET /v2/protocol`` advertises the versions
-and limits a server speaks; clients with ``protocol="auto"`` probe it
-once and fall back to v1 on a 404 (an older server).  Within v2, a
+and limits a server speaks, for other implementors; the clients in
+``repro.client`` speak v2 without asking.  Within v2, a
 request with ``"compact": true`` negotiates the dense response form:
 decision rows become int arrays with a per-response deduplicated reason
 table instead of full JSON objects — the response-side analogue of the
@@ -358,7 +358,7 @@ def render_batch(
 # The /v2 route handlers
 # ----------------------------------------------------------------------
 def protocol_info(service) -> Dict:
-    """``GET /v2/protocol``: what this server speaks (for negotiation)."""
+    """``GET /v2/protocol``: the versions and limits this server speaks."""
     return {
         "versions": ["v1", "v2"],
         "wire": "qid-delta",

@@ -4,7 +4,6 @@ qid-delta sync, and resync after a server that lost its generations."""
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 
 import pytest
@@ -17,7 +16,7 @@ from repro.client import (
     StallError,
     parse_text,
 )
-from repro.server.aio import dispatch, start_async_background
+from repro.server.aio import start_async_background
 from repro.server.service import DisclosureService
 from repro.server.wire2 import gateway_for
 
@@ -184,9 +183,8 @@ class TestLocalClient:
 
 
 class TestHttpClientV2:
-    def test_negotiates_v2_and_decides(self, http_server, queries):
+    def test_decides_over_v2(self, http_server, queries):
         with HttpClient(_url(http_server)) as client:
-            assert client.protocol == "v2"
             first = client.submit("app", queries["birthday"])
             assert first["accepted"] is True and first["principal"] == "app"
             refused = client.submit("app", queries["music"])
@@ -329,101 +327,26 @@ class TestWireStateRotation:
         assert base + len(delta) <= state.keys_cap
 
 
-@pytest.fixture()
-def v1_only_url(service):
-    """A server that predates /v2 (404 on every /v2 route), for
-    negotiation tests: a minimal stdlib server over the route table."""
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+class TestProtocols:
+    @pytest.mark.parametrize("protocol", ["v1", "auto", "v3"])
+    def test_only_v2_is_accepted(self, protocol):
+        for client_type in (HttpClient, AsyncHttpClient):
+            with pytest.raises(ValueError, match="docs/http-api.md"):
+                client_type("http://127.0.0.1:9", protocol=protocol)
+        assert HttpClient("http://127.0.0.1:9", protocol="v2").compact
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        wbufsize = 1 << 16  # head and body in one packet
-        disable_nagle_algorithm = True
-
-        def _answer(self, body):
-            if self.path.startswith("/v2/"):
-                status, payload = 404, {"error": f"unknown route {self.path}"}
-            else:
-                status, payload = dispatch(service, self.command, self.path, body)
-            data = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self):  # noqa: N802 (stdlib naming)
-            self._answer(None)
-
-        def do_POST(self):  # noqa: N802
-            length = int(self.headers.get("Content-Length", 0))
-            self._answer(json.loads(self.rfile.read(length)))
-
-        def log_message(self, format, *args):  # noqa: A002
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-class TestContentNegotiation:
-    def test_falls_back_to_v1_and_round_trips(self, v1_only_url, queries):
-        with HttpClient(v1_only_url) as client:
-            assert client.protocol == "v1"
-            first = client.submit("app", queries["birthday"])
-            assert first["accepted"] is True
-            many = client.submit_many(
-                [("app", queries["music"]), ("ghost", queries["music"])]
-            )
-            assert many[0]["accepted"] is False
-            # v1 keeps its historical error shape: no code field.
-            assert "unknown principal" in many[1]["error"]
-            assert "code" not in many[1]
-
-    def test_async_client_falls_back_to_v1(self, v1_only_url, queries):
-        """The async client with the auto protocol negotiates down to v1 against a server without /v2, not failing every
-        request with 404s."""
-        import asyncio
-
-        from repro.client import AsyncHttpClient
-
-        async def drive():
-            client = AsyncHttpClient(v1_only_url, protocol="auto")
-            try:
-                singles = await asyncio.gather(
-                    *[client.peek("app", queries["birthday"]) for _ in range(8)]
-                )
-                batch = await client.submit_many(
-                    [("app", queries["birthday"]), ("app", queries["music"])]
-                )
-                return await client._protocol_name(), singles, batch
-            finally:
-                await client.close()
-
-        protocol, singles, batch = asyncio.run(drive())
-        assert protocol == "v1"
-        assert all(decision["accepted"] for decision in singles)
-        assert [decision["accepted"] for decision in batch] == [True, False]
-
-    def test_pinned_v1_against_a_v2_server(self, http_server, queries):
-        with HttpClient(_url(http_server), protocol="v1") as client:
-            assert client.protocol == "v1"
-            assert client.submit("app", queries["birthday"])["accepted"]
-
-    def test_v1_and_v2_decide_identically(self, views, schema, queries):
+    def test_v1_and_v2_decide_identically(
+        self, views, schema, queries, v1_driver
+    ):
+        """The v1 text routes (driven by the test-side driver) and the
+        v2 client decide one stream identically."""
         streams = []
-        for protocol in ("v1", "v2"):
+        for make in (v1_driver, HttpClient):
             service = DisclosureService(views, schema=schema)
             service.register("app", CHINESE_WALL)
             server = start_async_background(service)
             try:
-                with HttpClient(_url(server), protocol=protocol) as client:
+                with make(_url(server)) as client:
                     streams.append(
                         client.submit_many(
                             [

@@ -94,8 +94,7 @@ class TestWarmedBackendsAreByteIdentical:
         handle = start_async_background(http_service)
         try:
             url = f"http://{handle.host}:{handle.port}"
-            with HttpClient(url, protocol="v2") as client:
-                assert client.protocol == "v2"
+            with HttpClient(url) as client:
                 http = _drive(client, policies, traffic, 83)
         finally:
             handle.stop()

@@ -2,8 +2,9 @@
 
 Each named scenario (scaled down for test time) is compiled once and
 replayed through the in-process client, the synchronous HTTP client
-on the v2 wire (real sockets), the pipelined asynchronous client and
-the kernel replica pool (each on the v2 and the v1 wire), and the
+(real sockets), the pipelined asynchronous client and the kernel
+replica pool, each on the v2 wire, the server's ``/v1/*`` text routes
+unpooled and pooled (through the test-side v1 driver), and the
 client-side sharded router.  The cached-stripped decision digests must
 agree byte for byte — the replay engine is deterministic and the
 decision logic is transport-invariant.  With label caches warmed via
@@ -53,13 +54,11 @@ def _pooled(views):
     return start_pooled_background(2, service_kwargs={"security_views": views})
 
 
-def _replay_async(handle, trace, protocol):
-    """Replay *trace* through the pipelined client on *protocol*."""
+def _replay_async(handle, trace):
+    """Replay *trace* through the pipelined client."""
 
     async def main():
-        client = AsyncHttpClient(
-            f"http://{handle.host}:{handle.port}", protocol=protocol
-        )
+        client = AsyncHttpClient(f"http://{handle.host}:{handle.port}")
         await client.connect()
         try:
             return await replay_trace_async(trace, client)
@@ -74,8 +73,7 @@ class TestEveryTransportReplaysIdentically:
         handle = start_async_background(DisclosureService(views))
         try:
             url = f"http://{handle.host}:{handle.port}"
-            with HttpClient(url, protocol="v2") as client:
-                assert client.protocol == "v2"
+            with HttpClient(url) as client:
                 report = replay_trace(trace, client, transport="http")
         finally:
             handle.stop()
@@ -85,18 +83,19 @@ class TestEveryTransportReplaysIdentically:
     def test_async_http_matches_local(self, views, trace):
         handle = start_async_background(DisclosureService(views))
         try:
-            report = _replay_async(handle, trace, "v2")
+            report = _replay_async(handle, trace)
         finally:
             handle.stop()
         assert report.errors == 0
         assert report.digest() == _local_digest(views, trace)
 
-    def test_async_http_v1_matches_local(self, views, trace):
-        """The v1 wire through the same tick drain: parsed on the
-        server, decided in the same runs as v2 traffic would be."""
+    def test_http_v1_routes_match_local(self, views, trace, v1_driver):
+        """The v1 text routes through the same tick drain: parsed on
+        the server, decided as v2 traffic would be."""
         handle = start_async_background(DisclosureService(views))
         try:
-            report = _replay_async(handle, trace, "v1")
+            with v1_driver(f"http://{handle.host}:{handle.port}") as driver:
+                report = replay_trace(trace, driver, transport="http")
         finally:
             handle.stop()
         assert report.errors == 0
@@ -107,16 +106,17 @@ class TestEveryTransportReplaysIdentically:
         process → parent over pipes, and the digests must not notice."""
         handle = _pooled(views)
         try:
-            report = _replay_async(handle, trace, "v2")
+            report = _replay_async(handle, trace)
         finally:
             handle.stop()
         assert report.errors == 0
         assert report.digest() == _local_digest(views, trace)
 
-    def test_pooled_v1_matches_local(self, views, trace):
+    def test_pooled_v1_routes_match_local(self, views, trace, v1_driver):
         handle = _pooled(views)
         try:
-            report = _replay_async(handle, trace, "v1")
+            with v1_driver(f"http://{handle.host}:{handle.port}") as driver:
+                report = replay_trace(trace, driver, transport="http")
         finally:
             handle.stop()
         assert report.errors == 0

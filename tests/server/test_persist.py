@@ -13,8 +13,9 @@ Two properties carry the subsystem:
   and a state directory falls back to the newest *valid* chain.
 
 Every file the stack writes is a ``repro.snapshot/3`` generation from
-the one writer, :class:`SnapshotChain`; versions 1 and 2 are read only,
-so their tests write those documents by hand.
+the one writer, :class:`SnapshotChain`, and it is the only format read:
+the tests write the older releases' ``repro.snapshot/1`` and ``/2``
+documents by hand to check that they are refused by name.
 """
 
 from __future__ import annotations
@@ -35,17 +36,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.canonical import encode_key
 from repro.core.terms import Constant
 from repro.errors import SnapshotError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
+from repro.policy.policy import PartitionPolicy
 from repro.server.aio import dispatch
 from repro.server.persist import (
     SnapshotChain,
     Snapshotter,
     collect_state,
     compact_chain,
-    decode_cache_entries,
-    encode_cache_entries,
+    decode_interned_cache,
+    decode_sessions,
+    encode_interned_cache,
     inspect_snapshot,
     load_snapshot,
     restore_service,
@@ -54,6 +58,8 @@ from repro.server.persist import (
     snapshot_service,
 )
 from repro.server.service import DisclosureService
+
+from reference_oracle import ReferenceOracle
 
 PRINCIPALS = 12
 
@@ -109,9 +115,17 @@ def _wire(decisions) -> str:
     return json.dumps([d.as_dict() for d in decisions], sort_keys=True)
 
 
+def _labels_of(views, query):
+    """The label-cache entries a fresh service holds after one peek."""
+    service = DisclosureService(views)
+    service.register("probe", [["public_profile"]])
+    service.peek("probe", query)
+    return service.export_label_cache()
+
+
 def _hand_written(path, fmt: str, payload) -> None:
-    """A checksummed snapshot document in a read-only format (no writer
-    emits v1 or v2 any more), byte-compatible with what they wrote."""
+    """A checksummed snapshot document laid out as the releases that
+    wrote *fmt* wrote it (no writer emits ``/1`` or ``/2`` any more)."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     document = {
         "format": fmt,
@@ -133,6 +147,13 @@ def _formats(directory) -> set:
 # Cache-entry encoding
 # ----------------------------------------------------------------------
 class TestCacheEntryEncoding:
+    """The one label-cache encoding, on disk and on the pool pipe."""
+
+    def _roundtrip(self, entries):
+        return decode_interned_cache(
+            json.loads(json.dumps(encode_interned_cache(entries)))
+        )
+
     def test_roundtrips_every_constant_type(self):
         key = (
             (0, ("c", Constant("Cathy")), ("c", Constant(9))),
@@ -142,35 +163,42 @@ class TestCacheEntryEncoding:
             ),
         )
         entries = [(key, (3, 7, 1 << 40))]
-        decoded = decode_cache_entries(
-            json.loads(json.dumps(encode_cache_entries(entries)))
-        )
-        assert decoded == entries
+        assert self._roundtrip(entries) == entries
         # type distinctions survive: Constant(1) != Constant(True) != 1
         one = ((("c", Constant(1)),), ())
         true = ((("c", Constant(True)),), ())
-        out = decode_cache_entries(
-            json.loads(json.dumps(encode_cache_entries([(one, (1,)), (true, (2,))])))
-        )
+        section = encode_interned_cache([(one, (1,)), (true, (2,))])
+        assert len(section["queries"]) == 2  # two keys, not one interned
+        out = decode_interned_cache(json.loads(json.dumps(section)))
         assert out[0][0] != out[1][0]
+        assert [label for _, label in out] == [(1,), (2,)]
 
     def test_real_service_entries_roundtrip(self, views):
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(1, 120):
             service.submit(principal, query)
         entries = service.export_label_cache()
-        decoded = decode_cache_entries(
-            json.loads(json.dumps(encode_cache_entries(entries)))
-        )
-        assert decoded == entries
+        assert self._roundtrip(entries) == entries
 
     def test_malformed_entries_are_rejected(self):
-        with pytest.raises(SnapshotError, match="malformed cache entry"):
-            decode_cache_entries([["key-only"]])
+        def section(queries=(), labels=(), cache=()):
+            return {
+                "queries": list(queries), "labels": list(labels),
+                "cache": list(cache),
+            }
+
+        with pytest.raises(SnapshotError, match="not an object"):
+            decode_interned_cache([["key-only"]])
+        with pytest.raises(SnapshotError, match="'cache' lists"):
+            decode_interned_cache({"queries": []})
+        with pytest.raises(SnapshotError, match="malformed interned cache entry"):
+            decode_interned_cache(section(cache=[["key-only"]]))
         with pytest.raises(SnapshotError, match="malformed packed label"):
-            decode_cache_entries([[0, ["not-an-int"]]])
+            decode_interned_cache(section(labels=[["not-an-int"]]))
         with pytest.raises(SnapshotError, match="unrecognized"):
-            decode_cache_entries([[["?"], [1]]])
+            decode_interned_cache(section(queries=[["?"]]))
+        with pytest.raises(SnapshotError, match="out of range"):
+            decode_interned_cache(section(labels=[[1]], cache=[[0, 0]]))
 
 
 # ----------------------------------------------------------------------
@@ -193,63 +221,62 @@ class TestSnapshotFiles:
         assert written == json.loads(json.dumps(payload))
         assert not list(tmp_path.glob(".*tmp*")), "temp file left behind"
 
-    def test_v1_documents_still_restore(self, views, tmp_path):
-        """Snapshots written by the pre-ID-plane release (format 1:
-        per-principal partition lists + flat ``[key, label]`` cache
-        pairs) must keep loading and restoring byte-identically."""
+    @pytest.mark.parametrize("fmt", ["repro.snapshot/1", "repro.snapshot/2"])
+    def test_older_formats_are_refused_by_name(self, views, tmp_path, fmt):
+        """A document of an earlier release is refused with a typed
+        error naming its format, and a state directory holding one
+        lists it as skipped with that reason and restores nothing."""
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(2, 100):
             service.submit(principal, query)
-        v1_payload = {
-            "sessions": service.export_state(),
-            "label_cache": encode_cache_entries(service.export_label_cache()),
-            "metrics": {"decisions": service.decisions.value},
-        }
+        if fmt == "repro.snapshot/1":  # as that release laid it out
+            payload = {
+                "sessions": service.export_state(),
+                "label_cache": [
+                    [encode_key(key), list(label)]
+                    for key, label in service.export_label_cache()
+                ],
+                "metrics": {"decisions": service.decisions.value},
+            }
+        else:
+            payload = snapshot_service(service)
         path = tmp_path / "snapshot-00000001.json"
-        _hand_written(path, "repro.snapshot/1", v1_payload)
+        _hand_written(path, fmt, payload)
 
-        loaded = load_snapshot(path)
-        assert loaded["format"] == "repro.snapshot/1"
-        restored = DisclosureService(views)
-        stats = restore_service(restored, loaded["payload"])
-        assert stats.sessions == PRINCIPALS
-        assert stats.cache_entries == len(service.export_label_cache())
-        after = _traffic(77, 150)
-        assert _wire(
-            [service.submit(p, q) for p, q in after]
-        ) == _wire([restored.submit(p, q) for p, q in after])
-        # collect_state normalizes v1 files exactly like v3 ones.
+        with pytest.raises(SnapshotError, match=f"unsupported format '{fmt}'"):
+            load_snapshot(path)
+        with pytest.raises(SnapshotError, match=f"unsupported format '{fmt}'"):
+            inspect_snapshot(path)
         collected = collect_state(tmp_path)
-        assert len(collected.sessions) == PRINCIPALS
+        assert collected.sources == [] and collected.sessions == {}
+        [(skipped, reason)] = collected.skipped
+        assert skipped == path and f"'{fmt}'" in reason
 
-    def test_v2_payload_dedupes_tables(self, views, tmp_path):
-        """A v2 document stores each policy, canonical key, and packed
+    def test_a_document_without_a_generation_header_is_refused(
+        self, views, tmp_path
+    ):
+        path = tmp_path / "headerless.json"
+        _hand_written(path, "repro.snapshot/3", self._payload(views))
+        with pytest.raises(SnapshotError, match="no generation header"):
+            load_snapshot(path)
+
+    def test_payload_dedupes_tables(self, views, tmp_path):
+        """A document stores each policy, canonical key, and packed
         label once, however many sessions or cache entries reference
-        it — and is smaller than the v1 document on the same state."""
+        it."""
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(3, 200):
             service.submit(principal, query)
         entries = service.export_label_cache()
-        payload = snapshot_service(service)  # v2's section encodings
-        v2_path, v1_path = tmp_path / "v2.json", tmp_path / "v1.json"
-        _hand_written(v2_path, "repro.snapshot/2", payload)
-        _hand_written(
-            v1_path,
-            "repro.snapshot/1",
-            {
-                "sessions": service.export_state(),
-                "label_cache": encode_cache_entries(entries),
-                "metrics": payload["metrics"],
-            },
-        )
-        loaded = load_snapshot(v2_path)
-        assert loaded["format"] == "repro.snapshot/2"
+        path = save_snapshot(tmp_path / "snap.json", snapshot_service(service))
+        loaded = load_snapshot(path)
         interning = loaded["payload"]["interning"]
         assert len(interning["cache"]) == len(entries)
         distinct_labels = {tuple(label) for _, label in entries}
         assert len(interning["labels"]) == len(distinct_labels)
         assert len(distinct_labels) < len(entries)  # labels are shared
-        assert v2_path.stat().st_size < v1_path.stat().st_size
+        policies = loaded["payload"]["sessions"]["policies"]
+        assert len(policies) == len({json.dumps(p) for p in policies})
         restored = DisclosureService(views)
         stats = restore_service(restored, loaded["payload"])
         assert (stats.sessions, stats.cache_entries) == (
@@ -925,10 +952,21 @@ class TestSnapshotChain:
             f"app-{i}" for i in range(PRINCIPALS)
         }
 
-    def test_v2_snapshots_still_restore(self, views, tmp_path):
-        """The pre-chain format keeps loading: a v2 sequence file is a
-        valid chain base of length one, and a chain written after it
-        extends the directory."""
+    def test_save_always_writes(self, views, tmp_path):
+        """A direct save writes a generation even when nothing changed,
+        and returns its path."""
+        chain = SnapshotChain(_registered_service(views, _policies(views)), tmp_path)
+        first, second = chain.save(), chain.save()
+        assert first != second and first.exists() and second.exists()
+        assert inspect_snapshot(second).delta_of == 1
+
+
+    def test_a_chain_beside_an_older_file_starts_a_full_base(
+        self, views, tmp_path
+    ):
+        """An older release's file is never a chain base: the next
+        chain written into the directory starts with a full base and
+        restores alone, and the old file stays listed as skipped."""
         service = _registered_service(views, _policies(views))
         for principal, query in _traffic(51, 60):
             service.submit(principal, query)
@@ -937,28 +975,85 @@ class TestSnapshotChain:
             "repro.snapshot/2",
             snapshot_service(service),
         )
-        document = load_snapshot(next(tmp_path.iterdir()))
-        assert document["format"] == "repro.snapshot/2"
-        collected = collect_state(tmp_path)
-        assert len(collected.sessions) == PRINCIPALS
-        assert len(collected.cache_entries) == len(
-            service.export_label_cache()
-        )
         service.unregister("app-0")
         path = SnapshotChain(service, tmp_path).save()
         assert path.name == "snapshot-00000002.json"
-        assert set(collect_state(tmp_path).sessions) == {
+        assert inspect_snapshot(path).delta_of is None
+        collected = collect_state(tmp_path)
+        assert collected.sources == [path]
+        assert set(collected.sessions) == {
             f"app-{i}" for i in range(1, PRINCIPALS)
         }
+        assert [p.name for p, _ in collected.skipped] == [
+            "snapshot-00000001.json"
+        ]
+
+
+class TestIdleCut:
+    """``save_changed``, the periodic cut: an idle service writes no
+    generation, and each kind of durable change writes exactly one."""
+
+    def _chain(self, views, tmp_path, **kwargs):
+        service = _registered_service(views, _policies(views))
+        service.submit("app-0", _query_pool()[0])
+        chain = SnapshotChain(service, tmp_path, **kwargs)
+        assert inspect_snapshot(chain.save_changed()).delta_of is None
+        return service, chain
+
+    def test_an_idle_service_writes_nothing(self, views, tmp_path):
+        service, chain = self._chain(views, tmp_path)
+        listing = sorted(tmp_path.iterdir())
+        assert [chain.save_changed() for _ in range(10)] == [None] * 10
+        assert sorted(tmp_path.iterdir()) == listing
+        service.submit("app-1", _query_pool()[1])
+        delta = chain.save_changed()
+        assert inspect_snapshot(delta).delta_of == 1
+        assert sorted(tmp_path.iterdir()) == listing + [delta]
+        assert chain.save_changed() is None
+
+    @pytest.mark.parametrize(
+        "change",
+        ["submit", "peek", "register", "reset", "unregister", "new-shape"],
+    )
+    def test_every_durable_change_is_written(self, views, tmp_path, change):
+        """Each leg of the idle test on its own: a dirtied session, a
+        tombstone, a new interner row, or only the metrics section (a
+        peek of a cached shape changes nothing but the peek count)."""
+        service, chain = self._chain(views, tmp_path)
+        cached, novel = _query_pool()[0], _query_pool()[5]
+        {
+            "submit": lambda: service.submit("app-0", cached),
+            "peek": lambda: service.peek("app-0", cached),
+            "register": lambda: service.register("app-new", [["user_likes"]]),
+            "reset": lambda: service.reset("app-3"),
+            "unregister": lambda: service.unregister("app-3"),
+            "new-shape": lambda: service.warm_label_cache(_labels_of(views, novel)),
+        }[change]()
+        assert chain.save_changed() is not None
+        assert chain.save_changed() is None
+
+    def test_only_written_generations_count_toward_compaction(
+        self, views, tmp_path
+    ):
+        service, chain = self._chain(views, tmp_path, compact_every=2)
+        kinds = []
+        for index in range(3):
+            assert [chain.save_changed() for _ in range(5)] == [None] * 5
+            service.reset(f"app-{index}")
+            kinds.append(inspect_snapshot(chain.save_changed()).delta_of)
+        assert kinds == [1, 2, None]  # two deltas, then the full base
 
 
 # ----------------------------------------------------------------------
 # Served state directories: ``serve --state-dir``, pooled or not
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
-def _serving(log_path, *args):
-    """``python -m repro serve --port 0 ARGS`` in a subprocess; yields
-    its URL, then stops it with SIGINT, which takes the final snapshot."""
+def _serving(log_path, *args, stop=signal.SIGINT):
+    """``python -m repro serve --port 0 ARGS`` in a subprocess leading
+    its own process group; yields its URL, then sends *stop* to the
+    whole group, as a terminal's Ctrl-C or a supervisor's ``killpg``
+    does.  The stop must be clean: the final snapshot taken, exit 0
+    within 10 s, and no process of the group (no replica) left."""
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
@@ -968,6 +1063,7 @@ def _serving(log_path, *args):
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
             env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
         )
         try:
             url = None
@@ -981,13 +1077,24 @@ def _serving(log_path, *args):
             assert url, "server did not start"
             yield url
         finally:
-            server.send_signal(signal.SIGINT)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(server.pid, stop)
             try:
-                server.wait(timeout=30)
+                server.wait(timeout=10)
             except subprocess.TimeoutExpired:
-                server.kill()
+                os.killpg(server.pid, signal.SIGKILL)
+                server.wait()
                 raise
     assert server.returncode == 0, Path(log_path).read_text()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(server.pid, 0)  # every replica went with its server
+
+
+def _listing(directory) -> dict:
+    return {
+        path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in directory.iterdir()
+    }
 
 
 def _cli(*argv):
@@ -999,6 +1106,7 @@ def _cli(*argv):
 
 SERVED = [["user_birthday", "public_profile"], ["user_likes"]]
 BIRTHDAY = ("SELECT birthday FROM user WHERE uid = me()", "fql", 3)
+MUSIC = ("SELECT music FROM user WHERE uid = me()", "fql", 3)
 
 
 @pytest.mark.parametrize("replicas", [1, 2], ids=["unpooled", "pooled"])
@@ -1059,3 +1167,80 @@ class TestServedStateDirectory:
             assert client.snapshot()["metrics"]["decisions"] == 35
             client.close()
         assert collect_state(state).metrics["decisions"] == 35
+
+    def test_sigterm_is_a_clean_stop(self, views, tmp_path, replicas):
+        """SIGTERM to the server's process group (how the perf ledger
+        and supervisors stop it) takes the final snapshot: with no
+        periodic snapshot between start and stop, a restart from the
+        directory holds exactly the reference oracle's state after the
+        last request."""
+        from repro.client import HttpClient, parse_text
+
+        state = tmp_path / "state"
+        argv = (
+            "--replicas", str(replicas), "--state-dir", str(state),
+            "--snapshot-interval", "3600",
+        )
+        oracle = ReferenceOracle(views)
+        queries = [parse_text(*BIRTHDAY), parse_text(*MUSIC)]
+        with _serving(tmp_path / "first.log", *argv, stop=signal.SIGTERM) as url:
+            client = HttpClient(url, timeout=10)
+            for index in range(6):
+                client.register(f"app-{index}", SERVED)
+                oracle.register(f"app-{index}", PartitionPolicy(SERVED, views))
+            for step in range(24):
+                principal, query = f"app-{step % 6}", queries[(step // 6 + step) % 2]
+                decision = client.submit(principal, query)
+                assert decision["accepted"] == oracle.submit(principal, query).accepted
+            client.reset("app-5")
+            oracle.reset("app-5")
+            client.close()
+        assert len(list(state.glob("snapshot-*.json"))) == 2  # start, stop
+
+        with _serving(tmp_path / "second.log", *argv) as url:
+            client = HttpClient(url, timeout=10)
+            payload = client.snapshot()
+            client.close()
+        assert payload["metrics"]["decisions"] == 24
+        sessions = decode_sessions(payload["sessions"])["sessions"]
+        assert set(sessions) == set(oracle.monitors)
+        for principal, session in sessions.items():
+            live = {
+                frozenset(partition)
+                for partition, flag in zip(session["partitions"], session["live"])
+                if flag
+            }
+            expected = {
+                partition
+                for partition, flag in zip(
+                    PartitionPolicy(SERVED, views).partitions,
+                    oracle.live_partitions(principal),
+                )
+                if flag
+            }
+            assert live == expected, principal
+
+    def test_an_idle_server_writes_nothing(self, tmp_path, replicas):
+        """Ten snapshot intervals without traffic leave the directory
+        listing as it was; one submit then writes exactly one delta."""
+        from repro.client import HttpClient, parse_text
+
+        state = tmp_path / "state"
+        with _serving(
+            tmp_path / "serve.log", "--replicas", str(replicas),
+            "--state-dir", str(state), "--snapshot-interval", "0.1",
+        ) as url:
+            client = HttpClient(url, timeout=10)
+            client.register("app-0", SERVED)
+            time.sleep(0.5)  # the registration's delta is written
+            listing = _listing(state)
+            time.sleep(1.0)  # ten intervals, idle
+            assert _listing(state) == listing
+            client.submit("app-0", parse_text(*BIRTHDAY))
+            time.sleep(0.5)
+            after = _listing(state)
+            client.close()
+            new = sorted(set(after) - set(listing))
+            assert len(new) == 1, new
+            assert inspect_snapshot(state / new[0]).delta_of is not None
+            assert {name: after[name] for name in listing} == listing
