@@ -56,6 +56,7 @@ alias for ``python -m repro``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -232,8 +233,6 @@ def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
     its state into the parent and imports the front end; ``start()``
     then waits for them, and warms and refaults each from the parent.
     """
-    import os.path
-
     from repro.server.pool import ReplicaPool
     from repro.server.service import DisclosureService
 
@@ -1088,7 +1087,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``... | grep -q``).  The Python docs'
+        # recipe: point stdout at devnull so the flush at exit cannot
+        # raise again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ COMMON_NAMES = frozenset(
 )
 
 #: Dict/list/set mutator methods — calling one on a guarded attribute
-#: counts as mutating the field (``self._removed.pop(...)``).
+#: counts as mutating the field (``self._dirty.add(...)``).
 MUTATOR_METHODS = frozenset(
     {
         "append", "add", "clear", "discard", "extend", "insert", "pop",
@@ -205,7 +205,7 @@ class _BodyWalker:
             receiver = _terminal_name(func.value)
             kind = "self" if receiver in ("self", "cls") else "attr"
             # A mutator call on a guarded attribute is a mutation too:
-            # ``self._removed.pop(...)`` mutates ``_removed``.
+            # ``self._dirty.add(...)`` mutates ``_dirty``.
             if (
                 func.attr in MUTATOR_METHODS
                 and isinstance(func.value, ast.Attribute)

@@ -57,22 +57,10 @@ class AnalysisConfig:
         default_factory=lambda: frozenset(
             {
                 ("repro.server.service", "Session", "live", "_lock"),
-                ("repro.server.service", "Session", "dirty_epoch", "_lock"),
                 ("repro.server.kernel", "CompiledPolicy", "mask_memo", "_lock"),
                 ("repro.server.kernel", "CompiledPolicy", "outcome_memo", "_lock"),
                 ("repro.server.kernel", "DecisionKernel", "_compiled", "_lock"),
-                (
-                    "repro.server.service",
-                    "DisclosureService",
-                    "state_epoch",
-                    "_lock",
-                ),
-                (
-                    "repro.server.service",
-                    "DisclosureService",
-                    "_removed",
-                    "_lock",
-                ),
+                ("repro.server.service", "DisclosureService", "_dirty", "_lock"),
                 ("repro.server.kernel", "DecisionKernel", "_plane", "_plane_lock"),
                 ("repro.server.store", "_StoreBase", "_resident", "_lock"),
                 ("repro.server.store", "InMemoryStore", "_cold", "_lock"),

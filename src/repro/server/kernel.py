@@ -728,7 +728,9 @@ class DecisionKernel:
                     # Only a narrowing accept is a durable mutation; a
                     # refusal returns the live mask unchanged.
                     session.live = surviving
-                    session.dirty_epoch = sessions.state_epoch
+                    dirty = sessions._dirty
+                    if dirty is not None:
+                        dirty.add(principal)
                 session.pending_decided += 1
                 if not accepted:
                     session.pending_refused += 1
@@ -872,7 +874,9 @@ class DecisionKernel:
         if session.live != live_at_entry:
             # Live bits only ever narrow, so equal ends mean no accept
             # in the group changed them: nothing durable happened.
-            session.dirty_epoch = self.sessions.state_epoch
+            dirty = self.sessions._dirty
+            if dirty is not None:
+                dirty.add(principal)
         if update:
             # Tallied before the caller's next _session() can evict (and
             # so drain) this session.

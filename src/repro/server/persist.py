@@ -15,11 +15,11 @@ This module makes restarts safe and cheap:
   reads: an older document is refused with a :class:`SnapshotError`
   naming its format.
 * **Crash safety** — :func:`save_snapshot` writes a temporary file in
-  the target directory, fsyncs it, and atomically renames it over the
-  destination, so a crash mid-write leaves the previous snapshot
-  intact.  :func:`load_snapshot` rejects truncation, bit flips, and
-  unknown formats with :class:`SnapshotError` and a reason, never a
-  crash.
+  the target directory, fsyncs it, atomically renames it over the
+  destination and fsyncs the directory, so a crash mid-write leaves
+  the previous snapshot intact.  :func:`load_snapshot` rejects
+  truncation, bit flips, and unknown formats with
+  :class:`SnapshotError` and a reason, never a crash.
 * **A state directory** — :class:`SnapshotChain`, the one writer,
   keeps a bounded sequence of ``snapshot-<seq>.json`` files, pooled or
   not.  :func:`collect_state` replays whatever chain a directory
@@ -336,7 +336,6 @@ def _canonical_payload_bytes(payload: Dict) -> bytes:
 def _generation_header(
     generation: int,
     of: Optional[int] = None,
-    epoch: int = 0,
     removed: Iterable = (),
     plane_epoch: int = -1,
     qid_floor: int = 0,
@@ -346,7 +345,6 @@ def _generation_header(
     return {
         "generation": generation,
         "of": of,
-        "epoch": epoch,
         "removed": list(removed),
         "plane_epoch": plane_epoch,
         "qid_floor": qid_floor,
@@ -356,12 +354,13 @@ def _generation_header(
 def save_snapshot(path: "Path | str", payload: Dict) -> Path:
     """Atomically write *payload* as a ``repro.snapshot/3`` document.
 
-    Write-temp + fsync + rename: a crash at any point leaves either the
-    old file or the new file, never a torn mixture.  The temporary file
-    lives in the destination directory so the rename cannot cross
-    filesystems.  A payload without a ``delta`` generation header (a
-    lone file, ``snapshot save --out``) is written as a full base of
-    generation 1; a state directory's files come from
+    Write-temp + fsync + rename + fsync of the directory: a crash at
+    any point leaves either the old file or the new file, never a torn
+    mixture, and once this returns the rename itself is on disk.  The
+    temporary file lives in the destination directory so the rename
+    cannot cross filesystems.  A payload without a ``delta`` generation
+    header (a lone file, ``snapshot save --out``) is written as a full
+    base of generation 1; a state directory's files come from
     :class:`SnapshotChain`, which numbers them.
     """
     path = Path(path)
@@ -388,10 +387,20 @@ def save_snapshot(path: "Path | str", payload: Dict) -> Path:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
+        _fsync_dir(path.parent)
     finally:
         if temp.exists():  # a failure before the rename: don't litter
             temp.unlink()
     return path
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a rename in *directory* durable (POSIX: fsync the directory)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_snapshot(path: "Path | str") -> Dict:
@@ -449,7 +458,6 @@ class SnapshotInfo(NamedTuple):
     checksum: Optional[int]
     generation: int
     delta_of: Optional[int]
-    epoch: int
     sessions: int
     removed: int
     cache_entries: int
@@ -482,7 +490,6 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
         checksum=document.get("checksum"),
         generation=delta.get("generation"),
         delta_of=delta.get("of"),
-        epoch=delta.get("epoch"),
         sessions=len(sessions.get("sessions", {})),
         removed=len(delta.get("removed") or ()),
         cache_entries=len((payload.get("interning") or {}).get("cache", [])),
@@ -522,12 +529,12 @@ class SnapshotChain:
 
     Every file a state directory holds is a ``repro.snapshot/3``
     generation written here, serving or not, pooled or not.  With a
-    *service*, the qid/lid plane is append-only and sessions stamp a
-    ``dirty_epoch`` on every durable mutation, so after one *full* base
-    each :meth:`save` writes only:
+    *service*, the qid/lid plane is append-only and the service keeps
+    the set of principals whose durable state changed since the last
+    cut, so after one *full* base each :meth:`save` writes only:
 
-    * sessions with ``dirty_epoch >= since`` (plus the tombstones of
-      principals unregistered in the window), via
+    * the dirty principals' sessions, and a tombstone for each dirty
+      principal no longer stored, via
       :meth:`DisclosureService.export_generation`;
     * label-cache entries whose qid was interned since the last cut,
       via :meth:`DecisionKernel.export_label_cache_since`;
@@ -535,7 +542,8 @@ class SnapshotChain:
 
     Snapshot cost becomes O(delta), not O(state), and the periodic cut
     (:meth:`save_changed`) writes no generation for an idle service.
-    Every
+    A write that fails puts the cut's principals back into the dirty
+    set, so the next generation still carries them.  Every
     ``compact_every`` deltas written — or on :meth:`compact` — the
     next write is a fresh full base.  ``save(payload)`` writes a
     :func:`snapshot_service`-shaped payload gathered elsewhere (a
@@ -548,7 +556,7 @@ class SnapshotChain:
     newest base).  A writer that has not yet written a base finds the
     previous one by reading the directory newest-first.
 
-    A chain always *starts* with a full base: dirty epochs live in
+    A chain always *starts* with a full base: the dirty set lives in
     process memory, so a restarted writer cannot know what an earlier
     process already captured.  :func:`collect_state` replays the chain
     on restart.
@@ -567,7 +575,6 @@ class SnapshotChain:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.compact_every = compact_every
-        self._next_since = 0
         self._deltas_since_full = 0
         self._last_generation: Optional[int] = None
         self._last_full: Optional[int] = None
@@ -586,25 +593,22 @@ class SnapshotChain:
 
     def save_changed(self) -> Optional[Path]:
         """The periodic cut: :meth:`save`, unless nothing durable changed
-        since the last generation written — no session dirtied, no
-        tombstone added, no interner row added, the same plane epoch and
-        the same metrics section.  Then nothing is written and ``None``
-        returned, so an idle server's directory stays as it is and only
-        written generations count toward ``compact_every``."""
-        if self._last_generation is None:
-            return self.save()
-        cut = self._export(False)
-        state, _, removed, plane_epoch, qid_count, _, metrics = cut
-        if (
-            not state["sessions"]
-            and not removed
-            and plane_epoch == self._plane_epoch
-            and qid_count == self._qid_floor
-            and metrics == self._metrics
-        ):
-            return None
-        full = self._full_due()
-        return self._write(self._export(True) if full else cut, full)
+        since the last generation written — an empty dirty set, the
+        same plane epoch and qid count, and the same metrics section.
+        Then nothing is written and ``None`` returned, so an idle
+        server's directory stays as it is and only written generations
+        count toward ``compact_every``.  The check reads no session."""
+        service = self.service
+        if self._last_generation is not None and service is not None:
+            plane = service.kernel.plane
+            if (
+                not service.dirty_count()
+                and plane.epoch == self._plane_epoch
+                and len(plane.queries) == self._qid_floor
+                and metrics_section(service) == self._metrics
+            ):
+                return None
+        return self.save()
 
     def compact(self) -> Path:
         """Force the next generation to be a full base (prunes history)."""
@@ -617,41 +621,31 @@ class SnapshotChain:
         )
 
     def _cut(self, full: bool) -> Path:
-        return self._write(self._export(full), full)
-
-    def _export(self, full: bool) -> Tuple:
-        """The service's state since the last cut (all of it when
-        *full*): ``(state, watermark, removed, plane_epoch, qid_count,
-        cache_entries, metrics)``."""
-        if self.service is None:
+        """Write the service's state since the last cut (all of it when
+        *full*) as the next generation."""
+        service = self.service
+        if service is None:
             raise ValueError("a chain without a service saves payloads only")
-        state, watermark, removed = self.service.export_generation(
-            0 if full else self._next_since
+        state, removed, drained = service.export_generation(full)
+        plane_epoch, qid_count, entries = service.kernel.export_label_cache_since(
+            self._plane_epoch, 0 if full else self._qid_floor
         )
-        plane_epoch, qid_count, entries = (
-            self.service.kernel.export_label_cache_since(
-                self._plane_epoch, 0 if full else self._qid_floor
+        metrics = metrics_section(service)
+        try:
+            path = self._append(
+                {
+                    "sessions": encode_sessions(state),
+                    "interning": encode_interned_cache(entries),
+                    "metrics": metrics,
+                },
+                None if full else self._last_generation,
+                removed=removed,
+                plane_epoch=plane_epoch,
+                qid_floor=0 if full else self._qid_floor,
             )
-        )
-        metrics = metrics_section(self.service)
-        return state, watermark, removed, plane_epoch, qid_count, entries, metrics
-
-    def _write(self, cut: Tuple, full: bool) -> Path:
-        state, watermark, removed, plane_epoch, qid_count, entries, metrics = cut
-        sections = {
-            "sessions": encode_sessions(state),
-            "interning": encode_interned_cache(entries),
-            "metrics": metrics,
-        }
-        path = self._append(
-            sections,
-            None if full else self._last_generation,
-            epoch=watermark,
-            removed=removed,
-            plane_epoch=plane_epoch,
-            qid_floor=0 if full else self._qid_floor,
-        )
-        self._next_since = watermark + 1
+        except BaseException:
+            service.restore_dirty(drained)
+            raise
         self._plane_epoch = plane_epoch
         self._qid_floor = qid_count
         self._metrics = metrics

@@ -165,10 +165,7 @@ def _worker_restore(service: DisclosureService, rows: List) -> int:
             service.store.put_state(
                 principal,
                 SessionState(
-                    tuple(tuple(p) for p in partitions),
-                    live,
-                    bool(ephemeral),
-                    service.state_epoch,
+                    tuple(tuple(p) for p in partitions), live, bool(ephemeral)
                 ),
             )
     return len(rows)
@@ -818,7 +815,6 @@ class ReplicaPool:
         service = self.service
         store = service.store
         with service._lock:
-            epoch = service.state_epoch
             for principal, live in narrowed.items():
                 session = store.peek(principal)
                 state = (
@@ -832,10 +828,8 @@ class ReplicaPool:
                     partitions, ephemeral = service._default_policy, True
                 else:
                     continue  # unregistered while the frame was in flight
-                store.put_state(
-                    principal,
-                    SessionState(partitions, live, ephemeral, epoch),
-                )
+                store.put_state(principal, SessionState(partitions, live, ephemeral))
+                service._mark_dirty(principal)
         self.mirror_writes.labels(str(handle.index)).increment(len(narrowed))
 
     def _count_frames(self, pending, started: float, timings) -> None:

@@ -40,6 +40,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -63,7 +64,7 @@ from repro.server.store import (
     SessionState,
     SessionStore,
     SpillStore,
-    state_dict,
+    export_document,
 )
 
 __all__ = ["DisclosureService", "ServiceDecision", "Session"]
@@ -92,7 +93,6 @@ class Session:
         "policy",
         "live",
         "ephemeral",
-        "dirty_epoch",
         "pending_decided",
         "pending_refused",
     )
@@ -103,18 +103,11 @@ class Session:
         policy: CompiledPolicy,
         live: int,
         ephemeral: bool = False,
-        dirty_epoch: int = 0,
     ):
         self.principal = principal
         self.policy = policy
         self.live = live  # guarded-by: _lock
         self.ephemeral = ephemeral
-        #: The service ``state_epoch`` at this session's last durable
-        #: mutation (stamped by the kernel whenever an accept narrows
-        #: the live bits and by the service on register/reset/restore).
-        #: Incremental snapshots export exactly the sessions with
-        #: ``dirty_epoch >= since``.
-        self.dirty_epoch = dirty_epoch  # guarded-by: _lock
         #: Per-tenant metric tallies, updated by the kernel inside the
         #: session lock it already holds (a plain int increment, so the
         #: single-query hot path never touches the labeled metric
@@ -229,14 +222,12 @@ class DisclosureService:
             self.store = InMemoryStore(max_active_sessions)
         self.max_active_sessions = self.store.max_resident
         self.store.on_demote = self._drain_session_counts
-        #: Monotonic state generation: bumped by each incremental
-        #: export cut (:meth:`export_generation`); sessions stamp it
-        #: into ``dirty_epoch`` on mutation.
-        self.state_epoch = 1  # guarded-by: _lock
-        #: Principals unregistered since the last *full* export, with
-        #: the epoch of their removal — the tombstones an incremental
-        #: snapshot needs so a restart does not resurrect them.
-        self._removed: Dict[str, int] = {}  # guarded-by: _lock
+        #: The principals whose durable state changed since the last
+        #: snapshot cut (:meth:`export_generation`): registered,
+        #: unregistered, reset, restored, or narrowed by an accept.
+        #: ``None`` until the first cut, which is a full base, so a
+        #: service that is never cut tracks nothing.
+        self._dirty: Optional[Set[Hashable]] = None  # guarded-by: _lock
         #: The one decision pipeline every transport routes through.
         self.kernel = DecisionKernel(
             self.labeler, sessions=self, label_cache_size=label_cache_size
@@ -348,19 +339,15 @@ class DisclosureService:
         with self._lock:
             self.store.put_state(
                 principal,
-                SessionState(
-                    partitions, (1 << len(partitions)) - 1, False, self.state_epoch
-                ),
+                SessionState(partitions, (1 << len(partitions)) - 1, False),
             )
-            if isinstance(principal, str):
-                self._removed.pop(principal, None)
+            self._mark_dirty(principal)
 
     def unregister(self, principal: Hashable) -> None:
         with self._lock:
-            known = principal in self.store
-            self.store.discard(principal)
-            if known and isinstance(principal, str):
-                self._removed[principal] = self.state_epoch
+            if principal in self.store:
+                self.store.discard(principal)
+                self._mark_dirty(principal)
 
     def reset(self, principal: Hashable) -> None:
         """Forget the principal's history (a fresh session).
@@ -373,7 +360,7 @@ class DisclosureService:
             session = self.store.peek(principal)
             if session is not None:
                 session.live = session.all_live
-                session.dirty_epoch = self.state_epoch
+                self._mark_dirty(principal)
                 return
             state = self.store.fault(principal)
             if state is not None:
@@ -383,12 +370,18 @@ class DisclosureService:
                         state.partitions,
                         (1 << len(state.partitions)) - 1,
                         state.ephemeral,
-                        self.state_epoch,
                     ),
                 )
+                self._mark_dirty(principal)
                 return
             if self._default_policy is None:
                 raise PolicyError(f"unknown principal {principal!r}")
+
+    def _mark_dirty(self, principal: Hashable) -> None:
+        """Record that *principal*'s durable state changed (caller holds
+        the lock).  The kernel's narrowing branches inline this."""
+        if self._dirty is not None:
+            self._dirty.add(principal)
 
     def principal_count(self) -> int:
         with self._lock:
@@ -444,17 +437,13 @@ class DisclosureService:
             if self._default_policy is None:
                 raise PolicyError(f"unknown principal {principal!r}")
             state = SessionState(
-                self._default_policy,
-                (1 << len(self._default_policy)) - 1,
-                True,
-                0,
+                self._default_policy, (1 << len(self._default_policy)) - 1, True
             )
         session = Session(
             principal,
             self.kernel.compile_policy(state.partitions),
             state.live,
             state.ephemeral,
-            state.dirty_epoch,
         )
         self.store.put(principal, session)
         return session
@@ -624,55 +613,53 @@ class DisclosureService:
             return self.store.export_state()
 
     def export_generation(
-        self, since: int = 0
-    ) -> Tuple[Dict, int, List[str]]:
-        """Cut an incremental state generation.
+        self, full: bool = False
+    ) -> Tuple[Dict, List[str], Set[Hashable]]:
+        """Cut a snapshot generation: what changed since the last cut.
 
-        Returns ``(state, watermark, removed)``:
+        Returns ``(state, removed, drained)``:
 
         * ``state`` — an :meth:`export_state`-shaped document holding
-          only the sessions with ``dirty_epoch >= since`` (``since <= 0``
-          exports everything: a *full* generation);
-        * ``watermark`` — the epoch this cut covers through.  The next
-          delta should pass ``since = watermark + 1``;
-        * ``removed`` — principals unregistered at epoch >= *since*
-          (always empty for a full export, which simply omits them).
+          every session when *full* (or on the first cut), else only the
+          dirty principals that are still stored;
+        * ``removed`` — the dirty principals no longer stored: the
+          tombstones a delta needs so a restart does not bring them
+          back (always empty for a full cut, which simply omits them);
+        * ``drained`` — the dirty set this cut swapped out.  A caller
+          whose write fails hands it to :meth:`restore_dirty`, so the
+          next cut still covers it.
 
-        The cut and the epoch bump happen under one lock hold, so a
-        session mutated concurrently with the export lands either in
-        this generation or the next — never in neither.
+        Reading a dirty principal faults nothing in, and the swap
+        happens under the same lock hold, so a session mutated
+        concurrently with the cut lands in this generation or the
+        next — never in neither.
         """
         with self._lock:
-            watermark = self.state_epoch
-            self.state_epoch = watermark + 1
-            full = since <= 0
-            iterator = (
-                self.store.iter_states()
-                if full
-                else self.store.iter_dirty_states(since)
-            )
-            sessions = {}
-            expanded: Dict = {}
-            for principal, state in iterator:
-                if not isinstance(principal, str):
-                    raise PolicyError(
-                        f"principal {principal!r} is not a string and would "
-                        "not survive a JSON round-trip; use string principals "
-                        "for serializable deployments"
-                    )
-                sessions[principal] = state_dict(state, expanded)
-            if full:
-                removed: List[str] = []
-                # A full generation lists every surviving session, so
-                # tombstones through the watermark are settled debt.
-                self._removed = {
-                    p: e for p, e in self._removed.items() if e > watermark
-                }
+            drained = self._dirty
+            if full or drained is None:
+                state, removed = self.store.export_state(), []
             else:
+                reads = [(p, self.store.read_state(p)) for p in drained]
+                state = export_document((p, s) for p, s in reads if s is not None)
+                # A non-string principal was never exportable (the
+                # document raises for one still stored), so it leaves
+                # no tombstone either.
                 removed = sorted(
-                    p for p, e in self._removed.items() if e >= since
+                    p for p, s in reads if s is None and isinstance(p, str)
                 )
-        return {"format": _STATE_FORMAT, "sessions": sessions}, watermark, removed
+            self._dirty = set()
+        return state, removed, drained or set()
+
+    def dirty_count(self) -> int:
+        """How many principals changed since the last cut (0 before it)."""
+        with self._lock:
+            return len(self._dirty or ())
+
+    def restore_dirty(self, principals: Iterable[Hashable]) -> None:
+        """Put a failed cut's drained principals back into the dirty set."""
+        with self._lock:
+            if self._dirty is not None:
+                self._dirty.update(principals)
 
     def import_state(self, data: Dict) -> int:
         """Restore sessions exported by :meth:`export_state`; returns count."""
@@ -701,9 +688,8 @@ class DisclosureService:
                     bits |= 1 << index
             restored[principal] = (partitions, bits)
         with self._lock:
-            epoch = self.state_epoch
             states = (
-                (principal, SessionState(partitions, bits, False, epoch))
+                (principal, SessionState(partitions, bits, False))
                 for principal, (partitions, bits) in restored.items()
             )
             # ``put_states`` is the optional bulk form of ``put_state``
@@ -714,23 +700,9 @@ class DisclosureService:
             else:
                 for principal, state in states:
                     self.store.put_state(principal, state)
+            if self._dirty is not None:
+                self._dirty.update(restored)
         return len(restored)
-
-    def remove_sessions(self, principals: Iterable[Hashable]) -> int:
-        """Forget each principal without recording tombstones.
-
-        The restore-side twin of the ``removed`` list in
-        :meth:`export_generation`: replaying a snapshot chain applies
-        each generation's removals *before* its session states.
-        Returns how many principals were actually known.
-        """
-        count = 0
-        with self._lock:
-            for principal in principals:
-                if principal in self.store:
-                    count += 1
-                self.store.discard(principal)
-        return count
 
     # ------------------------------------------------------------------
     # Metrics

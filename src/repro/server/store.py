@@ -16,8 +16,8 @@ dict directly, and so the container can be swapped:
     The million-session tier.  Cold sessions append their serializable
     ``(policy, live)`` state to an on-disk JSON-lines log keyed by
     principal and are faulted back in on touch.  RSS is bounded by
-    ``max_resident`` plus a small per-principal index entry
-    (offset + dirty epoch); the principal *population* lives on disk.
+    ``max_resident`` plus a small per-principal index entry (a byte
+    offset); the principal *population* lives on disk.
     A fault remembers which record the session came from, so evicting
     a session that still equals it (a *clean* eviction — the common
     case under churn) re-instates the index entry and writes nothing.
@@ -84,22 +84,20 @@ class SessionState(tuple):
     ``ephemeral``
         True when the session was auto-created under a default policy
         rather than explicitly registered.
-    ``dirty_epoch``
-        The service ``state_epoch`` at the session's last mutation.
-        Incremental snapshots export exactly the states with
-        ``dirty_epoch >= since``.
+
+    What changed since the last snapshot cut is the service's dirty
+    set, not a field of the state.  A fourth positional argument — the
+    per-session dirty stamp an earlier release carried — is still
+    accepted and ignored, so callers that build states in the
+    four-field form keep working.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        partitions: Partitions,
-        live: int,
-        ephemeral: bool,
-        dirty_epoch: int,
+        cls, partitions: Partitions, live: int, ephemeral: bool, _stamp: object = None
     ) -> "SessionState":
-        return tuple.__new__(cls, (partitions, live, ephemeral, dirty_epoch))
+        return tuple.__new__(cls, (partitions, live, ephemeral))
 
     @property
     def partitions(self) -> Partitions:
@@ -113,14 +111,10 @@ class SessionState(tuple):
     def ephemeral(self) -> bool:
         return self[2]
 
-    @property
-    def dirty_epoch(self) -> int:
-        return self[3]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SessionState(partitions={self[0]!r}, live={self[1]:#x}, "
-            f"ephemeral={self[2]!r}, dirty_epoch={self[3]!r})"
+            f"ephemeral={self[2]!r})"
         )
 
 
@@ -135,6 +129,10 @@ class SessionStore(Protocol):
       ``put`` pushes it over.
     * **cold** — immutable :class:`SessionState` tuples.  A principal
       is in exactly one tier (or absent).
+
+    A store does not know what changed since the last snapshot cut:
+    the service keeps that as a set of principals and reads each one
+    back through :meth:`read_state` when it cuts.
 
     Stores are driven under the owning service's lock and must not
     take locks of their own.  Two optional hooks connect the store
@@ -229,12 +227,13 @@ class SessionStore(Protocol):
         """
         ...
 
-    def iter_dirty_states(self, since: int) -> Iterator[Tuple[Hashable, SessionState]]:
-        """Yield states with ``dirty_epoch >= since`` (both tiers).
+    def read_state(self, principal: Hashable) -> Optional[SessionState]:
+        """The principal's state from whichever tier holds it, or ``None``.
 
-        The incremental-snapshot read path: a spill store answers from
-        its in-memory epoch index and reads only the matching log
-        records, so the cost is O(delta) disk I/O, not O(population).
+        Changes nothing: no fault, no LRU touch.  The incremental
+        snapshot cut reads each dirty principal through this, so a
+        delta costs one read per dirty principal (one seek on the spill
+        tier), not a scan of the population.
         """
         ...
 
@@ -266,9 +265,7 @@ class SessionStore(Protocol):
 def state_of(session: "Session") -> SessionState:
     """Render a resident session as its serializable cold state."""
 
-    return SessionState(
-        session.partitions, session.live, session.ephemeral, session.dirty_epoch
-    )
+    return SessionState(session.partitions, session.live, session.ephemeral)
 
 
 def iter_owned_states(
@@ -289,25 +286,36 @@ def iter_owned_states(
             yield principal, state
 
 
-def state_dict(
-    state: SessionState, expanded: Dict[Partitions, List[List[str]]]
+def export_document(
+    states: Iterable[Tuple[Hashable, SessionState]]
 ) -> Dict[str, object]:
-    """One ``export_state`` entry.
+    """*states* as the durable ``repro.server/1`` document.
 
-    *expanded* is the caller's per-export memo: sessions of one policy
-    share one (read-only) ``partitions`` list, so an export of the whole
-    population costs memory per distinct policy, not per principal.
+    Sessions of one policy share one (read-only) ``partitions`` list,
+    so an export of the whole population costs memory per distinct
+    policy, not per principal.  Principals must be strings: anything
+    else could not round-trip through JSON keys, so it raises rather
+    than silently losing the session on restore.
     """
 
-    partitions = state.partitions
-    lists = expanded.get(partitions)
-    if lists is None:
-        lists = expanded[partitions] = [list(partition) for partition in partitions]
-    live = state.live
-    return {
-        "partitions": lists,
-        "live": [bool(live >> index & 1) for index in range(len(partitions))],
-    }
+    entries: Dict[str, Dict[str, object]] = {}
+    expanded: Dict[Partitions, List[List[str]]] = {}
+    for principal, state in states:
+        if not isinstance(principal, str):
+            raise PolicyError(
+                f"principal {principal!r} is not a string and would not "
+                "survive a JSON round-trip; use string principals for "
+                "serializable deployments"
+            )
+        partitions, live = state.partitions, state.live
+        lists = expanded.get(partitions)
+        if lists is None:
+            lists = expanded[partitions] = [list(part) for part in partitions]
+        entries[principal] = {
+            "partitions": lists,
+            "live": [bool(live >> index & 1) for index in range(len(partitions))],
+        }
+    return {"format": STATE_FORMAT, "sessions": entries}
 
 
 class _StoreBase:
@@ -412,23 +420,14 @@ class _StoreBase:
         for principal, session in list(self._resident.items()):
             yield principal, state_of(session)
 
-    def iter_dirty_states(self, since: int) -> Iterator[Tuple[Hashable, SessionState]]:
-        for principal, state in self._iter_cold_dirty(since):
-            yield principal, state
-        for principal, session in list(self._resident.items()):
-            if session.dirty_epoch >= since:
-                yield principal, state_of(session)
+    def read_state(self, principal: Hashable) -> Optional[SessionState]:
+        session = self._resident.get(principal)
+        if session is not None:
+            return state_of(session)
+        return self._read_cold(principal)
 
     def export_state(self) -> Dict[str, object]:
-        entries: Dict[str, Dict[str, object]] = {}
-        expanded: Dict[Partitions, List[List[str]]] = {}
-        for principal, state in self.iter_states():
-            if not isinstance(principal, str):
-                raise PolicyError(
-                    "cannot export state: principal %r is not a string" % (principal,)
-                )
-            entries[principal] = state_dict(state, expanded)
-        return {"format": STATE_FORMAT, "sessions": entries}
+        return export_document(self.iter_states())
 
     # -- hooks for subclasses -------------------------------------------
 
@@ -443,7 +442,8 @@ class _StoreBase:
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
         raise NotImplementedError
 
-    def _iter_cold_dirty(self, since: int) -> Iterator[Tuple[Hashable, SessionState]]:
+    def _read_cold(self, principal: Hashable) -> Optional[SessionState]:
+        """The principal's cold state, if any, without faulting it."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -480,10 +480,8 @@ class InMemoryStore(_StoreBase):
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
         return iter(list(self._cold.items()))
 
-    def _iter_cold_dirty(self, since: int) -> Iterator[Tuple[Hashable, SessionState]]:
-        for principal, state in list(self._cold.items()):
-            if state.dirty_epoch >= since:
-                yield principal, state
+    def _read_cold(self, principal: Hashable) -> Optional[SessionState]:
+        return self._cold.get(principal)
 
     def cold_count(self) -> int:
         return len(self._cold)
@@ -505,18 +503,19 @@ class SpillStore(_StoreBase):
         heavily shared across principals, so they are interned once
         and sessions reference them by id — the same dedup trick the
         v2 snapshot encoding uses.
-    ``["S", principal, pid, live, ephemeral, dirty_epoch]``
+    ``["S", principal, pid, live, ephemeral]``
         A spilled session state.  Later records for the same principal
-        supersede earlier ones (last-writer-wins on replay).
+        supersede earlier ones (last-writer-wins on replay).  A log
+        written by an earlier release carries a sixth field (a dirty
+        stamp); replay reads fields by position and ignores it.
     ``["D", principal]``
         Tombstone: the principal was discarded while a record of it
         was still in the log.
 
-    An in-RAM index maps each cold principal to ``(byte offset,
-    dirty_epoch)`` — ~100 bytes per principal instead of a whole
-    session — so faults are one seek + one line read, and incremental
-    snapshot exports scan the index in RAM and read only the dirty
-    records from disk.
+    An in-RAM index maps each cold principal to the byte offset of its
+    live record — ~100 bytes per principal instead of a whole session —
+    so a fault, and the snapshot cut's read of one dirty principal, is
+    one seek + one line read.
 
     Clean evictions
     ---------------
@@ -576,8 +575,8 @@ class SpillStore(_StoreBase):
         #: Evictions and replacements that wrote nothing because the
         #: state still equalled the record it was faulted from.
         self.clean_eviction_count = 0
-        # principal -> (byte offset of its live "S" record, dirty_epoch)
-        self._index: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
+        # principal -> byte offset of its live "S" record
+        self._index: Dict[str, int] = {}  # guarded-by: _lock
         # faulted principal -> (offset, state) of the record it came from
         self._origin: Dict[str, Tuple[int, SessionState]] = {}  # guarded-by: _lock
         self._flush_each = True
@@ -614,12 +613,14 @@ class SpillStore(_StoreBase):
                         tuple(tuple(str(v) for v in part) for part in partitions)
                     )
                 elif kind == "S":
-                    principal, pid, live, ephemeral, dirty = record[1:6]
+                    # By position: an earlier release's trailing sixth
+                    # field (a dirty stamp) is ignored.
+                    principal, pid, _live, _ephemeral = record[1:5]
                     if not 0 <= pid < len(self._policies):
                         raise ValueError(f"undefined policy id {pid}")
                     if principal in self._index:
                         self._dead += 1
-                    self._index[str(principal)] = (offset, int(dirty))
+                    self._index[str(principal)] = offset
                 elif kind == "D":
                     if self._index.pop(str(record[1]), None) is not None:
                         self._dead += 1
@@ -671,10 +672,7 @@ class SpillStore(_StoreBase):
                     f"expected S record for {principal!r}, found {record[:2]!r}"
                 )
             return SessionState(
-                self._policies[record[2]],
-                int(record[3]),
-                bool(record[4]),
-                int(record[5]),
+                self._policies[record[2]], int(record[3]), bool(record[4])
             )
         except (ValueError, IndexError, KeyError, TypeError) as exc:
             raise StoreError(
@@ -692,18 +690,18 @@ class SpillStore(_StoreBase):
         origin = self._origin.pop(principal, None)
         if origin is not None and origin[1] == state:
             # Clean: the record it was faulted from still says it all.
-            self._index[principal] = (origin[0], state.dirty_epoch)
+            self._index[principal] = origin[0]
             self._dead -= 1
             self.clean_eviction_count += 1
             return
         started = time.perf_counter() if self.observe else 0.0
         pid = self._policy_id(state.partitions)
         offset = self._append_record(
-            ["S", principal, pid, state.live, int(state.ephemeral), state.dirty_epoch]
+            ["S", principal, pid, state.live, int(state.ephemeral)]
         )
         if principal in self._index:
             self._dead += 1
-        self._index[principal] = (offset, state.dirty_epoch)
+        self._index[principal] = offset
         self.spill_count += 1
         if self.observe:
             self.observe("spill", time.perf_counter() - started)
@@ -736,11 +734,10 @@ class SpillStore(_StoreBase):
 
     @requires_lock
     def fault(self, principal: Hashable) -> Optional[SessionState]:
-        entry = self._index.pop(principal, None)  # type: ignore[arg-type]
-        if entry is None:
+        offset = self._index.pop(principal, None)  # type: ignore[arg-type]
+        if offset is None:
             return None
         started = time.perf_counter() if self.observe else 0.0
-        offset, _ = entry
         state = self._read_state(principal, offset)  # type: ignore[arg-type]
         self._origin[principal] = (offset, state)  # type: ignore[index]
         self._dead += 1  # unreferenced unless a clean eviction re-instates it
@@ -750,13 +747,14 @@ class SpillStore(_StoreBase):
         return state
 
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
-        for principal, (offset, _) in list(self._index.items()):
+        for principal, offset in list(self._index.items()):
             yield principal, self._read_state(principal, offset)
 
-    def _iter_cold_dirty(self, since: int) -> Iterator[Tuple[Hashable, SessionState]]:
-        for principal, (offset, dirty) in list(self._index.items()):
-            if dirty >= since:
-                yield principal, self._read_state(principal, offset)
+    def _read_cold(self, principal: Hashable) -> Optional[SessionState]:
+        offset = self._index.get(principal)  # type: ignore[call-overload]
+        if offset is None:
+            return None
+        return self._read_state(principal, offset)  # type: ignore[arg-type]
 
     def cold_count(self) -> int:
         return len(self._index)
@@ -778,7 +776,7 @@ class SpillStore(_StoreBase):
         tmp_path = self.spill_dir / f".{self.LOG_NAME}.tmp-{os.getpid()}"
         policies: List[Partitions] = []
         policy_ids: Dict[Partitions, int] = {}
-        index: Dict[str, Tuple[int, int]] = {}
+        index: Dict[str, int] = {}
         end = 0
 
         def emit(fh: BinaryIO, record: object) -> int:
@@ -790,7 +788,7 @@ class SpillStore(_StoreBase):
             return offset
 
         with open(tmp_path, "wb") as fh:
-            for principal, (offset, dirty) in self._index.items():
+            for principal, offset in self._index.items():
                 state = self._read_state(principal, offset)
                 pid = policy_ids.get(state.partitions)
                 if pid is None:
@@ -798,19 +796,8 @@ class SpillStore(_StoreBase):
                     policies.append(state.partitions)
                     policy_ids[state.partitions] = pid
                     emit(fh, ["P", pid, [list(part) for part in state.partitions]])
-                index[principal] = (
-                    emit(
-                        fh,
-                        [
-                            "S",
-                            principal,
-                            pid,
-                            state.live,
-                            int(state.ephemeral),
-                            state.dirty_epoch,
-                        ],
-                    ),
-                    dirty,
+                index[principal] = emit(
+                    fh, ["S", principal, pid, state.live, int(state.ephemeral)]
                 )
             fh.flush()
             os.fsync(fh.fileno())

@@ -11,7 +11,7 @@ by decision.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Optional
 
 from repro.labeling.cq_labeler import ConjunctiveQueryLabeler
 from repro.policy.monitor import Decision, ReferenceMonitor
@@ -24,32 +24,51 @@ def live_bits(flags) -> int:
 
 
 class ReferenceOracle:
-    """Independent reference monitors, one per principal."""
+    """Independent reference monitors, one per principal.
 
-    def __init__(self, views):
+    With a *default_policy*, an unknown principal is decided as a fresh
+    monitor under it, as the service's anonymous sessions are: a submit
+    keeps that monitor, a peek or a read does not.
+    """
+
+    def __init__(self, views, default_policy: Optional[PartitionPolicy] = None):
         self.labeler = ConjunctiveQueryLabeler(views)
+        self.default_policy = default_policy
         self.monitors: Dict[Hashable, ReferenceMonitor] = {}
 
     def register(self, principal: Hashable, policy: PartitionPolicy) -> None:
         """A fresh monitor for *principal* (re-registering starts over)."""
         self.monitors[principal] = ReferenceMonitor(self.labeler, policy)
 
+    def unregister(self, principal: Hashable) -> None:
+        self.monitors.pop(principal, None)
+
+    def _monitor(self, principal: Hashable) -> ReferenceMonitor:
+        """The principal's monitor, or a transient default-policy one."""
+        monitor = self.monitors.get(principal)
+        if monitor is None:
+            if self.default_policy is None:
+                raise KeyError(principal)
+            monitor = ReferenceMonitor(self.labeler, self.default_policy)
+        return monitor
+
     def submit(self, principal: Hashable, query) -> Decision:
-        return self.monitors[principal].submit(query)
+        monitor = self.monitors[principal] = self._monitor(principal)
+        return monitor.submit(query)
 
     def peek(self, principal: Hashable, query) -> Decision:
         """The decision :meth:`submit` would make; no state changes."""
         # submit rebinds the monitor's live flags, never mutates them.
-        return copy.copy(self.monitors[principal]).submit(query)
+        return copy.copy(self._monitor(principal)).submit(query)
 
     def would_accept(self, principal: Hashable, query) -> bool:
-        return self.monitors[principal].would_accept(query)
+        return self._monitor(principal).would_accept(query)
 
     def reset(self, principal: Hashable) -> None:
-        self.monitors[principal].reset()
+        self._monitor(principal).reset()
 
     def live_partitions(self, principal: Hashable):
-        return self.monitors[principal].live_partitions
+        return self._monitor(principal).live_partitions
 
     def live_bits(self, principal: Hashable) -> int:
         return live_bits(self.live_partitions(principal))

@@ -4,18 +4,21 @@ Every session registered with a policy binds to that policy's one
 :class:`~repro.server.kernel.CompiledPolicy` — grants, the lid → mask
 memo, the (lid, live) → outcome memo, and the plane-epoch stamp that
 says which plane their keys mean.  Sharing is only sound if no sequence
-of submits, peeks, resets, re-registrations, demotions, faults, store
-reopenings, and plane rotations can make one session read what another
-wrote under a different plane or policy.  The state machine below
-drives M principals over K < M policies through all of those and holds
-every decision — verdict, reason, live bits before and after — equal
-to the shared reference oracle (``reference_oracle.py``: one plain
-:class:`~repro.policy.monitor.ReferenceMonitor` per principal, sharing
-nothing), on both session stores.
+of submits, peeks, resets, re-registrations, unregistrations,
+demotions, faults, store reopenings, plane rotations, snapshot cuts and
+restarts can make one session read what another wrote under a
+different plane or policy.  The state machine below drives M
+registered principals over K < M policies, plus anonymous principals
+under a default policy, through all of those and holds every decision
+— verdict, reason, live bits before and after — and every restart
+equal to the shared reference oracle (``reference_oracle.py``: one
+plain :class:`~repro.policy.monitor.ReferenceMonitor` per principal,
+sharing nothing), on both session stores.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
@@ -26,6 +29,7 @@ from repro.facebook.permissions import facebook_security_views
 from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.policy.policy import PartitionPolicy
 from repro.server.batch import decide_wire_items
+from repro.server.persist import SnapshotChain, collect_state, restore_collected
 from repro.server.service import DisclosureService
 from repro.server.store import InMemoryStore, SpillStore
 
@@ -40,9 +44,12 @@ POLICIES = [
     )
 ]
 PRINCIPALS = [f"app-{index}" for index in range(6)]
+#: Never registered up front: decided under the default policy.
+ANONYMOUS = ["anon-0", "anon-1"]
+DEFAULT_POLICY = POLICIES[0]
 QUERIES = list(WorkloadGenerator(max_subqueries=1, seed=7).stream(12))
 
-principals = st.sampled_from(PRINCIPALS)
+principals = st.sampled_from(PRINCIPALS + ANONYMOUS)
 queries = st.sampled_from(QUERIES)
 policy_indices = st.integers(0, len(POLICIES) - 1)
 
@@ -54,12 +61,15 @@ class SharedPlaneMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.spill_dir = tempfile.mkdtemp(prefix="repro-shared-") if self.spill else None
-        self.oracle = ReferenceOracle(VIEWS)
+        self.root = tempfile.mkdtemp(prefix="repro-shared-")
+        self.state_dir = os.path.join(self.root, "state")
+        self.spill_dir = os.path.join(self.root, "spill-0")
+        self.restarts = 0
+        self.oracle = ReferenceOracle(VIEWS, DEFAULT_POLICY)
         self.service = self._open()
 
     def _open(self) -> DisclosureService:
-        # Three resident slots for six principals: half the touches fault.
+        # Three resident slots for eight principals: most touches fault.
         # A low compaction threshold: the log is rewritten, and the
         # remembered offsets dropped, a few times per run.
         store = (
@@ -67,23 +77,35 @@ class SharedPlaneMachine(RuleBasedStateMachine):
             if self.spill
             else InMemoryStore(3)
         )
-        service = DisclosureService(VIEWS, session_store=store)
+        service = DisclosureService(
+            VIEWS, session_store=store, default_policy=DEFAULT_POLICY
+        )
         # Three shapes per plane generation: rotations every few steps.
         service.kernel.max_interned_shapes = 3
+        # A new process is a new writer: its first cut is a full base.
+        self.chain = SnapshotChain(service, self.state_dir, compact_every=3)
         return service
+
+    def _check_durable(self):
+        """The durable state agrees with the oracle: every principal
+        the service stores, and the fresh default for every other."""
+        exported = self.service.export_state()["sessions"]
+        fresh = (1 << len(DEFAULT_POLICY)) - 1
+        assert {
+            principal: live_bits(exported[principal]["live"])
+            if principal in exported
+            else fresh
+            for principal in PRINCIPALS + ANONYMOUS
+        } == {
+            principal: self.oracle.live_bits(principal)
+            for principal in PRINCIPALS + ANONYMOUS
+        }
 
     def teardown(self):
         # Whatever path each session took, the durable state agrees.
-        exported = self.service.export_state()["sessions"]
-        assert {
-            principal: live_bits(state["live"]) for principal, state in exported.items()
-        } == {
-            principal: self.oracle.live_bits(principal)
-            for principal in self.oracle.monitors
-        }
+        self._check_durable()
         self.service.close()
-        if self.spill_dir is not None:
-            shutil.rmtree(self.spill_dir, ignore_errors=True)
+        shutil.rmtree(self.root, ignore_errors=True)
 
     @initialize()
     def register_everyone(self):
@@ -134,6 +156,29 @@ class SharedPlaneMachine(RuleBasedStateMachine):
         self._register(principal, policy_index)
 
     @rule(principal=principals)
+    def unregister(self, principal):
+        self.service.unregister(principal)
+        self.oracle.unregister(principal)
+
+    @rule()
+    def cut(self):
+        self.chain.save_changed()
+
+    @rule()
+    def restart(self):
+        """Cut, then start over from the state directory alone: the
+        replayed chain, restored into a fresh service, is the oracle's
+        state, and decisions go on from it."""
+        self.chain.save_changed()
+        collected = collect_state(self.state_dir)
+        self.service.close()
+        self.restarts += 1
+        self.spill_dir = os.path.join(self.root, f"spill-{self.restarts}")
+        self.service = self._open()
+        restore_collected(self.service, collected)
+        self._check_durable()
+
+    @rule(principal=principals)
     def demote(self, principal):
         with self.service._lock:
             self.service.store.demote(principal)
@@ -169,11 +214,12 @@ class SharedPlaneMachine(RuleBasedStateMachine):
         if not self.spill:
             return
         with self.service._lock:
-            for principal in PRINCIPALS:
+            for principal in PRINCIPALS + ANONYMOUS:
                 self.service.store.demote(principal)
+        stored = self.service.principal_count()
         self.service.close()
         self.service = self._open()
-        assert self.service.principal_count() == len(PRINCIPALS)
+        assert self.service.principal_count() == stored
 
 
 class SpillSharedPlaneMachine(SharedPlaneMachine):
@@ -296,16 +342,14 @@ def test_non_narrowing_submits_leave_the_delta_empty():
     service = DisclosureService(VIEWS)
     service.register("a", POLICIES[0])
     query = _accepted_twice(service, "a")
-    _, watermark, _ = service.export_generation()
-    since = watermark + 1
+    service.export_generation(full=True)
     for _ in range(25):
         decision = service.submit("a", query)
         assert decision.accepted and decision.live_after == decision.live_before
     service.peek("a", query)
     service.submit_batch([("a", query)] * 10)
-    with service._lock:
-        assert list(service.store.iter_dirty_states(since)) == []
-    state, _, removed = service.export_generation(since)
+    assert service.dirty_count() == 0
+    state, removed, _ = service.export_generation()
     assert state["sessions"] == {} and removed == []
 
 
@@ -314,7 +358,7 @@ def test_a_narrowing_submit_still_lands_in_the_delta():
     policy = next(p for p in POLICIES if len(p) > 1)
     service.register("a", policy)
     service.register("b", policy)
-    _, watermark, _ = service.export_generation()
+    service.export_generation(full=True)
     narrowing = None
     for query in QUERIES:
         decision = service.submit("a", query)
@@ -323,9 +367,8 @@ def test_a_narrowing_submit_still_lands_in_the_delta():
             break
     assert narrowing is not None, "pool has no narrowing shape for the policy"
     service.submit_batch([("b", narrowing)])
-    with service._lock:
-        dirty = dict(service.store.iter_dirty_states(watermark + 1))
-    assert set(dirty) == {"a", "b"}
+    state, _, drained = service.export_generation()
+    assert drained == {"a", "b"} and set(state["sessions"]) == {"a", "b"}
 
 
 def test_clean_evictions_surface_in_metrics(tmp_path):

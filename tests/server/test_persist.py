@@ -52,6 +52,7 @@ from repro.server.persist import (
     encode_interned_cache,
     inspect_snapshot,
     load_snapshot,
+    restore_collected,
     restore_service,
     save_snapshot,
     sessions_payload,
@@ -220,6 +221,25 @@ class TestSnapshotFiles:
         assert written.pop("delta")["of"] is None  # a lone full base
         assert written == json.loads(json.dumps(payload))
         assert not list(tmp_path.glob(".*tmp*")), "temp file left behind"
+
+    def test_the_rename_is_made_durable(self, views, tmp_path, monkeypatch):
+        """After ``os.replace`` the directory itself is fsynced, so the
+        rename survives a power loss, not only a process kill.  Power
+        loss cannot be tested in a sandbox; this checks the call: the
+        file, then the directory once the new name is in place."""
+        import stat
+
+        path = tmp_path / "snap.json"
+        synced = []
+        real = os.fsync
+
+        def recording(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        save_snapshot(path, self._payload(views))
+        assert synced == [(False, False), (True, True)]
 
     @pytest.mark.parametrize("fmt", ["repro.snapshot/1", "repro.snapshot/2"])
     def test_older_formats_are_refused_by_name(self, views, tmp_path, fmt):
@@ -762,43 +782,47 @@ class TestPooledRestart:
 # Incremental generations: export_generation and the snapshot chain
 # ----------------------------------------------------------------------
 class TestExportGeneration:
-    def test_full_export_covers_everything_and_bumps_the_epoch(self, views):
+    def test_first_cut_is_full_and_starts_tracking(self, views):
         service = _registered_service(views, _policies(views))
-        epoch_before = service.state_epoch
-        state, watermark, removed = service.export_generation(0)
+        assert service.dirty_count() == 0  # nothing tracked before a cut
+        state, removed, drained = service.export_generation()
         assert set(state["sessions"]) == {f"app-{i}" for i in range(PRINCIPALS)}
-        assert watermark == epoch_before
-        assert removed == []
-        assert service.state_epoch == watermark + 1
+        assert removed == [] and drained == set()
+        service.reset("app-1")
+        assert service.dirty_count() == 1
 
     def test_delta_export_carries_only_dirty_sessions(self, views):
         service = _registered_service(views, _policies(views))
-        _, watermark, _ = service.export_generation(0)
+        service.export_generation(full=True)
         service.reset("app-3")  # the only mutation in this window
-        state, _, removed = service.export_generation(watermark + 1)
+        state, removed, drained = service.export_generation()
         assert set(state["sessions"]) == {"app-3"}
-        assert removed == []
+        assert removed == [] and drained == {"app-3"}
+        assert service.dirty_count() == 0
 
     def test_unregister_tombstones_ride_the_delta(self, views):
         service = _registered_service(views, _policies(views))
-        _, watermark, _ = service.export_generation(0)
+        service.export_generation(full=True)
         service.unregister("app-5")
-        state, _, removed = service.export_generation(watermark + 1)
+        state, removed, _ = service.export_generation()
         assert "app-5" not in state["sessions"]
         assert removed == ["app-5"]
         # A full export lists every survivor, settling the tombstone.
-        state, watermark, removed = service.export_generation(0)
+        service.unregister("app-6")
+        _, removed, _ = service.export_generation(full=True)
         assert removed == []
-        _, _, removed = service.export_generation(watermark + 1)
+        _, removed, _ = service.export_generation()
         assert removed == []
 
-    def test_remove_sessions_discards_without_tombstones(self, views):
+    def test_a_failed_cut_loses_nothing(self, views):
         service = _registered_service(views, _policies(views))
-        _, watermark, _ = service.export_generation(0)
-        assert service.remove_sessions(["app-1", "app-2", "no-such"]) == 2
-        assert "app-1" not in service
-        _, _, removed = service.export_generation(watermark + 1)
-        assert removed == []
+        service.export_generation(full=True)
+        service.reset("app-2")
+        _, _, drained = service.export_generation()
+        service.reset("app-4")
+        service.restore_dirty(drained)  # the write of that cut failed
+        state, _, _ = service.export_generation()
+        assert set(state["sessions"]) == {"app-2", "app-4"}
 
 
 class TestSnapshotChain:
@@ -1042,6 +1066,131 @@ class TestIdleCut:
             service.reset(f"app-{index}")
             kinds.append(inspect_snapshot(chain.save_changed()).delta_of)
         assert kinds == [1, 2, None]  # two deltas, then the full base
+
+
+def _store_kwargs(store, tmp_path, resident):
+    if store == "spill":
+        return {"max_active_sessions": resident, "spill_dir": tmp_path / "spill"}
+    return {"max_active_sessions": resident}
+
+
+class TestDirtySet:
+    """What changed since the last cut is one set of principals on the
+    service: a delta reads only those, an idle cut reads none, and a
+    dirty principal that is no longer stored is a tombstone."""
+
+    def _population(self, views, tmp_path, store, count):
+        policies = _policies(views)
+        service = DisclosureService(views, **_store_kwargs(store, tmp_path, 64))
+        service.import_state(
+            sessions_payload(
+                {
+                    f"app-{index}": {
+                        "partitions": policies[index % len(policies)],
+                        "live": [True] * len(policies[index % len(policies)]),
+                    }
+                    for index in range(count)
+                }
+            )
+        )
+        return service
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_an_idle_cut_reads_no_session(self, views, tmp_path, store, monkeypatch):
+        service = self._population(views, tmp_path, store, 20_000)
+        chain = SnapshotChain(service, tmp_path / "state")
+        chain.save_changed()  # the full base
+
+        def refuse(*_args):
+            raise AssertionError("an idle cut read the session store")
+
+        monkeypatch.setattr(service.store, "iter_states", refuse)
+        monkeypatch.setattr(service.store, "read_state", refuse)
+        monkeypatch.setattr(service.store, "_read_cold", refuse)
+        assert [chain.save_changed() for _ in range(3)] == [None] * 3
+        service.close()
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_a_one_principal_delta_reads_one_state(
+        self, views, tmp_path, store, monkeypatch
+    ):
+        service = self._population(views, tmp_path, store, 2_000)
+        chain = SnapshotChain(service, tmp_path / "state")
+        chain.save()
+        service.reset("app-7")
+        reads = []
+        read_state = service.store.read_state
+        monkeypatch.setattr(
+            service.store,
+            "read_state",
+            lambda principal: reads.append(principal) or read_state(principal),
+        )
+        monkeypatch.setattr(service.store, "iter_states", None)
+        info = inspect_snapshot(chain.save_changed())
+        assert reads == ["app-7"] and info.sessions == 1
+        service.close()
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_a_reset_anonymous_session_does_not_come_back(
+        self, views, tmp_path, store
+    ):
+        """An anonymous principal narrows and is cut; then it is reset
+        and dropped fresh by an eviction, which writes no record.  The
+        next cut must still tombstone it, or a restart restores the
+        narrowed state the base holds."""
+        service = DisclosureService(
+            views, default_policy=SERVED, **_store_kwargs(store, tmp_path, 1)
+        )
+        query = service.parse(*BIRTHDAY)
+        chain = SnapshotChain(service, tmp_path / "state")
+        service.submit("anon", query)
+        assert service.live_partitions("anon") == (True, False)
+        chain.save()
+        service.reset("anon")
+        service.submit("other", query)  # evicts "anon", fresh: no record
+        chain.save()
+
+        restarted = DisclosureService(views, default_policy=SERVED)
+        restore_collected(restarted, collect_state(tmp_path / "state"))
+        for principal in ("anon", "other"):
+            assert restarted.live_partitions(principal) == (
+                service.live_partitions(principal)
+            )
+        service.close()
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_a_failed_write_loses_no_change(
+        self, views, tmp_path, store, monkeypatch
+    ):
+        """A cut whose file cannot be written puts its principals back:
+        the next generation carries them, and a restart sees them."""
+        import repro.server.persist as persist
+
+        service = self._population(views, tmp_path, store, 40)
+        chain = SnapshotChain(service, tmp_path / "state")
+        chain.save()
+        service.reset("app-3")
+        service.unregister("app-4")
+        real = persist.save_snapshot
+
+        def full_disk(*_args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(persist, "save_snapshot", full_disk)
+        with pytest.raises(OSError):
+            chain.save_changed()
+        monkeypatch.setattr(persist, "save_snapshot", real)
+        assert service.dirty_count() == 2
+        service.reset("app-5")
+        delta = load_snapshot(chain.save_changed())["payload"]
+        assert delta["delta"]["removed"] == ["app-4"]
+        assert set(decode_sessions(delta["sessions"])["sessions"]) == {
+            "app-3", "app-5",
+        }
+        collected = collect_state(tmp_path / "state")
+        assert "app-4" not in collected.sessions
+        assert len(collected.sessions) == 39
+        service.close()
 
 
 # ----------------------------------------------------------------------

@@ -45,11 +45,9 @@ from repro.server.store import (
 PARTS = (("friends_photos", "friends_status"), ("user_birthday",))
 
 
-def _session(principal, live=0b11, ephemeral=False, partitions=PARTS, dirty_epoch=0):
+def _session(principal, live=0b11, ephemeral=False, partitions=PARTS):
     """A minimal resident session; stores never touch the grant tables."""
-    return Session(
-        principal, CompiledPolicy(partitions, ()), live, ephemeral, dirty_epoch
-    )
+    return Session(principal, CompiledPolicy(partitions, ()), live, ephemeral)
 
 
 def _policies(views, count, seed=3):
@@ -76,18 +74,19 @@ def _strip_cached(decision):
 # ----------------------------------------------------------------------
 class TestSessionState:
     def test_is_a_plain_tuple_with_named_fields(self):
-        state = SessionState(PARTS, 0b01, True, 7)
+        state = SessionState(PARTS, 0b01, True)
         assert state.partitions == PARTS
         assert state.live == 0b01
         assert state.ephemeral is True
-        assert state.dirty_epoch == 7
-        assert tuple(state) == (PARTS, 0b01, True, 7)
+        assert tuple(state) == (PARTS, 0b01, True)
+
+    def test_a_fourth_positional_argument_is_ignored(self):
+        # The four-field form of an earlier release still constructs.
+        assert SessionState(PARTS, 0b01, True, 7) == SessionState(PARTS, 0b01, True)
 
     def test_state_of_renders_a_resident_session(self):
-        session = _session("app-1", live=0b10)
-        session.dirty_epoch = 5
-        state = state_of(session)
-        assert state == SessionState(PARTS, 0b10, False, 5)
+        state = state_of(_session("app-1", live=0b10))
+        assert state == SessionState(PARTS, 0b10, False)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +114,7 @@ class TestInMemoryStore:
         store.put("a", _session("a", live=0b01))
         store.put("b", _session("b"))
         assert store.cold_count() == 1
-        assert store.fault("a") == SessionState(PARTS, 0b01, False, 0)
+        assert store.fault("a") == SessionState(PARTS, 0b01, False)
         assert store.fault_count == 1
         assert "a" not in store  # fault pops
 
@@ -153,19 +152,14 @@ class TestInMemoryStore:
         assert states["a"].live == 0b01
         assert states["b"].live == 0b10
 
-    def test_iter_dirty_states_filters_on_epoch(self):
-        store = InMemoryStore(8)
-        old = _session("old")
-        old.dirty_epoch = 1
-        new = _session("new")
-        new.dirty_epoch = 5
-        store.put("old", old)
-        store.put("new", new)
-        store.put_state("cold", SessionState(PARTS, 0b11, False, 9))
-        assert {p for p, _ in store.iter_dirty_states(5)} == {"new", "cold"}
-        assert {p for p, _ in store.iter_dirty_states(0)} == {
-            "old", "new", "cold",
-        }
+    def test_read_state_reads_either_tier_and_changes_nothing(self):
+        store = InMemoryStore(1)
+        store.put("a", _session("a", live=0b01))
+        store.put("b", _session("b", live=0b10))  # "a" is now cold
+        assert store.read_state("a") == SessionState(PARTS, 0b01, False)
+        assert store.read_state("b") == SessionState(PARTS, 0b10, False)
+        assert store.read_state("nobody") is None
+        assert store.cold_count() == 1 and store.fault_count == 0
 
     def test_export_state_rejects_non_string_principals(self):
         store = InMemoryStore(4)
@@ -180,7 +174,7 @@ class TestInMemoryStore:
 class TestSpillStore:
     def test_spill_then_fault_round_trips_exactly(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        state = SessionState(PARTS, 0b10, True, 3)
+        state = SessionState(PARTS, 0b10, True)
         store.put_state("app-1", state)
         assert store.fault("app-1") == state
         assert store.fault("app-1") is None  # fault pops
@@ -188,22 +182,22 @@ class TestSpillStore:
 
     def test_cold_sessions_survive_close_and_reopen(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
-        store.put_state("b", SessionState(PARTS, 0b11, False, 2))
-        store.put_state("a", SessionState(PARTS, 0b00, False, 5))  # supersedes
+        store.put_state("a", SessionState(PARTS, 0b01, False))
+        store.put_state("b", SessionState(PARTS, 0b11, False))
+        store.put_state("a", SessionState(PARTS, 0b00, False))  # supersedes
         store.discard("b")  # tombstoned
         store.close()
 
         reopened = SpillStore(tmp_path, max_resident=4)
         assert reopened.cold_count() == 1
-        assert reopened.fault("a") == SessionState(PARTS, 0b00, False, 5)
+        assert reopened.fault("a") == SessionState(PARTS, 0b00, False)
         assert "b" not in reopened
         reopened.close()
 
     def test_policies_are_interned_once(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         for index in range(20):
-            store.put_state(f"app-{index}", SessionState(PARTS, 0b11, False, 0))
+            store.put_state(f"app-{index}", SessionState(PARTS, 0b11, False))
         store.close()
         kinds = [
             json.loads(line)[0]
@@ -214,7 +208,7 @@ class TestSpillStore:
 
     def test_torn_tail_is_truncated_silently(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
+        store.put_state("a", SessionState(PARTS, 0b01, False))
         store.close()
         log = tmp_path / "sessions.log"
         intact = log.read_bytes()
@@ -227,8 +221,8 @@ class TestSpillStore:
 
     def test_corrupt_interior_record_raises_store_error(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
-        store.put_state("b", SessionState(PARTS, 0b10, False, 2))
+        store.put_state("a", SessionState(PARTS, 0b01, False))
+        store.put_state("b", SessionState(PARTS, 0b10, False))
         store.close()
         log = tmp_path / "sessions.log"
         lines = log.read_bytes().splitlines(keepends=True)
@@ -240,7 +234,7 @@ class TestSpillStore:
     def test_non_string_principals_are_rejected(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         with pytest.raises(StoreError, match="string principals"):
-            store.put_state(42, SessionState(PARTS, 0b11, False, 0))
+            store.put_state(42, SessionState(PARTS, 0b11, False))
         store.close()
 
     def test_compaction_drops_dead_records_and_preserves_state(self, tmp_path):
@@ -249,12 +243,12 @@ class TestSpillStore:
             for index in range(4):
                 store.put_state(
                     f"app-{index}",
-                    SessionState(PARTS, 0b01, False, round_number),
+                    SessionState(PARTS, 0b01 << round_number % 2, False),
                 )
         assert store.compaction_count >= 1
         states = dict(store.iter_states())
         assert len(states) == 4
-        assert all(state.dirty_epoch == 9 for state in states.values())
+        assert all(state.live == 0b10 for state in states.values())
         # The compacted log holds exactly one live record per principal.
         kinds = [
             json.loads(line)[0]
@@ -267,16 +261,28 @@ class TestSpillStore:
         seen = []
         store = SpillStore(tmp_path, max_resident=4, compact_min_dead=1)
         store.observe = lambda op, seconds: seen.append(op)
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
+        store.put_state("a", SessionState(PARTS, 0b01, False))
         store.fault("a")
         store.compact()
         assert "spill" in seen and "fault" in seen and "compact" in seen
         store.close()
 
+    def test_a_log_with_six_field_records_still_replays(self, tmp_path):
+        # An earlier release wrote a trailing dirty stamp on every record.
+        (tmp_path / "sessions.log").write_bytes(
+            b'["P",0,[["friends_photos","friends_status"],["user_birthday"]]]\n'
+            b'["S","a",0,1,0,7]\n'
+            b'["S","b",0,3,1,9]\n'
+        )
+        store = SpillStore(tmp_path, max_resident=4)
+        assert store.fault("a") == SessionState(PARTS, 0b01, False)
+        assert store.fault("b") == SessionState(PARTS, 0b11, True)
+        store.close()
+
     def test_log_bytes_tracks_the_append_head(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         assert store.log_bytes() == 0
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
+        store.put_state("a", SessionState(PARTS, 0b01, False))
         assert store.log_bytes() == (tmp_path / "sessions.log").stat().st_size
         store.close()
 
@@ -294,9 +300,7 @@ def _log_kinds(tmp_path):
 def _fault_in(store, principal):
     """What the service does on a miss: fault the state, bind, put."""
     state = store.fault(principal)
-    session = _session(
-        principal, state.live, state.ephemeral, state.partitions, state.dirty_epoch
-    )
+    session = _session(principal, state.live, state.ephemeral, state.partitions)
     store.put(principal, session)
     return session
 
@@ -304,7 +308,7 @@ def _fault_in(store, principal):
 class TestCleanEviction:
     def test_evicting_an_untouched_session_writes_nothing(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        state = SessionState(PARTS, 0b11, False, 3)
+        state = SessionState(PARTS, 0b11, False)
         store.put_state("a", state)
         _fault_in(store, "a")
         before = store.log_bytes()
@@ -318,21 +322,20 @@ class TestCleanEviction:
 
     def test_a_narrowed_session_appends_exactly_one_record(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b11, False, 3))
+        store.put_state("a", SessionState(PARTS, 0b11, False))
         session = _fault_in(store, "a")
         session.live = 0b01
-        session.dirty_epoch = 4
         kinds = _log_kinds(tmp_path)
         store.demote("a")
         assert _log_kinds(tmp_path) == kinds + ["S"]
         assert store.clean_eviction_count == 0
-        assert store.fault("a") == SessionState(PARTS, 0b01, False, 4)
+        assert store.fault("a") == SessionState(PARTS, 0b01, False)
         store.close()
 
     def test_lru_eviction_of_untouched_sessions_is_clean(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=2)
         for index in range(6):
-            store.put_state(f"app-{index}", SessionState(PARTS, 0b11, False, 1))
+            store.put_state(f"app-{index}", SessionState(PARTS, 0b11, False))
         before = store.log_bytes()
         for _ in range(3):
             for index in range(6):
@@ -347,13 +350,12 @@ class TestCleanEviction:
         self, tmp_path
     ):
         store = SpillStore(tmp_path, max_resident=4, compact_min_dead=1)
-        store.put_state("a", SessionState(PARTS, 0b11, False, 1))
-        store.put_state("b", SessionState(PARTS, 0b10, False, 2))
-        store.put_state("c", SessionState(PARTS, 0b01, False, 3))
+        store.put_state("a", SessionState(PARTS, 0b11, False))
+        store.put_state("b", SessionState(PARTS, 0b10, False))
+        store.put_state("c", SessionState(PARTS, 0b01, False))
         untouched = _fault_in(store, "a")
         narrowed = _fault_in(store, "b")
         narrowed.live = 0b00
-        narrowed.dirty_epoch = 9
         store.compact()  # drops the records "a" and "b" were faulted from
         assert _log_kinds(tmp_path) == ["P", "S"]  # only "c" was cold
         store.demote("a")  # cannot be clean any more: its record is gone
@@ -361,46 +363,46 @@ class TestCleanEviction:
         assert store.clean_eviction_count == 0
         assert dict(store.iter_states()) == {
             "a": state_of(untouched),
-            "b": SessionState(PARTS, 0b00, False, 9),
-            "c": SessionState(PARTS, 0b01, False, 3),
+            "b": SessionState(PARTS, 0b00, False),
+            "c": SessionState(PARTS, 0b01, False),
         }
         store.close()
         reopened = SpillStore(tmp_path, max_resident=4)
-        assert reopened.fault("a") == SessionState(PARTS, 0b11, False, 1)
-        assert reopened.fault("b") == SessionState(PARTS, 0b00, False, 9)
+        assert reopened.fault("a") == SessionState(PARTS, 0b11, False)
+        assert reopened.fault("b") == SessionState(PARTS, 0b00, False)
         reopened.close()
 
     def test_put_state_supersedes_a_resident_in_one_record(self, tmp_path):
         seen = []
         store = SpillStore(tmp_path, max_resident=4)
         store.on_demote = lambda session: seen.append(session.principal)
-        store.put_state("a", SessionState(PARTS, 0b01, False, 1))
+        store.put_state("a", SessionState(PARTS, 0b01, False))
         _fault_in(store, "a")
         kinds = _log_kinds(tmp_path)
-        store.put_state("a", SessionState(PARTS, 0b11, False, 2))
+        store.put_state("a", SessionState(PARTS, 0b11, False))
         assert _log_kinds(tmp_path) == kinds + ["S"]  # no tombstone first
         assert seen == ["a"] and store.peek("a") is None
         store.close()
         reopened = SpillStore(tmp_path, max_resident=4)
-        assert reopened.fault("a") == SessionState(PARTS, 0b11, False, 2)
+        assert reopened.fault("a") == SessionState(PARTS, 0b11, False)
         reopened.close()
 
     def test_put_states_flushes_once_and_survives_reopen(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4, compact_min_dead=8)
         states = [
-            (f"app-{index % 5}", SessionState(PARTS, 0b11, False, index))
+            (f"app-{index % 5}", SessionState(PARTS, 1 + index % 3, False))
             for index in range(40)  # supersedes enough to compact mid-call
         ]
         store.put_states(states)
         assert store.compaction_count >= 1
         assert store.log_bytes() == (tmp_path / "sessions.log").stat().st_size
-        assert store.fault("app-4") == SessionState(PARTS, 0b11, False, 39)
+        assert store.fault("app-4") == SessionState(PARTS, 0b01, False)
         store.close()
         reopened = SpillStore(tmp_path, max_resident=4)
         # A fault leaves its record in the log, so a close with the
         # session out of the cold tier brings that last state back.
         assert reopened.cold_count() == 5
-        assert reopened.fault("app-4") == SessionState(PARTS, 0b11, False, 39)
+        assert reopened.fault("app-4") == SessionState(PARTS, 0b01, False)
         reopened.close()
 
 
@@ -409,7 +411,7 @@ class TestTombstoneRule:
         self, tmp_path
     ):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b11, False, 1))
+        store.put_state("a", SessionState(PARTS, 0b11, False))
         _fault_in(store, "a").live = 0b01  # resident; its S record is on disk
         store.discard("a")
         assert _log_kinds(tmp_path)[-1] == "D"
@@ -429,7 +431,7 @@ class TestTombstoneRule:
         self, tmp_path
     ):
         store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("anon", SessionState(PARTS, 0b01, True, 2))
+        store.put_state("anon", SessionState(PARTS, 0b01, True))
         session = _fault_in(store, "anon")
         session.live = session.all_live  # reset while resident
         store.demote("anon")  # fresh + ephemeral: dropped, not stored
@@ -460,12 +462,10 @@ class TestTombstoneRule:
         service.submit("a", _query_pool(1)[0])  # resident now
         kinds = _log_kinds(tmp_path)
         service.register("a", other)  # re-register a resident
-        service.export_generation()  # a new epoch: the next write differs
-        service.reset("a")  # reset a cold principal
-        service.export_generation()
+        service.reset("a")  # a fresh cold principal: its record says it all
         service.import_state(service.export_state())
         new = _log_kinds(tmp_path)[len(kinds):]
-        assert [kind for kind in new if kind != "P"] == ["S", "S", "S"]
+        assert [kind for kind in new if kind != "P"] == ["S", "S"]
         # Re-writing the very state a record already holds writes nothing.
         service.reset("a")
         assert _log_kinds(tmp_path)[len(kinds):] == new
@@ -495,16 +495,15 @@ class TestSpillRoundTripProperty:
         ),
         partitions=_partitions,
         ephemeral=st.booleans(),
-        dirty=st.integers(min_value=0, max_value=2**31),
         live_bits=st.integers(min_value=0),
         data=st.data(),
     )
     @settings(max_examples=30, deadline=None)
     def test_any_state_survives_spill_fault_and_reopen(
-        self, principal, partitions, ephemeral, dirty, live_bits, data
+        self, principal, partitions, ephemeral, live_bits, data
     ):
         live = live_bits % (1 << len(partitions))
-        state = SessionState(partitions, live, ephemeral, dirty)
+        state = SessionState(partitions, live, ephemeral)
         with tempfile.TemporaryDirectory() as spill_dir:
             store = SpillStore(spill_dir, max_resident=2)
             store.put_state(principal, state)

@@ -182,6 +182,34 @@ class TestSnapshotCommand:
         code, _ = run_cli("snapshot", "load", str(oldest))
         assert code == 1
 
+    def test_inspect_into_a_reader_that_leaves_early(self, snapshot_file):
+        """``snapshot inspect --state-dir D | grep -q ...``: the reader
+        closes after one line.  The listing is longer than a pipe holds,
+        so the writer meets the closed pipe every run: it exits 1 with
+        nothing on stderr, not a ``BrokenPipeError`` traceback."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+
+        state_dir = snapshot_file.parent / "state"
+        state_dir.mkdir()
+        for seq in range(1, 601):  # ~150 bytes a line: well over 64 KiB
+            shutil.copy(snapshot_file, state_dir / f"snapshot-{seq:08d}.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "snapshot", "inspect",
+             "--state-dir", str(state_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert b"checksum ok" in proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
     def test_inspect_rejects_a_corrupt_file(self, snapshot_file):
         snapshot_file.write_text("{broken")
         code, out = run_cli("snapshot", "inspect", str(snapshot_file))
