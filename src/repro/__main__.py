@@ -34,7 +34,7 @@ data plane into N kernel-replica worker processes fed over pipes —
 multi-core throughput with no HTTP between front end and kernels;
 ``--state-dir`` makes sessions, label cache, and counters durable
 across restarts via incremental snapshot generations; ``--spill-dir``
-adds the disk-backed cold-session tier with
+adds the disk-backed cold-session tier (scratch, cleared at start) with
 ``--max-resident-sessions`` warm sessions in RAM); ``metrics``
 pretty-prints a running server's ``/metrics`` (``--watch S`` refreshes
 every S seconds, ``--prometheus`` dumps the text exposition); ``snapshot``
@@ -177,6 +177,9 @@ def _cmd_evaluate(_args: argparse.Namespace) -> int:
     return harness_main(["--quick"])
 
 
+_SPILL_SCRATCH = "the spill directory is cleared at start; --state-dir restarts warm"
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.service import DisclosureService
 
@@ -209,7 +212,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.spill_dir:
             print(
                 f"spill tier: cold sessions under {args.spill_dir} "
-                f"(max {service.max_active_sessions} resident)"
+                f"(max {service.max_active_sessions} resident); {_SPILL_SCRATCH}"
             )
     snapshotter = _restore_state_dir(args, service) if args.state_dir else None
     if pool is not None:
@@ -244,7 +247,7 @@ def _launch_pool(args: argparse.Namespace, service_kwargs: dict):
         print(
             f"spill tier: per-replica logs under "
             f"{args.spill_dir}/replica-<i> (mirror under "
-            f"{args.spill_dir}/front)"
+            f"{args.spill_dir}/front); {_SPILL_SCRATCH}"
         )
     service = DisclosureService(**parent_kwargs)
     pool = ReplicaPool(
@@ -910,7 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-dir", metavar="DIR",
         help="spill demoted sessions to an append-only log under DIR "
         "instead of keeping them in RAM (bounded RSS; --replicas "
-        "workers use DIR/replica-<i>)",
+        "workers use DIR/replica-<i>); scratch, cleared at start: "
+        "a restart restores from --state-dir only",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1 << 16,

@@ -911,7 +911,7 @@ class AsyncDecisionServer:
         started = perf_counter() if traced else 0.0
         try:
             if self.pool is None:
-                results = batch.decide_wire_items(  # repro: noqa[ASY01] - the tick drain IS the data plane: the sync kernel core decides here by design, and spill faults are bounded page-sized reads (docs/sessions.md)
+                results = batch.decide_wire_items(  # repro: noqa[ASY01] - the tick drain IS the data plane: the sync kernel core decides here by design, and spill faults are bounded page-sized reads (docs/memory-tier.md)
                     self.service, entries, update=update, plane=plane,
                     timings=timings,
                 )

@@ -99,7 +99,9 @@ def encode_sessions(exported: Dict) -> Dict:
     """``export_state()`` output as the snapshot session table.
 
     Distinct policies (partition tuples) are stored once in a table;
-    each session becomes ``[policy_index, live_int]``.  Deployments
+    each session becomes ``[policy_index, live_int]``, or
+    ``[policy_index, live_int, 1]`` for an ephemeral (default-policy)
+    session, so a restart does not make it registered.  Deployments
     where many principals share a policy (the default-policy fleet, the
     Figure 6 generator's repeats) shrink accordingly.
     """
@@ -117,7 +119,9 @@ def encode_sessions(exported: Dict) -> Dict:
         for bit, flag in enumerate(state["live"]):
             if flag:
                 live |= 1 << bit
-        sessions[principal] = [index, live]
+        sessions[principal] = (
+            [index, live, 1] if state.get("ephemeral") else [index, live]
+        )
     return {"format": SESSIONS_FORMAT_V2, "policies": policies, "sessions": sessions}
 
 
@@ -125,7 +129,8 @@ def decode_sessions(data: Dict) -> Dict:
     """A snapshot session table back into the ``export_state`` form.
 
     The policy table expands once: sessions of one policy share one
-    expanded ``partitions`` list — treat it as read-only.  Raises
+    expanded ``partitions`` list — treat it as read-only.  A
+    two-element entry is a registered session.  Raises
     :class:`SnapshotError` on anything malformed.
     """
     if not isinstance(data, dict):
@@ -145,22 +150,26 @@ def decode_sessions(data: Dict) -> Dict:
     for principal, entry in sessions.items():
         if (
             not isinstance(entry, (list, tuple))
-            or len(entry) != 2
+            or len(entry) not in (2, 3)
             or not all(isinstance(value, int) for value in entry)
+            or any(flag != 1 for flag in entry[2:])
         ):
             raise SnapshotError(
                 f"session {principal!r}: expected [policy_index, live_bits]"
+                " or [policy_index, live_bits, 1]"
             )
-        index, live = entry
+        index, live = entry[:2]
         if not 0 <= index < len(policies):
             raise SnapshotError(
                 f"session {principal!r}: policy index {index} out of range"
             )
         partitions = expanded[index]
-        out[principal] = {
+        session = out[principal] = {
             "partitions": partitions,
             "live": [bool(live >> bit & 1) for bit in range(len(partitions))],
         }
+        if len(entry) == 3:
+            session["ephemeral"] = True
     return {"format": SESSIONS_FORMAT_V1, "sessions": out}
 
 

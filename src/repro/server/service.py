@@ -432,7 +432,7 @@ class DisclosureService:
         session = self.store.get(principal)
         if session is not None:
             return session
-        state = self.store.fault(principal)  # repro: noqa[ASY01] - spill faults on the decide path are bounded page-sized reads by design (docs/sessions.md); the tick drain IS the data plane
+        state = self.store.fault(principal)  # repro: noqa[ASY01] - spill faults on the decide path are bounded page-sized reads by design (docs/memory-tier.md); the tick drain IS the data plane
         if state is None:
             if self._default_policy is None:
                 raise PolicyError(f"unknown principal {principal!r}")
@@ -682,23 +682,22 @@ class DisclosureService:
                 raise PolicyError(
                     f"session {principal!r}: corrupt state, no live partition"
                 )
+            ephemeral = state.get("ephemeral", False)
+            if not isinstance(ephemeral, bool):
+                raise PolicyError(f"session {principal!r}: ephemeral is not a bool")
             bits = 0
             for index, flag in enumerate(live):
                 if flag:
                     bits |= 1 << index
-            restored[principal] = (partitions, bits)
+            restored[principal] = SessionState(partitions, bits, ephemeral)
         with self._lock:
-            states = (
-                (principal, SessionState(partitions, bits, False))
-                for principal, (partitions, bits) in restored.items()
-            )
             # ``put_states`` is the optional bulk form of ``put_state``
             # (one log flush per call on the spill tier).
             put_states = getattr(self.store, "put_states", None)
             if put_states is not None:
-                put_states(states)
+                put_states(restored.items())
             else:
-                for principal, state in states:
+                for principal, state in restored.items():
                     self.store.put_state(principal, state)
             if self._dirty is not None:
                 self._dirty.update(restored)

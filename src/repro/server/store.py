@@ -17,10 +17,12 @@ dict directly, and so the container can be swapped:
     ``(policy, live)`` state to an on-disk JSON-lines log keyed by
     principal and are faulted back in on touch.  RSS is bounded by
     ``max_resident`` plus a small per-principal index entry (a byte
-    offset); the principal *population* lives on disk.
-    A fault remembers which record the session came from, so evicting
-    a session that still equals it (a *clean* eviction — the common
-    case under churn) re-instates the index entry and writes nothing.
+    offset); the principal *population* lives on disk.  The log is
+    scratch: it is truncated at open, and a restart comes from the
+    snapshot chain alone.  A fault remembers which record the session
+    came from, so evicting a session that still equals it (a *clean*
+    eviction — the common case under churn) re-instates the index
+    entry and writes nothing.
 
 Stores are **not** thread-safe on their own — every store call is made
 under the owning service's lock, exactly like the dicts they replace.
@@ -212,6 +214,7 @@ class SessionStore(Protocol):
         materializing a resident ``Session`` would only churn the LRU.
         A resident session for the principal is dropped (``on_demote``
         fires first), so a replacement is one call and one cold write.
+        A fresh ephemeral state is a discard, as in :meth:`demote`.
         The shipped stores also offer ``put_states(pairs)``, the same
         write for many principals at once; the service uses it when a
         store has it.
@@ -291,6 +294,8 @@ def export_document(
 ) -> Dict[str, object]:
     """*states* as the durable ``repro.server/1`` document.
 
+    An ephemeral (default-policy) session's entry carries
+    ``"ephemeral": true``; a registered one's has no such key.
     Sessions of one policy share one (read-only) ``partitions`` list,
     so an export of the whole population costs memory per distinct
     policy, not per principal.  Principals must be strings: anything
@@ -311,18 +316,22 @@ def export_document(
         lists = expanded.get(partitions)
         if lists is None:
             lists = expanded[partitions] = [list(part) for part in partitions]
-        entries[principal] = {
+        entry: Dict[str, object] = {
             "partitions": lists,
             "live": [bool(live >> index & 1) for index in range(len(partitions))],
         }
+        if state.ephemeral:
+            entry["ephemeral"] = True
+        entries[principal] = entry
     return {"format": STATE_FORMAT, "sessions": entries}
 
 
 class _StoreBase:
     """Shared demote/export logic for the concrete stores."""
 
-    #: True when the cold tier survives process death (drives the
-    #: ``repro_sessions_spilled`` gauge and restart semantics).
+    #: True when the cold tier lives on disk (drives the
+    #: ``repro_sessions_spilled`` gauge).  No tier outlives its process:
+    #: a restart comes from the snapshot chain.
     persistent = False
 
     max_resident: int
@@ -376,12 +385,15 @@ class _StoreBase:
     def _demote_session(self, session: "Session") -> None:
         if self.on_demote is not None:
             self.on_demote(session)
-        if session.ephemeral and session.live == session.all_live:
+        self._put_cold(session.principal, state_of(session))
+
+    def _put_cold(self, principal: Hashable, state: SessionState) -> None:
+        if state.ephemeral and state.live == (1 << len(state.partitions)) - 1:
             # A fresh default-policy session rebuilds identically on next
             # touch; the cold tier would store pure redundancy.
-            self._forget_cold(session.principal)
-            return
-        self._store_cold(session.principal, state_of(session))
+            self._forget_cold(principal)
+        else:
+            self._store_cold(principal, state)
 
     def _drop_resident(self, principal: Hashable) -> None:
         session = self._resident.pop(principal, None)
@@ -396,7 +408,7 @@ class _StoreBase:
     @requires_lock
     def put_state(self, principal: Hashable, state: SessionState) -> None:
         self._drop_resident(principal)
-        self._store_cold(principal, state)
+        self._put_cold(principal, state)
 
     def put_states(
         self, states: Iterable[Tuple[Hashable, SessionState]]
@@ -436,7 +448,7 @@ class _StoreBase:
         raise NotImplementedError
 
     def _forget_cold(self, principal: Hashable) -> None:
-        """Drop whatever cold state the principal has, durably."""
+        """Drop whatever cold state the principal has."""
         raise NotImplementedError
 
     def _iter_cold(self) -> Iterator[Tuple[Hashable, SessionState]]:
@@ -495,7 +507,7 @@ class SpillStore(_StoreBase):
 
     Layout
     ------
-    One file, ``<spill_dir>/sessions.log``, holding three record kinds
+    One file, ``<spill_dir>/sessions.log``, holding two record kinds
     (JSON arrays, one per line):
 
     ``["P", pid, [[view, ...], ...]]``
@@ -505,12 +517,7 @@ class SpillStore(_StoreBase):
         v2 snapshot encoding uses.
     ``["S", principal, pid, live, ephemeral]``
         A spilled session state.  Later records for the same principal
-        supersede earlier ones (last-writer-wins on replay).  A log
-        written by an earlier release carries a sixth field (a dirty
-        stamp); replay reads fields by position and ignores it.
-    ``["D", principal]``
-        Tombstone: the principal was discarded while a record of it
-        was still in the log.
+        supersede earlier ones.
 
     An in-RAM index maps each cold principal to the byte offset of its
     live record — ~100 bytes per principal instead of a whole session —
@@ -529,28 +536,19 @@ class SpillStore(_StoreBase):
     appends.  Compaction drops the records residents came from, so it
     clears the map; those sessions append when they leave.
 
-    Durability & crash behavior
-    ---------------------------
-    Appends are flushed (not fsynced) per record — per call for
-    :meth:`put_states`; snapshots remain the coherent durability cut.
-    On open, an existing log is replayed so cold sessions survive a
-    restart that reuses the spill directory.  A torn final record
-    (crash mid-append) is truncated away silently; a corrupt *interior*
-    record raises :class:`~repro.errors.StoreError`.  Faulting a
-    principal leaves its record in the log — the bytes are compaction
-    debt — so a crash (or a close) while the session is resident
-    brings back that last cold state on reopen: the staleness window
-    any snapshot restore already has, never a state the principal did
-    not have.  What cannot come back is a principal that was
-    discarded: the tombstone is written whenever a record of the
-    principal is still in the log, cold *or* resident, and a
-    replacement (``put_state``) supersedes by being the later record.
+    Scratch, not recovery
+    ---------------------
+    The log is truncated at open and never replayed: a restart comes
+    from the snapshot chain alone, so it restores one point in time.
+    Appends are flushed per record (per call for :meth:`put_states`)
+    only so the read handle sees them.  A corrupt record raises
+    :class:`~repro.errors.StoreError` when it is read.
 
     Compaction
     ----------
     When dead records outnumber ``max(compact_min_dead, 2x live)``,
-    the log is rewritten atomically (temp file + ``os.replace``) with a
-    fresh policy table and one record per live principal.
+    the log is rewritten (temp file + ``os.replace``) with a fresh
+    policy table and one record per live principal.
 
     Principals must be strings (they travel through JSON); demoting a
     session with a non-string principal raises ``StoreError``.
@@ -584,61 +582,10 @@ class SpillStore(_StoreBase):
         self._policy_ids: Dict[Partitions, int] = {}
         self._dead = 0
         self._end = 0
-        self._replay_log()
-        self._append = open(self.path, "ab")
+        self._append = open(self.path, "wb")
         self._read = open(self.path, "rb")
 
     # -- log plumbing ----------------------------------------------------
-
-    def _replay_log(self) -> None:
-        """Rebuild index + policy tables from an existing log, if any."""
-
-        if not self.path.exists():
-            self.path.touch()
-            return
-        data = self.path.read_bytes()
-        offset = 0
-        valid_end = 0
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail: crash mid-append; truncate below
-            try:
-                record = json.loads(raw)
-                kind = record[0]
-                if kind == "P":
-                    pid, partitions = record[1], record[2]
-                    if pid != len(self._policies):
-                        raise ValueError("policy ids must be dense")
-                    self._policies.append(
-                        tuple(tuple(str(v) for v in part) for part in partitions)
-                    )
-                elif kind == "S":
-                    # By position: an earlier release's trailing sixth
-                    # field (a dirty stamp) is ignored.
-                    principal, pid, _live, _ephemeral = record[1:5]
-                    if not 0 <= pid < len(self._policies):
-                        raise ValueError(f"undefined policy id {pid}")
-                    if principal in self._index:
-                        self._dead += 1
-                    self._index[str(principal)] = offset
-                elif kind == "D":
-                    if self._index.pop(str(record[1]), None) is not None:
-                        self._dead += 1
-                    self._dead += 1  # the tombstone itself is log garbage
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, IndexError, KeyError, TypeError) as exc:
-                raise StoreError(
-                    f"corrupt spill log {self.path}: bad record at byte {offset}: {exc}"
-                ) from exc
-            offset += len(raw)
-            valid_end = offset
-        if valid_end != len(data):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
-        for pid, partitions in enumerate(self._policies):
-            self._policy_ids[partitions] = pid
-        self._end = valid_end
 
     def _append_record(self, record: object) -> int:
         """Append one record; return its byte offset."""
@@ -709,16 +656,9 @@ class SpillStore(_StoreBase):
 
     @requires_lock
     def _forget_cold(self, principal: Hashable) -> None:
-        # Tombstone iff a record of the principal is still in the log:
-        # its live one (indexed) or the one a resident was faulted from.
-        on_disk = self._origin.pop(principal, None) is not None  # type: ignore[arg-type]
+        self._origin.pop(principal, None)  # type: ignore[arg-type]
         if self._index.pop(principal, None) is not None:  # type: ignore[arg-type]
             self._dead += 1
-            on_disk = True
-        if on_disk:
-            self._dead += 1  # the tombstone itself is log garbage
-            self._append_record(["D", principal])
-            self._maybe_compact()
 
     def put_states(
         self, states: Iterable[Tuple[Hashable, SessionState]]
@@ -769,7 +709,7 @@ class SpillStore(_StoreBase):
             self.compact()
 
     def compact(self) -> None:
-        """Atomically rewrite the log with only live records."""
+        """Rewrite the log with only live records."""
 
         started = time.perf_counter() if self.observe else 0.0
         self._append.flush()  # a bulk write may be mid-call
@@ -799,8 +739,6 @@ class SpillStore(_StoreBase):
                 index[principal] = emit(
                     fh, ["S", principal, pid, state.live, int(state.ephemeral)]
                 )
-            fh.flush()
-            os.fsync(fh.fileno())
         self._append.close()
         self._read.close()
         os.replace(tmp_path, self.path)

@@ -5,9 +5,9 @@ Every session registered with a policy binds to that policy's one
 memo, the (lid, live) → outcome memo, and the plane-epoch stamp that
 says which plane their keys mean.  Sharing is only sound if no sequence
 of submits, peeks, resets, re-registrations, unregistrations,
-demotions, faults, store reopenings, plane rotations, snapshot cuts and
-restarts can make one session read what another wrote under a
-different plane or policy.  The state machine below drives M
+demotions, faults, plane rotations, snapshot cuts and restarts can
+make one session read what another wrote under a different plane or
+policy.  The state machine below drives M
 registered principals over K < M policies, plus anonymous principals
 under a default policy, through all of those and holds every decision
 — verdict, reason, live bits before and after — and every restart
@@ -207,19 +207,6 @@ class SharedPlaneMachine(RuleBasedStateMachine):
             self.service, [(first, query, None)], update=True, plane=captured
         )
         self._check(decision, first, query, True)
-
-    @rule()
-    def reopen(self):
-        """Close the spill log with everyone cold; reopen the directory."""
-        if not self.spill:
-            return
-        with self.service._lock:
-            for principal in PRINCIPALS + ANONYMOUS:
-                self.service.store.demote(principal)
-        stored = self.service.principal_count()
-        self.service.close()
-        self.service = self._open()
-        assert self.service.principal_count() == stored
 
 
 class SpillSharedPlaneMachine(SharedPlaneMachine):

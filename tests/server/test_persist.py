@@ -38,7 +38,7 @@ import pytest
 
 from repro.core.canonical import encode_key
 from repro.core.terms import Constant
-from repro.errors import SnapshotError
+from repro.errors import PolicyError, SnapshotError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.policy.policy import PartitionPolicy
 from repro.server.aio import dispatch
@@ -50,6 +50,7 @@ from repro.server.persist import (
     decode_interned_cache,
     decode_sessions,
     encode_interned_cache,
+    encode_sessions,
     inspect_snapshot,
     load_snapshot,
     restore_collected,
@@ -1193,6 +1194,69 @@ class TestDirtySet:
         service.close()
 
 
+class TestEphemeralFlag:
+    """The session table carries ``ephemeral``: the chain is the only
+    thing a restart reads, so it must not make anonymous principals
+    registered."""
+
+    def test_only_ephemeral_entries_carry_the_third_element(self):
+        table = encode_sessions(
+            sessions_payload(
+                {
+                    "reg": {"partitions": SERVED, "live": [True, False]},
+                    "anon": {
+                        "partitions": SERVED,
+                        "live": [True, False],
+                        "ephemeral": True,
+                    },
+                }
+            )
+        )
+        assert table["sessions"] == {"reg": [0, 1], "anon": [0, 1, 1]}
+        decoded = decode_sessions(table)["sessions"]
+        assert "ephemeral" not in decoded["reg"]  # a two-element entry is registered
+        assert decoded["anon"]["ephemeral"] is True
+        for entry in ([0, 1, 0], [0, 1, 2], [0, 1, 1, 1], [0, 1, "1"]):
+            table["sessions"]["anon"] = entry
+            with pytest.raises(SnapshotError, match="expected"):
+                decode_sessions(table)
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_a_restored_anonymous_session_stays_anonymous(
+        self, views, tmp_path, store
+    ):
+        """Narrowed, cut, restored, reset and demoted: the restored
+        twin drops the principal as the live one does, and a restart
+        without a default policy refuses it."""
+        services = [
+            DisclosureService(
+                views, default_policy=SERVED, **_store_kwargs(store, tmp_path / name, 4)
+            )
+            for name in ("live", "restored")
+        ]
+        live, restored = services
+        query = live.parse(*BIRTHDAY)
+        live.submit("anon", query)
+        SnapshotChain(live, tmp_path / "first").save()
+        restore_collected(restored, collect_state(tmp_path / "first"))
+        chain = SnapshotChain(restored, tmp_path / "second")
+        chain.save()
+        for service in services:
+            assert service.live_partitions("anon") == (True, False)
+            service.reset("anon")
+            with service._lock:
+                service.store.demote("anon")
+            assert "anon" not in service and service.principal_count() == 0
+        chain.save_changed()
+        for service in services:
+            service.close()
+
+        strict = DisclosureService(views)
+        restore_collected(strict, collect_state(tmp_path / "second"))
+        with pytest.raises(PolicyError, match="unknown principal"):
+            strict.submit("anon", query)
+
+
 # ----------------------------------------------------------------------
 # Served state directories: ``serve --state-dir``, pooled or not
 # ----------------------------------------------------------------------
@@ -1202,7 +1266,9 @@ def _serving(log_path, *args, stop=signal.SIGINT):
     its own process group; yields its URL, then sends *stop* to the
     whole group, as a terminal's Ctrl-C or a supervisor's ``killpg``
     does.  The stop must be clean: the final snapshot taken, exit 0
-    within 10 s, and no process of the group (no replica) left."""
+    within 10 s, and no process of the group (no replica) left.  A
+    ``SIGKILL`` stop is a crash: it must kill, and no snapshot is
+    taken."""
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
@@ -1234,7 +1300,17 @@ def _serving(log_path, *args, stop=signal.SIGINT):
                 os.killpg(server.pid, signal.SIGKILL)
                 server.wait()
                 raise
-    assert server.returncode == 0, Path(log_path).read_text()
+    if stop == signal.SIGKILL:
+        assert server.returncode == -signal.SIGKILL
+        # The killed replicas are orphans now; init reaps them.
+        for _ in range(100):
+            try:
+                os.killpg(server.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+    else:
+        assert server.returncode == 0, Path(log_path).read_text()
     with pytest.raises(ProcessLookupError):
         os.killpg(server.pid, 0)  # every replica went with its server
 
@@ -1258,7 +1334,9 @@ BIRTHDAY = ("SELECT birthday FROM user WHERE uid = me()", "fql", 3)
 MUSIC = ("SELECT music FROM user WHERE uid = me()", "fql", 3)
 
 
-@pytest.mark.parametrize("replicas", [1, 2], ids=["unpooled", "pooled"])
+_REPLICAS = pytest.mark.parametrize("replicas", [1, 2], ids=["unpooled", "pooled"])
+
+
 class TestServedStateDirectory:
     def _decide(self, url, count: int) -> None:
         from repro.client import HttpClient, parse_text
@@ -1275,6 +1353,7 @@ class TestServedStateDirectory:
         finally:
             client.close()
 
+    @_REPLICAS
     def test_every_file_written_is_v3(self, tmp_path, replicas):
         """Serving (periodic and shutdown snapshots), ``snapshot save``
         to a directory and to a file, and ``snapshot compact`` all
@@ -1296,6 +1375,7 @@ class TestServedStateDirectory:
         assert _formats(state) == {"repro.snapshot/3"}
         assert len(collect_state(state).sessions) == 4
 
+    @_REPLICAS
     def test_warm_restart_keeps_the_decision_counters(self, tmp_path, replicas):
         """The restored counters keep counting, pooled or not: ``/metrics``
         after a restart reads the history plus the new decisions, and
@@ -1317,6 +1397,7 @@ class TestServedStateDirectory:
             client.close()
         assert collect_state(state).metrics["decisions"] == 35
 
+    @_REPLICAS
     def test_sigterm_is_a_clean_stop(self, views, tmp_path, replicas):
         """SIGTERM to the server's process group (how the perf ledger
         and supervisors stop it) takes the final snapshot: with no
@@ -1369,6 +1450,7 @@ class TestServedStateDirectory:
             }
             assert live == expected, principal
 
+    @_REPLICAS
     def test_an_idle_server_writes_nothing(self, tmp_path, replicas):
         """Ten snapshot intervals without traffic leave the directory
         listing as it was; one submit then writes exactly one delta."""
@@ -1393,3 +1475,93 @@ class TestServedStateDirectory:
             assert len(new) == 1, new
             assert inspect_snapshot(state / new[0]).delta_of is not None
             assert {name: after[name] for name in listing} == listing
+
+    @staticmethod
+    def _sessions(client) -> int:
+        sessions = client.metrics()["sessions"]
+        return sessions["resident"] + sessions["spilled"]
+
+    def test_a_topology_change_leaves_no_stale_sessions(self, tmp_path):
+        """One spill and state directory under ``--replicas`` 2, then 3,
+        then 2: each replica's log starts empty and is primed from the
+        chain, so ``/metrics`` counts every principal exactly once."""
+        from repro.client import HttpClient, parse_text
+
+        argv = (
+            "--spill-dir", str(tmp_path / "spill"),
+            "--state-dir", str(tmp_path / "state"),
+            "--max-resident-sessions", "4",
+        )
+        query = parse_text(*BIRTHDAY)
+        for run, replicas in enumerate((2, 3, 2)):
+            with _serving(
+                tmp_path / f"run-{run}.log", "--replicas", str(replicas), *argv
+            ) as url:
+                client = HttpClient(url, timeout=10)
+                if run == 0:
+                    for index in range(40):
+                        client.register(f"app-{index}", SERVED)
+                client.submit_many(
+                    [(f"app-{index}", query) for index in range(run, 40, 3)]
+                )
+                assert self._sessions(client) == 40, run
+                client.close()
+
+    @_REPLICAS
+    def test_a_crash_restores_only_the_last_cut(self, tmp_path, replicas):
+        """A principal registered, narrowed and evicted after the last
+        cut is in no snapshot; a restart after a SIGKILL must not find
+        it in the spill directory either."""
+        from repro.client import ClientError, HttpClient, parse_text
+
+        state = tmp_path / "state"
+        argv = (
+            "--replicas", str(replicas), "--spill-dir", str(tmp_path / "spill"),
+            "--state-dir", str(state), "--snapshot-interval", "3600",
+            "--max-resident-sessions", "1",
+        )
+        birthday = parse_text(*BIRTHDAY)
+        with _serving(tmp_path / "first.log", *argv, stop=signal.SIGKILL) as url:
+            client = HttpClient(url, timeout=10)
+            client.register("p", SERVED)
+            assert _cli(
+                "snapshot", "save", "--url", url, "--state-dir", str(state)
+            ) == 0  # the last cut
+            client.register("late", SERVED)
+            assert client.submit("late", birthday)["accepted"]
+            client.submit("p", birthday)  # evicts "late", narrowed
+            client.close()
+
+        with _serving(tmp_path / "second.log", *argv) as url:
+            client = HttpClient(url, timeout=10)
+            sessions = decode_sessions(client.snapshot()["sessions"])["sessions"]
+            assert set(sessions) == {"p"}
+            assert sessions["p"]["live"] == [True, True]  # as the cut held it
+            assert self._sessions(client) == 1
+            with pytest.raises(ClientError) as refused:
+                client.submit("late", parse_text(*MUSIC))
+            assert refused.value.status == 404
+            client.close()
+
+    @_REPLICAS
+    def test_a_spill_only_restart_starts_empty(self, tmp_path, replicas):
+        """Without ``--state-dir`` nothing is restored: a Chinese Wall
+        commitment is not rolled back to the registration the spill log
+        held, the principal is simply unknown."""
+        from repro.client import ClientError, HttpClient, parse_text
+
+        argv = ("--replicas", str(replicas), "--spill-dir", str(tmp_path / "spill"))
+        with _serving(tmp_path / "first.log", *argv, stop=signal.SIGTERM) as url:
+            client = HttpClient(url, timeout=10)
+            client.register("app", SERVED)
+            assert client.submit("app", parse_text(*BIRTHDAY))["accepted"]
+            assert not client.submit("app", parse_text(*MUSIC))["accepted"]
+            client.close()
+
+        with _serving(tmp_path / "second.log", *argv) as url:
+            client = HttpClient(url, timeout=10)
+            assert self._sessions(client) == 0
+            with pytest.raises(ClientError) as refused:
+                client.submit("app", parse_text(*MUSIC))
+            assert refused.value.status == 404
+            client.close()

@@ -215,6 +215,20 @@ class TestSerializableState:
                     },
                 }
             )
+        with pytest.raises(PolicyError, match="ephemeral is not a bool"):
+            service.import_state(
+                {
+                    "format": "repro.server/1",
+                    "sessions": {
+                        "x": {
+                            "partitions": [["public_profile"]],
+                            "live": [True],
+                            "ephemeral": 1,
+                        }
+                    },
+                }
+            )
+        assert service.principal_count() == 0
 
     def test_each_distinct_policy_is_normalised_once(self, views, monkeypatch):
         from repro.server import service as service_module

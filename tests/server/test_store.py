@@ -4,14 +4,16 @@ Three properties carry the subsystem:
 
 * **API contract** — ``InMemoryStore`` and ``SpillStore`` implement the
   same :class:`SessionStore` protocol with identical observable
-  semantics (LRU residency, demote-on-eviction, fresh-ephemeral drop,
-  tombstoned discards), and a *custom* store plugged in via
+  semantics (LRU residency, demote-on-eviction, fresh-ephemeral drop
+  on every cold write, discards), and a *custom* store plugged in via
   ``DisclosureService(session_store=...)`` drives the full service.
 * **Spill round-trip** — any session state survives spill → fault
-  byte-for-byte, including across a close/reopen of the log (checked
-  on randomized states by hypothesis), and a service running on the
-  spill tier makes byte-identical decisions to an in-memory one —
-  before and after a restart that finds only cold sessions on disk.
+  byte-for-byte, read back from the log on disk (checked on randomized
+  states by hypothesis), and a service running on the spill tier makes
+  byte-identical decisions to an in-memory one — before and after a
+  restart from the snapshot chain into the same, cleared, spill
+  directory.  The log itself is scratch: a store opened on an old one
+  starts empty.
 * **Bounded residency** — a zipfian principal population far larger
   than ``max_resident`` runs entirely through the service while the
   resident tier never exceeds its cap; the population lives in the
@@ -30,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import PolicyError, StoreError
 from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.kernel import CompiledPolicy
+from repro.server.persist import SnapshotChain, collect_state, restore_collected
 from repro.server.service import DisclosureService, Session
 from repro.server.store import (
     InMemoryStore,
@@ -180,18 +183,32 @@ class TestSpillStore:
         assert store.fault("app-1") is None  # fault pops
         store.close()
 
-    def test_cold_sessions_survive_close_and_reopen(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b"",
+            b'["S","b",0,3',
+            b"\x00garbage\n",
+            b'["D","a"]\n',
+            b'["S","a",0,1,0,7]\n',
+        ],
+        ids=["intact", "torn", "corrupt", "tombstone", "six-field"],
+    )
+    def test_an_existing_log_is_cleared_at_open(self, tmp_path, tail):
+        """The log is scratch: whatever an earlier process left in the
+        directory, a store opened on it starts empty."""
         store = SpillStore(tmp_path, max_resident=4)
         store.put_state("a", SessionState(PARTS, 0b01, False))
-        store.put_state("b", SessionState(PARTS, 0b11, False))
-        store.put_state("a", SessionState(PARTS, 0b00, False))  # supersedes
-        store.discard("b")  # tombstoned
         store.close()
+        log = tmp_path / "sessions.log"
+        log.write_bytes(log.read_bytes() + tail)
 
         reopened = SpillStore(tmp_path, max_resident=4)
-        assert reopened.cold_count() == 1
-        assert reopened.fault("a") == SessionState(PARTS, 0b00, False)
-        assert "b" not in reopened
+        assert reopened.cold_count() == 0 and reopened.log_bytes() == 0
+        assert "a" not in reopened and reopened.fault("a") is None
+        assert log.read_bytes() == b""
+        reopened.put_state("b", SessionState(PARTS, 0b10, False))
+        assert reopened.fault("b") == SessionState(PARTS, 0b10, False)
         reopened.close()
 
     def test_policies_are_interned_once(self, tmp_path):
@@ -206,30 +223,18 @@ class TestSpillStore:
         assert kinds.count("P") == 1
         assert kinds.count("S") == 20
 
-    def test_torn_tail_is_truncated_silently(self, tmp_path):
-        store = SpillStore(tmp_path, max_resident=4)
-        store.put_state("a", SessionState(PARTS, 0b01, False))
-        store.close()
-        log = tmp_path / "sessions.log"
-        intact = log.read_bytes()
-        log.write_bytes(intact + b'["S","b",0,3')  # crash mid-append
-
-        reopened = SpillStore(tmp_path, max_resident=4)
-        assert "a" in reopened and "b" not in reopened
-        reopened.close()
-        assert log.read_bytes() == intact  # the torn record is gone
-
     def test_corrupt_interior_record_raises_store_error(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         store.put_state("a", SessionState(PARTS, 0b01, False))
         store.put_state("b", SessionState(PARTS, 0b10, False))
-        store.close()
         log = tmp_path / "sessions.log"
         lines = log.read_bytes().splitlines(keepends=True)
-        lines[1] = b'["S","a",99,1,0,1]\n'  # undefined policy id
+        lines[1] = b'["S","a",9,1,0]\n'  # undefined policy id, same length
         log.write_bytes(b"".join(lines))
         with pytest.raises(StoreError, match="bad record at byte"):
-            SpillStore(tmp_path, max_resident=4)
+            store.fault("a")
+        assert store.fault("b") == SessionState(PARTS, 0b10, False)
+        store.close()
 
     def test_non_string_principals_are_rejected(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
@@ -265,18 +270,6 @@ class TestSpillStore:
         store.fault("a")
         store.compact()
         assert "spill" in seen and "fault" in seen and "compact" in seen
-        store.close()
-
-    def test_a_log_with_six_field_records_still_replays(self, tmp_path):
-        # An earlier release wrote a trailing dirty stamp on every record.
-        (tmp_path / "sessions.log").write_bytes(
-            b'["P",0,[["friends_photos","friends_status"],["user_birthday"]]]\n'
-            b'["S","a",0,1,0,7]\n'
-            b'["S","b",0,3,1,9]\n'
-        )
-        store = SpillStore(tmp_path, max_resident=4)
-        assert store.fault("a") == SessionState(PARTS, 0b01, False)
-        assert store.fault("b") == SessionState(PARTS, 0b11, True)
         store.close()
 
     def test_log_bytes_tracks_the_append_head(self, tmp_path):
@@ -366,11 +359,9 @@ class TestCleanEviction:
             "b": SessionState(PARTS, 0b00, False),
             "c": SessionState(PARTS, 0b01, False),
         }
+        assert store.fault("a") == SessionState(PARTS, 0b11, False)
+        assert store.fault("b") == SessionState(PARTS, 0b00, False)
         store.close()
-        reopened = SpillStore(tmp_path, max_resident=4)
-        assert reopened.fault("a") == SessionState(PARTS, 0b11, False)
-        assert reopened.fault("b") == SessionState(PARTS, 0b00, False)
-        reopened.close()
 
     def test_put_state_supersedes_a_resident_in_one_record(self, tmp_path):
         seen = []
@@ -380,14 +371,12 @@ class TestCleanEviction:
         _fault_in(store, "a")
         kinds = _log_kinds(tmp_path)
         store.put_state("a", SessionState(PARTS, 0b11, False))
-        assert _log_kinds(tmp_path) == kinds + ["S"]  # no tombstone first
+        assert _log_kinds(tmp_path) == kinds + ["S"]
         assert seen == ["a"] and store.peek("a") is None
+        assert store.fault("a") == SessionState(PARTS, 0b11, False)
         store.close()
-        reopened = SpillStore(tmp_path, max_resident=4)
-        assert reopened.fault("a") == SessionState(PARTS, 0b11, False)
-        reopened.close()
 
-    def test_put_states_flushes_once_and_survives_reopen(self, tmp_path):
+    def test_put_states_flushes_once(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4, compact_min_dead=8)
         states = [
             (f"app-{index % 5}", SessionState(PARTS, 1 + index % 3, False))
@@ -397,28 +386,21 @@ class TestCleanEviction:
         assert store.compaction_count >= 1
         assert store.log_bytes() == (tmp_path / "sessions.log").stat().st_size
         assert store.fault("app-4") == SessionState(PARTS, 0b01, False)
+        assert store.cold_count() == 4
         store.close()
-        reopened = SpillStore(tmp_path, max_resident=4)
-        # A fault leaves its record in the log, so a close with the
-        # session out of the cold tier brings that last state back.
-        assert reopened.cold_count() == 5
-        assert reopened.fault("app-4") == SessionState(PARTS, 0b01, False)
-        reopened.close()
 
 
-class TestTombstoneRule:
-    def test_discarding_a_resident_tombstones_its_superseded_record(
-        self, tmp_path
-    ):
+class TestDiscards:
+    def test_discarding_a_resident_writes_nothing(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         store.put_state("a", SessionState(PARTS, 0b11, False))
         _fault_in(store, "a").live = 0b01  # resident; its S record is on disk
+        before = store.log_bytes()
         store.discard("a")
-        assert _log_kinds(tmp_path)[-1] == "D"
+        assert store.log_bytes() == before
+        assert "a" not in store and store.cold_count() == 0
+        assert store._dead == 1  # the record it was faulted from
         store.close()
-        reopened = SpillStore(tmp_path, max_resident=4)
-        assert "a" not in reopened and reopened.cold_count() == 0
-        reopened.close()
 
     def test_discarding_a_never_spilled_resident_writes_nothing(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
@@ -427,33 +409,62 @@ class TestTombstoneRule:
         assert store.log_bytes() == 0
         store.close()
 
-    def test_dropping_a_reset_ephemeral_session_tombstones_its_record(
-        self, tmp_path
-    ):
+    def test_a_reset_ephemeral_session_is_dropped_not_stored(self, tmp_path):
         store = SpillStore(tmp_path, max_resident=4)
         store.put_state("anon", SessionState(PARTS, 0b01, True))
         session = _fault_in(store, "anon")
         session.live = session.all_live  # reset while resident
+        before = store.log_bytes()
         store.demote("anon")  # fresh + ephemeral: dropped, not stored
+        assert "anon" not in store and store.log_bytes() == before
         store.close()
-        reopened = SpillStore(tmp_path, max_resident=4)
-        assert "anon" not in reopened  # the narrowed record must not return
-        reopened.close()
 
-    def test_unregistered_principal_stays_gone_after_reopen(self, views, tmp_path):
-        """register a; submit a; unregister a; close; reopen: a is gone."""
+    @pytest.mark.parametrize("spill", [False, True], ids=["ram", "spill"])
+    def test_a_fresh_ephemeral_put_state_is_a_discard(self, tmp_path, spill):
+        store = SpillStore(tmp_path, max_resident=4) if spill else InMemoryStore(4)
+        store.put_state("anon", SessionState(PARTS, 0b01, True))
+        store.put_states([("anon", SessionState(PARTS, 0b11, True))])
+        assert "anon" not in store and store.cold_count() == 0
+        store.put("anon", _session("anon", 0b01, ephemeral=True))
+        store.put_state("anon", SessionState(PARTS, 0b11, True))
+        assert "anon" not in store and store.resident_count() == 0
+        store.put_state("reg", SessionState(PARTS, 0b11, False))
+        assert store.cold_count() == 1  # a registered fresh state is kept
+        store.close()
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["ram", "spill"])
+    def test_a_reset_anonymous_principal_costs_nothing(self, views, tmp_path, spill):
+        """Anonymous principals narrowed through one resident slot, then
+        reset: each is as fresh as one never seen, so none stays stored
+        but the one still resident."""
+        kwargs = {"spill_dir": tmp_path} if spill else {}
+        service = DisclosureService(
+            views,
+            default_policy=[["public_profile"], ["user_likes"]],
+            max_active_sessions=1,
+            **kwargs,
+        )
+        query = service.parse("SELECT name FROM user WHERE uid = me()", "fql")
+        anonymous = [f"anon-{index}" for index in range(100)]
+        for principal in anonymous:
+            assert service.submit(principal, query).live_after != 0b11
+        for principal in anonymous:
+            service.reset(principal)
+        assert service.principal_count() <= 1
+        assert service.store.cold_count() == 0
+        for principal in anonymous:
+            assert service.live_partitions(principal) == (True, True)
+        service.close()
+
+    def test_an_unregistered_principal_is_gone(self, views, tmp_path):
         service = DisclosureService(views, max_active_sessions=4, spill_dir=tmp_path)
         service.register("a", _policies(views, 1)[0])
         service.submit("a", _query_pool(1)[0])
         service.unregister("a")
-        service.close()
-        reopened = DisclosureService(
-            views, max_active_sessions=4, spill_dir=tmp_path
-        )
-        assert "a" not in reopened and reopened.principal_count() == 0
+        assert "a" not in service and service.principal_count() == 0
         with pytest.raises(PolicyError, match="unknown principal"):
-            reopened.submit("a", _query_pool(1)[0])
-        reopened.close()
+            service.submit("a", _query_pool(1)[0])
+        service.close()
 
     def test_replacements_are_one_record_each(self, views, tmp_path):
         service = DisclosureService(views, max_active_sessions=4, spill_dir=tmp_path)
@@ -499,20 +510,21 @@ class TestSpillRoundTripProperty:
         data=st.data(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_any_state_survives_spill_fault_and_reopen(
+    def test_any_state_survives_spill_and_fault(
         self, principal, partitions, ephemeral, live_bits, data
     ):
         live = live_bits % (1 << len(partitions))
         state = SessionState(partitions, live, ephemeral)
         with tempfile.TemporaryDirectory() as spill_dir:
             store = SpillStore(spill_dir, max_resident=2)
-            store.put_state(principal, state)
-            assert store.fault(principal) == state
-            store.put_state(principal, state)
+            # A fresh ephemeral state is never stored: it rebuilds from
+            # the default policy.  Anything else reads back from disk.
+            fresh_ephemeral = ephemeral and live == (1 << len(partitions)) - 1
+            expected = None if fresh_ephemeral else state
+            for _ in range(2):  # the second write is a clean one
+                store.put_state(principal, state)
+                assert store.fault(principal) == expected
             store.close()
-            reopened = SpillStore(spill_dir, max_resident=2)
-            assert reopened.fault(principal) == state
-            reopened.close()
 
 
 # ----------------------------------------------------------------------
@@ -585,11 +597,13 @@ class TestServiceSpillEquivalence:
         spilled.close()
 
     def test_restart_finds_cold_sessions_on_disk_only(self, views, tmp_path):
-        """Kill with *every* session cold → byte-identical decisions."""
+        """Kill with *every* session cold: the chain's full base reads
+        them from the spill log, and a restart restores them into the
+        same (cleared) spill directory → byte-identical decisions."""
         policies = _policies(views, self.PRINCIPALS)
         reference = DisclosureService(views)
         spilled = DisclosureService(
-            views, max_active_sessions=3, spill_dir=tmp_path
+            views, max_active_sessions=3, spill_dir=tmp_path / "spill"
         )
         for index, policy in enumerate(policies):
             reference.register(f"app-{index}", policy)
@@ -598,16 +612,19 @@ class TestServiceSpillEquivalence:
         for principal, query in phase1:
             reference.submit(principal, query)
             spilled.submit(principal, query)
-        # Demote everything: the only surviving state is the spill log.
+        # Demote everything: the only copy of each state is the spill log.
         for principal in [f"app-{i}" for i in range(self.PRINCIPALS)]:
             spilled.store.demote(principal)
         assert spilled.store.resident_count() == 0
+        SnapshotChain(spilled, tmp_path / "state").save()
         spilled.close()
         del spilled
 
         restarted = DisclosureService(
-            views, max_active_sessions=3, spill_dir=tmp_path
+            views, max_active_sessions=3, spill_dir=tmp_path / "spill"
         )
+        assert restarted.principal_count() == 0  # the log is scratch
+        restore_collected(restarted, collect_state(tmp_path / "state"))
         assert restarted.principal_count() == self.PRINCIPALS
         for principal, query in self._traffic(17, 200):
             assert _strip_cached(
