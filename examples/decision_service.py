@@ -48,7 +48,7 @@ decision = client.submit("music-app", music)
 print(f"  music query:    accepted={decision['accepted']}  cached={decision['cached']}")
 
 print("== restart: serialized session state keeps the wall standing ==")
-state = service.export_state()
+state = service.export_state()  # the session table: a policy list, [index, live] per principal
 client.close()
 server.stop()
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 __all__ = [
     "POLICY_FORMAT_V1",
-    "SESSIONS_FORMAT_V1",
     "SESSIONS_FORMAT_V2",
     "SNAPSHOT_FORMAT_V3",
     "TRACE_FORMAT_V1",
@@ -40,12 +39,17 @@ __all__ = [
 #: the earlier ``repro.snapshot/1`` and ``/2`` releases are refused.
 SNAPSHOT_FORMAT_V3 = "repro.snapshot/3"
 
-#: Session-table export (``SessionStore.export_state`` /
-#: ``DisclosureService.export_state``): the live wire form.
-SESSIONS_FORMAT_V1 = "repro.server/1"
-
-#: Session-table file form inside snapshot sections: policy table plus
-#: ``[index, live_int]`` rows.
+#: The one session encoding, the session table: a policy table plus
+#: ``[policy_index, live]`` entries (``[policy_index, live, 1]`` for an
+#: ephemeral session).  Written by ``store.encode_states`` alone — for
+#: ``DisclosureService.export_state``/``export_generation``, every
+#: snapshot's ``sessions`` section (``snapshot_service``,
+#: ``SnapshotChain``, ``compact_chain``, ``partition.merge_snapshots``)
+#: and the replica pool's ``restore`` frame — and read by
+#: ``store.decode_states`` alone, for ``DisclosureService.import_state``
+#: and ``persist.collect_state`` (through ``persist.payload_states``).
+#: The earlier version-1 bool-list document is refused with an error
+#: naming its format.
 SESSIONS_FORMAT_V2 = "repro.server/2"
 
 #: Scenario trace documents (:mod:`repro.scenarios.trace`): a header

@@ -123,18 +123,17 @@ def merge_snapshots(payloads: Sequence[Dict]) -> Dict:
     """
     from repro.server.persist import (
         encode_interned_cache,
-        encode_sessions,
         payload_cache_entries,
-        payload_sessions,
+        payload_states,
         sessions_payload,
     )
 
-    sessions: Dict[str, Dict] = {}
+    sessions: Dict = {}
     cache: Dict = {}
     totals = {"decisions": 0, "accepted": 0, "refused": 0, "peeks": 0}
     latencies = []
     for payload in payloads:
-        sessions.update(payload_sessions(payload))
+        sessions.update(payload_states(payload))
         cache.update(payload_cache_entries(payload))
         metrics = payload.get("metrics") or {}
         for name in totals:
@@ -143,7 +142,7 @@ def merge_snapshots(payloads: Sequence[Dict]) -> Dict:
         if isinstance(metrics.get("latency"), dict):
             latencies.append(metrics["latency"])
     return {
-        "sessions": encode_sessions(sessions_payload(sessions)),
+        "sessions": sessions_payload(sessions),
         "interning": encode_interned_cache(cache.items()),
         "metrics": {**totals, "latency": aggregate_latency(latencies)},
     }

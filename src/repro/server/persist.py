@@ -47,13 +47,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.canonical import decode_key, encode_key
-from repro.core.formats import (
-    SESSIONS_FORMAT_V1,
-    SESSIONS_FORMAT_V2,
-    SNAPSHOT_FORMAT_V3,
-)
-from repro.errors import SnapshotError
+from repro.core.formats import SNAPSHOT_FORMAT_V3
+from repro.errors import PolicyError, SnapshotError
 from repro.server.service import DisclosureService
+from repro.server.store import SessionState, decode_states, encode_states
 
 #: The format-version header of every snapshot file this build writes
 #: and the only one it reads: a generation (full base or delta) of
@@ -95,84 +92,6 @@ def _decode(obj):
 # ----------------------------------------------------------------------
 # ID-plane encoding: tables once, references by dense integer id
 # ----------------------------------------------------------------------
-def encode_sessions(exported: Dict) -> Dict:
-    """``export_state()`` output as the snapshot session table.
-
-    Distinct policies (partition tuples) are stored once in a table;
-    each session becomes ``[policy_index, live_int]``, or
-    ``[policy_index, live_int, 1]`` for an ephemeral (default-policy)
-    session, so a restart does not make it registered.  Deployments
-    where many principals share a policy (the default-policy fleet, the
-    Figure 6 generator's repeats) shrink accordingly.
-    """
-    policies: List[List[List[str]]] = []
-    index_of: Dict[Tuple, int] = {}
-    sessions: Dict[str, List[int]] = {}
-    for principal, state in exported.get("sessions", {}).items():
-        partitions = tuple(tuple(p) for p in state["partitions"])
-        index = index_of.get(partitions)
-        if index is None:
-            index = len(policies)
-            index_of[partitions] = index
-            policies.append([list(p) for p in partitions])
-        live = 0
-        for bit, flag in enumerate(state["live"]):
-            if flag:
-                live |= 1 << bit
-        sessions[principal] = (
-            [index, live, 1] if state.get("ephemeral") else [index, live]
-        )
-    return {"format": SESSIONS_FORMAT_V2, "policies": policies, "sessions": sessions}
-
-
-def decode_sessions(data: Dict) -> Dict:
-    """A snapshot session table back into the ``export_state`` form.
-
-    The policy table expands once: sessions of one policy share one
-    expanded ``partitions`` list — treat it as read-only.  A
-    two-element entry is a registered session.  Raises
-    :class:`SnapshotError` on anything malformed.
-    """
-    if not isinstance(data, dict):
-        raise SnapshotError("session table is not an object")
-    fmt = data.get("format")
-    if fmt != SESSIONS_FORMAT_V2:
-        raise SnapshotError(f"unrecognized session-table format {fmt!r}")
-    policies = data.get("policies")
-    sessions = data.get("sessions")
-    if not isinstance(policies, list) or not isinstance(sessions, dict):
-        raise SnapshotError("session table needs 'policies' and 'sessions'")
-    # One expanded partition list per *policy*, shared (read-only) by
-    # every session that references it: a population restores in memory
-    # proportional to its distinct policies, not to its size.
-    expanded = [[list(p) for p in partitions] for partitions in policies]
-    out: Dict[str, Dict] = {}
-    for principal, entry in sessions.items():
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) not in (2, 3)
-            or not all(isinstance(value, int) for value in entry)
-            or any(flag != 1 for flag in entry[2:])
-        ):
-            raise SnapshotError(
-                f"session {principal!r}: expected [policy_index, live_bits]"
-                " or [policy_index, live_bits, 1]"
-            )
-        index, live = entry[:2]
-        if not 0 <= index < len(policies):
-            raise SnapshotError(
-                f"session {principal!r}: policy index {index} out of range"
-            )
-        partitions = expanded[index]
-        session = out[principal] = {
-            "partitions": partitions,
-            "live": [bool(live >> bit & 1) for bit in range(len(partitions))],
-        }
-        if len(entry) == 3:
-            session["ephemeral"] = True
-    return {"format": SESSIONS_FORMAT_V1, "sessions": out}
-
-
 def encode_interned_cache(entries: Iterable[Tuple]) -> Dict:
     """``export_label_cache()`` pairs as the interned-cache section.
 
@@ -238,12 +157,16 @@ def decode_interned_cache(data: Dict) -> List[Tuple]:
     return entries
 
 
-def payload_sessions(payload: Dict) -> Dict[str, Dict]:
-    """The per-principal session dicts of a snapshot payload."""
+def payload_states(payload: Dict) -> List[Tuple[str, SessionState]]:
+    """The ``(principal, SessionState)`` pairs of a snapshot payload's
+    session table; a malformed table is a :class:`SnapshotError`."""
     sessions = payload.get("sessions")
     if not sessions:
-        return {}
-    return decode_sessions(sessions).get("sessions", {})
+        return []
+    try:
+        return decode_states(sessions)
+    except PolicyError as exc:
+        raise SnapshotError(f"snapshot sessions do not decode: {exc}") from exc
 
 
 def payload_cache_entries(payload: Dict) -> List[Tuple]:
@@ -264,7 +187,7 @@ def snapshot_service(service: DisclosureService) -> Dict:
     dense integer index (smaller snapshots, faster restore).
     """
     return {
-        "sessions": encode_sessions(service.export_state()),
+        "sessions": service.export_state(),
         "interning": encode_interned_cache(service.export_label_cache()),
         "metrics": metrics_section(service),
     }
@@ -309,13 +232,9 @@ def restore_service(service: DisclosureService, payload: Dict) -> RestoreStats:
     """
     if not isinstance(payload, dict):
         raise SnapshotError("snapshot payload is not an object")
-    from repro.errors import PolicyError
-
     sessions = payload.get("sessions")
     try:
-        restored = (
-            service.import_state(decode_sessions(sessions)) if sessions else 0
-        )
+        restored = service.import_state(sessions) if sessions else 0
     except PolicyError as exc:
         raise SnapshotError(f"snapshot sessions do not restore: {exc}") from exc
     entries = payload_cache_entries(payload)
@@ -643,7 +562,7 @@ class SnapshotChain:
         try:
             path = self._append(
                 {
-                    "sessions": encode_sessions(state),
+                    "sessions": state,
                     "interning": encode_interned_cache(entries),
                     "metrics": metrics,
                 },
@@ -702,7 +621,7 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
     numbered = _numbered(state_dir)
     path = SnapshotChain(None, state_dir).save(
         {
-            "sessions": encode_sessions(sessions_payload(collected.sessions)),
+            "sessions": sessions_payload(collected.sessions),
             "interning": encode_interned_cache(collected.cache_entries),
             "metrics": collected.metrics
             if isinstance(collected.metrics, dict)
@@ -721,13 +640,13 @@ class CollectedState:
 
     def __init__(
         self,
-        sessions: Dict[str, Dict],
+        sessions: Dict[str, SessionState],
         cache_entries: List[Tuple],
         metrics: Optional[Dict],
         sources: List[Path],
         skipped: List[Tuple[Path, str]],
     ):
-        #: principal -> the export_state per-session dict.
+        #: principal -> its replayed :class:`SessionState`.
         self.sessions = sessions
         #: decoded ``warm_label_cache`` pairs, deduplicated.
         self.cache_entries = cache_entries
@@ -778,7 +697,7 @@ def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
     sequence_docs.sort(key=lambda item: item[0])
 
     chain = _sequence_chain(sequence_docs)
-    sessions: Dict[str, Dict] = {}
+    sessions: Dict[str, SessionState] = {}
     for _, _, document in chain:
         payload = document["payload"]
         # Apply a generation's removals before its updates, so an
@@ -786,7 +705,7 @@ def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
         # re-registered state.
         for principal in payload["delta"].get("removed") or ():
             sessions.pop(principal, None)
-        sessions.update(payload_sessions(payload))
+        sessions.update(payload_states(payload))
     newest_payload = chain[-1][2]["payload"] if chain else {}
 
     cache: Dict = {}
@@ -832,11 +751,9 @@ def _sequence_chain(
     return chain
 
 
-def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
-    """Wrap per-principal session dicts in the ``export_state`` format."""
-    from repro.server.service import _STATE_FORMAT
-
-    return {"format": _STATE_FORMAT, "sessions": sessions}
+def sessions_payload(sessions: Dict[str, SessionState]) -> Dict:
+    """A ``{principal: SessionState}`` map as the session table."""
+    return encode_states(sessions.items())
 
 
 def restore_collected(service: DisclosureService, collected: CollectedState) -> int:

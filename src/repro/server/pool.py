@@ -85,6 +85,7 @@ from repro.server.partition import shard_for
 from repro.server.store import (
     SessionState,
     SpillStore,
+    encode_states,
     iter_owned_states,
     state_of,
 )
@@ -158,19 +159,6 @@ def _worker_batch(service: DisclosureService, update: bool, items: List) -> List
     return ["ok", rows, reasons, labels]
 
 
-def _worker_restore(service: DisclosureService, rows: List) -> int:
-    """Refault session states shipped by the parent (start/respawn)."""
-    with service._lock:
-        for principal, partitions, live, ephemeral in rows:
-            service.store.put_state(
-                principal,
-                SessionState(
-                    tuple(tuple(p) for p in partitions), live, bool(ephemeral)
-                ),
-            )
-    return len(rows)
-
-
 def _replica_worker_main(
     index: int, conn, service_kwargs: Dict
 ) -> None:
@@ -239,7 +227,7 @@ def _replica_worker_main(
                     pass  # parent validated; a default-policy no-op
                 reply = ["ok"]
             elif kind == "restore":
-                reply = ["ok", _worker_restore(service, frame[1])]
+                reply = ["ok", service.import_state(frame[1])]
             elif kind == "warm":
                 from repro.server.persist import decode_interned_cache
 
@@ -475,19 +463,11 @@ class ReplicaPool:
             frame = ["warm", encode_interned_cache(entries)]
             _blocking(self._roundtrip(handle, frame, None))
         with self.service._lock:
-            rows = [
-                [
-                    principal,
-                    [list(p) for p in state.partitions],
-                    state.live,
-                    bool(state.ephemeral),
-                ]
-                for principal, state in iter_owned_states(
-                    self.service.store, handle.index, self.replicas
-                )
-            ]
-        if rows:
-            _blocking(self._roundtrip(handle, ["restore", rows], None))
+            table = encode_states(
+                iter_owned_states(self.service.store, handle.index, self.replicas)
+            )
+        if table["sessions"]:
+            _blocking(self._roundtrip(handle, ["restore", table], None))
 
     def _respawn(self, handle: ReplicaHandle) -> None:
         """Replace a dead replica in place; callers re-sync and replay.

@@ -47,7 +47,6 @@ from typing import (
 if TYPE_CHECKING:  # import only for annotations (no runtime cycle)
     from repro.client.base import DecisionClient
 
-from repro.core.formats import SESSIONS_FORMAT_V1
 from repro.core.queries import ConjunctiveQuery
 from repro.core.schema import Schema
 from repro.errors import ParseError, PolicyError
@@ -64,12 +63,11 @@ from repro.server.store import (
     SessionState,
     SessionStore,
     SpillStore,
-    export_document,
+    decode_states,
+    encode_states,
 )
 
 __all__ = ["DisclosureService", "ServiceDecision", "Session"]
-
-_STATE_FORMAT = SESSIONS_FORMAT_V1
 
 
 class Session:
@@ -603,14 +601,16 @@ class DisclosureService:
     # Serializable session state
     # ------------------------------------------------------------------
     def export_state(self) -> Dict:
-        """Every principal's policy and live bits, JSON-compatible.
+        """Every principal's session as the session table
+        (:func:`~repro.server.store.encode_states`): JSON-compatible,
+        and what a snapshot's ``sessions`` section holds.
 
         Principals must be strings (the HTTP layer enforces this on the
         wire); anything else cannot round-trip through JSON keys, so it
         raises rather than silently losing the session on restore.
         """
         with self._lock:
-            return self.store.export_state()
+            return encode_states(self.store.iter_states())
 
     def export_generation(
         self, full: bool = False
@@ -619,9 +619,9 @@ class DisclosureService:
 
         Returns ``(state, removed, drained)``:
 
-        * ``state`` — an :meth:`export_state`-shaped document holding
-          every session when *full* (or on the first cut), else only the
-          dirty principals that are still stored;
+        * ``state`` — a session table (:meth:`export_state`'s form)
+          holding every session when *full* (or on the first cut), else
+          only the dirty principals that are still stored;
         * ``removed`` — the dirty principals no longer stored: the
           tombstones a delta needs so a restart does not bring them
           back (always empty for a full cut, which simply omits them);
@@ -637,12 +637,12 @@ class DisclosureService:
         with self._lock:
             drained = self._dirty
             if full or drained is None:
-                state, removed = self.store.export_state(), []
+                state, removed = encode_states(self.store.iter_states()), []
             else:
                 reads = [(p, self.store.read_state(p)) for p in drained]
-                state = export_document((p, s) for p, s in reads if s is not None)
+                state = encode_states((p, s) for p, s in reads if s is not None)
                 # A non-string principal was never exportable (the
-                # document raises for one still stored), so it leaves
+                # encoder raises for one still stored), so it leaves
                 # no tombstone either.
                 removed = sorted(
                     p for p, s in reads if s is None and isinstance(p, str)
@@ -661,46 +661,30 @@ class DisclosureService:
             if self._dirty is not None:
                 self._dirty.update(principals)
 
-    def import_state(self, data: Dict) -> int:
-        """Restore sessions exported by :meth:`export_state`; returns count."""
-        if not isinstance(data, dict) or data.get("format") != _STATE_FORMAT:
-            raise PolicyError(
-                f"unrecognized service state format; expected {_STATE_FORMAT!r}"
-            )
-        sessions = data.get("sessions")
-        if not isinstance(sessions, dict):
-            raise PolicyError("service state has no 'sessions' mapping")
-        restored = {}
-        for principal, state in sessions.items():
-            partitions = self._normalize_policy(state.get("partitions", []))
-            live = state.get("live")
-            if not isinstance(live, list) or len(live) != len(partitions):
-                raise PolicyError(
-                    f"session {principal!r}: live bits do not match partitions"
-                )
-            if not any(live):
-                raise PolicyError(
-                    f"session {principal!r}: corrupt state, no live partition"
-                )
-            ephemeral = state.get("ephemeral", False)
-            if not isinstance(ephemeral, bool):
-                raise PolicyError(f"session {principal!r}: ephemeral is not a bool")
-            bits = 0
-            for index, flag in enumerate(live):
-                if flag:
-                    bits |= 1 << index
-            restored[principal] = SessionState(partitions, bits, ephemeral)
+    def import_state(self, table: Dict) -> int:
+        """Restore a session table (:meth:`export_state`'s form); returns
+        how many entries it held.
+
+        Every entry is checked before any is stored, and each policy is
+        validated against the security views once, however many
+        principals share it.  A service without a default policy has no
+        anonymous principals, so it restores an ephemeral entry as
+        registered.
+        """
+        restored = decode_states(
+            table, self._normalize_policy, anonymous=self._default_policy is not None
+        )
         with self._lock:
             # ``put_states`` is the optional bulk form of ``put_state``
             # (one log flush per call on the spill tier).
             put_states = getattr(self.store, "put_states", None)
             if put_states is not None:
-                put_states(restored.items())
+                put_states(restored)
             else:
-                for principal, state in restored.items():
+                for principal, state in restored:
                     self.store.put_state(principal, state)
             if self._dirty is not None:
-                self._dirty.update(restored)
+                self._dirty.update(principal for principal, _ in restored)
         return len(restored)
 
     # ------------------------------------------------------------------

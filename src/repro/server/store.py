@@ -24,6 +24,15 @@ dict directly, and so the container can be swapped:
     eviction — the common case under churn) re-instates the index
     entry and writes nothing.
 
+The session table
+-----------------
+:func:`encode_states` and :func:`decode_states` are the one durable
+session encoding — a policy table plus ``[policy_index, live]`` (or
+``[policy_index, live, 1]`` for an ephemeral session) per principal.
+``DisclosureService.export_state``/``import_state``, every snapshot's
+``sessions`` section and the replica pool's ``restore`` frame all use
+it; no other module builds or parses a session entry.
+
 Stores are **not** thread-safe on their own — every store call is made
 under the owning service's lock, exactly like the dicts they replace.
 
@@ -60,16 +69,20 @@ from typing import (
 )
 
 from ..analysis.markers import requires_lock
-from ..core.formats import SESSIONS_FORMAT_V1
+from ..core.formats import SESSIONS_FORMAT_V2
 from ..errors import PolicyError, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
     from .service import Session
 
-__all__ = ["SessionState", "SessionStore", "InMemoryStore", "SpillStore"]
-
-#: Serialized-state format produced by :meth:`SessionStore.export_state`.
-STATE_FORMAT = SESSIONS_FORMAT_V1
+__all__ = [
+    "SessionState",
+    "SessionStore",
+    "InMemoryStore",
+    "SpillStore",
+    "encode_states",
+    "decode_states",
+]
 
 Partitions = Tuple[Tuple[str, ...], ...]
 
@@ -240,10 +253,6 @@ class SessionStore(Protocol):
         """
         ...
 
-    def export_state(self) -> Dict[str, object]:
-        """Render both tiers as the durable ``repro.server/1`` document."""
-        ...
-
     def resident_sessions(self) -> Iterator["Session"]:
         """Yield the resident ``Session`` objects (LRU order, oldest first)."""
         ...
@@ -289,45 +298,127 @@ def iter_owned_states(
             yield principal, state
 
 
-def export_document(
+def encode_states(
     states: Iterable[Tuple[Hashable, SessionState]]
 ) -> Dict[str, object]:
-    """*states* as the durable ``repro.server/1`` document.
+    """*states* as the session table, the one durable session encoding.
 
-    An ephemeral (default-policy) session's entry carries
-    ``"ephemeral": true``; a registered one's has no such key.
-    Sessions of one policy share one (read-only) ``partitions`` list,
-    so an export of the whole population costs memory per distinct
-    policy, not per principal.  Principals must be strings: anything
-    else could not round-trip through JSON keys, so it raises rather
-    than silently losing the session on restore.
+    ``{"format": "repro.server/2", "policies": [...], "sessions":
+    {principal: [policy_index, live] | [policy_index, live, 1]}}``:
+    each distinct policy is written once, as a list of partitions, and
+    a session is its policy's index plus its live bitmask, with a third
+    element ``1`` for an ephemeral (default-policy) session.  Principals
+    must be strings: anything else could not round-trip through JSON
+    keys, so it raises rather than silently losing the session on
+    restore.
     """
 
-    entries: Dict[str, Dict[str, object]] = {}
-    expanded: Dict[Partitions, List[List[str]]] = {}
-    for principal, state in states:
+    policies: List[List[List[str]]] = []
+    index_of: Dict[Partitions, int] = {}
+    sessions: Dict[str, List[int]] = {}
+    for principal, (partitions, live, ephemeral) in states:
         if not isinstance(principal, str):
             raise PolicyError(
                 f"principal {principal!r} is not a string and would not "
                 "survive a JSON round-trip; use string principals for "
                 "serializable deployments"
             )
-        partitions, live = state.partitions, state.live
-        lists = expanded.get(partitions)
-        if lists is None:
-            lists = expanded[partitions] = [list(part) for part in partitions]
-        entry: Dict[str, object] = {
-            "partitions": lists,
-            "live": [bool(live >> index & 1) for index in range(len(partitions))],
-        }
-        if state.ephemeral:
-            entry["ephemeral"] = True
-        entries[principal] = entry
-    return {"format": STATE_FORMAT, "sessions": entries}
+        index = index_of.get(partitions)
+        if index is None:
+            index = index_of[partitions] = len(policies)
+            policies.append([list(part) for part in partitions])
+        sessions[principal] = [index, live, 1] if ephemeral else [index, live]
+    return {"format": SESSIONS_FORMAT_V2, "policies": policies, "sessions": sessions}
+
+
+def _policy_tuple(raw: object) -> Partitions:
+    """A policy-table entry (a list of lists of view names) as a tuple."""
+
+    if not isinstance(raw, list) or not all(
+        isinstance(part, list) and all(isinstance(name, str) for name in part)
+        for part in raw
+    ):
+        raise PolicyError(f"malformed policy {raw!r}: expected lists of view names")
+    return tuple(tuple(part) for part in raw)
+
+
+def decode_states(
+    table: object,
+    normalize: Optional[Callable[[Partitions], Partitions]] = None,
+    anonymous: bool = True,
+) -> List[Tuple[str, SessionState]]:
+    """The session table back into ``(principal, SessionState)`` pairs.
+
+    Each policy converts once — through *normalize* when given (the
+    service validates it against its views there) — and every session
+    of a policy shares that one tuple.  With *anonymous* false, an
+    ephemeral entry decodes as registered: a service without a default
+    policy has no anonymous principals.  Every entry is checked before
+    anything is returned; the first malformed one raises
+    :class:`~repro.errors.PolicyError` naming it.
+    """
+
+    if not isinstance(table, dict):
+        raise PolicyError("session table is not an object")
+    found = table.get("format")
+    if found != SESSIONS_FORMAT_V2:
+        raise PolicyError(
+            f"unrecognized session table format {found!r}; "
+            f"expected {SESSIONS_FORMAT_V2!r}"
+        )
+    policies = table.get("policies")
+    sessions = table.get("sessions")
+    if not isinstance(policies, list) or not isinstance(sessions, dict):
+        raise PolicyError(
+            "session table needs a 'policies' list and a 'sessions' mapping"
+        )
+    resolved = [_policy_tuple(raw) for raw in policies]
+    if normalize is not None:
+        resolved = [normalize(partitions) for partitions in resolved]
+    limits = [1 << len(partitions) for partitions in resolved]
+    # One state object per distinct (policy, live, flag), shared by every
+    # principal that holds it.
+    shared: Dict[Tuple[int, int, bool], SessionState] = {}
+    pairs: List[Tuple[str, SessionState]] = []
+    for principal, entry in sessions.items():
+        if type(entry) is list and len(entry) == 2:
+            index, live = entry
+            ephemeral = False
+        elif type(entry) is list and len(entry) == 3 and type(entry[2]) is int:
+            index, live, flag = entry
+            if flag != 1:
+                raise PolicyError(
+                    f"session {principal!r}: ephemeral flag {flag} is not 1"
+                )
+            ephemeral = anonymous
+        else:
+            index = live = None
+        if type(index) is not int or type(live) is not int:
+            raise PolicyError(
+                f"session {principal!r}: expected [policy_index, live] or "
+                f"[policy_index, live, 1], found {entry!r}"
+            )
+        if not 0 <= index < len(resolved):
+            raise PolicyError(
+                f"session {principal!r}: policy index {index} out of range"
+            )
+        if not 0 < live < limits[index]:
+            raise PolicyError(
+                f"session {principal!r}: corrupt state, no live partition"
+                if live == 0
+                else f"session {principal!r}: live bits {live} exceed its "
+                f"{len(resolved[index])} partitions"
+            )
+        key = (index, live, ephemeral)
+        state = shared.get(key)
+        if state is None:
+            state = shared[key] = SessionState(resolved[index], live, ephemeral)
+        pairs.append((principal, state))
+    return pairs
 
 
 class _StoreBase:
-    """Shared demote/export logic for the concrete stores."""
+    """Shared demote logic for the concrete stores."""
 
     #: True when the cold tier lives on disk (drives the
     #: ``repro_sessions_spilled`` gauge).  No tier outlives its process:
@@ -424,7 +515,7 @@ class _StoreBase:
     def resident_count(self) -> int:
         return len(self._resident)
 
-    # -- export ----------------------------------------------------------
+    # -- reads -----------------------------------------------------------
 
     def iter_states(self) -> Iterator[Tuple[Hashable, SessionState]]:
         for principal, state in self._iter_cold():
@@ -437,9 +528,6 @@ class _StoreBase:
         if session is not None:
             return state_of(session)
         return self._read_cold(principal)
-
-    def export_state(self) -> Dict[str, object]:
-        return export_document(self.iter_states())
 
     # -- hooks for subclasses -------------------------------------------
 

@@ -18,12 +18,20 @@ from repro.client import (
 )
 from repro.server.aio import start_async_background
 from repro.server.service import DisclosureService
+from repro.server.store import decode_states
 from repro.server.wire2 import gateway_for
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 
 BIRTHDAY = "SELECT birthday FROM user WHERE uid = me()"
 MUSIC = "SELECT music FROM user WHERE uid = me()"
+
+
+def _states(service):
+    """The service's sessions as ``{principal: SessionState}``: the
+    exported table decoded, so equal states compare equal whatever
+    order the store holds them in."""
+    return dict(decode_states(service.export_state()))
 
 
 @pytest.fixture()
@@ -460,11 +468,11 @@ class TestShardedEquivalence:
     def test_peek_batch_routes_and_changes_nothing(self, deployment):
         single, sharded, services = deployment
         traffic = _shard_traffic(9, 150)
-        states = [service.export_state() for service in services]
+        states = [_states(service) for service in services]
         expected = [single.peek(p, q) for p, q in traffic]
         got = sharded.peek_many(traffic)
         assert _without_cached(got) == _without_cached(expected)
-        assert states == [service.export_state() for service in services]
+        assert states == [_states(service) for service in services]
 
     def test_batch_reassembles_in_order_around_bad_items(
         self, deployment, queries

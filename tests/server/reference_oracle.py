@@ -16,11 +16,19 @@ from typing import Dict, Hashable, Optional
 from repro.labeling.cq_labeler import ConjunctiveQueryLabeler
 from repro.policy.monitor import Decision, ReferenceMonitor
 from repro.policy.policy import PartitionPolicy
+from repro.server.store import decode_states
 
 
 def live_bits(flags) -> int:
     """Live-partition flags as the kernel's bit vector."""
     return sum(1 << index for index, flag in enumerate(flags) if flag)
+
+
+def states_of(service) -> Dict:
+    """A service's sessions as ``{principal: SessionState}``: its
+    exported table decoded, so equal states compare equal whatever
+    order the store holds them in (policy indices follow that order)."""
+    return dict(decode_states(service.export_state()))
 
 
 class ReferenceOracle:

@@ -24,6 +24,8 @@ from repro.facebook.workload import WorkloadGenerator, generate_policies
 from repro.server.aio import dispatch
 from repro.server.service import DisclosureService
 
+from reference_oracle import states_of
+
 PRINCIPALS = 20
 
 
@@ -72,7 +74,7 @@ class TestSubmitBatchEquivalence:
             got.extend(batched.submit_batch(traffic[start : start + batch_size]))
 
         assert _wire(got) == _wire(expected)
-        assert batched.export_state() == sequential.export_state()
+        assert states_of(batched) == states_of(sequential)
         # Both verdicts must actually occur or the property is vacuous.
         assert any(d.accepted for d in expected)
         assert any(not d.accepted for d in expected)
@@ -149,7 +151,7 @@ class TestSubmitBatchEquivalence:
                 got.extend(mixed.submit_batch(traffic[cursor : cursor + size]))
                 cursor += size
         assert _wire(got) == _wire(expected)
-        assert mixed.export_state() == sequential.export_state()
+        assert states_of(mixed) == states_of(sequential)
 
     def test_refusals_commit_state_inside_a_batch(self, views):
         """A Chinese-Wall commit in item i must refuse item j > i of the
@@ -185,11 +187,11 @@ class TestPeekBatch:
             batched.submit(principal, query)
 
         expected = [sequential.peek(p, q) for p, q in traffic]
-        state_before = batched.export_state()
+        state_before = states_of(batched)
         got = batched.peek_batch(traffic)
 
         assert _wire(got) == _wire(expected)
-        assert batched.export_state() == state_before
+        assert states_of(batched) == state_before
         assert batched.peeks.value == sequential.peeks.value
 
     def test_peek_batch_items_do_not_observe_each_other(self, views):
@@ -215,12 +217,12 @@ class TestBatchValidation:
         service.register("app", [["public_profile"], ["user_likes"]])
         generator = WorkloadGenerator(max_subqueries=1, seed=2)
         queries = list(generator.stream(4))
-        state_before = service.export_state()
+        state_before = states_of(service)
         with pytest.raises(PolicyError, match="ghost"):
             service.submit_batch(
                 [("app", queries[0]), ("ghost", queries[1]), ("app", queries[2])]
             )
-        assert service.export_state() == state_before
+        assert states_of(service) == state_before
         assert service.decisions.value == 0
 
     def test_default_policy_admits_unknown_principals(self, views):
@@ -304,12 +306,12 @@ class TestWireBatch:
         service = DisclosureService(views, schema=schema)
         service.register("app", [["user_birthday"], ["user_likes"]])
         fql = "SELECT birthday FROM user WHERE uid = me()"
-        before = service.export_state()
+        before = states_of(service)
         results = _v1_batch(
             service, [{"principal": "app", "fql": fql}], peek=True
         )
         assert results[0]["accepted"] is True
-        assert service.export_state() == before
+        assert states_of(service) == before
         assert service.peeks.value == 1
 
 

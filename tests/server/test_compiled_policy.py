@@ -23,7 +23,12 @@ import shutil
 import tempfile
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.facebook.permissions import facebook_security_views
 from repro.facebook.workload import WorkloadGenerator, generate_policies
@@ -33,7 +38,7 @@ from repro.server.persist import SnapshotChain, collect_state, restore_collected
 from repro.server.service import DisclosureService
 from repro.server.store import InMemoryStore, SpillStore
 
-from reference_oracle import ReferenceOracle, live_bits
+from reference_oracle import ReferenceOracle
 
 VIEWS = facebook_security_views()
 #: K = 3 policies for M = 6 principals: every policy is shared.
@@ -66,6 +71,9 @@ class SharedPlaneMachine(RuleBasedStateMachine):
         self.spill_dir = os.path.join(self.root, "spill-0")
         self.restarts = 0
         self.oracle = ReferenceOracle(VIEWS, DEFAULT_POLICY)
+        #: The explicitly registered principals; every other one is
+        #: anonymous (decided under the default policy).
+        self.registered = set()
         self.service = self._open()
 
     def _open(self) -> DisclosureService:
@@ -88,18 +96,41 @@ class SharedPlaneMachine(RuleBasedStateMachine):
 
     def _check_durable(self):
         """The durable state agrees with the oracle: every principal
-        the service stores, and the fresh default for every other."""
-        exported = self.service.export_state()["sessions"]
+        the service stores, with its ephemeral flag, and the fresh
+        default for every other."""
+        sessions = self.service.export_state()["sessions"]
         fresh = (1 << len(DEFAULT_POLICY)) - 1
+        everyone = PRINCIPALS + ANONYMOUS
         assert {
-            principal: live_bits(exported[principal]["live"])
-            if principal in exported
-            else fresh
+            principal: sessions[principal][1] if principal in sessions else fresh
+            for principal in everyone
+        } == {principal: self.oracle.live_bits(principal) for principal in everyone}
+        assert {
+            principal: len(entry) == 3 for principal, entry in sessions.items()
+        } == {principal: principal not in self.registered for principal in sessions}
+
+    @invariant()
+    def population(self):
+        """After every step, ``restart`` included: the service stores
+        exactly the registered principals plus the anonymous ones not
+        at full live.  A fresh anonymous session may sit in the
+        resident tier (it decided, or was reset, while resident); the
+        cold tier never holds one, so those are counted apart and
+        leave with their eviction."""
+        fresh = (1 << len(DEFAULT_POLICY)) - 1
+        expected = len(self.registered) + sum(
+            1
             for principal in PRINCIPALS + ANONYMOUS
-        } == {
-            principal: self.oracle.live_bits(principal)
-            for principal in PRINCIPALS + ANONYMOUS
-        }
+            if principal not in self.registered
+            and self.oracle.live_bits(principal) != fresh
+        )
+        with self.service._lock:
+            transient = sum(
+                1
+                for session in self.service.store.resident_sessions()
+                if session.ephemeral and session.live == session.all_live
+            )
+        assert self.service.principal_count() - transient == expected
 
     def teardown(self):
         # Whatever path each session took, the durable state agrees.
@@ -116,6 +147,7 @@ class SharedPlaneMachine(RuleBasedStateMachine):
         policy = POLICIES[policy_index]
         self.service.register(principal, policy)
         self.oracle.register(principal, policy)
+        self.registered.add(principal)
 
     def _check(self, decision, principal, query, update):
         before = self.oracle.live_bits(principal)
@@ -159,6 +191,7 @@ class SharedPlaneMachine(RuleBasedStateMachine):
     def unregister(self, principal):
         self.service.unregister(principal)
         self.oracle.unregister(principal)
+        self.registered.discard(principal)
 
     @rule()
     def cut(self):

@@ -41,7 +41,7 @@ from repro.server.persist import (
 )
 from repro.server.service import DisclosureService
 
-from reference_oracle import ReferenceOracle
+from reference_oracle import ReferenceOracle, states_of
 
 PRINCIPALS = 10
 
@@ -84,7 +84,7 @@ class TestKernelEquivalence:
         expected = [reference.submit(p, q) for p, q in traffic]
         got = [kernel.decide(kernel.intern(q), p) for p, q in traffic]
         assert _wire(got) == _wire(expected)
-        assert kernel_side.export_state() == reference.export_state()
+        assert states_of(kernel_side) == states_of(reference)
 
     def test_decide_without_query_object_still_labels(self, views):
         """A cold cache plus bare qids forces query_from_key labeling."""
@@ -139,7 +139,7 @@ class TestKernelEquivalence:
             else:
                 got.extend(kernel_side.submit(p, q) for p, q in chunk)
         assert _wire(got) == _wire(expected)
-        assert kernel_side.export_state() == reference.export_state()
+        assert states_of(kernel_side) == states_of(reference)
 
     def test_decide_many_tallies_tenants_like_decide(self, views):
         """decide_many is decide once per qid, per-tenant counts too."""
@@ -254,7 +254,7 @@ class TestSampledSingleDecisions:
                 oracle.live_bits(principal) if verb == "submit"
                 else got.live_before
             )
-        assert sampled.export_state() == unsampled.export_state()
+        assert states_of(sampled) == states_of(unsampled)
         assert _tenant_counts(sampled) == _tenant_counts(unsampled)
         if any(verb != "register" for verb, _, _ in operations):
             counts = _stage_counts(sampled)

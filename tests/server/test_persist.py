@@ -48,9 +48,7 @@ from repro.server.persist import (
     collect_state,
     compact_chain,
     decode_interned_cache,
-    decode_sessions,
     encode_interned_cache,
-    encode_sessions,
     inspect_snapshot,
     load_snapshot,
     restore_collected,
@@ -60,6 +58,7 @@ from repro.server.persist import (
     snapshot_service,
 )
 from repro.server.service import DisclosureService
+from repro.server.store import SessionState, decode_states, encode_states
 
 from reference_oracle import ReferenceOracle
 
@@ -303,6 +302,14 @@ class TestSnapshotFiles:
         assert (stats.sessions, stats.cache_entries) == (
             PRINCIPALS, len(entries)
         )
+
+    def test_the_session_section_is_export_state(self, views):
+        """One session encoding: a snapshot's ``sessions`` section is
+        the service's own export, the table ``import_state`` reads."""
+        service = _registered_service(views, _policies(views))
+        for principal, query in _traffic(4, 100):
+            service.submit(principal, query)
+        assert snapshot_service(service)["sessions"] == service.export_state()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
@@ -1083,15 +1090,13 @@ class TestDirtySet:
     def _population(self, views, tmp_path, store, count):
         policies = _policies(views)
         service = DisclosureService(views, **_store_kwargs(store, tmp_path, 64))
+        states = [
+            SessionState(tuple(map(tuple, policy)), (1 << len(policy)) - 1, False)
+            for policy in policies
+        ]
         service.import_state(
             sessions_payload(
-                {
-                    f"app-{index}": {
-                        "partitions": policies[index % len(policies)],
-                        "live": [True] * len(policies[index % len(policies)]),
-                    }
-                    for index in range(count)
-                }
+                {f"app-{index}": states[index % len(states)] for index in range(count)}
             )
         )
         return service
@@ -1185,9 +1190,7 @@ class TestDirtySet:
         service.reset("app-5")
         delta = load_snapshot(chain.save_changed())["payload"]
         assert delta["delta"]["removed"] == ["app-4"]
-        assert set(decode_sessions(delta["sessions"])["sessions"]) == {
-            "app-3", "app-5",
-        }
+        assert set(delta["sessions"]["sessions"]) == {"app-3", "app-5"}
         collected = collect_state(tmp_path / "state")
         assert "app-4" not in collected.sessions
         assert len(collected.sessions) == 39
@@ -1200,26 +1203,18 @@ class TestEphemeralFlag:
     registered."""
 
     def test_only_ephemeral_entries_carry_the_third_element(self):
-        table = encode_sessions(
-            sessions_payload(
-                {
-                    "reg": {"partitions": SERVED, "live": [True, False]},
-                    "anon": {
-                        "partitions": SERVED,
-                        "live": [True, False],
-                        "ephemeral": True,
-                    },
-                }
-            )
+        partitions = tuple(map(tuple, SERVED))
+        table = encode_states(
+            [
+                ("reg", SessionState(partitions, 0b01, False)),
+                ("anon", SessionState(partitions, 0b01, True)),
+            ]
         )
         assert table["sessions"] == {"reg": [0, 1], "anon": [0, 1, 1]}
-        decoded = decode_sessions(table)["sessions"]
-        assert "ephemeral" not in decoded["reg"]  # a two-element entry is registered
-        assert decoded["anon"]["ephemeral"] is True
-        for entry in ([0, 1, 0], [0, 1, 2], [0, 1, 1, 1], [0, 1, "1"]):
-            table["sessions"]["anon"] = entry
-            with pytest.raises(SnapshotError, match="expected"):
-                decode_sessions(table)
+        decoded = dict(decode_states(table))
+        assert decoded["reg"].ephemeral is False  # a two-element entry
+        assert decoded["anon"].ephemeral is True
+        assert decoded["reg"].partitions is decoded["anon"].partitions
 
     @pytest.mark.parametrize("store", ["ram", "spill"])
     def test_a_restored_anonymous_session_stays_anonymous(
@@ -1255,6 +1250,32 @@ class TestEphemeralFlag:
         restore_collected(strict, collect_state(tmp_path / "second"))
         with pytest.raises(PolicyError, match="unknown principal"):
             strict.submit("anon", query)
+
+    @pytest.mark.parametrize("store", ["ram", "spill"])
+    def test_a_strict_service_restores_an_anonymous_entry_as_registered(
+        self, views, tmp_path, store
+    ):
+        """A service without a default policy has no anonymous
+        principals: a narrowed anonymous entry restores registered, so
+        a reset and an eviction leave it served, fresh under its own
+        policy, and exported without the flag."""
+        anonymous = DisclosureService(views, default_policy=SERVED)
+        query = anonymous.parse(*BIRTHDAY)
+        anonymous.submit("anon", query)
+        SnapshotChain(anonymous, tmp_path / "state").save()
+        assert anonymous.export_state()["sessions"]["anon"] == [0, 0b01, 1]
+
+        strict = DisclosureService(views, **_store_kwargs(store, tmp_path, 4))
+        restore_collected(strict, collect_state(tmp_path / "state"))
+        assert strict.live_partitions("anon") == (True, False)
+        strict.reset("anon")
+        with strict._lock:
+            strict.store.demote("anon")
+        assert "anon" in strict and strict.principal_count() == 1
+        assert strict.live_partitions("anon") == (True, True)
+        assert strict.export_state()["sessions"] == {"anon": [0, 0b11]}
+        assert strict.submit("anon", strict.parse(*MUSIC)).accepted
+        strict.close()
 
 
 # ----------------------------------------------------------------------
@@ -1432,13 +1453,13 @@ class TestServedStateDirectory:
             payload = client.snapshot()
             client.close()
         assert payload["metrics"]["decisions"] == 24
-        sessions = decode_sessions(payload["sessions"])["sessions"]
+        sessions = dict(decode_states(payload["sessions"]))
         assert set(sessions) == set(oracle.monitors)
-        for principal, session in sessions.items():
+        for principal, state in sessions.items():
             live = {
                 frozenset(partition)
-                for partition, flag in zip(session["partitions"], session["live"])
-                if flag
+                for bit, partition in enumerate(state.partitions)
+                if state.live >> bit & 1
             }
             expected = {
                 partition
@@ -1534,9 +1555,8 @@ class TestServedStateDirectory:
 
         with _serving(tmp_path / "second.log", *argv) as url:
             client = HttpClient(url, timeout=10)
-            sessions = decode_sessions(client.snapshot()["sessions"])["sessions"]
-            assert set(sessions) == {"p"}
-            assert sessions["p"]["live"] == [True, True]  # as the cut held it
+            sessions = client.snapshot()["sessions"]["sessions"]
+            assert sessions == {"p": [0, 0b11]}  # as the cut held it
             assert self._sessions(client) == 1
             with pytest.raises(ClientError) as refused:
                 client.submit("late", parse_text(*MUSIC))

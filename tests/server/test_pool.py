@@ -35,6 +35,8 @@ from repro.server.pool import (
 from repro.server.service import DisclosureService
 from repro.server.store import state_of
 
+from reference_oracle import states_of
+
 PRINCIPALS = ("alice", "bob", "carol", "dave", "erin")
 REPLICAS = 2
 
@@ -193,13 +195,13 @@ class TestInlineRoutes:
         self, deployment, views, schema
     ):
         _, parent, pool = deployment
-        from repro.server.persist import payload_sessions, restore_service
+        from repro.server.persist import restore_service
 
         # The pool leaves the route to the parent's ordinary dispatch.
         assert pool.dispatch_inline("GET", "/internal/snapshot", None) is None
         status, payload = dispatch(parent, "GET", "/internal/snapshot", None)
         assert status == 200
-        sessions = payload_sessions(payload)
+        sessions = payload["sessions"]["sessions"]
         assert set(PRINCIPALS) <= set(sessions)
         restored = DisclosureService(views, schema=schema)
         try:
@@ -515,9 +517,9 @@ class TestDerivedMirror:
             for w, g in zip(want, got):
                 _assert_same_decision(w, g)
         assert {pool.owner_of(p) for p, _ in submits} == set(range(REPLICAS))
-        mirror = parent.export_state()["sessions"]
+        mirror = states_of(parent)
         assert set(mirror) == set(self.REGISTERED) | {"anon-a", "anon-b"}
-        assert mirror == local.export_state()["sessions"]
+        assert mirror == states_of(local)
         ephemeral = {
             principal: state.ephemeral
             for principal, state in parent.store.iter_states()

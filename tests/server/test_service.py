@@ -194,40 +194,57 @@ class TestSerializableState:
         service = DisclosureService(views)
         with pytest.raises(PolicyError, match="format"):
             service.import_state({"format": "nope"})
+        with pytest.raises(PolicyError, match="not an object"):
+            service.import_state([])
 
-    def test_import_rejects_mismatched_live_bits(self, views):
+    def test_a_bool_list_document_is_refused_by_its_format(self, views):
+        """The version-1 export document (bool lists per session) is no
+        longer read; the error names the format it found."""
         service = DisclosureService(views)
-        with pytest.raises(PolicyError, match="live bits"):
-            service.import_state(
-                {
-                    "format": "repro.server/1",
-                    "sessions": {
-                        "x": {"partitions": [["public_profile"]], "live": [True, True]}
-                    },
-                }
-            )
-        with pytest.raises(PolicyError, match="no live partition"):
-            service.import_state(
-                {
-                    "format": "repro.server/1",
-                    "sessions": {
-                        "x": {"partitions": [["public_profile"]], "live": [False]}
-                    },
-                }
-            )
-        with pytest.raises(PolicyError, match="ephemeral is not a bool"):
-            service.import_state(
-                {
-                    "format": "repro.server/1",
-                    "sessions": {
-                        "x": {
-                            "partitions": [["public_profile"]],
-                            "live": [True],
-                            "ephemeral": 1,
-                        }
-                    },
-                }
-            )
+        document = {
+            "format": "repro.server/1",
+            "sessions": {"x": {"partitions": [["public_profile"]], "live": [True]}},
+        }
+        with pytest.raises(PolicyError, match="'repro.server/1'"):
+            service.import_state(document)
+        assert service.principal_count() == 0
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([1, 1], "policy index 1 out of range"),
+            ([-1, 1], "policy index -1 out of range"),
+            ([0, 0], "no live partition"),
+            ([0, 0b100], "exceed its 2 partitions"),
+            ([0, -1], "exceed its 2 partitions"),
+            ([0, 1, 0], "ephemeral flag 0 is not 1"),
+            ([0, 1, 2], "ephemeral flag 2 is not 1"),
+            ([0, "1"], "expected \\[policy_index, live\\]"),
+            ([0, 1.0], "expected \\[policy_index, live\\]"),
+            ([0, True], "expected \\[policy_index, live\\]"),
+            ([0, 1, "1"], "expected \\[policy_index, live\\]"),
+            ([0], "expected \\[policy_index, live\\]"),
+            ([0, 1, 1, 1], "expected \\[policy_index, live\\]"),
+            ({"partitions": [["public_profile"]], "live": [True]}, "expected"),
+        ],
+        ids=[
+            "index-past-end", "index-negative", "live-zero", "live-too-wide",
+            "live-negative", "flag-zero", "flag-two", "live-string",
+            "live-float", "live-bool", "flag-string", "short", "long",
+            "bool-list-entry",
+        ],
+    )
+    def test_import_rejects_each_malformed_entry(self, views, entry, message):
+        """Every entry is checked before any is stored: one bad entry
+        restores nothing."""
+        service = DisclosureService(views)
+        table = {
+            "format": "repro.server/2",
+            "policies": [CHINESE_WALL],
+            "sessions": {"good": [0, 0b11], "bad": entry},
+        }
+        with pytest.raises(PolicyError, match=message):
+            service.import_state(table)
         assert service.principal_count() == 0
 
     def test_each_distinct_policy_is_normalised_once(self, views, monkeypatch):
@@ -243,15 +260,15 @@ class TestSerializableState:
         monkeypatch.setattr(service_module, "PartitionPolicy", CountingPolicy)
         service = DisclosureService(views)
         policies = [[["user_likes"], ["public_profile"]], [["public_profile"]]]
-        sessions = {
-            f"app-{index}": {
-                "partitions": policies[index % 2],
-                "live": [True] * len(policies[index % 2]),
-            }
-            for index in range(50)
+        table = {
+            "format": "repro.server/2",
+            "policies": policies,
+            "sessions": {
+                f"app-{index}": [index % 2, (1 << len(policies[index % 2])) - 1]
+                for index in range(50)
+            },
         }
-        payload = {"format": "repro.server/1", "sessions": sessions}
-        assert service.import_state(payload) == 50
+        assert service.import_state(table) == 50
         for index in range(50):
             service.register(f"new-{index}", [list(p) for p in policies[index % 2]])
         assert len(built) == 2
@@ -260,16 +277,18 @@ class TestSerializableState:
         # Principals of one policy hold one tuple, not one each.
         with service._lock:
             states = dict(service.store.iter_states())
+        assert states["app-0"].partitions is states["app-2"].partitions
         assert states["app-0"].partitions is states["new-0"].partitions
 
     def test_import_still_rejects_malformed_policies(self, views):
         service = DisclosureService(views)
         for partitions in (7, [7], [["no_such_view"]], [[["nested"]]]):
-            with pytest.raises((PolicyError, TypeError)):
+            with pytest.raises(PolicyError):
                 service.import_state(
                     {
-                        "format": "repro.server/1",
-                        "sessions": {"x": {"partitions": partitions, "live": [True]}},
+                        "format": "repro.server/2",
+                        "policies": [partitions],
+                        "sessions": {"x": [0, 1]},
                     }
                 )
         assert "x" not in service

@@ -38,6 +38,8 @@ from repro.server.store import (
     InMemoryStore,
     SessionState,
     SpillStore,
+    decode_states,
+    encode_states,
     state_of,
 )
 
@@ -164,11 +166,11 @@ class TestInMemoryStore:
         assert store.read_state("nobody") is None
         assert store.cold_count() == 1 and store.fault_count == 0
 
-    def test_export_state_rejects_non_string_principals(self):
+    def test_the_encoder_rejects_non_string_principals(self):
         store = InMemoryStore(4)
         store.put(42, _session(42))
         with pytest.raises(PolicyError, match="not a string"):
-            store.export_state()
+            encode_states(store.iter_states())
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +527,75 @@ class TestSpillRoundTripProperty:
                 store.put_state(principal, state)
                 assert store.fault(principal) == expected
             store.close()
+
+
+# ----------------------------------------------------------------------
+# Property: the session table round-trips any population across stores
+# ----------------------------------------------------------------------
+_members = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # policy
+        st.integers(min_value=1),  # live, folded into range below
+        st.booleans(),  # ephemeral
+        st.booleans(),  # resident
+    ),
+    max_size=12,
+)
+
+
+class TestSessionTableProperty:
+    @given(members=_members, spill_first=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_any_population_round_trips_across_stores(
+        self, views, members, spill_first
+    ):
+        """``iter_states`` → ``export_state`` → JSON → ``import_state``
+        into a fresh service on the other store gives back the same
+        states, the ephemeral flag included.  A fresh ephemeral state
+        is the one exception by design: the cold tier never holds one,
+        so it only survives while resident."""
+        with tempfile.TemporaryDirectory() as root:
+            stores = [
+                lambda: SpillStore(f"{root}/spill", max_resident=4),
+                lambda: InMemoryStore(4),
+            ]
+            if not spill_first:
+                stores.reverse()
+            source, target = (
+                DisclosureService(
+                    views, session_store=make(), default_policy=[["public_profile"]]
+                )
+                for make in stores
+            )
+            policies = [source._normalize_policy(p) for p in _policies(views, 3)]
+            with source._lock:
+                for index, (policy, live, ephemeral, resident) in enumerate(members):
+                    partitions = policies[policy]
+                    state = SessionState(
+                        partitions, live % ((1 << len(partitions)) - 1) + 1, ephemeral
+                    )
+                    source.store.put_state(f"p-{index}", state)
+                    if resident:
+                        source._session(f"p-{index}")  # faults it in
+                held = dict(source.store.iter_states())
+            table = json.loads(json.dumps(source.export_state()))
+            assert table == source.export_state()
+            assert target.import_state(table) == len(held)
+            with target._lock:
+                restored = dict(target.store.iter_states())
+            fresh_ephemeral = {
+                principal
+                for principal, (partitions, live, ephemeral) in held.items()
+                if ephemeral and live == (1 << len(partitions)) - 1
+            }
+            assert restored == {
+                principal: state
+                for principal, state in held.items()
+                if principal not in fresh_ephemeral
+            }
+            assert dict(decode_states(table)) == held
+            source.close()
+            target.close()
 
 
 # ----------------------------------------------------------------------
